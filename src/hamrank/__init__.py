@@ -7,6 +7,7 @@ from .errors import (
     BudgetExceededError,
     HamrankError,
     InconsistentFingerprintError,
+    InputError,
     MissingFeatureError,
     NonSquareError,
     PatternViolationError,
@@ -19,7 +20,6 @@ from .compression import (
     Compressor,
     MatFamily,
     fit_compressor,
-    vandermonde_compressor,
     verify_compressor,
 )
 from .veronese import (

@@ -118,14 +118,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         csv_path=args.csv,
     )
     mode = getattr(args, "mode", None)
-    if mode:
-        if mode.startswith("sample:"):
-            config.verify_mode = "sample"
-            config.sample_count = int(mode.split(":", 1)[1])
-        elif mode in ("exhaustive", "sample"):
-            config.verify_mode = mode
-        else:
-            raise SystemExit(f"bad --mode {mode!r}: use exhaustive or sample:COUNT")
+    if mode is not None and mode != "exhaustive":
+        kind, _, count = mode.partition(":")
+        if kind != "sample" or not count.isdigit() or int(count) < 1:
+            raise SystemExit(
+                f"bad --mode {mode!r}: use exhaustive or sample:COUNT, COUNT >= 1"
+            )
+        config.verify_mode = "sample"
+        config.sample_count = int(count)
     return config
 
 

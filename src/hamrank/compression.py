@@ -11,10 +11,8 @@ over the family, and retrying with a doubled entry range on failure.  The
 returned compressor is always carried together with its verification status:
 nothing in the package ever assumes genericity without checking it.
 
-Two deterministic alternatives avoid randomness where structure permits:
-the identity embedding when the target is at least as large as the source,
-and Vandermonde columns for binary diagonal families, accepted only when an
-explicit dominance certificate over all supports holds.
+When the target is at least as large as the source, the identity embedding
+avoids randomness altogether.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .errors import RetriesExhaustedError, SizeMismatchError
-from .exact import Mat, minor, rank_exact
+from .exact import Mat, rank_exact
 
 DEFAULT_ENTRY_RANGE = 1 << 16
 
@@ -56,18 +54,18 @@ class MatFamily:
             raise ValueError("exactly one of explicit/diag_patterns must be given")
 
     @classmethod
-    def from_members(cls, members: Sequence[Mat], deduplicate: bool = True) -> "MatFamily":
+    def from_members(cls, members: Sequence[Mat]) -> "MatFamily":
+        """The distinct members, in first-occurrence order."""
         members = list(members)
         if not members:
             raise ValueError("family must be nonempty")
         shape = members[0].shape
         if any(m.shape != shape for m in members):
             raise SizeMismatchError("family members must share one shape")
-        if deduplicate:
-            seen = {}
-            for m in members:
-                seen.setdefault(m.entries, m)
-            members = list(seen.values())
+        seen = {}
+        for m in members:
+            seen.setdefault(m.entries, m)
+        members = list(seen.values())
         return cls(
             shape=shape,
             descriptor={"kind": "explicit", "count": len(members)},
@@ -393,82 +391,3 @@ def fit_compressor(
         achieved=None if last is None else last["achieved"],
         required=None if last is None else last["required"],
     )
-
-
-# -------------------------------------------------------------------
-# Deterministic Vandermonde alternative for binary diagonal families
-# -------------------------------------------------------------------
-
-
-def vandermonde_compressor(
-    n: int, k: int, max_base_doublings: int = 24
-) -> Compressor:
-    """Deterministic compressor for {Diag(z) : z in {-1,0,1}^n} onto k x k.
-
-    Both factors share columns p_i = (1, t_i, ..., t_i^(k-1)) over the
-    super-increasing nodes t_i = B^i.  Acceptance is never assumed: a
-    candidate passes either through the Cauchy-Binet dominance certificate
-    (for every support, the largest det(P_T)^2 term strictly exceeds the sum
-    of all others, so no +-1 combination cancels) or, failing that, through
-    exhaustive rank verification against the full sign-pattern family.
-
-    The dominance certificate is attainable only for k = 1: for k >= 2 the
-    top subset shares its largest node with other subsets whose terms are of
-    the same magnitude, and the gap `largest - rest` works out to
-    -((a - c)^2 + 2 b^2) <= 0 in the consecutive node gaps, for any node
-    choice.  The exhaustive fallback is what certifies those targets.
-
-    The node base B doubles until a candidate is accepted.
-    """
-    if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
-    family = MatFamily.diagonal_differences(n, (0, 1))
-    base = 2
-    for _ in range(max_base_doublings):
-        nodes = [base**i for i in range(n)]
-        fac = Mat(k, n, tuple(nodes[j] ** i for i in range(k) for j in range(n)))
-        candidate = Compressor(
-            left=fac,
-            right=fac,
-            source_shape=(n, n),
-            target_shape=(k, k),
-            seed=0,
-            verified=False,
-            entry_range=base,
-            method="vandermonde",
-        )
-        if dominance_certificate(fac, n, k) or verify_compressor(candidate, family).ok:
-            return replace(candidate, verified=True)
-        base *= 2
-    raise RetriesExhaustedError(
-        f"no accepted Vandermonde compressor up to node base {base}"
-    )
-
-
-def dominance_certificate(fac: Mat, n: int, k: int) -> bool:
-    """A-priori sufficient condition for sign-pattern rank preservation.
-
-    For |S| >= k the compressed determinant expands over k-subsets T of S
-    into +-det(P_T)^2 terms; strict dominance of the largest term makes
-    every signed combination nonzero.  For |S| < k, full column rank of the
-    factor restricted to S forces the compressed rank up to |S|.
-    """
-    k_subsets = list(itertools.combinations(range(n), k))
-    dets = {}
-    for t in k_subsets:
-        d = minor(fac, range(k), t)
-        dets[t] = d * d
-    for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            if size < k:
-                sub = fac.submatrix(range(k), support)
-                if rank_exact(sub) != size:
-                    return False
-            else:
-                sset = set(support)
-                terms = sorted(
-                    (dets[t] for t in k_subsets if set(t) <= sset), reverse=True
-                )
-                if not terms or terms[0] <= sum(terms[1:]):
-                    return False
-    return True

@@ -5,6 +5,10 @@ class HamrankError(Exception):
     """Base class for all package-specific failures."""
 
 
+class InputError(HamrankError, ValueError):
+    """An input document or argument is malformed or outside the domain."""
+
+
 class NonSquareError(HamrankError):
     """A square matrix was required (determinant, minor embedding)."""
 

@@ -18,17 +18,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import comb
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .compression import Compressor, MatFamily, fit_compressor, verify_compressor
 from .errors import (
-    BudgetExceededError,
+    InputError,
     PatternViolationError,
     RetriesExhaustedError,
     SizeMismatchError,
 )
 from .exact import Mat
-from .parallel import map_rows
+from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
+from .parallel import SweepReport, sweep
 from .seeds import rng_stream, seed_stream
 from .veronese import minor_embed
 
@@ -111,6 +113,34 @@ class SupportRep:
         }
 
 
+def minor_rep(
+    a_map: Callable, b_map: Callable, size: int, predicate: str, **fields
+) -> SupportRep:
+    """The support rep <u(x), v(y)> = det(a_map(x) + b_map(y)) for square maps.
+
+    u and v are the left and right minor embeddings of the size x size
+    maps, so the dot product is nonzero exactly where the sum has full rank.
+    ``fields`` are the remaining ``SupportRep`` attributes.
+    """
+    return SupportRep(
+        dim=comb(2 * size, size),
+        u_fn=lambda x: minor_embed(a_map(x), "left"),
+        v_fn=lambda y: minor_embed(b_map(y), "right"),
+        predicate=predicate,
+        **fields,
+    )
+
+
+def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
+    """Index -> word, matching itertools.product enumeration order."""
+    base = len(alphabet)
+    digits = []
+    for _ in range(n):
+        digits.append(alphabet[i % base])
+        i //= base
+    return tuple(reversed(digits))
+
+
 def dist(x: Sequence[int], y: Sequence[int]) -> int:
     """Hamming distance between equal-length words."""
     if len(x) != len(y):
@@ -172,17 +202,11 @@ def build_hd_supp(
             family, k, k, seed_stream(seed, "hd-supp", n, k), max_retries=max_retries
         )
 
-    def u_fn(x: Word) -> tuple[int, ...]:
-        return minor_embed(comp.apply_diag(x), "left")
-
-    def v_fn(y: Word) -> tuple[int, ...]:
-        return minor_embed(-comp.apply_diag(y), "right")
-
-    return SupportRep(
-        dim=comb(2 * k, k),
-        u_fn=u_fn,
-        v_fn=v_fn,
-        predicate=f"HD>={k}",
+    return minor_rep(
+        comp.apply_diag,
+        lambda y: -comp.apply_diag(y),
+        k,
+        f"HD>={k}",
         n=n,
         k=k,
         alphabet=alphabet,
@@ -197,18 +221,11 @@ def load_supp(obj: dict) -> SupportRep:
         raise ValueError(f"not a support-rep document: {obj.get('schema')!r}")
     comp = Compressor.from_json(obj["compressor"])
     k = obj["k"]
-
-    def u_fn(x: Word) -> tuple[int, ...]:
-        return minor_embed(comp.apply_diag(x), "left")
-
-    def v_fn(y: Word) -> tuple[int, ...]:
-        return minor_embed(-comp.apply_diag(y), "right")
-
-    return SupportRep(
-        dim=obj["dim"],
-        u_fn=u_fn,
-        v_fn=v_fn,
-        predicate=obj["predicate"],
+    return minor_rep(
+        comp.apply_diag,
+        lambda y: -comp.apply_diag(y),
+        k,
+        obj["predicate"],
         n=obj["n"],
         k=k,
         alphabet=tuple(int(a) for a in obj["alphabet"]),
@@ -222,25 +239,16 @@ def load_supp(obj: dict) -> SupportRep:
 # -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    pairs_checked: int
-    violation_count: int
-    violations: tuple[dict, ...]  # capped sample, in pair order
-    mode: str
+class _Memo(dict):
+    """An index -> value table filled on first lookup."""
 
-    @property
-    def certified(self) -> bool:
-        return self.violation_count == 0
+    def __init__(self, fn: Callable[[int], tuple[int, ...]]):
+        super().__init__()
+        self._fn = fn
 
-    def to_json(self) -> dict:
-        return {
-            "pairs_checked": self.pairs_checked,
-            "violation_count": self.violation_count,
-            "violations": list(self.violations),
-            "mode": self.mode,
-            "certified": self.certified,
-        }
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        value = self[key] = self._fn(key)
+        return value
 
 
 def _violation(x: Word, y: Word, value: int, expected: bool) -> dict:
@@ -260,94 +268,59 @@ def verify_support_rep(
     threads: int = 1,
     max_pairs: int | None = None,
     violation_cap: int = 32,
-) -> SupportReport:
+) -> SweepReport:
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
     Exhaustive mode sweeps all |alphabet|^(2n) ordered pairs in product
     order; sample mode draws seeded uniform ordered pairs.  The report is
     deterministic for a given mode and seed, and independent of the thread
-    count: work is partitioned by row and merged in row order.
+    count (see ``parallel.sweep``).
     """
     if rep.n is None or rep.k is None or rep.alphabet is None:
         raise ValueError("verification needs a Hamming-threshold representation")
-    words = list(itertools.product(rep.alphabet, repeat=rep.n))
-    k = rep.k
-    if mode == "sample":
-        if not sample_count or sample_count < 1:
-            raise ValueError("sample mode needs a positive sample_count")
-        rng = rng_stream(sample_seed, "verify-sample", rep.n, k)
-        m = len(words)
-        violations = []
-        bad = 0
-        for _ in range(sample_count):
-            x = words[rng.randrange(m)]
-            y = words[rng.randrange(m)]
-            value = rep.dot(x, y)
-            expected = dist(x, y) >= k
-            if (value != 0) != expected:
-                bad += 1
-                if len(violations) < violation_cap:
-                    violations.append(_violation(x, y, value, expected))
-        return SupportReport(sample_count, bad, tuple(violations), "sample")
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+    n, k, alphabet = rep.n, rep.k, rep.alphabet
 
-    total = len(words) * len(words)
-    if max_pairs is not None and total > max_pairs:
-        raise BudgetExceededError(
-            f"{total} pairs exceed the exhaustive budget of {max_pairs}; "
-            "rerun in sample mode with an explicit count"
-        )
-
-    us = [rep.u(x) for x in words]
-    vs = [rep.v(y) for y in words]
-    binary = len(rep.alphabet) == 2
-    if binary:
-        # encode words as bit masks so distance is xor + popcount
-        lookup = {rep.alphabet[0]: 0, rep.alphabet[1]: 1}
-        codes = [
-            sum(lookup[c] << i for i, c in enumerate(w)) for w in words
-        ]
-
-    def scan_row(i: int) -> tuple[int, list[dict]]:
-        ui = us[i]
-        row_bad = 0
-        row_viol = []
-        if binary:
-            ci = codes[i]
-            for j, vj in enumerate(vs):
-                value = sum(a * b for a, b in zip(ui, vj))
-                if (value != 0) != ((ci ^ codes[j]).bit_count() >= k):
-                    row_bad += 1
-                    if len(row_viol) < violation_cap:
-                        row_viol.append(
-                            _violation(
-                                words[i],
-                                words[j],
-                                value,
-                                (ci ^ codes[j]).bit_count() >= k,
-                            )
-                        )
+    def prepare():
+        words = list(rep.words())
+        if mode == "exhaustive":
+            # every vector is used: embed once, before the rows are shared out
+            us, vs = [rep.u(w) for w in words], [rep.v(w) for w in words]
         else:
-            wi = words[i]
-            for j, vj in enumerate(vs):
-                value = sum(a * b for a, b in zip(ui, vj))
-                expected = dist(wi, words[j]) >= k
-                if (value != 0) != expected:
-                    row_bad += 1
-                    if len(row_viol) < violation_cap:
-                        row_viol.append(_violation(wi, words[j], value, expected))
-        return row_bad, row_viol
+            us, vs = _Memo(lambda i: rep.u(words[i])), _Memo(lambda j: rep.v(words[j]))
+        # one-hot letter codes: each differing position sets two bits of the xor
+        letter = {c: b for b, c in enumerate(alphabet)}
+        codes = [
+            sum(1 << (p * len(alphabet) + letter[c]) for p, c in enumerate(w))
+            for w in words
+        ]
+        need = 2 * k
 
-    results = map_rows(scan_row, len(words), threads)
-    bad = 0
-    violations: list[dict] = []
-    for row_bad, row_viol in results:
-        bad += row_bad
-        take = violation_cap - len(violations)
-        if take > 0:
-            violations.extend(row_viol[:take])
-    return SupportReport(total, bad, tuple(violations), "exhaustive")
+        def bad_cols(i: int, cols) -> list[int]:
+            ui, ci = us[i], codes[i]
+            return [
+                j
+                for j in cols
+                if (sum(map(mul, ui, vs[j])) != 0)
+                != ((ci ^ codes[j]).bit_count() >= need)
+            ]
+
+        return bad_cols
+
+    result = sweep(
+        len(alphabet) ** n,
+        prepare,
+        mode,
+        sample_count,
+        rng_stream(sample_seed, "verify-sample", n, k),
+        threads,
+        max_pairs,
+        violation_cap,
+    )
+    records = []
+    for i, j in result.violations:
+        x, y = word_of_index(i, n, alphabet), word_of_index(j, n, alphabet)
+        records.append(_violation(x, y, rep.dot(x, y), dist(x, y) >= k))
+    return replace(result, violations=tuple(records))
 
 
 # -------------------------------------------------------------------
@@ -381,7 +354,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     forces any same-support matrix to have rank at least m.
     """
     if rep.alphabet is None or len(rep.alphabet) != 2:
-        raise ValueError("the identity certificate needs a two-letter alphabet")
+        raise InputError("the identity certificate needs a two-letter alphabet")
     lo, hi = rep.alphabet
     n, k = rep.n, rep.k
     rows = []

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import BudgetExceededError, HamrankError, PatternViolationError
+from .errors import HamrankError, InputError, PatternViolationError
 from .hamming import (
     SupportRep,
     build_hd_supp,
@@ -26,15 +26,20 @@ from .hamming import (
     load_supp,
     verify_support_rep,
 )
-from .parallel import map_rows
+from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
+from .parallel import sweep
 from .rankprob import (
+    CompositionSpec,
+    RankProblem,
     compose_semantics,
     distance_r_compose,
     problem_from_json,
     problem_to_json,
     spec_from_json,
 )
+from .seeds import rng_stream
 from .signcompile import (
+    Combine,
     build_hd_sign,
     eval_sign,
     gamma_values,
@@ -288,86 +293,99 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     doc = _load_json(config.params["rep"])
     rep = sign_from_json(doc)
-    meta = doc.get("meta", {})
+    meta = doc.get("meta")
+    if not isinstance(meta, dict) or "n" not in meta or "k" not in meta:
+        raise InputError("sign document has no meta with n and k")
+    if not isinstance(rep, Combine):
+        raise InputError("sign document has no oracle to take the alphabet from")
     n, k = meta["n"], meta["k"]
-    alphabet = (0, 1)
-    words = list(itertools.product(alphabet, repeat=n))
-    total = len(words) ** 2
-    if config.verify_mode == "exhaustive" and total > config.max_pairs:
-        raise BudgetExceededError(
-            f"{total} pairs exceed the exhaustive budget {config.max_pairs}; "
-            "use sample mode"
-        )
-    violations = 0
-    first = None
-    if config.verify_mode == "exhaustive":
-        def scan_row(i: int) -> int:
+    alphabet = rep.oracle.alphabet
+
+    def prepare():
+        words = list(itertools.product(alphabet, repeat=n))
+
+        def bad_cols(i: int, cols) -> list[int]:
             x = words[i]
-            bad = 0
-            for y in words:
-                want = 1 if dist(x, y) == k else -1
-                if eval_sign(rep, x, y) != want:
-                    bad += 1
-            return bad
+            return [
+                j
+                for j in cols
+                if eval_sign(rep, x, words[j]) != (1 if dist(x, words[j]) == k else -1)
+            ]
 
-        violations = sum(map_rows(scan_row, len(words), config.threads))
-        checked = total
-    else:
-        from .seeds import rng_stream
+        return bad_cols
 
-        rng = rng_stream(config.seed, "verify-sign", n, k)
-        count = config.sample_count or 10000
-        for _ in range(count):
-            x = words[rng.randrange(len(words))]
-            y = words[rng.randrange(len(words))]
-            want = 1 if dist(x, y) == k else -1
-            if eval_sign(rep, x, y) != want:
-                violations += 1
-        checked = count
+    result = sweep(
+        len(alphabet) ** n,
+        prepare,
+        config.verify_mode,
+        config.sample_count,
+        rng_stream(config.seed, "verify-sign", n, k),
+        config.threads,
+        config.max_pairs,
+    )
     report.construction = {"n": n, "k": k, "dim": rep.dim}
     report.verification = {
-        "pairs_checked": checked,
-        "violation_count": violations,
+        "pairs_checked": result.pairs_checked,
+        "violation_count": result.violation_count,
         "mode": config.verify_mode,
     }
-    report.status = "certified" if violations == 0 else "failed"
+    report.status = "certified" if result.certified else "failed"
 
 
-def _run_compose(config: RunConfig, report: Report) -> None:
-    spec_path = config.params["spec"]
+def _load_spec(spec_path: str) -> CompositionSpec:
     base_dir = os.path.dirname(os.path.abspath(spec_path))
 
     def load_ref(rel: str) -> dict:
         return _load_json(os.path.join(base_dir, rel))
 
-    spec = spec_from_json(_load_json(spec_path), load_file=load_ref)
+    return spec_from_json(_load_json(spec_path), load_file=load_ref)
+
+
+def _check_semantics(
+    problem: RankProblem, spec: CompositionSpec, config: RunConfig, report: Report
+) -> None:
+    """Compare every pair's evaluation with the composition semantics."""
+    tuples = [spec.tuple_of(x) for x in range(problem.index_count)]
+
+    def bad_cols(x: int, cols) -> list[int]:
+        tx = tuples[x]
+        return [
+            y
+            for y in cols
+            if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
+        ]
+
+    result = sweep(
+        len(tuples),
+        lambda: bad_cols,
+        threads=config.threads,
+        max_pairs=config.max_pairs,
+    )
+    report.verification = {
+        "pairs_checked": result.pairs_checked,
+        "violation_count": result.violation_count,
+        "against": "composition semantics",
+    }
+    report.status = "certified" if result.certified else "failed"
+
+
+def _run_compose(config: RunConfig, report: Report) -> None:
+    spec = _load_spec(config.params["spec"])
     problem = distance_r_compose(spec, seed=config.seed)
-    count = spec.index_count
-    violations = 0
-    for x in range(count):
-        tx = spec.tuple_of(x)
-        for y in range(count):
-            if problem.eval(x, y) != compose_semantics(spec, tx, spec.tuple_of(y)):
-                violations += 1
     report.construction = {
         "coordinates": spec.coordinates,
         "r": spec.r,
         "inner_order": spec.inners[0].order,
         "order": problem.order,
-        "index_count": count,
+        "index_count": problem.index_count,
         "name": problem.name,
         "gate_order": problem.meta.get("gate_order"),
     }
-    report.verification = {
-        "pairs_checked": count * count,
-        "violation_count": violations,
-        "against": "composition semantics",
-    }
+    _check_semantics(problem, spec, config, report)
     if config.out:
         doc = problem_to_json(problem, max_entries=config.max_dim)
         doc["provenance"] = {"composition_spec": config.params["spec"]}
         _save_json(doc, config.out)
-    report.status = "certified" if violations == 0 else "failed"
 
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
@@ -378,26 +396,9 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
     )
     if spec_path is None:
         raise ValueError("no composition spec available to verify against")
-    base_dir = os.path.dirname(os.path.abspath(spec_path))
-
-    def load_ref(rel: str) -> dict:
-        return _load_json(os.path.join(base_dir, rel))
-
-    spec = spec_from_json(_load_json(spec_path), load_file=load_ref)
-    count = problem.index_count
-    violations = 0
-    for x in range(count):
-        tx = spec.tuple_of(x)
-        for y in range(count):
-            if problem.eval(x, y) != compose_semantics(spec, tx, spec.tuple_of(y)):
-                violations += 1
-    report.construction = {"order": problem.order, "index_count": count}
-    report.verification = {
-        "pairs_checked": count * count,
-        "violation_count": violations,
-        "against": "composition semantics",
-    }
-    report.status = "certified" if violations == 0 else "failed"
+    spec = _load_spec(spec_path)
+    report.construction = {"order": problem.order, "index_count": problem.index_count}
+    _check_semantics(problem, spec, config, report)
 
 
 def _run_lower_bound(config: RunConfig, report: Report) -> None:

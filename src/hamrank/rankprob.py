@@ -16,7 +16,7 @@ construction carries its own exhaustive family verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb, prod
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .compression import MatFamily, fit_compressor
@@ -27,7 +27,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, block_diag, rank_exact, repeat_diag
-from .hamming import SupportRep
+from .hamming import SupportRep, minor_rep, word_of_index
 from .seeds import seed_stream
 from .signcompile import (
     Leaf,
@@ -37,7 +37,7 @@ from .signcompile import (
     compile_tree,
     eval_sign,
 )
-from .veronese import minor_embed
+from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
 
 def _memoized(fn: Callable[[int], Mat]) -> Callable[[int], Mat]:
@@ -140,16 +140,6 @@ def negate(p: RankProblem) -> RankProblem:
 # -------------------------------------------------------------------
 
 
-def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> tuple[int, ...]:
-    """Index -> word, matching itertools.product enumeration order."""
-    base = len(alphabet)
-    digits = []
-    for _ in range(n):
-        digits.append(alphabet[i % base])
-        i //= base
-    return tuple(reversed(digits))
-
-
 def hd_rank_problem(
     n: int,
     k: int,
@@ -220,6 +210,44 @@ def _gamma_table(gamma, q: int) -> tuple[int, ...]:
     return table
 
 
+def _pair_sum_family(
+    a_map: Callable[[int], Mat], b_map: Callable[[int], Mat], count: int
+) -> MatFamily:
+    """The family {a_map(x) + b_map(y)} over all index pairs, x-major."""
+    bs = [b_map(y) for y in range(count)]
+    return MatFamily.from_members(
+        [ax + b for ax in map(a_map, range(count)) for b in bs]
+    )
+
+
+def _compress_problem(
+    p: RankProblem, size: int, seed: int, max_retries: int = 16
+) -> RankProblem:
+    """``p`` with both maps compressed to size x size.
+
+    The compressor is fitted over the finite family {A(x) + B(y)}, so no
+    rank below the cap changes and evaluation at order <= size is preserved.
+    """
+    family = _pair_sum_family(p.a_map, p.b_map, p.index_count)
+    comp = fit_compressor(family, size, size, seed, max_retries=max_retries)
+    right_t = comp.right.transpose()
+
+    def a_map(x: int) -> Mat:
+        return comp.left.mul(p.a_map(x)).mul(right_t)
+
+    def b_map(y: int) -> Mat:
+        return comp.left.mul(p.b_map(y)).mul(right_t)
+
+    return replace(
+        p,
+        a_map=_memoized(a_map),
+        b_map=_memoized(b_map),
+        rank_fn=None,
+        name=f"norm({p.name})",
+        meta={**p.meta, "normalizer": comp},
+    )
+
+
 def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
     """Re-realize maps on order x order matrices, preserving evaluation.
 
@@ -241,29 +269,7 @@ def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
             rank_fn=lambda x, y: 0,
             name=f"norm({p.name})",
         )
-    members = []
-    for x in range(p.index_count):
-        ax = p.a_map(x)
-        for y in range(p.index_count):
-            members.append(ax + p.b_map(y))
-    family = MatFamily.from_members(members)
-    comp = fit_compressor(family, k, k, seed)
-    right_t = comp.right.transpose()
-
-    def a_map(x: int) -> Mat:
-        return comp.left.mul(p.a_map(x)).mul(right_t)
-
-    def b_map(y: int) -> Mat:
-        return comp.left.mul(p.b_map(y)).mul(right_t)
-
-    return replace(
-        p,
-        a_map=_memoized(a_map),
-        b_map=_memoized(b_map),
-        rank_fn=None,
-        name=f"norm({p.name})",
-        meta={**p.meta, "normalizer": comp},
-    )
+    return _compress_problem(p, k, seed)
 
 
 def bool_combine(
@@ -415,29 +421,13 @@ def piece_support_rep(
     compressed determinant, nonzero exactly when the rank clears the
     threshold.  Dimension C(2s, s) for threshold s.
     """
-    members = []
-    for x in range(p.index_count):
-        ax = p.a_map(x)
-        for y in range(p.index_count):
-            members.append(ax + p.b_map(y))
-    family = MatFamily.from_members(members)
-    comp = fit_compressor(
-        family, threshold, threshold, seed, max_retries=max_retries
-    )
-    right_t = comp.right.transpose()
-
-    def u_fn(x: int) -> tuple[int, ...]:
-        return minor_embed(comp.left.mul(p.a_map(x)).mul(right_t), "left")
-
-    def v_fn(y: int) -> tuple[int, ...]:
-        return minor_embed(comp.left.mul(p.b_map(y)).mul(right_t), "right")
-
-    return SupportRep(
-        dim=comb(2 * threshold, threshold),
-        u_fn=u_fn,
-        v_fn=v_fn,
-        predicate=f"rank>={threshold}",
-        compressor=comp,
+    q = _compress_problem(p, threshold, seed, max_retries)
+    return minor_rep(
+        q.a_map,
+        q.b_map,
+        threshold,
+        f"rank>={threshold}",
+        compressor=q.meta["normalizer"],
         seed=seed,
     )
 
@@ -586,17 +576,6 @@ def multiset_decode(
     return result
 
 
-def _all_pairs_diff_family(
-    mat_of: Callable[[int], Mat], count: int
-) -> MatFamily:
-    members = []
-    for x in range(count):
-        mx = mat_of(x)
-        for y in range(count):
-            members.append(mx - mat_of(y))
-    return MatFamily.from_members(members)
-
-
 def distance_r_compose(
     spec: CompositionSpec,
     seed: int = 0,
@@ -689,30 +668,20 @@ def distance_r_compose(
     bit_layout: list[tuple[int, int]] = []
     capped_maps: dict[int, Callable[[int], Mat]] = {}
     for t in range(1, k + 1):
-        per_coord = []
-        for i, p in enumerate(spec.inners):
-            fam_i = _all_pairs_diff_family(p.a_map, p.index_count)
-            comp_it = fit_compressor(
-                fam_i,
-                t,
-                t,
-                seed_stream(seed, "compose-coord", i, t),
-                max_retries=max_retries,
-            )
-            per_coord.append(comp_it)
+        per_coord = [
+            _compress_problem(
+                p, t, seed_stream(seed, "compose-coord", i, t), max_retries
+            ).a_map
+            for i, p in enumerate(spec.inners)
+        ]
 
-        def block_map(x: int, t=t, per_coord=per_coord) -> Mat:
+        def block_map(x: int, per_coord=per_coord) -> Mat:
             coords = spec.tuple_of(x)
-            return block_diag(
-                [
-                    per_coord[i].apply(spec.inners[i].a_map(c))
-                    for i, c in enumerate(coords)
-                ]
-            )
+            return block_diag([per_coord[i](c) for i, c in enumerate(coords)])
 
         block_map = _memoized(block_map)
         target = r * t
-        fam_t = _all_pairs_diff_family(block_map, count)
+        fam_t = _pair_sum_family(block_map, lambda y: -block_map(y), count)
         comp_t = fit_compressor(
             fam_t,
             target,
@@ -731,7 +700,7 @@ def distance_r_compose(
             if s == target:
                 thr_map = capped_map
             else:
-                fam_ts = _all_pairs_diff_family(capped_map, count)
+                fam_ts = _pair_sum_family(capped_map, lambda y: -capped_map(y), count)
                 comp_ts = fit_compressor(
                     fam_ts,
                     s,

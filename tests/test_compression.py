@@ -7,7 +7,6 @@ from hamrank.compression import (
     Compressor,
     MatFamily,
     fit_compressor,
-    vandermonde_compressor,
     verify_compressor,
 )
 from hamrank.errors import RetriesExhaustedError, SizeMismatchError
@@ -165,20 +164,6 @@ class TestDiagonalFastPath:
             q = [comp.right.at(r, i) for r in range(2)]
             total = total + Mat.from_rows([[zi * a * b for b in q] for a in p])
         assert comp.apply_diag(z) == total
-
-
-class TestVandermonde:
-    def test_certified_on_binary_diagonal_differences(self):
-        comp = vandermonde_compressor(4, 2)
-        assert comp.verified and comp.method == "vandermonde"
-        fam = MatFamily.diagonal_differences(4, (0, 1))
-        report = verify_compressor(comp, fam)
-        assert report.ok
-
-    def test_square_case(self):
-        comp = vandermonde_compressor(5, 2)
-        fam = MatFamily.diagonal_differences(5, (0, 1))
-        assert verify_compressor(comp, fam).ok
 
 
 class TestSerialization:

@@ -15,9 +15,9 @@ from hamrank.hamming import (
     dist,
     identity_certificate,
     load_supp,
+    minor_rep,
     verify_support_rep,
 )
-from hamrank.veronese import minor_embed
 
 from .conftest import hamming
 
@@ -29,11 +29,11 @@ def all_words(n, alphabet=(0, 1)):
 def zeroed(rep: SupportRep) -> SupportRep:
     """Same rep with the compressor's left factor nulled out."""
     comp = replace(rep.compressor, left=Mat.zeros(*rep.compressor.left.shape))
-    return SupportRep(
-        dim=rep.dim,
-        u_fn=lambda x: minor_embed(comp.apply_diag(x), "left"),
-        v_fn=lambda y: minor_embed(-comp.apply_diag(y), "right"),
-        predicate=rep.predicate,
+    return minor_rep(
+        comp.apply_diag,
+        lambda y: -comp.apply_diag(y),
+        rep.k,
+        rep.predicate,
         n=rep.n,
         k=rep.k,
         alphabet=rep.alphabet,

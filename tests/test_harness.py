@@ -176,6 +176,16 @@ class TestSignCommands:
         assert vreport.certified
         assert vreport.verification["pairs_checked"] == 4**5
 
+    def test_verify_sign_uses_the_oracle_alphabet(self, tmp_path):
+        from hamrank.signcompile import build_hd_sign, sign_to_json
+
+        rep = build_hd_sign(3, 1, alphabet=(0, 1, 2))
+        path = tmp_path / "ternary.sign.json"
+        path.write_text(json.dumps(sign_to_json(rep, {"n": 3, "k": 1})))
+        report = run("verify-sign", make_config(tmp_path, "vs", params={"rep": str(path)}))
+        assert report.certified
+        assert report.verification["pairs_checked"] == 729
+
 
 class TestComposeCommands:
     def test_compose_and_rp_verify(self, tmp_path):
@@ -289,5 +299,30 @@ class TestCli:
     def test_cli_unknown_mode(self, tmp_path):
         out = tmp_path / "rep.json"
         main(["build-supp", "--n", "4", "--k", "1", "--seed", "3", "--out", str(out)])
-        with pytest.raises(SystemExit):
-            main(["verify-supp", str(out), "--mode", "half"])
+        for mode in ("half", "sample", "sample:0", "sample:-3", "sample:x"):
+            with pytest.raises(SystemExit):
+                main(["verify-supp", str(out), "--mode", mode])
+            with pytest.raises(SystemExit):
+                main(["verify-sign", str(out), "--mode", mode])
+
+    def test_cli_lower_bound_on_ternary_rep_reports_failure(self, tmp_path):
+        out = tmp_path / "rep.json"
+        report = tmp_path / "lb.report.json"
+        args = ["build-supp", "--n", "3", "--k", "2", "--alphabet", "0,1,2", "--out"]
+        main(args + [str(out)])
+        assert main(["lower-bound", str(out), "--report", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "failed"
+        assert doc["error"].startswith("InputError:")
+
+    def test_cli_verify_sign_without_meta_reports_failure(self, tmp_path):
+        out = tmp_path / "sign.json"
+        report = tmp_path / "vs.report.json"
+        main(["build-sign", "--n", "3", "--k", "1", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        del doc["meta"]
+        out.write_text(json.dumps(doc))
+        assert main(["verify-sign", str(out), "--report", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "failed"
+        assert doc["error"].startswith("InputError:")

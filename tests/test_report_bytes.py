@@ -1,0 +1,127 @@
+"""Pins the canonical report bytes of every certifying subcommand.
+
+Each case runs in a fresh working directory with relative paths, because
+the report's ``config.params`` embeds the paths it was given.  A change to
+any verification path that alters a report (a count, a violation record,
+their order or the cap on them) changes a digest here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hamrank.exact import Mat
+from hamrank.harness import RunConfig, run
+from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_report(command, params, seed=0, out=None, mode="exhaustive", count=None):
+    config = RunConfig(
+        seed=seed, out=out, verify_mode=mode, sample_count=count, params=params
+    )
+    return run(command, config)
+
+
+def supp_cases(prefix, n, k, alphabet):
+    rep = f"{prefix}.supp.json"
+    build = run_report(
+        "build-supp", {"n": n, "k": k, "alphabet": list(alphabet)}, seed=3, out=rep
+    )
+    exhaustive = run_report("verify-supp", {"rep": rep})
+    sample = run_report("verify-supp", {"rep": rep}, seed=11, mode="sample", count=500)
+    return {
+        f"{prefix}-build": build,
+        f"{prefix}-verify": exhaustive,
+        f"{prefix}-sample": sample,
+    }
+
+
+def zeroed_rep(src: str, dst: str) -> None:
+    """Copy a supp document with its compressor's left factor set to zero."""
+    with open(src) as fh:
+        doc = json.load(fh)
+    left = doc["compressor"]["left"]
+    left["entries"] = ["0"] * len(left["entries"])
+    with open(dst, "w") as fh:
+        json.dump(doc, fh)
+
+
+def compose_spec(path: str) -> None:
+    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+    spec = CompositionSpec(r=1, h=(0, 1), inners=(inner,) * 2)
+    with open(path, "w") as fh:
+        json.dump(spec_to_json(spec), fh)
+
+
+EXPECTED = {
+    "bin-build": "d9cb4c8abe253b973f7c5f4bef9a1e30f1c973a122521b8a036dce51ee04ffe2",
+    "bin-verify": "a408510ba111863cc6327866cd6b856497ed53b0863bb6d597773bd0db54bcd8",
+    "bin-sample": "307c754af41322a5ff435e34222bcdf4643628d902463d07cdaedfdc1fe76d50",
+    "ter-build": "6bd343d73a21252328c81367a65f2c8a18c31c885cd458019242df57050f9f9b",
+    "ter-verify": "b9a7cca85c83b7dbd47cae2d2390a9bc793790c1db6e3acd9c9d4cbf2038fbe4",
+    "ter-sample": "d3b9ff0d6fc521b8cd65aafa958584927bf9795122961fe3546cea7a095f9522",
+    "zeroed-verify": "b98777b05aae101e272182eab5a95bd5708cdfcdb4ca969cadc355cbf6eafaa0",
+    "lower-bound": "eee11863830dad97362b539465521d924dff78e6d91aa2a448242e41ad876897",
+    "sign-build": "1a53978ed144525bb3fe4eebba74f2608ddbd325b84225ad76205a8d19773f86",
+    "sign-verify": "3a9a1bc340ebb58c10d061a60225942f2172a58b59175309a3290accab3150a7",
+    "sign-sample": "f5a42b235af951a342086eb577a9fc08da288c7b3139595285ef14939235b5d8",
+    "compose": "e2e47776a8eeb5bcf63c4c1104f6709c8c027a09ddc1d3aa7f8d3936ffb854a8",
+    "rp-verify": "ba4e09a0273d22ce580ae5cba5b8aced10f15e143564519f80a84999b395b9df",
+    "artifact:bin.supp.json": "a29b4ef6627270b7bd522858076dcf234fd1564b9bcefe9837ea5f1382c5f11d",
+    "artifact:ter.supp.json": "8ac8e2cdec3e589715c7d63a4c1270820db68ec338298ad32f7306bc1114c65a",
+    "artifact:s.sign.json": "e55ea2b66b5d0ee63df8e098f9bc3b9500c13bea1a6da5a00d79c4d91ed06abe",
+    "artifact:rp.json": "1716d1a6ce19f43c9f97ff962507b54d504df2c3dbdd89eb396ae9374b5294dd",
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    mp = pytest.MonkeyPatch()
+    mp.chdir(tmp_path_factory.mktemp("bytes"))
+    try:
+        reports = {}
+        reports.update(supp_cases("bin", 4, 2, (0, 1)))
+        reports.update(supp_cases("ter", 3, 2, (0, 1, 2)))
+        zeroed_rep("bin.supp.json", "zeroed.supp.json")
+        reports["zeroed-verify"] = run_report("verify-supp", {"rep": "zeroed.supp.json"})
+        reports["lower-bound"] = run_report("lower-bound", {"rep": "bin.supp.json"})
+        reports["sign-build"] = run_report(
+            "build-sign",
+            {"n": 3, "k": 1, "gamma_mode": "exact_scan"},
+            seed=5,
+            out="s.sign.json",
+        )
+        reports["sign-verify"] = run_report("verify-sign", {"rep": "s.sign.json"})
+        reports["sign-sample"] = run_report(
+            "verify-sign", {"rep": "s.sign.json"}, seed=2, mode="sample", count=300
+        )
+        compose_spec("spec.json")
+        reports["compose"] = run_report(
+            "compose", {"spec": "spec.json"}, seed=5, out="rp.json"
+        )
+        reports["rp-verify"] = run_report("rp-verify", {"rp": "rp.json"})
+        out = {name: digest(r.canonical_bytes()) for name, r in reports.items()}
+        for path in ("bin.supp.json", "ter.supp.json", "s.sign.json", "rp.json"):
+            with open(path, "rb") as fh:
+                out[f"artifact:{path}"] = digest(fh.read())
+        out["_zeroed_violations"] = reports["zeroed-verify"].verification
+        return out
+    finally:
+        mp.undo()
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_canonical_bytes_pinned(digests, name):
+    assert digests[name] == EXPECTED[name]
+
+
+def test_zeroed_rep_violation_sample_is_capped(digests):
+    ver = digests["_zeroed_violations"]
+    # 176 of the 256 ordered pairs of {0,1}^4 are at distance >= 2
+    assert ver["violation_count"] == 176
+    assert len(ver["violations"]) == 32
