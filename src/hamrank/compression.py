@@ -11,21 +11,36 @@ over the family, and retrying with a doubled entry range on failure.  The
 returned compressor is always carried together with its verification status:
 nothing in the package ever assumes genericity without checking it.
 
+The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
+D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
+They are kept as the value sets D_p and checked by one exact walk in
+reflected Gray-code order: consecutive patterns differ in one position p, so
+each compressed matrix is the previous one plus a multiple of the outer
+product of column p of L and column p of R.  No pattern list and no matrix
+object is built per member.
+
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import add
 from typing import Iterator, Sequence
 
-from .errors import RetriesExhaustedError, SizeMismatchError
-from .exact import Mat, rank_exact
+from .errors import BudgetExceededError, RetriesExhaustedError, SizeMismatchError
+from .exact import Mat, _rank_rows, rank_exact
 
 DEFAULT_ENTRY_RANGE = 1 << 16
+# 3^15 binary difference patterns fit; the check runs before any enumeration
+MAX_DIAGONAL_PATTERNS = 1 << 24
+REPORT_CAP = 32  # violation records kept in a CompressionReport
 
 
 # -------------------------------------------------------------------
@@ -37,21 +52,21 @@ DEFAULT_ENTRY_RANGE = 1 << 16
 class MatFamily:
     """A finite, deterministically enumerable set of a x b matrices.
 
-    Either an explicit list of members, or a diagonal family described by
-    the tuple of diagonal patterns.  Diagonal families admit much faster
-    rank/apply paths: the rank of Diag(z) is the support size of z, and
-    applying a compressor to Diag(z) is a support-weighted sum of column
-    outer products.
+    Either an explicit tuple of members, or a diagonal product family
+    {Diag(z) : z in D_1 x ... x D_n} given by the sorted value sets D_p
+    (``diag_values``) and never materialized.  Diagonal members are numbered
+    in product order, last position fastest; the rank of Diag(z) is the
+    support size of z.
     """
 
     shape: tuple[int, int]
     descriptor: dict
     explicit: tuple[Mat, ...] | None = None
-    diag_patterns: tuple[tuple[int, ...], ...] | None = None
+    diag_values: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if (self.explicit is None) == (self.diag_patterns is None):
-            raise ValueError("exactly one of explicit/diag_patterns must be given")
+        if (self.explicit is None) == (self.diag_values is None):
+            raise ValueError("exactly one of explicit/diag_values must be given")
 
     @classmethod
     def from_members(cls, members: Sequence[Mat]) -> "MatFamily":
@@ -73,20 +88,6 @@ class MatFamily:
         )
 
     @classmethod
-    def diagonal(cls, patterns: Sequence[Sequence[int]]) -> "MatFamily":
-        pats = tuple(dict.fromkeys(tuple(p) for p in patterns))
-        if not pats:
-            raise ValueError("family must be nonempty")
-        n = len(pats[0])
-        if any(len(p) != n for p in pats):
-            raise SizeMismatchError("diagonal patterns must share one length")
-        return cls(
-            shape=(n, n),
-            descriptor={"kind": "diagonal", "count": len(pats)},
-            diag_patterns=pats,
-        )
-
-    @classmethod
     def diagonal_differences(cls, n: int, alphabet: Sequence[int]) -> "MatFamily":
         """The family {Diag(x - y) : x, y in alphabet^n}, deduplicated.
 
@@ -100,45 +101,49 @@ class MatFamily:
     def diagonal_differences_multi(
         cls, alphabets: Sequence[Sequence[int]]
     ) -> "MatFamily":
-        """Diagonal differences with a separate alphabet per position."""
-        diff_sets = []
-        for alpha in alphabets:
-            vals = sorted({a - b for a in alpha for b in alpha})
-            diff_sets.append(vals)
-        pats = tuple(itertools.product(*diff_sets))
-        fam = cls(
+        """Diagonal differences with a separate alphabet per position.
+
+        Raises ``BudgetExceededError`` when the product has more than
+        ``MAX_DIAGONAL_PATTERNS`` members.
+        """
+        values = tuple(
+            tuple(sorted({a - b for a in alpha for b in alpha})) for alpha in alphabets
+        )
+        count = math.prod(len(v) for v in values)
+        if count > MAX_DIAGONAL_PATTERNS:
+            raise BudgetExceededError(
+                f"{count} diagonal patterns exceed the family budget of "
+                f"{MAX_DIAGONAL_PATTERNS}"
+            )
+        return cls(
             shape=(len(alphabets), len(alphabets)),
             descriptor={
                 "kind": "diagonal-differences",
                 "alphabets": [list(a) for a in alphabets],
-                "count": len(pats),
+                "count": count,
             },
-            diag_patterns=pats,
+            diag_values=values,
         )
-        return fam
 
     @property
     def size(self) -> int:
         if self.explicit is not None:
             return len(self.explicit)
-        return len(self.diag_patterns)
+        return math.prod(len(v) for v in self.diag_values)
 
     @property
     def is_diagonal(self) -> bool:
-        return self.diag_patterns is not None
+        return self.diag_values is not None
 
-    def members(self) -> Iterator[Mat]:
-        if self.explicit is not None:
-            yield from self.explicit
-        else:
-            for p in self.diag_patterns:
-                yield Mat.diag(p)
+    @property
+    def diag_patterns(self) -> Iterator[tuple[int, ...]]:
+        """The diagonal patterns in product order, generated on demand."""
+        return itertools.product(*self.diag_values)
 
-    def member_ranks(self) -> list[int]:
-        """Rank of every member, in enumeration order."""
-        if self.is_diagonal:
-            return [sum(1 for v in p if v != 0) for p in self.diag_patterns]
-        return [rank_exact(m) for m in self.explicit]
+    @cached_property
+    def member_ranks(self) -> tuple[int, ...]:
+        """Rank of every explicit member, in enumeration order."""
+        return tuple(rank_exact(m) for m in self.explicit)
 
 
 # -------------------------------------------------------------------
@@ -252,57 +257,132 @@ class CompressionReport:
 # -------------------------------------------------------------------
 
 
-def _compressed_rank(comp: Compressor, family: MatFamily, index: int) -> int:
-    if family.is_diagonal:
-        return rank_exact(comp.apply_diag(family.diag_patterns[index]))
-    return rank_exact(comp.apply(family.explicit[index]))
+def _diagonal_shortfalls(
+    comp: Compressor, values: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[int, int, int]]:
+    """(index, achieved, required) for each Diag(z), z in the product of
+    ``values``, whose compressed rank falls short, in walk order.
 
-
-def _scan(
-    comp: Compressor,
-    family: MatFamily,
-    ranks: list[int],
-    stop_early: bool,
-    cap: int = 32,
-) -> CompressionReport:
+    The walk is the reflected mixed-radix Gray code (Knuth, TAOCP 4A,
+    7.2.1.1, Algorithm H), starting from the all-first-values pattern, which
+    is compressed directly.  Each later step moves one position p between
+    adjacent values c -> c', so the flat compressed matrix gains
+    (c' - c) * l_p r_p^T, the support changes by at most one, and the
+    product-order index moves by the stride of p.  The update is an exact
+    integer identity, and every member gets one exact Bareiss rank.
+    """
     a1, b1 = comp.target_shape
-    violations = []
-    count = 0
-    for idx in range(family.size):
-        required = min(ranks[idx], a1, b1)
-        achieved = _compressed_rank(comp, family, idx)
+    cap = min(a1, b1)
+    n = len(values)
+    le, re = comp.left.entries, comp.right.entries
+    rows = [slice(i * b1, (i + 1) * b1) for i in range(a1)]
+
+    # Knuth's digit j is the j-th position from the end that has a choice
+    up, down, stride, last = [], [], [], []
+    step = 1
+    for p in reversed(range(n)):
+        vals = values[p]
+        if len(vals) > 1:
+            outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
+            moves = [
+                ([(hi - lo) * o for o in outer], (hi != 0) - (lo != 0))
+                for lo, hi in zip(vals, vals[1:])
+            ]
+            up.append(moves)
+            down.append([None] + [([-e for e in d], -s) for d, s in moves])
+            stride.append(step)
+            last.append(len(vals) - 1)
+        step *= len(vals)
+
+    start = comp.apply_diag([vals[0] for vals in values])
+    achieved = rank_exact(start)
+    flat = list(start.entries)
+    support = sum(1 for vals in values if vals[0] != 0)
+    index = 0
+    walk = len(up)
+    digits = [0] * walk
+    rising = [True] * walk
+    focus = list(range(walk + 1))
+    while True:
+        required = support if support < cap else cap
         if achieved != required:
-            count += 1
-            if len(violations) < cap:
-                member = (
-                    {"pattern": list(family.diag_patterns[idx])}
-                    if family.is_diagonal
-                    else {"entries": [str(e) for e in family.explicit[idx].entries]}
-                )
-                violations.append(
-                    {"index": idx, "achieved": achieved, "required": required, **member}
-                )
-            if stop_early:
-                break
-    return CompressionReport(
-        checked=family.size if not (stop_early and count) else idx + 1,
-        violation_count=count,
-        violations=tuple(violations),
-    )
+            yield index, achieved, required
+        j = focus[0]
+        focus[0] = 0
+        if j == walk:
+            return
+        d = digits[j]
+        if rising[j]:
+            delta, dsupp = up[j][d]
+            d += 1
+            index += stride[j]
+        else:
+            delta, dsupp = down[j][d]
+            d -= 1
+            index -= stride[j]
+        digits[j] = d
+        if d == 0 or d == last[j]:
+            rising[j] = not rising[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+        flat = list(map(add, flat, delta))
+        support += dsupp
+        achieved = _rank_rows(list(map(flat.__getitem__, rows)))
+
+
+def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int, int]]:
+    """(index, achieved, required) for every member the compressor fails."""
+    if family.is_diagonal:
+        yield from _diagonal_shortfalls(comp, family.diag_values)
+        return
+    a1, b1 = comp.target_shape
+    for index, (m, rank) in enumerate(zip(family.explicit, family.member_ranks)):
+        required = min(rank, a1, b1)
+        achieved = rank_exact(comp.apply(m))
+        if achieved != required:
+            yield index, achieved, required
+
+
+def _violation(family: MatFamily, index: int, achieved: int, required: int) -> dict:
+    record = {"index": index, "achieved": achieved, "required": required}
+    if family.explicit is not None:
+        record["entries"] = [str(e) for e in family.explicit[index].entries]
+        return record
+    pattern = []
+    for vals in reversed(family.diag_values):
+        index, digit = divmod(index, len(vals))
+        pattern.append(vals[digit])
+    record["pattern"] = pattern[::-1]
+    return record
 
 
 def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
     """Exhaustively check rank(apply(M)) == min(rank(M), a', b') over the family.
 
-    Deterministic: members are visited in family enumeration order and the
-    report lists violations in that order.
+    Deterministic: the report lists the ``REPORT_CAP`` violations of smallest
+    member index, in index order, whatever order the members are visited in.
     """
     if comp.source_shape != family.shape:
         raise SizeMismatchError(
             f"compressor source {comp.source_shape} does not match family "
             f"shape {family.shape}"
         )
-    return _scan(comp, family, family.member_ranks(), stop_early=False)
+    smallest: list[tuple[int, int, int]] = []  # max-heap on index, as -index
+    count = 0
+    for index, achieved, required in _shortfalls(comp, family):
+        count += 1
+        if len(smallest) < REPORT_CAP:
+            heapq.heappush(smallest, (-index, achieved, required))
+        elif index < -smallest[0][0]:
+            heapq.heapreplace(smallest, (-index, achieved, required))
+    return CompressionReport(
+        checked=family.size,
+        violation_count=count,
+        violations=tuple(
+            _violation(family, -neg, achieved, required)
+            for neg, achieved, required in sorted(smallest, reverse=True)
+        ),
+    )
 
 
 def _identity_embedding(a: int, b: int, a1: int, b1: int, seed: int) -> Compressor:
@@ -337,9 +417,12 @@ def fit_compressor(
     overwhelming probability, and the doubling escape hatch covers the
     remaining mass.
 
-    Raises ``RetriesExhaustedError`` carrying the last failing member and
-    the achieved vs. required rank; the remedy is a larger range or more
-    retries.
+    Raises ``RetriesExhaustedError`` carrying a failing member of the last
+    draw and the achieved vs. required rank on it; the remedy is a larger
+    range or more retries.  A draw stops at its first failing member in
+    visiting order, which for diagonal families is the Gray walk's order,
+    so the member carried is a genuine violation but not necessarily the
+    one of smallest index.
     """
     if target_rows < 1 or target_cols < 1:
         raise ValueError("target shape must be at least 1x1")
@@ -354,7 +437,6 @@ def fit_compressor(
             )
         return comp
 
-    ranks = family.member_ranks()
     rng = random.Random(seed)
     span = entry_range
     last = None
@@ -379,10 +461,10 @@ def fit_compressor(
             retries=attempt,
             entry_range=span,
         )
-        report = _scan(candidate, family, ranks, stop_early=True)
-        if report.ok:
+        shortfall = next(_shortfalls(candidate, family), None)
+        if shortfall is None:
             return replace(candidate, verified=True)
-        last = report.violations[0]
+        last = _violation(family, *shortfall)
         span *= 2
     raise RetriesExhaustedError(
         f"no verified compressor after {max_retries} draws "

@@ -182,10 +182,12 @@ class Mat:
         return cls(obj["rows"], obj["cols"], tuple(int(e) for e in obj["entries"]))
 
 
-def _check_bits(value: int, max_bits: int | None):
-    if max_bits is not None and value.bit_length() > max_bits:
+def _check_bits(rows: list[list[int]], start: int, max_bits: int) -> None:
+    """Raise if an entry of the block below and right of ``start`` is too long."""
+    big = max((abs(v) for row in rows[start:] for v in row[start:]), default=0)
+    if big.bit_length() > max_bits:
         raise BudgetExceededError(
-            f"intermediate entry of {value.bit_length()} bits exceeds the "
+            f"intermediate entry of {big.bit_length()} bits exceeds the "
             f"{max_bits}-bit budget"
         )
 
@@ -221,58 +223,57 @@ def det_exact(m: Mat, max_bits: int | None = None) -> int:
             factor = cur[step]
             for j in range(step + 1, n):
                 # Bareiss update: division by the previous pivot is exact.
-                val = (pivot * cur[j] - factor * top[j]) // prev
-                _check_bits(val, max_bits)
-                cur[j] = val
+                cur[j] = (pivot * cur[j] - factor * top[j]) // prev
             cur[step] = 0
+        if max_bits is not None:
+            _check_bits(a, step + 1, max_bits)
         prev = pivot
     return sign * a[n - 1][n - 1]
 
 
 def rank_exact(m: Mat, max_bits: int | None = None) -> int:
-    """Exact rank over the rationals by fraction-free elimination.
+    """Exact rank over the rationals by fraction-free elimination."""
+    return _rank_rows(m.to_lists(), max_bits)
+
+
+def _rank_rows(a: list[list[int]], max_bits: int | None = None) -> int:
+    """Rank of a list of equal-length integer rows; ``a`` is consumed.
 
     Uses full pivoting (row and column search) so that any nonzero entry of
     the remaining block can serve as a pivot; all intermediate values stay
     integral.
     """
-    nrows, ncols = m.rows, m.cols
-    if nrows == 0 or ncols == 0:
-        return 0
-    a = m.to_lists()
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     prev = 1
-    r = 0
-    limit = min(nrows, ncols)
-    while r < limit:
-        pi = pj = -1
-        for i in range(r, nrows):
-            row = a[i]
-            for j in range(r, ncols):
-                if row[j] != 0:
-                    pi, pj = i, j
+    for r in range(nrows if nrows < ncols else ncols):
+        for pi in range(r, nrows):
+            row = a[pi]
+            for pj in range(r, ncols):
+                if row[pj]:
                     break
-            if pi >= 0:
-                break
-        if pi < 0:
+            else:
+                continue
             break
+        else:
+            return r
         if pi != r:
             a[r], a[pi] = a[pi], a[r]
         if pj != r:
             for row in a:
                 row[r], row[pj] = row[pj], row[r]
-        pivot = a[r][r]
         top = a[r]
+        pivot = top[r]
         for i in range(r + 1, nrows):
             cur = a[i]
             factor = cur[r]
             for j in range(r + 1, ncols):
-                val = (pivot * cur[j] - factor * top[j]) // prev
-                _check_bits(val, max_bits)
-                cur[j] = val
+                cur[j] = (pivot * cur[j] - factor * top[j]) // prev
             cur[r] = 0
+        if max_bits is not None:
+            _check_bits(a, r + 1, max_bits)
         prev = pivot
-        r += 1
-    return r
+    return nrows if nrows < ncols else ncols
 
 
 def minor(m: Mat, alpha: Iterable[int], beta: Iterable[int]) -> int:

@@ -183,9 +183,9 @@ def build_hd_supp(
     """
     alphabet = tuple(int(a) for a in alphabet)
     if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet values must be distinct")
+        raise InputError("alphabet values must be distinct")
     if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
 
     family = MatFamily.diagonal_differences(n, alphabet)
     if k == 1 and len(alphabet) == 2:

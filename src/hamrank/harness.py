@@ -395,7 +395,7 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
         "composition_spec"
     )
     if spec_path is None:
-        raise ValueError("no composition spec available to verify against")
+        raise InputError("no composition spec available to verify against")
     spec = _load_spec(spec_path)
     report.construction = {"order": problem.order, "index_count": problem.index_count}
     _check_semantics(problem, spec, config, report)

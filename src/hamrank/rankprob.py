@@ -23,6 +23,7 @@ from .compression import MatFamily, fit_compressor
 from .errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
+    InputError,
     PatternViolationError,
     SizeMismatchError,
 )
@@ -155,9 +156,9 @@ def hd_rank_problem(
     """
     alphabet = tuple(int(a) for a in alphabet)
     if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet values must be distinct")
+        raise InputError("alphabet values must be distinct")
     if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     family = MatFamily.diagonal_differences(n, alphabet)
     comp = fit_compressor(
         family, k, k, seed_stream(seed, "hd-rank", n, k), max_retries=max_retries

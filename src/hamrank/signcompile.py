@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     BudgetExceededError,
+    InputError,
     PatternViolationError,
     SizeMismatchError,
     ZeroValueError,
@@ -392,7 +393,7 @@ def build_hd_sign(
     root seed through named substreams.
     """
     if not (1 <= k < n):
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
     rep_hi = build_hd_supp(n, k + 1, alphabet, seed_stream(seed, "sign-oracle", k + 1))
     rep_lo = build_hd_supp(n, k, alphabet, seed_stream(seed, "sign-oracle", k))
     tree = Node(

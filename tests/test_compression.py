@@ -9,7 +9,11 @@ from hamrank.compression import (
     fit_compressor,
     verify_compressor,
 )
-from hamrank.errors import RetriesExhaustedError, SizeMismatchError
+from hamrank.errors import (
+    BudgetExceededError,
+    RetriesExhaustedError,
+    SizeMismatchError,
+)
 from hamrank.exact import Mat, rank_exact
 
 from .conftest import random_mat
@@ -38,6 +42,13 @@ class TestMatFamily:
         assert fam.shape == (2, 2)
         assert fam.size == 3 * 5
 
+    def test_family_budget_checked_before_enumeration(self):
+        assert MatFamily.diagonal_differences(15, (0, 1)).size == 3**15
+        with pytest.raises(BudgetExceededError):
+            MatFamily.diagonal_differences(16, (0, 1))
+        with pytest.raises(BudgetExceededError):
+            MatFamily.diagonal_differences_multi([(0, 1, 2)] * 11)
+
     def test_explicit_dedupe(self, rng):
         m = random_mat(rng, 2, 2)
         fam = MatFamily.from_members([m, m, Mat.zeros(2, 2)])
@@ -57,7 +68,8 @@ class TestFit:
         # family {Diag(z) : z in {-1,0,1}^3}: compression must realize
         # min(#supp(z), 2) on all 27 members
         patterns = list(itertools.product((-1, 0, 1), repeat=3))
-        fam = MatFamily.diagonal(patterns)
+        fam = MatFamily.diagonal_differences(3, (0, 1))
+        assert list(fam.diag_patterns) == patterns
         comp = fit_compressor(fam, 2, 2, seed=101)
         assert comp.verified
         for z in patterns:
@@ -172,3 +184,99 @@ class TestSerialization:
         comp = fit_compressor(fam, 2, 2, seed=19)
         back = Compressor.from_json(comp.to_json())
         assert back == comp
+
+
+def brute_force_report(comp, alphabets, cap=32):
+    """The compression report by definition: every Diag(z) in product order."""
+    value_sets = [sorted({a - b for a in alpha for b in alpha}) for alpha in alphabets]
+    a1, b1 = comp.target_shape
+    checked = count = 0
+    records = []
+    for index, z in enumerate(itertools.product(*value_sets)):
+        checked += 1
+        required = min(support(z), a1, b1)
+        achieved = rank_exact(comp.apply(Mat.diag(z)))
+        if achieved != required:
+            count += 1
+            if len(records) < cap:
+                records.append(
+                    {
+                        "index": index,
+                        "achieved": achieved,
+                        "required": required,
+                        "pattern": list(z),
+                    }
+                )
+    return {"checked": checked, "violation_count": count, "violations": records}
+
+
+def random_compressor(rng, n, rows, cols):
+    return Compressor(
+        left=random_mat(rng, rows, n, bound=2),
+        right=random_mat(rng, cols, n, bound=2),
+        source_shape=(n, n),
+        target_shape=(rows, cols),
+        seed=0,
+        verified=False,
+    )
+
+
+WALK_FAMILIES = [
+    ("binary", [(0, 1)] * 4),
+    ("ternary", [(0, 1, 2)] * 3),
+    ("multi", [(0, 1), (0, 1, 2)]),
+]
+
+
+class TestFamilyWalkMatchesBruteForce:
+    @pytest.mark.parametrize("name,alphabets", WALK_FAMILIES)
+    def test_fitted_zero_left_and_random_compressors(self, name, alphabets):
+        if len(set(alphabets)) == 1:
+            fam = MatFamily.diagonal_differences(len(alphabets), alphabets[0])
+        else:
+            fam = MatFamily.diagonal_differences_multi(alphabets)
+        n = len(alphabets)
+        fitted = fit_compressor(fam, 2, 2, seed=17)
+        zero_left = Compressor(
+            left=Mat.zeros(2, n),
+            right=fitted.right,
+            source_shape=(n, n),
+            target_shape=(2, 2),
+            seed=0,
+            verified=False,
+        )
+        rng = random.Random(name)
+        randoms = [
+            random_compressor(rng, n, rows, cols)
+            for rows, cols in [(1, 1), (2, 2), (1, 2), (2, 1), (2, 3)] * 2
+        ]
+        counts = []
+        for comp in [fitted, zero_left, *randoms]:
+            expected = brute_force_report(comp, alphabets)
+            assert verify_compressor(comp, fam).to_json() == expected
+            counts.append(expected["violation_count"])
+        assert counts[0] == 0
+        # the zero map fails every nonzero member (over 32 for two families)
+        assert counts[1] == fam.size - 1
+        assert sum(1 for c in counts[2:] if c > 0) >= 4
+
+    def test_retries_exhausted_member_really_violates(self):
+        fam = MatFamily.diagonal_differences(3, (0, 1, 2))
+        with pytest.raises(RetriesExhaustedError) as exc:
+            fit_compressor(fam, 2, 2, seed=3, max_retries=2, entry_range=0)
+        member = exc.value.member
+        z = tuple(member["pattern"])
+        patterns = list(itertools.product(range(-2, 3), repeat=3))
+        assert patterns[member["index"]] == z
+        zero = Compressor(
+            left=Mat.zeros(2, 3),
+            right=Mat.zeros(2, 3),
+            source_shape=(3, 3),
+            target_shape=(2, 2),
+            seed=0,
+            verified=False,
+        )
+        achieved = rank_exact(zero.apply(Mat.diag(z)))
+        assert member["achieved"] == exc.value.achieved == achieved
+        assert member["required"] == exc.value.required == min(support(z), 2)
+        assert achieved != min(support(z), 2)

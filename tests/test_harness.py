@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -326,3 +327,44 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["status"] == "failed"
         assert doc["error"].startswith("InputError:")
+
+    def failed_report(self, tmp_path, argv):
+        report = tmp_path / "failed.report.json"
+        assert main(argv + ["--report", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "failed"
+        return doc["error"]
+
+    def test_cli_family_over_budget_reports_failure_at_once(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        args = ["build-supp", "--n", "40", "--k", "2", "--out", out]
+        start = time.perf_counter()
+        error = self.failed_report(tmp_path, args)
+        assert time.perf_counter() - start < 1.0
+        assert error.startswith("BudgetExceededError:")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "3", "--k", "5"],
+            ["--n", "3", "--k", "0"],
+            ["--n", "3", "--k", "2", "--alphabet", "0,0"],
+        ],
+    )
+    def test_cli_build_supp_bad_parameters_report_failure(self, tmp_path, extra):
+        args = ["build-supp", *extra, "--out", str(tmp_path / "r.json")]
+        assert self.failed_report(tmp_path, args).startswith("InputError:")
+
+    def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
+        args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]
+        assert self.failed_report(tmp_path, args).startswith("InputError:")
+
+    def test_cli_rp_verify_without_spec_reports_failure(self, tmp_path):
+        from hamrank.exact import Mat
+        from hamrank.rankprob import problem_to_json, symmetric_problem
+
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        rp = tmp_path / "rp.json"
+        rp.write_text(json.dumps(problem_to_json(inner)))
+        error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
+        assert error.startswith("InputError:")

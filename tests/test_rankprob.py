@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
+    InputError,
     SizeMismatchError,
 )
 from hamrank.exact import Mat, rank_exact
@@ -91,6 +92,11 @@ class TestHdRankProblem:
         for x in range(32):
             for y in range(32):
                 assert p.eval(x, y) == (1 if hamming(ws[x], ws[y]) >= 2 else 0)
+
+    def test_bad_parameters_raise_input_error(self):
+        for n, k, alphabet in [(3, 0, (0, 1)), (3, 4, (0, 1)), (3, 2, (0, 0))]:
+            with pytest.raises(InputError):
+                hd_rank_problem(n, k, alphabet)
 
     def test_order_and_shape(self):
         p = hd_rank_problem(6, 2, seed=6)
