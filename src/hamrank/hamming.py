@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import comb
-from operator import mul
-from typing import Callable, Iterator, Sequence
+from operator import getitem, mul
+from typing import Callable, Sequence
 
 from .compression import Compressor, MatFamily, fit_compressor, verify_compressor
 from .errors import (
@@ -92,12 +92,6 @@ class SupportRep:
         """The boolean matrix entry this representation supports."""
         return self.dot(x, y) != 0
 
-    def words(self) -> Iterator[Word]:
-        """The index domain, in canonical (product) order."""
-        if self.n is None or self.alphabet is None:
-            raise ValueError("this representation has no enumerable word domain")
-        return itertools.product(self.alphabet, repeat=self.n)
-
     def to_json(self) -> dict:
         if self.compressor is None:
             raise ValueError("only compressor-backed representations serialize")
@@ -131,6 +125,18 @@ def minor_rep(
     )
 
 
+class _Memo(dict):
+    """An index -> value table filled on first lookup."""
+
+    def __init__(self, fn: Callable[[int], object]):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self._fn(key)
+        return value
+
+
 def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
     """Index -> word, matching itertools.product enumeration order."""
     base = len(alphabet)
@@ -139,6 +145,17 @@ def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
         digits.append(alphabet[i % base])
         i //= base
     return tuple(reversed(digits))
+
+
+def indexed_words(n: int, alphabet: tuple[int, ...], mode: str):
+    """Index -> word in product order, for a sweep over the word domain.
+
+    Exhaustive mode lists every word up front; sample mode derives only the
+    drawn indices' words, on first lookup, and never enumerates the domain.
+    """
+    if mode == "exhaustive":
+        return list(itertools.product(alphabet, repeat=n))
+    return _Memo(lambda i: word_of_index(i, n, alphabet))
 
 
 def dist(x: Sequence[int], y: Sequence[int]) -> int:
@@ -239,18 +256,6 @@ def load_supp(obj: dict) -> SupportRep:
 # -------------------------------------------------------------------
 
 
-class _Memo(dict):
-    """An index -> value table filled on first lookup."""
-
-    def __init__(self, fn: Callable[[int], tuple[int, ...]]):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key: int) -> tuple[int, ...]:
-        value = self[key] = self._fn(key)
-        return value
-
-
 def _violation(x: Word, y: Word, value: int, expected: bool) -> dict:
     return {
         "x": list(x),
@@ -281,18 +286,21 @@ def verify_support_rep(
     n, k, alphabet = rep.n, rep.k, rep.alphabet
 
     def prepare():
-        words = list(rep.words())
+        # one-hot letter codes: each differing position sets two bits of the xor
+        a = len(alphabet)
+        bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
+
+        def code(w: Word) -> int:
+            return sum(map(getitem, bits, w))
+
+        words = indexed_words(n, alphabet, mode)
         if mode == "exhaustive":
             # every vector is used: embed once, before the rows are shared out
-            us, vs = [rep.u(w) for w in words], [rep.v(w) for w in words]
+            us, vs, codes = ([f(w) for w in words] for f in (rep.u, rep.v, code))
         else:
-            us, vs = _Memo(lambda i: rep.u(words[i])), _Memo(lambda j: rep.v(words[j]))
-        # one-hot letter codes: each differing position sets two bits of the xor
-        letter = {c: b for b, c in enumerate(alphabet)}
-        codes = [
-            sum(1 << (p * len(alphabet) + letter[c]) for p, c in enumerate(w))
-            for w in words
-        ]
+            us, vs, codes = (
+                _Memo(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v, code)
+            )
         need = 2 * k
 
         def bad_cols(i: int, cols) -> list[int]:
@@ -363,13 +371,16 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         rows.append(tuple(bits) + (lo,) * (n - k))
         flipped = tuple(hi if b == lo else lo for b in bits)
         cols.append(flipped + (lo,) * (n - k))
-    for i, x in enumerate(rows):
-        for j, y in enumerate(cols):
-            hit = rep.query(x, y)
-            if hit != (i == j):
-                raise PatternViolationError(
-                    f"identity pattern broken at ({i}, {j}): "
-                    f"dot {'nonzero' if hit else 'zero'}, "
-                    f"expected {'diagonal' if i == j else 'off-diagonal'}"
-                )
+
+    def bad_cols(i: int, js) -> list[int]:
+        return [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
+
+    result = sweep(len(rows), lambda: bad_cols, cap=1)
+    if not result.certified:
+        i, j = result.violations[0]
+        raise PatternViolationError(
+            f"identity pattern broken at ({i}, {j}): "
+            f"dot {'nonzero' if i != j else 'zero'}, "
+            f"expected {'diagonal' if i == j else 'off-diagonal'}"
+        )
     return IdentityCertificate(1 << k, tuple(rows), tuple(cols))

@@ -29,6 +29,14 @@ def map_rows(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]:
         return list(pool.map(fn, range(count)))
 
 
+def check_pairs(pairs: int, max_pairs: int | None, advice: str = "") -> None:
+    """Refuse an exhaustive check of ``pairs`` pairs over ``max_pairs``."""
+    if max_pairs is not None and pairs > max_pairs:
+        raise BudgetExceededError(
+            f"{pairs} pairs exceed the exhaustive budget of {max_pairs}{advice}"
+        )
+
+
 @dataclass(frozen=True)
 class SweepReport:
     pairs_checked: int
@@ -75,10 +83,9 @@ def sweep(
             raise InputError("sample mode needs a positive sample_count")
     elif mode != "exhaustive":
         raise InputError(f"unknown mode {mode!r}")
-    elif max_pairs is not None and count * count > max_pairs:
-        raise BudgetExceededError(
-            f"{count * count} pairs exceed the exhaustive budget of {max_pairs}; "
-            "rerun in sample mode with an explicit count"
+    else:
+        check_pairs(
+            count * count, max_pairs, "; rerun in sample mode with an explicit count"
         )
     bad_cols = prepare()
     if mode == "sample":

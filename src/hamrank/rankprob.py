@@ -16,6 +16,7 @@ construction carries its own exhaustive family verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from math import prod
 from typing import Callable, Mapping, Sequence
 
@@ -24,7 +25,6 @@ from .errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
     InputError,
-    PatternViolationError,
     SizeMismatchError,
 )
 from .exact import Mat, block_diag, rank_exact, repeat_diag
@@ -36,22 +36,9 @@ from .signcompile import (
     OracleTree,
     SignRep,
     compile_tree,
-    eval_sign,
 )
+from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
-
-
-def _memoized(fn: Callable[[int], Mat]) -> Callable[[int], Mat]:
-    cache: dict[int, Mat] = {}
-
-    def wrapped(i: int) -> Mat:
-        v = cache.get(i)
-        if v is None:
-            v = fn(i)
-            cache[i] = v
-        return v
-
-    return wrapped
 
 
 # -------------------------------------------------------------------
@@ -113,7 +100,7 @@ def symmetric_problem(
     meta: dict | None = None,
 ) -> RankProblem:
     """A rank problem with B = -A."""
-    a_map = _memoized(a_map)
+    a_map = cache(a_map)
 
     def b_map(y: int) -> Mat:
         return -a_map(y)
@@ -241,8 +228,8 @@ def _compress_problem(
 
     return replace(
         p,
-        a_map=_memoized(a_map),
-        b_map=_memoized(b_map),
+        a_map=cache(a_map),
+        b_map=cache(b_map),
         rank_fn=None,
         name=f"norm({p.name})",
         meta={**p.meta, "normalizer": comp},
@@ -466,16 +453,9 @@ def to_sign_rep(
             child1=substitute(node.child1),
         )
 
-    domain = range(p.index_count)
-    rep = compile_tree(substitute(tree), domain, gamma_mode, verify=True)
-    for x in domain:
-        for y in domain:
-            want = 1 if p.eval(x, y) else -1
-            if eval_sign(rep, x, y) != want:
-                raise PatternViolationError(
-                    f"sign representation disagrees with evaluation at ({x}, {y})"
-                )
-    return rep
+    return compile_tree(
+        substitute(tree), range(p.index_count), gamma_mode, truth=p.eval
+    )
 
 
 # -------------------------------------------------------------------
@@ -680,7 +660,7 @@ def distance_r_compose(
             coords = spec.tuple_of(x)
             return block_diag([per_coord[i](c) for i, c in enumerate(coords)])
 
-        block_map = _memoized(block_map)
+        block_map = cache(block_map)
         target = r * t
         fam_t = _pair_sum_family(block_map, lambda y: -block_map(y), count)
         comp_t = fit_compressor(
@@ -694,7 +674,7 @@ def distance_r_compose(
         def capped_map(x: int, block_map=block_map, comp_t=comp_t) -> Mat:
             return comp_t.apply(block_map(x))
 
-        capped_map = _memoized(capped_map)
+        capped_map = cache(capped_map)
         capped_maps[t] = capped_map
 
         for s in range(1, target + 1):
@@ -713,7 +693,7 @@ def distance_r_compose(
                 def thr_map(x: int, capped_map=capped_map, comp_ts=comp_ts) -> Mat:
                     return comp_ts.apply(capped_map(x))
 
-                thr_map = _memoized(thr_map)
+                thr_map = cache(thr_map)
             threshold_problem = symmetric_problem(
                 count,
                 thr_map,

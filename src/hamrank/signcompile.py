@@ -34,7 +34,8 @@ from .errors import (
     ZeroValueError,
 )
 from .exact import Mat
-from .hamming import SupportRep, build_hd_supp, load_supp
+from .hamming import SupportRep, build_hd_supp, dist, load_supp
+from .parallel import check_pairs, sweep
 from .seeds import seed_stream
 
 
@@ -171,22 +172,11 @@ def proof_dim_bound(tree: OracleTree) -> int:
 # -------------------------------------------------------------------
 
 
-def _domain_pair(domain) -> tuple[list, list]:
-    if (
-        isinstance(domain, tuple)
-        and len(domain) == 2
-        and not isinstance(domain[0], int)
-    ):
-        return list(domain[0]), list(domain[1])
-    items = list(domain)
-    return items, items
-
-
 def choose_gamma(
     oracle: SupportRep,
     rep0: SignRep,
     rep1: SignRep,
-    domain,
+    domain: Sequence,
     mode: str = "exact_scan",
     a_map: Callable = _identity,
     b_map: Callable = _identity,
@@ -196,7 +186,9 @@ def choose_gamma(
     exact_scan visits every domain pair with a nonzero oracle value and
     returns 1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
     gamma * s^2 * |value0| >= s^2 |value0| + |value1| > |value1| pointwise,
-    so dominance is strict while pairs off the support are untouched.
+    so dominance is strict while pairs off the support are untouched.  The
+    scan is a max reduction, not a pass/fail check, so it keeps its own
+    pair loop instead of going through ``parallel.sweep``.
 
     norm_bound certifies a possibly larger constant without scanning pairs:
     |value1| is bounded through the combine recursion using single-input
@@ -207,13 +199,12 @@ def choose_gamma(
     Returns 1 when the oracle's support over the domain is empty (dominance
     is vacuous there).
     """
-    xs, ys = _domain_pair(domain)
     if mode == "exact_scan":
         best = 0
         seen_support = False
-        for x in xs:
+        for x in domain:
             ax = a_map(x)
-            for y in ys:
+            for y in domain:
                 s = oracle.dot(ax, b_map(y))
                 if s == 0:
                     continue
@@ -229,26 +220,26 @@ def choose_gamma(
                     best = need
         return 1 + best if seen_support else 1
     if mode == "norm_bound":
-        return 1 + _value_bound(rep1, xs, ys)
+        return 1 + _value_bound(rep1, domain)
     raise ValueError(f"unknown gamma mode {mode!r}")
 
 
-def _dot_bound(oracle: SupportRep, xs, ys, a_map, b_map) -> int:
+def _dot_bound(oracle: SupportRep, domain, a_map, b_map) -> int:
     # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|): two
     # single-input sweeps, never a pair scan.
-    usum = max(sum(abs(c) for c in oracle.u(a_map(x))) for x in xs)
-    vmax = max(max(abs(c) for c in oracle.v(b_map(y))) for y in ys)
+    usum = max(sum(abs(c) for c in oracle.u(a_map(x))) for x in domain)
+    vmax = max(max(abs(c) for c in oracle.v(b_map(y))) for y in domain)
     return usum * vmax
 
 
-def _value_bound(rep: SignRep, xs, ys) -> int:
+def _value_bound(rep: SignRep, domain) -> int:
     """A certified upper bound on |value| over the domain."""
     if isinstance(rep, ConstLeaf):
         return 1
-    s_bound = _dot_bound(rep.oracle, xs, ys, rep.a_map, rep.b_map)
+    s_bound = _dot_bound(rep.oracle, domain, rep.a_map, rep.b_map)
     return (
-        _value_bound(rep.rep1, xs, ys)
-        + rep.gamma * s_bound * s_bound * _value_bound(rep.rep0, xs, ys)
+        _value_bound(rep.rep1, domain)
+        + rep.gamma * s_bound * s_bound * _value_bound(rep.rep0, domain)
     )
 
 
@@ -259,9 +250,9 @@ def _value_bound(rep: SignRep, xs, ys) -> int:
 
 def compile_tree(
     tree: OracleTree,
-    domain,
+    domain: Sequence,
     gamma_mode: str = "exact_scan",
-    verify: bool = True,
+    truth: Callable | None = None,
 ) -> SignRep:
     """Compile an oracle tree into a verified structured sign representation.
 
@@ -271,22 +262,31 @@ def compile_tree(
     oracle value is nonzero exactly there), the branch for answer 0 stands
     alone (the term vanishes exactly there).
 
-    With ``verify`` the compiled sign is checked against the tree output on
-    every domain pair; disable it only for gamma_mode="norm_bound" runs on
-    domains too large to scan.
+    The compiled sign is then checked on every ordered pair of ``domain``
+    (one ``parallel.sweep``) against ``truth(x, y)``, the 0/1 entry the sign
+    must encode.  ``truth`` defaults to the tree's own output, which trusts
+    the oracles; callers that know the ground truth pass it instead.  Any
+    disagreement raises ``PatternViolationError`` naming the first failing
+    pair in pair order.
     """
     rep = _compile(tree, domain, gamma_mode)
-    if verify:
-        xs, ys = _domain_pair(domain)
-        for x in xs:
-            for y in ys:
-                want = 1 if tree_eval(tree, x, y) else -1
-                got = eval_sign(rep, x, y)
-                if got != want:
-                    raise PatternViolationError(
-                        f"compiled sign disagrees with tree at ({x!r}, {y!r}): "
-                        f"{got} vs {want}"
-                    )
+    truth = truth or (lambda x, y: tree_eval(tree, x, y))
+
+    def want(x, y) -> int:
+        return 1 if truth(x, y) else -1
+
+    def bad_cols(i: int, cols) -> list[int]:
+        x = domain[i]
+        return [j for j in cols if eval_sign(rep, x, domain[j]) != want(x, domain[j])]
+
+    result = sweep(len(domain), lambda: bad_cols, cap=1)
+    if not result.certified:
+        i, j = result.violations[0]
+        x, y = domain[i], domain[j]
+        raise PatternViolationError(
+            f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
+            f"{eval_sign(rep, x, y)} vs {want(x, y)}"
+        )
     return rep
 
 
@@ -340,7 +340,7 @@ def _v_row(rep: SignRep, y) -> list[int]:
 
 
 def materialize(
-    rep: SignRep, indices, max_dim: int | None = None
+    rep: SignRep, indices: Sequence, max_dim: int | None = None
 ) -> tuple[Mat, Mat]:
     """Explicit factor matrices U, V with <U(x), V(y)> = value(x, y).
 
@@ -354,9 +354,8 @@ def materialize(
         raise BudgetExceededError(
             f"materializing dimension {rep.dim} exceeds the budget {max_dim}"
         )
-    xs, ys = _domain_pair(indices)
-    u_rows = [_u_row(rep, x) for x in xs]
-    v_rows = [_v_row(rep, y) for y in ys]
+    u_rows = [_u_row(rep, x) for x in indices]
+    v_rows = [_v_row(rep, y) for y in indices]
     dim = rep.dim
     if any(len(r) != dim for r in u_rows) or any(len(r) != dim for r in v_rows):
         raise SizeMismatchError("materialized row length disagrees with dim")
@@ -376,7 +375,7 @@ def build_hd_sign(
     seed: int = 0,
     gamma_mode: str = "exact_scan",
     alphabet: Sequence[int] = (0, 1),
-    verify: bool = True,
+    max_pairs: int | None = None,
 ) -> SignRep:
     """Sign representation of dist(x, y) == k on words of length n.
 
@@ -390,10 +389,13 @@ def build_hd_sign(
 
     e.g. 41 for k=1 and 437 for k=2, inside the (1 + r^2)^2 proof bound.
     Oracles are freshly built, verified support representations sharing the
-    root seed through named substreams.
+    root seed through named substreams.  The compiled sign is checked
+    against the definition dist(x, y) == k on all |alphabet|^(2n) ordered
+    pairs, which ``max_pairs`` bounds before anything is built.
     """
     if not (1 <= k < n):
         raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_pairs(len(alphabet) ** (2 * n), max_pairs)
     rep_hi = build_hd_supp(n, k + 1, alphabet, seed_stream(seed, "sign-oracle", k + 1))
     rep_lo = build_hd_supp(n, k, alphabet, seed_stream(seed, "sign-oracle", k))
     tree = Node(
@@ -402,7 +404,7 @@ def build_hd_sign(
         child0=Node(oracle=rep_lo, child1=Leaf(1), child0=Leaf(0)),
     )
     domain = list(itertools.product(tuple(alphabet), repeat=n))
-    rep = compile_tree(tree, domain, gamma_mode, verify=verify)
+    rep = compile_tree(tree, domain, gamma_mode, truth=lambda x, y: dist(x, y) == k)
     assert rep.dim == 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
     return rep
 

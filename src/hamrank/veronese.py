@@ -266,16 +266,13 @@ def hypercube_unit_embed(
                     px[0] += steps[i][0]
                     px[1] += steps[i][1]
             points.append(tuple(px))
-        ok = True
-        for x in range(1 << n):
-            for y in range(x + 1, 1 << n):
-                want_unit = (x ^ y).bit_count() == 1
-                if (sq_dist(points[x], points[y]) == 1) != want_unit:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # unordered pairs, stopping a failed draw at its first bad pair:
+        # parallel.sweep would check both orders and scan the whole grid
+        if all(
+            (sq_dist(points[x], points[y]) == 1) == ((x ^ y).bit_count() == 1)
+            for x in range(1 << n)
+            for y in range(x + 1, 1 << n)
+        ):
             return points
         if vectors is not None:
             raise RetriesExhaustedError(

@@ -194,9 +194,21 @@ class TestIdentityCertificate:
         assert identity_certificate(rep).size == 8
 
     def test_violation_raises(self):
+        # the text lands in a failed lower-bound report, so it is pinned
         rep = build_hd_supp(4, 2, seed=2)
-        with pytest.raises(PatternViolationError):
+        with pytest.raises(
+            PatternViolationError,
+            match=r"^identity pattern broken at \(0, 0\): dot zero, expected diagonal$",
+        ):
             identity_certificate(zeroed(rep))
+        rep = build_hd_supp(4, 1, seed=0)
+        rep.k = 2  # read as dist >= 2, the dist >= 1 rep is nonzero off the diagonal
+        with pytest.raises(
+            PatternViolationError,
+            match=r"^identity pattern broken at \(0, 1\): dot nonzero, "
+            r"expected off-diagonal$",
+        ):
+            identity_certificate(rep)
 
     def test_needs_two_letter_alphabet(self):
         rep = build_hd_supp(3, 2, (0, 1, 2), seed=2)

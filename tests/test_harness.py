@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import time
 
@@ -7,6 +8,45 @@ import pytest
 from hamrank.cli import main
 from hamrank.harness import CSV_COLUMNS, RunConfig, run
 from hamrank.seeds import seed_stream
+
+
+def weights_supp_doc(n):
+    """A hand-built supp document for dist >= 1 on binary words of length n."""
+    return {
+        "schema": "hamrank-supp/1",
+        "predicate": "HD>=1",
+        "n": n,
+        "k": 1,
+        "alphabet": ["0", "1"],
+        "dim": 2,
+        "seed": 0,
+        "compressor": {
+            "left": {"rows": 1, "cols": n, "entries": [str(1 << i) for i in range(n)]},
+            "right": {"rows": 1, "cols": n, "entries": ["1"] * n},
+            "seed": 0,
+            "verified": True,
+            "retries": 0,
+            "entry_range": 0,
+            "method": "weights",
+            "source_shape": [n, n],
+            "target_shape": [1, 1],
+        },
+    }
+
+
+def equality_sign_doc(n):
+    """A sign document for dist == 0: +1 off the oracle's support, -1 on it."""
+    return {
+        "schema": "hamrank-sign/1",
+        "tree": {
+            "type": "combine",
+            "gamma": "2",
+            "oracle": weights_supp_doc(n),
+            "rep0": {"type": "const", "sign": -1},
+            "rep1": {"type": "const", "sign": 1},
+        },
+        "meta": {"n": n, "k": 0},
+    }
 
 
 def make_config(tmp_path, name, **kwargs):
@@ -354,6 +394,37 @@ class TestCli:
     def test_cli_build_supp_bad_parameters_report_failure(self, tmp_path, extra):
         args = ["build-supp", *extra, "--out", str(tmp_path / "r.json")]
         assert self.failed_report(tmp_path, args).startswith("InputError:")
+
+    def test_cli_build_sign_over_pair_budget_reports_failure_at_once(self, tmp_path):
+        args = ["build-sign", "--n", "13", "--k", "1", "--out", str(tmp_path / "s.json")]
+        start = time.perf_counter()
+        error = self.failed_report(tmp_path, args)
+        assert time.perf_counter() - start < 1.0
+        assert error.startswith("BudgetExceededError: 67108864 pairs exceed")
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [("verify-supp", weights_supp_doc(40)), ("verify-sign", equality_sign_doc(40))],
+    )
+    def test_cli_sample_mode_never_enumerates_the_domain(
+        self, tmp_path, monkeypatch, command, doc
+    ):
+        product = itertools.product
+
+        def guarded(*iterables, repeat=1):
+            if repeat >= 40:
+                raise AssertionError("the word domain was enumerated")
+            return product(*iterables, repeat=repeat)
+
+        monkeypatch.setattr(itertools, "product", guarded)
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(doc))
+        report = tmp_path / "v.report.json"
+        argv = [command, str(rep), "--mode", "sample:200", "--report", str(report)]
+        assert main(argv) == 0
+        verification = json.loads(report.read_text())["verification"]
+        assert verification["pairs_checked"] == 200
+        assert verification["violation_count"] == 0
 
     def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
         args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]

@@ -1,9 +1,11 @@
 import itertools
+import re
 from math import comb
 
 import pytest
 
-from hamrank.errors import BudgetExceededError, ZeroValueError
+from hamrank import signcompile
+from hamrank.errors import BudgetExceededError, PatternViolationError, ZeroValueError
 from hamrank.exact import rank_exact
 from hamrank.hamming import build_hd_supp, dist
 from hamrank.signcompile import (
@@ -212,6 +214,47 @@ class TestHdSign:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             build_hd_sign(4, 4, seed=1)
+
+
+class TestDomains:
+    def test_two_word_tuple_domain_matches_the_list(self):
+        oracle = build_hd_supp(2, 1, seed=0)
+        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
+        domain = [(0, 0), (1, 1)]
+        as_list = compile_tree(tree, domain)
+        as_tuple = compile_tree(tree, tuple(domain))
+        assert as_tuple.gamma == as_list.gamma == 2
+        for x, y in itertools.product(domain, repeat=2):
+            assert eval_sign(as_tuple, x, y) == eval_sign(as_list, x, y)
+
+
+class TestTruth:
+    def test_first_disagreement_in_pair_order_is_named(self):
+        oracle = build_hd_supp(3, 1, seed=1)
+        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
+        domain = words(3)
+        flipped = {(domain[4], domain[1]), (domain[2], domain[5])}
+
+        def truth(x, y):
+            return (x != y) != ((x, y) in flipped)
+
+        first = re.escape(f"at ({domain[2]!r}, {domain[5]!r}): 1 vs -1")
+        with pytest.raises(PatternViolationError, match=first):
+            compile_tree(tree, domain, truth=truth)
+
+    def test_build_hd_sign_checks_against_the_distance(self, monkeypatch):
+        # the oracle tree is right; only the ground truth is made wrong
+        monkeypatch.setattr(signcompile, "dist", lambda x, y: 0)
+        with pytest.raises(PatternViolationError):
+            build_hd_sign(4, 1, seed=2)
+
+    def test_build_hd_sign_refuses_over_budget_before_building(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("an oracle was built")
+
+        monkeypatch.setattr(signcompile, "build_hd_supp", no_build)
+        with pytest.raises(BudgetExceededError, match="^67108864 pairs exceed"):
+            build_hd_sign(13, 1, max_pairs=1 << 24)
 
 
 class TestInputMaps:
