@@ -2,9 +2,10 @@
 
 Every subcommand writes a JSON report (and a one-line CSV summary) and
 exits 0 only when the run is certified: constructed artifacts verified,
-zero violations.  Thread count and budgets can also come from the
-environment: HAMRANK_THREADS, HAMRANK_MAX_BITS, HAMRANK_MAX_DIM,
-HAMRANK_MAX_PAIRS.
+zero violations.  Budgets can also come from the environment:
+HAMRANK_MAX_DIM, HAMRANK_MAX_PAIRS.  Sweeps run in one thread;
+``--threads`` / HAMRANK_THREADS and HAMRANK_MAX_BITS are accepted and
+recorded in the report's config, and change nothing else.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep", help="rep JSON from build-supp")
     _add_common(p)
 
-    p = sub.add_parser("bench", help="build/verify throughput measurements")
-    p.add_argument("--suite", default="hd-supp")
-    p.add_argument("--out", help="path for the CSV of measurements")
-    _add_common(p)
-
     return parser
 
 
@@ -131,7 +127,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _params_from_args(args: argparse.Namespace) -> dict:
     params = {}
-    for key in ("n", "k", "rep", "rp", "spec", "suite", "against"):
+    for key in ("n", "k", "rep", "rp", "spec", "against"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value

@@ -10,7 +10,7 @@ Rationals appear in exactly one place in the package (the unit-distance
 embedding) and are carried by ``fractions.Fraction``, which maintains the
 canonical reduced form ``den > 0, gcd(num, den) = 1`` by itself.
 
-Matrices are immutable after construction and safe to share across threads.
+Matrices are immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, NonSquareError, SizeMismatchError
+from .errors import NonSquareError, SizeMismatchError
 
 
 @dataclass(frozen=True)
@@ -182,24 +182,11 @@ class Mat:
         return cls(obj["rows"], obj["cols"], tuple(int(e) for e in obj["entries"]))
 
 
-def _check_bits(rows: list[list[int]], start: int, max_bits: int) -> None:
-    """Raise if an entry of the block below and right of ``start`` is too long."""
-    big = max((abs(v) for row in rows[start:] for v in row[start:]), default=0)
-    if big.bit_length() > max_bits:
-        raise BudgetExceededError(
-            f"intermediate entry of {big.bit_length()} bits exceeds the "
-            f"{max_bits}-bit budget"
-        )
-
-
-def det_exact(m: Mat, max_bits: int | None = None) -> int:
+def det_exact(m: Mat) -> int:
     """Exact determinant over the integers by fraction-free elimination.
 
     The empty 0x0 matrix has determinant 1 (the empty-product convention;
     the minor-expansion identity needs it for its empty term).
-
-    ``max_bits`` is an optional entry-growth budget: the computation raises
-    ``BudgetExceededError`` instead of silently grinding on huge integers.
     """
     if not m.is_square():
         raise NonSquareError(f"determinant requires a square matrix, got {m.shape}")
@@ -225,18 +212,16 @@ def det_exact(m: Mat, max_bits: int | None = None) -> int:
                 # Bareiss update: division by the previous pivot is exact.
                 cur[j] = (pivot * cur[j] - factor * top[j]) // prev
             cur[step] = 0
-        if max_bits is not None:
-            _check_bits(a, step + 1, max_bits)
         prev = pivot
     return sign * a[n - 1][n - 1]
 
 
-def rank_exact(m: Mat, max_bits: int | None = None) -> int:
+def rank_exact(m: Mat) -> int:
     """Exact rank over the rationals by fraction-free elimination."""
-    return _rank_rows(m.to_lists(), max_bits)
+    return _rank_rows(m.to_lists())
 
 
-def _rank_rows(a: list[list[int]], max_bits: int | None = None) -> int:
+def _rank_rows(a: list[list[int]]) -> int:
     """Rank of a list of equal-length integer rows; ``a`` is consumed.
 
     Uses full pivoting (row and column search) so that any nonzero entry of
@@ -270,8 +255,6 @@ def _rank_rows(a: list[list[int]], max_bits: int | None = None) -> int:
             for j in range(r + 1, ncols):
                 cur[j] = (pivot * cur[j] - factor * top[j]) // prev
             cur[r] = 0
-        if max_bits is not None:
-            _check_bits(a, r + 1, max_bits)
         prev = pivot
     return nrows if nrows < ncols else ncols
 

@@ -42,9 +42,7 @@ class SupportRep:
 
     ``u`` and ``v`` are lazy: vectors are derived from the compressor on
     demand and memoized, so a representation over 2^n strings costs memory
-    only for the strings actually touched.  Instances are immutable and
-    safe to share across threads (the memo dicts only ever grow, and any
-    interleaving computes identical values).
+    only for the strings actually touched.
     """
 
     def __init__(
@@ -270,7 +268,6 @@ def verify_support_rep(
     mode: str = "exhaustive",
     sample_count: int | None = None,
     sample_seed: int = 0,
-    threads: int = 1,
     max_pairs: int | None = None,
     violation_cap: int = 32,
 ) -> SweepReport:
@@ -278,8 +275,7 @@ def verify_support_rep(
 
     Exhaustive mode sweeps all |alphabet|^(2n) ordered pairs in product
     order; sample mode draws seeded uniform ordered pairs.  The report is
-    deterministic for a given mode and seed, and independent of the thread
-    count (see ``parallel.sweep``).
+    deterministic for a given mode and seed.
     """
     if rep.n is None or rep.k is None or rep.alphabet is None:
         raise ValueError("verification needs a Hamming-threshold representation")
@@ -295,7 +291,7 @@ def verify_support_rep(
 
         words = indexed_words(n, alphabet, mode)
         if mode == "exhaustive":
-            # every vector is used: embed once, before the rows are shared out
+            # every vector is used: embed each once, before the first row
             us, vs, codes = ([f(w) for w in words] for f in (rep.u, rep.v, code))
         else:
             us, vs, codes = (
@@ -320,7 +316,6 @@ def verify_support_rep(
         mode,
         sample_count,
         rng_stream(sample_seed, "verify-sample", n, k),
-        threads,
         max_pairs,
         violation_cap,
     )

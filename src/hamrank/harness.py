@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from . import __version__
 from .errors import HamrankError, InputError, PatternViolationError
@@ -49,6 +50,8 @@ from .signcompile import (
 
 REPORT_SCHEMA = "hamrank-report/1"
 
+T = TypeVar("T")
+
 CSV_COLUMNS = [
     "command",
     "n",
@@ -64,7 +67,11 @@ CSV_COLUMNS = [
 
 @dataclass
 class RunConfig:
-    """Knobs shared by every subcommand; one seed feeds all randomness."""
+    """Knobs shared by every subcommand; one seed feeds all randomness.
+
+    ``threads`` and ``max_bits`` are recorded in the report's config and
+    change nothing else.
+    """
 
     seed: int = 0
     threads: int = 1
@@ -154,9 +161,17 @@ def write_report(report: Report, config: RunConfig) -> None:
             writer.writerow(report.csv_row())
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
+    """Read, parse and load one input document.
+
+    Any failure on the way (a missing file, bad JSON, a wrong schema or a
+    missing field) becomes an ``InputError`` that names the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return loader(json.load(fh))
+    except (OSError, LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _save_json(doc: dict, path: str) -> None:
@@ -179,7 +194,6 @@ def run(subcommand: str, config: RunConfig) -> Report:
         "compose": _run_compose,
         "rp-verify": _run_rp_verify,
         "lower-bound": _run_lower_bound,
-        "bench": _run_bench,
     }
     if subcommand not in handlers:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -246,7 +260,7 @@ def _run_build_supp(config: RunConfig, report: Report) -> None:
 
 
 def _run_verify_supp(config: RunConfig, report: Report) -> None:
-    rep = load_supp(_load_json(config.params["rep"]))
+    rep = _load(config.params["rep"], load_supp)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(rep.k, rep.dim)
     result = verify_support_rep(
@@ -254,7 +268,6 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
         mode=config.verify_mode,
         sample_count=config.sample_count,
         sample_seed=config.seed,
-        threads=config.threads,
         max_pairs=config.max_pairs if config.verify_mode == "exhaustive" else None,
     )
     report.verification = result.to_json()
@@ -293,9 +306,9 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
 
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
-    doc = _load_json(config.params["rep"])
-    rep = sign_from_json(doc)
-    meta = doc.get("meta")
+    rep, meta = _load(
+        config.params["rep"], lambda doc: (sign_from_json(doc), doc.get("meta"))
+    )
     if not isinstance(meta, dict) or "n" not in meta or "k" not in meta:
         raise InputError("sign document has no meta with n and k")
     if not isinstance(rep, Combine):
@@ -322,7 +335,6 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
         config.verify_mode,
         config.sample_count,
         rng_stream(config.seed, "verify-sign", n, k),
-        config.threads,
         config.max_pairs,
     )
     report.construction = {"n": n, "k": k, "dim": rep.dim}
@@ -338,9 +350,9 @@ def _load_spec(spec_path: str) -> CompositionSpec:
     base_dir = os.path.dirname(os.path.abspath(spec_path))
 
     def load_ref(rel: str) -> dict:
-        return _load_json(os.path.join(base_dir, rel))
+        return _load(os.path.join(base_dir, rel))
 
-    return spec_from_json(_load_json(spec_path), load_file=load_ref)
+    return _load(spec_path, lambda doc: spec_from_json(doc, load_file=load_ref))
 
 
 def _check_semantics(
@@ -357,12 +369,7 @@ def _check_semantics(
             if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
         ]
 
-    result = sweep(
-        len(tuples),
-        lambda: bad_cols,
-        threads=config.threads,
-        max_pairs=config.max_pairs,
-    )
+    result = sweep(len(tuples), lambda: bad_cols, max_pairs=config.max_pairs)
     report.verification = {
         "pairs_checked": result.pairs_checked,
         "violation_count": result.violation_count,
@@ -391,11 +398,14 @@ def _run_compose(config: RunConfig, report: Report) -> None:
 
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
-    doc = _load_json(config.params["rp"])
-    problem = problem_from_json(doc)
-    spec_path = config.params.get("spec") or doc.get("provenance", {}).get(
-        "composition_spec"
+    problem, recorded_spec = _load(
+        config.params["rp"],
+        lambda doc: (
+            problem_from_json(doc),
+            doc.get("provenance", {}).get("composition_spec"),
+        ),
     )
+    spec_path = config.params.get("spec") or recorded_spec
     if spec_path is None:
         raise InputError("no composition spec available to verify against")
     spec = _load_spec(spec_path)
@@ -404,7 +414,7 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
 
 
 def _run_lower_bound(config: RunConfig, report: Report) -> None:
-    rep = load_supp(_load_json(config.params["rep"]))
+    rep = _load(config.params["rep"], load_supp)
     report.construction = _supp_construction(rep)
     try:
         cert = identity_certificate(rep)
@@ -421,53 +431,3 @@ def _run_lower_bound(config: RunConfig, report: Report) -> None:
     report.bounds = _supp_bounds(rep.k, rep.dim)
     report.status = "certified" if cert.size == 2**rep.k else "failed"
 
-
-BENCH_SUITES = {
-    "hd-supp": [(6, 1), (8, 1), (6, 2), (8, 2)],
-}
-
-
-def _run_bench(config: RunConfig, report: Report) -> None:
-    suite = config.params.get("suite", "hd-supp")
-    if suite not in BENCH_SUITES:
-        raise ValueError(f"unknown bench suite {suite!r}")
-    rows = []
-    all_ok = True
-    for n, k in BENCH_SUITES[suite]:
-        rep = build_hd_supp(n, k, seed=config.seed)
-        start = time.perf_counter()
-        result = verify_support_rep(rep, threads=config.threads)
-        millis = max(1, int((time.perf_counter() - start) * 1000))
-        all_ok = all_ok and result.certified
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "dim": rep.dim,
-                "pairs": result.pairs_checked,
-                "millis": millis,
-                "pairs_per_sec": result.pairs_checked * 1000 // millis,
-                "certified": result.certified,
-            }
-        )
-    report.construction = {"suite": suite}
-    report.verification = {
-        "rows": [
-            {key: row[key] for key in ("n", "k", "dim", "pairs", "certified")}
-            for row in rows
-        ],
-        "violation_count": 0 if all_ok else 1,
-    }
-    report.timing["rows"] = [
-        {key: row[key] for key in ("n", "k", "millis", "pairs_per_sec")}
-        for row in rows
-    ]
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "k", "dim", "pairs", "millis", "pairs_per_sec"])
-            for row in rows:
-                writer.writerow(
-                    [row[c] for c in ("n", "k", "dim", "pairs", "millis", "pairs_per_sec")]
-                )
-    report.status = "certified" if all_ok else "failed"

@@ -3,16 +3,13 @@
 Every certificate that compares a construction with ground truth pair by
 pair runs through ``sweep``.  The caller supplies one check per row that
 evaluates a whole row in one pass; the core owns the budget check, the
-exhaustive/sample dispatch, the row partitioning and the capped violation
-sample.  Rows are read-only closures over immutable representations;
-results are merged in row-index order regardless of completion order, so
-the outcome is identical for any thread count.
+exhaustive/sample dispatch, the row scan and the capped violation sample.
+Rows run in index order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -21,12 +18,9 @@ from .errors import BudgetExceededError, InputError
 T = TypeVar("T")
 
 
-def map_rows(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]:
+def map_rows(fn: Callable[[int], T], count: int) -> list[T]:
     """Apply ``fn`` to 0..count-1, returning results in index order."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
 
 
 def check_pairs(pairs: int, max_pairs: int | None, advice: str = "") -> None:
@@ -64,7 +58,6 @@ def sweep(
     mode: str = "exhaustive",
     sample_count: int | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
     max_pairs: int | None = None,
     cap: int = 32,
 ) -> SweepReport:
@@ -108,7 +101,7 @@ def sweep(
 
     bad = 0
     violations = []
-    for i, (row_bad, row_cols) in enumerate(map_rows(scan_row, count, threads)):
+    for i, (row_bad, row_cols) in enumerate(map_rows(scan_row, count)):
         bad += row_bad
         violations.extend((i, j) for j in row_cols[: cap - len(violations)])
     return SweepReport(count * count, bad, tuple(violations), mode)

@@ -161,12 +161,6 @@ class TestVerify:
         with pytest.raises(BudgetExceededError):
             verify_support_rep(rep, max_pairs=100)
 
-    def test_thread_count_does_not_change_results(self):
-        rep = build_hd_supp(4, 2, seed=3)
-        lone = verify_support_rep(zeroed(rep), threads=1)
-        pooled = verify_support_rep(zeroed(rep), threads=4)
-        assert lone.to_json() == pooled.to_json()
-
     def test_ternary_exhaustive(self):
         rep = build_hd_supp(3, 2, (0, 1, 2), seed=4)
         report = verify_support_rep(rep)

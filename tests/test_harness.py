@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import threading
 import time
 
 import pytest
@@ -32,6 +33,13 @@ def weights_supp_doc(n):
             "target_shape": [1, 1],
         },
     }
+
+
+def truncated_supp_doc(n):
+    """A supp document cut off before its compressor."""
+    doc = weights_supp_doc(n)
+    del doc["compressor"]
+    return doc
 
 
 def equality_sign_doc(n):
@@ -159,6 +167,23 @@ class TestDeterminism:
         )
         assert lone.verification == pooled.verification
 
+    def test_thread_count_starts_no_thread(self, tmp_path, monkeypatch):
+        out = tmp_path / "rep.json"
+        run(
+            "build-supp",
+            make_config(tmp_path, "b", seed=9, out=str(out), params={"n": 5, "k": 2}),
+        )
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run(
+            "verify-supp", make_config(tmp_path, "v", threads=4, params={"rep": str(out)})
+        )
+        assert report.certified
+        assert report.config["threads"] == 4
+
     def test_seed_stream_is_stable(self):
         assert seed_stream(7, "a", 1) == seed_stream(7, "a", 1)
         assert seed_stream(7, "a", 1) != seed_stream(7, "a", 2)
@@ -186,20 +211,6 @@ class TestArtifacts:
         doc = json.loads((tmp_path / "build.report.json").read_text())
         assert doc["schema"] == "hamrank-report/1"
         assert "timing" in doc and "millis" in doc["timing"]
-
-    def test_bench_writes_csv(self, tmp_path):
-        config = make_config(
-            tmp_path,
-            "bench",
-            out=str(tmp_path / "measurements.csv"),
-            params={"suite": "hd-supp"},
-        )
-        report = run("bench", config)
-        assert report.certified
-        with open(tmp_path / "measurements.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "k", "dim", "pairs", "millis", "pairs_per_sec"]
-        assert len(rows) == 5
 
 
 class TestSignCommands:
@@ -439,3 +450,21 @@ class TestCli:
         rp.write_text(json.dumps(problem_to_json(inner)))
         error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
         assert error.startswith("InputError:")
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("verify-supp", None),
+            ("verify-supp", json.dumps(truncated_supp_doc(3))),
+            ("lower-bound", "not json"),
+            ("verify-sign", json.dumps(weights_supp_doc(3))),
+            ("rp-verify", json.dumps(weights_supp_doc(3))),
+        ],
+        ids=["missing", "truncated-supp", "not-json", "sign-schema", "rp-schema"],
+    )
+    def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        error = self.failed_report(tmp_path, [command, str(path)])
+        assert error.startswith(f"InputError: cannot load {path}: ")
