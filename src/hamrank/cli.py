@@ -3,7 +3,9 @@
 Every subcommand writes a JSON report (and a one-line CSV summary) and
 exits 0 only when the run is certified: constructed artifacts verified,
 zero violations.  Budgets can also come from the environment:
-HAMRANK_MAX_DIM, HAMRANK_MAX_PAIRS.  Sweeps run in one thread;
+HAMRANK_MAX_DIM, HAMRANK_MAX_PAIRS.  A non-integer environment value and
+an output path in a missing directory exit at once, like a bad ``--mode``.
+Sweeps run in one thread;
 ``--threads`` / HAMRANK_THREADS and HAMRANK_MAX_BITS are accepted and
 recorded in the report's config, and change nothing else.
 """
@@ -14,12 +16,18 @@ import argparse
 import os
 import sys
 
+from .errors import InputError
 from .harness import RunConfig, run
 
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise SystemExit(f"bad {name}={raw!r}: expected an integer") from None
 
 
 def _parse_alphabet(raw: str) -> tuple[int, ...]:
@@ -142,7 +150,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from_args(args)
     config.params = _params_from_args(args)
-    report = run(args.command, config)
+    try:
+        report = run(args.command, config)
+    except InputError as exc:  # an output path run() could not write
+        raise SystemExit(f"{args.command}: {exc}") from None
     ver = report.verification
     line = f"{args.command}: {report.status}"
     if "pairs_checked" in ver:

@@ -35,7 +35,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, RetriesExhaustedError, SizeMismatchError
-from .exact import Mat, _rank_rows, rank_exact
+from .exact import Mat, bareiss, rank_exact
 
 DEFAULT_ENTRY_RANGE = 1 << 16
 # 3^15 binary difference patterns fit; the check runs before any enumeration
@@ -60,7 +60,6 @@ class MatFamily:
     """
 
     shape: tuple[int, int]
-    descriptor: dict
     explicit: tuple[Mat, ...] | None = None
     diag_values: tuple[tuple[int, ...], ...] | None = None
 
@@ -80,12 +79,7 @@ class MatFamily:
         seen = {}
         for m in members:
             seen.setdefault(m.entries, m)
-        members = list(seen.values())
-        return cls(
-            shape=shape,
-            descriptor={"kind": "explicit", "count": len(members)},
-            explicit=tuple(members),
-        )
+        return cls(shape=shape, explicit=tuple(seen.values()))
 
     @classmethod
     def diagonal_differences(cls, n: int, alphabet: Sequence[int]) -> "MatFamily":
@@ -115,15 +109,7 @@ class MatFamily:
                 f"{count} diagonal patterns exceed the family budget of "
                 f"{MAX_DIAGONAL_PATTERNS}"
             )
-        return cls(
-            shape=(len(alphabets), len(alphabets)),
-            descriptor={
-                "kind": "diagonal-differences",
-                "alphabets": [list(a) for a in alphabets],
-                "count": count,
-            },
-            diag_values=values,
-        )
+        return cls(shape=(len(alphabets), len(alphabets)), diag_values=values)
 
     @property
     def size(self) -> int:
@@ -327,7 +313,7 @@ def _diagonal_shortfalls(
             focus[j + 1] = j + 1
         flat = list(map(add, flat, delta))
         support += dsupp
-        achieved = _rank_rows(list(map(flat.__getitem__, rows)))
+        achieved = bareiss(list(map(flat.__getitem__, rows)))[0]
 
 
 def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int, int]]:

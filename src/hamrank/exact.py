@@ -116,9 +116,6 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def scale(self, c: int) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(c * a for a in self.entries))
-
     def transpose(self) -> "Mat":
         return Mat(
             self.cols,
@@ -146,19 +143,6 @@ class Mat:
                     out[base + j] += aik * brow[j]
         return Mat(n, p, tuple(out))
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.mul(other)
-
-    def hadamard(self, other: "Mat") -> "Mat":
-        """Entry-wise product."""
-        if self.shape != other.shape:
-            raise SizeMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(a * b for a, b in zip(self.entries, other.entries)),
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         return Mat(
             len(row_idx),
@@ -182,55 +166,19 @@ class Mat:
         return cls(obj["rows"], obj["cols"], tuple(int(e) for e in obj["entries"]))
 
 
-def det_exact(m: Mat) -> int:
-    """Exact determinant over the integers by fraction-free elimination.
+def bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Rank and determinant of equal-length integer rows ``a``, consumed.
 
-    The empty 0x0 matrix has determinant 1 (the empty-product convention;
-    the minor-expansion identity needs it for its empty term).
-    """
-    if not m.is_square():
-        raise NonSquareError(f"determinant requires a square matrix, got {m.shape}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for step in range(n - 1):
-        pivot_row = next((i for i in range(step, n) if a[i][step] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != step:
-            a[step], a[pivot_row] = a[pivot_row], a[step]
-            sign = -sign
-        pivot = a[step][step]
-        top = a[step]
-        for i in range(step + 1, n):
-            cur = a[i]
-            factor = cur[step]
-            for j in range(step + 1, n):
-                # Bareiss update: division by the previous pivot is exact.
-                cur[j] = (pivot * cur[j] - factor * top[j]) // prev
-            cur[step] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def rank_exact(m: Mat) -> int:
-    """Exact rank over the rationals by fraction-free elimination."""
-    return _rank_rows(m.to_lists())
-
-
-def _rank_rows(a: list[list[int]]) -> int:
-    """Rank of a list of equal-length integer rows; ``a`` is consumed.
-
-    Uses full pivoting (row and column search) so that any nonzero entry of
-    the remaining block can serve as a pivot; all intermediate values stay
-    integral.
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with full
+    pivoting: any nonzero entry of the remaining block can serve as the
+    pivot, every intermediate value is an integer minor of the input, and
+    the last pivot is the determinant up to the sign of the row and column
+    swaps.  The determinant is meaningful for square input only; it is 0
+    when the rank falls short and 1 for the empty matrix.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    prev = 1
+    sign = prev = 1
     for r in range(nrows if nrows < ncols else ncols):
         for pi in range(r, nrows):
             row = a[pi]
@@ -241,22 +189,41 @@ def _rank_rows(a: list[list[int]]) -> int:
                 continue
             break
         else:
-            return r
+            return r, 0
         if pi != r:
             a[r], a[pi] = a[pi], a[r]
+            sign = -sign
         if pj != r:
             for row in a:
                 row[r], row[pj] = row[pj], row[r]
+            sign = -sign
         top = a[r]
         pivot = top[r]
         for i in range(r + 1, nrows):
             cur = a[i]
             factor = cur[r]
             for j in range(r + 1, ncols):
+                # the division by the previous pivot is exact
                 cur[j] = (pivot * cur[j] - factor * top[j]) // prev
             cur[r] = 0
         prev = pivot
-    return nrows if nrows < ncols else ncols
+    return (nrows if nrows < ncols else ncols), sign * prev
+
+
+def det_exact(m: Mat) -> int:
+    """Exact determinant over the integers.
+
+    The empty 0x0 matrix has determinant 1 (the empty-product convention;
+    the minor-expansion identity needs it for its empty term).
+    """
+    if not m.is_square():
+        raise NonSquareError(f"determinant requires a square matrix, got {m.shape}")
+    return bareiss(m.to_lists())[1]
+
+
+def rank_exact(m: Mat) -> int:
+    """Exact rank over the rationals."""
+    return bareiss(m.to_lists())[0]
 
 
 def minor(m: Mat, alpha: Iterable[int], beta: Iterable[int]) -> int:

@@ -2,8 +2,12 @@
 
 The pipeline: compress the diagonal-difference family so that the rank of
 Diag(x - y) is preserved up to a cap of k, then replace the full-rank test
-det != 0 by an inner product of minor embeddings.  The result is a pair of
-vector families u(x), v(y) of dimension C(2k, k) with
+det != 0 by an inner product of minor embeddings.  A ``SupportRep`` is
+built from two square maps A and B and pairs the left minor embedding of
+A(x) with the right one of B(y), so <u(x), v(y)> = det(A(x) + B(y)).  For
+threshold distance, ``SupportRep.of_compressor`` takes A(x) = C(x) and
+B(y) = -C(y), where C compresses Diag(word) to k x k; the vectors have
+dimension C(2k, k) and
 
     <u(x), v(y)> != 0   if and only if   dist(x, y) >= k,
 
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cache
 from math import comb
 from operator import getitem, mul
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .compression import Compressor, MatFamily, fit_compressor, verify_compressor
 from .errors import (
@@ -38,18 +43,21 @@ Word = tuple[int, ...]
 
 
 class SupportRep:
-    """An indexed family of integer vector pairs witnessing a support bound.
+    """The support rep <u(x), v(y)> = det(a_map(x) + b_map(y)) for square maps.
 
-    ``u`` and ``v`` are lazy: vectors are derived from the compressor on
-    demand and memoized, so a representation over 2^n strings costs memory
-    only for the strings actually touched.
+    ``a_map`` and ``b_map`` send an index (a word, for Hamming reps) to a
+    size x size integer matrix.  u and v are their left and right minor
+    embeddings (``veronese.minor_embed``), of dimension C(2 size, size), so
+    the dot product is nonzero exactly where the sum has full rank.  Each
+    embedding is computed on first use and memoized, so a representation
+    over 2^n words costs memory only for the words actually touched.
     """
 
     def __init__(
         self,
-        dim: int,
-        u_fn: Callable[[Word], tuple[int, ...]],
-        v_fn: Callable[[Word], tuple[int, ...]],
+        a_map: Callable[[Hashable], Mat],
+        b_map: Callable[[Hashable], Mat],
+        size: int,
         predicate: str,
         n: int | None = None,
         k: int | None = None,
@@ -57,34 +65,47 @@ class SupportRep:
         compressor: Compressor | None = None,
         seed: int | None = None,
     ):
-        self.dim = dim
+        self.dim = comb(2 * size, size)
         self.predicate = predicate
         self.n = n
         self.k = k
         self.alphabet = alphabet
         self.compressor = compressor
         self.seed = seed
-        self._u_fn = u_fn
-        self._v_fn = v_fn
-        self._u_cache: dict = {}
-        self._v_cache: dict = {}
+        self.u = cache(lambda x: minor_embed(a_map(x), "left"))
+        self.v = cache(lambda y: minor_embed(b_map(y), "right"))
 
-    def u(self, x) -> tuple[int, ...]:
-        vec = self._u_cache.get(x)
-        if vec is None:
-            vec = self._u_fn(x)
-            self._u_cache[x] = vec
-        return vec
+    @classmethod
+    def of_compressor(
+        cls,
+        comp: Compressor,
+        predicate: str,
+        n: int,
+        k: int,
+        alphabet: tuple[int, ...],
+        seed: int | None,
+    ) -> "SupportRep":
+        """The rep det(C(x) - C(y)) of threshold distance, C = comp.apply_diag.
 
-    def v(self, y) -> tuple[int, ...]:
-        vec = self._v_cache.get(y)
-        if vec is None:
-            vec = self._v_fn(y)
-            self._v_cache[y] = vec
-        return vec
+        ``n`` and ``k`` must be the compressor's source and target sizes.
+        """
+        shapes = (comp.source_shape, comp.target_shape)
+        if not (type(n) is type(k) is int and shapes == ((n, n), (k, k))):
+            raise InputError(f"n={n!r}, k={k!r} do not fit a compressor {shapes}")
+        return cls(
+            comp.apply_diag,
+            lambda y: -comp.apply_diag(y),
+            k,
+            predicate,
+            n=n,
+            k=k,
+            alphabet=alphabet,
+            compressor=comp,
+            seed=seed,
+        )
 
     def dot(self, x, y) -> int:
-        return sum(a * b for a, b in zip(self.u(x), self.v(y)))
+        return sum(map(mul, self.u(x), self.v(y)))
 
     def query(self, x, y) -> bool:
         """The boolean matrix entry this representation supports."""
@@ -103,24 +124,6 @@ class SupportRep:
             "seed": self.seed,
             "compressor": self.compressor.to_json(),
         }
-
-
-def minor_rep(
-    a_map: Callable, b_map: Callable, size: int, predicate: str, **fields
-) -> SupportRep:
-    """The support rep <u(x), v(y)> = det(a_map(x) + b_map(y)) for square maps.
-
-    u and v are the left and right minor embeddings of the size x size
-    maps, so the dot product is nonzero exactly where the sum has full rank.
-    ``fields`` are the remaining ``SupportRep`` attributes.
-    """
-    return SupportRep(
-        dim=comb(2 * size, size),
-        u_fn=lambda x: minor_embed(a_map(x), "left"),
-        v_fn=lambda y: minor_embed(b_map(y), "right"),
-        predicate=predicate,
-        **fields,
-    )
 
 
 class _Memo(dict):
@@ -217,35 +220,20 @@ def build_hd_supp(
             family, k, k, seed_stream(seed, "hd-supp", n, k), max_retries=max_retries
         )
 
-    return minor_rep(
-        comp.apply_diag,
-        lambda y: -comp.apply_diag(y),
-        k,
-        f"HD>={k}",
-        n=n,
-        k=k,
-        alphabet=alphabet,
-        compressor=comp,
-        seed=seed,
-    )
+    return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, seed)
 
 
 def load_supp(obj: dict) -> SupportRep:
     """Rebuild a support representation from its JSON form."""
     if obj.get("schema") != "hamrank-supp/1":
         raise ValueError(f"not a support-rep document: {obj.get('schema')!r}")
-    comp = Compressor.from_json(obj["compressor"])
-    k = obj["k"]
-    return minor_rep(
-        comp.apply_diag,
-        lambda y: -comp.apply_diag(y),
-        k,
+    return SupportRep.of_compressor(
+        Compressor.from_json(obj["compressor"]),
         obj["predicate"],
-        n=obj["n"],
-        k=k,
-        alphabet=tuple(int(a) for a in obj["alphabet"]),
-        compressor=comp,
-        seed=obj["seed"],
+        obj["n"],
+        obj["k"],
+        tuple(int(a) for a in obj["alphabet"]),
+        obj["seed"],
     )
 
 
@@ -338,13 +326,6 @@ class IdentityCertificate:
     size: int
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "rows": [list(w) for w in self.row_words],
-            "cols": [list(w) for w in self.col_words],
-        }
 
 
 def identity_certificate(rep: SupportRep) -> IdentityCertificate:

@@ -14,7 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, TextIO, TypeVar
 
 from . import __version__
 from .errors import HamrankError, InputError, PatternViolationError
@@ -151,14 +151,10 @@ class Report:
 
 def write_report(report: Report, config: RunConfig) -> None:
     if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(report.to_json(), config.report_path)
     if config.csv_path:
-        with open(config.csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerow(report.csv_row())
+        rows = [CSV_COLUMNS, report.csv_row()]
+        _save(config.csv_path, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
@@ -174,17 +170,35 @@ def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
         raise InputError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _check_outputs(config: RunConfig) -> None:
+    """Refuse an output path in a missing directory, before any work."""
+    for path in filter(None, (config.out, config.report_path, config.csv_path)):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise InputError(f"cannot write {path}: no directory {folder}")
+
+
+def _save(path: str, write: Callable[[TextIO], object]) -> None:
+    """Write one output file: every report, summary and artifact goes here,
+    and any failure becomes an ``InputError`` that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _save_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save(path, lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n"))
 
 
 def run(subcommand: str, config: RunConfig) -> Report:
     """Dispatch a subcommand and return its report.
 
     Budget violations and module errors are caught and carried in the
-    report with a failed status instead of crashing the process.
+    report with a failed status instead of crashing the process.  An output
+    path in a missing directory raises ``InputError`` before any work, and
+    so does a report or summary that cannot be written after it.
     """
     handlers = {
         "build-supp": _run_build_supp,
@@ -197,6 +211,7 @@ def run(subcommand: str, config: RunConfig) -> Report:
     }
     if subcommand not in handlers:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    _check_outputs(config)
     report = Report(command=subcommand, config=config.to_json())
     start = time.perf_counter()
     try:
@@ -305,15 +320,20 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     report.status = "certified"
 
 
-def _run_verify_sign(config: RunConfig, report: Report) -> None:
-    rep, meta = _load(
-        config.params["rep"], lambda doc: (sign_from_json(doc), doc.get("meta"))
-    )
-    if not isinstance(meta, dict) or "n" not in meta or "k" not in meta:
-        raise InputError("sign document has no meta with n and k")
+def _load_sign(doc: dict) -> tuple[Combine, int, int]:
+    """A sign document's tree and its meta n and k."""
+    rep, meta = sign_from_json(doc), doc.get("meta")
+    if not isinstance(meta, dict) or any(
+        type(meta.get(key)) is not int or meta[key] < 0 for key in ("n", "k")
+    ):
+        raise InputError("sign document has no meta with integers n, k >= 0")
     if not isinstance(rep, Combine):
         raise InputError("sign document has no oracle to take the alphabet from")
-    n, k = meta["n"], meta["k"]
+    return rep, meta["n"], meta["k"]
+
+
+def _run_verify_sign(config: RunConfig, report: Report) -> None:
+    rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
 
     def prepare():

@@ -28,7 +28,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, block_diag, rank_exact, repeat_diag
-from .hamming import SupportRep, minor_rep, word_of_index
+from .hamming import SupportRep, dist, word_of_index
 from .seeds import seed_stream
 from .signcompile import (
     Leaf,
@@ -101,14 +101,10 @@ def symmetric_problem(
 ) -> RankProblem:
     """A rank problem with B = -A."""
     a_map = cache(a_map)
-
-    def b_map(y: int) -> Mat:
-        return -a_map(y)
-
     return RankProblem(
         index_count=index_count,
         a_map=a_map,
-        b_map=b_map,
+        b_map=lambda y: -a_map(y),
         g=tuple(g),
         order=order,
         symmetric=True,
@@ -116,6 +112,11 @@ def symmetric_problem(
         rank_fn=rank_fn,
         meta=meta or {},
     )
+
+
+def _step(s: int) -> tuple[int, ...]:
+    """The step function 1{rank >= s} tabulated on {0, ..., s}."""
+    return (0,) * s + (1,)
 
 
 def negate(p: RankProblem) -> RankProblem:
@@ -157,16 +158,13 @@ def hd_rank_problem(
 
     def rank_fn(x: int, y: int) -> int:
         # certified by the compressor's exhaustive family verification
-        wx = word_of_index(x, n, alphabet)
-        wy = word_of_index(y, n, alphabet)
-        d = sum(1 for a, b in zip(wx, wy) if a != b)
-        return min(d, k)
+        wx, wy = word_of_index(x, n, alphabet), word_of_index(y, n, alphabet)
+        return min(dist(wx, wy), k)
 
-    g = tuple(1 if t >= k else 0 for t in range(k + 1))
     return symmetric_problem(
         count,
         a_map,
-        g,
+        _step(k),
         k,
         name=f"HD>={k}^{n}",
         rank_fn=rank_fn,
@@ -215,21 +213,20 @@ def _compress_problem(
 
     The compressor is fitted over the finite family {A(x) + B(y)}, so no
     rank below the cap changes and evaluation at order <= size is preserved.
+    A symmetric problem stays symmetric: L(-A)R^T = -(L A R^T).
     """
     family = _pair_sum_family(p.a_map, p.b_map, p.index_count)
     comp = fit_compressor(family, size, size, seed, max_retries=max_retries)
     right_t = comp.right.transpose()
-
-    def a_map(x: int) -> Mat:
-        return comp.left.mul(p.a_map(x)).mul(right_t)
-
-    def b_map(y: int) -> Mat:
-        return comp.left.mul(p.b_map(y)).mul(right_t)
-
+    a_map = cache(lambda x: comp.left.mul(p.a_map(x)).mul(right_t))
+    if p.symmetric:
+        b_map = cache(lambda y: -a_map(y))
+    else:
+        b_map = cache(lambda y: comp.left.mul(p.b_map(y)).mul(right_t))
     return replace(
         p,
-        a_map=cache(a_map),
-        b_map=cache(b_map),
+        a_map=a_map,
+        b_map=b_map,
         rank_fn=None,
         name=f"norm({p.name})",
         meta={**p.meta, "normalizer": comp},
@@ -410,7 +407,7 @@ def piece_support_rep(
     threshold.  Dimension C(2s, s) for threshold s.
     """
     q = _compress_problem(p, threshold, seed, max_retries)
-    return minor_rep(
+    return SupportRep(
         q.a_map,
         q.b_map,
         threshold,
@@ -492,12 +489,6 @@ class CompositionSpec:
             out.append(idx % p.index_count)
             idx //= p.index_count
         return tuple(reversed(out))
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for p, c in zip(self.inners, coords):
-            idx = idx * p.index_count + c
-        return idx
 
 
 def compose_semantics(spec: CompositionSpec, x: Sequence[int], y: Sequence[int]) -> int:
@@ -628,9 +619,7 @@ def distance_r_compose(
         return comp0.apply_diag(spec.tuple_of(x))
 
     def gate_rank(x: int, y: int) -> int:
-        tx, ty = spec.tuple_of(x), spec.tuple_of(y)
-        d = sum(1 for a, b in zip(tx, ty) if a != b)
-        return min(d, gate_order)
+        return min(dist(spec.tuple_of(x), spec.tuple_of(y)), gate_order)
 
     gate = symmetric_problem(
         count,
@@ -660,48 +649,29 @@ def distance_r_compose(
             coords = spec.tuple_of(x)
             return block_diag([per_coord[i](c) for i, c in enumerate(coords)])
 
-        block_map = cache(block_map)
         target = r * t
-        fam_t = _pair_sum_family(block_map, lambda y: -block_map(y), count)
-        comp_t = fit_compressor(
-            fam_t,
-            target,
+        capsum = _compress_problem(
+            symmetric_problem(count, block_map, _step(target), target),
             target,
             seed_stream(seed, "compose-global", t),
-            max_retries=max_retries,
+            max_retries,
         )
-
-        def capped_map(x: int, block_map=block_map, comp_t=comp_t) -> Mat:
-            return comp_t.apply(block_map(x))
-
-        capped_map = cache(capped_map)
-        capped_maps[t] = capped_map
-
+        capped_maps[t] = capsum.a_map
         for s in range(1, target + 1):
-            if s == target:
-                thr_map = capped_map
-            else:
-                fam_ts = _pair_sum_family(capped_map, lambda y: -capped_map(y), count)
-                comp_ts = fit_compressor(
-                    fam_ts,
-                    s,
+            thr = capsum
+            if s < target:
+                thr = _compress_problem(
+                    capsum,
                     s,
                     seed_stream(seed, "compose-threshold", t, s),
-                    max_retries=max_retries,
+                    max_retries,
                 )
-
-                def thr_map(x: int, capped_map=capped_map, comp_ts=comp_ts) -> Mat:
-                    return comp_ts.apply(capped_map(x))
-
-                thr_map = cache(thr_map)
-            threshold_problem = symmetric_problem(
-                count,
-                thr_map,
-                tuple(1 if u >= s else 0 for u in range(s + 1)),
-                s,
-                name=f"capsum[t={t}]>={s}",
+            components.append(
+                (
+                    replace(thr, g=_step(s), order=s, name=f"capsum[t={t}]>={s}"),
+                    lambda x: x,
+                )
             )
-            components.append((threshold_problem, lambda x: x))
             bit_layout.append((t, s))
 
     def decoder(bits: tuple[int, ...]) -> int:

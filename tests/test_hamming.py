@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from math import comb
 
@@ -15,9 +16,9 @@ from hamrank.hamming import (
     dist,
     identity_certificate,
     load_supp,
-    minor_rep,
     verify_support_rep,
 )
+from hamrank.veronese import minor_embed
 
 from .conftest import hamming
 
@@ -29,16 +30,8 @@ def all_words(n, alphabet=(0, 1)):
 def zeroed(rep: SupportRep) -> SupportRep:
     """Same rep with the compressor's left factor nulled out."""
     comp = replace(rep.compressor, left=Mat.zeros(*rep.compressor.left.shape))
-    return minor_rep(
-        comp.apply_diag,
-        lambda y: -comp.apply_diag(y),
-        rep.k,
-        rep.predicate,
-        n=rep.n,
-        k=rep.k,
-        alphabet=rep.alphabet,
-        compressor=comp,
-        seed=rep.seed,
+    return SupportRep.of_compressor(
+        comp, rep.predicate, rep.n, rep.k, rep.alphabet, rep.seed
     )
 
 
@@ -165,6 +158,20 @@ class TestVerify:
         rep = build_hd_supp(3, 2, (0, 1, 2), seed=4)
         report = verify_support_rep(rep)
         assert report.certified and report.pairs_checked == 9**3
+
+    def test_exhaustive_sweep_embeds_each_word_once_per_side(self, monkeypatch):
+        calls = Counter()
+
+        def counting(m, side):
+            calls[side] += 1
+            return minor_embed(m, side)
+
+        monkeypatch.setattr("hamrank.hamming.minor_embed", counting)
+        # zeroed: every far pair is a violation, whose record recomputes a dot
+        rep = zeroed(build_hd_supp(4, 2, seed=1))
+        assert verify_support_rep(rep).violation_count == 176
+        verify_support_rep(rep)
+        assert calls == {"left": 2**4, "right": 2**4}
 
 
 class TestIdentityCertificate:

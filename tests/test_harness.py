@@ -437,6 +437,36 @@ class TestCli:
         assert verification["pairs_checked"] == 200
         assert verification["violation_count"] == 0
 
+    @pytest.mark.parametrize(
+        "name",
+        ["HAMRANK_MAX_PAIRS", "HAMRANK_MAX_DIM", "HAMRANK_THREADS", "HAMRANK_MAX_BITS"],
+    )
+    def test_cli_bad_environment_value_exits_cleanly(self, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        args = ["build-supp", "--n", "3", "--k", "1", "--out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert str(exc.value) == f"bad {name}='abc': expected an integer"
+
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--csv"])
+    def test_cli_output_in_missing_directory_refused_before_work(
+        self, tmp_path, monkeypatch, flag
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr("hamrank.harness.build_hd_supp", never)
+        paths = {f: str(tmp_path / f"out{f}") for f in ("--out", "--report", "--csv")}
+        paths[flag] = str(tmp_path / "missing" / "x")
+        args = ["build-supp", "--n", "3", "--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [arg for item in paths.items() for arg in item])
+        missing = tmp_path / "missing"
+        assert str(exc.value) == (
+            f"build-supp: cannot write {paths[flag]}: no directory {missing}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
         args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]
         assert self.failed_report(tmp_path, args).startswith("InputError:")
@@ -459,8 +489,21 @@ class TestCli:
             ("lower-bound", "not json"),
             ("verify-sign", json.dumps(weights_supp_doc(3))),
             ("rp-verify", json.dumps(weights_supp_doc(3))),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "n": "3"})),
+            ("lower-bound", json.dumps({**weights_supp_doc(3), "n": "3"})),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "n": -1})),
+            ("lower-bound", json.dumps({**weights_supp_doc(3), "n": -1})),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "k": 0})),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "k": 9})),
+            ("verify-sign", json.dumps({**equality_sign_doc(3), "meta": {"n": "3"}})),
+            ("verify-sign", json.dumps({**equality_sign_doc(3), "meta": {"n": 3}})),
         ],
-        ids=["missing", "truncated-supp", "not-json", "sign-schema", "rp-schema"],
+        ids=[
+            "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
+            "supp-n-string", "lower-bound-n-string", "supp-n-negative",
+            "lower-bound-n-negative", "supp-k-zero", "supp-k-nine",
+            "sign-meta-n-string", "sign-meta-no-k",
+        ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
         path = tmp_path / "input.json"

@@ -51,9 +51,9 @@ def zeroed_rep(src: str, dst: str) -> None:
         json.dump(doc, fh)
 
 
-def compose_spec(path: str) -> None:
+def compose_spec(path: str, r: int = 1, h=(0, 1), coordinates: int = 2) -> None:
     inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
-    spec = CompositionSpec(r=1, h=(0, 1), inners=(inner,) * 2)
+    spec = CompositionSpec(r=r, h=h, inners=(inner,) * coordinates)
     with open(path, "w") as fh:
         json.dump(spec_to_json(spec), fh)
 
@@ -71,11 +71,13 @@ EXPECTED = {
     "sign-verify": "3a9a1bc340ebb58c10d061a60225942f2172a58b59175309a3290accab3150a7",
     "sign-sample": "f5a42b235af951a342086eb577a9fc08da288c7b3139595285ef14939235b5d8",
     "compose": "e2e47776a8eeb5bcf63c4c1104f6709c8c027a09ddc1d3aa7f8d3936ffb854a8",
+    "compose-threshold": "66c02183953ad9376d474f83d80bd606bba5594981ba4dcf83532ce30b8daf4f",
     "rp-verify": "ba4e09a0273d22ce580ae5cba5b8aced10f15e143564519f80a84999b395b9df",
     "artifact:bin.supp.json": "a29b4ef6627270b7bd522858076dcf234fd1564b9bcefe9837ea5f1382c5f11d",
     "artifact:ter.supp.json": "8ac8e2cdec3e589715c7d63a4c1270820db68ec338298ad32f7306bc1114c65a",
     "artifact:s.sign.json": "e55ea2b66b5d0ee63df8e098f9bc3b9500c13bea1a6da5a00d79c4d91ed06abe",
     "artifact:rp.json": "1716d1a6ce19f43c9f97ff962507b54d504df2c3dbdd89eb396ae9374b5294dd",
+    "artifact:rp-r2.json": "a753abe7402a8ae54bdf13da8dd11fd7cb4535e666be0aacf3f93c9b644c434b",
 }
 
 
@@ -105,8 +107,15 @@ def digests(tmp_path_factory):
             "compose", {"spec": "spec.json"}, seed=5, out="rp.json"
         )
         reports["rp-verify"] = run_report("rp-verify", {"rp": "rp.json"})
+        # r * t = 2 > 1, so the capped map is compressed once more per s < 2
+        compose_spec("spec-r2.json", r=2, h=(0, 0, 1), coordinates=4)
+        reports["compose-threshold"] = run_report(
+            "compose", {"spec": "spec-r2.json"}, seed=5, out="rp-r2.json"
+        )
         out = {name: digest(r.canonical_bytes()) for name, r in reports.items()}
-        for path in ("bin.supp.json", "ter.supp.json", "s.sign.json", "rp.json"):
+        for path in (
+            "bin.supp.json", "ter.supp.json", "s.sign.json", "rp.json", "rp-r2.json"
+        ):
             with open(path, "rb") as fh:
                 out[f"artifact:{path}"] = digest(fh.read())
         out["_zeroed_violations"] = reports["zeroed-verify"].verification
