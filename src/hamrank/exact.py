@@ -30,6 +30,8 @@ class Mat:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise TypeError("matrix dimensions must be ints")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:

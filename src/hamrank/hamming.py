@@ -82,16 +82,18 @@ class SupportRep:
         predicate: str,
         n: int,
         k: int,
-        alphabet: tuple[int, ...],
+        alphabet: Sequence[int],
         seed: int | None,
     ) -> "SupportRep":
         """The rep det(C(x) - C(y)) of threshold distance, C = comp.apply_diag.
 
-        ``n`` and ``k`` must be the compressor's source and target sizes.
+        ``n`` and ``k`` must be the compressor's source and target sizes,
+        and the alphabet must pass ``check_alphabet``.
         """
         shapes = (comp.source_shape, comp.target_shape)
         if not (type(n) is type(k) is int and shapes == ((n, n), (k, k))):
             raise InputError(f"n={n!r}, k={k!r} do not fit a compressor {shapes}")
+        alphabet = check_alphabet(alphabet)
         return cls(
             comp.apply_diag,
             lambda y: -comp.apply_diag(y),
@@ -136,6 +138,14 @@ class _Memo(dict):
     def __missing__(self, key: int) -> object:
         value = self[key] = self._fn(key)
         return value
+
+
+def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
+    """The alphabet as a tuple of ints; empty or repeated letters are refused."""
+    alphabet = tuple(int(a) for a in alphabet)
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise InputError(f"alphabet {alphabet} needs distinct letters, at least one")
+    return alphabet
 
 
 def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
@@ -188,7 +198,6 @@ def build_hd_supp(
     k: int,
     alphabet: Sequence[int] = (0, 1),
     seed: int = 0,
-    max_retries: int = 16,
 ) -> SupportRep:
     """Build a verified dim-C(2k,k) support representation of dist >= k.
 
@@ -199,9 +208,7 @@ def build_hd_supp(
     smallest case; it is still verified against the full difference family
     rather than trusted.
     """
-    alphabet = tuple(int(a) for a in alphabet)
-    if len(set(alphabet)) != len(alphabet):
-        raise InputError("alphabet values must be distinct")
+    alphabet = check_alphabet(alphabet)
     if not (1 <= k <= n):
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
 
@@ -216,9 +223,7 @@ def build_hd_supp(
             )
         comp = replace(comp, verified=True)
     else:
-        comp = fit_compressor(
-            family, k, k, seed_stream(seed, "hd-supp", n, k), max_retries=max_retries
-        )
+        comp = fit_compressor(family, k, k, seed_stream(seed, "hd-supp", n, k))
 
     return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, seed)
 
@@ -232,7 +237,7 @@ def load_supp(obj: dict) -> SupportRep:
         obj["predicate"],
         obj["n"],
         obj["k"],
-        tuple(int(a) for a in obj["alphabet"]),
+        obj["alphabet"],
         obj["seed"],
     )
 
@@ -257,7 +262,6 @@ def verify_support_rep(
     sample_count: int | None = None,
     sample_seed: int = 0,
     max_pairs: int | None = None,
-    violation_cap: int = 32,
 ) -> SweepReport:
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
@@ -305,7 +309,6 @@ def verify_support_rep(
         sample_count,
         rng_stream(sample_seed, "verify-sample", n, k),
         max_pairs,
-        violation_cap,
     )
     records = []
     for i, j in result.violations:

@@ -28,15 +28,10 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, block_diag, rank_exact, repeat_diag
-from .hamming import SupportRep, dist, word_of_index
+from .hamming import SupportRep, check_alphabet, dist, word_of_index
+from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import (
-    Leaf,
-    Node,
-    OracleTree,
-    SignRep,
-    compile_tree,
-)
+from .signcompile import Leaf, Node, OracleTree, SignRep, compile_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -55,7 +50,7 @@ class RankProblem:
     ``rank_fn`` is set (by the structured constructors) it must return the
     exact rank of A(x) + B(y); block-diagonal constructions use it to sum
     block ranks instead of eliminating the assembled matrix, and tests pin
-    the two paths against each other.
+    it against the rank of the assembled matrices.
     """
 
     index_count: int
@@ -84,10 +79,6 @@ class RankProblem:
 
     def eval(self, x: int, y: int) -> int:
         return self.g[min(self.rank_of_pair(x, y), self.order)]
-
-    def dense_eval(self, x: int, y: int) -> int:
-        """Evaluation through the assembled matrices, ignoring rank_fn."""
-        return self.g[min(rank_exact(self.a_map(x) + self.b_map(y)), self.order)]
 
 
 def symmetric_problem(
@@ -134,7 +125,6 @@ def hd_rank_problem(
     k: int,
     alphabet: Sequence[int] = (0, 1),
     seed: int = 0,
-    max_retries: int = 16,
 ) -> RankProblem:
     """The symmetric order-k problem with eval(x, y) = 1 iff dist(x, y) >= k.
 
@@ -142,15 +132,11 @@ def hd_rank_problem(
     the full diagonal-difference family, so rank(A(x) - A(y)) equals
     min(dist, k) for every pair; g is the threshold step at k.
     """
-    alphabet = tuple(int(a) for a in alphabet)
-    if len(set(alphabet)) != len(alphabet):
-        raise InputError("alphabet values must be distinct")
+    alphabet = check_alphabet(alphabet)
     if not (1 <= k <= n):
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     family = MatFamily.diagonal_differences(n, alphabet)
-    comp = fit_compressor(
-        family, k, k, seed_stream(seed, "hd-rank", n, k), max_retries=max_retries
-    )
+    comp = fit_compressor(family, k, k, seed_stream(seed, "hd-rank", n, k))
     count = len(alphabet) ** n
 
     def a_map(i: int) -> Mat:
@@ -206,9 +192,7 @@ def _pair_sum_family(
     )
 
 
-def _compress_problem(
-    p: RankProblem, size: int, seed: int, max_retries: int = 16
-) -> RankProblem:
+def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     """``p`` with both maps compressed to size x size.
 
     The compressor is fitted over the finite family {A(x) + B(y)}, so no
@@ -216,21 +200,14 @@ def _compress_problem(
     A symmetric problem stays symmetric: L(-A)R^T = -(L A R^T).
     """
     family = _pair_sum_family(p.a_map, p.b_map, p.index_count)
-    comp = fit_compressor(family, size, size, seed, max_retries=max_retries)
+    comp = fit_compressor(family, size, size, seed)
     right_t = comp.right.transpose()
     a_map = cache(lambda x: comp.left.mul(p.a_map(x)).mul(right_t))
     if p.symmetric:
         b_map = cache(lambda y: -a_map(y))
     else:
         b_map = cache(lambda y: comp.left.mul(p.b_map(y)).mul(right_t))
-    return replace(
-        p,
-        a_map=a_map,
-        b_map=b_map,
-        rank_fn=None,
-        name=f"norm({p.name})",
-        meta={**p.meta, "normalizer": comp},
-    )
+    return replace(p, a_map=a_map, b_map=b_map, rank_fn=None, name=f"norm({p.name})")
 
 
 def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
@@ -396,25 +373,18 @@ def monotone_decompose(
     return pieces, build(0, p.order)
 
 
-def piece_support_rep(
-    p: RankProblem, threshold: int, seed: int, max_retries: int = 16
-) -> SupportRep:
+def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
     """A verified support representation of 1{rank(A(x) + B(y)) >= threshold}.
 
     Compress the finite family {A(x) + B(y)} to threshold x threshold, then
     pair the minor embeddings of the compressed maps: the dot product is the
     compressed determinant, nonzero exactly when the rank clears the
-    threshold.  Dimension C(2s, s) for threshold s.
+    threshold.  Dimension C(2s, s) for threshold s.  The rep is not
+    compressor-backed (its maps act on indices, not words), so it does not
+    serialize.
     """
-    q = _compress_problem(p, threshold, seed, max_retries)
-    return SupportRep(
-        q.a_map,
-        q.b_map,
-        threshold,
-        f"rank>={threshold}",
-        compressor=q.meta["normalizer"],
-        seed=seed,
-    )
+    q = _compress_problem(p, threshold, seed)
+    return SupportRep(q.a_map, q.b_map, threshold, f"rank>={threshold}", seed=seed)
 
 
 def to_sign_rep(
@@ -424,28 +394,19 @@ def to_sign_rep(
 
     Pipeline: monotone decomposition, one support representation per
     threshold piece the search tree queries, then the tree compiler.  The
-    compiled sign is checked against the problem's evaluation on every
-    index pair.
+    search tree queries each threshold at one node at most, and each piece
+    draws from its own seed stream, so the reps do not depend on walk
+    order.  The compiled sign is checked against the problem's evaluation
+    on every index pair.
     """
-    pieces, tree = monotone_decompose(p)
-    used: set[int] = set()
-
-    def collect(node: OracleTree):
-        if isinstance(node, Node):
-            used.add(node.oracle.threshold)
-            collect(node.child0)
-            collect(node.child1)
-
-    collect(tree)
-    reps = {
-        s: piece_support_rep(p, s, seed_stream(seed, "piece", s)) for s in used
-    }
+    _, tree = monotone_decompose(p)
 
     def substitute(node: OracleTree) -> OracleTree:
         if isinstance(node, Leaf):
             return node
+        s = node.oracle.threshold
         return Node(
-            oracle=reps[node.oracle.threshold],
+            oracle=piece_support_rep(p, s, seed_stream(seed, "piece", s)),
             child0=substitute(node.child0),
             child1=substitute(node.child1),
         )
@@ -458,6 +419,8 @@ def to_sign_rep(
 # -------------------------------------------------------------------
 # Distance-r composition
 # -------------------------------------------------------------------
+
+COMPOSE_PAIR_BUDGET = 1 << 14  # index pairs distance_r_compose fits over
 
 
 @dataclass(frozen=True)
@@ -548,12 +511,7 @@ def multiset_decode(
     return result
 
 
-def distance_r_compose(
-    spec: CompositionSpec,
-    seed: int = 0,
-    max_retries: int = 16,
-    pair_budget: int = 1 << 14,
-) -> RankProblem:
+def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     """Realize a distance-r composition as a single symmetric rank problem.
 
     Components combined by ``bool_combine``:
@@ -573,7 +531,9 @@ def distance_r_compose(
 
     Requires a shared g across inners (a family in the strict sense), and
     either injective inner maps or g(0) = 0: a coordinate that differs in
-    index but not in matrix has rank 0, which no capped sum can see.
+    index but not in matrix has rank 0, which no capped sum can see.  The
+    compressions fit all-pairs families, so more than COMPOSE_PAIR_BUDGET
+    index pairs are refused before any fitting.
     """
     m = spec.coordinates
     r = spec.r
@@ -589,11 +549,7 @@ def distance_r_compose(
                 "distance-r composition needs a family: all inners must "
                 "share one step function"
             )
-    if spec.index_count**2 > pair_budget:
-        raise BudgetExceededError(
-            f"{spec.index_count}^2 pairs exceed the composition budget "
-            f"{pair_budget}"
-        )
+    check_pairs(spec.index_count**2, COMPOSE_PAIR_BUDGET)
     for i, p in enumerate(spec.inners):
         values = {p.a_map(x).entries for x in range(p.index_count)}
         if len(values) != p.index_count and shared_g[0] == 1:
@@ -607,11 +563,7 @@ def distance_r_compose(
     gate_order = min(r + 1, m)
     family0 = MatFamily.diagonal_differences_multi(alphabets)
     comp0 = fit_compressor(
-        family0,
-        gate_order,
-        gate_order,
-        seed_stream(seed, "compose-gate"),
-        max_retries=max_retries,
+        family0, gate_order, gate_order, seed_stream(seed, "compose-gate")
     )
     count = spec.index_count
 
@@ -639,9 +591,7 @@ def distance_r_compose(
     capped_maps: dict[int, Callable[[int], Mat]] = {}
     for t in range(1, k + 1):
         per_coord = [
-            _compress_problem(
-                p, t, seed_stream(seed, "compose-coord", i, t), max_retries
-            ).a_map
+            _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t)).a_map
             for i, p in enumerate(spec.inners)
         ]
 
@@ -654,17 +604,13 @@ def distance_r_compose(
             symmetric_problem(count, block_map, _step(target), target),
             target,
             seed_stream(seed, "compose-global", t),
-            max_retries,
         )
         capped_maps[t] = capsum.a_map
         for s in range(1, target + 1):
             thr = capsum
             if s < target:
                 thr = _compress_problem(
-                    capsum,
-                    s,
-                    seed_stream(seed, "compose-threshold", t, s),
-                    max_retries,
+                    capsum, s, seed_stream(seed, "compose-threshold", t, s)
                 )
             components.append(
                 (

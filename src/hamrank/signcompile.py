@@ -7,7 +7,7 @@ becomes a combine node
 
     value(x, y) = value1(x, y) + gamma * s(x, y)^2 * value0(x, y)
 
-where s is the oracle's inner product at the translated inputs.  Wherever
+where s is the oracle's inner product at (x, y).  Wherever
 the oracle entry is 0 the squared term vanishes identically (not
 approximately), so value1 dictates the sign; wherever it is 1 the integer
 dominance constant gamma makes the squared term strictly dominate, so
@@ -16,7 +16,9 @@ value0 dictates the sign.  Dimensions follow the exact recursion
     dim(combine) = dim(rep1) + oracle_dim^2 * dim(rep0),
 
 which the compiler tracks per node instead of the coarse (1 + r^2)^depth
-bound; both numbers are reported.
+bound; both numbers are reported.  A tree over some other index domain
+needs no translation layer here: a ``SupportRep`` built on maps from
+indices to matrices already answers at indices.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ from .parallel import check_pairs, sweep
 from .seeds import seed_stream
 
 
-def _identity(x):
-    return x
-
-
 # -------------------------------------------------------------------
 # Oracle decision trees
 # -------------------------------------------------------------------
@@ -59,13 +57,11 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Node:
-    """Inner node: query the oracle at translated inputs, branch on the answer."""
+    """Inner node: query the oracle at (x, y), branch on the answer."""
 
     oracle: object  # anything with .query(x, y); SupportRep for compilation
     child0: "Leaf | Node"
     child1: "Leaf | Node"
-    a_map: Callable = _identity
-    b_map: Callable = _identity
 
 
 OracleTree = Leaf | Node
@@ -74,8 +70,7 @@ OracleTree = Leaf | Node
 def tree_eval(tree: OracleTree, x, y) -> int:
     node = tree
     while isinstance(node, Node):
-        bit = node.oracle.query(node.a_map(x), node.b_map(y))
-        node = node.child1 if bit else node.child0
+        node = node.child1 if node.oracle.query(x, y) else node.child0
     return node.value
 
 
@@ -111,8 +106,6 @@ class Combine:
     rep0: "SignRep"  # sign on the oracle's support (tree branch for answer 1)
     rep1: "SignRep"  # sign where the oracle vanishes (branch for answer 0)
     gamma: int
-    a_map: Callable = _identity
-    b_map: Callable = _identity
 
     @property
     def dim(self) -> int:
@@ -126,7 +119,7 @@ def eval_value(rep: SignRep, x, y) -> int:
     """The exact integer value whose sign encodes the matrix entry."""
     if isinstance(rep, ConstLeaf):
         return rep.sign
-    s = rep.oracle.dot(rep.a_map(x), rep.b_map(y))
+    s = rep.oracle.dot(x, y)
     v1 = eval_value(rep.rep1, x, y)
     if s == 0:
         return v1
@@ -178,8 +171,6 @@ def choose_gamma(
     rep1: SignRep,
     domain: Sequence,
     mode: str = "exact_scan",
-    a_map: Callable = _identity,
-    b_map: Callable = _identity,
 ) -> int:
     """The integer making the squared-oracle term dominate on its support.
 
@@ -203,9 +194,8 @@ def choose_gamma(
         best = 0
         seen_support = False
         for x in domain:
-            ax = a_map(x)
             for y in domain:
-                s = oracle.dot(ax, b_map(y))
+                s = oracle.dot(x, y)
                 if s == 0:
                     continue
                 seen_support = True
@@ -224,11 +214,11 @@ def choose_gamma(
     raise ValueError(f"unknown gamma mode {mode!r}")
 
 
-def _dot_bound(oracle: SupportRep, domain, a_map, b_map) -> int:
+def _dot_bound(oracle: SupportRep, domain) -> int:
     # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|): two
     # single-input sweeps, never a pair scan.
-    usum = max(sum(abs(c) for c in oracle.u(a_map(x))) for x in domain)
-    vmax = max(max(abs(c) for c in oracle.v(b_map(y))) for y in domain)
+    usum = max(sum(abs(c) for c in oracle.u(x)) for x in domain)
+    vmax = max(max(abs(c) for c in oracle.v(y)) for y in domain)
     return usum * vmax
 
 
@@ -236,7 +226,7 @@ def _value_bound(rep: SignRep, domain) -> int:
     """A certified upper bound on |value| over the domain."""
     if isinstance(rep, ConstLeaf):
         return 1
-    s_bound = _dot_bound(rep.oracle, domain, rep.a_map, rep.b_map)
+    s_bound = _dot_bound(rep.oracle, domain)
     return (
         _value_bound(rep.rep1, domain)
         + rep.gamma * s_bound * s_bound * _value_bound(rep.rep0, domain)
@@ -300,17 +290,8 @@ def _compile(tree: OracleTree, domain, gamma_mode: str) -> SignRep:
         )
     rep0 = _compile(tree.child1, domain, gamma_mode)
     rep1 = _compile(tree.child0, domain, gamma_mode)
-    gamma = choose_gamma(
-        tree.oracle, rep0, rep1, domain, gamma_mode, tree.a_map, tree.b_map
-    )
-    return Combine(
-        oracle=tree.oracle,
-        rep0=rep0,
-        rep1=rep1,
-        gamma=gamma,
-        a_map=tree.a_map,
-        b_map=tree.b_map,
-    )
+    gamma = choose_gamma(tree.oracle, rep0, rep1, domain, gamma_mode)
+    return Combine(oracle=tree.oracle, rep0=rep0, rep1=rep1, gamma=gamma)
 
 
 # -------------------------------------------------------------------
@@ -322,7 +303,7 @@ def _u_row(rep: SignRep, x) -> list[int]:
     if isinstance(rep, ConstLeaf):
         return [rep.sign]
     row1 = _u_row(rep.rep1, x)
-    u = rep.oracle.u(rep.a_map(x))
+    u = rep.oracle.u(x)
     row0 = _u_row(rep.rep0, x)
     g = rep.gamma
     tail = [g * ui * uj * c for ui in u for uj in u for c in row0]
@@ -333,7 +314,7 @@ def _v_row(rep: SignRep, y) -> list[int]:
     if isinstance(rep, ConstLeaf):
         return [1]
     row1 = _v_row(rep.rep1, y)
-    v = rep.oracle.v(rep.b_map(y))
+    v = rep.oracle.v(y)
     row0 = _v_row(rep.rep0, y)
     tail = [vi * vj * c for vi in v for vj in v for c in row0]
     return row1 + tail
@@ -410,7 +391,7 @@ def build_hd_sign(
 
 
 # -------------------------------------------------------------------
-# Serialization (identity input maps only)
+# Serialization (compressor-backed oracles only)
 # -------------------------------------------------------------------
 
 
@@ -424,8 +405,6 @@ def sign_to_json(rep: SignRep, meta: dict | None = None) -> dict:
 def _node_to_json(rep: SignRep) -> dict:
     if isinstance(rep, ConstLeaf):
         return {"type": "const", "sign": rep.sign}
-    if rep.a_map is not _identity or rep.b_map is not _identity:
-        raise ValueError("only identity input maps serialize")
     return {
         "type": "combine",
         "gamma": str(rep.gamma),

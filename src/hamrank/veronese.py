@@ -232,11 +232,11 @@ def sq_dist(p: Sequence[Number], q: Sequence[Number]) -> Number:
     return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
+UNIT_EMBED_DRAWS = 64  # step-vector draws hypercube_unit_embed tries
+
+
 def hypercube_unit_embed(
-    n: int,
-    seed: int,
-    vectors: Sequence[tuple[Number, Number]] | None = None,
-    max_retries: int = 64,
+    n: int, seed: int, vectors: Sequence[tuple[Number, Number]] | None = None
 ) -> list[tuple[Number, ...]]:
     """Embed {0,1}^n in the rational plane so distance 1 = Hamming distance 1.
 
@@ -252,7 +252,7 @@ def hypercube_unit_embed(
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(UNIT_EMBED_DRAWS):
         steps = list(vectors) if vectors is not None else [
             _rational_unit_vector(rng) for _ in range(n)
         ]
@@ -279,5 +279,5 @@ def hypercube_unit_embed(
                 "supplied step vectors do not give a faithful embedding"
             )
     raise RetriesExhaustedError(
-        f"no faithful unit-distance embedding after {max_retries} draws"
+        f"no faithful unit-distance embedding after {UNIT_EMBED_DRAWS} draws"
     )

@@ -42,6 +42,13 @@ def truncated_supp_doc(n):
     return doc
 
 
+def float_rows_supp_doc(n):
+    """A supp document whose compressor's left factor has a float row count."""
+    doc = weights_supp_doc(n)
+    doc["compressor"]["left"]["rows"] = 1.0
+    return doc
+
+
 def equality_sign_doc(n):
     """A sign document for dist == 0: +1 off the oracle's support, -1 on it."""
     return {
@@ -497,12 +504,16 @@ class TestCli:
             ("verify-supp", json.dumps({**weights_supp_doc(3), "k": 9})),
             ("verify-sign", json.dumps({**equality_sign_doc(3), "meta": {"n": "3"}})),
             ("verify-sign", json.dumps({**equality_sign_doc(3), "meta": {"n": 3}})),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "alphabet": []})),
+            ("verify-supp", json.dumps({**weights_supp_doc(3), "alphabet": ["0", "0"]})),
+            ("verify-supp", json.dumps(float_rows_supp_doc(3))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
             "supp-n-string", "lower-bound-n-string", "supp-n-negative",
             "lower-bound-n-negative", "supp-k-zero", "supp-k-nine",
-            "sign-meta-n-string", "sign-meta-no-k",
+            "sign-meta-n-string", "sign-meta-no-k", "supp-alphabet-empty",
+            "supp-alphabet-repeated", "supp-float-rows",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamrank import rankprob
 from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
@@ -33,7 +34,14 @@ from hamrank.rankprob import (
     to_sign_rep,
     word_of_index,
 )
-from hamrank.signcompile import ConstLeaf, Leaf, eval_sign, tree_depth, tree_eval
+from hamrank.signcompile import (
+    ConstLeaf,
+    Leaf,
+    eval_sign,
+    sign_to_json,
+    tree_depth,
+    tree_eval,
+)
 
 from .conftest import hamming, random_mat
 
@@ -68,7 +76,7 @@ class TestEval:
         p = hd_rank_problem(3, 2, seed=3)
         for x in range(8):
             for y in range(8):
-                assert p.eval(x, y) == p.dense_eval(x, y)
+                assert p.rank_of_pair(x, y) == rank_exact(p.a_map(x) + p.b_map(y))
 
     def test_g_table_length_enforced(self):
         with pytest.raises(SizeMismatchError):
@@ -369,10 +377,11 @@ class TestDistanceRCompose:
         with pytest.raises(ValueError):
             CompositionSpec(r=1, h=(0, 1), inners=(bad,))
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(rankprob, "COMPOSE_PAIR_BUDGET", 4)
         spec = CompositionSpec(r=1, h=(0, 1), inners=(neq_inner(),) * 3)
         with pytest.raises(BudgetExceededError):
-            distance_r_compose(spec, seed=27, pair_budget=4)
+            distance_r_compose(spec, seed=27)
 
     def test_gate_caps_at_coordinate_count(self):
         # r+1 exceeds the coordinate count: the gate never fires
@@ -420,6 +429,13 @@ class TestSerialization:
         for x in range(8):
             for y in range(8):
                 assert back.eval(x, y) == p.eval(x, y)
+
+    def test_piece_sign_rep_refuses_to_serialize(self):
+        # piece reps act on indices through compressed maps, with no
+        # word compressor to write down
+        rep = to_sign_rep(hd_rank_problem(3, 1, seed=1), seed=2)
+        with pytest.raises(ValueError, match="only compressor-backed"):
+            sign_to_json(rep)
 
     def test_problem_budget(self):
         p = hd_rank_problem(3, 2, seed=34)

@@ -7,7 +7,7 @@ import pytest
 from hamrank import signcompile
 from hamrank.errors import BudgetExceededError, PatternViolationError, ZeroValueError
 from hamrank.exact import rank_exact
-from hamrank.hamming import build_hd_supp, dist
+from hamrank.hamming import SupportRep, build_hd_supp, dist
 from hamrank.signcompile import (
     Combine,
     ConstLeaf,
@@ -137,7 +137,7 @@ class TestEvaluation:
         rep = build_hd_sign(5, 1, seed=7)
         for x in words(5):
             for y in words(5):
-                if rep.oracle.dot(rep.a_map(x), rep.b_map(y)) == 0:
+                if rep.oracle.dot(x, y) == 0:
                     assert eval_value(rep, x, y) == eval_value(rep.rep1, x, y)
 
     def test_zero_value_raises(self):
@@ -259,17 +259,17 @@ class TestTruth:
 
 class TestInputMaps:
     def test_translation_maps_reduce_other_domains(self):
-        # domain of plain integers, translated into words for the oracle
+        # domain of plain integers, translated into words by the oracle's maps
         n = 4
-        oracle = build_hd_supp(n, 1, seed=8)
+        compress = build_hd_supp(n, 1, seed=8).compressor.apply_diag
 
         def to_word(i):
             return tuple((i >> b) & 1 for b in range(n))
 
-        tree = Node(
-            oracle=oracle, child0=Leaf(1), child1=Leaf(0),
-            a_map=to_word, b_map=to_word,
+        oracle = SupportRep(
+            lambda i: compress(to_word(i)), lambda j: -compress(to_word(j)), 1, "HD>=1"
         )
+        tree = Node(oracle=oracle, child0=Leaf(1), child1=Leaf(0))
         domain = list(range(1 << n))
         rep = compile_tree(tree, domain)
         for i in domain:
