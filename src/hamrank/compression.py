@@ -13,11 +13,12 @@ nothing in the package ever assumes genericity without checking it.
 
 The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
 D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
-They are kept as the value sets D_p and checked by one exact walk in
-reflected Gray-code order: consecutive patterns differ in one position p, so
-each compressed matrix is the previous one plus a multiple of the outer
-product of column p of L and column p of R.  No pattern list and no matrix
-object is built per member.
+They are kept as the value sets D_p and checked by one exact odometer walk
+in index order, last position fastest: each step advances one position p
+and wraps every later position back to its first value, so each compressed
+matrix is the previous one plus a precomputed integer combination of the
+outer products of matching columns of L and R.  No pattern list and no
+matrix object is built per member.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -25,7 +26,6 @@ avoids randomness altogether.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -34,13 +34,27 @@ from functools import cached_property
 from operator import add
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, RetriesExhaustedError, SizeMismatchError
+from .errors import (
+    BudgetExceededError,
+    InputError,
+    RetriesExhaustedError,
+    SizeMismatchError,
+)
 from .exact import Mat, bareiss, rank_exact
 
 DEFAULT_ENTRY_RANGE = 1 << 16
 # 3^15 binary difference patterns fit; the check runs before any enumeration
 MAX_DIAGONAL_PATTERNS = 1 << 24
 REPORT_CAP = 32  # violation records kept in a CompressionReport
+
+
+def nth_product(index: int, values: Sequence[Sequence]) -> tuple:
+    """The ``index``-th tuple of ``itertools.product(*values)``."""
+    out = []
+    for vals in reversed(values):
+        index, digit = divmod(index, len(vals))
+        out.append(vals[digit])
+    return tuple(reversed(out))
 
 
 # -------------------------------------------------------------------
@@ -121,11 +135,6 @@ class MatFamily:
     def is_diagonal(self) -> bool:
         return self.diag_values is not None
 
-    @property
-    def diag_patterns(self) -> Iterator[tuple[int, ...]]:
-        """The diagonal patterns in product order, generated on demand."""
-        return itertools.product(*self.diag_values)
-
     @cached_property
     def member_ranks(self) -> tuple[int, ...]:
         """Rank of every explicit member, in enumeration order."""
@@ -143,22 +152,19 @@ class Compressor:
 
     left: Mat  # a' x a
     right: Mat  # b' x b
-    source_shape: tuple[int, int]
-    target_shape: tuple[int, int]
     seed: int
     verified: bool
     retries: int = 0
     entry_range: int = 0  # 0 for deterministic constructions
     method: str = "fit"
 
-    def __post_init__(self):
-        a1, a = self.left.shape
-        b1, b = self.right.shape
-        if (a, b) != self.source_shape or (a1, b1) != self.target_shape:
-            raise SizeMismatchError(
-                f"compressor factor shapes {self.left.shape}/{self.right.shape} "
-                f"inconsistent with {self.source_shape}->{self.target_shape}"
-            )
+    @property
+    def source_shape(self) -> tuple[int, int]:
+        return (self.left.cols, self.right.cols)
+
+    @property
+    def target_shape(self) -> tuple[int, int]:
+        return (self.left.rows, self.right.rows)
 
     def apply(self, m: Mat) -> Mat:
         if m.shape != self.source_shape:
@@ -205,17 +211,22 @@ class Compressor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Compressor":
-        return cls(
+        """Load a compressor whose stated shapes are exactly its factors'."""
+        comp = cls(
             left=Mat.from_json(obj["left"]),
             right=Mat.from_json(obj["right"]),
-            source_shape=tuple(obj["source_shape"]),
-            target_shape=tuple(obj["target_shape"]),
             seed=obj["seed"],
             verified=obj["verified"],
             retries=obj.get("retries", 0),
             entry_range=obj.get("entry_range", 0),
             method=obj.get("method", "fit"),
         )
+        for key in ("source_shape", "target_shape"):
+            stated, shape = obj[key], list(getattr(comp, key))
+            # [3.0, 3.0] == [3, 3], so the entry types are checked too
+            if stated != shape or any(type(d) is not int for d in stated):
+                raise InputError(f"{key} {stated!r} is not the factors' shape {shape}")
+        return comp
 
 
 @dataclass(frozen=True)
@@ -247,15 +258,16 @@ def _diagonal_shortfalls(
     comp: Compressor, values: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, int, int]]:
     """(index, achieved, required) for each Diag(z), z in the product of
-    ``values``, whose compressed rank falls short, in walk order.
+    ``values``, whose compressed rank falls short, in index order.
 
-    The walk is the reflected mixed-radix Gray code (Knuth, TAOCP 4A,
-    7.2.1.1, Algorithm H), starting from the all-first-values pattern, which
-    is compressed directly.  Each later step moves one position p between
-    adjacent values c -> c', so the flat compressed matrix gains
-    (c' - c) * l_p r_p^T, the support changes by at most one, and the
-    product-order index moves by the stride of p.  The update is an exact
-    integer identity, and every member gets one exact Bareiss rank.
+    The walk is an odometer in product order, last position fastest,
+    starting from the all-first-values pattern, which is compressed
+    directly.  Each later step advances one position p by one value and
+    wraps every later position from its last value back to its first, so
+    the flat compressed matrix gains one precomputed integer combination of
+    the outer products l_q r_q^T, q >= p, of columns of L and R.  The update
+    is an exact integer identity, and every member gets one exact Bareiss
+    rank.
     """
     a1, b1 = comp.target_shape
     cap = min(a1, b1)
@@ -263,54 +275,41 @@ def _diagonal_shortfalls(
     le, re = comp.left.entries, comp.right.entries
     rows = [slice(i * b1, (i + 1) * b1) for i in range(a1)]
 
-    # Knuth's digit j is the j-th position from the end that has a choice
-    up, down, stride, last = [], [], [], []
-    step = 1
+    # moves[p][d]: (flat delta, support change) of advancing position p from
+    # its d-th value while every later position wraps to its first
+    moves = [None] * n
+    wrap, wrap_supp = [0] * (a1 * b1), 0
     for p in reversed(range(n)):
         vals = values[p]
-        if len(vals) > 1:
-            outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
-            moves = [
-                ([(hi - lo) * o for o in outer], (hi != 0) - (lo != 0))
-                for lo, hi in zip(vals, vals[1:])
-            ]
-            up.append(moves)
-            down.append([None] + [([-e for e in d], -s) for d, s in moves])
-            stride.append(step)
-            last.append(len(vals) - 1)
-        step *= len(vals)
+        outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
+        moves[p] = [
+            (
+                [w + (hi - lo) * o for w, o in zip(wrap, outer)],
+                wrap_supp + (hi != 0) - (lo != 0),
+            )
+            for lo, hi in zip(vals, vals[1:])
+        ]
+        wrap = [w + (vals[0] - vals[-1]) * o for w, o in zip(wrap, outer)]
+        wrap_supp += (vals[0] != 0) - (vals[-1] != 0)
 
     start = comp.apply_diag([vals[0] for vals in values])
     achieved = rank_exact(start)
     flat = list(start.entries)
     support = sum(1 for vals in values if vals[0] != 0)
-    index = 0
-    walk = len(up)
-    digits = [0] * walk
-    rising = [True] * walk
-    focus = list(range(walk + 1))
-    while True:
+    last = [len(vals) - 1 for vals in values]
+    digits = [0] * n
+    for index in itertools.count():
         required = support if support < cap else cap
         if achieved != required:
             yield index, achieved, required
-        j = focus[0]
-        focus[0] = 0
-        if j == walk:
+        p = n - 1
+        while p >= 0 and digits[p] == last[p]:
+            digits[p] = 0
+            p -= 1
+        if p < 0:
             return
-        d = digits[j]
-        if rising[j]:
-            delta, dsupp = up[j][d]
-            d += 1
-            index += stride[j]
-        else:
-            delta, dsupp = down[j][d]
-            d -= 1
-            index -= stride[j]
-        digits[j] = d
-        if d == 0 or d == last[j]:
-            rising[j] = not rising[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
+        delta, dsupp = moves[p][digits[p]]
+        digits[p] += 1
         flat = list(map(add, flat, delta))
         support += dsupp
         achieved = bareiss(list(map(flat.__getitem__, rows)))[0]
@@ -333,56 +332,39 @@ def _violation(family: MatFamily, index: int, achieved: int, required: int) -> d
     record = {"index": index, "achieved": achieved, "required": required}
     if family.explicit is not None:
         record["entries"] = [str(e) for e in family.explicit[index].entries]
-        return record
-    pattern = []
-    for vals in reversed(family.diag_values):
-        index, digit = divmod(index, len(vals))
-        pattern.append(vals[digit])
-    record["pattern"] = pattern[::-1]
+    else:
+        record["pattern"] = list(nth_product(index, family.diag_values))
     return record
 
 
 def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
     """Exhaustively check rank(apply(M)) == min(rank(M), a', b') over the family.
 
-    Deterministic: the report lists the ``REPORT_CAP`` violations of smallest
-    member index, in index order, whatever order the members are visited in.
+    Deterministic: members are visited in index order, and the report lists
+    the first ``REPORT_CAP`` violations.
     """
     if comp.source_shape != family.shape:
         raise SizeMismatchError(
             f"compressor source {comp.source_shape} does not match family "
             f"shape {family.shape}"
         )
-    smallest: list[tuple[int, int, int]] = []  # max-heap on index, as -index
+    first: list[tuple[int, int, int]] = []
     count = 0
-    for index, achieved, required in _shortfalls(comp, family):
+    for shortfall in _shortfalls(comp, family):
         count += 1
-        if len(smallest) < REPORT_CAP:
-            heapq.heappush(smallest, (-index, achieved, required))
-        elif index < -smallest[0][0]:
-            heapq.heapreplace(smallest, (-index, achieved, required))
+        if count <= REPORT_CAP:
+            first.append(shortfall)
     return CompressionReport(
         checked=family.size,
         violation_count=count,
-        violations=tuple(
-            _violation(family, -neg, achieved, required)
-            for neg, achieved, required in sorted(smallest, reverse=True)
-        ),
+        violations=tuple(_violation(family, *shortfall) for shortfall in first),
     )
 
 
 def _identity_embedding(a: int, b: int, a1: int, b1: int, seed: int) -> Compressor:
     left = Mat(a1, a, tuple(1 if i == j else 0 for i in range(a1) for j in range(a)))
     right = Mat(b1, b, tuple(1 if i == j else 0 for i in range(b1) for j in range(b)))
-    return Compressor(
-        left=left,
-        right=right,
-        source_shape=(a, b),
-        target_shape=(a1, b1),
-        seed=seed,
-        verified=True,
-        method="identity",
-    )
+    return Compressor(left=left, right=right, seed=seed, verified=True, method="identity")
 
 
 def fit_compressor(
@@ -405,9 +387,7 @@ def fit_compressor(
 
     Raises ``RetriesExhaustedError`` carrying a failing member of the last
     draw and the achieved vs. required rank on it; the remedy is a larger
-    range or more retries.  A draw stops at its first failing member in
-    visiting order, which for diagonal families is the Gray walk's order,
-    so the member carried is a genuine violation but not necessarily the
+    range or more retries.  A draw stops at its first failing member, the
     one of smallest index.
     """
     if target_rows < 1 or target_cols < 1:
@@ -440,8 +420,6 @@ def fit_compressor(
         candidate = Compressor(
             left=left,
             right=right,
-            source_shape=(a, b),
-            target_shape=(target_rows, target_cols),
             seed=seed,
             verified=False,
             retries=attempt,

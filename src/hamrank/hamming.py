@@ -26,7 +26,13 @@ from math import comb
 from operator import getitem, mul
 from typing import Callable, Hashable, Sequence
 
-from .compression import Compressor, MatFamily, fit_compressor, verify_compressor
+from .compression import (
+    Compressor,
+    MatFamily,
+    fit_compressor,
+    nth_product,
+    verify_compressor,
+)
 from .errors import (
     InputError,
     PatternViolationError,
@@ -150,12 +156,7 @@ def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
 
 def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
     """Index -> word, matching itertools.product enumeration order."""
-    base = len(alphabet)
-    digits = []
-    for _ in range(n):
-        digits.append(alphabet[i % base])
-        i //= base
-    return tuple(reversed(digits))
+    return nth_product(i, (alphabet,) * n)
 
 
 def indexed_words(n: int, alphabet: tuple[int, ...], mode: str):
@@ -182,15 +183,7 @@ def _weights_compressor(n: int) -> Compressor:
     # pattern by distinctness of binary subset sums.
     left = Mat(1, n, tuple(1 << i for i in range(n)))
     right = Mat(1, n, (1,) * n)
-    return Compressor(
-        left=left,
-        right=right,
-        source_shape=(n, n),
-        target_shape=(1, 1),
-        seed=0,
-        verified=False,
-        method="weights",
-    )
+    return Compressor(left=left, right=right, seed=0, verified=False, method="weights")
 
 
 def build_hd_supp(

@@ -429,6 +429,11 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
     if spec_path is None:
         raise InputError("no composition spec available to verify against")
     spec = _load_spec(spec_path)
+    if problem.index_count != spec.index_count:
+        raise InputError(
+            f"rank problem has {problem.index_count} indices, its composition "
+            f"spec {spec.index_count}"
+        )
     report.construction = {"order": problem.order, "index_count": problem.index_count}
     _check_semantics(problem, spec, config, report)
 

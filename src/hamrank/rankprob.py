@@ -20,7 +20,7 @@ from functools import cache
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from .compression import MatFamily, fit_compressor
+from .compression import MatFamily, fit_compressor, nth_product
 from .errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
@@ -28,7 +28,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, block_diag, rank_exact, repeat_diag
-from .hamming import SupportRep, check_alphabet, dist, word_of_index
+from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
 from .signcompile import Leaf, Node, OracleTree, SignRep, compile_tree
@@ -88,7 +88,6 @@ def symmetric_problem(
     order: int,
     name: str = "",
     rank_fn: Callable[[int, int], int] | None = None,
-    meta: dict | None = None,
 ) -> RankProblem:
     """A rank problem with B = -A."""
     a_map = cache(a_map)
@@ -101,7 +100,6 @@ def symmetric_problem(
         symmetric=True,
         name=name,
         rank_fn=rank_fn,
-        meta=meta or {},
     )
 
 
@@ -120,42 +118,42 @@ def negate(p: RankProblem) -> RankProblem:
 # -------------------------------------------------------------------
 
 
+def _hamming_problem(
+    alphabets: Sequence[Sequence[int]], k: int, seed: int, name: str
+) -> RankProblem:
+    """The symmetric order-k problem with eval(x, y) = 1 iff dist >= k between
+    the tuples of ``product(*alphabets)`` numbered x and y.
+
+    A(x) compresses Diag(tuple x) to k x k through a compressor fitted over
+    the full diagonal-difference family, so rank(A(x) - A(y)) equals
+    min(dist, k) for every pair; g is the threshold step at k.
+    """
+    comp = fit_compressor(MatFamily.diagonal_differences_multi(alphabets), k, k, seed)
+
+    def a_map(i: int) -> Mat:
+        return comp.apply_diag(nth_product(i, alphabets))
+
+    def rank_fn(x: int, y: int) -> int:
+        # certified by the compressor's exhaustive family verification
+        return min(dist(nth_product(x, alphabets), nth_product(y, alphabets)), k)
+
+    count = prod(len(alpha) for alpha in alphabets)
+    return symmetric_problem(count, a_map, _step(k), k, name=name, rank_fn=rank_fn)
+
+
 def hd_rank_problem(
     n: int,
     k: int,
     alphabet: Sequence[int] = (0, 1),
     seed: int = 0,
 ) -> RankProblem:
-    """The symmetric order-k problem with eval(x, y) = 1 iff dist(x, y) >= k.
-
-    A(x) compresses Diag(word(x)) to k x k through a compressor fitted over
-    the full diagonal-difference family, so rank(A(x) - A(y)) equals
-    min(dist, k) for every pair; g is the threshold step at k.
-    """
+    """Threshold Hamming distance dist(x, y) >= k on words of length n,
+    indexed in product order."""
     alphabet = check_alphabet(alphabet)
     if not (1 <= k <= n):
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    family = MatFamily.diagonal_differences(n, alphabet)
-    comp = fit_compressor(family, k, k, seed_stream(seed, "hd-rank", n, k))
-    count = len(alphabet) ** n
-
-    def a_map(i: int) -> Mat:
-        return comp.apply_diag(word_of_index(i, n, alphabet))
-
-    def rank_fn(x: int, y: int) -> int:
-        # certified by the compressor's exhaustive family verification
-        wx, wy = word_of_index(x, n, alphabet), word_of_index(y, n, alphabet)
-        return min(dist(wx, wy), k)
-
-    return symmetric_problem(
-        count,
-        a_map,
-        _step(k),
-        k,
-        name=f"HD>={k}^{n}",
-        rank_fn=rank_fn,
-        meta={"n": n, "k": k, "alphabet": alphabet, "compressor": comp},
-    )
+    seed = seed_stream(seed, "hd-rank", n, k)
+    return _hamming_problem((alphabet,) * n, k, seed, f"HD>={k}^{n}")
 
 
 # -------------------------------------------------------------------
@@ -315,11 +313,7 @@ def bool_combine(
         symmetric=all(p.symmetric for p, _ in normalized),
         name=name or f"combine[{','.join(p.name for p, _ in normalized)}]",
         rank_fn=rank_fn,
-        meta={
-            "weights": weights,
-            "component_orders": orders,
-            "components": [p for p, _ in normalized],
-        },
+        meta={"weights": weights},
     )
 
 
@@ -447,11 +441,7 @@ class CompositionSpec:
 
     def tuple_of(self, idx: int) -> tuple[int, ...]:
         """Combined index -> per-coordinate indices (product order)."""
-        out = []
-        for p in reversed(self.inners):
-            out.append(idx % p.index_count)
-            idx //= p.index_count
-        return tuple(reversed(out))
+        return nth_product(idx, [range(p.index_count) for p in self.inners])
 
 
 def compose_semantics(spec: CompositionSpec, x: Sequence[int], y: Sequence[int]) -> int:
@@ -561,27 +551,13 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     # coordinate-distance gate: HD >= r+1 over the index alphabets, negated
     alphabets = [tuple(range(p.index_count)) for p in spec.inners]
     gate_order = min(r + 1, m)
-    family0 = MatFamily.diagonal_differences_multi(alphabets)
-    comp0 = fit_compressor(
-        family0, gate_order, gate_order, seed_stream(seed, "compose-gate")
+    gate = replace(
+        _hamming_problem(
+            alphabets, gate_order, seed_stream(seed, "compose-gate"), f"|Delta|<={r}"
+        ),
+        g=tuple(1 if t <= r else 0 for t in range(gate_order + 1)),
     )
     count = spec.index_count
-
-    def gate_a(x: int) -> Mat:
-        return comp0.apply_diag(spec.tuple_of(x))
-
-    def gate_rank(x: int, y: int) -> int:
-        return min(dist(spec.tuple_of(x), spec.tuple_of(y)), gate_order)
-
-    gate = symmetric_problem(
-        count,
-        gate_a,
-        tuple(1 if t <= r else 0 for t in range(gate_order + 1)),
-        gate_order,
-        name=f"|Delta|<={r}",
-        rank_fn=gate_rank,
-        meta={"compressor": comp0},
-    )
 
     # capped-rank components
     components: list[tuple[RankProblem, Callable[[int], int]]] = [
@@ -644,14 +620,7 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     )
     return replace(
         combined,
-        meta={
-            **combined.meta,
-            "spec": spec,
-            "gate": gate,
-            "gate_order": gate_order,
-            "capped_maps": capped_maps,
-            "bit_layout": bit_layout,
-        },
+        meta={**combined.meta, "gate_order": gate_order, "capped_maps": capped_maps},
     )
 
 
@@ -716,6 +685,7 @@ def problem_to_json(p: RankProblem, max_entries: int = 2_000_000) -> dict:
 
 
 def problem_from_json(doc: dict) -> RankProblem:
+    """Rebuild a rank problem; ``index_count`` must be the length of its tables."""
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
     a_tab = [Mat.from_json(o) for o in doc["a"]]
@@ -723,8 +693,14 @@ def problem_from_json(doc: dict) -> RankProblem:
         b_tab = [-m for m in a_tab]
     else:
         b_tab = [Mat.from_json(o) for o in doc["b"]]
+    count = doc["index_count"]
+    if type(count) is not int or not len(a_tab) == len(b_tab) == count:
+        raise InputError(
+            f"index_count {count!r} does not match tables of {len(a_tab)} "
+            f"and {len(b_tab)} matrices"
+        )
     return RankProblem(
-        index_count=doc["index_count"],
+        index_count=count,
         a_map=lambda x: a_tab[x],
         b_map=lambda y: b_tab[y],
         g=tuple(doc["g"]),

@@ -143,7 +143,7 @@ def test_criterion_06_boolean_combination():
             16,
             seed=403,
         )
-        from hamrank.rankprob import word_of_index
+        from hamrank.hamming import word_of_index
 
         for x in range(16):
             wx = word_of_index(x, 4, (0, 1))

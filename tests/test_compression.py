@@ -7,6 +7,7 @@ from hamrank.compression import (
     Compressor,
     MatFamily,
     fit_compressor,
+    nth_product,
     verify_compressor,
 )
 from hamrank.errors import (
@@ -31,7 +32,7 @@ class TestMatFamily:
 
     def test_diagonal_differences_cover_all_pairs(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
-        patterns = set(fam.diag_patterns)
+        patterns = set(itertools.product(*fam.diag_values))
         for x in itertools.product((0, 1), repeat=3):
             for y in itertools.product((0, 1), repeat=3):
                 diff = tuple(a - b for a, b in zip(x, y))
@@ -62,6 +63,17 @@ class TestMatFamily:
         with pytest.raises(ValueError):
             MatFamily.from_members([])
 
+    def test_empty_product_checks_its_one_member(self):
+        fam = MatFamily.diagonal_differences_multi([])
+        comp = fit_compressor(fam, 1, 1, seed=0)
+        report = verify_compressor(comp, fam)
+        assert (report.checked, report.violation_count) == (1, 0)
+
+    def test_nth_product_enumerates_product_order(self):
+        values = [(0, 1), (5,), (-2, 0, 7), range(4)]
+        expected = list(itertools.product(*values))
+        assert [nth_product(i, values) for i in range(len(expected))] == expected
+
 
 class TestFit:
     def test_sign_patterns_3cube_onto_2x2(self):
@@ -69,7 +81,7 @@ class TestFit:
         # min(#supp(z), 2) on all 27 members
         patterns = list(itertools.product((-1, 0, 1), repeat=3))
         fam = MatFamily.diagonal_differences(3, (0, 1))
-        assert list(fam.diag_patterns) == patterns
+        assert list(itertools.product(*fam.diag_values)) == patterns
         comp = fit_compressor(fam, 2, 2, seed=101)
         assert comp.verified
         for z in patterns:
@@ -124,16 +136,10 @@ class TestVerify:
     def test_zero_left_flags_every_nonzero_member(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
         comp = fit_compressor(fam, 2, 2, seed=9)
-        broken = Compressor(
-            left=Mat.zeros(2, 3),
-            right=comp.right,
-            source_shape=(3, 3),
-            target_shape=(2, 2),
-            seed=0,
-            verified=False,
-        )
+        broken = Compressor(left=Mat.zeros(2, 3), right=comp.right, seed=0, verified=False)
         report = verify_compressor(broken, fam)
-        nonzero_members = sum(1 for p in fam.diag_patterns if support(p) > 0)
+        patterns = itertools.product(*fam.diag_values)
+        nonzero_members = sum(1 for p in patterns if support(p) > 0)
         assert report.violation_count == nonzero_members
 
     def test_shape_mismatch_rejected(self):
@@ -150,8 +156,6 @@ class TestVerify:
         comp = Compressor(
             left=left,
             right=right,
-            source_shape=(3, 3),
-            target_shape=(2, 2),
             seed=0,
             verified=False,
         )
@@ -163,7 +167,7 @@ class TestDiagonalFastPath:
     def test_apply_diag_matches_dense(self, rng):
         fam = MatFamily.diagonal_differences(4, (0, 1, 2))
         comp = fit_compressor(fam, 2, 2, seed=13)
-        for z in list(fam.diag_patterns)[::7]:
+        for z in list(itertools.product(*fam.diag_values))[::7]:
             assert comp.apply_diag(z) == comp.apply(Mat.diag(z))
 
     def test_diagonal_apply_is_outer_product_sum(self):
@@ -214,8 +218,6 @@ def random_compressor(rng, n, rows, cols):
     return Compressor(
         left=random_mat(rng, rows, n, bound=2),
         right=random_mat(rng, cols, n, bound=2),
-        source_shape=(n, n),
-        target_shape=(rows, cols),
         seed=0,
         verified=False,
     )
@@ -225,6 +227,7 @@ WALK_FAMILIES = [
     ("binary", [(0, 1)] * 4),
     ("ternary", [(0, 1, 2)] * 3),
     ("multi", [(0, 1), (0, 1, 2)]),
+    ("one-letter", [(0, 1), (5,), (0, 1, 2)]),
 ]
 
 
@@ -240,8 +243,6 @@ class TestFamilyWalkMatchesBruteForce:
         zero_left = Compressor(
             left=Mat.zeros(2, n),
             right=fitted.right,
-            source_shape=(n, n),
-            target_shape=(2, 2),
             seed=0,
             verified=False,
         )
@@ -271,8 +272,6 @@ class TestFamilyWalkMatchesBruteForce:
         zero = Compressor(
             left=Mat.zeros(2, 3),
             right=Mat.zeros(2, 3),
-            source_shape=(3, 3),
-            target_shape=(2, 2),
             seed=0,
             verified=False,
         )

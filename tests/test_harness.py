@@ -49,6 +49,23 @@ def float_rows_supp_doc(n):
     return doc
 
 
+def shaped_supp_doc(n, source_shape, target_shape):
+    """A supp document whose compressor states the given shapes."""
+    doc = weights_supp_doc(n)
+    doc["compressor"]["source_shape"] = source_shape
+    doc["compressor"]["target_shape"] = target_shape
+    return doc
+
+
+def neq_problem_doc(**changes):
+    """A rank-problem document for inequality on two symbols, with changes."""
+    from hamrank.exact import Mat
+    from hamrank.rankprob import problem_to_json, symmetric_problem
+
+    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+    return {**problem_to_json(inner), **changes}
+
+
 def equality_sign_doc(n):
     """A sign document for dist == 0: +1 off the oracle's support, -1 on it."""
     return {
@@ -488,6 +505,23 @@ class TestCli:
         error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
         assert error.startswith("InputError:")
 
+    def test_cli_rp_verify_refuses_a_shrunk_problem(self, tmp_path):
+        from hamrank.exact import Mat
+        from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
+
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        spec = CompositionSpec(r=1, h=(0, 1), inners=(inner,) * 3)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_json(spec)))
+        rp = tmp_path / "rp.json"
+        assert main(["compose", "--spec", str(spec_path), "--out", str(rp)]) == 0
+        doc = json.loads(rp.read_text())
+        rp.write_text(json.dumps({**doc, "a": doc["a"][:4], "index_count": 4}))
+        error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
+        assert error == (
+            "InputError: rank problem has 4 indices, its composition spec 8"
+        )
+
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -507,13 +541,18 @@ class TestCli:
             ("verify-supp", json.dumps({**weights_supp_doc(3), "alphabet": []})),
             ("verify-supp", json.dumps({**weights_supp_doc(3), "alphabet": ["0", "0"]})),
             ("verify-supp", json.dumps(float_rows_supp_doc(3))),
+            ("verify-supp", json.dumps(shaped_supp_doc(3, [3.0, 3.0], [1.0, 1.0]))),
+            ("verify-supp", json.dumps(shaped_supp_doc(3, [4, 4], [1, 1]))),
+            ("rp-verify", json.dumps(neq_problem_doc(index_count=3))),
+            ("rp-verify", json.dumps(neq_problem_doc(a=neq_problem_doc()["a"][:1]))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
             "supp-n-string", "lower-bound-n-string", "supp-n-negative",
             "lower-bound-n-negative", "supp-k-zero", "supp-k-nine",
             "sign-meta-n-string", "sign-meta-no-k", "supp-alphabet-empty",
-            "supp-alphabet-repeated", "supp-float-rows",
+            "supp-alphabet-repeated", "supp-float-rows", "supp-float-shapes",
+            "supp-shape-mismatch", "rp-index-count-over", "rp-a-short",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):

@@ -14,6 +14,7 @@ from hamrank.errors import (
     SizeMismatchError,
 )
 from hamrank.exact import Mat, rank_exact
+from hamrank.hamming import word_of_index
 from hamrank.rankprob import (
     CompositionSpec,
     RankProblem,
@@ -32,7 +33,6 @@ from hamrank.rankprob import (
     strict_cc_hd,
     symmetric_problem,
     to_sign_rep,
-    word_of_index,
 )
 from hamrank.signcompile import (
     ConstLeaf,
