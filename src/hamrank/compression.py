@@ -166,12 +166,17 @@ class Compressor:
     def target_shape(self) -> tuple[int, int]:
         return (self.left.rows, self.right.rows)
 
+    @cached_property
+    def _right_t(self) -> Mat:
+        return self.right.transpose()
+
     def apply(self, m: Mat) -> Mat:
+        """The two-sided product left * m * right^T."""
         if m.shape != self.source_shape:
             raise SizeMismatchError(
                 f"compressor expects {self.source_shape}, got {m.shape}"
             )
-        return self.left.mul(m).mul(self.right.transpose())
+        return self.left.mul(m).mul(self._right_t)
 
     def apply_diag(self, pattern: Sequence[int]) -> Mat:
         """apply(Diag(pattern)) as the support sum of column outer products."""

@@ -3,11 +3,10 @@
 The pipeline: compress the diagonal-difference family so that the rank of
 Diag(x - y) is preserved up to a cap of k, then replace the full-rank test
 det != 0 by an inner product of minor embeddings.  A ``SupportRep`` is
-built from two square maps A and B and pairs the left minor embedding of
-A(x) with the right one of B(y), so <u(x), v(y)> = det(A(x) + B(y)).  For
-threshold distance, ``SupportRep.of_compressor`` takes A(x) = C(x) and
-B(y) = -C(y), where C compresses Diag(word) to k x k; the vectors have
-dimension C(2k, k) and
+built from one square map A and pairs the left minor embedding of A(x) with
+the right one of -A(y), so <u(x), v(y)> = det(A(x) - A(y)).  For threshold
+distance, ``SupportRep.of_compressor`` takes A = C, where C compresses
+Diag(word) to k x k; the vectors have dimension C(2k, k) and
 
     <u(x), v(y)> != 0   if and only if   dist(x, y) >= k,
 
@@ -49,20 +48,20 @@ Word = tuple[int, ...]
 
 
 class SupportRep:
-    """The support rep <u(x), v(y)> = det(a_map(x) + b_map(y)) for square maps.
+    """The support rep <u(x), v(y)> = det(a_map(x) - a_map(y)) for a square map.
 
-    ``a_map`` and ``b_map`` send an index (a word, for Hamming reps) to a
-    size x size integer matrix.  u and v are their left and right minor
-    embeddings (``veronese.minor_embed``), of dimension C(2 size, size), so
-    the dot product is nonzero exactly where the sum has full rank.  Each
-    embedding is computed on first use and memoized, so a representation
-    over 2^n words costs memory only for the words actually touched.
+    ``a_map`` sends an index (a word, for Hamming reps) to a size x size
+    integer matrix.  u and v are the left minor embedding of a_map(x) and
+    the right one of -a_map(y) (``veronese.minor_embed``), of dimension
+    C(2 size, size), so the dot product is nonzero exactly where the
+    difference has full rank.  Each embedding is computed on first use and
+    memoized, so a representation over 2^n words costs memory only for the
+    words actually touched.
     """
 
     def __init__(
         self,
         a_map: Callable[[Hashable], Mat],
-        b_map: Callable[[Hashable], Mat],
         size: int,
         predicate: str,
         n: int | None = None,
@@ -79,7 +78,7 @@ class SupportRep:
         self.compressor = compressor
         self.seed = seed
         self.u = cache(lambda x: minor_embed(a_map(x), "left"))
-        self.v = cache(lambda y: minor_embed(b_map(y), "right"))
+        self.v = cache(lambda y: minor_embed(-a_map(y), "right"))
 
     @classmethod
     def of_compressor(
@@ -102,7 +101,6 @@ class SupportRep:
         alphabet = check_alphabet(alphabet)
         return cls(
             comp.apply_diag,
-            lambda y: -comp.apply_diag(y),
             k,
             predicate,
             n=n,

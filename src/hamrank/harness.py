@@ -283,7 +283,7 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
         mode=config.verify_mode,
         sample_count=config.sample_count,
         sample_seed=config.seed,
-        max_pairs=config.max_pairs if config.verify_mode == "exhaustive" else None,
+        max_pairs=config.max_pairs,
     )
     report.verification = result.to_json()
     report.status = "certified" if result.certified else "failed"

@@ -1,13 +1,15 @@
 """Rank problems: construction, evaluation, and closure operations.
 
-A rank problem evaluates g(rank(A(x) + B(y))) for lazy matrix maps A, B and
-a step function g that is constant from its order onward.  This module
+A rank problem evaluates g(rank(A(x) - A(y))) for a lazy matrix map A and a
+step function g that is constant from its order, len(g) - 1, onward.  Every
+value depends on the difference A(x) - A(y) only, as the determinant
+certificate det(C(x) - C(y)) of the support reps needs.  This module
 builds the threshold-Hamming-distance instances, combines problems under
 arbitrary boolean functions via mixed-radix block-diagonal assembly,
 decomposes any problem into monotone threshold pieces queried by binary
 search, compiles problems to sign representations through those pieces,
-and closes symmetric problems under distance-r composition using capped
-rank sums and multiset fingerprint decoding.
+and closes problems under distance-r composition using capped rank sums and
+multiset fingerprint decoding.
 
 Construction is deterministic per seed; every fitted compressor inside a
 construction carries its own exhaustive family verification.
@@ -43,39 +45,36 @@ from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
 @dataclass(frozen=True)
 class RankProblem:
-    """A boolean matrix of the form g(rank(A(x) + B(y))).
+    """A boolean matrix of the form g(rank(A(x) - A(y))).
 
-    ``g`` is tabulated on {0, ..., order}; ranks above the order are capped
-    before lookup, which is harmless because g is constant there.  When
-    ``rank_fn`` is set (by the structured constructors) it must return the
-    exact rank of A(x) + B(y); block-diagonal constructions use it to sum
-    block ranks instead of eliminating the assembled matrix, and tests pin
-    it against the rank of the assembled matrices.
+    ``g`` is tabulated on {0, ..., order}, order = len(g) - 1; ranks above
+    the order are capped before lookup, which is harmless because g is
+    constant there.  When ``rank_fn`` is set (by the structured
+    constructors) it must return the exact rank of A(x) - A(y);
+    block-diagonal constructions use it to sum block ranks instead of
+    eliminating the assembled matrix, and tests pin it against the rank of
+    the assembled matrices.
     """
 
     index_count: int
     a_map: Callable[[int], Mat]
-    b_map: Callable[[int], Mat]
     g: tuple[int, ...]
-    order: int
-    symmetric: bool
     name: str = ""
     rank_fn: Callable[[int, int], int] | None = None
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.g) != self.order + 1:
-            raise SizeMismatchError(
-                f"g table has {len(self.g)} entries, expected order+1="
-                f"{self.order + 1}"
-            )
-        if any(bit not in (0, 1) for bit in self.g):
-            raise ValueError("g must be 0/1-valued")
+        if not self.g or any(bit not in (0, 1) for bit in self.g):
+            raise ValueError("g must be a nonempty 0/1 table")
+
+    @property
+    def order(self) -> int:
+        return len(self.g) - 1
 
     def rank_of_pair(self, x: int, y: int) -> int:
         if self.rank_fn is not None:
             return self.rank_fn(x, y)
-        return rank_exact(self.a_map(x) + self.b_map(y))
+        return rank_exact(self.a_map(x) - self.a_map(y))
 
     def eval(self, x: int, y: int) -> int:
         return self.g[min(self.rank_of_pair(x, y), self.order)]
@@ -85,22 +84,11 @@ def symmetric_problem(
     index_count: int,
     a_map: Callable[[int], Mat],
     g: Sequence[int],
-    order: int,
     name: str = "",
     rank_fn: Callable[[int, int], int] | None = None,
 ) -> RankProblem:
-    """A rank problem with B = -A."""
-    a_map = cache(a_map)
-    return RankProblem(
-        index_count=index_count,
-        a_map=a_map,
-        b_map=lambda y: -a_map(y),
-        g=tuple(g),
-        order=order,
-        symmetric=True,
-        name=name,
-        rank_fn=rank_fn,
-    )
+    """The rank problem g(rank(A(x) - A(y))), with A memoized per index."""
+    return RankProblem(index_count, cache(a_map), tuple(g), name, rank_fn)
 
 
 def _step(s: int) -> tuple[int, ...]:
@@ -121,7 +109,7 @@ def negate(p: RankProblem) -> RankProblem:
 def _hamming_problem(
     alphabets: Sequence[Sequence[int]], k: int, seed: int, name: str
 ) -> RankProblem:
-    """The symmetric order-k problem with eval(x, y) = 1 iff dist >= k between
+    """The order-k problem with eval(x, y) = 1 iff dist >= k between
     the tuples of ``product(*alphabets)`` numbered x and y.
 
     A(x) compresses Diag(tuple x) to k x k through a compressor fitted over
@@ -138,7 +126,7 @@ def _hamming_problem(
         return min(dist(nth_product(x, alphabets), nth_product(y, alphabets)), k)
 
     count = prod(len(alpha) for alpha in alphabets)
-    return symmetric_problem(count, a_map, _step(k), k, name=name, rank_fn=rank_fn)
+    return symmetric_problem(count, a_map, _step(k), name, rank_fn)
 
 
 def hd_rank_problem(
@@ -161,51 +149,31 @@ def hd_rank_problem(
 # -------------------------------------------------------------------
 
 
-def _gamma_table(gamma, q: int) -> tuple[int, ...]:
-    """Normalize a boolean combiner to a truth table over q bits.
+def _gamma_table(
+    gamma: Callable[[tuple[int, ...]], object], q: int
+) -> tuple[int, ...]:
+    """Tabulate a boolean combiner over q bits.
 
     Table index packs bit i of the input at binary weight 2^i.
     """
-    if callable(gamma):
-        table = []
-        for idx in range(1 << q):
-            bits = tuple((idx >> i) & 1 for i in range(q))
-            table.append(1 if gamma(bits) else 0)
-        return tuple(table)
-    table = tuple(1 if b else 0 for b in gamma)
-    if len(table) != 1 << q:
-        raise SizeMismatchError(
-            f"truth table of length {len(table)} does not cover {q} bits"
-        )
-    return table
-
-
-def _pair_sum_family(
-    a_map: Callable[[int], Mat], b_map: Callable[[int], Mat], count: int
-) -> MatFamily:
-    """The family {a_map(x) + b_map(y)} over all index pairs, x-major."""
-    bs = [b_map(y) for y in range(count)]
-    return MatFamily.from_members(
-        [ax + b for ax in map(a_map, range(count)) for b in bs]
+    return tuple(
+        1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
+        for idx in range(1 << q)
     )
 
 
 def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
-    """``p`` with both maps compressed to size x size.
+    """``p`` with its map compressed to size x size.
 
-    The compressor is fitted over the finite family {A(x) + B(y)}, so no
-    rank below the cap changes and evaluation at order <= size is preserved.
-    A symmetric problem stays symmetric: L(-A)R^T = -(L A R^T).
+    The compressor is fitted over the finite family {A(x) - A(y)}, x-major,
+    so no rank below the cap changes and evaluation at order <= size is
+    preserved: L (A(x) - A(y)) R^T is the difference of the compressed maps.
     """
-    family = _pair_sum_family(p.a_map, p.b_map, p.index_count)
+    mats = [p.a_map(x) for x in range(p.index_count)]
+    family = MatFamily.from_members([ax - ay for ax in mats for ay in mats])
     comp = fit_compressor(family, size, size, seed)
-    right_t = comp.right.transpose()
-    a_map = cache(lambda x: comp.left.mul(p.a_map(x)).mul(right_t))
-    if p.symmetric:
-        b_map = cache(lambda y: -a_map(y))
-    else:
-        b_map = cache(lambda y: comp.left.mul(p.b_map(y)).mul(right_t))
-    return replace(p, a_map=a_map, b_map=b_map, rank_fn=None, name=f"norm({p.name})")
+    a_map = cache(lambda x: comp.apply(p.a_map(x)))
+    return replace(p, a_map=a_map, rank_fn=None, name=f"norm({p.name})")
 
 
 def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
@@ -223,17 +191,13 @@ def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
     if k == 0:
         zero = Mat.zeros(0, 0)
         return replace(
-            p,
-            a_map=lambda x: zero,
-            b_map=lambda y: zero,
-            rank_fn=lambda x, y: 0,
-            name=f"norm({p.name})",
+            p, a_map=lambda x: zero, rank_fn=lambda x, y: 0, name=f"norm({p.name})"
         )
     return _compress_problem(p, k, seed)
 
 
 def bool_combine(
-    gamma,
+    gamma: Callable[[tuple[int, ...]], object],
     components: Sequence[tuple[RankProblem, Callable[[int], int]]],
     index_count: int,
     seed: int = 0,
@@ -245,12 +209,13 @@ def bool_combine(
     of its maps along the diagonal with mixed-radix weights
     w_i = prod_(j<i) (k_j + 1).  Block-diagonal rank is additive, so
 
-        rank(A(x) + B(y)) = sum_i w_i * rank_i(x_i, y_i),
+        rank(A(x) - A(y)) = sum_i w_i * rank_i(x_i, y_i),
 
     and each component's rank is recovered as a digit: digit_i is the
     weight-w_i digit of the total in the mixed radix.  The combined step
     function decodes the digits, applies each component's g, then the
-    boolean combiner.  Order is prod (k_i + 1) - 1; symmetry is preserved.
+    boolean combiner ``gamma``, called on the tuple of component bits.
+    Order is prod (k_i + 1) - 1.
     """
     q = len(components)
     if q == 0:
@@ -290,14 +255,6 @@ def bool_combine(
             ]
         )
 
-    def b_map(y: int) -> Mat:
-        return block_diag(
-            [
-                repeat_diag(p.b_map(imap(y)), weights[i])
-                for i, (p, imap) in enumerate(normalized)
-            ]
-        )
-
     def rank_fn(x: int, y: int) -> int:
         return sum(
             weights[i] * p.rank_of_pair(imap(x), imap(y))
@@ -307,10 +264,7 @@ def bool_combine(
     return RankProblem(
         index_count=index_count,
         a_map=a_map,
-        b_map=b_map,
         g=tuple(g_table),
-        order=total_order,
-        symmetric=all(p.symmetric for p, _ in normalized),
         name=name or f"combine[{','.join(p.name for p, _ in normalized)}]",
         rank_fn=rank_fn,
         meta={"weights": weights},
@@ -338,7 +292,7 @@ def monotone_decompose(
 ) -> tuple[list[MonotonePiece], OracleTree]:
     """Split into threshold pieces and a binary-search tree over them.
 
-    The tree determines rank(A(x) + B(y)) capped at the order by binary
+    The tree determines rank(A(x) - A(y)) capped at the order by binary
     search on "rank >= s" queries and outputs g(rank) at its leaves, so its
     depth is at most ceil(log2(order + 1)) and its output equals the
     problem's evaluation pointwise.  Intervals where g is constant collapse
@@ -368,17 +322,17 @@ def monotone_decompose(
 
 
 def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
-    """A verified support representation of 1{rank(A(x) + B(y)) >= threshold}.
+    """A verified support representation of 1{rank(A(x) - A(y)) >= threshold}.
 
-    Compress the finite family {A(x) + B(y)} to threshold x threshold, then
-    pair the minor embeddings of the compressed maps: the dot product is the
+    Compress the finite family {A(x) - A(y)} to threshold x threshold, then
+    pair the minor embeddings of the compressed map: the dot product is the
     compressed determinant, nonzero exactly when the rank clears the
     threshold.  Dimension C(2s, s) for threshold s.  The rep is not
     compressor-backed (its maps act on indices, not words), so it does not
     serialize.
     """
     q = _compress_problem(p, threshold, seed)
-    return SupportRep(q.a_map, q.b_map, threshold, f"rank>={threshold}", seed=seed)
+    return SupportRep(q.a_map, threshold, f"rank>={threshold}", seed=seed)
 
 
 def to_sign_rep(
@@ -419,17 +373,17 @@ COMPOSE_PAIR_BUDGET = 1 << 14  # index pairs distance_r_compose fits over
 
 @dataclass(frozen=True)
 class CompositionSpec:
-    """Distance bound r, outer table h on {0..r}, and symmetric inners."""
+    """Distance bound r, outer table h on {0..r}, and the inner problems."""
 
     r: int
     h: tuple[int, ...]
     inners: tuple[RankProblem, ...]
 
     def __post_init__(self):
+        if type(self.r) is not int or self.r < 0:
+            raise InputError(f"r must be an int >= 0, got {self.r!r}")
         if len(self.h) != self.r + 1:
             raise SizeMismatchError("h must be tabulated on {0, ..., r}")
-        if any(not p.symmetric for p in self.inners):
-            raise ValueError("all inner problems must be symmetric")
 
     @property
     def coordinates(self) -> int:
@@ -502,7 +456,7 @@ def multiset_decode(
 
 
 def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
-    """Realize a distance-r composition as a single symmetric rank problem.
+    """Realize a distance-r composition as a single rank problem.
 
     Components combined by ``bool_combine``:
 
@@ -559,13 +513,13 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     )
     count = spec.index_count
 
-    # capped-rank components
+    # capped-rank components; at r = 0 the gate alone decides
     components: list[tuple[RankProblem, Callable[[int], int]]] = [
         (gate, lambda x: x)
     ]
     bit_layout: list[tuple[int, int]] = []
     capped_maps: dict[int, Callable[[int], Mat]] = {}
-    for t in range(1, k + 1):
+    for t in range(1, k + 1) if r else ():
         per_coord = [
             _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t)).a_map
             for i, p in enumerate(spec.inners)
@@ -577,7 +531,7 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
 
         target = r * t
         capsum = _compress_problem(
-            symmetric_problem(count, block_map, _step(target), target),
+            symmetric_problem(count, block_map, _step(target)),
             target,
             seed_stream(seed, "compose-global", t),
         )
@@ -590,7 +544,7 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
                 )
             components.append(
                 (
-                    replace(thr, g=_step(s), order=s, name=f"capsum[t={t}]>={s}"),
+                    replace(thr, g=_step(s), name=f"capsum[t={t}]>={s}"),
                     lambda x: x,
                 )
             )
@@ -662,52 +616,43 @@ def strict_cc_hd(c: int, r: int, n: int, m: int, seed: int = 0) -> CompositionSp
 def problem_to_json(p: RankProblem, max_entries: int = 2_000_000) -> dict:
     """Explicit-table JSON form; guarded so huge assemblies fail loudly."""
     shape = p.a_map(0).shape
-    per_index = shape[0] * shape[1]
-    total = p.index_count * per_index * (1 if p.symmetric else 2)
+    total = p.index_count * shape[0] * shape[1]
     if total > max_entries:
         raise BudgetExceededError(
             f"explicit tables would hold {total} entries, over the "
             f"{max_entries} budget"
         )
-    doc = {
+    return {
         "schema": "hamrank-rankproblem/1",
         "name": p.name,
         "index_count": p.index_count,
         "order": p.order,
-        "symmetric": p.symmetric,
+        "symmetric": True,  # the format's B table is always -A
         "g": list(p.g),
         "a": [p.a_map(x).to_json() for x in range(p.index_count)],
+        "b": None,
     }
-    doc["b"] = (
-        None if p.symmetric else [p.b_map(y).to_json() for y in range(p.index_count)]
-    )
-    return doc
 
 
 def problem_from_json(doc: dict) -> RankProblem:
-    """Rebuild a rank problem; ``index_count`` must be the length of its tables."""
+    """Rebuild a rank problem from its A table.
+
+    The document must say ``"symmetric": true``, hold no B table, state
+    ``order`` as len(g) - 1 and ``index_count`` as the length of A.
+    """
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
+    if doc["symmetric"] is not True or doc.get("b") is not None:
+        raise InputError("a rank problem needs \"symmetric\": true and no b table")
     a_tab = [Mat.from_json(o) for o in doc["a"]]
-    if doc["symmetric"]:
-        b_tab = [-m for m in a_tab]
-    else:
-        b_tab = [Mat.from_json(o) for o in doc["b"]]
-    count = doc["index_count"]
-    if type(count) is not int or not len(a_tab) == len(b_tab) == count:
+    count, order, g = doc["index_count"], doc["order"], tuple(doc["g"])
+    if type(count) is not int or len(a_tab) != count:
         raise InputError(
-            f"index_count {count!r} does not match tables of {len(a_tab)} "
-            f"and {len(b_tab)} matrices"
+            f"index_count {count!r} does not match a table of {len(a_tab)} matrices"
         )
-    return RankProblem(
-        index_count=count,
-        a_map=lambda x: a_tab[x],
-        b_map=lambda y: b_tab[y],
-        g=tuple(doc["g"]),
-        order=doc["order"],
-        symmetric=doc["symmetric"],
-        name=doc.get("name", ""),
-    )
+    if type(order) is not int or order != len(g) - 1:
+        raise InputError(f"order {order!r} is not len(g) - 1 = {len(g) - 1}")
+    return RankProblem(count, a_tab.__getitem__, g, doc.get("name", ""))
 
 
 def spec_to_json(spec: CompositionSpec, max_entries: int = 2_000_000) -> dict:

@@ -142,6 +142,26 @@ class TestVerify:
         nonzero_members = sum(1 for p in patterns if support(p) > 0)
         assert report.violation_count == nonzero_members
 
+    def test_zero_left_on_explicit_family_records_entries(self, rng):
+        members = [random_mat(rng, 3, 3, bound=4) for _ in range(40)]
+        fam = MatFamily.from_members([Mat.zeros(3, 3)] + members)
+        right = random_mat(rng, 2, 3)
+        broken = Compressor(left=Mat.zeros(2, 3), right=right, seed=0, verified=False)
+        report = verify_compressor(broken, fam)
+        want = [
+            {
+                "index": i,
+                "achieved": 0,
+                "required": min(rank, 2),
+                "entries": [str(e) for e in m.entries],
+            }
+            for i, (m, rank) in enumerate(zip(fam.explicit, fam.member_ranks))
+            if rank > 0
+        ]
+        assert report.checked == fam.size
+        assert report.violation_count == len(want) > 32
+        assert list(report.violations) == want[:32]
+
     def test_shape_mismatch_rejected(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
         comp = fit_compressor(MatFamily.diagonal_differences(4, (0, 1)), 2, 2, seed=1)

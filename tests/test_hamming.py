@@ -18,6 +18,7 @@ from hamrank.hamming import (
     load_supp,
     verify_support_rep,
 )
+from hamrank.seeds import rng_stream
 from hamrank.veronese import minor_embed
 
 from .conftest import hamming
@@ -133,6 +134,18 @@ class TestVerify:
         )
         assert report.violation_count == far
         assert not report.certified
+
+        # sample mode counts every far draw; replay the sweep's own stream
+        sample = verify_support_rep(
+            zeroed(rep), mode="sample", sample_count=200, sample_seed=5
+        )
+        rng = rng_stream(5, "verify-sample", 3, 2)
+        drawn = [(words[rng.randrange(8)], words[rng.randrange(8)]) for _ in range(200)]
+        far_drawn = [(x, y) for x, y in drawn if hamming(x, y) >= 2]
+        assert sample.pairs_checked == 200
+        assert sample.violation_count == len(far_drawn) > 32
+        kept = [(tuple(v["x"]), tuple(v["y"])) for v in sample.violations]
+        assert kept == far_drawn[:32]
 
     def test_sample_mode(self):
         rep = build_hd_supp(8, 3, seed=14)

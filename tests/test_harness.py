@@ -62,8 +62,19 @@ def neq_problem_doc(**changes):
     from hamrank.exact import Mat
     from hamrank.rankprob import problem_to_json, symmetric_problem
 
-    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
     return {**problem_to_json(inner), **changes}
+
+
+def neq_spec_doc(**changes):
+    """The two-coordinate distance-1 spec over ``neq_problem_doc``, with changes."""
+    doc = {
+        "schema": "hamrank-compspec/1",
+        "r": 1,
+        "h": [0, 1],
+        "inners": [{"problem": neq_problem_doc()}] * 2,
+    }
+    return {**doc, **changes}
 
 
 def equality_sign_doc(n):
@@ -268,7 +279,7 @@ class TestComposeCommands:
         from hamrank.exact import Mat
         from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
 
-        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
         spec = CompositionSpec(r=1, h=(0, 1), inners=(inner,) * 2)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_json(spec)))
@@ -290,7 +301,7 @@ class TestComposeCommands:
         from hamrank.exact import Mat
         from hamrank.rankprob import problem_to_json, symmetric_problem
 
-        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
         (tmp_path / "inner.json").write_text(json.dumps(problem_to_json(inner)))
         spec_doc = {
             "schema": "hamrank-compspec/1",
@@ -499,7 +510,7 @@ class TestCli:
         from hamrank.exact import Mat
         from hamrank.rankprob import problem_to_json, symmetric_problem
 
-        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
         rp = tmp_path / "rp.json"
         rp.write_text(json.dumps(problem_to_json(inner)))
         error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
@@ -509,7 +520,7 @@ class TestCli:
         from hamrank.exact import Mat
         from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
 
-        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
         spec = CompositionSpec(r=1, h=(0, 1), inners=(inner,) * 3)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_json(spec)))
@@ -545,6 +556,12 @@ class TestCli:
             ("verify-supp", json.dumps(shaped_supp_doc(3, [4, 4], [1, 1]))),
             ("rp-verify", json.dumps(neq_problem_doc(index_count=3))),
             ("rp-verify", json.dumps(neq_problem_doc(a=neq_problem_doc()["a"][:1]))),
+            (
+                "rp-verify",
+                json.dumps(neq_problem_doc(symmetric=False, b=neq_problem_doc()["a"])),
+            ),
+            ("rp-verify", json.dumps(neq_problem_doc(b=neq_problem_doc()["a"]))),
+            ("rp-verify", json.dumps(neq_problem_doc(order=2))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
@@ -553,6 +570,7 @@ class TestCli:
             "sign-meta-n-string", "sign-meta-no-k", "supp-alphabet-empty",
             "supp-alphabet-repeated", "supp-float-rows", "supp-float-shapes",
             "supp-shape-mismatch", "rp-index-count-over", "rp-a-short",
+            "rp-asymmetric", "rp-b-table", "rp-order-two",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
@@ -560,4 +578,13 @@ class TestCli:
         if text is not None:
             path.write_text(text)
         error = self.failed_report(tmp_path, [command, str(path)])
+        assert error.startswith(f"InputError: cannot load {path}: ")
+
+    @pytest.mark.parametrize(
+        "r,h", [(-1, []), (1.0, [0, 1])], ids=["r-negative", "r-float"]
+    )
+    def test_cli_compose_bad_r_reports_failure(self, tmp_path, r, h):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(neq_spec_doc(r=r, h=h)))
+        error = self.failed_report(tmp_path, ["compose", "--spec", str(path)])
         assert error.startswith(f"InputError: cannot load {path}: ")

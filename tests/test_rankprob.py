@@ -48,7 +48,7 @@ from .conftest import hamming, random_mat
 
 def neq_inner() -> RankProblem:
     """Inequality on two symbols as a symmetric order-1 problem."""
-    return symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq2")
+    return symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq2")
 
 
 def brute_words(n):
@@ -69,22 +69,18 @@ class TestEval:
             assert p.eval(x, x) == p.g[0] == 0
 
     def test_constant_g_constant_eval(self):
-        p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1), 1, name="one")
+        p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1), name="one")
         assert all(p.eval(x, y) == 1 for x in range(4) for y in range(4))
 
     def test_fast_and_dense_paths_agree(self):
         p = hd_rank_problem(3, 2, seed=3)
         for x in range(8):
             for y in range(8):
-                assert p.rank_of_pair(x, y) == rank_exact(p.a_map(x) + p.b_map(y))
-
-    def test_g_table_length_enforced(self):
-        with pytest.raises(SizeMismatchError):
-            symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1, 1), 1)
+                assert p.rank_of_pair(x, y) == rank_exact(p.a_map(x) - p.a_map(y))
 
     def test_g_table_must_be_boolean(self):
         with pytest.raises(ValueError):
-            symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 2), 1)
+            symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 2))
 
 
 class TestHdRankProblem:
@@ -110,7 +106,6 @@ class TestHdRankProblem:
         p = hd_rank_problem(6, 2, seed=6)
         assert p.order == 2
         assert p.a_map(0).shape == (2, 2)
-        assert p.symmetric
 
     def test_negation(self):
         p = negate(hd_rank_problem(3, 1, seed=7))
@@ -150,7 +145,7 @@ class TestBoolCombine:
             mats = [random_mat(rng, order, order, bound=3) for _ in range(8)]
             g = tuple(rng.randint(0, 1) for _ in range(order + 1))
             comps.append(
-                symmetric_problem(8, lambda x, mats=mats: mats[x], g, order)
+                symmetric_problem(8, lambda x, mats=mats: mats[x], g)
             )
         table = [rng.randint(0, 1) for _ in range(8)]
         gamma = lambda bits: table[bits[0] | bits[1] << 1 | bits[2] << 2]
@@ -158,7 +153,6 @@ class TestBoolCombine:
             gamma, [(p, lambda x: x) for p in comps], 8, seed=3
         )
         assert combined.order == prod(p.order + 1 for p in comps) - 1
-        assert combined.symmetric
         for x in range(8):
             for y in range(8):
                 want = gamma(tuple(p.eval(x, y) for p in comps))
@@ -176,7 +170,7 @@ class TestBoolCombine:
         weights = combined.meta["weights"]
         for x in range(8):
             for y in range(8):
-                dense = rank_exact(combined.a_map(x) + combined.b_map(y))
+                dense = rank_exact(combined.a_map(x) - combined.a_map(y))
                 split = weights[0] * lo.rank_of_pair(x, y) + weights[1] * hi.rank_of_pair(x, y)
                 assert dense == split == combined.rank_of_pair(x, y)
 
@@ -184,7 +178,7 @@ class TestBoolCombine:
         # order-1 problem carried by 3x3 matrices: maps must shrink to 1x1
         rng = random.Random(44)
         mats = [random_mat(rng, 3, 3, bound=2) for _ in range(4)]
-        p = symmetric_problem(4, lambda x: mats[x], (0, 1), 1)
+        p = symmetric_problem(4, lambda x: mats[x], (0, 1))
         combined = bool_combine(lambda bits: bits[0], [(p, lambda x: x)], 4, seed=5)
         assert combined.a_map(0).shape == (1, 1)
         for x in range(4):
@@ -202,7 +196,7 @@ class TestMonotoneDecompose:
     def test_arbitrary_table_depth_two(self):
         rng = random.Random(55)
         mats = [random_mat(rng, 3, 3, bound=2) for _ in range(8)]
-        p = symmetric_problem(8, lambda x: mats[x], (1, 0, 1, 0), 3)
+        p = symmetric_problem(8, lambda x: mats[x], (1, 0, 1, 0))
         pieces, tree = monotone_decompose(p)
         assert len(pieces) == 3
         assert tree_depth(tree) == 2
@@ -211,7 +205,7 @@ class TestMonotoneDecompose:
                 assert tree_eval(tree, x, y) == p.eval(x, y)
 
     def test_constant_g_collapses_to_leaf(self):
-        p = symmetric_problem(3, lambda x: Mat(1, 1, (x,)), (1, 1), 1)
+        p = symmetric_problem(3, lambda x: Mat(1, 1, (x,)), (1, 1))
         _, tree = monotone_decompose(p)
         assert isinstance(tree, Leaf) and tree.value == 1
 
@@ -256,7 +250,7 @@ class TestToSignRep:
         assert rep.dim == rep.rep1.dim + rep.oracle.dim**2 * rep.rep0.dim
 
     def test_constant_problem_compiles_to_constant(self):
-        p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1), 1)
+        p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1))
         rep = to_sign_rep(p, seed=19)
         assert isinstance(rep, ConstLeaf) and rep.sign == 1
 
@@ -350,7 +344,6 @@ class TestDistanceRCompose:
     def test_hd_as_composition(self):
         spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(neq_inner(),) * 4)
         prob = distance_r_compose(spec, seed=25)
-        assert prob.symmetric
         for x in range(16):
             tx = spec.tuple_of(x)
             for y in range(16):
@@ -365,17 +358,14 @@ class TestDistanceRCompose:
         with pytest.raises(ValueError):
             distance_r_compose(spec, seed=26)
 
-    def test_asymmetric_inner_rejected_at_spec(self):
-        bad = RankProblem(
-            index_count=2,
-            a_map=lambda x: Mat(1, 1, (x,)),
-            b_map=lambda y: Mat(1, 1, (y,)),
-            g=(0, 1),
-            order=1,
-            symmetric=False,
-        )
-        with pytest.raises(ValueError):
-            CompositionSpec(r=1, h=(0, 1), inners=(bad,))
+    def test_distance_zero_is_equality_gate(self):
+        spec = CompositionSpec(r=0, h=(1,), inners=(neq_inner(),) * 2)
+        prob = distance_r_compose(spec, seed=29)
+        for x in range(4):
+            tx = spec.tuple_of(x)
+            for y in range(4):
+                want = compose_semantics(spec, tx, spec.tuple_of(y))
+                assert prob.eval(x, y) == want == (1 if x == y else 0)
 
     def test_pair_budget(self, monkeypatch):
         monkeypatch.setattr(rankprob, "COMPOSE_PAIR_BUDGET", 4)

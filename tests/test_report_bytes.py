@@ -52,7 +52,7 @@ def zeroed_rep(src: str, dst: str) -> None:
 
 
 def compose_spec(path: str, r: int = 1, h=(0, 1), coordinates: int = 2) -> None:
-    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), 1, name="neq")
+    inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
     spec = CompositionSpec(r=r, h=h, inners=(inner,) * coordinates)
     with open(path, "w") as fh:
         json.dump(spec_to_json(spec), fh)
@@ -66,6 +66,7 @@ EXPECTED = {
     "ter-verify": "b9a7cca85c83b7dbd47cae2d2390a9bc793790c1db6e3acd9c9d4cbf2038fbe4",
     "ter-sample": "d3b9ff0d6fc521b8cd65aafa958584927bf9795122961fe3546cea7a095f9522",
     "zeroed-verify": "b98777b05aae101e272182eab5a95bd5708cdfcdb4ca969cadc355cbf6eafaa0",
+    "zeroed-lower-bound": "62eaab93421af8ea7c1dde9766566ed50a77b4a95b89165c6fd63f0af5b39b0a",
     "lower-bound": "eee11863830dad97362b539465521d924dff78e6d91aa2a448242e41ad876897",
     "sign-build": "1a53978ed144525bb3fe4eebba74f2608ddbd325b84225ad76205a8d19773f86",
     "sign-verify": "3a9a1bc340ebb58c10d061a60225942f2172a58b59175309a3290accab3150a7",
@@ -92,6 +93,9 @@ def digests(tmp_path_factory):
         zeroed_rep("bin.supp.json", "zeroed.supp.json")
         reports["zeroed-verify"] = run_report("verify-supp", {"rep": "zeroed.supp.json"})
         reports["lower-bound"] = run_report("lower-bound", {"rep": "bin.supp.json"})
+        reports["zeroed-lower-bound"] = run_report(
+            "lower-bound", {"rep": "zeroed.supp.json"}
+        )
         reports["sign-build"] = run_report(
             "build-sign",
             {"n": 3, "k": 1, "gamma_mode": "exact_scan"},

@@ -266,9 +266,7 @@ class TestInputMaps:
         def to_word(i):
             return tuple((i >> b) & 1 for b in range(n))
 
-        oracle = SupportRep(
-            lambda i: compress(to_word(i)), lambda j: -compress(to_word(j)), 1, "HD>=1"
-        )
+        oracle = SupportRep(lambda i: compress(to_word(i)), 1, "HD>=1")
         tree = Node(oracle=oracle, child0=Leaf(1), child1=Leaf(0))
         domain = list(range(1 << n))
         rep = compile_tree(tree, domain)
