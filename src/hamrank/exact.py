@@ -269,3 +269,39 @@ def repeat_diag(m: Mat, copies: int) -> Mat:
     if copies < 0:
         raise ValueError("copies must be nonnegative")
     return block_diag([m] * copies)
+
+
+def pattern_blocks(
+    mats: Sequence[Mat],
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Row and column index sets of the blocks of equal-shape matrices.
+
+    The blocks are the connected components of the bipartite graph joining
+    row i to column j wherever some matrix in ``mats`` has a nonzero (i, j)
+    entry.  Every linear combination of ``mats`` is zero outside the blocks,
+    so its rank is the sum of the ranks of its block submatrices.  Rows and
+    columns that are zero in every matrix belong to no block.  Blocks are
+    listed by their first row.
+    """
+    if not mats:
+        return []
+    nrows, ncols = mats[0].shape
+    if any(m.shape != (nrows, ncols) for m in mats):
+        raise SizeMismatchError("pattern blocks need matrices of one shape")
+    parent = list(range(nrows + ncols))  # rows, then columns
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    support = {t for m in mats for t, e in enumerate(m.entries) if e}
+    for t in support:
+        i, j = divmod(t, ncols)
+        parent[find(i)] = find(nrows + j)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for i in sorted({t // ncols for t in support}):
+        blocks.setdefault(find(i), ([], []))[0].append(i)
+    for j in sorted({t % ncols for t in support}):
+        blocks[find(nrows + j)][1].append(j)
+    return [(tuple(rows), tuple(cols)) for rows, cols in blocks.values()]

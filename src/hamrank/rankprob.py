@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     SizeMismatchError,
 )
-from .exact import Mat, block_diag, rank_exact, repeat_diag
+from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact, repeat_diag
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
@@ -50,10 +50,10 @@ class RankProblem:
     ``g`` is tabulated on {0, ..., order}, order = len(g) - 1; ranks above
     the order are capped before lookup, which is harmless because g is
     constant there.  When ``rank_fn`` is set (by the structured
-    constructors) it must return the exact rank of A(x) - A(y);
-    block-diagonal constructions use it to sum block ranks instead of
-    eliminating the assembled matrix, and tests pin it against the rank of
-    the assembled matrices.
+    constructors and by ``problem_from_json``) it must return the exact
+    rank of A(x) - A(y); block-diagonal problems use it to sum block ranks
+    instead of eliminating the assembled matrix, and tests pin it against
+    the rank of the assembled matrices.
     """
 
     index_count: int
@@ -64,7 +64,7 @@ class RankProblem:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.g or any(bit not in (0, 1) for bit in self.g):
+        if not self.g or any(type(b) is not int or b not in (0, 1) for b in self.g):
             raise ValueError("g must be a nonempty 0/1 table")
 
     @property
@@ -382,8 +382,10 @@ class CompositionSpec:
     def __post_init__(self):
         if type(self.r) is not int or self.r < 0:
             raise InputError(f"r must be an int >= 0, got {self.r!r}")
-        if len(self.h) != self.r + 1:
-            raise SizeMismatchError("h must be tabulated on {0, ..., r}")
+        if len(self.h) != self.r + 1 or any(
+            type(b) is not int or b not in (0, 1) for b in self.h
+        ):
+            raise InputError(f"h must be a 0/1 int table on 0..{self.r}: {self.h!r}")
 
     @property
     def coordinates(self) -> int:
@@ -638,7 +640,11 @@ def problem_from_json(doc: dict) -> RankProblem:
     """Rebuild a rank problem from its A table.
 
     The document must say ``"symmetric": true``, hold no B table, state
-    ``order`` as len(g) - 1 and ``index_count`` as the length of A.
+    ``order`` as len(g) - 1 and ``index_count`` as the length of A, whose
+    matrices must share one shape.  The blocks of the table's union nonzero
+    pattern (``pattern_blocks``) are found once, here; every A(x) - A(y) is
+    zero outside them, so the loaded ``rank_fn`` sums the Bareiss ranks of
+    the block submatrices instead of eliminating the whole difference.
     """
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
@@ -652,7 +658,23 @@ def problem_from_json(doc: dict) -> RankProblem:
         )
     if type(order) is not int or order != len(g) - 1:
         raise InputError(f"order {order!r} is not len(g) - 1 = {len(g) - 1}")
-    return RankProblem(count, a_tab.__getitem__, g, doc.get("name", ""))
+    shapes = sorted({m.shape for m in a_tab})
+    if len(shapes) > 1:
+        raise InputError(f"the A table mixes matrix shapes {shapes}")
+    cols = shapes[0][1] if shapes else 0
+    blocks = [
+        [[i * cols + j for j in block_cols] for i in block_rows]
+        for block_rows, block_cols in pattern_blocks(a_tab)
+    ]
+
+    def rank_fn(x: int, y: int) -> int:
+        ax, ay = a_tab[x].entries, a_tab[y].entries
+        return sum(
+            bareiss([[ax[t] - ay[t] for t in row] for row in block])[0]
+            for block in blocks
+        )
+
+    return RankProblem(count, a_tab.__getitem__, g, doc.get("name", ""), rank_fn)
 
 
 def spec_to_json(spec: CompositionSpec, max_entries: int = 2_000_000) -> dict:

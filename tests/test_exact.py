@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamrank.errors import NonSquareError, SizeMismatchError
-from hamrank.exact import Mat, block_diag, det_exact, minor, rank_exact, repeat_diag
+from hamrank.exact import (
+    Mat,
+    block_diag,
+    det_exact,
+    minor,
+    pattern_blocks,
+    rank_exact,
+    repeat_diag,
+)
 
 from .conftest import brute_rank, det_cofactor, random_mat
 
@@ -129,6 +137,32 @@ class TestBlockDiag:
         b = block_diag([Mat.zeros(1, 2), Mat.identity(2)])
         assert b.shape == (3, 4)
         assert rank_exact(b) == 2
+
+
+class TestPatternBlocks:
+    def test_components_of_the_union_pattern(self):
+        # rows 0 and 2 meet in column 1; rows 1 and 3 meet in column 3 only
+        # across the two matrices; columns 2 and 4 are zero in both
+        a = Mat.from_rows(
+            [[0, 5, 0, 0, 0], [7, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+        )
+        b = Mat.from_rows(
+            [[0, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 2, 0, 0, 0], [0, 0, 0, 3, 0]]
+        )
+        assert pattern_blocks([a, b]) == [((0, 2), (1,)), ((1, 3), (0, 3))]
+
+    def test_no_nonzeros_no_blocks(self):
+        assert pattern_blocks([]) == []
+        assert pattern_blocks([Mat.zeros(3, 2), Mat.zeros(3, 2)]) == []
+        assert pattern_blocks([Mat.zeros(0, 4)]) == []
+
+    def test_mixed_shapes_refused(self):
+        with pytest.raises(SizeMismatchError):
+            pattern_blocks([Mat.zeros(1, 1), Mat.zeros(2, 2)])
+
+    def test_block_diagonal_assembly_splits_back(self):
+        m = block_diag([Mat.identity(2), Mat.zeros(1, 1), Mat.from_rows([[1, 1]])])
+        assert pattern_blocks([m]) == [((0,), (0,)), ((1,), (1,)), ((3,), (3, 4))]
 
 
 class TestInvariants:

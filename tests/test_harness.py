@@ -5,6 +5,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamrank.cli import main
 from hamrank.harness import CSV_COLUMNS, RunConfig, run
@@ -64,6 +66,12 @@ def neq_problem_doc(**changes):
 
     inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
     return {**problem_to_json(inner), **changes}
+
+
+def identity_json(n):
+    from hamrank.exact import Mat
+
+    return Mat.identity(n).to_json()
 
 
 def neq_spec_doc(**changes):
@@ -297,6 +305,38 @@ class TestComposeCommands:
         )
         assert vreport.certified
 
+    def test_rp_verify_ranks_block_by_block(self, tmp_path, monkeypatch):
+        from hamrank import exact, rankprob
+        from hamrank.exact import Mat, pattern_blocks
+        from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
+
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
+        spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(inner,) * 4)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_json(spec)))
+        out = tmp_path / "rp.json"
+        params = {"spec": str(spec_path)}
+        config = make_config(tmp_path, "c", out=str(out), params=params)
+        assert run("compose", config).certified
+        table = [Mat.from_json(m) for m in json.loads(out.read_text())["a"]]
+        blocks = pattern_blocks(table)
+        assert len(blocks) > 1
+
+        shapes = []
+        bareiss = exact.bareiss
+
+        def recording_bareiss(a):
+            shapes.append((len(a), len(a[0]) if a else 0))
+            return bareiss(a)
+
+        monkeypatch.setattr(exact, "bareiss", recording_bareiss)
+        monkeypatch.setattr(rankprob, "bareiss", recording_bareiss)
+        vreport = run("rp-verify", make_config(tmp_path, "rv", params={"rp": str(out)}))
+        assert vreport.certified
+        assert shapes
+        assert max(r for r, _ in shapes) == max(len(rows) for rows, _ in blocks)
+        assert max(c for _, c in shapes) == max(len(cols) for _, cols in blocks)
+
     def test_spec_file_references(self, tmp_path):
         from hamrank.exact import Mat
         from hamrank.rankprob import problem_to_json, symmetric_problem
@@ -316,6 +356,64 @@ class TestComposeCommands:
             make_config(tmp_path, "c", seed=6, params={"spec": str(spec_path)}),
         )
         assert report.certified
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    st.builds(identity_json, st.integers(0, 2)),
+)
+
+
+@st.composite
+def mutated_problem_docs(draw):
+    """``neq_problem_doc`` with one field, one matrix, one matrix's shape
+    or entries, or one entry replaced by an arbitrary JSON value."""
+    doc = neq_problem_doc()
+    field = draw(
+        st.sampled_from(
+            ["index_count", "order", "g", "a", "symmetric", "b", "matrix",
+             "rows", "cols", "entries", "entry"]
+        )
+    )
+    value, m = draw(JSON_VALUES), draw(st.integers(0, 1))
+    if field == "matrix":
+        doc["a"][m] = value
+    elif field in ("rows", "cols", "entries"):
+        doc["a"][m][field] = value
+    elif field == "entry":
+        doc["a"][m]["entries"][0] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=mutated_problem_docs())
+    def test_rank_problem_loads_or_names_the_path(self, tmp_path, doc):
+        from hamrank.errors import InputError
+        from hamrank.harness import _load
+        from hamrank.rankprob import problem_from_json
+
+        path = tmp_path / "rp.json"
+        path.write_text(json.dumps(doc))
+        try:
+            problem = _load(str(path), problem_from_json)
+        except InputError as exc:
+            assert str(exc).startswith(f"cannot load {path}: ")
+            return
+        pairs = itertools.product(range(problem.index_count), repeat=2)
+        assert {problem.eval(x, y) for x, y in pairs} <= {0, 1}
 
 
 class TestCli:
@@ -562,6 +660,13 @@ class TestCli:
             ),
             ("rp-verify", json.dumps(neq_problem_doc(b=neq_problem_doc()["a"]))),
             ("rp-verify", json.dumps(neq_problem_doc(order=2))),
+            (
+                "rp-verify",
+                json.dumps(
+                    neq_problem_doc(a=[neq_problem_doc()["a"][0], identity_json(2)])
+                ),
+            ),
+            ("rp-verify", json.dumps(neq_problem_doc(g=[False, True]))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
@@ -570,7 +675,8 @@ class TestCli:
             "sign-meta-n-string", "sign-meta-no-k", "supp-alphabet-empty",
             "supp-alphabet-repeated", "supp-float-rows", "supp-float-shapes",
             "supp-shape-mismatch", "rp-index-count-over", "rp-a-short",
-            "rp-asymmetric", "rp-b-table", "rp-order-two",
+            "rp-asymmetric", "rp-b-table", "rp-order-two", "rp-mixed-shapes",
+            "rp-g-booleans",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
@@ -581,7 +687,9 @@ class TestCli:
         assert error.startswith(f"InputError: cannot load {path}: ")
 
     @pytest.mark.parametrize(
-        "r,h", [(-1, []), (1.0, [0, 1])], ids=["r-negative", "r-float"]
+        "r,h",
+        [(-1, []), (1.0, [0, 1]), (1, [0, 2]), (1, ["0", "1"]), (1, [0])],
+        ids=["r-negative", "r-float", "h-two", "h-strings", "h-short"],
     )
     def test_cli_compose_bad_r_reports_failure(self, tmp_path, r, h):
         path = tmp_path / "spec.json"

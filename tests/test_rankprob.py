@@ -13,7 +13,7 @@ from hamrank.errors import (
     InputError,
     SizeMismatchError,
 )
-from hamrank.exact import Mat, rank_exact
+from hamrank.exact import Mat, pattern_blocks, rank_exact
 from hamrank.hamming import word_of_index
 from hamrank.rankprob import (
     CompositionSpec,
@@ -53,6 +53,41 @@ def neq_inner() -> RankProblem:
 
 def brute_words(n):
     return [word_of_index(i, n, (0, 1)) for i in range(2**n)]
+
+
+@st.composite
+def block_tables(draw):
+    """A small A table whose nonzeros lie in a row- and column-permuted
+    block pattern; an r x 0 block is r zero rows, a 0 x c block c zero
+    columns."""
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4
+        )
+    )
+    nrows = sum(r for r, _ in shapes)
+    ncols = sum(c for _, c in shapes)
+    row_of = draw(st.permutations(range(nrows)))
+    col_of = draw(st.permutations(range(ncols)))
+    pattern = set()
+    r0 = c0 = 0
+    for r, c in shapes:
+        pattern |= {
+            (row_of[r0 + i], col_of[c0 + j]) for i in range(r) for j in range(c)
+        }
+        r0, c0 = r0 + r, c0 + c
+    return [
+        Mat(
+            nrows,
+            ncols,
+            tuple(
+                draw(st.integers(-2, 2)) if (i, j) in pattern else 0
+                for i in range(nrows)
+                for j in range(ncols)
+            ),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
 
 
 class TestEval:
@@ -426,6 +461,28 @@ class TestSerialization:
         rep = to_sign_rep(hd_rank_problem(3, 1, seed=1), seed=2)
         with pytest.raises(ValueError, match="only compressor-backed"):
             sign_to_json(rep)
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_tables())
+    def test_loaded_block_rank_is_the_dense_rank(self, table):
+        doc = problem_to_json(symmetric_problem(len(table), table.__getitem__, (0, 1)))
+        loaded = problem_from_json(doc)
+        for x, y in itertools.product(range(len(table)), repeat=2):
+            assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y])
+
+    def test_loaded_block_rank_on_a_composed_table(self):
+        spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(neq_inner(),) * 4)
+        doc = problem_to_json(distance_r_compose(spec, seed=25))
+        loaded = problem_from_json(doc)
+        assert len(pattern_blocks([loaded.a_map(x) for x in range(16)])) > 1
+        for x, y in itertools.product(range(16), repeat=2):
+            dense = rank_exact(loaded.a_map(x) - loaded.a_map(y))
+            assert loaded.rank_fn(x, y) == dense
+
+    def test_empty_table_loads(self):
+        doc = problem_to_json(neq_inner())
+        loaded = problem_from_json({**doc, "a": [], "index_count": 0})
+        assert loaded.index_count == 0
 
     def test_problem_budget(self):
         p = hd_rank_problem(3, 2, seed=34)
