@@ -15,7 +15,7 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .exact import Mat, block_diag, det_exact, minor, rank_exact, repeat_diag
+from .exact import Mat, block_diag, det_exact, minor, rank_exact
 from .compression import (
     Compressor,
     MatFamily,

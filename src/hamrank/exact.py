@@ -15,10 +15,11 @@ Matrices are immutable after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NonSquareError, SizeMismatchError
+from .errors import InputError, NonSquareError, SizeMismatchError
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,29 @@ class Mat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Mat":
-        return cls(obj["rows"], obj["cols"], tuple(int(e) for e in obj["entries"]))
+        return cls(obj["rows"], obj["cols"], ints_from_json(obj["entries"]))
+
+
+_DECIMAL = re.compile("-?[0-9]+")
+_DECIMALS = re.compile("-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def int_from_json(value: object) -> int:
+    """A document integer: an int (not a bool) or a decimal string, as
+    ``str(int)`` writes it; anything else ``int()`` would coerce is refused."""
+    if type(value) is int or (type(value) is str and _DECIMAL.fullmatch(value)):
+        return int(value)
+    raise InputError(f"{value!r} is not an integer or a decimal string")
+
+
+def ints_from_json(values: object) -> tuple[int, ...]:
+    """A JSON list of document integers; a list of decimal strings, as
+    documents write it, is checked in one match."""
+    if type(values) is not list:
+        raise InputError(f"{values!r} is not a list of integers")
+    if all(type(v) is str for v in values) and _DECIMALS.fullmatch(",".join(values)):
+        return tuple(map(int, values))
+    return tuple(map(int_from_json, values))
 
 
 def bareiss(a: list[list[int]]) -> tuple[int, int]:
@@ -262,13 +285,6 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
         ro += b.rows
         co += b.cols
     return Mat(total_r, total_c, tuple(out))
-
-
-def repeat_diag(m: Mat, copies: int) -> Mat:
-    """Block-diagonal matrix with ``copies`` copies of ``m``."""
-    if copies < 0:
-        raise ValueError("copies must be nonnegative")
-    return block_diag([m] * copies)
 
 
 def pattern_blocks(

@@ -38,7 +38,7 @@ from .errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from .exact import Mat
+from .exact import Mat, int_from_json, ints_from_json
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
 from .parallel import SweepReport, sweep
 from .seeds import rng_stream, seed_stream
@@ -145,8 +145,8 @@ class _Memo(dict):
 
 
 def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
-    """The alphabet as a tuple of ints; empty or repeated letters are refused."""
-    alphabet = tuple(int(a) for a in alphabet)
+    """The letters as ints; empty, repeated or non-integer letters are refused."""
+    alphabet = tuple(map(int_from_json, alphabet))
     if not alphabet or len(set(alphabet)) != len(alphabet):
         raise InputError(f"alphabet {alphabet} needs distinct letters, at least one")
     return alphabet
@@ -228,7 +228,7 @@ def load_supp(obj: dict) -> SupportRep:
         obj["predicate"],
         obj["n"],
         obj["k"],
-        obj["alphabet"],
+        ints_from_json(obj["alphabet"]),
         obj["seed"],
     )
 

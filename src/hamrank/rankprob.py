@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     SizeMismatchError,
 )
-from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact, repeat_diag
+from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
@@ -49,18 +49,19 @@ class RankProblem:
 
     ``g`` is tabulated on {0, ..., order}, order = len(g) - 1; ranks above
     the order are capped before lookup, which is harmless because g is
-    constant there.  When ``rank_fn`` is set (by the structured
-    constructors and by ``problem_from_json``) it must return the exact
-    rank of A(x) - A(y); block-diagonal problems use it to sum block ranks
-    instead of eliminating the assembled matrix, and tests pin it against
-    the rank of the assembled matrices.
+    constant there.  ``rank_fn(x, y)`` is the exact rank of A(x) - A(y),
+    and each constructor states its source: ``symmetric_problem`` eliminates
+    the difference (the reference for hand-written maps); ``_hamming_problem``
+    and ``_compress_problem`` take min(dist, k) and min(rank, size), which
+    their fits checked on every difference; ``_block_problem`` sums weighted
+    block ranks; ``problem_from_json`` sums its pattern blocks' ranks.
     """
 
     index_count: int
     a_map: Callable[[int], Mat]
     g: tuple[int, ...]
+    rank_fn: Callable[[int, int], int]
     name: str = ""
-    rank_fn: Callable[[int, int], int] | None = None
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -72,23 +73,21 @@ class RankProblem:
         return len(self.g) - 1
 
     def rank_of_pair(self, x: int, y: int) -> int:
-        if self.rank_fn is not None:
-            return self.rank_fn(x, y)
-        return rank_exact(self.a_map(x) - self.a_map(y))
+        return self.rank_fn(x, y)
 
     def eval(self, x: int, y: int) -> int:
         return self.g[min(self.rank_of_pair(x, y), self.order)]
 
 
 def symmetric_problem(
-    index_count: int,
-    a_map: Callable[[int], Mat],
-    g: Sequence[int],
-    name: str = "",
-    rank_fn: Callable[[int, int], int] | None = None,
+    index_count: int, a_map: Callable[[int], Mat], g: Sequence[int], name: str = ""
 ) -> RankProblem:
-    """The rank problem g(rank(A(x) - A(y))), with A memoized per index."""
-    return RankProblem(index_count, cache(a_map), tuple(g), name, rank_fn)
+    """The rank problem g(rank(A(x) - A(y))) of a hand-written map, with A
+    memoized per index and the dense rank of the difference."""
+    a_map = cache(a_map)
+    return RankProblem(
+        index_count, a_map, tuple(g), lambda x, y: rank_exact(a_map(x) - a_map(y)), name
+    )
 
 
 def _step(s: int) -> tuple[int, ...]:
@@ -126,7 +125,7 @@ def _hamming_problem(
         return min(dist(nth_product(x, alphabets), nth_product(y, alphabets)), k)
 
     count = prod(len(alpha) for alpha in alphabets)
-    return symmetric_problem(count, a_map, _step(k), name, rank_fn)
+    return RankProblem(count, cache(a_map), _step(k), rank_fn, name)
 
 
 def hd_rank_problem(
@@ -149,31 +148,36 @@ def hd_rank_problem(
 # -------------------------------------------------------------------
 
 
-def _gamma_table(
-    gamma: Callable[[tuple[int, ...]], object], q: int
-) -> tuple[int, ...]:
-    """Tabulate a boolean combiner over q bits.
-
-    Table index packs bit i of the input at binary weight 2^i.
-    """
-    return tuple(
-        1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
-        for idx in range(1 << q)
-    )
-
-
 def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     """``p`` with its map compressed to size x size.
 
     The compressor is fitted over the finite family {A(x) - A(y)}, x-major,
     so no rank below the cap changes and evaluation at order <= size is
-    preserved: L (A(x) - A(y)) R^T is the difference of the compressed maps.
+    preserved: L (A(x) - A(y)) R^T is the difference of the compressed maps,
+    and its rank is min(rank(A(x) - A(y)), size), which the fit checked on
+    every member.
     """
     mats = [p.a_map(x) for x in range(p.index_count)]
     family = MatFamily.from_members([ax - ay for ax in mats for ay in mats])
     comp = fit_compressor(family, size, size, seed)
-    a_map = cache(lambda x: comp.apply(p.a_map(x)))
-    return replace(p, a_map=a_map, rank_fn=None, name=f"norm({p.name})")
+    a_map = cache(lambda x: comp.apply(mats[x]))
+    rank_fn = cache(lambda x, y: min(p.rank_of_pair(x, y), size))
+    return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
+
+
+def _block_problem(
+    parts: Sequence[tuple], index_count: int, g: Sequence[int], name: str
+) -> RankProblem:
+    """A(x) places, per part (w, P, imap), w copies of P's A(imap(x)) along
+    the diagonal; rank is additive, so a pair ranks sum w * rank_P."""
+
+    def a_map(x: int) -> Mat:
+        return block_diag([p.a_map(imap(x)) for w, p, imap in parts for _ in range(w)])
+
+    def rank_fn(x: int, y: int) -> int:
+        return sum(w * p.rank_of_pair(imap(x), imap(y)) for w, p, imap in parts)
+
+    return RankProblem(index_count, a_map, tuple(g), rank_fn, name)
 
 
 def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
@@ -188,11 +192,8 @@ def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
     sample = p.a_map(0)
     if sample.shape == (k, k):
         return p
-    if k == 0:
-        zero = Mat.zeros(0, 0)
-        return replace(
-            p, a_map=lambda x: zero, rank_fn=lambda x, y: 0, name=f"norm({p.name})"
-        )
+    if k == 0:  # no parts: 0 x 0 maps of rank 0
+        return _block_problem([], p.index_count, p.g, f"norm({p.name})")
     return _compress_problem(p, k, seed)
 
 
@@ -222,18 +223,18 @@ def bool_combine(
         raise ValueError("need at least one component")
     if q > 20:
         raise BudgetExceededError(f"{q} components need a 2^{q} truth table")
-    table = _gamma_table(gamma, q)
+    # the combiner's truth table: index bit i is component i's bit
+    table = [
+        1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
+        for idx in range(1 << q)
+    ]
     normalized = [
         (_normalize_component(p, seed_stream(seed, "combine-normalize", i)), imap)
         for i, (p, imap) in enumerate(components)
     ]
     orders = [p.order for p, _ in normalized]
-    weights = []
-    w = 1
-    for k_i in orders:
-        weights.append(w)
-        w *= k_i + 1
-    total_order = w - 1
+    weights = [prod(k_i + 1 for k_i in orders[:i]) for i in range(q)]
+    total_order = prod(k_i + 1 for k_i in orders) - 1
     if total_order > 1 << 22:
         raise BudgetExceededError(
             f"combined order {total_order} exceeds the tabulation budget"
@@ -247,28 +248,13 @@ def bool_combine(
             bits_idx |= p.g[digit] << i
         g_table.append(table[bits_idx])
 
-    def a_map(x: int) -> Mat:
-        return block_diag(
-            [
-                repeat_diag(p.a_map(imap(x)), weights[i])
-                for i, (p, imap) in enumerate(normalized)
-            ]
-        )
-
-    def rank_fn(x: int, y: int) -> int:
-        return sum(
-            weights[i] * p.rank_of_pair(imap(x), imap(y))
-            for i, (p, imap) in enumerate(normalized)
-        )
-
-    return RankProblem(
-        index_count=index_count,
-        a_map=a_map,
-        g=tuple(g_table),
-        name=name or f"combine[{','.join(p.name for p, _ in normalized)}]",
-        rank_fn=rank_fn,
-        meta={"weights": weights},
+    combined = _block_problem(
+        [(w, p, imap) for w, (p, imap) in zip(weights, normalized)],
+        index_count,
+        g_table,
+        name or f"combine[{','.join(p.name for p, _ in normalized)}]",
     )
+    return replace(combined, meta={"weights": weights})
 
 
 # -------------------------------------------------------------------
@@ -521,19 +507,16 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     ]
     bit_layout: list[tuple[int, int]] = []
     capped_maps: dict[int, Callable[[int], Mat]] = {}
+    coords = cache(spec.tuple_of)
     for t in range(1, k + 1) if r else ():
-        per_coord = [
-            _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t)).a_map
+        capped = [
+            _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t))
             for i, p in enumerate(spec.inners)
         ]
-
-        def block_map(x: int, per_coord=per_coord) -> Mat:
-            coords = spec.tuple_of(x)
-            return block_diag([per_coord[i](c) for i, c in enumerate(coords)])
-
+        parts = [(1, q, lambda x, i=i: coords(x)[i]) for i, q in enumerate(capped)]
         target = r * t
         capsum = _compress_problem(
-            symmetric_problem(count, block_map, _step(target)),
+            _block_problem(parts, count, _step(target), ""),
             target,
             seed_stream(seed, "compose-global", t),
         )
@@ -674,7 +657,7 @@ def problem_from_json(doc: dict) -> RankProblem:
             for block in blocks
         )
 
-    return RankProblem(count, a_tab.__getitem__, g, doc.get("name", ""), rank_fn)
+    return RankProblem(count, a_tab.__getitem__, g, rank_fn, doc.get("name", ""))
 
 
 def spec_to_json(spec: CompositionSpec, max_entries: int = 2_000_000) -> dict:

@@ -35,7 +35,7 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .exact import Mat
+from .exact import Mat, int_from_json
 from .hamming import SupportRep, build_hd_supp, dist, load_supp
 from .parallel import check_pairs, sweep
 from .seeds import seed_stream
@@ -422,10 +422,10 @@ def sign_from_json(doc: dict) -> SignRep:
 
 def _node_from_json(obj: dict) -> SignRep:
     if obj["type"] == "const":
-        return ConstLeaf(obj["sign"])
+        return ConstLeaf(int_from_json(obj["sign"]))
     return Combine(
         oracle=load_supp(obj["oracle"]),
         rep0=_node_from_json(obj["rep0"]),
         rep1=_node_from_json(obj["rep1"]),
-        gamma=int(obj["gamma"]),
+        gamma=int_from_json(obj["gamma"]),
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamrank.errors import NonSquareError, SizeMismatchError
+from hamrank.errors import InputError, NonSquareError, SizeMismatchError
 from hamrank.exact import (
     Mat,
     block_diag,
@@ -12,7 +12,6 @@ from hamrank.exact import (
     minor,
     pattern_blocks,
     rank_exact,
-    repeat_diag,
 )
 
 from .conftest import brute_rank, det_cofactor, random_mat
@@ -41,6 +40,28 @@ class TestConstruction:
         m = random_mat(rng, 3, 4, bound=10**30)
         assert Mat.from_json(m.to_json()) == m
         assert all(isinstance(e, str) for e in m.to_json()["entries"])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.5], [True], ["+1"], [" 1"], ["1_0"], ["1.0"], ["\u0661"], "1"],
+        ids=["float", "bool", "plus", "space", "underscore", "decimal-point",
+             "arabic-digit", "string"],
+    )
+    def test_json_entries_are_ints_or_decimal_strings(self, entries):
+        # each of these reads as the 1 x 1 matrix (1) under int()
+        with pytest.raises(InputError):
+            Mat.from_json({"rows": 1, "cols": 1, "entries": entries})
+        assert Mat.from_json({"rows": 1, "cols": 1, "entries": [1]}) == Mat.identity(1)
+
+    def test_json_entries_string_is_not_split_into_digits(self):
+        with pytest.raises(InputError):
+            Mat.from_json({"rows": 1, "cols": 2, "entries": "12"})
+        doc = {"rows": 1, "cols": 2, "entries": ["-12", 7]}
+        assert Mat.from_json(doc) == Mat(1, 2, (-12, 7))
+        with pytest.raises(ValueError):
+            Mat.from_json({"rows": 1, "cols": 2, "entries": ["1,2", "3"]})
+        doc = {"rows": 1, "cols": 3, "entries": ["-0", "007", str(-(10**40))]}
+        assert Mat.from_json(doc) == Mat(1, 3, (0, 7, -(10**40)))
 
 
 class TestDet:
@@ -122,9 +143,6 @@ class TestMinor:
 class TestBlockDiag:
     def test_empty(self):
         assert block_diag([]) == Mat.zeros(0, 0)
-
-    def test_repeat_identity(self):
-        assert repeat_diag(Mat.diag((1,)), 3) == Mat.identity(3)
 
     def test_rank_additivity(self, rng):
         rank2 = Mat.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]])

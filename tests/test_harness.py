@@ -100,6 +100,48 @@ def equality_sign_doc(n):
     }
 
 
+DROP = object()
+
+
+def doc_at(doc, path):
+    """The value at the key sequence ``path`` in ``doc``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def doc_with(doc, path, value):
+    """A copy of ``doc`` with the value at the key sequence ``path``
+    replaced, or deleted when ``value`` is ``DROP``."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    if value is DROP:
+        del doc_at(doc, head)[last]
+    else:
+        doc_at(doc, head)[last] = value
+    return doc
+
+
+def supp_with(path, value):
+    return doc_with(weights_supp_doc(3), path, value)
+
+
+def sign_with(path, value):
+    return doc_with(equality_sign_doc(3), ["tree", *path], value)
+
+
+# int() reads each of these as 1
+NON_INTEGERS = [1.5, True, "+1", " 1", "1_0", "\u0661"]
+NON_INTEGER_IDS = ["float", "bool", "plus", "space", "underscore", "arabic-digit"]
+
+# one stored matrix per loader: command, document, key path to the matrix
+MATRIX_SITES = [
+    ("verify-supp", weights_supp_doc(3), ["compressor", "left"]),
+    ("rp-verify", neq_problem_doc(), ["a", 1]),
+    ("verify-sign", equality_sign_doc(3), ["tree", "oracle", "compressor", "left"]),
+]
+
+
 def make_config(tmp_path, name, **kwargs):
     params = kwargs.pop("params", {})
     config = RunConfig(
@@ -364,6 +406,7 @@ JSON_VALUES = st.one_of(
     st.integers(-3, 5),
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=3),
+    st.sampled_from(NON_INTEGERS + ["1.0", "0x1", "-", ""]),
     st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=4),
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
     st.builds(identity_json, st.integers(0, 2)),
@@ -393,6 +436,63 @@ def mutated_problem_docs(draw):
     return doc
 
 
+SUPP_INTEGER_FIELDS = (
+    [[key] for key in ("n", "k", "dim", "seed")]
+    + [["alphabet"], ["alphabet", 0], ["alphabet", 1]]
+    + [["compressor", key] for key in ("seed", "retries", "entry_range")]
+    + [["compressor", key, i] for key in ("source_shape", "target_shape")
+       for i in (0, 1)]
+    + [["compressor", side, key] for side in ("left", "right")
+       for key in ("rows", "cols", "entries")]
+    + [["compressor", side, "entries", 0] for side in ("left", "right")]
+)
+SUPP_OTHER_FIELDS = [["schema"], ["predicate"], ["compressor"]] + [
+    ["compressor", key] for key in ("left", "right", "verified", "method")
+]
+
+
+@st.composite
+def mutated_supp_docs(draw):
+    """``weights_supp_doc(3)`` with one field dropped or replaced by an
+    arbitrary JSON value, most often an integer field."""
+    field = draw(st.sampled_from(SUPP_INTEGER_FIELDS + SUPP_OTHER_FIELDS))
+    value = draw(st.one_of(st.just(DROP), JSON_VALUES))
+    return doc_with(weights_supp_doc(3), field, value)
+
+
+@st.composite
+def mutated_sign_docs(draw):
+    """``equality_sign_doc(3)`` with one tree or meta field, or one field of
+    its oracle, dropped or replaced by an arbitrary JSON value."""
+    doc = equality_sign_doc(3)
+    if draw(st.booleans()):
+        doc["tree"]["oracle"] = draw(mutated_supp_docs())
+        return doc
+    field = draw(
+        st.sampled_from(
+            [["schema"], ["tree"], ["meta"], ["meta", "n"], ["meta", "k"]]
+            + [["tree", key] for key in ("type", "gamma", "oracle", "rep0", "rep1")]
+            + [["tree", r, key] for r in ("rep0", "rep1") for key in ("type", "sign")]
+        )
+    )
+    return doc_with(doc, field, draw(st.one_of(st.just(DROP), JSON_VALUES)))
+
+
+def loads_or_names_the_path(tmp_path, doc, loader):
+    """Load ``doc`` from a file through ``harness._load``: the result, or
+    ``None`` after an ``InputError`` that names the path."""
+    from hamrank.errors import InputError
+    from hamrank.harness import _load
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        return _load(str(path), loader)
+    except InputError as exc:
+        assert str(exc).startswith(f"cannot load {path}: ")
+        return None
+
+
 class TestLoaderFuzz:
     @settings(
         max_examples=100,
@@ -414,6 +514,38 @@ class TestLoaderFuzz:
             return
         pairs = itertools.product(range(problem.index_count), repeat=2)
         assert {problem.eval(x, y) for x, y in pairs} <= {0, 1}
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=mutated_supp_docs())
+    def test_supp_loads_or_names_the_path(self, tmp_path, doc):
+        from hamrank.hamming import load_supp
+
+        rep = loads_or_names_the_path(tmp_path, doc, load_supp)
+        if rep is not None:
+            assert all(type(a) is int for a in rep.alphabet)
+            word = (rep.alphabet[0],) * rep.n
+            assert not rep.query(word, word)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=mutated_sign_docs())
+    def test_sign_loads_or_names_the_path(self, tmp_path, doc):
+        from hamrank.harness import _load_sign
+        from hamrank.signcompile import eval_sign
+
+        loaded = loads_or_names_the_path(tmp_path, doc, _load_sign)
+        if loaded is not None:
+            rep = loaded[0]
+            assert type(rep.gamma) is int
+            word = (rep.oracle.alphabet[0],) * rep.oracle.n
+            assert eval_sign(rep, word, word) in (1, -1)
 
 
 class TestCli:
@@ -667,6 +799,16 @@ class TestCli:
                 ),
             ),
             ("rp-verify", json.dumps(neq_problem_doc(g=[False, True]))),
+            # each of these reads, under int(), as a document that certifies
+            ("verify-supp", json.dumps(supp_with(["alphabet"], [0.9, 1]))),
+            ("verify-supp", json.dumps(supp_with(["alphabet"], [False, True]))),
+            ("verify-supp", json.dumps(supp_with(["alphabet"], ["+0", "1"]))),
+            ("verify-supp", json.dumps(supp_with(["alphabet"], "01"))),
+            ("verify-sign", json.dumps(sign_with(["gamma"], 2.9))),
+            ("verify-sign", json.dumps(sign_with(["gamma"], True))),
+            ("verify-sign", json.dumps(sign_with(["gamma"], " 2"))),
+            ("verify-sign", json.dumps(sign_with(["rep1", "sign"], True))),
+            ("verify-sign", json.dumps(sign_with(["rep1", "sign"], 1.0))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
@@ -676,7 +818,10 @@ class TestCli:
             "supp-alphabet-repeated", "supp-float-rows", "supp-float-shapes",
             "supp-shape-mismatch", "rp-index-count-over", "rp-a-short",
             "rp-asymmetric", "rp-b-table", "rp-order-two", "rp-mixed-shapes",
-            "rp-g-booleans",
+            "rp-g-booleans", "supp-alphabet-float", "supp-alphabet-bools",
+            "supp-alphabet-plus", "supp-alphabet-string", "sign-gamma-float",
+            "sign-gamma-bool", "sign-gamma-space", "sign-const-bool",
+            "sign-const-float",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
@@ -685,6 +830,45 @@ class TestCli:
             path.write_text(text)
         error = self.failed_report(tmp_path, [command, str(path)])
         assert error.startswith(f"InputError: cannot load {path}: ")
+
+    @pytest.mark.parametrize(
+        "entry", NON_INTEGERS + [None], ids=NON_INTEGER_IDS + ["string"]
+    )
+    @pytest.mark.parametrize(
+        "command,doc,matrix",
+        MATRIX_SITES,
+        ids=["supp-factor", "rp-table", "sign-oracle"],
+    )
+    def test_cli_matrix_entries_must_be_integers(
+        self, tmp_path, command, doc, matrix, entry
+    ):
+        # None: the entries as one string, which int() would read digit by digit
+        entries = [*matrix, "entries"]
+        if entry is None:
+            doc = doc_with(doc, entries, "".join(doc_at(doc, entries)))
+        else:
+            doc = doc_with(doc, [*entries, 0], entry)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        error = self.failed_report(tmp_path, [command, str(path)])
+        assert error.startswith(f"InputError: cannot load {path}: ")
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("verify-supp", supp_with(["alphabet"], [0, 1])),
+            ("verify-supp", supp_with(["compressor", "left", "entries"], [1, 2, 4])),
+            ("verify-sign", sign_with(["gamma"], 2)),
+            ("verify-sign", sign_with(["rep1", "sign"], "1")),
+        ],
+        ids=["alphabet-ints", "entries-ints", "gamma-int", "sign-string"],
+    )
+    def test_cli_document_integers_may_be_ints_or_decimal_strings(
+        self, tmp_path, command, doc
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 0
 
     @pytest.mark.parametrize(
         "r,h",

@@ -109,9 +109,13 @@ class TestEval:
 
     def test_fast_and_dense_paths_agree(self):
         p = hd_rank_problem(3, 2, seed=3)
-        for x in range(8):
-            for y in range(8):
-                assert p.rank_of_pair(x, y) == rank_exact(p.a_map(x) - p.a_map(y))
+        # a 3 x 3 map of rank up to 3, compressed to 2 x 2
+        words = brute_words(3)
+        wide = symmetric_problem(8, lambda x: Mat.diag(words[x]), (0, 1))
+        for q in (p, rankprob._compress_problem(wide, 2, seed=3)):
+            for x in range(8):
+                for y in range(8):
+                    assert q.rank_of_pair(x, y) == rank_exact(q.a_map(x) - q.a_map(y))
 
     def test_g_table_must_be_boolean(self):
         with pytest.raises(ValueError):
@@ -472,12 +476,14 @@ class TestSerialization:
 
     def test_loaded_block_rank_on_a_composed_table(self):
         spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(neq_inner(),) * 4)
-        doc = problem_to_json(distance_r_compose(spec, seed=25))
-        loaded = problem_from_json(doc)
+        built = distance_r_compose(spec, seed=25)
+        loaded = problem_from_json(problem_to_json(built))
         assert len(pattern_blocks([loaded.a_map(x) for x in range(16)])) > 1
         for x, y in itertools.product(range(16), repeat=2):
             dense = rank_exact(loaded.a_map(x) - loaded.a_map(y))
             assert loaded.rank_fn(x, y) == dense
+            # the rank built from the certified identities, not eliminated
+            assert built.rank_of_pair(x, y) == dense
 
     def test_empty_table_loads(self):
         doc = problem_to_json(neq_inner())
