@@ -43,7 +43,6 @@ from .hamming import (
 from .signcompile import (
     Combine,
     ConstLeaf,
-    Leaf,
     Node,
     build_hd_sign,
     choose_gamma,
@@ -51,18 +50,15 @@ from .signcompile import (
     eval_sign,
     eval_value,
     materialize,
-    tree_eval,
 )
 from .rankprob import (
     CompositionSpec,
-    MonotonePiece,
     RankProblem,
     bool_combine,
     compose_semantics,
     distance_r_compose,
     example_cc_hd,
     hd_rank_problem,
-    monotone_decompose,
     multiset_decode,
     negate,
     strict_cc_hd,

@@ -44,6 +44,7 @@ from .signcompile import (
     build_hd_sign,
     eval_sign,
     gamma_values,
+    proof_dim_bound,
     sign_from_json,
     sign_to_json,
 )
@@ -299,7 +300,6 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     from math import comb
 
     dim_formula = 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
-    r = comb(2 * k + 2, k + 1)
     report.construction = {
         "n": n,
         "k": k,
@@ -311,7 +311,7 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     report.bounds = {
         "dim": rep.dim,
         "dim_formula": dim_formula,
-        "proof_bound": (1 + r * r) ** 2,
+        "proof_bound": proof_dim_bound(rep),
     }
     if config.out:
         meta = {"n": n, "k": k, "predicate": f"HD=={k}", "seed": config.seed}
@@ -321,7 +321,8 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
 
 
 def _load_sign(doc: dict) -> tuple[Combine, int, int]:
-    """A sign document's tree and its meta n and k."""
+    """A sign document's tree and its meta n and k; every oracle in the
+    tree must take words of length n over the root oracle's alphabet."""
     rep, meta = sign_from_json(doc), doc.get("meta")
     if not isinstance(meta, dict) or any(
         type(meta.get(key)) is not int or meta[key] < 0 for key in ("n", "k")
@@ -329,7 +330,19 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
         raise InputError("sign document has no meta with integers n, k >= 0")
     if not isinstance(rep, Combine):
         raise InputError("sign document has no oracle to take the alphabet from")
-    return rep, meta["n"], meta["k"]
+    n, alphabet = meta["n"], rep.oracle.alphabet
+    nodes = [rep]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Combine):
+            if node.oracle.n != n or node.oracle.alphabet != alphabet:
+                raise InputError(
+                    f"an oracle on words of length {node.oracle.n} over "
+                    f"{list(node.oracle.alphabet)} does not fit meta n = {n} "
+                    f"and the root alphabet {list(alphabet)}"
+                )
+            nodes += [node.rep0, node.rep1]
+    return rep, n, meta["k"]
 
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:

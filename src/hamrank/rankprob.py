@@ -6,9 +6,9 @@ value depends on the difference A(x) - A(y) only, as the determinant
 certificate det(C(x) - C(y)) of the support reps needs.  This module
 builds the threshold-Hamming-distance instances, combines problems under
 arbitrary boolean functions via mixed-radix block-diagonal assembly,
-decomposes any problem into monotone threshold pieces queried by binary
-search, compiles problems to sign representations through those pieces,
-and closes problems under distance-r composition using capped rank sums and
+compiles problems to sign representations by a binary search over rank
+thresholds, one verified support rep per threshold queried, and closes
+problems under distance-r composition using capped rank sums and
 multiset fingerprint decoding.
 
 Construction is deterministic per seed; every fitted compressor inside a
@@ -33,7 +33,7 @@ from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import Leaf, Node, OracleTree, SignRep, compile_tree
+from .signcompile import ConstLeaf, Node, OracleTree, SignRep, compile_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -258,53 +258,8 @@ def bool_combine(
 
 
 # -------------------------------------------------------------------
-# Monotone decomposition and sign compilation
+# Sign compilation
 # -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotonePiece:
-    """The threshold problem 1{rank >= threshold} sharing the parent's maps."""
-
-    problem: RankProblem
-    threshold: int
-
-    def query(self, x: int, y: int) -> bool:
-        return self.problem.eval(x, y) == 1
-
-
-def monotone_decompose(
-    p: RankProblem,
-) -> tuple[list[MonotonePiece], OracleTree]:
-    """Split into threshold pieces and a binary-search tree over them.
-
-    The tree determines rank(A(x) - A(y)) capped at the order by binary
-    search on "rank >= s" queries and outputs g(rank) at its leaves, so its
-    depth is at most ceil(log2(order + 1)) and its output equals the
-    problem's evaluation pointwise.  Intervals where g is constant collapse
-    to leaves immediately (the search only needs to separate value changes),
-    so a constant problem decomposes to a bare leaf.
-    """
-    pieces = []
-    for s in range(1, p.order + 1):
-        g = tuple(1 if t >= s else 0 for t in range(p.order + 1))
-        pieces.append(
-            MonotonePiece(
-                problem=replace(p, g=g, name=f"{p.name}|rank>={s}"), threshold=s
-            )
-        )
-
-    def build(lo: int, hi: int) -> OracleTree:
-        if all(p.g[t] == p.g[lo] for t in range(lo, hi + 1)):
-            return Leaf(p.g[lo])
-        mid = (lo + hi + 1) // 2
-        return Node(
-            oracle=pieces[mid - 1],
-            child0=build(lo, mid - 1),
-            child1=build(mid, hi),
-        )
-
-    return pieces, build(0, p.order)
 
 
 def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
@@ -326,28 +281,27 @@ def to_sign_rep(
 ) -> SignRep:
     """Compile a rank problem to a verified structured sign representation.
 
-    Pipeline: monotone decomposition, one support representation per
-    threshold piece the search tree queries, then the tree compiler.  The
-    search tree queries each threshold at one node at most, and each piece
-    draws from its own seed stream, so the reps do not depend on walk
-    order.  The compiled sign is checked against the problem's evaluation
-    on every index pair.
+    A binary search on rank(A(x) - A(y)), capped at the order, decides g:
+    the node for the rank interval [lo, hi] queries the threshold
+    mid = ceil((lo + hi) / 2) through ``piece_support_rep``, and an interval
+    on which g is constant becomes a sign leaf, so a constant problem
+    compiles to a bare leaf and the depth is at most ceil(log2(order + 1)).
+    Each threshold is queried at one node at most and draws from its own
+    seed stream, so the reps do not depend on walk order.  The compiled sign
+    is checked against the problem's evaluation on every index pair.
     """
-    _, tree = monotone_decompose(p)
 
-    def substitute(node: OracleTree) -> OracleTree:
-        if isinstance(node, Leaf):
-            return node
-        s = node.oracle.threshold
+    def search(lo: int, hi: int) -> OracleTree:
+        if len(set(p.g[lo : hi + 1])) == 1:
+            return ConstLeaf(2 * p.g[lo] - 1)
+        mid = (lo + hi + 1) // 2
         return Node(
-            oracle=piece_support_rep(p, s, seed_stream(seed, "piece", s)),
-            child0=substitute(node.child0),
-            child1=substitute(node.child1),
+            oracle=piece_support_rep(p, mid, seed_stream(seed, "piece", mid)),
+            child0=search(lo, mid - 1),
+            child1=search(mid, hi),
         )
 
-    return compile_tree(
-        substitute(tree), range(p.index_count), gamma_mode, truth=p.eval
-    )
+    return compile_tree(search(0, p.order), range(p.index_count), p.eval, gamma_mode)
 
 
 # -------------------------------------------------------------------
@@ -372,6 +326,8 @@ class CompositionSpec:
             type(b) is not int or b not in (0, 1) for b in self.h
         ):
             raise InputError(f"h must be a 0/1 int table on 0..{self.r}: {self.h!r}")
+        if any(p.index_count < 1 for p in self.inners):
+            raise InputError("every inner needs at least one index")
 
     @property
     def coordinates(self) -> int:
@@ -470,14 +426,14 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     m = spec.coordinates
     r = spec.r
     if m == 0:
-        raise ValueError("need at least one coordinate")
+        raise InputError("need at least one coordinate")
     k = spec.inners[0].order
     shared_g = spec.inners[0].g
     for p in spec.inners:
         if p.order != k:
-            raise ValueError("all inners must share one order")
+            raise InputError("all inners must share one order")
         if p.g != shared_g:
-            raise ValueError(
+            raise InputError(
                 "distance-r composition needs a family: all inners must "
                 "share one step function"
             )
@@ -485,7 +441,7 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     for i, p in enumerate(spec.inners):
         values = {p.a_map(x).entries for x in range(p.index_count)}
         if len(values) != p.index_count and shared_g[0] == 1:
-            raise ValueError(
+            raise InputError(
                 f"inner {i} is not injective and has g(0) = 1: rank-0 "
                 "differing coordinates would be invisible to the fingerprint"
             )

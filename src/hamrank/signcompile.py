@@ -1,9 +1,8 @@
-"""Oracle decision trees and the support-to-sign compiler.
+"""Decision trees of support reps and the support-to-sign compiler.
 
-A decision tree whose inner nodes query boolean matrices through verified
-support representations compiles bottom-up into a structured sign
-representation: leaves become constant +-1 values, and each internal node
-becomes a combine node
+A decision tree whose inner nodes query verified support representations
+and whose leaves are constant +-1 signs compiles bottom-up into a
+structured sign representation: each inner node becomes a combine node
 
     value(x, y) = value1(x, y) + gamma * s(x, y)^2 * value0(x, y)
 
@@ -15,10 +14,12 @@ value0 dictates the sign.  Dimensions follow the exact recursion
 
     dim(combine) = dim(rep1) + oracle_dim^2 * dim(rep0),
 
-which the compiler tracks per node instead of the coarse (1 + r^2)^depth
-bound; both numbers are reported.  A tree over some other index domain
-needs no translation layer here: a ``SupportRep`` built on maps from
-indices to matrices already answers at indices.
+which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
+(1 + r^2)^depth bound of a compiled rep, and both numbers are reported.
+Every compile is checked against ground truth that the caller gives.  A
+tree over some other index domain needs no translation layer here: a
+``SupportRep`` built on maps from indices to matrices already answers at
+indices.
 """
 
 from __future__ import annotations
@@ -39,45 +40,6 @@ from .exact import Mat, int_from_json
 from .hamming import SupportRep, build_hd_supp, dist, load_supp
 from .parallel import check_pairs, sweep
 from .seeds import seed_stream
-
-
-# -------------------------------------------------------------------
-# Oracle decision trees
-# -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Leaf:
-    value: int  # 0 or 1
-
-    def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError("leaf output must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class Node:
-    """Inner node: query the oracle at (x, y), branch on the answer."""
-
-    oracle: object  # anything with .query(x, y); SupportRep for compilation
-    child0: "Leaf | Node"
-    child1: "Leaf | Node"
-
-
-OracleTree = Leaf | Node
-
-
-def tree_eval(tree: OracleTree, x, y) -> int:
-    node = tree
-    while isinstance(node, Node):
-        node = node.child1 if node.oracle.query(x, y) else node.child0
-    return node.value
-
-
-def tree_depth(tree: OracleTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(tree_depth(tree.child0), tree_depth(tree.child1))
 
 
 # -------------------------------------------------------------------
@@ -115,6 +77,18 @@ class Combine:
 SignRep = ConstLeaf | Combine
 
 
+@dataclass(frozen=True)
+class Node:
+    """Inner tree node: query the oracle at (x, y), branch on the answer."""
+
+    oracle: SupportRep
+    child0: "OracleTree"
+    child1: "OracleTree"
+
+
+OracleTree = Node | ConstLeaf
+
+
 def eval_value(rep: SignRep, x, y) -> int:
     """The exact integer value whose sign encodes the matrix entry."""
     if isinstance(rep, ConstLeaf):
@@ -143,21 +117,18 @@ def gamma_values(rep: SignRep) -> list[int]:
     return gamma_values(rep.rep1) + gamma_values(rep.rep0) + [rep.gamma]
 
 
-def proof_dim_bound(tree: OracleTree) -> int:
-    """The (1 + r^2)^depth bound over the largest oracle dimension queried."""
-    if isinstance(tree, Leaf):
-        return 1
-    dims = []
+def proof_dim_bound(rep: SignRep) -> int:
+    """The (1 + r^2)^depth bound, r the largest oracle dimension queried."""
 
-    def walk(node):
-        if isinstance(node, Node):
-            dims.append(node.oracle.dim)
-            walk(node.child0)
-            walk(node.child1)
+    def depth_and_r(node: SignRep) -> tuple[int, int]:
+        if isinstance(node, ConstLeaf):
+            return 0, 0
+        d0, r0 = depth_and_r(node.rep0)
+        d1, r1 = depth_and_r(node.rep1)
+        return 1 + max(d0, d1), max(node.oracle.dim, r0, r1)
 
-    walk(tree)
-    r = max(dims)
-    return (1 + r * r) ** tree_depth(tree)
+    depth, r = depth_and_r(rep)
+    return (1 + r * r) ** depth
 
 
 # -------------------------------------------------------------------
@@ -241,26 +212,24 @@ def _value_bound(rep: SignRep, domain) -> int:
 def compile_tree(
     tree: OracleTree,
     domain: Sequence,
+    truth: Callable,
     gamma_mode: str = "exact_scan",
-    truth: Callable | None = None,
 ) -> SignRep:
-    """Compile an oracle tree into a verified structured sign representation.
+    """Compile a tree of support reps into a verified structured sign
+    representation.
 
-    Bottom-up: output leaves become constant signs under the 0/1 -> -1/+1
-    encoding; each inner node combines its compiled children.  The branch
-    taken when the oracle answers 1 rides the squared-oracle term (the
-    oracle value is nonzero exactly there), the branch for answer 0 stands
-    alone (the term vanishes exactly there).
+    Bottom-up: sign leaves stay as they are; each inner node combines its
+    compiled children.  The branch taken when the oracle answers 1 rides the
+    squared-oracle term (the oracle value is nonzero exactly there), the
+    branch for answer 0 stands alone (the term vanishes exactly there).
 
     The compiled sign is then checked on every ordered pair of ``domain``
     (one ``parallel.sweep``) against ``truth(x, y)``, the 0/1 entry the sign
-    must encode.  ``truth`` defaults to the tree's own output, which trusts
-    the oracles; callers that know the ground truth pass it instead.  Any
+    must encode, which the caller knows independently of the oracles.  Any
     disagreement raises ``PatternViolationError`` naming the first failing
     pair in pair order.
     """
     rep = _compile(tree, domain, gamma_mode)
-    truth = truth or (lambda x, y: tree_eval(tree, x, y))
 
     def want(x, y) -> int:
         return 1 if truth(x, y) else -1
@@ -281,13 +250,8 @@ def compile_tree(
 
 
 def _compile(tree: OracleTree, domain, gamma_mode: str) -> SignRep:
-    if isinstance(tree, Leaf):
-        return ConstLeaf(2 * tree.value - 1)
-    if not isinstance(tree.oracle, SupportRep):
-        raise TypeError(
-            "compilation requires SupportRep oracles; substitute "
-            "representations for abstract oracles first"
-        )
+    if isinstance(tree, ConstLeaf):
+        return tree
     rep0 = _compile(tree.child1, domain, gamma_mode)
     rep1 = _compile(tree.child0, domain, gamma_mode)
     gamma = choose_gamma(tree.oracle, rep0, rep1, domain, gamma_mode)
@@ -381,11 +345,11 @@ def build_hd_sign(
     rep_lo = build_hd_supp(n, k, alphabet, seed_stream(seed, "sign-oracle", k))
     tree = Node(
         oracle=rep_hi,
-        child1=Leaf(0),
-        child0=Node(oracle=rep_lo, child1=Leaf(1), child0=Leaf(0)),
+        child1=ConstLeaf(-1),
+        child0=Node(oracle=rep_lo, child1=ConstLeaf(1), child0=ConstLeaf(-1)),
     )
     domain = list(itertools.product(tuple(alphabet), repeat=n))
-    rep = compile_tree(tree, domain, gamma_mode, truth=lambda x, y: dist(x, y) == k)
+    rep = compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode)
     assert rep.dim == 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
     return rep
 

@@ -85,6 +85,15 @@ def random_mat(rng: random.Random, rows: int, cols: int, bound: int = 9) -> Mat:
     )
 
 
+def random_table_problem():
+    """Eight random 3 x 3 maps under g = (1, 0, 1, 0): order 3, depth 2."""
+    from hamrank.rankprob import symmetric_problem
+
+    rng = random.Random(55)
+    mats = [random_mat(rng, 3, 3, bound=2) for _ in range(8)]
+    return symmetric_problem(8, lambda x: mats[x], (1, 0, 1, 0))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

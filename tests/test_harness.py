@@ -85,6 +85,14 @@ def neq_spec_doc(**changes):
     return {**doc, **changes}
 
 
+def hd_sign_doc(n, k):
+    """The document ``build-sign --n n --k k`` writes at seed 0."""
+    from hamrank.signcompile import build_hd_sign, sign_to_json
+
+    meta = {"n": n, "k": k, "predicate": f"HD=={k}", "seed": 0}
+    return sign_to_json(build_hd_sign(n, k), meta)
+
+
 def equality_sign_doc(n):
     """A sign document for dist == 0: +1 off the oracle's support, -1 on it."""
     return {
@@ -809,6 +817,15 @@ class TestCli:
             ("verify-sign", json.dumps(sign_with(["gamma"], " 2"))),
             ("verify-sign", json.dumps(sign_with(["rep1", "sign"], True))),
             ("verify-sign", json.dumps(sign_with(["rep1", "sign"], 1.0))),
+            ("verify-sign", json.dumps(doc_with(equality_sign_doc(3), ["meta", "n"], 4))),
+            (
+                "verify-sign",
+                json.dumps(
+                    doc_with(
+                        hd_sign_doc(3, 1), ["tree", "rep1", "oracle", "alphabet"], ["0", "2"]
+                    )
+                ),
+            ),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
@@ -821,7 +838,7 @@ class TestCli:
             "rp-g-booleans", "supp-alphabet-float", "supp-alphabet-bools",
             "supp-alphabet-plus", "supp-alphabet-string", "sign-gamma-float",
             "sign-gamma-bool", "sign-gamma-space", "sign-const-bool",
-            "sign-const-float",
+            "sign-const-float", "sign-meta-n-over-oracle", "sign-inner-alphabet",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):
@@ -880,3 +897,32 @@ class TestCli:
         path.write_text(json.dumps(neq_spec_doc(r=r, h=h)))
         error = self.failed_report(tmp_path, ["compose", "--spec", str(path)])
         assert error.startswith(f"InputError: cannot load {path}: ")
+
+    @pytest.mark.parametrize(
+        "inners,error",
+        [
+            ([], "InputError: need at least one coordinate"),
+            (
+                [neq_problem_doc(), neq_problem_doc(g=[0, 1, 1], order=2)],
+                "InputError: all inners must share one order",
+            ),
+            (
+                [neq_problem_doc(), neq_problem_doc(g=[1, 0])],
+                "InputError: distance-r composition needs a family",
+            ),
+            (
+                [neq_problem_doc(g=[1, 0], a=[neq_problem_doc()["a"][0]] * 2)] * 2,
+                "InputError: inner 0 is not injective and has g(0) = 1",
+            ),
+            (
+                [neq_problem_doc(a=[], index_count=0)] * 2,
+                "InputError: cannot load {path}: InputError: every inner needs",
+            ),
+        ],
+        ids=["no-inners", "mixed-order", "mixed-g", "not-injective", "empty-inner"],
+    )
+    def test_cli_compose_bad_inners_reports_failure(self, tmp_path, inners, error):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(neq_spec_doc(inners=[{"problem": p} for p in inners])))
+        got = self.failed_report(tmp_path, ["compose", "--spec", str(path)])
+        assert got.startswith(error.format(path=path))

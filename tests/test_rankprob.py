@@ -11,6 +11,7 @@ from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
     InputError,
+    PatternViolationError,
     SizeMismatchError,
 )
 from hamrank.exact import Mat, pattern_blocks, rank_exact
@@ -23,7 +24,6 @@ from hamrank.rankprob import (
     distance_r_compose,
     example_cc_hd,
     hd_rank_problem,
-    monotone_decompose,
     multiset_decode,
     negate,
     problem_from_json,
@@ -34,16 +34,9 @@ from hamrank.rankprob import (
     symmetric_problem,
     to_sign_rep,
 )
-from hamrank.signcompile import (
-    ConstLeaf,
-    Leaf,
-    eval_sign,
-    sign_to_json,
-    tree_depth,
-    tree_eval,
-)
+from hamrank.signcompile import Combine, ConstLeaf, eval_sign, sign_to_json
 
-from .conftest import hamming, random_mat
+from .conftest import hamming, random_mat, random_table_problem
 
 
 def neq_inner() -> RankProblem:
@@ -226,33 +219,31 @@ class TestBoolCombine:
 
 
 class TestMonotoneDecompose:
+    """The binary search over rank thresholds that ``to_sign_rep`` compiles."""
+
     def test_order_one_single_piece_depth_one(self):
         p = hd_rank_problem(3, 1, seed=13)
-        pieces, tree = monotone_decompose(p)
-        assert len(pieces) == 1
-        assert tree_depth(tree) == 1
+        rep = to_sign_rep(p, seed=14)
+        # one rank >= 1 piece of dimension C(2, 1), with sign leaves below it
+        assert isinstance(rep, Combine) and rep.oracle.dim == 2
+        assert rep.rep0 == ConstLeaf(1) and rep.rep1 == ConstLeaf(-1)
 
     def test_arbitrary_table_depth_two(self):
-        rng = random.Random(55)
-        mats = [random_mat(rng, 3, 3, bound=2) for _ in range(8)]
-        p = symmetric_problem(8, lambda x: mats[x], (1, 0, 1, 0))
-        pieces, tree = monotone_decompose(p)
-        assert len(pieces) == 3
-        assert tree_depth(tree) == 2
+        p = random_table_problem()
+        rep = to_sign_rep(p, seed=56)
+        # the root asks rank >= 2; rank >= 3 and rank >= 1 hang below it
+        assert rep.oracle.dim == 6
+        assert rep.rep0.oracle.dim == 20 and rep.rep1.oracle.dim == 2
+        for child in (rep.rep0, rep.rep1):
+            assert isinstance(child.rep0, ConstLeaf)
+            assert isinstance(child.rep1, ConstLeaf)
         for x in range(8):
             for y in range(8):
-                assert tree_eval(tree, x, y) == p.eval(x, y)
+                assert (eval_sign(rep, x, y) == 1) == (p.eval(x, y) == 1)
 
     def test_constant_g_collapses_to_leaf(self):
-        p = symmetric_problem(3, lambda x: Mat(1, 1, (x,)), (1, 1))
-        _, tree = monotone_decompose(p)
-        assert isinstance(tree, Leaf) and tree.value == 1
-
-    def test_pieces_share_maps(self):
-        p = hd_rank_problem(3, 2, seed=14)
-        pieces, _ = monotone_decompose(p)
-        assert all(piece.problem.a_map is p.a_map for piece in pieces)
-        assert [piece.threshold for piece in pieces] == [1, 2]
+        p = symmetric_problem(3, lambda x: Mat(1, 1, (x,)), (0, 0))
+        assert to_sign_rep(p, seed=14) == ConstLeaf(-1)
 
     def test_piece_support_rep_matches_threshold(self):
         from math import comb
@@ -277,8 +268,6 @@ class TestToSignRep:
                 assert (eval_sign(rep, x, y) == 1) == (x != y)
 
     def test_order_two_dims_follow_recursion(self):
-        from hamrank.signcompile import Combine
-
         p = hd_rank_problem(4, 2, seed=17)
         rep = to_sign_rep(p, seed=18)
         # binary search on rank in {0,1,2}: the root queries rank>=1 and the
@@ -292,6 +281,18 @@ class TestToSignRep:
         p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1))
         rep = to_sign_rep(p, seed=19)
         assert isinstance(rep, ConstLeaf) and rep.sign == 1
+
+    def test_checks_against_the_problem_not_its_oracles(self, monkeypatch):
+        # each piece answers one threshold too high, so the compiled sign
+        # follows its oracles and disagrees with the problem
+        build = rankprob.piece_support_rep
+        monkeypatch.setattr(
+            rankprob,
+            "piece_support_rep",
+            lambda p, threshold, seed: build(p, threshold + 1, seed),
+        )
+        with pytest.raises(PatternViolationError):
+            to_sign_rep(hd_rank_problem(3, 1, seed=1), seed=2)
 
 
 class TestCompositionSemantics:

@@ -1,4 +1,5 @@
-"""Pins the canonical report bytes of every certifying subcommand.
+"""Pins the canonical report bytes of every certifying subcommand, and the
+output of ``to_sign_rep`` on two rank problems.
 
 Each case runs in a fresh working directory with relative paths, because
 the report's ``config.params`` embeds the paths it was given.  A change to
@@ -13,7 +14,16 @@ import pytest
 
 from hamrank.exact import Mat
 from hamrank.harness import RunConfig, run
-from hamrank.rankprob import CompositionSpec, spec_to_json, symmetric_problem
+from hamrank.rankprob import (
+    CompositionSpec,
+    hd_rank_problem,
+    spec_to_json,
+    symmetric_problem,
+    to_sign_rep,
+)
+from hamrank.signcompile import eval_value, gamma_values
+
+from .conftest import random_table_problem
 
 
 def digest(data: bytes) -> str:
@@ -58,6 +68,14 @@ def compose_spec(path: str, r: int = 1, h=(0, 1), coordinates: int = 2) -> None:
         json.dump(spec_to_json(spec), fh)
 
 
+def sign_rep_bytes(p, seed: int) -> bytes:
+    """dim, gammas and the value table of ``to_sign_rep(p, seed)``."""
+    rep = to_sign_rep(p, seed=seed)
+    indices = range(p.index_count)
+    table = [[eval_value(rep, x, y) for y in indices] for x in indices]
+    return json.dumps([rep.dim, gamma_values(rep), table]).encode()
+
+
 EXPECTED = {
     "bin-build": "d9cb4c8abe253b973f7c5f4bef9a1e30f1c973a122521b8a036dce51ee04ffe2",
     "bin-verify": "a408510ba111863cc6327866cd6b856497ed53b0863bb6d597773bd0db54bcd8",
@@ -79,6 +97,10 @@ EXPECTED = {
     "artifact:s.sign.json": "e55ea2b66b5d0ee63df8e098f9bc3b9500c13bea1a6da5a00d79c4d91ed06abe",
     "artifact:rp.json": "1716d1a6ce19f43c9f97ff962507b54d504df2c3dbdd89eb396ae9374b5294dd",
     "artifact:rp-r2.json": "a753abe7402a8ae54bdf13da8dd11fd7cb4535e666be0aacf3f93c9b644c434b",
+    # dim 149, gammas [2, 2]
+    "to-sign-rep:hd-4-2": "9a8ff6f14a6d070a56a49ddf6f1c7b17f79f97178bfaba14bb19f1a3ebedfce1",
+    # dim 14441, gammas [2, 2, 2]
+    "to-sign-rep:table-55": "ed3f9bbf70782f4a277f6129e90f09d4d84c585b4ec605af2b06f1b1f8b405db",
 }
 
 
@@ -122,6 +144,10 @@ def digests(tmp_path_factory):
         ):
             with open(path, "rb") as fh:
                 out[f"artifact:{path}"] = digest(fh.read())
+        out["to-sign-rep:hd-4-2"] = digest(
+            sign_rep_bytes(hd_rank_problem(4, 2, seed=17), seed=18)
+        )
+        out["to-sign-rep:table-55"] = digest(sign_rep_bytes(random_table_problem(), 56))
         out["_zeroed_violations"] = reports["zeroed-verify"].verification
         return out
     finally:

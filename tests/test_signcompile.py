@@ -11,7 +11,6 @@ from hamrank.hamming import SupportRep, build_hd_supp, dist
 from hamrank.signcompile import (
     Combine,
     ConstLeaf,
-    Leaf,
     Node,
     build_hd_sign,
     choose_gamma,
@@ -23,8 +22,6 @@ from hamrank.signcompile import (
     proof_dim_bound,
     sign_from_json,
     sign_to_json,
-    tree_depth,
-    tree_eval,
 )
 
 from .conftest import hamming
@@ -34,12 +31,21 @@ def words(n):
     return list(itertools.product((0, 1), repeat=n))
 
 
+def differ(x, y) -> bool:
+    return x != y
+
+
+def neq_tree(oracle):
+    """Answer 1 where the oracle's dot product is nonzero."""
+    return Node(oracle=oracle, child0=ConstLeaf(-1), child1=ConstLeaf(1))
+
+
 class TestLeaves:
     def test_constant_leaf_compiles_to_constant_sign(self):
-        rep = compile_tree(Leaf(1), words(2))
+        rep = compile_tree(ConstLeaf(1), words(2), lambda x, y: True)
         assert isinstance(rep, ConstLeaf)
         assert rep.sign == 1 and rep.dim == 1
-        rep0 = compile_tree(Leaf(0), words(2))
+        rep0 = compile_tree(ConstLeaf(-1), words(2), lambda x, y: False)
         assert rep0.sign == -1
 
     def test_constant_eval(self):
@@ -51,9 +57,8 @@ class TestLeaves:
 class TestDepthOne:
     def test_neq_style_tree_dim_five(self):
         oracle = build_hd_supp(6, 1, seed=1)
-        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
         domain = words(6)
-        rep = compile_tree(tree, domain)
+        rep = compile_tree(neq_tree(oracle), domain, differ)
         assert rep.dim == 1 + oracle.dim**2 * 1 == 5
         for x in domain:
             for y in domain:
@@ -76,13 +81,12 @@ class TestDepthOne:
 class TestGammaModes:
     def build_pair(self, n, seed):
         oracle = build_hd_supp(n, 1, seed=seed)
-        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
-        return oracle, tree
+        return oracle, neq_tree(oracle)
 
     def test_rescan_reproduces_gamma(self):
         oracle, tree = self.build_pair(5, 4)
         domain = words(5)
-        rep = compile_tree(tree, domain)
+        rep = compile_tree(tree, domain, differ)
         best = 0
         for x in domain:
             for y in domain:
@@ -116,8 +120,8 @@ class TestGammaModes:
     def test_norm_bound_dominates_exact_scan(self, n, seed):
         oracle, tree = self.build_pair(n, seed)
         domain = words(n)
-        scanned = compile_tree(tree, domain, gamma_mode="exact_scan")
-        bounded = compile_tree(tree, domain, gamma_mode="norm_bound")
+        scanned = compile_tree(tree, domain, differ, gamma_mode="exact_scan")
+        bounded = compile_tree(tree, domain, differ, gamma_mode="norm_bound")
         assert bounded.gamma >= scanned.gamma
         for x in domain:
             for y in domain:
@@ -204,12 +208,15 @@ class TestHdSign:
         oracle_hi = build_hd_supp(5, 2, seed=2)
         tree = Node(
             oracle=oracle_hi,
-            child1=Leaf(0),
-            child0=Node(oracle=oracle_lo, child1=Leaf(1), child0=Leaf(0)),
+            child1=ConstLeaf(-1),
+            child0=Node(oracle=oracle_lo, child1=ConstLeaf(1), child0=ConstLeaf(-1)),
         )
-        rep = compile_tree(tree, words(5))
-        assert tree_depth(tree) == 2
-        assert rep.dim <= proof_dim_bound(tree)
+        rep = compile_tree(tree, words(5), lambda x, y: dist(x, y) == 1)
+        # depth 2 over oracles of dimension 2 and C(4, 2) = 6
+        assert proof_dim_bound(rep) == (1 + 6 * 6) ** 2
+        assert rep.dim == 41 <= proof_dim_bound(rep)
+        assert proof_dim_bound(rep.rep1) == 1 + 2 * 2
+        assert proof_dim_bound(ConstLeaf(1)) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -218,11 +225,10 @@ class TestHdSign:
 
 class TestDomains:
     def test_two_word_tuple_domain_matches_the_list(self):
-        oracle = build_hd_supp(2, 1, seed=0)
-        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
+        tree = neq_tree(build_hd_supp(2, 1, seed=0))
         domain = [(0, 0), (1, 1)]
-        as_list = compile_tree(tree, domain)
-        as_tuple = compile_tree(tree, tuple(domain))
+        as_list = compile_tree(tree, domain, differ)
+        as_tuple = compile_tree(tree, tuple(domain), differ)
         assert as_tuple.gamma == as_list.gamma == 2
         for x, y in itertools.product(domain, repeat=2):
             assert eval_sign(as_tuple, x, y) == eval_sign(as_list, x, y)
@@ -230,8 +236,7 @@ class TestDomains:
 
 class TestTruth:
     def test_first_disagreement_in_pair_order_is_named(self):
-        oracle = build_hd_supp(3, 1, seed=1)
-        tree = Node(oracle=oracle, child0=Leaf(0), child1=Leaf(1))
+        tree = neq_tree(build_hd_supp(3, 1, seed=1))
         domain = words(3)
         flipped = {(domain[4], domain[1]), (domain[2], domain[5])}
 
@@ -240,7 +245,7 @@ class TestTruth:
 
         first = re.escape(f"at ({domain[2]!r}, {domain[5]!r}): 1 vs -1")
         with pytest.raises(PatternViolationError, match=first):
-            compile_tree(tree, domain, truth=truth)
+            compile_tree(tree, domain, truth)
 
     def test_build_hd_sign_checks_against_the_distance(self, monkeypatch):
         # the oracle tree is right; only the ground truth is made wrong
@@ -267,9 +272,9 @@ class TestInputMaps:
             return tuple((i >> b) & 1 for b in range(n))
 
         oracle = SupportRep(lambda i: compress(to_word(i)), 1, "HD>=1")
-        tree = Node(oracle=oracle, child0=Leaf(1), child1=Leaf(0))
+        tree = Node(oracle=oracle, child0=ConstLeaf(1), child1=ConstLeaf(-1))
         domain = list(range(1 << n))
-        rep = compile_tree(tree, domain)
+        rep = compile_tree(tree, domain, lambda i, j: i == j)
         for i in domain:
             for j in domain:
                 assert (eval_sign(rep, i, j) == 1) == (i == j)
@@ -286,20 +291,3 @@ class TestSerialization:
             for y in words(4)[:6]:
                 assert eval_value(back, x, y) == eval_value(rep, x, y)
 
-
-def test_tree_eval_walks_branches():
-    oracle = build_hd_supp(3, 1, seed=1)
-    tree = Node(oracle=oracle, child0=Leaf(1), child1=Leaf(0))
-    assert tree_eval(tree, (0, 0, 0), (0, 0, 0)) == 1
-    assert tree_eval(tree, (0, 0, 0), (1, 0, 0)) == 0
-
-
-def test_compile_requires_support_rep_oracles():
-    class FakeOracle:
-        def query(self, x, y):
-            return x == y
-
-    tree = Node(oracle=FakeOracle(), child0=Leaf(0), child1=Leaf(1))
-    assert tree_eval(tree, 3, 3) == 1  # abstract oracles still evaluate
-    with pytest.raises(TypeError):
-        compile_tree(tree, [1, 2, 3])
