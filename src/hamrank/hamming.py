@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
 from operator import getitem, mul
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .compression import (
     Compressor,
@@ -166,6 +166,27 @@ def indexed_words(n: int, alphabet: tuple[int, ...], mode: str):
     if mode == "exhaustive":
         return list(itertools.product(alphabet, repeat=n))
     return _Memo(lambda i: word_of_index(i, n, alphabet))
+
+
+def difference_classes(n: int, alphabet: Sequence[int]) -> Iterator[tuple[Word, Word]]:
+    """One word pair (x, y) per class {z, -z} of differences z = x - y.
+
+    z runs over (A - A)^n, A the alphabet, in product order over the sorted
+    differences, skipping each z whose first nonzero entry is negative (its
+    class was met at -z).  Coordinate i of the pair is one fixed letter pair
+    (a, b) with a - b = z_i.  The class of z stands for
+    prod_i #{(a, b) : a - b = z_i} ordered pairs, and so does that of -z:
+    3^n + 1 over 2 classes for a two-letter alphabet, 3,281 at n = 8.
+    """
+    letters: dict[int, tuple[int, int]] = {}
+    for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
+        letters.setdefault(a - b, (a, b))
+    words: dict[Word, Word] = {}  # one tuple per word, however many classes use it
+    for z in itertools.product(sorted(letters), repeat=n):
+        if next((d for d in z if d), 0) >= 0:
+            x = tuple(letters[d][0] for d in z)
+            y = tuple(letters[d][1] for d in z)
+            yield words.setdefault(x, x), words.setdefault(y, y)
 
 
 def dist(x: Sequence[int], y: Sequence[int]) -> int:

@@ -316,7 +316,7 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     if config.out:
         meta = {"n": n, "k": k, "predicate": f"HD=={k}", "seed": config.seed}
         _save_json(sign_to_json(rep, meta), config.out)
-    # build_hd_sign already checked sign == (dist == k) on every pair
+    # build_hd_sign already checked sign == (dist == k) on every pair's class
     report.status = "certified"
 
 

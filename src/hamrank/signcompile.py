@@ -16,10 +16,11 @@ value0 dictates the sign.  Dimensions follow the exact recursion
 
 which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
 (1 + r^2)^depth bound of a compiled rep, and both numbers are reported.
-Every compile is checked against ground truth that the caller gives.  A
-tree over some other index domain needs no translation layer here: a
-``SupportRep`` built on maps from indices to matrices already answers at
-indices.
+Every compile is checked against ground truth that the caller gives, on
+every ordered pair of the domain or on pairs that stand for them all
+(``build_hd_sign`` uses one pair per difference class).  A tree over some
+other index domain needs no translation layer here: a ``SupportRep`` built
+on maps from indices to matrices already answers at indices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -37,9 +38,10 @@ from .errors import (
     ZeroValueError,
 )
 from .exact import Mat, int_from_json
-from .hamming import SupportRep, build_hd_supp, dist, load_supp
-from .parallel import check_pairs, sweep
+from .hamming import SupportRep, build_hd_supp, difference_classes, dist, load_supp
+from .parallel import check_pairs
 from .seeds import seed_stream
+from .veronese import prove_det_sum
 
 
 # -------------------------------------------------------------------
@@ -142,15 +144,17 @@ def choose_gamma(
     rep1: SignRep,
     domain: Sequence,
     mode: str = "exact_scan",
+    pairs: Iterable | None = None,
 ) -> int:
     """The integer making the squared-oracle term dominate on its support.
 
-    exact_scan visits every domain pair with a nonzero oracle value and
-    returns 1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
+    exact_scan visits every pair with a nonzero oracle value and returns
+    1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
     gamma * s^2 * |value0| >= s^2 |value0| + |value1| > |value1| pointwise,
     so dominance is strict while pairs off the support are untouched.  The
-    scan is a max reduction, not a pass/fail check, so it keeps its own
-    pair loop instead of going through ``parallel.sweep``.
+    pairs are every ordered pair of ``domain`` unless ``pairs`` is given,
+    which must take every value triple (s^2, value0, value1) that the
+    domain's pairs take, as one pair per difference class does.
 
     norm_bound certifies a possibly larger constant without scanning pairs:
     |value1| is bounded through the combine recursion using single-input
@@ -164,25 +168,26 @@ def choose_gamma(
     if mode == "exact_scan":
         best = 0
         seen_support = False
-        for x in domain:
-            for y in domain:
-                s = oracle.dot(x, y)
-                if s == 0:
-                    continue
-                seen_support = True
-                v0 = eval_value(rep0, x, y)
-                if v0 == 0:
-                    raise ZeroValueError(
-                        f"support branch value vanished at ({x!r}, {y!r})"
-                    )
-                v1 = eval_value(rep1, x, y)
-                need = -((-abs(v1)) // (s * s * abs(v0)))  # ceil division
-                if need > best:
-                    best = need
+        for x, y in _pairs(domain, pairs):
+            s = oracle.dot(x, y)
+            if s == 0:
+                continue
+            seen_support = True
+            v0 = eval_value(rep0, x, y)
+            if v0 == 0:
+                raise ZeroValueError(f"support branch value vanished at ({x!r}, {y!r})")
+            v1 = eval_value(rep1, x, y)
+            need = -((-abs(v1)) // (s * s * abs(v0)))  # ceil division
+            if need > best:
+                best = need
         return 1 + best if seen_support else 1
     if mode == "norm_bound":
         return 1 + _value_bound(rep1, domain)
     raise ValueError(f"unknown gamma mode {mode!r}")
+
+
+def _pairs(domain: Sequence, pairs: Iterable | None) -> Iterable:
+    return itertools.product(domain, repeat=2) if pairs is None else pairs
 
 
 def _dot_bound(oracle: SupportRep, domain) -> int:
@@ -214,6 +219,7 @@ def compile_tree(
     domain: Sequence,
     truth: Callable,
     gamma_mode: str = "exact_scan",
+    pairs: Sequence | None = None,
 ) -> SignRep:
     """Compile a tree of support reps into a verified structured sign
     representation.
@@ -223,38 +229,34 @@ def compile_tree(
     squared-oracle term (the oracle value is nonzero exactly there), the
     branch for answer 0 stands alone (the term vanishes exactly there).
 
-    The compiled sign is then checked on every ordered pair of ``domain``
-    (one ``parallel.sweep``) against ``truth(x, y)``, the 0/1 entry the sign
-    must encode, which the caller knows independently of the oracles.  Any
-    disagreement raises ``PatternViolationError`` naming the first failing
-    pair in pair order.
+    The compiled sign is then checked against ``truth(x, y)``, the 0/1 entry
+    the sign must encode, which the caller knows independently of the
+    oracles.  The exact_scan gammas and the check visit every ordered pair
+    of ``domain``, or the re-iterable ``pairs`` in its place when given:
+    the caller vouches that every node value and the truth take the same
+    values on them as on all domain pairs (``build_hd_sign`` passes one
+    pair per difference class).  norm_bound gammas always bound over the
+    whole domain.  Any disagreement raises ``PatternViolationError`` naming
+    the first failing pair in pair order.
     """
-    rep = _compile(tree, domain, gamma_mode)
-
-    def want(x, y) -> int:
-        return 1 if truth(x, y) else -1
-
-    def bad_cols(i: int, cols) -> list[int]:
-        x = domain[i]
-        return [j for j in cols if eval_sign(rep, x, domain[j]) != want(x, domain[j])]
-
-    result = sweep(len(domain), lambda: bad_cols, cap=1)
-    if not result.certified:
-        i, j = result.violations[0]
-        x, y = domain[i], domain[j]
-        raise PatternViolationError(
-            f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
-            f"{eval_sign(rep, x, y)} vs {want(x, y)}"
-        )
+    rep = _compile(tree, domain, gamma_mode, pairs)
+    for x, y in _pairs(domain, pairs):
+        want = 1 if truth(x, y) else -1
+        got = eval_sign(rep, x, y)
+        if got != want:
+            raise PatternViolationError(
+                f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
+                f"{got} vs {want}"
+            )
     return rep
 
 
-def _compile(tree: OracleTree, domain, gamma_mode: str) -> SignRep:
+def _compile(tree: OracleTree, domain, gamma_mode: str, pairs) -> SignRep:
     if isinstance(tree, ConstLeaf):
         return tree
-    rep0 = _compile(tree.child1, domain, gamma_mode)
-    rep1 = _compile(tree.child0, domain, gamma_mode)
-    gamma = choose_gamma(tree.oracle, rep0, rep1, domain, gamma_mode)
+    rep0 = _compile(tree.child1, domain, gamma_mode, pairs)
+    rep1 = _compile(tree.child0, domain, gamma_mode, pairs)
+    gamma = choose_gamma(tree.oracle, rep0, rep1, domain, gamma_mode, pairs)
     return Combine(oracle=tree.oracle, rep0=rep0, rep1=rep1, gamma=gamma)
 
 
@@ -334,13 +336,24 @@ def build_hd_sign(
 
     e.g. 41 for k=1 and 437 for k=2, inside the (1 + r^2)^2 proof bound.
     Oracles are freshly built, verified support representations sharing the
-    root seed through named substreams.  The compiled sign is checked
-    against the definition dist(x, y) == k on all |alphabet|^(2n) ordered
-    pairs, which ``max_pairs`` bounds before anything is built.
+    root seed through named substreams.
+
+    The exact_scan gammas and the check against the definition
+    dist(x, y) == k run over one pair per difference class {z, -z},
+    z = x - y, which stand for all |alphabet|^(2n) ordered pairs;
+    ``max_pairs`` bounds that pair count before anything is built.  The
+    reduction is sound once ``veronese.prove_det_sum`` has proved the
+    minor-embedding identity for both oracle sizes k and k + 1: then an
+    oracle's dot product at (x, y) is det(C(x) - C(y)) = det(C(z)) for its
+    linear compressor map C, det(C(-z)) = +-det(C(z)), and every node value
+    reads its oracle only through s == 0 and s^2, so each value, and the
+    truth, is constant on a class.
     """
     if not (1 <= k < n):
         raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
     check_pairs(len(alphabet) ** (2 * n), max_pairs)
+    for size in (k, k + 1):
+        prove_det_sum(size)
     rep_hi = build_hd_supp(n, k + 1, alphabet, seed_stream(seed, "sign-oracle", k + 1))
     rep_lo = build_hd_supp(n, k, alphabet, seed_stream(seed, "sign-oracle", k))
     tree = Node(
@@ -349,7 +362,8 @@ def build_hd_sign(
         child0=Node(oracle=rep_lo, child1=ConstLeaf(1), child0=ConstLeaf(-1)),
     )
     domain = list(itertools.product(tuple(alphabet), repeat=n))
-    rep = compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode)
+    classes = list(difference_classes(n, alphabet))
+    rep = compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, classes)
     assert rep.dim == 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
     return rep
 

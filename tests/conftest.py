@@ -9,11 +9,13 @@ under test.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from hamrank import veronese
 from hamrank.exact import Mat
 
 
@@ -97,3 +99,23 @@ def random_table_problem():
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def flipped_det_sum_sign(monkeypatch):
+    """Flip the sign of the full-minor term of every det-sum expansion.
+
+    The proof cache is emptied on both sides, so the broken expansion is
+    proved afresh and no result outlives the patch.
+    """
+    real = veronese.det_sum_terms
+
+    def flipped(k):
+        *rest, last = real(k)
+        return (*rest, dataclasses.replace(last, sign=-last.sign))
+
+    veronese.prove_det_sum.cache_clear()
+    monkeypatch.setattr(veronese, "det_sum_terms", flipped)
+    yield
+    monkeypatch.undo()
+    veronese.prove_det_sum.cache_clear()

@@ -1,11 +1,18 @@
 import itertools
+import json
 import re
 from math import comb
 
 import pytest
 
 from hamrank import signcompile
-from hamrank.errors import BudgetExceededError, PatternViolationError, ZeroValueError
+from hamrank.cli import main
+from hamrank.errors import (
+    BudgetExceededError,
+    HamrankError,
+    PatternViolationError,
+    ZeroValueError,
+)
 from hamrank.exact import rank_exact
 from hamrank.hamming import SupportRep, build_hd_supp, dist
 from hamrank.signcompile import (
@@ -260,6 +267,51 @@ class TestTruth:
         monkeypatch.setattr(signcompile, "build_hd_supp", no_build)
         with pytest.raises(BudgetExceededError, match="^67108864 pairs exceed"):
             build_hd_sign(13, 1, max_pairs=1 << 24)
+
+
+def tree_of(rep):
+    """The oracle tree a compiled rep came from."""
+    if isinstance(rep, ConstLeaf):
+        return rep
+    return Node(oracle=rep.oracle, child1=tree_of(rep.rep0), child0=tree_of(rep.rep1))
+
+
+ACCEPTANCE_GRID = [
+    (n, k, (0, 1)) for n in range(2, 9) for k in (1, 2) if k < n
+] + [(4, 1, (0, 1, 2)), (4, 2, (0, 1, 2))]
+
+
+class TestDifferenceClassCompile:
+    @pytest.mark.parametrize("gamma_mode", ["exact_scan", "norm_bound"])
+    @pytest.mark.parametrize("n,k,alphabet", ACCEPTANCE_GRID)
+    def test_classes_give_the_pair_path_rep(self, n, k, alphabet, gamma_mode):
+        rep = build_hd_sign(n, k, seed=n, gamma_mode=gamma_mode, alphabet=alphabet)
+        domain = list(itertools.product(alphabet, repeat=n))
+
+        def truth(x, y):
+            return dist(x, y) == k
+
+        by_pairs = compile_tree(tree_of(rep), domain, truth, gamma_mode)
+        assert by_pairs.dim == rep.dim
+        assert gamma_values(by_pairs) == gamma_values(rep)
+        for x, y in itertools.product(domain, repeat=2):
+            assert eval_sign(rep, x, y) == (1 if truth(x, y) else -1)
+
+    def test_a_flipped_expansion_sign_fails_the_build(self, flipped_det_sum_sign):
+        with pytest.raises(HamrankError, match=r"k=1 at A=\[\[1\]\], B=\[\[0\]\]"):
+            build_hd_sign(4, 1, seed=2)
+
+    def test_a_flipped_expansion_sign_fails_the_cli_report(
+        self, tmp_path, flipped_det_sum_sign
+    ):
+        report = tmp_path / "sign.report.json"
+        argv = ["build-sign", "--n", "3", "--k", "2", "--out", str(tmp_path / "s.json")]
+        argv += ["--report", str(report)]
+        assert main(argv) == 1
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "failed"
+        assert doc["error"].startswith("PatternViolationError: det-sum identity")
+        assert "k=2 at A=" in doc["error"]
 
 
 class TestInputMaps:

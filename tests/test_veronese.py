@@ -4,7 +4,12 @@ from math import comb
 
 import pytest
 
-from hamrank.errors import MissingFeatureError, RetriesExhaustedError
+from hamrank import veronese
+from hamrank.errors import (
+    MissingFeatureError,
+    PatternViolationError,
+    RetriesExhaustedError,
+)
 from hamrank.exact import Mat, det_exact
 from hamrank.veronese import (
     MonomialForm,
@@ -13,6 +18,7 @@ from hamrank.veronese import (
     hypercube_unit_embed,
     minor_embed,
     poly_to_vectors,
+    prove_det_sum,
     sq_dist,
     unit_distance_form,
     unit_point_features,
@@ -87,6 +93,22 @@ class TestMinorEmbed:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             minor_embed(Mat.identity(2), "middle")
+
+
+class TestDetSumProof:
+    @pytest.mark.parametrize("k,points", [(1, 3), (2, 37), (3, 988)])
+    def test_checks_every_point_with_at_most_k_ones(self, k, points):
+        # 0/1 points of 2k^2 entries with at most k ones
+        assert points == sum(comb(2 * k * k, ones) for ones in range(k + 1))
+        veronese.prove_det_sum.cache_clear()
+        assert prove_det_sum(k) == points
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_flipped_sign_is_caught_with_k_and_the_point(
+        self, k, flipped_det_sum_sign
+    ):
+        with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
+            prove_det_sum(k)
 
 
 class TestPolyToVectors:
