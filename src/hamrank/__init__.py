@@ -8,7 +8,6 @@ from .errors import (
     HamrankError,
     InconsistentFingerprintError,
     InputError,
-    MissingFeatureError,
     NonSquareError,
     PatternViolationError,
     RetriesExhaustedError,
@@ -24,13 +23,10 @@ from .compression import (
 )
 from .veronese import (
     MinorIndex,
-    MonomialForm,
     det_sum_terms,
     hypercube_unit_embed,
     minor_embed,
-    poly_to_vectors,
-    unit_distance_form,
-    unit_point_features,
+    unit_distance_vector,
 )
 from .hamming import (
     SupportRep,

@@ -6,10 +6,11 @@ every member M of a fixed finite family,
     rank(L * M * R^T) == min(rank(M), a', b')
 
 where (a', b') is the target shape.  Such maps exist generically; we fit one
-by drawing integer entries at random, verifying the equality exhaustively
-over the family, and retrying with a doubled entry range on failure.  The
-returned compressor is always carried together with its verification status:
-nothing in the package ever assumes genericity without checking it.
+onto a square target by drawing integer entries at random, verifying the
+equality exhaustively over the family, and retrying with a doubled entry
+range on failure.  The returned compressor is always carried together with
+its verification status: nothing in the package ever assumes genericity
+without checking it.
 
 The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
 D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
@@ -41,11 +42,11 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, bareiss, rank_exact
+from .parallel import REPORT_CAP
 
 DEFAULT_ENTRY_RANGE = 1 << 16
 # 3^15 binary difference patterns fit; the check runs before any enumeration
 MAX_DIAGONAL_PATTERNS = 1 << 24
-REPORT_CAP = 32  # violation records kept in a CompressionReport
 
 
 def nth_product(index: int, values: Sequence[Sequence]) -> tuple:
@@ -366,40 +367,39 @@ def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
     )
 
 
-def _identity_embedding(a: int, b: int, a1: int, b1: int, seed: int) -> Compressor:
-    left = Mat(a1, a, tuple(1 if i == j else 0 for i in range(a1) for j in range(a)))
-    right = Mat(b1, b, tuple(1 if i == j else 0 for i in range(b1) for j in range(b)))
+def _identity_embedding(a: int, b: int, size: int, seed: int) -> Compressor:
+    left = Mat(size, a, tuple(int(i == j) for i in range(size) for j in range(a)))
+    right = Mat(size, b, tuple(int(i == j) for i in range(size) for j in range(b)))
     return Compressor(left=left, right=right, seed=seed, verified=True, method="identity")
 
 
 def fit_compressor(
     family: MatFamily,
-    target_rows: int,
-    target_cols: int,
+    size: int,
     seed: int,
     max_retries: int = 16,
     entry_range: int = DEFAULT_ENTRY_RANGE,
 ) -> Compressor:
-    """Fit a verified compressor for ``family`` onto target_rows x target_cols.
+    """Fit a verified compressor for ``family`` onto size x size targets.
 
-    If the target dominates the source in both dimensions, the identity
-    embedding works unconditionally and is returned without randomness.
-    Otherwise entries are drawn uniformly from [-entry_range, entry_range],
-    verified against the full family, and redrawn with a doubled range on
-    failure: over a large integer range a random draw is generic with
-    overwhelming probability, and the doubling escape hatch covers the
-    remaining mass.
+    If ``size`` is at least both source dimensions, the identity embedding
+    works unconditionally and is returned without randomness.  Otherwise
+    the left (size x a) and then the right (size x b) entries are drawn
+    uniformly from [-entry_range, entry_range], verified against the full
+    family, and redrawn with a doubled range on failure: over a large
+    integer range a random draw is generic with overwhelming probability,
+    and the doubling escape hatch covers the remaining mass.
 
     Raises ``RetriesExhaustedError`` carrying a failing member of the last
     draw and the achieved vs. required rank on it; the remedy is a larger
     range or more retries.  A draw stops at its first failing member, the
     one of smallest index.
     """
-    if target_rows < 1 or target_cols < 1:
-        raise ValueError("target shape must be at least 1x1")
+    if size < 1:
+        raise ValueError("target size must be at least 1")
     a, b = family.shape
-    if target_rows >= a and target_cols >= b:
-        comp = _identity_embedding(a, b, target_rows, target_cols, seed)
+    if size >= max(a, b):
+        comp = _identity_embedding(a, b, size, seed)
         report = verify_compressor(comp, family)
         if not report.ok:  # cannot happen: embedding preserves rank exactly
             raise RetriesExhaustedError(
@@ -412,16 +412,8 @@ def fit_compressor(
     span = entry_range
     last = None
     for attempt in range(max_retries):
-        left = Mat(
-            target_rows,
-            a,
-            tuple(rng.randint(-span, span) for _ in range(target_rows * a)),
-        )
-        right = Mat(
-            target_cols,
-            b,
-            tuple(rng.randint(-span, span) for _ in range(target_cols * b)),
-        )
+        left = Mat(size, a, tuple(rng.randint(-span, span) for _ in range(size * a)))
+        right = Mat(size, b, tuple(rng.randint(-span, span) for _ in range(size * b)))
         candidate = Compressor(
             left=left,
             right=right,

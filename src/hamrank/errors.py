@@ -39,10 +39,6 @@ class RetriesExhaustedError(HamrankError):
         self.required = required
 
 
-class MissingFeatureError(HamrankError):
-    """A polynomial form referenced a named feature the input did not supply."""
-
-
 class PatternViolationError(HamrankError):
     """A claimed combinatorial certificate (identity submatrix) does not hold."""
 

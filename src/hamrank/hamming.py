@@ -235,7 +235,7 @@ def build_hd_supp(
             )
         comp = replace(comp, verified=True)
     else:
-        comp = fit_compressor(family, k, k, seed_stream(seed, "hd-supp", n, k))
+        comp = fit_compressor(family, k, seed_stream(seed, "hd-supp", n, k))
 
     return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, seed)
 
@@ -366,7 +366,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     def bad_cols(i: int, js) -> list[int]:
         return [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
 
-    result = sweep(len(rows), lambda: bad_cols, cap=1)
+    result = sweep(len(rows), lambda: bad_cols)
     if not result.certified:
         i, j = result.violations[0]
         raise PatternViolationError(

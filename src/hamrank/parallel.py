@@ -17,6 +17,8 @@ from .errors import BudgetExceededError, InputError
 
 T = TypeVar("T")
 
+REPORT_CAP = 32  # violation records kept in a sweep or compression report
+
 
 def map_rows(fn: Callable[[int], T], count: int) -> list[T]:
     """Apply ``fn`` to 0..count-1, returning results in index order."""
@@ -59,7 +61,6 @@ def sweep(
     sample_count: int | None = None,
     rng: random.Random | None = None,
     max_pairs: int | None = None,
-    cap: int = 32,
 ) -> SweepReport:
     """Check ordered index pairs (i, j) of range(count) x range(count).
 
@@ -69,7 +70,7 @@ def sweep(
     columns, after refusing grids over ``max_pairs``; sample mode draws
     ``sample_count`` pairs from ``rng``, row index first, and checks each
     as a one-column row.  The report counts every failure and keeps the
-    first ``cap`` failing (i, j) pairs in pair order.
+    first ``REPORT_CAP`` failing (i, j) pairs in pair order.
     """
     if mode == "sample":
         if not sample_count or sample_count < 1:
@@ -89,7 +90,7 @@ def sweep(
             j = rng.randrange(count)
             if bad_cols(i, (j,)):
                 bad += 1
-                if len(violations) < cap:
+                if len(violations) < REPORT_CAP:
                     violations.append((i, j))
         return SweepReport(sample_count, bad, tuple(violations), mode)
 
@@ -97,11 +98,11 @@ def sweep(
 
     def scan_row(i: int) -> tuple[int, list[int]]:
         row = bad_cols(i, cols)
-        return len(row), row[:cap]
+        return len(row), row[:REPORT_CAP]
 
     bad = 0
     violations = []
     for i, (row_bad, row_cols) in enumerate(map_rows(scan_row, count)):
         bad += row_bad
-        violations.extend((i, j) for j in row_cols[: cap - len(violations)])
+        violations.extend((i, j) for j in row_cols[: REPORT_CAP - len(violations)])
     return SweepReport(count * count, bad, tuple(violations), mode)

@@ -72,11 +72,8 @@ class RankProblem:
     def order(self) -> int:
         return len(self.g) - 1
 
-    def rank_of_pair(self, x: int, y: int) -> int:
-        return self.rank_fn(x, y)
-
     def eval(self, x: int, y: int) -> int:
-        return self.g[min(self.rank_of_pair(x, y), self.order)]
+        return self.g[min(self.rank_fn(x, y), self.order)]
 
 
 def symmetric_problem(
@@ -115,7 +112,7 @@ def _hamming_problem(
     the full diagonal-difference family, so rank(A(x) - A(y)) equals
     min(dist, k) for every pair; g is the threshold step at k.
     """
-    comp = fit_compressor(MatFamily.diagonal_differences_multi(alphabets), k, k, seed)
+    comp = fit_compressor(MatFamily.diagonal_differences_multi(alphabets), k, seed)
 
     def a_map(i: int) -> Mat:
         return comp.apply_diag(nth_product(i, alphabets))
@@ -159,9 +156,9 @@ def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     """
     mats = [p.a_map(x) for x in range(p.index_count)]
     family = MatFamily.from_members([ax - ay for ax in mats for ay in mats])
-    comp = fit_compressor(family, size, size, seed)
+    comp = fit_compressor(family, size, seed)
     a_map = cache(lambda x: comp.apply(mats[x]))
-    rank_fn = cache(lambda x, y: min(p.rank_of_pair(x, y), size))
+    rank_fn = cache(lambda x, y: min(p.rank_fn(x, y), size))
     return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
 
 
@@ -175,7 +172,7 @@ def _block_problem(
         return block_diag([p.a_map(imap(x)) for w, p, imap in parts for _ in range(w)])
 
     def rank_fn(x: int, y: int) -> int:
-        return sum(w * p.rank_of_pair(imap(x), imap(y)) for w, p, imap in parts)
+        return sum(w * p.rank_fn(imap(x), imap(y)) for w, p, imap in parts)
 
     return RankProblem(index_count, a_map, tuple(g), rank_fn, name)
 

@@ -167,12 +167,10 @@ def choose_gamma(
     """
     if mode == "exact_scan":
         best = 0
-        seen_support = False
         for x, y in _pairs(domain, pairs):
             s = oracle.dot(x, y)
             if s == 0:
                 continue
-            seen_support = True
             v0 = eval_value(rep0, x, y)
             if v0 == 0:
                 raise ZeroValueError(f"support branch value vanished at ({x!r}, {y!r})")
@@ -180,7 +178,7 @@ def choose_gamma(
             need = -((-abs(v1)) // (s * s * abs(v0)))  # ceil division
             if need > best:
                 best = need
-        return 1 + best if seen_support else 1
+        return 1 + best
     if mode == "norm_bound":
         return 1 + _value_bound(rep1, domain)
     raise ValueError(f"unknown gamma mode {mode!r}")

@@ -6,12 +6,12 @@ Three constructions live here:
   complementary minors (Marcus, "Determinants of sums", 1990), realized as
   aligned left/right embedding vectors of length C(2k, k) whose dot product
   is exactly det(A + B), with a finite proof of that identity per k;
-* general monomial forms: a polynomial split into terms that factor across
-  the two sides becomes a pair of coordinate vectors, one per term, whose
-  inner product evaluates the polynomial;
 * a rational-coordinate embedding of binary strings into the plane such
   that squared distance 1 characterizes Hamming distance 1, built from
-  Pythagorean-parametrized unit vectors and verified exhaustively.
+  Pythagorean-parametrized unit vectors and verified exhaustively;
+* the form |a - b|^2 - 1 written out as left/right vectors of dimension
+  d + 2, so that distance 1 between embedded points becomes a vanishing
+  inner product.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
-    MissingFeatureError,
     NonSquareError,
     PatternViolationError,
     RetriesExhaustedError,
@@ -151,109 +150,6 @@ def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
 
 
 # -------------------------------------------------------------------
-# Monomial forms
-# -------------------------------------------------------------------
-
-Exponents = tuple[tuple[str, int], ...]  # sorted (feature name, exponent) pairs
-
-
-@dataclass(frozen=True)
-class MonomialForm:
-    """A polynomial split into terms factoring across left/right inputs.
-
-    Each term is (coefficient, left exponents, right exponents) over named
-    features.  Terms are deduplicated by exponent pair with coefficients
-    merged, and zero-coefficient terms dropped, so the term list is in
-    canonical form and its length is the embedding dimension.
-    """
-
-    terms: tuple[tuple[int, Exponents, Exponents], ...]
-
-    @classmethod
-    def build(
-        cls, raw_terms: Sequence[tuple[int, Mapping[str, int], Mapping[str, int]]]
-    ) -> "MonomialForm":
-        merged: dict[tuple[Exponents, Exponents], int] = {}
-        order: list[tuple[Exponents, Exponents]] = []
-        for coef, left, right in raw_terms:
-            key = (_canon_exp(left), _canon_exp(right))
-            if key not in merged:
-                merged[key] = 0
-                order.append(key)
-            merged[key] += coef
-        terms = tuple(
-            (merged[key], key[0], key[1]) for key in order if merged[key] != 0
-        )
-        return cls(terms)
-
-    @property
-    def dim(self) -> int:
-        return len(self.terms)
-
-
-def _canon_exp(exp: Mapping[str, int]) -> Exponents:
-    return tuple(sorted((name, e) for name, e in exp.items() if e != 0))
-
-
-def _eval_exponents(exp: Exponents, features: Mapping[str, Number]) -> Number:
-    val: Number = 1
-    for name, e in exp:
-        if name not in features:
-            raise MissingFeatureError(f"input does not supply feature {name!r}")
-        val *= features[name] ** e
-    return val
-
-
-def poly_to_vectors(
-    form: MonomialForm,
-    left_input: Mapping[str, Number],
-    right_input: Mapping[str, Number],
-) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
-    """Evaluate a monomial form into one coordinate pair per term.
-
-    The coefficient rides on the left vector.  By construction
-    dot(u, v) equals the form evaluated at the two inputs, so polynomial
-    vanishing becomes inner-product vanishing in dimension ``form.dim``.
-    """
-    u = []
-    v = []
-    for coef, left_exp, right_exp in form.terms:
-        u.append(coef * _eval_exponents(left_exp, left_input))
-        v.append(_eval_exponents(right_exp, right_input))
-    return tuple(u), tuple(v)
-
-
-def unit_distance_form(d: int) -> MonomialForm:
-    """The form sum_i (a_i - b_i)^2 - 1 over d-dimensional points.
-
-    Grouped so the dimension is d + 2: one term carrying |a|^2 - 1 on the
-    left, one carrying |b|^2 on the right, and one cross term -2 a_i b_i per
-    coordinate.  Vanishes exactly on pairs at squared distance 1.
-    """
-    raw: list[tuple[int, Mapping[str, int], Mapping[str, int]]] = [
-        (1, {"sq_minus_1": 1}, {}),
-        (1, {}, {"sq": 1}),
-    ]
-    for i in range(d):
-        raw.append((-2, {f"a{i}": 1}, {f"b{i}": 1}))
-    return MonomialForm.build(raw)
-
-
-def unit_point_features(point: Sequence[Number], side: str) -> dict[str, Number]:
-    """Feature map for ``unit_distance_form`` from a concrete point."""
-    sq = sum(c * c for c in point)
-    if side == "left":
-        feats: dict[str, Number] = {"sq_minus_1": sq - 1}
-        feats.update({f"a{i}": c for i, c in enumerate(point)})
-    elif side == "right":
-        feats = {"sq": sq}
-        feats.update({f"b{i}": c for i, c in enumerate(point)})
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return feats
-
-
-# -------------------------------------------------------------------
 # Hypercube unit-distance embedding
 # -------------------------------------------------------------------
 
@@ -321,3 +217,24 @@ def hypercube_unit_embed(
     raise RetriesExhaustedError(
         f"no faithful unit-distance embedding after {UNIT_EMBED_DRAWS} draws"
     )
+
+
+# -------------------------------------------------------------------
+# Unit-distance form
+# -------------------------------------------------------------------
+
+
+def unit_distance_vector(point: Sequence[Number], side: str) -> tuple[Number, ...]:
+    """One side of the form |a - b|^2 - 1 = (|a|^2 - 1) + |b|^2 - 2 a.b.
+
+    The left vector of a is (|a|^2 - 1, 1, -2a_0, ..., -2a_{d-1}) and the
+    right vector of b is (1, |b|^2, b_0, ..., b_{d-1}), so their dot product
+    is |a - b|^2 - 1 in dimension d + 2 and vanishes exactly on pairs at
+    squared distance 1.
+    """
+    sq = sum(c * c for c in point)
+    if side == "left":
+        return (sq - 1, 1, *(-2 * c for c in point))
+    if side == "right":
+        return (1, sq, *point)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -19,10 +19,8 @@ from hamrank.veronese import (
     dot,
     hypercube_unit_embed,
     minor_embed,
-    poly_to_vectors,
     sq_dist,
-    unit_distance_form,
-    unit_point_features,
+    unit_distance_vector,
 )
 from hamrank.hamming import build_hd_supp, identity_certificate, verify_support_rep
 from hamrank.signcompile import build_hd_sign, eval_sign, eval_value, materialize
@@ -124,7 +122,7 @@ def test_criterion_05_rank_compression():
     with _criterion(5, "fitted compressors verified over all 3^n diagonal patterns"):
         for n, k in ((5, 1), (7, 2), (10, 3)):
             family = MatFamily.diagonal_differences(n, (0, 1))
-            comp = fit_compressor(family, k, k, seed=300 + n)
+            comp = fit_compressor(family, k, seed=300 + n)
             assert comp.verified
             assert comp.seed == 300 + n and comp.retries >= 0  # bookkeeping present
             report = verify_compressor(comp, family)
@@ -177,7 +175,7 @@ def test_criterion_06_boolean_combination():
                 )
                 dense = rank_exact(combined.a_map(x) - combined.a_map(y))
                 assert dense == sum(
-                    w * p.rank_of_pair(x, y) for w, p in zip(weights, comps)
+                    w * p.rank_fn(x, y) for w, p in zip(weights, comps)
                 )
 
 
@@ -252,14 +250,12 @@ def test_criterion_09_unit_distance_embedding():
                 assert (sq_dist(points[x], points[y]) == 1) == (
                     (x ^ y).bit_count() == 1
                 )
-        form = unit_distance_form(2)
-        assert form.dim == 4
-        left = [unit_point_features(p, "left") for p in points]
-        right = [unit_point_features(p, "right") for p in points]
+        left = [unit_distance_vector(p, "left") for p in points]
+        right = [unit_distance_vector(p, "right") for p in points]
+        assert {len(u) for u in left + right} == {4}
         for x in range(1 << n):
             for y in range(1 << n):
-                u, v = poly_to_vectors(form, left[x], right[y])
-                assert (dot(u, v) == 0) == ((x ^ y).bit_count() == 1)
+                assert (dot(left[x], right[y]) == 0) == ((x ^ y).bit_count() == 1)
 
 
 def test_criterion_10_exactness_and_determinism(tmp_path):

@@ -65,7 +65,7 @@ class TestMatFamily:
 
     def test_empty_product_checks_its_one_member(self):
         fam = MatFamily.diagonal_differences_multi([])
-        comp = fit_compressor(fam, 1, 1, seed=0)
+        comp = fit_compressor(fam, 1, seed=0)
         report = verify_compressor(comp, fam)
         assert (report.checked, report.violation_count) == (1, 0)
 
@@ -82,21 +82,21 @@ class TestFit:
         patterns = list(itertools.product((-1, 0, 1), repeat=3))
         fam = MatFamily.diagonal_differences(3, (0, 1))
         assert list(itertools.product(*fam.diag_values)) == patterns
-        comp = fit_compressor(fam, 2, 2, seed=101)
+        comp = fit_compressor(fam, 2, seed=101)
         assert comp.verified
         for z in patterns:
             assert rank_exact(comp.apply(Mat.diag(z))) == min(support(z), 2)
 
     def test_zero_family(self):
         fam = MatFamily.from_members([Mat.zeros(3, 3)])
-        comp = fit_compressor(fam, 1, 1, seed=5)
+        comp = fit_compressor(fam, 1, seed=5)
         assert comp.verified
         assert rank_exact(comp.apply(Mat.zeros(3, 3))) == 0
 
     def test_identity_case(self, rng):
-        mats = [random_mat(rng, 2, 3) for _ in range(4)]
+        mats = [random_mat(rng, 3, 3) for _ in range(4)]
         fam = MatFamily.from_members(mats)
-        comp = fit_compressor(fam, 2, 3, seed=1)
+        comp = fit_compressor(fam, 3, seed=1)
         assert comp.method == "identity"
         for m in mats:
             assert comp.apply(m) == m
@@ -104,24 +104,33 @@ class TestFit:
     def test_identity_embedding_pads(self, rng):
         mats = [random_mat(rng, 2, 2) for _ in range(3)]
         fam = MatFamily.from_members(mats)
-        comp = fit_compressor(fam, 4, 3, seed=1)
+        comp = fit_compressor(fam, 4, seed=1)
         assert comp.method == "identity"
         for m in mats:
             out = comp.apply(m)
-            assert out.shape == (4, 3)
+            assert out.shape == (4, 4)
             assert rank_exact(out) == rank_exact(m)
+
+    def test_rectangular_members_embed_into_a_square_target(self, rng):
+        mats = [random_mat(rng, 2, 3) for _ in range(4)] + [Mat.zeros(2, 3)]
+        fam = MatFamily.from_members(mats)
+        comp = fit_compressor(fam, 3, seed=1)
+        assert comp.method == "identity"
+        assert comp.target_shape == (3, 3)
+        for m in mats:
+            assert rank_exact(comp.apply(m)) == rank_exact(m)
 
     def test_determinism(self):
         fam = MatFamily.diagonal_differences(4, (0, 1))
-        a = fit_compressor(fam, 2, 2, seed=77)
-        b = fit_compressor(fam, 2, 2, seed=77)
+        a = fit_compressor(fam, 2, seed=77)
+        b = fit_compressor(fam, 2, seed=77)
         assert a.left == b.left and a.right == b.right
 
     def test_retries_exhausted_carries_context(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
         # an entry range of zero draws the zero map, which cannot verify
         with pytest.raises(RetriesExhaustedError) as exc:
-            fit_compressor(fam, 2, 2, seed=3, max_retries=2, entry_range=0)
+            fit_compressor(fam, 2, seed=3, max_retries=2, entry_range=0)
         assert exc.value.member is not None
         assert exc.value.achieved != exc.value.required
 
@@ -129,13 +138,13 @@ class TestFit:
 class TestVerify:
     def test_fitted_compressor_clean(self):
         fam = MatFamily.diagonal_differences(5, (0, 1))
-        comp = fit_compressor(fam, 2, 2, seed=9)
+        comp = fit_compressor(fam, 2, seed=9)
         report = verify_compressor(comp, fam)
         assert report.ok and report.checked == 3**5
 
     def test_zero_left_flags_every_nonzero_member(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
-        comp = fit_compressor(fam, 2, 2, seed=9)
+        comp = fit_compressor(fam, 2, seed=9)
         broken = Compressor(left=Mat.zeros(2, 3), right=comp.right, seed=0, verified=False)
         report = verify_compressor(broken, fam)
         patterns = itertools.product(*fam.diag_values)
@@ -164,7 +173,7 @@ class TestVerify:
 
     def test_shape_mismatch_rejected(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
-        comp = fit_compressor(MatFamily.diagonal_differences(4, (0, 1)), 2, 2, seed=1)
+        comp = fit_compressor(MatFamily.diagonal_differences(4, (0, 1)), 2, seed=1)
         with pytest.raises(SizeMismatchError):
             verify_compressor(comp, fam)
 
@@ -186,13 +195,13 @@ class TestVerify:
 class TestDiagonalFastPath:
     def test_apply_diag_matches_dense(self, rng):
         fam = MatFamily.diagonal_differences(4, (0, 1, 2))
-        comp = fit_compressor(fam, 2, 2, seed=13)
+        comp = fit_compressor(fam, 2, seed=13)
         for z in list(itertools.product(*fam.diag_values))[::7]:
             assert comp.apply_diag(z) == comp.apply(Mat.diag(z))
 
     def test_diagonal_apply_is_outer_product_sum(self):
         fam = MatFamily.diagonal_differences(3, (0, 1))
-        comp = fit_compressor(fam, 2, 2, seed=3)
+        comp = fit_compressor(fam, 2, seed=3)
         z = (1, -1, 1)
         total = Mat.zeros(2, 2)
         for i, zi in enumerate(z):
@@ -205,7 +214,7 @@ class TestDiagonalFastPath:
 class TestSerialization:
     def test_round_trip(self):
         fam = MatFamily.diagonal_differences(4, (0, 1))
-        comp = fit_compressor(fam, 2, 2, seed=19)
+        comp = fit_compressor(fam, 2, seed=19)
         back = Compressor.from_json(comp.to_json())
         assert back == comp
 
@@ -259,7 +268,7 @@ class TestFamilyWalkMatchesBruteForce:
         else:
             fam = MatFamily.diagonal_differences_multi(alphabets)
         n = len(alphabets)
-        fitted = fit_compressor(fam, 2, 2, seed=17)
+        fitted = fit_compressor(fam, 2, seed=17)
         zero_left = Compressor(
             left=Mat.zeros(2, n),
             right=fitted.right,
@@ -284,7 +293,7 @@ class TestFamilyWalkMatchesBruteForce:
     def test_retries_exhausted_member_really_violates(self):
         fam = MatFamily.diagonal_differences(3, (0, 1, 2))
         with pytest.raises(RetriesExhaustedError) as exc:
-            fit_compressor(fam, 2, 2, seed=3, max_retries=2, entry_range=0)
+            fit_compressor(fam, 2, seed=3, max_retries=2, entry_range=0)
         member = exc.value.member
         z = tuple(member["pattern"])
         patterns = list(itertools.product(range(-2, 3), repeat=3))

@@ -108,7 +108,7 @@ class TestEval:
         for q in (p, rankprob._compress_problem(wide, 2, seed=3)):
             for x in range(8):
                 for y in range(8):
-                    assert q.rank_of_pair(x, y) == rank_exact(q.a_map(x) - q.a_map(y))
+                    assert q.rank_fn(x, y) == rank_exact(q.a_map(x) - q.a_map(y))
 
     def test_g_table_must_be_boolean(self):
         with pytest.raises(ValueError):
@@ -203,8 +203,8 @@ class TestBoolCombine:
         for x in range(8):
             for y in range(8):
                 dense = rank_exact(combined.a_map(x) - combined.a_map(y))
-                split = weights[0] * lo.rank_of_pair(x, y) + weights[1] * hi.rank_of_pair(x, y)
-                assert dense == split == combined.rank_of_pair(x, y)
+                split = weights[0] * lo.rank_fn(x, y) + weights[1] * hi.rank_fn(x, y)
+                assert dense == split == combined.rank_fn(x, y)
 
     def test_normalization_of_oversized_maps(self):
         # order-1 problem carried by 3x3 matrices: maps must shrink to 1x1
@@ -256,7 +256,7 @@ class TestMonotoneDecompose:
             assert rep.dim == comb(2 * s, s)
             for x in range(16):
                 for y in range(16):
-                    assert rep.query(x, y) == (p.rank_of_pair(x, y) >= s)
+                    assert rep.query(x, y) == (p.rank_fn(x, y) >= s)
 
 
 class TestToSignRep:
@@ -484,7 +484,7 @@ class TestSerialization:
             dense = rank_exact(loaded.a_map(x) - loaded.a_map(y))
             assert loaded.rank_fn(x, y) == dense
             # the rank built from the certified identities, not eliminated
-            assert built.rank_of_pair(x, y) == dense
+            assert built.rank_fn(x, y) == dense
 
     def test_empty_table_loads(self):
         doc = problem_to_json(neq_inner())

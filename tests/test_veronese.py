@@ -5,23 +5,16 @@ from math import comb
 import pytest
 
 from hamrank import veronese
-from hamrank.errors import (
-    MissingFeatureError,
-    PatternViolationError,
-    RetriesExhaustedError,
-)
+from hamrank.errors import PatternViolationError, RetriesExhaustedError
 from hamrank.exact import Mat, det_exact
 from hamrank.veronese import (
-    MonomialForm,
     det_sum_terms,
     dot,
     hypercube_unit_embed,
     minor_embed,
-    poly_to_vectors,
     prove_det_sum,
     sq_dist,
-    unit_distance_form,
-    unit_point_features,
+    unit_distance_vector,
 )
 
 from .conftest import expansion_sign, random_mat
@@ -111,47 +104,6 @@ class TestDetSumProof:
             prove_det_sum(k)
 
 
-class TestPolyToVectors:
-    def worked_example_form(self):
-        # P(a, b) = a1^2 + b1^2 - a1*b1 + 3*a2*b2
-        return MonomialForm.build(
-            [
-                (1, {"a1": 2}, {}),
-                (1, {}, {"b1": 2}),
-                (-1, {"a1": 1}, {"b1": 1}),
-                (3, {"a2": 1}, {"b2": 1}),
-            ]
-        )
-
-    def test_worked_example_vectors(self):
-        form = self.worked_example_form()
-        assert form.dim == 4
-        a1, a2, b1, b2 = 5, -2, 3, 7
-        u, v = poly_to_vectors(
-            form, {"a1": a1, "a2": a2}, {"b1": b1, "b2": b2}
-        )
-        assert u == (a1 * a1, 1, -a1, 3 * a2)
-        assert v == (1, b1 * b1, b1, b2)
-        assert dot(u, v) == a1**2 + b1**2 - a1 * b1 + 3 * a2 * b2
-
-    def test_constant_polynomial(self):
-        form = MonomialForm.build([(1, {}, {})])
-        u, v = poly_to_vectors(form, {}, {})
-        assert u == (1,) and v == (1,)
-
-    def test_terms_merge_and_zero_coefficients_drop(self):
-        form = MonomialForm.build(
-            [(2, {"x": 1}, {}), (3, {"x": 1}, {}), (1, {"y": 1}, {}), (-1, {"y": 1}, {})]
-        )
-        assert form.dim == 1
-        assert form.terms[0][0] == 5
-
-    def test_missing_feature(self):
-        form = MonomialForm.build([(1, {"x": 1}, {})])
-        with pytest.raises(MissingFeatureError):
-            poly_to_vectors(form, {}, {})
-
-
 class TestUnitDistanceEmbedding:
     def test_axis_square(self):
         points = hypercube_unit_embed(2, seed=0, vectors=[(1, 0), (0, 1)])
@@ -181,14 +133,46 @@ class TestUnitDistanceEmbedding:
     def test_feeds_support_rep_of_not_distance_one(self):
         n = 4
         points = hypercube_unit_embed(n, seed=11)
-        form = unit_distance_form(2)
-        assert form.dim == 4
-        left = [unit_point_features(p, "left") for p in points]
-        right = [unit_point_features(p, "right") for p in points]
+        left = [unit_distance_vector(p, "left") for p in points]
+        right = [unit_distance_vector(p, "right") for p in points]
+        assert {len(u) for u in left + right} == {4}
         # dot vanishes exactly on Hamming-distance-1 pairs
         for x in range(1 << n):
             for y in range(1 << n):
-                u, v = poly_to_vectors(form, left[x], right[y])
-                value = dot(u, v)
+                value = dot(left[x], right[y])
                 assert (value == 0) == ((x ^ y).bit_count() == 1)
                 assert value == sq_dist(points[x], points[y]) - 1
+
+
+class TestUnitDistanceVector:
+    AXIS_SQUARE = [
+        ((0, 0), (-1, 1, 0, 0), (1, 0, 0, 0)),
+        ((1, 0), (0, 1, -2, 0), (1, 1, 1, 0)),
+        ((0, 1), (0, 1, 0, -2), (1, 1, 0, 1)),
+        ((1, 1), (1, 1, -2, -2), (1, 2, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("point,left,right", AXIS_SQUARE)
+    def test_axis_square_points(self, point, left, right):
+        assert unit_distance_vector(point, "left") == left
+        assert unit_distance_vector(point, "right") == right
+
+    def test_seeded_rational_point(self):
+        point = hypercube_unit_embed(2, seed=1)[1]
+        assert point == (Fraction(320845, 358933), Fraction(160908, 358933))
+        assert unit_distance_vector(point, "left") == (
+            0,
+            1,
+            Fraction(-641690, 358933),
+            Fraction(-321816, 358933),
+        )
+        assert unit_distance_vector(point, "right") == (
+            1,
+            1,
+            Fraction(320845, 358933),
+            Fraction(160908, 358933),
+        )
+
+    def test_bad_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be"):
+            unit_distance_vector((0, 0), "middle")
