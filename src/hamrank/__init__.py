@@ -14,7 +14,7 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .exact import Mat, block_diag, det_exact, minor, rank_exact
+from .exact import Mat, block_diag, det_exact, rank_exact
 from .compression import (
     Compressor,
     MatFamily,

@@ -251,25 +251,6 @@ def rank_exact(m: Mat) -> int:
     return bareiss(m.to_lists())[0]
 
 
-def minor(m: Mat, alpha: Iterable[int], beta: Iterable[int]) -> int:
-    """Determinant of the submatrix of ``m`` on rows alpha and columns beta.
-
-    ``minor(m, (), ()) == 1`` by the empty-minor convention, which the
-    determinant-of-sum expansion relies on globally.
-    """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if len(alpha) != len(beta):
-        raise SizeMismatchError(
-            f"minor needs |alpha| == |beta|, got {len(alpha)} and {len(beta)}"
-        )
-    if any(i < 0 or i >= m.rows for i in alpha):
-        raise SizeMismatchError(f"row set {alpha} out of range for {m.shape}")
-    if any(j < 0 or j >= m.cols for j in beta):
-        raise SizeMismatchError(f"column set {beta} out of range for {m.shape}")
-    return det_exact(m.submatrix(alpha, beta))
-
-
 def block_diag(blocks: Sequence[Mat]) -> Mat:
     """Block-diagonal assembly; rank is additive over the blocks."""
     total_r = sum(b.rows for b in blocks)

@@ -132,18 +132,6 @@ class SupportRep:
         }
 
 
-class _Memo(dict):
-    """An index -> value table filled on first lookup."""
-
-    def __init__(self, fn: Callable[[int], object]):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key: int) -> object:
-        value = self[key] = self._fn(key)
-        return value
-
-
 def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
     """The letters as ints; empty, repeated or non-integer letters are refused."""
     alphabet = tuple(map(int_from_json, alphabet))
@@ -155,17 +143,6 @@ def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
 def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
     """Index -> word, matching itertools.product enumeration order."""
     return nth_product(i, (alphabet,) * n)
-
-
-def indexed_words(n: int, alphabet: tuple[int, ...], mode: str):
-    """Index -> word in product order, for a sweep over the word domain.
-
-    Exhaustive mode lists every word up front; sample mode derives only the
-    drawn indices' words, on first lookup, and never enumerates the domain.
-    """
-    if mode == "exhaustive":
-        return list(itertools.product(alphabet, repeat=n))
-    return _Memo(lambda i: word_of_index(i, n, alphabet))
 
 
 def difference_classes(n: int, alphabet: Sequence[int]) -> Iterator[tuple[Word, Word]]:
@@ -278,14 +255,17 @@ def verify_support_rep(
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
     Exhaustive mode sweeps all |alphabet|^(2n) ordered pairs in product
-    order; sample mode draws seeded uniform ordered pairs.  The report is
-    deterministic for a given mode and seed.
+    order and embeds every word once, before the first row; sample mode
+    draws ``sample_count`` seeded uniform ordered pairs and embeds only the
+    drawn words; both come from the sweep's ``table``.  Either way
+    ``max_pairs`` bounds the pairs checked.  The report is deterministic
+    for a given mode and seed.
     """
     if rep.n is None or rep.k is None or rep.alphabet is None:
         raise ValueError("verification needs a Hamming-threshold representation")
     n, k, alphabet = rep.n, rep.k, rep.alphabet
 
-    def prepare():
+    def prepare(table):
         # one-hot letter codes: each differing position sets two bits of the xor
         a = len(alphabet)
         bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
@@ -293,14 +273,10 @@ def verify_support_rep(
         def code(w: Word) -> int:
             return sum(map(getitem, bits, w))
 
-        words = indexed_words(n, alphabet, mode)
-        if mode == "exhaustive":
-            # every vector is used: embed each once, before the first row
-            us, vs, codes = ([f(w) for w in words] for f in (rep.u, rep.v, code))
-        else:
-            us, vs, codes = (
-                _Memo(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v, code)
-            )
+        words = table(lambda i: word_of_index(i, n, alphabet))
+        us, vs, codes = (
+            table(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v, code)
+        )
         need = 2 * k
 
         def bad_cols(i: int, cols) -> list[int]:
@@ -366,7 +342,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     def bad_cols(i: int, js) -> list[int]:
         return [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
 
-    result = sweep(len(rows), lambda: bad_cols)
+    result = sweep(len(rows), lambda table: bad_cols)
     if not result.certified:
         i, j = result.violations[0]
         raise PatternViolationError(

@@ -23,9 +23,9 @@ from .hamming import (
     build_hd_supp,
     dist,
     identity_certificate,
-    indexed_words,
     load_supp,
     verify_support_rep,
+    word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
 from .parallel import sweep
@@ -349,8 +349,8 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
 
-    def prepare():
-        words = indexed_words(n, alphabet, config.verify_mode)
+    def prepare(table):
+        words = table(lambda i: word_of_index(i, n, alphabet))
 
         def bad_cols(i: int, cols) -> list[int]:
             x = words[i]
@@ -392,17 +392,21 @@ def _check_semantics(
     problem: RankProblem, spec: CompositionSpec, config: RunConfig, report: Report
 ) -> None:
     """Compare every pair's evaluation with the composition semantics."""
-    tuples = [spec.tuple_of(x) for x in range(problem.index_count)]
 
-    def bad_cols(x: int, cols) -> list[int]:
-        tx = tuples[x]
-        return [
-            y
-            for y in cols
-            if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
-        ]
+    def prepare(table):
+        tuples = table(spec.tuple_of)
 
-    result = sweep(len(tuples), lambda: bad_cols, max_pairs=config.max_pairs)
+        def bad_cols(x: int, cols) -> list[int]:
+            tx = tuples[x]
+            return [
+                y
+                for y in cols
+                if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
+            ]
+
+        return bad_cols
+
+    result = sweep(problem.index_count, prepare, max_pairs=config.max_pairs)
     report.verification = {
         "pairs_checked": result.pairs_checked,
         "violation_count": result.violation_count,

@@ -54,9 +54,21 @@ class SweepReport:
         }
 
 
+class _Memo(dict):
+    """An index -> value table filled on first lookup."""
+
+    def __init__(self, fn: Callable[[int], object]):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self._fn(key)
+        return value
+
+
 def sweep(
     count: int,
-    prepare: Callable[[], Callable[[int, Sequence[int]], list[int]]],
+    prepare: Callable[[Callable], Callable[[int, Sequence[int]], list[int]]],
     mode: str = "exhaustive",
     sample_count: int | None = None,
     rng: random.Random | None = None,
@@ -64,25 +76,23 @@ def sweep(
 ) -> SweepReport:
     """Check ordered index pairs (i, j) of range(count) x range(count).
 
-    ``prepare()`` runs once, after the budget check, and returns the row
-    check ``bad_cols(i, cols)``: the columns j of ``cols``, in order, at
-    which pair (i, j) fails.  Exhaustive mode checks every row against all
-    columns, after refusing grids over ``max_pairs``; sample mode draws
-    ``sample_count`` pairs from ``rng``, row index first, and checks each
-    as a one-column row.  The report counts every failure and keeps the
-    first ``REPORT_CAP`` failing (i, j) pairs in pair order.
+    ``prepare(table)`` runs once, after the budget check, and returns the
+    row check ``bad_cols(i, cols)``: the columns j of ``cols``, in order, at
+    which pair (i, j) fails.  ``table(f)`` is how the check tabulates its
+    per-index data: in exhaustive mode it is the list of f(i) for every
+    index, in sample mode a table that computes f(i) on first lookup, so
+    only drawn indices cost anything.  Exhaustive mode checks every row
+    against all columns, after refusing grids over ``max_pairs``; sample
+    mode refuses a ``sample_count`` over ``max_pairs``, then draws that
+    many pairs from ``rng``, row index first, and checks each as a
+    one-column row.  The report counts every failure and keeps the first
+    ``REPORT_CAP`` failing (i, j) pairs in pair order.
     """
     if mode == "sample":
         if not sample_count or sample_count < 1:
             raise InputError("sample mode needs a positive sample_count")
-    elif mode != "exhaustive":
-        raise InputError(f"unknown mode {mode!r}")
-    else:
-        check_pairs(
-            count * count, max_pairs, "; rerun in sample mode with an explicit count"
-        )
-    bad_cols = prepare()
-    if mode == "sample":
+        check_pairs(sample_count, max_pairs, "; draw fewer sample pairs")
+        bad_cols = prepare(_Memo)
         bad = 0
         violations = []
         for _ in range(sample_count):
@@ -93,7 +103,12 @@ def sweep(
                 if len(violations) < REPORT_CAP:
                     violations.append((i, j))
         return SweepReport(sample_count, bad, tuple(violations), mode)
-
+    if mode != "exhaustive":
+        raise InputError(f"unknown mode {mode!r}")
+    check_pairs(
+        count * count, max_pairs, "; rerun in sample mode with an explicit count"
+    )
+    bad_cols = prepare(lambda f: [f(i) for i in range(count)])
     cols = range(count)
 
     def scan_row(i: int) -> tuple[int, list[int]]:

@@ -273,9 +273,7 @@ def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
     return SupportRep(q.a_map, threshold, f"rank>={threshold}", seed=seed)
 
 
-def to_sign_rep(
-    p: RankProblem, seed: int = 0, gamma_mode: str = "exact_scan"
-) -> SignRep:
+def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:
     """Compile a rank problem to a verified structured sign representation.
 
     A binary search on rank(A(x) - A(y)), capped at the order, decides g:
@@ -298,7 +296,7 @@ def to_sign_rep(
             child1=search(mid, hi),
         )
 
-    return compile_tree(search(0, p.order), range(p.index_count), p.eval, gamma_mode)
+    return compile_tree(search(0, p.order), range(p.index_count), p.eval)
 
 
 # -------------------------------------------------------------------
@@ -613,14 +611,12 @@ def problem_from_json(doc: dict) -> RankProblem:
     return RankProblem(count, a_tab.__getitem__, g, rank_fn, doc.get("name", ""))
 
 
-def spec_to_json(spec: CompositionSpec, max_entries: int = 2_000_000) -> dict:
+def spec_to_json(spec: CompositionSpec) -> dict:
     return {
         "schema": "hamrank-compspec/1",
         "r": spec.r,
         "h": list(spec.h),
-        "inners": [
-            {"problem": problem_to_json(p, max_entries)} for p in spec.inners
-        ],
+        "inners": [{"problem": problem_to_json(p)} for p in spec.inners],
     }
 
 

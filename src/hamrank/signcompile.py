@@ -263,25 +263,15 @@ def _compile(tree: OracleTree, domain, gamma_mode: str, pairs) -> SignRep:
 # -------------------------------------------------------------------
 
 
-def _u_row(rep: SignRep, x) -> list[int]:
+def _row(rep: SignRep, w, side: str) -> list[int]:
+    """Row w of the U factor (side "u") or of the V factor (side "v")."""
     if isinstance(rep, ConstLeaf):
-        return [rep.sign]
-    row1 = _u_row(rep.rep1, x)
-    u = rep.oracle.u(x)
-    row0 = _u_row(rep.rep0, x)
-    g = rep.gamma
-    tail = [g * ui * uj * c for ui in u for uj in u for c in row0]
-    return row1 + tail
-
-
-def _v_row(rep: SignRep, y) -> list[int]:
-    if isinstance(rep, ConstLeaf):
-        return [1]
-    row1 = _v_row(rep.rep1, y)
-    v = rep.oracle.v(y)
-    row0 = _v_row(rep.rep0, y)
-    tail = [vi * vj * c for vi in v for vj in v for c in row0]
-    return row1 + tail
+        return [rep.sign if side == "u" else 1]
+    row1 = _row(rep.rep1, w, side)
+    s = rep.oracle.u(w) if side == "u" else rep.oracle.v(w)
+    row0 = _row(rep.rep0, w, side)
+    g = rep.gamma if side == "u" else 1
+    return row1 + [g * si * sj * c for si in s for sj in s for c in row0]
 
 
 def materialize(
@@ -299,8 +289,8 @@ def materialize(
         raise BudgetExceededError(
             f"materializing dimension {rep.dim} exceeds the budget {max_dim}"
         )
-    u_rows = [_u_row(rep, x) for x in indices]
-    v_rows = [_v_row(rep, y) for y in indices]
+    u_rows = [_row(rep, x, "u") for x in indices]
+    v_rows = [_row(rep, y, "v") for y in indices]
     dim = rep.dim
     if any(len(r) != dim for r in u_rows) or any(len(r) != dim for r in v_rows):
         raise SizeMismatchError("materialized row length disagrees with dim")

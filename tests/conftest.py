@@ -101,21 +101,39 @@ def rng() -> random.Random:
     return random.Random(20240817)
 
 
-@pytest.fixture
-def flipped_det_sum_sign(monkeypatch):
-    """Flip the sign of the full-minor term of every det-sum expansion.
+def _mutated_det_sum_terms(monkeypatch, mutate):
+    """Serve ``mutate(terms)`` for every det-sum expansion.
 
     The proof cache is emptied on both sides, so the broken expansion is
     proved afresh and no result outlives the patch.
     """
     real = veronese.det_sum_terms
-
-    def flipped(k):
-        *rest, last = real(k)
-        return (*rest, dataclasses.replace(last, sign=-last.sign))
-
     veronese.prove_det_sum.cache_clear()
-    monkeypatch.setattr(veronese, "det_sum_terms", flipped)
+    monkeypatch.setattr(veronese, "det_sum_terms", lambda k: mutate(real(k)))
     yield
     monkeypatch.undo()
     veronese.prove_det_sum.cache_clear()
+
+
+@pytest.fixture
+def flipped_det_sum_sign(monkeypatch):
+    """Flip the sign of the full-minor term of every det-sum expansion."""
+
+    def flip(terms):
+        *rest, last = terms
+        return (*rest, dataclasses.replace(last, sign=-last.sign))
+
+    yield from _mutated_det_sum_terms(monkeypatch, flip)
+
+
+@pytest.fixture
+def swapped_det_sum_term(monkeypatch):
+    """Swap alpha and beta in the first term where they differ (k >= 2)."""
+
+    def swap(terms):
+        i = next(i for i, t in enumerate(terms) if t.alpha != t.beta)
+        t = terms[i]
+        swapped = dataclasses.replace(t, alpha=t.beta, beta=t.alpha)
+        return (*terms[:i], swapped, *terms[i + 1 :])
+
+    yield from _mutated_det_sum_terms(monkeypatch, swap)

@@ -9,7 +9,6 @@ from hamrank.exact import (
     Mat,
     block_diag,
     det_exact,
-    minor,
     pattern_blocks,
     rank_exact,
 )
@@ -118,26 +117,6 @@ class TestRank:
     def test_zero_and_empty(self):
         assert rank_exact(Mat.zeros(3, 3)) == 0
         assert rank_exact(Mat.zeros(0, 5)) == 0
-
-
-class TestMinor:
-    def test_empty_minor_is_one(self, rng):
-        assert minor(random_mat(rng, 3, 3), (), ()) == 1
-
-    def test_identity_submatrix(self):
-        assert minor(Mat.identity(3), (0, 1), (0, 1)) == 1
-
-    def test_full_minor_equals_det(self, rng):
-        m = random_mat(rng, 4, 4)
-        assert minor(m, range(4), range(4)) == det_exact(m)
-
-    def test_size_mismatch(self, rng):
-        with pytest.raises(SizeMismatchError):
-            minor(random_mat(rng, 3, 3), (0, 1), (0,))
-
-    def test_out_of_range(self, rng):
-        with pytest.raises(SizeMismatchError):
-            minor(random_mat(rng, 2, 2), (0, 2), (0, 1))
 
 
 class TestBlockDiag:

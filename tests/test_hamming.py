@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamrank.errors import PatternViolationError
+from hamrank.errors import BudgetExceededError, PatternViolationError
 from hamrank.exact import Mat, det_exact
 from hamrank.hamming import (
     SupportRep,
@@ -19,6 +19,7 @@ from hamrank.hamming import (
     load_supp,
     verify_support_rep,
 )
+from hamrank.parallel import sweep
 from hamrank.seeds import rng_stream
 from hamrank.veronese import minor_embed
 
@@ -167,6 +168,20 @@ class TestVerify:
         rep = build_hd_supp(4, 1, seed=1)
         with pytest.raises(BudgetExceededError):
             verify_support_rep(rep, max_pairs=100)
+
+    def test_sample_budget_counts_drawn_pairs(self):
+        rep = build_hd_supp(4, 1, seed=1)
+        report = verify_support_rep(rep, mode="sample", sample_count=100, max_pairs=100)
+        assert report.certified and report.pairs_checked == 100
+        with pytest.raises(BudgetExceededError, match="^101 pairs exceed"):
+            verify_support_rep(rep, mode="sample", sample_count=101, max_pairs=100)
+
+    def test_sample_budget_is_checked_before_the_table_is_built(self):
+        def prepare(table):
+            raise AssertionError("prepared over budget")
+
+        with pytest.raises(BudgetExceededError):
+            sweep(4, prepare, "sample", 10**20, random.Random(0), max_pairs=1 << 24)
 
     def test_ternary_exhaustive(self):
         rep = build_hd_supp(3, 2, (0, 1, 2), seed=4)

@@ -3,6 +3,7 @@ import itertools
 import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hamrank.cli import main
 from hamrank.harness import CSV_COLUMNS, RunConfig, run
 from hamrank.seeds import seed_stream
+from hamrank.veronese import minor_embed
 
 
 def weights_supp_doc(n):
@@ -701,6 +703,13 @@ class TestCli:
             return product(*iterables, repeat=repeat)
 
         monkeypatch.setattr(itertools, "product", guarded)
+        embedded = Counter()
+
+        def counting(m, side):
+            embedded[side] += 1
+            return minor_embed(m, side)
+
+        monkeypatch.setattr("hamrank.hamming.minor_embed", counting)
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps(doc))
         report = tmp_path / "v.report.json"
@@ -709,6 +718,27 @@ class TestCli:
         verification = json.loads(report.read_text())["verification"]
         assert verification["pairs_checked"] == 200
         assert verification["violation_count"] == 0
+        assert sum(embedded.values()) <= 2 * 200
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [("verify-supp", weights_supp_doc(40)), ("verify-sign", equality_sign_doc(40))],
+    )
+    def test_cli_sample_count_is_held_to_the_pair_budget(
+        self, tmp_path, monkeypatch, command, doc
+    ):
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "300")
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(doc))
+
+        def sample(count):
+            return [command, str(rep), "--mode", f"sample:{count}"]
+
+        report = tmp_path / "v.report.json"
+        assert main(sample(300) + ["--report", str(report)]) == 0
+        assert json.loads(report.read_text())["verification"]["pairs_checked"] == 300
+        error = self.failed_report(tmp_path, sample(301))
+        assert error.startswith("BudgetExceededError: 301 pairs exceed")
 
     @pytest.mark.parametrize(
         "name",

@@ -283,7 +283,7 @@ ACCEPTANCE_GRID = [
 
 class TestDifferenceClassCompile:
     @pytest.mark.parametrize("gamma_mode", ["exact_scan", "norm_bound"])
-    @pytest.mark.parametrize("n,k,alphabet", ACCEPTANCE_GRID)
+    @pytest.mark.parametrize("n,k,alphabet", ACCEPTANCE_GRID + [(4, 3, (0, 1))])
     def test_classes_give_the_pair_path_rep(self, n, k, alphabet, gamma_mode):
         rep = build_hd_sign(n, k, seed=n, gamma_mode=gamma_mode, alphabet=alphabet)
         domain = list(itertools.product(alphabet, repeat=n))

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -17,7 +18,7 @@ from hamrank.veronese import (
     unit_distance_vector,
 )
 
-from .conftest import expansion_sign, random_mat
+from .conftest import det_cofactor, expansion_sign, random_mat
 
 
 class TestDetSumTerms:
@@ -87,18 +88,55 @@ class TestMinorEmbed:
         with pytest.raises(ValueError):
             minor_embed(Mat.identity(2), "middle")
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_coordinates_match_cofactor_minors(self, k):
+        # canonical term order: by size, then alpha, then beta, lexicographic
+        pairs = [
+            (alpha, beta)
+            for size in range(k + 1)
+            for alpha in itertools.combinations(range(k), size)
+            for beta in itertools.combinations(range(k), size)
+        ]
+        rng = random.Random(700 + k)
+        for _ in range(3):
+            a = random_mat(rng, k, k)
+            left = [
+                expansion_sign(alpha, beta, k) * det_cofactor(a.submatrix(alpha, beta))
+                for alpha, beta in pairs
+            ]
+            right = [
+                det_cofactor(
+                    a.submatrix(
+                        [i for i in range(k) if i not in alpha],
+                        [j for j in range(k) if j not in beta],
+                    )
+                )
+                for alpha, beta in pairs
+            ]
+            assert minor_embed(a, "left") == tuple(left)
+            assert minor_embed(a, "right") == tuple(right)
+            # the empty term is 1 on the left; its complement is det(A)
+            assert left[0] == 1 and right[0] == det_exact(a)
+
 
 class TestDetSumProof:
-    @pytest.mark.parametrize("k,points", [(1, 3), (2, 37), (3, 988)])
-    def test_checks_every_point_with_at_most_k_ones(self, k, points):
-        # 0/1 points of 2k^2 entries with at most k ones
-        assert points == sum(comb(2 * k * k, ones) for ones in range(k + 1))
+    @pytest.mark.parametrize("k,points", [(1, 3), (2, 17), (3, 139), (4, 1473)])
+    def test_checks_every_rook_point(self, k, points):
+        # partial rook placements of s cells, each cell given to A or to B
+        assert points == sum(comb(k, s) * perm(k, s) * 2**s for s in range(k + 1))
         veronese.prove_det_sum.cache_clear()
         assert prove_det_sum(k) == points
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_a_flipped_sign_is_caught_with_k_and_the_point(
         self, k, flipped_det_sum_sign
+    ):
+        with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
+            prove_det_sum(k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_term_with_alpha_and_beta_swapped_is_caught(
+        self, k, swapped_det_sum_term
     ):
         with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
             prove_det_sum(k)
