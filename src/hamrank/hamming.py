@@ -13,7 +13,10 @@ Diag(word) to k x k; the vectors have dimension C(2k, k) and
 valid over any finite integer alphabet.  Construction certifies itself
 through the compressor's exhaustive family verification; an independent
 exhaustive (or sampled) pair check and an explicit identity-submatrix
-certificate for the 2^k lower bound are provided on top.
+certificate for the 2^k lower bound are provided on top.  The exhaustive
+pair check packs the right embeddings column by column into big integers,
+with a slot width taken from the largest entries, so a row of |A|^n pairs
+costs one exact multiply-add per coordinate (``_packed_rows``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
 )
 from .exact import Mat, int_from_json, ints_from_json
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import SweepReport, sweep
+from .parallel import REPORT_CAP, SweepReport, sweep
 from .seeds import rng_stream, seed_stream
 from .veronese import minor_embed
 
@@ -245,6 +248,94 @@ def _violation(x: Word, y: Word, value: int, expected: bool) -> dict:
     }
 
 
+def near_indices(i: int, n: int, size: int, k: int) -> list[int]:
+    """The indices of the words at distance < k from word ``i``.
+
+    Words of length ``n`` over ``size`` letters are numbered in
+    ``word_of_index`` order, so letter positions are base-``size`` digits,
+    the first position most significant.  A word at distance t arises once:
+    from the t positions where it differs and one other digit at each.  The
+    list is empty at k = 0 and holds every index once k > n.
+    """
+    steps = []  # per position, the index changes that move it to another letter
+    for p in range(n):
+        place = size ** (n - 1 - p)
+        digit = i // place % size
+        steps.append([(e - digit) * place for e in range(size) if e != digit])
+    near = []
+    for t in range(min(k, n + 1)):
+        for chosen in itertools.combinations(steps, t):
+            near.extend(i + sum(step) for step in itertools.product(*chosen))
+    return near
+
+
+def _packed_rows(
+    us: Sequence[Sequence[int]],
+    vs: Sequence[Sequence[int]],
+    near: Callable[[int], list[int]],
+) -> Callable[[int, Sequence[int]], tuple[int, list[int]]]:
+    """The exhaustive row check of <us[i], vs[j]> != 0 iff j not in near(i).
+
+    Each coordinate column of ``vs`` is packed once into one integer
+    P_c = sum_j vs[j][c] 2^(jW), so row i is the single integer
+    S = bias R + sum_c us[i][c] P_c with R = sum_j 2^(jW): a multiply-add per
+    coordinate.  The slot width W comes from the data, never assumed:
+    bias = 1 + sum_c max_i |us[i][c]| max_j |vs[j][c]| bounds every |dot| by
+    bias - 1, and W = bitlen(2 bias) + 1, rounded up to whole bytes, puts
+    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S in base 2^W
+    are therefore exactly those slots, and xoring out bias R and adding
+    2^(W-1) - 1 to each slot sets its top bit exactly where the dot is
+    nonzero, without a carry between slots.  This is an integer identity:
+    no modulus and no fallback.  The truth sets every top bit except those
+    of ``near(i)``; the row's failures are the set bits of the xor of the
+    two, counted by popcount; only the first ``REPORT_CAP`` are turned back
+    into columns, from the top byte of each slot.
+
+    The check takes whole rows: its ``cols`` is always the
+    ``range(len(vs))`` an exhaustive ``sweep`` passes, and is not read.
+    """
+    count = len(vs)
+    u_max = [max(map(abs, col)) for col in zip(*us)]
+    v_max = [max(map(abs, col)) for col in zip(*vs)]
+    bias = 1 + sum(map(mul, u_max, v_max))
+    width = ((2 * bias).bit_length() + 8) // 8  # slot bytes, W = 8 width bits
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+    packed = []
+    for weight, off, col in zip(u_max, v_max, zip(*vs)):
+        if not weight:
+            # no row weighs this column, and bias does not bound its entries
+            packed.append(0)
+            continue
+        # shifted by off >= 0, each entry packs as unsigned bytes, below 2 bias
+        data = b"".join((c + off).to_bytes(width, "little") for c in col)
+        packed.append(int.from_bytes(data, "little") - off * ones)
+    base = bias * ones
+    low = ((1 << (8 * width - 1)) - 1) * ones
+    tops = low + ones
+
+    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+        s = base
+        for c, p in zip(us[i], packed):
+            if c:
+                s += c * p
+        nonzero = ((s ^ base) + low) & tops
+        ball = bytearray(count * width)
+        for j in near(i):
+            ball[j * width + width - 1] = 0x80
+        diff = nonzero ^ tops ^ int.from_bytes(ball, "little")
+        if not diff:
+            return 0, []
+        flags = diff.to_bytes(count * width, "little")[width - 1 :: width]
+        first = []
+        j = flags.find(0x80)
+        while j >= 0 and len(first) < REPORT_CAP:
+            first.append(j)
+            j = flags.find(0x80, j + 1)
+        return diff.bit_count(), first
+
+    return check
+
+
 def verify_support_rep(
     rep: SupportRep,
     mode: str = "exhaustive",
@@ -255,43 +346,44 @@ def verify_support_rep(
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
     Exhaustive mode sweeps all |alphabet|^(2n) ordered pairs in product
-    order and embeds every word once, before the first row; sample mode
-    draws ``sample_count`` seeded uniform ordered pairs and embeds only the
-    drawn words; both come from the sweep's ``table``.  Either way
-    ``max_pairs`` bounds the pairs checked.  The report is deterministic
-    for a given mode and seed.
+    order and embeds every word once, before the first row; each row is
+    checked by ``_packed_rows``, one big-integer multiply-add per
+    coordinate against the packed columns, with the Hamming ball of radius
+    k - 1 as ground truth.  Sample mode draws ``sample_count`` seeded
+    uniform ordered pairs, embeds only the drawn words and checks each pair
+    by its own dot product and letter codes.  Both tabulate through the
+    sweep's ``table``, and either way ``max_pairs`` bounds the pairs
+    checked.  The report is deterministic for a given mode and seed.
     """
     if rep.n is None or rep.k is None or rep.alphabet is None:
         raise ValueError("verification needs a Hamming-threshold representation")
     n, k, alphabet = rep.n, rep.k, rep.alphabet
+    a = len(alphabet)
 
     def prepare(table):
-        # one-hot letter codes: each differing position sets two bits of the xor
-        a = len(alphabet)
-        bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
-
-        def code(w: Word) -> int:
-            return sum(map(getitem, bits, w))
-
         words = table(lambda i: word_of_index(i, n, alphabet))
-        us, vs, codes = (
-            table(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v, code)
-        )
+        us, vs = (table(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v))
+        if mode == "exhaustive":
+            return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
+        # one-hot letter codes: each differing position sets two bits of the xor
+        bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
+        codes = table(lambda i: sum(map(getitem, bits, words[i])))
         need = 2 * k
 
-        def bad_cols(i: int, cols) -> list[int]:
+        def check(i: int, cols) -> tuple[int, list[int]]:
             ui, ci = us[i], codes[i]
-            return [
+            bad = [
                 j
                 for j in cols
                 if (sum(map(mul, ui, vs[j])) != 0)
                 != ((ci ^ codes[j]).bit_count() >= need)
             ]
+            return len(bad), bad[:REPORT_CAP]
 
-        return bad_cols
+        return check
 
     result = sweep(
-        len(alphabet) ** n,
+        a**n,
         prepare,
         mode,
         sample_count,
@@ -339,10 +431,11 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         flipped = tuple(hi if b == lo else lo for b in bits)
         cols.append(flipped + (lo,) * (n - k))
 
-    def bad_cols(i: int, js) -> list[int]:
-        return [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
+    def check(i: int, js) -> tuple[int, list[int]]:
+        bad = [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
+        return len(bad), bad[:REPORT_CAP]
 
-    result = sweep(len(rows), lambda table: bad_cols)
+    result = sweep(len(rows), lambda table: check)
     if not result.certified:
         i, j = result.violations[0]
         raise PatternViolationError(

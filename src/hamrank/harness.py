@@ -28,7 +28,7 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import sweep
+from .parallel import REPORT_CAP, sweep
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -352,15 +352,16 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     def prepare(table):
         words = table(lambda i: word_of_index(i, n, alphabet))
 
-        def bad_cols(i: int, cols) -> list[int]:
+        def check(i: int, cols) -> tuple[int, list[int]]:
             x = words[i]
-            return [
+            bad = [
                 j
                 for j in cols
                 if eval_sign(rep, x, words[j]) != (1 if dist(x, words[j]) == k else -1)
             ]
+            return len(bad), bad[:REPORT_CAP]
 
-        return bad_cols
+        return check
 
     result = sweep(
         len(alphabet) ** n,
@@ -396,15 +397,16 @@ def _check_semantics(
     def prepare(table):
         tuples = table(spec.tuple_of)
 
-        def bad_cols(x: int, cols) -> list[int]:
+        def check(x: int, cols) -> tuple[int, list[int]]:
             tx = tuples[x]
-            return [
+            bad = [
                 y
                 for y in cols
                 if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
             ]
+            return len(bad), bad[:REPORT_CAP]
 
-        return bad_cols
+        return check
 
     result = sweep(problem.index_count, prepare, max_pairs=config.max_pairs)
     report.verification = {

@@ -2,7 +2,8 @@
 
 Every certificate that compares a construction with ground truth pair by
 pair runs through ``sweep``.  The caller supplies one check per row that
-evaluates a whole row in one pass; the core owns the budget check, the
+evaluates a whole row in one pass and returns its failure count with its
+first failing columns; the core owns the budget check, the
 exhaustive/sample dispatch, the row scan and the capped violation sample.
 Rows run in index order, in the calling thread.
 """
@@ -68,7 +69,7 @@ class _Memo(dict):
 
 def sweep(
     count: int,
-    prepare: Callable[[Callable], Callable[[int, Sequence[int]], list[int]]],
+    prepare: Callable[[Callable], Callable[[int, Sequence[int]], tuple[int, list]]],
     mode: str = "exhaustive",
     sample_count: int | None = None,
     rng: random.Random | None = None,
@@ -77,28 +78,31 @@ def sweep(
     """Check ordered index pairs (i, j) of range(count) x range(count).
 
     ``prepare(table)`` runs once, after the budget check, and returns the
-    row check ``bad_cols(i, cols)``: the columns j of ``cols``, in order, at
-    which pair (i, j) fails.  ``table(f)`` is how the check tabulates its
-    per-index data: in exhaustive mode it is the list of f(i) for every
-    index, in sample mode a table that computes f(i) on first lookup, so
-    only drawn indices cost anything.  Exhaustive mode checks every row
-    against all columns, after refusing grids over ``max_pairs``; sample
-    mode refuses a ``sample_count`` over ``max_pairs``, then draws that
-    many pairs from ``rng``, row index first, and checks each as a
-    one-column row.  The report counts every failure and keeps the first
-    ``REPORT_CAP`` failing (i, j) pairs in pair order.
+    row check ``check(i, cols)``.  It returns ``(bad_count, first_bad)``:
+    how many columns j of ``cols`` fail at pair (i, j), and the first
+    ``REPORT_CAP`` of them in order, so a row of millions of failures is
+    never listed whole.  ``table(f)`` is how
+    the check tabulates its per-index data: in exhaustive mode it is the
+    list of f(i) for every index, in sample mode a table that computes
+    f(i) on first lookup, so only drawn indices cost anything.  Exhaustive
+    mode refuses grids over ``max_pairs``, then checks each row i once,
+    with ``cols`` the whole row ``range(count)``; sample mode refuses a
+    ``sample_count`` over ``max_pairs``, then draws that many pairs from
+    ``rng``, row index first, and checks each as a one-column row.  The
+    report counts every failure and keeps the first ``REPORT_CAP``
+    failing (i, j) pairs in pair order.
     """
     if mode == "sample":
         if not sample_count or sample_count < 1:
             raise InputError("sample mode needs a positive sample_count")
         check_pairs(sample_count, max_pairs, "; draw fewer sample pairs")
-        bad_cols = prepare(_Memo)
+        check = prepare(_Memo)
         bad = 0
         violations = []
         for _ in range(sample_count):
             i = rng.randrange(count)
             j = rng.randrange(count)
-            if bad_cols(i, (j,)):
+            if check(i, (j,))[0]:
                 bad += 1
                 if len(violations) < REPORT_CAP:
                     violations.append((i, j))
@@ -108,16 +112,11 @@ def sweep(
     check_pairs(
         count * count, max_pairs, "; rerun in sample mode with an explicit count"
     )
-    bad_cols = prepare(lambda f: [f(i) for i in range(count)])
+    check = prepare(lambda f: [f(i) for i in range(count)])
     cols = range(count)
-
-    def scan_row(i: int) -> tuple[int, list[int]]:
-        row = bad_cols(i, cols)
-        return len(row), row[:REPORT_CAP]
-
     bad = 0
     violations = []
-    for i, (row_bad, row_cols) in enumerate(map_rows(scan_row, count)):
+    for i, (row_bad, row_cols) in enumerate(map_rows(lambda i: check(i, cols), count)):
         bad += row_bad
         violations.extend((i, j) for j in row_cols[: REPORT_CAP - len(violations)])
     return SweepReport(count * count, bad, tuple(violations), mode)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 determinant oracle is cofactor expansion, the rank oracle enumerates
-minors, and the expansion-sign oracle counts permutation inversions.
+minors, the expansion-sign oracle counts permutation inversions, and the
+support-rep sweep oracle checks one dot product per ordered pair.
 Expected values asserted in tests come from these, not from the code
 under test.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -60,6 +62,40 @@ def brute_rank(m: Mat) -> int:
 def hamming(x, y) -> int:
     assert len(x) == len(y)
     return sum(1 for a, b in zip(x, y) if a != b)
+
+
+def pair_reference_report(rep) -> dict:
+    """The exhaustive ``verify_support_rep(rep).to_json()``, pair by pair.
+
+    Every ordered pair of words, in product order, is checked by its own
+    dot product of the rep's embeddings against dist(x, y) >= k; the first
+    32 failures are kept as records.
+    """
+    words = list(itertools.product(rep.alphabet, repeat=rep.n))
+    bad = 0
+    records = []
+    for x in words:
+        for y in words:
+            dot = sum(map(mul, rep.u(x), rep.v(y)))
+            far = hamming(x, y) >= rep.k
+            if (dot != 0) != far:
+                bad += 1
+                if len(records) < 32:
+                    records.append(
+                        {
+                            "x": list(x),
+                            "y": list(y),
+                            "dot": str(dot),
+                            "expected_nonzero": far,
+                        }
+                    )
+    return {
+        "pairs_checked": len(words) ** 2,
+        "violation_count": bad,
+        "violations": records,
+        "mode": "exhaustive",
+        "certified": bad == 0,
+    }
 
 
 def expansion_sign(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> int:

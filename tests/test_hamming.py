@@ -5,9 +5,10 @@ from dataclasses import replace
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hamrank.compression import Compressor
 from hamrank.errors import BudgetExceededError, PatternViolationError
 from hamrank.exact import Mat, det_exact
 from hamrank.hamming import (
@@ -17,25 +18,33 @@ from hamrank.hamming import (
     dist,
     identity_certificate,
     load_supp,
+    near_indices,
     verify_support_rep,
+    word_of_index,
 )
 from hamrank.parallel import sweep
 from hamrank.seeds import rng_stream
 from hamrank.veronese import minor_embed
 
-from .conftest import hamming
+from .conftest import hamming, pair_reference_report
 
 
 def all_words(n, alphabet=(0, 1)):
     return list(itertools.product(alphabet, repeat=n))
 
 
-def zeroed(rep: SupportRep) -> SupportRep:
-    """Same rep with the compressor's left factor nulled out."""
-    comp = replace(rep.compressor, left=Mat.zeros(*rep.compressor.left.shape))
+def with_left(rep: SupportRep, entries) -> SupportRep:
+    """Same rep with the compressor's left factor entries replaced."""
+    left = Mat(*rep.compressor.left.shape, tuple(entries))
+    comp = replace(rep.compressor, left=left)
     return SupportRep.of_compressor(
         comp, rep.predicate, rep.n, rep.k, rep.alphabet, rep.seed
     )
+
+
+def zeroed(rep: SupportRep) -> SupportRep:
+    """Same rep with the compressor's left factor nulled out."""
+    return with_left(rep, [0] * len(rep.compressor.left.entries))
 
 
 class TestBuild:
@@ -201,6 +210,99 @@ class TestVerify:
         assert verify_support_rep(rep).violation_count == 176
         verify_support_rep(rep)
         assert calls == {"left": 2**4, "right": 2**4}
+
+
+def hand_rep(n, k, alphabet, left, right) -> SupportRep:
+    """The rep of a hand-built compressor with k x n factors."""
+    comp = Compressor(
+        left=Mat(k, n, tuple(left)),
+        right=Mat(k, n, tuple(right)),
+        seed=0,
+        verified=False,
+    )
+    return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, None)
+
+
+WIDE = 1 << 200
+
+
+@st.composite
+def wide_reps(draw):
+    """Hand-built reps whose entries reach 2^200, so dots pass 400 bits."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    alphabet = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    entries = st.lists(st.integers(-WIDE, WIDE), min_size=k * n, max_size=k * n)
+    return hand_rep(n, k, tuple(alphabet), draw(entries), draw(entries))
+
+
+class TestPackedSweep:
+    """The packed row kernel against the pair-by-pair reference."""
+
+    @pytest.mark.parametrize(
+        "n,k", [(1, 1), (3, 1), (8, 1), (2, 2), (5, 2), (8, 2), (3, 3), (6, 3), (8, 3)]
+    )
+    def test_binary_matches_reference(self, n, k):
+        rep = build_hd_supp(n, k, seed=n + k)
+        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+
+    @pytest.mark.parametrize("n,k,alphabet", [(5, 2, (0, 1, 2)), (4, 2, (-1, 0, 3))])
+    def test_wider_alphabets_match_reference(self, n, k, alphabet):
+        rep = build_hd_supp(n, k, alphabet, seed=3)
+        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+
+    def test_broken_reps_match_reference(self):
+        fitted = build_hd_supp(6, 2, seed=2)
+        entries = list(fitted.compressor.left.entries)
+        entries[0] = entries[4] = 0
+        broken = [
+            zeroed(build_hd_supp(6, 2, seed=1)),
+            with_left(build_hd_supp(8, 1), [1] * 8),  # dot |x|_w - |y|_w, all ones
+            with_left(fitted, entries),
+        ]
+        for rep in broken:
+            report = verify_support_rep(rep).to_json()
+            assert report == pair_reference_report(rep)
+            assert report["violation_count"] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(rep=wide_reps())
+    @example(rep=hand_rep(2, 2, (0, 1), [0] * 4, [0] * 4))  # bias 1
+    @example(rep=hand_rep(3, 2, (-3, 0, 4), [WIDE] * 6, [-WIDE] * 6))
+    @example(rep=hand_rep(2, 0, (-1, 2), [], []))
+    # dots reach +-(bias - 1) = +-2^199 and 2 bias fills 201 bits: a byte
+    # less than bitlen(2 bias) + 1 rounded up would overflow a slot
+    @example(rep=hand_rep(1, 1, (-1, 1), [1 << 198], [1]))
+    def test_slot_width_comes_from_the_data(self, rep):
+        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+
+    def test_zeroed_n11_counts_every_far_pair(self):
+        rep = zeroed(build_hd_supp(11, 1))
+        report = verify_support_rep(rep)
+        assert report.violation_count == 4**11 - 2**11
+        # the first failing pairs in pair order: row 0 against columns 1..32
+        zero = [0] * 11
+        assert [v["x"] for v in report.violations] == [zero] * 32
+        assert [v["y"] for v in report.violations] == [
+            list(word_of_index(j, 11, (0, 1))) for j in range(1, 33)
+        ]
+        assert {(v["dot"], v["expected_nonzero"]) for v in report.violations} == {
+            ("0", True)
+        }
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_near_indices_is_the_hamming_ball(alphabet, n):
+    words = all_words(n, alphabet)
+    for k in range(n + 2):
+        for i, x in enumerate(words):
+            near = near_indices(i, n, len(alphabet), k)
+            assert sorted(near) == [j for j, y in enumerate(words) if dist(x, y) < k]
+            if k == 0:
+                assert near == []
+            if k > n:
+                assert len(near) == len(words)
 
 
 class TestIdentityCertificate:

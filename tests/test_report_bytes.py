@@ -9,6 +9,7 @@ their order or the cap on them) changes a digest here.
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 
@@ -164,3 +165,56 @@ def test_zeroed_rep_violation_sample_is_capped(digests):
     # 176 of the 256 ordered pairs of {0,1}^4 are at distance >= 2
     assert ver["violation_count"] == 176
     assert len(ver["violations"]) == 32
+
+
+def edge_supp_doc(n: int, k: int, left, right) -> dict:
+    """A binary supp document whose k x n factors are given by hand."""
+    return {
+        "schema": "hamrank-supp/1",
+        "predicate": f"HD>={k}",
+        "n": n,
+        "k": k,
+        "alphabet": ["0", "1"],
+        "dim": comb(2 * k, k),
+        "seed": 0,
+        "compressor": {
+            "left": {"rows": k, "cols": n, "entries": [str(e) for e in left]},
+            "right": {"rows": k, "cols": n, "entries": [str(e) for e in right]},
+            "seed": 0,
+            "verified": True,
+            "retries": 0,
+            "entry_range": 0,
+            "method": "fit",
+            "source_shape": [n, n],
+            "target_shape": [k, k],
+        },
+    }
+
+
+EDGE_EXPECTED = {
+    # det of the 0 x 0 difference is 1: every pair nonzero, as dist >= 0 says
+    "k0": (
+        edge_supp_doc(3, 0, [], []),
+        64,
+        "233edd29a45750d194a46e81b1fbb66ed6a9410d4a8ec0a7d35e3331c8fc4f56",
+    ),
+    # rank C(x) - C(y) <= n < k: every dot is zero, as no pair reaches dist k
+    "k-over-n": (
+        edge_supp_doc(2, 3, [1, 2, 3, 5, 7, 11], [1, 1, 2, 3, 5, 8]),
+        16,
+        "b48808d6fdc9e76cdf58231525c432a4d48cc74a3d422ae6648e05594bf68a4f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_EXPECTED))
+def test_edge_supp_documents_pinned(tmp_path, monkeypatch, name):
+    doc, pairs, expected = EDGE_EXPECTED[name]
+    monkeypatch.chdir(tmp_path)
+    rep = f"{name}.supp.json"
+    with open(rep, "w") as fh:
+        json.dump(doc, fh)
+    report = run_report("verify-supp", {"rep": rep})
+    assert report.status == "certified"
+    assert report.verification["pairs_checked"] == pairs
+    assert digest(report.canonical_bytes()) == expected
