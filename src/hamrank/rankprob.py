@@ -6,9 +6,9 @@ value depends on the difference A(x) - A(y) only, as the determinant
 certificate det(C(x) - C(y)) of the support reps needs.  This module
 builds the threshold-Hamming-distance instances, combines problems under
 arbitrary boolean functions via mixed-radix block-diagonal assembly,
-compiles problems to sign representations by a binary search over rank
-thresholds, one verified support rep per threshold queried, and closes
-problems under distance-r composition using capped rank sums and
+compiles problems to sign representations through the minimal threshold
+tree, one verified support rep per change point of the step function, and
+closes problems under distance-r composition using capped rank sums and
 multiset fingerprint decoding.
 
 Construction is deterministic per seed; every fitted compressor inside a
@@ -33,7 +33,7 @@ from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import ConstLeaf, Node, OracleTree, SignRep, compile_tree
+from .signcompile import SignRep, compile_tree, threshold_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -148,15 +148,15 @@ def hd_rank_problem(
 def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     """``p`` with its map compressed to size x size.
 
-    The compressor is fitted over the finite family {A(x) - A(y)}, x-major,
-    so no rank below the cap changes and evaluation at order <= size is
-    preserved: L (A(x) - A(y)) R^T is the difference of the compressed maps,
-    and its rank is min(rank(A(x) - A(y)), size), which the fit checked on
-    every member.
+    The compressor is fitted over the finite family {A(x) - A(y) : x <= y},
+    x-major, so no rank below the cap changes and evaluation at order <= size
+    is preserved: L (A(x) - A(y)) R^T is the difference of the compressed
+    maps, and its rank is min(rank(A(x) - A(y)), size), which the fit checked
+    on every member; the compressor is linear, so x > y negates a member.
     """
     mats = [p.a_map(x) for x in range(p.index_count)]
-    family = MatFamily.from_members([ax - ay for ax in mats for ay in mats])
-    comp = fit_compressor(family, size, seed)
+    diffs = [ax - ay for x, ax in enumerate(mats) for ay in mats[x:]]
+    comp = fit_compressor(MatFamily.from_members(diffs), size, seed)
     a_map = cache(lambda x: comp.apply(mats[x]))
     rank_fn = cache(lambda x, y: min(p.rank_fn(x, y), size))
     return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
@@ -276,34 +276,23 @@ def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
 def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:
     """Compile a rank problem to a verified structured sign representation.
 
-    A binary search on rank(A(x) - A(y)), capped at the order, decides g:
-    the node for the rank interval [lo, hi] queries the threshold
-    mid = ceil((lo + hi) / 2) through ``piece_support_rep``, and an interval
-    on which g is constant becomes a sign leaf, so a constant problem
-    compiles to a bare leaf and the depth is at most ceil(log2(order + 1)).
-    Each threshold is queried at one node at most and draws from its own
-    seed stream, so the reps do not depend on walk order.  The compiled sign
-    is checked against the problem's evaluation on every index pair.
+    ``threshold_tree`` asks rank >= t at the change points of g through
+    ``piece_support_rep``, the least dimension of any threshold tree.  More
+    than COMPOSE_PAIR_BUDGET index pairs are refused before any all-pairs
+    piece is fitted; the sign is checked against ``p.eval`` on every pair.
     """
-
-    def search(lo: int, hi: int) -> OracleTree:
-        if len(set(p.g[lo : hi + 1])) == 1:
-            return ConstLeaf(2 * p.g[lo] - 1)
-        mid = (lo + hi + 1) // 2
-        return Node(
-            oracle=piece_support_rep(p, mid, seed_stream(seed, "piece", mid)),
-            child0=search(lo, mid - 1),
-            child1=search(mid, hi),
-        )
-
-    return compile_tree(search(0, p.order), range(p.index_count), p.eval)
+    check_pairs(p.index_count**2, COMPOSE_PAIR_BUDGET)
+    tree = threshold_tree(
+        p.g, lambda t: piece_support_rep(p, t, seed_stream(seed, "piece", t))
+    )
+    return compile_tree(tree, range(p.index_count), p.eval)
 
 
 # -------------------------------------------------------------------
 # Distance-r composition
 # -------------------------------------------------------------------
 
-COMPOSE_PAIR_BUDGET = 1 << 14  # index pairs distance_r_compose fits over
+COMPOSE_PAIR_BUDGET = 1 << 14  # index pairs to_sign_rep and distance_r_compose fit
 
 
 @dataclass(frozen=True)

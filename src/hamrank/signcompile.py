@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -212,6 +211,24 @@ def _value_bound(rep: SignRep, domain) -> int:
 # -------------------------------------------------------------------
 
 
+def threshold_tree(g: Sequence[int], oracle: Callable[[int], SupportRep]) -> OracleTree:
+    """The tree deciding g(rank), g a 0/1 table, by ``oracle(t)`` of rank >= t.
+
+    It asks rank >= t at each change point t (g[t] != g[t-1]), the largest
+    at the root; answer 1 is the leaf of g[t], answer 0 the next smaller
+    change point, and below the smallest sits the leaf of g[0].  Its
+    dimension, 1 + sum d(t)^2 over the change points for oracles of
+    dimension d(t), is the least of any rank-threshold tree: by induction,
+    splitting at t costs best(below t) + d(t)^2 * best(from t), at least
+    best(below t) + d(t)^2 + sum of d^2 above t, as d(t)^2 >= 1.
+    """
+    tree = ConstLeaf(2 * g[0] - 1)
+    for t in range(1, len(g)):
+        if g[t] != g[t - 1]:
+            tree = Node(oracle(t), child0=tree, child1=ConstLeaf(2 * g[t] - 1))
+    return tree
+
+
 def compile_tree(
     tree: OracleTree,
     domain: Sequence,
@@ -314,11 +331,10 @@ def build_hd_sign(
 ) -> SignRep:
     """Sign representation of dist(x, y) == k on words of length n.
 
-    Decide "distance exactly k" with two threshold queries: ask
-    dist >= k+1 first (answer 1 settles the output to 0), then dist >= k.
-    Querying the larger threshold at the root places the deeper subtree on
-    the branch where the oracle vanishes, so the compiled dimension is
-    exactly
+    "Distance exactly k" is g(dist) for g = (0, ..., 0, 1, 0), 1 at k
+    only, and ``threshold_tree`` decides it with two queries: dist >= k+1
+    at the root (answer 1 settles the output to 0), then dist >= k.  The
+    compiled dimension is exactly
 
         1 + C(2k, k)^2 + C(2k+2, k+1)^2,
 
@@ -342,18 +358,13 @@ def build_hd_sign(
     check_pairs(len(alphabet) ** (2 * n), max_pairs)
     for size in (k, k + 1):
         prove_det_sum(size)
-    rep_hi = build_hd_supp(n, k + 1, alphabet, seed_stream(seed, "sign-oracle", k + 1))
-    rep_lo = build_hd_supp(n, k, alphabet, seed_stream(seed, "sign-oracle", k))
-    tree = Node(
-        oracle=rep_hi,
-        child1=ConstLeaf(-1),
-        child0=Node(oracle=rep_lo, child1=ConstLeaf(1), child0=ConstLeaf(-1)),
+    tree = threshold_tree(
+        (0,) * k + (1, 0),
+        lambda t: build_hd_supp(n, t, alphabet, seed_stream(seed, "sign-oracle", t)),
     )
     domain = list(itertools.product(tuple(alphabet), repeat=n))
     classes = list(difference_classes(n, alphabet))
-    rep = compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, classes)
-    assert rep.dim == 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
-    return rep
+    return compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, classes)
 
 
 # -------------------------------------------------------------------

@@ -124,7 +124,7 @@ def random_mat(rng: random.Random, rows: int, cols: int, bound: int = 9) -> Mat:
 
 
 def random_table_problem():
-    """Eight random 3 x 3 maps under g = (1, 0, 1, 0): order 3, depth 2."""
+    """Eight random 3 x 3 maps under g = (1, 0, 1, 0): order 3, three change points."""
     from hamrank.rankprob import symmetric_problem
 
     rng = random.Random(55)

@@ -1,6 +1,8 @@
 import itertools
 import random
-from math import prod
+from dataclasses import replace
+from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,13 @@ from hamrank.rankprob import (
     symmetric_problem,
     to_sign_rep,
 )
-from hamrank.signcompile import Combine, ConstLeaf, eval_sign, sign_to_json
+from hamrank.signcompile import (
+    Combine,
+    ConstLeaf,
+    eval_sign,
+    sign_to_json,
+    threshold_tree,
+)
 
 from .conftest import hamming, random_mat, random_table_problem
 
@@ -218,8 +226,42 @@ class TestBoolCombine:
                 assert combined.eval(x, y) == p.eval(x, y)
 
 
-class TestMonotoneDecompose:
-    """The binary search over rank thresholds that ``to_sign_rep`` compiles."""
+def tree_dim(tree) -> int:
+    """The compiled dimension of an oracle tree, by the combine recursion."""
+    if isinstance(tree, ConstLeaf):
+        return 1
+    return tree_dim(tree.child0) + tree.oracle.dim**2 * tree_dim(tree.child1)
+
+
+def best_threshold_dim(g, lo, hi) -> int:
+    """The least compiled dimension of any tree of rank >= t queries that
+    decides g on the rank interval [lo, hi], oracle dims C(2t, t)."""
+    if len(set(g[lo : hi + 1])) == 1:
+        return 1
+    return min(
+        best_threshold_dim(g, lo, t - 1)
+        + comb(2 * t, t) ** 2 * best_threshold_dim(g, t, hi)
+        for t in range(lo + 1, hi + 1)
+    )
+
+
+class TestThresholdTree:
+    """The change-point tree that ``to_sign_rep`` compiles."""
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_every_table_gets_the_least_dimension(self, order):
+        for g in itertools.product((0, 1), repeat=order + 1):
+            built = []
+
+            def oracle(t):
+                built.append(t)
+                return SimpleNamespace(dim=comb(2 * t, t))
+
+            tree = threshold_tree(g, oracle)
+            changes = [t for t in range(1, order + 1) if g[t] != g[t - 1]]
+            assert built == changes
+            want = 1 + sum(comb(2 * t, t) ** 2 for t in changes)
+            assert tree_dim(tree) == best_threshold_dim(g, 0, order) == want
 
     def test_order_one_single_piece_depth_one(self):
         p = hd_rank_problem(3, 1, seed=13)
@@ -228,15 +270,17 @@ class TestMonotoneDecompose:
         assert isinstance(rep, Combine) and rep.oracle.dim == 2
         assert rep.rep0 == ConstLeaf(1) and rep.rep1 == ConstLeaf(-1)
 
-    def test_arbitrary_table_depth_two(self):
+    def test_arbitrary_table_asks_every_change_point(self):
         p = random_table_problem()
         rep = to_sign_rep(p, seed=56)
-        # the root asks rank >= 2; rank >= 3 and rank >= 1 hang below it
-        assert rep.oracle.dim == 6
-        assert rep.rep0.oracle.dim == 20 and rep.rep1.oracle.dim == 2
-        for child in (rep.rep0, rep.rep1):
-            assert isinstance(child.rep0, ConstLeaf)
-            assert isinstance(child.rep1, ConstLeaf)
+        # g = (1, 0, 1, 0): the root asks rank >= 3, then rank >= 2, then
+        # rank >= 1, each answer 1 settling to the sign of g there
+        assert rep.oracle.dim == 20 and rep.rep0 == ConstLeaf(-1)
+        assert rep.rep1.oracle.dim == 6 and rep.rep1.rep0 == ConstLeaf(1)
+        last = rep.rep1.rep1
+        assert last.oracle.dim == 2
+        assert last.rep0 == ConstLeaf(-1) and last.rep1 == ConstLeaf(1)
+        assert rep.dim == 441 == 1 + 2**2 + 6**2 + 20**2
         for x in range(8):
             for y in range(8):
                 assert (eval_sign(rep, x, y) == 1) == (p.eval(x, y) == 1)
@@ -246,8 +290,6 @@ class TestMonotoneDecompose:
         assert to_sign_rep(p, seed=14) == ConstLeaf(-1)
 
     def test_piece_support_rep_matches_threshold(self):
-        from math import comb
-
         from hamrank.rankprob import piece_support_rep
 
         p = hd_rank_problem(4, 2, seed=45)
@@ -270,12 +312,32 @@ class TestToSignRep:
     def test_order_two_dims_follow_recursion(self):
         p = hd_rank_problem(4, 2, seed=17)
         rep = to_sign_rep(p, seed=18)
-        # binary search on rank in {0,1,2}: the root queries rank>=1 and the
-        # rank>=2 query hangs off its answer-1 branch
-        assert rep.oracle.dim == 2
-        assert isinstance(rep.rep0, Combine) and rep.rep0.oracle.dim == 6
-        assert isinstance(rep.rep1, ConstLeaf)
-        assert rep.dim == rep.rep1.dim + rep.oracle.dim**2 * rep.rep0.dim
+        # g = (0, 0, 1) changes only at 2: one rank >= 2 query over two leaves
+        assert rep.oracle.dim == 6
+        assert rep.rep0 == ConstLeaf(1) and rep.rep1 == ConstLeaf(-1)
+        assert rep.dim == 37 == rep.rep1.dim + rep.oracle.dim**2 * rep.rep0.dim
+        ws = brute_words(4)
+        for x in range(16):
+            for y in range(16):
+                assert (eval_sign(rep, x, y) == 1) == (hamming(ws[x], ws[y]) >= 2)
+
+    @pytest.mark.parametrize("k,dim", [(1, 41), (2, 437)])
+    def test_exact_distance_gets_the_build_sign_dim(self, k, dim):
+        p = replace(hd_rank_problem(5, k + 1, seed=3), g=(0,) * k + (1, 0))
+        rep = to_sign_rep(p, seed=4)
+        assert rep.dim == dim == 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
+        ws = brute_words(5)
+        for x in range(32):
+            for y in range(32):
+                assert (eval_sign(rep, x, y) == 1) == (hamming(ws[x], ws[y]) == k)
+
+    def test_refuses_over_budget_before_building(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a piece was built")
+
+        monkeypatch.setattr(rankprob, "piece_support_rep", no_build)
+        with pytest.raises(BudgetExceededError, match="^65536 pairs exceed"):
+            to_sign_rep(hd_rank_problem(8, 1))
 
     def test_constant_problem_compiles_to_constant(self):
         p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1))

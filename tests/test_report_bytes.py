@@ -98,10 +98,10 @@ EXPECTED = {
     "artifact:s.sign.json": "e55ea2b66b5d0ee63df8e098f9bc3b9500c13bea1a6da5a00d79c4d91ed06abe",
     "artifact:rp.json": "1716d1a6ce19f43c9f97ff962507b54d504df2c3dbdd89eb396ae9374b5294dd",
     "artifact:rp-r2.json": "a753abe7402a8ae54bdf13da8dd11fd7cb4535e666be0aacf3f93c9b644c434b",
-    # dim 149, gammas [2, 2]
-    "to-sign-rep:hd-4-2": "9a8ff6f14a6d070a56a49ddf6f1c7b17f79f97178bfaba14bb19f1a3ebedfce1",
-    # dim 14441, gammas [2, 2, 2]
-    "to-sign-rep:table-55": "ed3f9bbf70782f4a277f6129e90f09d4d84c585b4ec605af2b06f1b1f8b405db",
+    # dim 37, gammas [2]
+    "to-sign-rep:hd-4-2": "a54821e8dbe2975dbd52e74e34ddff876cf895661a02c34fdc55d86b5b9e61b4",
+    # dim 441, gammas [2, 2] and a 38-digit root gamma
+    "to-sign-rep:table-55": "6e4a52b77c12daf47bef0660436e2cf6b69a33509b982d6da237bd5eb8edd8af",
 }
 
 

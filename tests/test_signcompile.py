@@ -29,6 +29,7 @@ from hamrank.signcompile import (
     proof_dim_bound,
     sign_from_json,
     sign_to_json,
+    threshold_tree,
 )
 
 from .conftest import hamming
@@ -204,6 +205,10 @@ class TestHdSign:
             for y in sample:
                 assert (eval_sign(rep, x, y) == 1) == (hamming(x, y) == 2)
 
+    def test_k3_dim(self):
+        rep = build_hd_sign(4, 3, seed=5)
+        assert rep.dim == 5301 == 1 + comb(6, 3) ** 2 + comb(8, 4) ** 2
+
     def test_dim_recursion_via_gammas(self):
         rep = build_hd_sign(5, 1, seed=6)
         assert isinstance(rep, Combine) and isinstance(rep.rep1, Combine)
@@ -211,13 +216,7 @@ class TestHdSign:
         assert len(gamma_values(rep)) == 2
 
     def test_within_proof_bound(self):
-        oracle_lo = build_hd_supp(5, 1, seed=1)
-        oracle_hi = build_hd_supp(5, 2, seed=2)
-        tree = Node(
-            oracle=oracle_hi,
-            child1=ConstLeaf(-1),
-            child0=Node(oracle=oracle_lo, child1=ConstLeaf(1), child0=ConstLeaf(-1)),
-        )
+        tree = threshold_tree((0, 1, 0), lambda t: build_hd_supp(5, t, seed=t))
         rep = compile_tree(tree, words(5), lambda x, y: dist(x, y) == 1)
         # depth 2 over oracles of dimension 2 and C(4, 2) = 6
         assert proof_dim_bound(rep) == (1 + 6 * 6) ** 2
@@ -258,6 +257,20 @@ class TestTruth:
         # the oracle tree is right; only the ground truth is made wrong
         monkeypatch.setattr(signcompile, "dist", lambda x, y: 0)
         with pytest.raises(PatternViolationError):
+            build_hd_sign(4, 1, seed=2)
+
+    def test_build_hd_sign_checks_against_the_distance_not_its_oracles(
+        self, monkeypatch
+    ):
+        # each oracle answers one threshold too high, so the compiled sign
+        # follows its oracles and disagrees with dist == k
+        build = signcompile.build_hd_supp
+        monkeypatch.setattr(
+            signcompile,
+            "build_hd_supp",
+            lambda n, t, alphabet, seed: build(n, t + 1, alphabet, seed),
+        )
+        with pytest.raises(PatternViolationError, match="compiled sign disagrees"):
             build_hd_sign(4, 1, seed=2)
 
     def test_build_hd_sign_refuses_over_budget_before_building(self, monkeypatch):
