@@ -4,15 +4,17 @@ A rank problem evaluates g(rank(A(x) - A(y))) for a lazy matrix map A and a
 step function g that is constant from its order, len(g) - 1, onward.  Every
 value depends on the difference A(x) - A(y) only, as the determinant
 certificate det(C(x) - C(y)) of the support reps needs.  This module
-builds the threshold-Hamming-distance instances, combines problems under
-arbitrary boolean functions via mixed-radix block-diagonal assembly,
-compiles problems to sign representations through the minimal threshold
-tree, one verified support rep per change point of the step function, and
-closes problems under distance-r composition using capped rank sums and
-multiset fingerprint decoding.
+builds the threshold-Hamming-distance instances, combines problems on one
+index set under arbitrary boolean functions via mixed-radix block-diagonal
+assembly, compiles problems to sign representations through the minimal
+threshold tree, one verified support rep per change point of the step
+function, and closes problems under distance-r composition using capped
+rank sums and multiset fingerprint decoding.
 
-Construction is deterministic per seed; every fitted compressor inside a
-construction carries its own exhaustive family verification.
+Every resize of a problem's maps, for combination, sign pieces or
+composition, goes through ``_compress_problem``.  Construction is
+deterministic per seed; every fitted compressor inside a construction
+carries its own exhaustive family verification.
 """
 
 from __future__ import annotations
@@ -146,14 +148,20 @@ def hd_rank_problem(
 
 
 def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
-    """``p`` with its map compressed to size x size.
+    """``p`` on size x size maps, every rank capped at size, evaluation at
+    order <= size preserved; the one way this module resizes a problem.
 
-    The compressor is fitted over the finite family {A(x) - A(y) : x <= y},
-    x-major, so no rank below the cap changes and evaluation at order <= size
-    is preserved: L (A(x) - A(y)) R^T is the difference of the compressed
-    maps, and its rank is min(rank(A(x) - A(y)), size), which the fit checked
-    on every member; the compressor is linear, so x > y negates a member.
+    Maps already size x size are kept (ranks are at most size); size 0
+    gives 0 x 0 maps of rank 0.  Otherwise a compressor is fitted over
+    {A(x) - A(y) : x <= y}, x-major: L (A(x) - A(y)) R^T is the difference
+    of the compressed maps, of rank min(rank(A(x) - A(y)), size), which the
+    fit checked on every member; the compressor is linear, so x > y
+    negates a member.
     """
+    if p.a_map(0).shape == (size, size):
+        return p
+    if size == 0:
+        return _block_problem([], p.index_count, p.g, f"norm({p.name})")
     mats = [p.a_map(x) for x in range(p.index_count)]
     diffs = [ax - ay for x, ax in enumerate(mats) for ay in mats[x:]]
     comp = fit_compressor(MatFamily.from_members(diffs), size, seed)
@@ -177,79 +185,73 @@ def _block_problem(
     return RankProblem(index_count, a_map, tuple(g), rank_fn, name)
 
 
-def _normalize_component(p: RankProblem, seed: int) -> RankProblem:
-    """Re-realize maps on order x order matrices, preserving evaluation.
-
-    Needed before digit encoding: the mixed-radix weights only decode if
-    every component's rank is capped at its order, which square order-sized
-    maps enforce.  Compression (or zero-padding when the maps are small)
-    changes no rank below the cap.
-    """
-    k = p.order
-    sample = p.a_map(0)
-    if sample.shape == (k, k):
-        return p
-    if k == 0:  # no parts: 0 x 0 maps of rank 0
-        return _block_problem([], p.index_count, p.g, f"norm({p.name})")
-    return _compress_problem(p, k, seed)
-
-
-def bool_combine(
-    gamma: Callable[[tuple[int, ...]], object],
-    components: Sequence[tuple[RankProblem, Callable[[int], int]]],
-    index_count: int,
-    seed: int = 0,
-    name: str = "",
-) -> RankProblem:
-    """Combine component problems under an arbitrary boolean function.
-
-    The combined maps place, for component i of order k_i, w_i block copies
-    of its maps along the diagonal with mixed-radix weights
-    w_i = prod_(j<i) (k_j + 1).  Block-diagonal rank is additive, so
-
-        rank(A(x) - A(y)) = sum_i w_i * rank_i(x_i, y_i),
-
-    and each component's rank is recovered as a digit: digit_i is the
-    weight-w_i digit of the total in the mixed radix.  The combined step
-    function decodes the digits, applies each component's g, then the
-    boolean combiner ``gamma``, called on the tuple of component bits.
-    Order is prod (k_i + 1) - 1.
-    """
-    q = len(components)
-    if q == 0:
-        raise ValueError("need at least one component")
+def _combined_order(orders: Sequence[int]) -> int:
+    """prod (k_i + 1) - 1, refused past 20 components or order 2^22."""
+    q = len(orders)
     if q > 20:
         raise BudgetExceededError(f"{q} components need a 2^{q} truth table")
-    # the combiner's truth table: index bit i is component i's bit
-    table = [
-        1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
-        for idx in range(1 << q)
-    ]
-    normalized = [
-        (_normalize_component(p, seed_stream(seed, "combine-normalize", i)), imap)
-        for i, (p, imap) in enumerate(components)
-    ]
-    orders = [p.order for p, _ in normalized]
-    weights = [prod(k_i + 1 for k_i in orders[:i]) for i in range(q)]
     total_order = prod(k_i + 1 for k_i in orders) - 1
     if total_order > 1 << 22:
         raise BudgetExceededError(
             f"combined order {total_order} exceeds the tabulation budget"
         )
+    return total_order
+
+
+def bool_combine(
+    gamma: Callable[[tuple[int, ...]], object],
+    problems: Sequence[RankProblem],
+    seed: int = 0,
+    name: str = "",
+) -> RankProblem:
+    """Combine problems on one index set under an arbitrary boolean function.
+
+    Problem i, of order k_i, is resized to k_i x k_i maps, and w_i block
+    copies of them go along the diagonal, with mixed-radix weights
+    w_i = prod_(j<i) (k_j + 1).  Block-diagonal rank is additive, so
+
+        rank(A(x) - A(y)) = sum_i w_i * rank_i(x, y),
+
+    and rank_i is the weight-w_i digit of the total in the mixed radix.
+    The combined step function decodes the digits, applies each problem's
+    g, then ``gamma``, called on the tuple of problem bits.  The order,
+    prod (k_i + 1) - 1, and the problem count are checked against the
+    budget before any resize; different index counts raise ``InputError``.
+    """
+    q = len(problems)
+    if q == 0:
+        raise ValueError("need at least one component")
+    counts = sorted({p.index_count for p in problems})
+    if len(counts) > 1:
+        raise InputError(f"problems to combine have different index counts {counts}")
+    orders = [p.order for p in problems]
+    total_order = _combined_order(orders)
+    # the combiner's truth table: index bit i is component i's bit
+    table = [
+        1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
+        for idx in range(1 << q)
+    ]
+    # digits decode only if every rank is capped at its order, which square
+    # order-sized maps enforce
+    resized = [
+        _compress_problem(p, p.order, seed_stream(seed, "combine-normalize", i))
+        for i, p in enumerate(problems)
+    ]
+    weights = [prod(k_i + 1 for k_i in orders[:i]) for i in range(q)]
 
     g_table = []
     for t in range(total_order + 1):
         bits_idx = 0
-        for i, (p, _) in enumerate(normalized):
+        for i, p in enumerate(resized):
             digit = (t // weights[i]) % (orders[i] + 1)
             bits_idx |= p.g[digit] << i
         g_table.append(table[bits_idx])
 
     combined = _block_problem(
-        [(w, p, imap) for w, (p, imap) in zip(weights, normalized)],
-        index_count,
+        [(w, p, lambda x: x) for w, p in zip(weights, resized)],
+        counts[0],
         g_table,
-        name or f"combine[{','.join(p.name for p, _ in normalized)}]",
+        name or f"combine[{','.join(p.name for p in resized)}]",
     )
     return replace(combined, meta={"weights": weights})
 
@@ -405,7 +407,8 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     either injective inner maps or g(0) = 0: a coordinate that differs in
     index but not in matrix has rank 0, which no capped sum can see.  The
     compressions fit all-pairs families, so more than COMPOSE_PAIR_BUDGET
-    index pairs are refused before any fitting.
+    index pairs are refused before any fitting, and so is a combination
+    over ``bool_combine``'s budget, with its message.
     """
     m = spec.coordinates
     r = spec.r
@@ -422,6 +425,13 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
                 "share one step function"
             )
     check_pairs(spec.index_count**2, COMPOSE_PAIR_BUDGET)
+    # the gate, then per cap t the thresholds s = 1..r*t; at r = 0 the gate
+    # alone decides
+    gate_order = min(r + 1, m)
+    caps = range(1, k + 1) if r else ()
+    bit_layout = [(t, s) for t in caps for s in range(1, r * t + 1)]
+    _combined_order([gate_order] + [s for _, s in bit_layout])
+
     for i, p in enumerate(spec.inners):
         values = {p.a_map(x).entries for x in range(p.index_count)}
         if len(values) != p.index_count and shared_g[0] == 1:
@@ -432,23 +442,16 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
 
     # coordinate-distance gate: HD >= r+1 over the index alphabets, negated
     alphabets = [tuple(range(p.index_count)) for p in spec.inners]
-    gate_order = min(r + 1, m)
     gate = replace(
         _hamming_problem(
             alphabets, gate_order, seed_stream(seed, "compose-gate"), f"|Delta|<={r}"
         ),
         g=tuple(1 if t <= r else 0 for t in range(gate_order + 1)),
     )
-    count = spec.index_count
-
-    # capped-rank components; at r = 0 the gate alone decides
-    components: list[tuple[RankProblem, Callable[[int], int]]] = [
-        (gate, lambda x: x)
-    ]
-    bit_layout: list[tuple[int, int]] = []
+    components = [gate]
     capped_maps: dict[int, Callable[[int], Mat]] = {}
     coords = cache(spec.tuple_of)
-    for t in range(1, k + 1) if r else ():
+    for t in caps:
         capped = [
             _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t))
             for i, p in enumerate(spec.inners)
@@ -456,24 +459,16 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
         parts = [(1, q, lambda x, i=i: coords(x)[i]) for i, q in enumerate(capped)]
         target = r * t
         capsum = _compress_problem(
-            _block_problem(parts, count, _step(target), ""),
+            _block_problem(parts, spec.index_count, _step(target), ""),
             target,
             seed_stream(seed, "compose-global", t),
         )
         capped_maps[t] = capsum.a_map
         for s in range(1, target + 1):
-            thr = capsum
-            if s < target:
-                thr = _compress_problem(
-                    capsum, s, seed_stream(seed, "compose-threshold", t, s)
-                )
-            components.append(
-                (
-                    replace(thr, g=_step(s), name=f"capsum[t={t}]>={s}"),
-                    lambda x: x,
-                )
+            thr = _compress_problem(
+                capsum, s, seed_stream(seed, "compose-threshold", t, s)
             )
-            bit_layout.append((t, s))
+            components.append(replace(thr, g=_step(s), name=f"capsum[t={t}]>={s}"))
 
     def decoder(bits: tuple[int, ...]) -> int:
         if not bits[0]:
@@ -485,15 +480,12 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
             ranks = multiset_decode(capped, size_bound=r)
         except InconsistentFingerprintError:
             return 0  # unreachable from real inputs; keeps the table total
-        total = sum(shared_g[min(u, k)] for u in ranks)
-        if total > r:
-            return 0
-        return spec.h[total]
+        # at most r ranks, each adding at most 1
+        return spec.h[sum(shared_g[min(u, k)] for u in ranks)]
 
     combined = bool_combine(
         decoder,
         components,
-        count,
         seed=seed_stream(seed, "compose-combine"),
         name=f"distance-{r}-composition",
     )
@@ -567,7 +559,8 @@ def problem_from_json(doc: dict) -> RankProblem:
     matrices must share one shape.  The blocks of the table's union nonzero
     pattern (``pattern_blocks``) are found once, here; every A(x) - A(y) is
     zero outside them, so the loaded ``rank_fn`` sums the Bareiss ranks of
-    the block submatrices instead of eliminating the whole difference.
+    the block submatrices instead of eliminating the whole difference, and
+    memoizes the sum per pair.
     """
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
@@ -590,6 +583,7 @@ def problem_from_json(doc: dict) -> RankProblem:
         for block_rows, block_cols in pattern_blocks(a_tab)
     ]
 
+    @cache
     def rank_fn(x: int, y: int) -> int:
         ax, ay = a_tab[x].entries, a_tab[y].entries
         return sum(

@@ -135,12 +135,7 @@ def test_criterion_06_boolean_combination():
         # sanity instance: AND of (dist >= 1) and not(dist >= 2) is exact distance 1
         lo = hd_rank_problem(4, 1, seed=401)
         hi = negate(hd_rank_problem(4, 2, seed=402))
-        combined = bool_combine(
-            lambda bits: bits[0] & bits[1],
-            [(lo, lambda x: x), (hi, lambda x: x)],
-            16,
-            seed=403,
-        )
+        combined = bool_combine(lambda bits: bits[0] & bits[1], [lo, hi], seed=403)
         from hamrank.hamming import word_of_index
 
         for x in range(16):
@@ -162,7 +157,7 @@ def test_criterion_06_boolean_combination():
         def gamma(bits):
             return table[bits[0] | bits[1] << 1 | bits[2] << 2]
 
-        combined = bool_combine(gamma, [(p, lambda x: x) for p in comps], 8, seed=405)
+        combined = bool_combine(gamma, comps, seed=405)
         expected_order = 1
         for p in comps:
             expected_order *= p.order + 1

@@ -560,9 +560,15 @@ class TestLoaderFuzz:
 
 class TestCli:
     def test_console_script_subprocess(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import hamrank
+
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(hamrank.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
         out = tmp_path / "rep.json"
         proc = subprocess.run(
             [
@@ -581,6 +587,7 @@ class TestCli:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "certified" in proc.stdout
@@ -877,6 +884,18 @@ class TestCli:
             path.write_text(text)
         error = self.failed_report(tmp_path, [command, str(path)])
         assert error.startswith(f"InputError: cannot load {path}: ")
+
+    def test_cli_constant_sign_tree_reports_failure(self, tmp_path):
+        # a lone constant leaf names no oracle, so no alphabet to verify over
+        path = tmp_path / "const.json"
+        tree = {"type": "const", "sign": 1}
+        doc = {"schema": "hamrank-sign/1", "tree": tree, "meta": {"n": 2, "k": 1}}
+        path.write_text(json.dumps(doc))
+        error = self.failed_report(tmp_path, ["verify-sign", str(path)])
+        assert error == (
+            f"InputError: cannot load {path}: InputError: sign document has no "
+            "oracle to take the alphabet from"
+        )
 
     @pytest.mark.parametrize(
         "entry", NON_INTEGERS + [None], ids=NON_INTEGER_IDS + ["string"]

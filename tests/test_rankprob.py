@@ -157,7 +157,7 @@ class TestHdRankProblem:
 class TestBoolCombine:
     def test_identity_gamma_reproduces_component(self):
         p = hd_rank_problem(3, 1, seed=8)
-        combined = bool_combine(lambda bits: bits[0], [(p, lambda x: x)], 8, seed=1)
+        combined = bool_combine(lambda bits: bits[0], [p], seed=1)
         for x in range(8):
             for y in range(8):
                 assert combined.eval(x, y) == p.eval(x, y)
@@ -165,12 +165,7 @@ class TestBoolCombine:
     def test_and_of_thresholds_is_exact_distance(self):
         lo = hd_rank_problem(4, 1, seed=9)
         hi = negate(hd_rank_problem(4, 2, seed=10))
-        combined = bool_combine(
-            lambda bits: bits[0] & bits[1],
-            [(lo, lambda x: x), (hi, lambda x: x)],
-            16,
-            seed=2,
-        )
+        combined = bool_combine(lambda bits: bits[0] & bits[1], [lo, hi], seed=2)
         ws = brute_words(4)
         for x in range(16):
             for y in range(16):
@@ -189,9 +184,7 @@ class TestBoolCombine:
             )
         table = [rng.randint(0, 1) for _ in range(8)]
         gamma = lambda bits: table[bits[0] | bits[1] << 1 | bits[2] << 2]
-        combined = bool_combine(
-            gamma, [(p, lambda x: x) for p in comps], 8, seed=3
-        )
+        combined = bool_combine(gamma, comps, seed=3)
         assert combined.order == prod(p.order + 1 for p in comps) - 1
         for x in range(8):
             for y in range(8):
@@ -201,12 +194,7 @@ class TestBoolCombine:
     def test_rank_identity_on_assembled_matrices(self):
         lo = hd_rank_problem(3, 1, seed=11)
         hi = hd_rank_problem(3, 2, seed=12)
-        combined = bool_combine(
-            lambda bits: bits[0] ^ bits[1],
-            [(lo, lambda x: x), (hi, lambda x: x)],
-            8,
-            seed=4,
-        )
+        combined = bool_combine(lambda bits: bits[0] ^ bits[1], [lo, hi], seed=4)
         weights = combined.meta["weights"]
         for x in range(8):
             for y in range(8):
@@ -219,11 +207,28 @@ class TestBoolCombine:
         rng = random.Random(44)
         mats = [random_mat(rng, 3, 3, bound=2) for _ in range(4)]
         p = symmetric_problem(4, lambda x: mats[x], (0, 1))
-        combined = bool_combine(lambda bits: bits[0], [(p, lambda x: x)], 4, seed=5)
+        combined = bool_combine(lambda bits: bits[0], [p], seed=5)
         assert combined.a_map(0).shape == (1, 1)
         for x in range(4):
             for y in range(4):
                 assert combined.eval(x, y) == p.eval(x, y)
+
+    def test_order_zero_problem_gets_empty_maps(self):
+        # an order-0 problem decides nothing by rank: its 1x1 maps become 0x0
+        const = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1,), name="one")
+        neq = hd_rank_problem(2, 1, seed=6)
+        combined = bool_combine(lambda bits: bits[0] & bits[1], [const, neq], seed=6)
+        assert combined.order == 1 and combined.meta["weights"] == [1, 1]
+        assert combined.a_map(0).shape == neq.a_map(0).shape == (1, 1)
+        for x in range(4):
+            for y in range(4):
+                assert combined.rank_fn(x, y) == neq.rank_fn(x, y)
+                assert combined.eval(x, y) == (0 if x == y else 1)
+
+    def test_different_index_counts_rejected(self):
+        four, eight = hd_rank_problem(2, 1, seed=7), hd_rank_problem(3, 1, seed=7)
+        with pytest.raises(InputError, match="different index counts"):
+            bool_combine(lambda bits: bits[0] | bits[1], [four, eight])
 
 
 def tree_dim(tree) -> int:
@@ -474,6 +479,26 @@ class TestDistanceRCompose:
         spec = CompositionSpec(r=1, h=(0, 1), inners=(neq_inner(),) * 3)
         with pytest.raises(BudgetExceededError):
             distance_r_compose(spec, seed=27)
+
+    @pytest.mark.parametrize(
+        "r,message",
+        [
+            (4, "^combined order 174182399 exceeds the tabulation budget$"),
+            (8, "^25 components need a 2\\^25 truth table$"),
+        ],
+    )
+    def test_over_budget_combination_refused_before_any_fit(
+        self, monkeypatch, r, message
+    ):
+        spec = example_cc_hd(c=1, r=r, n=2, m=3)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a compressor was fitted")
+
+        monkeypatch.setattr(rankprob, "_compress_problem", no_fit)
+        monkeypatch.setattr(rankprob, "fit_compressor", no_fit)
+        with pytest.raises(BudgetExceededError, match=message):
+            distance_r_compose(spec, seed=30)
 
     def test_gate_caps_at_coordinate_count(self):
         # r+1 exceeds the coordinate count: the gate never fires
