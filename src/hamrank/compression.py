@@ -41,10 +41,11 @@ from .errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from .exact import Mat, bareiss, rank_exact
+from .exact import Mat, bareiss, int_from_json, rank_exact
 from .parallel import REPORT_CAP
 
-DEFAULT_ENTRY_RANGE = 1 << 16
+FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
+ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
 # 3^15 binary difference patterns fit; the check runs before any enumeration
 MAX_DIAGONAL_PATTERNS = 1 << 24
 
@@ -217,15 +218,19 @@ class Compressor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Compressor":
-        """Load a compressor whose stated shapes are exactly its factors'."""
+        """Load every field ``to_json`` writes, none optional: integers as
+        document integers, and the stated shapes exactly the factors'."""
+        for key, kind in (("verified", bool), ("method", str)):
+            if type(obj[key]) is not kind:
+                raise InputError(f"{key} {obj[key]!r} is not a {kind.__name__}")
         comp = cls(
             left=Mat.from_json(obj["left"]),
             right=Mat.from_json(obj["right"]),
-            seed=obj["seed"],
+            seed=int_from_json(obj["seed"]),
             verified=obj["verified"],
-            retries=obj.get("retries", 0),
-            entry_range=obj.get("entry_range", 0),
-            method=obj.get("method", "fit"),
+            retries=int_from_json(obj["retries"]),
+            entry_range=int_from_json(obj["entry_range"]),
+            method=obj["method"],
         )
         for key in ("source_shape", "target_shape"):
             stated, shape = obj[key], list(getattr(comp, key))
@@ -246,13 +251,6 @@ class CompressionReport:
     @property
     def ok(self) -> bool:
         return self.violation_count == 0
-
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violation_count": self.violation_count,
-            "violations": list(self.violations),
-        }
 
 
 # -------------------------------------------------------------------
@@ -373,27 +371,21 @@ def _identity_embedding(a: int, b: int, size: int, seed: int) -> Compressor:
     return Compressor(left=left, right=right, seed=seed, verified=True, method="identity")
 
 
-def fit_compressor(
-    family: MatFamily,
-    size: int,
-    seed: int,
-    max_retries: int = 16,
-    entry_range: int = DEFAULT_ENTRY_RANGE,
-) -> Compressor:
+def fit_compressor(family: MatFamily, size: int, seed: int) -> Compressor:
     """Fit a verified compressor for ``family`` onto size x size targets.
 
     If ``size`` is at least both source dimensions, the identity embedding
     works unconditionally and is returned without randomness.  Otherwise
     the left (size x a) and then the right (size x b) entries are drawn
-    uniformly from [-entry_range, entry_range], verified against the full
-    family, and redrawn with a doubled range on failure: over a large
-    integer range a random draw is generic with overwhelming probability,
-    and the doubling escape hatch covers the remaining mass.
+    uniformly from [-ENTRY_RANGE, ENTRY_RANGE], verified against the full
+    family, and redrawn with a doubled range on failure, ``FIT_DRAWS``
+    draws in all: over a large integer range a random draw is generic with
+    overwhelming probability, and the doubling covers the remaining mass.
+    Both constants are read at call time.
 
     Raises ``RetriesExhaustedError`` carrying a failing member of the last
-    draw and the achieved vs. required rank on it; the remedy is a larger
-    range or more retries.  A draw stops at its first failing member, the
-    one of smallest index.
+    draw and the achieved vs. required rank on it.  A draw stops at its
+    first failing member, the one of smallest index.
     """
     if size < 1:
         raise ValueError("target size must be at least 1")
@@ -409,9 +401,9 @@ def fit_compressor(
         return comp
 
     rng = random.Random(seed)
-    span = entry_range
+    span = ENTRY_RANGE
     last = None
-    for attempt in range(max_retries):
+    for attempt in range(FIT_DRAWS):
         left = Mat(size, a, tuple(rng.randint(-span, span) for _ in range(size * a)))
         right = Mat(size, b, tuple(rng.randint(-span, span) for _ in range(size * b)))
         candidate = Compressor(
@@ -428,7 +420,7 @@ def fit_compressor(
         last = _violation(family, *shortfall)
         span *= 2
     raise RetriesExhaustedError(
-        f"no verified compressor after {max_retries} draws "
+        f"no verified compressor after {FIT_DRAWS} draws "
         f"(final entry range {span // 2})",
         member=last,
         achieved=None if last is None else last["achieved"],

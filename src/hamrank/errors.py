@@ -40,7 +40,12 @@ class RetriesExhaustedError(HamrankError):
 
 
 class PatternViolationError(HamrankError):
-    """A claimed combinatorial certificate (identity submatrix) does not hold."""
+    """A claimed combinatorial certificate (identity submatrix) does not hold;
+    ``violation_count`` is how many of its cells failed, where counted."""
+
+    def __init__(self, message, *, violation_count=None):
+        super().__init__(message)
+        self.violation_count = violation_count
 
 
 class ZeroValueError(HamrankError):

@@ -221,17 +221,23 @@ def build_hd_supp(
 
 
 def load_supp(obj: dict) -> SupportRep:
-    """Rebuild a support representation from its JSON form."""
+    """Rebuild a support rep from every field ``to_json`` writes, none
+    optional; the stated dim must be the rep's C(2k, k)."""
     if obj.get("schema") != "hamrank-supp/1":
         raise ValueError(f"not a support-rep document: {obj.get('schema')!r}")
-    return SupportRep.of_compressor(
+    if type(obj["predicate"]) is not str:
+        raise InputError(f"predicate {obj['predicate']!r} is not a str")
+    rep = SupportRep.of_compressor(
         Compressor.from_json(obj["compressor"]),
         obj["predicate"],
         obj["n"],
         obj["k"],
         ints_from_json(obj["alphabet"]),
-        obj["seed"],
+        int_from_json(obj["seed"]),
     )
+    if int_from_json(obj["dim"]) != rep.dim:
+        raise InputError(f"dim {obj['dim']!r} is not the rep's {rep.dim}")
+    return rep
 
 
 # -------------------------------------------------------------------
@@ -378,7 +384,7 @@ def verify_support_rep(
                 if (sum(map(mul, ui, vs[j])) != 0)
                 != ((ci ^ codes[j]).bit_count() >= need)
             ]
-            return len(bad), bad[:REPORT_CAP]
+            return len(bad), bad
 
         return check
 
@@ -418,7 +424,8 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     complements the first k bits of row j.  Row i meets column j at distance
     k - dist(w_i, w_j), which reaches k exactly on the diagonal, so the
     pattern of nonzero dots must be the identity.  An identity of size m
-    forces any same-support matrix to have rank at least m.
+    forces any same-support matrix to have rank at least m.  A broken
+    pattern raises ``PatternViolationError`` with its failing-cell count.
     """
     if rep.alphabet is None or len(rep.alphabet) != 2:
         raise InputError("the identity certificate needs a two-letter alphabet")
@@ -433,7 +440,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
 
     def check(i: int, js) -> tuple[int, list[int]]:
         bad = [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
-        return len(bad), bad[:REPORT_CAP]
+        return len(bad), bad
 
     result = sweep(len(rows), lambda table: check)
     if not result.certified:
@@ -441,6 +448,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         raise PatternViolationError(
             f"identity pattern broken at ({i}, {j}): "
             f"dot {'nonzero' if i != j else 'zero'}, "
-            f"expected {'diagonal' if i == j else 'off-diagonal'}"
+            f"expected {'diagonal' if i == j else 'off-diagonal'}",
+            violation_count=result.violation_count,
         )
     return IdentityCertificate(1 << k, tuple(rows), tuple(cols))

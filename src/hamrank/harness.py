@@ -28,7 +28,7 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import REPORT_CAP, sweep
+from .parallel import sweep
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -161,13 +161,15 @@ def write_report(report: Report, config: RunConfig) -> None:
 def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
     """Read, parse and load one input document.
 
-    Any failure on the way (a missing file, bad JSON, a wrong schema or a
-    missing field) becomes an ``InputError`` that names the path.
+    Any failure on the way (a missing file, bad or too deeply nested JSON,
+    a wrong schema or a missing field) becomes an ``InputError`` naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return loader(json.load(fh))
-    except (OSError, LookupError, TypeError, AttributeError, ValueError) as exc:
+    except (
+        OSError, LookupError, TypeError, AttributeError, ValueError, RecursionError
+    ) as exc:
         raise InputError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -196,8 +198,8 @@ def _save_json(doc: dict, path: str) -> None:
 def run(subcommand: str, config: RunConfig) -> Report:
     """Dispatch a subcommand and return its report.
 
-    Budget violations and module errors are caught and carried in the
-    report with a failed status instead of crashing the process.  An output
+    Budget violations, module errors and too deep a recursion (a sign tree
+    past the stack) end in a failed report instead of crashing.  An output
     path in a missing directory raises ``InputError`` before any work, and
     so does a report or summary that cannot be written after it.
     """
@@ -217,7 +219,7 @@ def run(subcommand: str, config: RunConfig) -> Report:
     start = time.perf_counter()
     try:
         handlers[subcommand](config, report)
-    except HamrankError as exc:
+    except (HamrankError, RecursionError) as exc:
         report.status = "failed"
         report.error = f"{type(exc).__name__}: {exc}"
     report.timing["millis"] = int((time.perf_counter() - start) * 1000)
@@ -359,7 +361,7 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 for j in cols
                 if eval_sign(rep, x, words[j]) != (1 if dist(x, words[j]) == k else -1)
             ]
-            return len(bad), bad[:REPORT_CAP]
+            return len(bad), bad
 
         return check
 
@@ -404,7 +406,7 @@ def _check_semantics(
                 for y in cols
                 if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
             ]
-            return len(bad), bad[:REPORT_CAP]
+            return len(bad), bad
 
         return check
 
@@ -463,7 +465,8 @@ def _run_lower_bound(config: RunConfig, report: Report) -> None:
     try:
         cert = identity_certificate(rep)
     except PatternViolationError as exc:
-        report.verification = {"violation_count": 1, "detail": str(exc)}
+        count, detail = exc.violation_count, str(exc)
+        report.verification = {"violation_count": count, "detail": detail}
         report.status = "failed"
         return
     # identity_certificate either raises or returns the full 2^k identity

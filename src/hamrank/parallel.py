@@ -79,9 +79,9 @@ def sweep(
 
     ``prepare(table)`` runs once, after the budget check, and returns the
     row check ``check(i, cols)``.  It returns ``(bad_count, first_bad)``:
-    how many columns j of ``cols`` fail at pair (i, j), and the first
-    ``REPORT_CAP`` of them in order, so a row of millions of failures is
-    never listed whole.  ``table(f)`` is how
+    how many columns j of ``cols`` fail at pair (i, j), and their failing
+    columns in order, at least the first ``REPORT_CAP`` of them; the sweep
+    alone caps what it keeps.  ``table(f)`` is how
     the check tabulates its per-index data: in exhaustive mode it is the
     list of f(i) for every index, in sample mode a table that computes
     f(i) on first lookup, so only drawn indices cost anything.  Exhaustive

@@ -186,9 +186,7 @@ def sq_dist(p: Sequence[Number], q: Sequence[Number]) -> Number:
 UNIT_EMBED_DRAWS = 64  # step-vector draws hypercube_unit_embed tries
 
 
-def hypercube_unit_embed(
-    n: int, seed: int, vectors: Sequence[tuple[Number, Number]] | None = None
-) -> list[tuple[Number, ...]]:
+def hypercube_unit_embed(n: int, seed: int) -> list[tuple[Number, ...]]:
     """Embed {0,1}^n in the rational plane so distance 1 = Hamming distance 1.
 
     The point for x is the sum of the step vectors u_i over the set bits of
@@ -198,17 +196,13 @@ def hypercube_unit_embed(
     pairs, redrawing the step vectors on any violation.
 
     Points are returned in the order of x as an integer with bit i = x_i.
-    An explicit ``vectors`` list skips the draw but not the verification.
+    ``UNIT_EMBED_DRAWS`` unfaithful draws raise ``RetriesExhaustedError``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = random.Random(seed)
     for _ in range(UNIT_EMBED_DRAWS):
-        steps = list(vectors) if vectors is not None else [
-            _rational_unit_vector(rng) for _ in range(n)
-        ]
-        if len(steps) != n:
-            raise SizeMismatchError(f"need {n} step vectors, got {len(steps)}")
+        steps = [_rational_unit_vector(rng) for _ in range(n)]
         points = []
         for x in range(1 << n):
             px: list[Number] = [0, 0]
@@ -225,10 +219,6 @@ def hypercube_unit_embed(
             for y in range(x + 1, 1 << n)
         ):
             return points
-        if vectors is not None:
-            raise RetriesExhaustedError(
-                "supplied step vectors do not give a faithful embedding"
-            )
     raise RetriesExhaustedError(
         f"no faithful unit-distance embedding after {UNIT_EMBED_DRAWS} draws"
     )

@@ -975,3 +975,92 @@ class TestCli:
         path.write_text(json.dumps(neq_spec_doc(inners=[{"problem": p} for p in inners])))
         got = self.failed_report(tmp_path, ["compose", "--spec", str(path)])
         assert got.startswith(error.format(path=path))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (["compressor", "retries"], "abc"),
+            (["compressor", "entry_range"], [1]),
+            (["compressor", "seed"], 1.5),
+            (["compressor", "verified"], "no"),
+            (["compressor", "method"], 7),
+            (["seed"], True),
+            (["predicate"], 5),
+            (["dim"], 3),
+            (["compressor", "retries"], DROP),
+            (["compressor", "entry_range"], DROP),
+            (["compressor", "method"], DROP),
+        ],
+        ids=[
+            "retries-string", "entry-range-list", "compressor-seed-float",
+            "verified-string", "method-int", "seed-bool", "predicate-int",
+            "dim-wrong", "no-retries", "no-entry-range", "no-method",
+        ],
+    )
+    def test_cli_supp_metadata_is_read_strictly(self, tmp_path, path, value):
+        file = tmp_path / "input.json"
+        file.write_text(json.dumps(supp_with(path, value)))
+        error = self.failed_report(tmp_path, ["verify-supp", str(file)])
+        assert error.startswith(f"InputError: cannot load {file}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-supp"], ["verify-sign"], ["lower-bound"], ["rp-verify"],
+         ["compose", "--spec"]],
+        ids=["verify-supp", "verify-sign", "lower-bound", "rp-verify", "compose"],
+    )
+    def test_cli_deeply_nested_json_reports_failure(self, tmp_path, argv):
+        file = tmp_path / "deep.json"
+        file.write_text("[" * 100000 + "]" * 100000)
+        error = self.failed_report(tmp_path, [*argv, str(file)])
+        assert error.startswith(f"InputError: cannot load {file}: RecursionError: ")
+
+    def test_cli_sign_tree_too_deep_to_evaluate_reports_failure(self, tmp_path):
+        from hamrank.hamming import build_hd_supp
+
+        def headroom():
+            try:
+                return 1 + headroom()
+            except RecursionError:
+                return 0
+
+        # a chain that loads but overflows the stack in eval_value: 980
+        # combine nodes from the top of a fresh interpreter.  json.dumps
+        # itself recurses, so the document is built as a string.
+        depth = headroom() - 16
+        oracle = json.dumps(build_hd_supp(2, 1).to_json())
+        node = (
+            '{"type": "combine", "gamma": "1", "oracle": ' + oracle
+            + ', "rep0": {"type": "const", "sign": 1}, "rep1": '
+        )
+        tree = node * depth + '{"type": "const", "sign": 1}' + "}" * depth
+        file = tmp_path / "chain.json"
+        file.write_text(
+            '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 1}, "tree": '
+            + tree + "}"
+        )
+        error = self.failed_report(tmp_path, ["verify-sign", str(file)])
+        assert error.startswith("RecursionError: ")
+
+    def test_cli_threads_are_recorded_and_change_nothing_else(
+        self, tmp_path, monkeypatch
+    ):
+        rep = tmp_path / "rep.json"
+        main(["build-supp", "--n", "4", "--k", "2", "--seed", "3", "--out", str(rep)])
+
+        def report(name, *extra):
+            path = tmp_path / f"{name}.report.json"
+            assert main(["verify-supp", str(rep), *extra, "--report", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            del doc["timing"]
+            return doc
+
+        lone = report("lone")
+        flag = report("flag", "--threads", "2")
+        monkeypatch.setenv("HAMRANK_THREADS", "2")
+        env = report("env")
+        assert (lone["config"]["threads"], flag["config"]["threads"]) == (1, 2)
+        assert env["config"]["threads"] == 2
+        for doc in (flag, env):
+            doc["config"]["threads"] = 1
+            assert doc == lone

@@ -85,7 +85,8 @@ EXPECTED = {
     "ter-verify": "b9a7cca85c83b7dbd47cae2d2390a9bc793790c1db6e3acd9c9d4cbf2038fbe4",
     "ter-sample": "d3b9ff0d6fc521b8cd65aafa958584927bf9795122961fe3546cea7a095f9522",
     "zeroed-verify": "b98777b05aae101e272182eab5a95bd5708cdfcdb4ca969cadc355cbf6eafaa0",
-    "zeroed-lower-bound": "62eaab93421af8ea7c1dde9766566ed50a77b4a95b89165c6fd63f0af5b39b0a",
+    # all 4 diagonal cells of the k = 2 identity fail
+    "zeroed-lower-bound": "1df2445ef41327fe3413d4e2d9c114c1f5463c2f71b5eb7c39e389e4f5db94df",
     "lower-bound": "eee11863830dad97362b539465521d924dff78e6d91aa2a448242e41ad876897",
     "sign-build": "1a53978ed144525bb3fe4eebba74f2608ddbd325b84225ad76205a8d19773f86",
     "sign-verify": "3a9a1bc340ebb58c10d061a60225942f2172a58b59175309a3290accab3150a7",
@@ -150,6 +151,7 @@ def digests(tmp_path_factory):
         )
         out["to-sign-rep:table-55"] = digest(sign_rep_bytes(random_table_problem(), 56))
         out["_zeroed_violations"] = reports["zeroed-verify"].verification
+        out["_zeroed_identity"] = reports["zeroed-lower-bound"].verification
         return out
     finally:
         mp.undo()
@@ -165,6 +167,13 @@ def test_zeroed_rep_violation_sample_is_capped(digests):
     # 176 of the 256 ordered pairs of {0,1}^4 are at distance >= 2
     assert ver["violation_count"] == 176
     assert len(ver["violations"]) == 32
+
+
+def test_zeroed_lower_bound_counts_every_failing_cell(digests):
+    # the zero left factor makes every dot zero: the 4 diagonal cells fail
+    ver = digests["_zeroed_identity"]
+    assert ver["violation_count"] == 4
+    assert ver["detail"].startswith("identity pattern broken at (0, 0): dot zero")
 
 
 def edge_supp_doc(n: int, k: int, left, right) -> dict:

@@ -143,14 +143,13 @@ class TestDetSumProof:
 
 
 class TestUnitDistanceEmbedding:
-    def test_axis_square(self):
-        points = hypercube_unit_embed(2, seed=0, vectors=[(1, 0), (0, 1)])
-        # indices: 00, 10, 01, 11 with bit i as step i
+    def test_index_convention(self):
+        points = hypercube_unit_embed(3, seed=0)
+        # index x sums the steps of its set bits: bit i is step i
         assert points[0] == (0, 0)
-        assert sq_dist(points[0], points[1]) == 1
-        assert sq_dist(points[0], points[2]) == 1
-        assert sq_dist(points[0], points[3]) == 2
-        assert sq_dist(points[1], points[2]) == 2
+        for i in range(3):
+            assert sq_dist(points[0], points[1 << i]) == 1
+        assert points[3] == tuple(a + b for a, b in zip(points[1], points[2]))
 
     def test_seeded_n3_exhaustive(self):
         points = hypercube_unit_embed(3, seed=5)
@@ -164,9 +163,11 @@ class TestUnitDistanceEmbedding:
         for p in points:
             assert all(isinstance(c, (int, Fraction)) for c in p)
 
-    def test_bad_vectors_rejected(self):
-        with pytest.raises(RetriesExhaustedError):
-            hypercube_unit_embed(2, seed=0, vectors=[(2, 0), (0, 1)])
+    def test_unfaithful_draws_exhaust(self, monkeypatch):
+        # one step for every bit puts 100 and 011 at distance 1
+        monkeypatch.setattr(veronese, "_rational_unit_vector", lambda rng: (1, 0))
+        with pytest.raises(RetriesExhaustedError, match="after 64 draws"):
+            hypercube_unit_embed(3, seed=0)
 
     def test_feeds_support_rep_of_not_distance_one(self):
         n = 4
