@@ -124,7 +124,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     mode = getattr(args, "mode", None)
     if mode is not None and mode != "exhaustive":
         kind, _, count = mode.partition(":")
-        if kind != "sample" or not count.isdigit() or int(count) < 1:
+        # "²" and "٣" pass isdigit() too, and int() refuses the one, reads the other
+        digits = count.isascii() and count.isdigit()
+        if kind != "sample" or not digits or int(count) < 1:
             raise SystemExit(
                 f"bad --mode {mode!r}: use exhaustive or sample:COUNT, COUNT >= 1"
             )

@@ -48,6 +48,7 @@ FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
 # 3^15 binary difference patterns fit; the check runs before any enumeration
 MAX_DIAGONAL_PATTERNS = 1 << 24
+METHODS = ("fit", "identity", "weights")  # the constructions that write a compressor
 
 
 def nth_product(index: int, values: Sequence[Sequence]) -> tuple:
@@ -220,9 +221,10 @@ class Compressor:
     def from_json(cls, obj: dict) -> "Compressor":
         """Load every field ``to_json`` writes, none optional: integers as
         document integers, and the stated shapes exactly the factors'."""
-        for key, kind in (("verified", bool), ("method", str)):
-            if type(obj[key]) is not kind:
-                raise InputError(f"{key} {obj[key]!r} is not a {kind.__name__}")
+        if type(obj["verified"]) is not bool:
+            raise InputError(f"verified {obj['verified']!r} is not a bool")
+        if obj["method"] not in METHODS:
+            raise InputError(f"method {obj['method']!r} is not one of {METHODS}")
         comp = cls(
             left=Mat.from_json(obj["left"]),
             right=Mat.from_json(obj["right"]),
@@ -232,6 +234,10 @@ class Compressor:
             entry_range=int_from_json(obj["entry_range"]),
             method=obj["method"],
         )
+        if min(comp.retries, comp.entry_range) < 0:
+            raise InputError(
+                f"retries {comp.retries}, entry_range {comp.entry_range}: not >= 0"
+            )
         for key in ("source_shape", "target_shape"):
             stated, shape = obj[key], list(getattr(comp, key))
             # [3.0, 3.0] == [3, 3], so the entry types are checked too
@@ -365,10 +371,23 @@ def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
     )
 
 
+def certified(comp: Compressor, report: CompressionReport) -> Compressor:
+    """``comp`` marked verified by ``report``, its check over the family, or
+    ``RetriesExhaustedError`` naming the first violating member.  For the
+    deterministic constructions, which are never redrawn; the caller runs
+    the check, so perfbench counts its patterns under the caller's module."""
+    if not report.ok:
+        raise RetriesExhaustedError(
+            f"{comp.method} compressor failed family verification",
+            member=report.violations[0],
+        )
+    return replace(comp, verified=True)
+
+
 def _identity_embedding(a: int, b: int, size: int, seed: int) -> Compressor:
     left = Mat(size, a, tuple(int(i == j) for i in range(size) for j in range(a)))
     right = Mat(size, b, tuple(int(i == j) for i in range(size) for j in range(b)))
-    return Compressor(left=left, right=right, seed=seed, verified=True, method="identity")
+    return Compressor(left, right, seed, verified=False, method="identity")
 
 
 def fit_compressor(family: MatFamily, size: int, seed: int) -> Compressor:
@@ -391,14 +410,9 @@ def fit_compressor(family: MatFamily, size: int, seed: int) -> Compressor:
         raise ValueError("target size must be at least 1")
     a, b = family.shape
     if size >= max(a, b):
+        # cannot fail: the embedding preserves rank exactly
         comp = _identity_embedding(a, b, size, seed)
-        report = verify_compressor(comp, family)
-        if not report.ok:  # cannot happen: embedding preserves rank exactly
-            raise RetriesExhaustedError(
-                "identity embedding failed verification",
-                member=report.violations[0],
-            )
-        return comp
+        return certified(comp, verify_compressor(comp, family))
 
     rng = random.Random(seed)
     span = ENTRY_RANGE

@@ -31,6 +31,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 from .compression import (
     Compressor,
     MatFamily,
+    certified,
     fit_compressor,
     nth_product,
     verify_compressor,
@@ -38,7 +39,6 @@ from .compression import (
 from .errors import (
     InputError,
     PatternViolationError,
-    RetriesExhaustedError,
     SizeMismatchError,
 )
 from .exact import Mat, int_from_json, ints_from_json
@@ -59,59 +59,43 @@ class SupportRep:
     C(2 size, size), so the dot product is nonzero exactly where the
     difference has full rank.  Each embedding is computed on first use and
     memoized, so a representation over 2^n words costs memory only for the
-    words actually touched.
+    words actually touched.  A Hamming rep (``of_compressor``) also carries
+    its compressor, alphabet and seed, and derives ``n``, ``k`` and its
+    document's predicate ``HD>=k`` from the compressor; other reps have none.
     """
 
-    def __init__(
-        self,
-        a_map: Callable[[Hashable], Mat],
-        size: int,
-        predicate: str,
-        n: int | None = None,
-        k: int | None = None,
-        alphabet: tuple[int, ...] | None = None,
-        compressor: Compressor | None = None,
-        seed: int | None = None,
-    ):
+    alphabet: tuple[int, ...] | None = None
+    compressor: Compressor | None = None
+    seed: int | None = None
+
+    def __init__(self, a_map: Callable[[Hashable], Mat], size: int):
         self.dim = comb(2 * size, size)
-        self.predicate = predicate
-        self.n = n
-        self.k = k
-        self.alphabet = alphabet
-        self.compressor = compressor
-        self.seed = seed
         self.u = cache(lambda x: minor_embed(a_map(x), "left"))
         self.v = cache(lambda y: minor_embed(-a_map(y), "right"))
 
     @classmethod
     def of_compressor(
-        cls,
-        comp: Compressor,
-        predicate: str,
-        n: int,
-        k: int,
-        alphabet: Sequence[int],
-        seed: int | None,
+        cls, comp: Compressor, alphabet: Sequence[int], seed: int | None
     ) -> "SupportRep":
-        """The rep det(C(x) - C(y)) of threshold distance, C = comp.apply_diag.
+        """The rep det(C(x) - C(y)) of dist >= k, C = comp.apply_diag.
 
-        ``n`` and ``k`` must be the compressor's source and target sizes,
-        and the alphabet must pass ``check_alphabet``.
+        The compressor's factors are k x n, both of one shape: n is the word
+        length and k the threshold.  The alphabet must pass
+        ``check_alphabet``.
         """
-        shapes = (comp.source_shape, comp.target_shape)
-        if not (type(n) is type(k) is int and shapes == ((n, n), (k, k))):
-            raise InputError(f"n={n!r}, k={k!r} do not fit a compressor {shapes}")
-        alphabet = check_alphabet(alphabet)
-        return cls(
-            comp.apply_diag,
-            k,
-            predicate,
-            n=n,
-            k=k,
-            alphabet=alphabet,
-            compressor=comp,
-            seed=seed,
-        )
+        if comp.left.shape != comp.right.shape:
+            raise InputError(f"factor shapes {comp.left.shape} != {comp.right.shape}")
+        rep = cls(comp.apply_diag, comp.left.rows)
+        rep.alphabet, rep.compressor, rep.seed = check_alphabet(alphabet), comp, seed
+        return rep
+
+    @property
+    def n(self) -> int:
+        return self.compressor.source_shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.compressor.target_shape[0]
 
     def dot(self, x, y) -> int:
         return sum(map(mul, self.u(x), self.v(y)))
@@ -125,7 +109,7 @@ class SupportRep:
             raise ValueError("only compressor-backed representations serialize")
         return {
             "schema": "hamrank-supp/1",
-            "predicate": self.predicate,
+            "predicate": f"HD>={self.k}",
             "n": self.n,
             "k": self.k,
             "alphabet": [str(a) for a in self.alphabet],
@@ -207,36 +191,31 @@ def build_hd_supp(
     family = MatFamily.diagonal_differences(n, alphabet)
     if k == 1 and len(alphabet) == 2:
         comp = _weights_compressor(n)
-        report = verify_compressor(comp, family)
-        if not report.ok:
-            raise RetriesExhaustedError(
-                "weight compressor failed family verification",
-                member=report.violations[0],
-            )
-        comp = replace(comp, verified=True)
+        comp = certified(comp, verify_compressor(comp, family))
     else:
         comp = fit_compressor(family, k, seed_stream(seed, "hd-supp", n, k))
 
-    return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, seed)
+    return SupportRep.of_compressor(comp, alphabet, seed)
 
 
 def load_supp(obj: dict) -> SupportRep:
     """Rebuild a support rep from every field ``to_json`` writes, none
-    optional; the stated dim must be the rep's C(2k, k)."""
+    optional.  The rep is its compressor, alphabet and seed; the stated
+    predicate, ``n``, ``k`` (JSON ints) and dim (a document integer) must
+    each equal the value the compressor gives."""
     if obj.get("schema") != "hamrank-supp/1":
         raise ValueError(f"not a support-rep document: {obj.get('schema')!r}")
-    if type(obj["predicate"]) is not str:
-        raise InputError(f"predicate {obj['predicate']!r} is not a str")
     rep = SupportRep.of_compressor(
         Compressor.from_json(obj["compressor"]),
-        obj["predicate"],
-        obj["n"],
-        obj["k"],
         ints_from_json(obj["alphabet"]),
         int_from_json(obj["seed"]),
     )
-    if int_from_json(obj["dim"]) != rep.dim:
-        raise InputError(f"dim {obj['dim']!r} is not the rep's {rep.dim}")
+    stated, derived = dict(obj, dim=int_from_json(obj["dim"])), rep.to_json()
+    for key in ("predicate", "n", "k", "dim"):
+        want = derived[key]
+        # True == 1 and 3.0 == 3, so the type is checked too
+        if type(stated[key]) is not type(want) or stated[key] != want:
+            raise InputError(f"{key} {obj[key]!r} is not the compressor's {want!r}")
     return rep
 
 
@@ -356,33 +335,35 @@ def verify_support_rep(
     checked by ``_packed_rows``, one big-integer multiply-add per
     coordinate against the packed columns, with the Hamming ball of radius
     k - 1 as ground truth.  Sample mode draws ``sample_count`` seeded
-    uniform ordered pairs, embeds only the drawn words and checks each pair
-    by its own dot product and letter codes.  Both tabulate through the
-    sweep's ``table``, and either way ``max_pairs`` bounds the pairs
-    checked.  The report is deterministic for a given mode and seed.
+    uniform ordered pairs, embeds only the drawn words, each once, and
+    checks each pair by its own dot product and letter codes.  Either way
+    ``max_pairs`` bounds the pairs checked, before anything is embedded.
+    The report is deterministic for a given mode and seed.
     """
-    if rep.n is None or rep.k is None or rep.alphabet is None:
+    if rep.compressor is None:
         raise ValueError("verification needs a Hamming-threshold representation")
     n, k, alphabet = rep.n, rep.k, rep.alphabet
     a = len(alphabet)
 
-    def prepare(table):
-        words = table(lambda i: word_of_index(i, n, alphabet))
-        us, vs = (table(lambda i, f=f: f(words[i])) for f in (rep.u, rep.v))
+    def prepare():
         if mode == "exhaustive":
+            words = [word_of_index(i, n, alphabet) for i in range(a**n)]
+            us, vs = list(map(rep.u, words)), list(map(rep.v, words))
             return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
+        word = cache(lambda i: word_of_index(i, n, alphabet))
+        u, v = cache(lambda i: rep.u(word(i))), cache(lambda i: rep.v(word(i)))
         # one-hot letter codes: each differing position sets two bits of the xor
         bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
-        codes = table(lambda i: sum(map(getitem, bits, words[i])))
+        code = cache(lambda i: sum(map(getitem, bits, word(i))))
         need = 2 * k
 
         def check(i: int, cols) -> tuple[int, list[int]]:
-            ui, ci = us[i], codes[i]
+            ui, ci = u(i), code(i)
             bad = [
                 j
                 for j in cols
-                if (sum(map(mul, ui, vs[j])) != 0)
-                != ((ci ^ codes[j]).bit_count() >= need)
+                if (sum(map(mul, ui, v(j))) != 0)
+                != ((ci ^ code(j)).bit_count() >= need)
             ]
             return len(bad), bad
 
@@ -431,6 +412,8 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         raise InputError("the identity certificate needs a two-letter alphabet")
     lo, hi = rep.alphabet
     n, k = rep.n, rep.k
+    if k > n:
+        raise InputError(f"the identity certificate needs k <= n, got k={k}, n={n}")
     rows = []
     cols = []
     for bits in itertools.product((lo, hi), repeat=k):
@@ -442,7 +425,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         bad = [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
         return len(bad), bad
 
-    result = sweep(len(rows), lambda table: check)
+    result = sweep(len(rows), lambda: check)
     if not result.certified:
         i, j = result.violations[0]
         raise PatternViolationError(

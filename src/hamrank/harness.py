@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
@@ -233,22 +234,13 @@ def run(subcommand: str, config: RunConfig) -> Report:
 
 
 def _supp_construction(rep: SupportRep) -> dict:
-    comp = rep.compressor
-    return {
-        "n": rep.n,
-        "k": rep.k,
-        "alphabet": [str(a) for a in rep.alphabet],
-        "dim": rep.dim,
-        "seed": rep.seed,
-        "predicate": rep.predicate,
-        "compressor": {
-            "method": comp.method,
-            "retries": comp.retries,
-            "entry_range": comp.entry_range,
-            "verified": comp.verified,
-            "target_shape": list(comp.target_shape),
-        },
-    }
+    """The rep's document without its schema, the compressor cut to its
+    provenance: how it was made and that it was verified, not its entries."""
+    doc = rep.to_json()
+    del doc["schema"]
+    keys = ("method", "retries", "entry_range", "verified", "target_shape")
+    doc["compressor"] = {key: doc["compressor"][key] for key in keys}
+    return doc
 
 
 def _supp_bounds(k: int, dim: int) -> dict:
@@ -350,24 +342,20 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
+    word = cache(lambda i: word_of_index(i, n, alphabet))
 
-    def prepare(table):
-        words = table(lambda i: word_of_index(i, n, alphabet))
-
-        def check(i: int, cols) -> tuple[int, list[int]]:
-            x = words[i]
-            bad = [
-                j
-                for j in cols
-                if eval_sign(rep, x, words[j]) != (1 if dist(x, words[j]) == k else -1)
-            ]
-            return len(bad), bad
-
-        return check
+    def check(i: int, cols) -> tuple[int, list[int]]:
+        x = word(i)
+        bad = [
+            j
+            for j in cols
+            if eval_sign(rep, x, word(j)) != (1 if dist(x, word(j)) == k else -1)
+        ]
+        return len(bad), bad
 
     result = sweep(
         len(alphabet) ** n,
-        prepare,
+        lambda: check,
         config.verify_mode,
         config.sample_count,
         rng_stream(config.seed, "verify-sign", n, k),
@@ -395,22 +383,18 @@ def _check_semantics(
     problem: RankProblem, spec: CompositionSpec, config: RunConfig, report: Report
 ) -> None:
     """Compare every pair's evaluation with the composition semantics."""
+    tuple_of = cache(spec.tuple_of)
 
-    def prepare(table):
-        tuples = table(spec.tuple_of)
+    def check(x: int, cols) -> tuple[int, list[int]]:
+        tx = tuple_of(x)
+        bad = [
+            y
+            for y in cols
+            if problem.eval(x, y) != compose_semantics(spec, tx, tuple_of(y))
+        ]
+        return len(bad), bad
 
-        def check(x: int, cols) -> tuple[int, list[int]]:
-            tx = tuples[x]
-            bad = [
-                y
-                for y in cols
-                if problem.eval(x, y) != compose_semantics(spec, tx, tuples[y])
-            ]
-            return len(bad), bad
-
-        return check
-
-    result = sweep(problem.index_count, prepare, max_pairs=config.max_pairs)
+    result = sweep(problem.index_count, lambda: check, max_pairs=config.max_pairs)
     report.verification = {
         "pairs_checked": result.pairs_checked,
         "violation_count": result.violation_count,

@@ -55,21 +55,9 @@ class SweepReport:
         }
 
 
-class _Memo(dict):
-    """An index -> value table filled on first lookup."""
-
-    def __init__(self, fn: Callable[[int], object]):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key: int) -> object:
-        value = self[key] = self._fn(key)
-        return value
-
-
 def sweep(
     count: int,
-    prepare: Callable[[Callable], Callable[[int, Sequence[int]], tuple[int, list]]],
+    prepare: Callable[[], Callable[[int, Sequence[int]], tuple[int, list]]],
     mode: str = "exhaustive",
     sample_count: int | None = None,
     rng: random.Random | None = None,
@@ -77,26 +65,23 @@ def sweep(
 ) -> SweepReport:
     """Check ordered index pairs (i, j) of range(count) x range(count).
 
-    ``prepare(table)`` runs once, after the budget check, and returns the
-    row check ``check(i, cols)``.  It returns ``(bad_count, first_bad)``:
-    how many columns j of ``cols`` fail at pair (i, j), and their failing
+    ``prepare()`` runs once, after the budget check, and returns the row
+    check ``check(i, cols)``.  It returns ``(bad_count, first_bad)``: how
+    many columns j of ``cols`` fail at pair (i, j), and their failing
     columns in order, at least the first ``REPORT_CAP`` of them; the sweep
-    alone caps what it keeps.  ``table(f)`` is how
-    the check tabulates its per-index data: in exhaustive mode it is the
-    list of f(i) for every index, in sample mode a table that computes
-    f(i) on first lookup, so only drawn indices cost anything.  Exhaustive
-    mode refuses grids over ``max_pairs``, then checks each row i once,
-    with ``cols`` the whole row ``range(count)``; sample mode refuses a
-    ``sample_count`` over ``max_pairs``, then draws that many pairs from
-    ``rng``, row index first, and checks each as a one-column row.  The
-    report counts every failure and keeps the first ``REPORT_CAP``
-    failing (i, j) pairs in pair order.
+    alone caps what it keeps.  Exhaustive mode refuses grids over
+    ``max_pairs``, then checks each row i once, with ``cols`` the whole
+    row ``range(count)``; sample mode refuses a ``sample_count`` over
+    ``max_pairs``, then draws that many pairs from ``rng``, row index
+    first, and checks each as a one-column row.  The report counts every
+    failure and keeps the first ``REPORT_CAP`` failing (i, j) pairs in
+    pair order.
     """
     if mode == "sample":
         if not sample_count or sample_count < 1:
             raise InputError("sample mode needs a positive sample_count")
         check_pairs(sample_count, max_pairs, "; draw fewer sample pairs")
-        check = prepare(_Memo)
+        check = prepare()
         bad = 0
         violations = []
         for _ in range(sample_count):
@@ -112,7 +97,7 @@ def sweep(
     check_pairs(
         count * count, max_pairs, "; rerun in sample mode with an explicit count"
     )
-    check = prepare(lambda f: [f(i) for i in range(count)])
+    check = prepare()
     cols = range(count)
     bad = 0
     violations = []

@@ -272,7 +272,7 @@ def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
     serialize.
     """
     q = _compress_problem(p, threshold, seed)
-    return SupportRep(q.a_map, threshold, f"rank>={threshold}", seed=seed)
+    return SupportRep(q.a_map, threshold)
 
 
 def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from hamrank import compression
 from hamrank.compression import (
     Compressor,
     MatFamily,
+    certified,
     fit_compressor,
     nth_product,
     verify_compressor,
@@ -192,6 +194,21 @@ class TestVerify:
         )
         for m in fam_mats:
             assert rank_exact(comp.apply(m)) <= min(rank_exact(m), 2, 2)
+
+
+class TestCertified:
+    def test_marks_verified_or_names_the_first_violation(self):
+        fam = MatFamily.diagonal_differences(3, (0, 1))
+        ones = Mat(1, 3, (1, 1, 1))
+        comp = Compressor(ones, ones, 0, verified=False, method="weights")
+        report = verify_compressor(comp, fam)  # (1, -1, 0) sums to zero
+        message = "^weights compressor failed family verification$"
+        with pytest.raises(RetriesExhaustedError, match=message) as exc:
+            certified(comp, report)
+        assert exc.value.member == report.violations[0]
+        comp = replace(comp, left=Mat(1, 3, (1, 2, 4)))
+        verified = certified(comp, verify_compressor(comp, fam))
+        assert verified == replace(comp, verified=True)
 
 
 class TestDiagonalFastPath:

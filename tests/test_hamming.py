@@ -37,9 +37,7 @@ def with_left(rep: SupportRep, entries) -> SupportRep:
     """Same rep with the compressor's left factor entries replaced."""
     left = Mat(*rep.compressor.left.shape, tuple(entries))
     comp = replace(rep.compressor, left=left)
-    return SupportRep.of_compressor(
-        comp, rep.predicate, rep.n, rep.k, rep.alphabet, rep.seed
-    )
+    return SupportRep.of_compressor(comp, rep.alphabet, rep.seed)
 
 
 def zeroed(rep: SupportRep) -> SupportRep:
@@ -186,7 +184,7 @@ class TestVerify:
             verify_support_rep(rep, mode="sample", sample_count=101, max_pairs=100)
 
     def test_sample_budget_is_checked_before_the_table_is_built(self):
-        def prepare(table):
+        def prepare():
             raise AssertionError("prepared over budget")
 
         with pytest.raises(BudgetExceededError):
@@ -220,7 +218,7 @@ def hand_rep(n, k, alphabet, left, right) -> SupportRep:
         seed=0,
         verified=False,
     )
-    return SupportRep.of_compressor(comp, f"HD>={k}", n, k, alphabet, None)
+    return SupportRep.of_compressor(comp, alphabet, None)
 
 
 WIDE = 1 << 200
@@ -333,8 +331,8 @@ class TestIdentityCertificate:
             match=r"^identity pattern broken at \(0, 0\): dot zero, expected diagonal$",
         ):
             identity_certificate(zeroed(rep))
-        rep = build_hd_supp(4, 1, seed=0)
-        rep.k = 2  # read as dist >= 2, the dist >= 1 rep is nonzero off the diagonal
+        # no real rep fails off the diagonal: there rank(C(x) - C(y)) <= dist < k
+        rep.query = lambda x, y: True
         with pytest.raises(
             PatternViolationError,
             match=r"^identity pattern broken at \(0, 1\): dot nonzero, "

@@ -633,7 +633,9 @@ class TestCli:
     def test_cli_unknown_mode(self, tmp_path):
         out = tmp_path / "rep.json"
         main(["build-supp", "--n", "4", "--k", "1", "--seed", "3", "--out", str(out)])
-        for mode in ("half", "sample", "sample:0", "sample:-3", "sample:x"):
+        modes = ("half", "sample", "sample:0", "sample:-3", "sample:x", "sample:\u00b2",
+                 "sample:\u0663")
+        for mode in modes:
             with pytest.raises(SystemExit):
                 main(["verify-supp", str(out), "--mode", mode])
             with pytest.raises(SystemExit):
@@ -648,6 +650,17 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["status"] == "failed"
         assert doc["error"].startswith("InputError:")
+
+    def test_cli_lower_bound_with_k_over_n_names_both(self, tmp_path):
+        from .test_report_bytes import edge_supp_doc
+
+        file = tmp_path / "rep.json"
+        doc = edge_supp_doc(2, 3, [1, 2, 3, 5, 7, 11], [1, 1, 2, 3, 5, 8])
+        file.write_text(json.dumps(doc))
+        error = self.failed_report(tmp_path, ["lower-bound", str(file)])
+        assert error == (
+            "InputError: the identity certificate needs k <= n, got k=3, n=2"
+        )
 
     def test_cli_verify_sign_without_meta_reports_failure(self, tmp_path):
         out = tmp_path / "sign.json"
@@ -984,8 +997,12 @@ class TestCli:
             (["compressor", "seed"], 1.5),
             (["compressor", "verified"], "no"),
             (["compressor", "method"], 7),
+            (["compressor", "retries"], -5),
+            (["compressor", "entry_range"], -1),
+            (["compressor", "method"], "banana"),
             (["seed"], True),
             (["predicate"], 5),
+            (["predicate"], "HD>=7 (banana)"),
             (["dim"], 3),
             (["compressor", "retries"], DROP),
             (["compressor", "entry_range"], DROP),
@@ -993,7 +1010,9 @@ class TestCli:
         ],
         ids=[
             "retries-string", "entry-range-list", "compressor-seed-float",
-            "verified-string", "method-int", "seed-bool", "predicate-int",
+            "verified-string", "method-int", "retries-negative",
+            "entry-range-negative", "method-unknown", "seed-bool", "predicate-int",
+            "predicate-wrong",
             "dim-wrong", "no-retries", "no-entry-range", "no-method",
         ],
     )

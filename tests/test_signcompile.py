@@ -336,7 +336,7 @@ class TestInputMaps:
         def to_word(i):
             return tuple((i >> b) & 1 for b in range(n))
 
-        oracle = SupportRep(lambda i: compress(to_word(i)), 1, "HD>=1")
+        oracle = SupportRep(lambda i: compress(to_word(i)), 1)
         tree = Node(oracle=oracle, child0=ConstLeaf(1), child1=ConstLeaf(-1))
         domain = list(range(1 << n))
         rep = compile_tree(tree, domain, lambda i, j: i == j)
