@@ -2,12 +2,11 @@
 
 Every subcommand writes a JSON report (and a one-line CSV summary) and
 exits 0 only when the run is certified: constructed artifacts verified,
-zero violations.  Budgets can also come from the environment:
-HAMRANK_MAX_DIM, HAMRANK_MAX_PAIRS.  A non-integer environment value and
-an output path in a missing directory exit at once, like a bad ``--mode``.
-Sweeps run in one thread;
-``--threads`` / HAMRANK_THREADS and HAMRANK_MAX_BITS are accepted and
-recorded in the report's config, and change nothing else.
+zero violations.  Every integer input (a flag, an ``--alphabet`` letter,
+a sample COUNT, the budgets HAMRANK_MAX_PAIRS and HAMRANK_MAX_DIM, which
+caps the entries ``compose --out`` writes) is read by ``int_from_json``
+as documents are, and a bad one exits at once.  Negative letters need
+``--alphabet=-1,0``; ``--threads`` is only recorded in the report.
 """
 
 from __future__ import annotations
@@ -17,26 +16,25 @@ import os
 import sys
 
 from .errors import InputError
+from .exact import int_from_json
 from .harness import RunConfig, run
 
 
 def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
+    raw = os.environ.get(name) or str(default)
     try:
-        return int(raw)
-    except ValueError:
+        return int_from_json(raw)
+    except InputError:
         raise SystemExit(f"bad {name}={raw!r}: expected an integer") from None
 
 
 def _parse_alphabet(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(","))
+    return tuple(map(int_from_json, raw.split(",")))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--seed", type=int_from_json, default=0)
+    parser.add_argument("--threads", type=int_from_json, default=1)
     parser.add_argument("--report", help="path for the JSON report")
     parser.add_argument("--csv", help="path for the one-line CSV summary")
 
@@ -60,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-supp", help="build a threshold-distance support rep")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int_from_json, required=True)
+    p.add_argument("--k", type=int_from_json, required=True)
     p.add_argument("--alphabet", type=_parse_alphabet, default=(0, 1))
     p.add_argument("--out", required=True, help="path for the rep JSON")
     _add_common(p)
@@ -72,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("build-sign", help="build the exact-distance sign rep")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int_from_json, required=True)
+    p.add_argument("--k", type=int_from_json, required=True)
     p.add_argument(
         "--gamma-mode", default="exact_scan", choices=["exact_scan", "norm_bound"]
     )
@@ -111,10 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(
         seed=args.seed,
-        threads=args.threads
-        if args.threads is not None
-        else _env_int("HAMRANK_THREADS", 1),
-        max_bits=_env_int("HAMRANK_MAX_BITS", 0) or None,
+        threads=args.threads,
         max_dim=_env_int("HAMRANK_MAX_DIM", 1 << 20),
         max_pairs=_env_int("HAMRANK_MAX_PAIRS", 1 << 24),
         out=getattr(args, "out", None),
@@ -124,27 +119,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     mode = getattr(args, "mode", None)
     if mode is not None and mode != "exhaustive":
         kind, _, count = mode.partition(":")
-        # "²" and "٣" pass isdigit() too, and int() refuses the one, reads the other
-        digits = count.isascii() and count.isdigit()
-        if kind != "sample" or not digits or int(count) < 1:
-            raise SystemExit(
-                f"bad --mode {mode!r}: use exhaustive or sample:COUNT, COUNT >= 1"
-            )
+        bad = f"bad --mode {mode!r}: use exhaustive or sample:COUNT, COUNT >= 1"
+        try:
+            config.sample_count = int_from_json(count)
+        except InputError:
+            raise SystemExit(bad) from None
+        if kind != "sample" or config.sample_count < 1:
+            raise SystemExit(bad)
         config.verify_mode = "sample"
-        config.sample_count = int(count)
     return config
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
     params = {}
-    for key in ("n", "k", "rep", "rp", "spec", "against"):
+    for key in ("n", "k", "rep", "rp", "spec", "against", "gamma_mode"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
     if hasattr(args, "alphabet"):
         params["alphabet"] = list(args.alphabet)
-    if hasattr(args, "gamma_mode"):
-        params["gamma_mode"] = args.gamma_mode
     return params
 
 

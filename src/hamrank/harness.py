@@ -15,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from math import comb
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
@@ -71,15 +72,14 @@ CSV_COLUMNS = [
 class RunConfig:
     """Knobs shared by every subcommand; one seed feeds all randomness.
 
-    ``threads`` and ``max_bits`` are recorded in the report's config and
-    change nothing else.
+    ``threads`` is only recorded in the report's config, beside a null
+    ``max_bits`` that keeps the report bytes of earlier versions.
     """
 
     seed: int = 0
     threads: int = 1
     verify_mode: str = "exhaustive"
     sample_count: int | None = None
-    max_bits: int | None = None
     max_dim: int = 1 << 20
     max_pairs: int = 1 << 24
     out: str | None = None
@@ -93,7 +93,7 @@ class RunConfig:
             "threads": self.threads,
             "verify_mode": self.verify_mode,
             "sample_count": self.sample_count,
-            "max_bits": self.max_bits,
+            "max_bits": None,
             "max_dim": self.max_dim,
             "max_pairs": self.max_pairs,
             "params": self.params,
@@ -175,11 +175,16 @@ def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
 
 
 def _check_outputs(config: RunConfig) -> None:
-    """Refuse an output path in a missing directory, before any work."""
+    """Refuse an output path in a missing directory, and two output paths
+    that resolve to one file, before any work."""
+    seen: dict[str, str] = {}
     for path in filter(None, (config.out, config.report_path, config.csv_path)):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise InputError(f"cannot write {path}: no directory {folder}")
+        if (real := os.path.realpath(path)) in seen:
+            raise InputError(f"cannot write {path}: {seen[real]} names the same file")
+        seen[real] = path
 
 
 def _save(path: str, write: Callable[[TextIO], object]) -> None:
@@ -200,9 +205,9 @@ def run(subcommand: str, config: RunConfig) -> Report:
     """Dispatch a subcommand and return its report.
 
     Budget violations, module errors and too deep a recursion (a sign tree
-    past the stack) end in a failed report instead of crashing.  An output
-    path in a missing directory raises ``InputError`` before any work, and
-    so does a report or summary that cannot be written after it.
+    past the stack) end in a failed report instead of crashing.  Output
+    paths in a missing directory or naming one file raise ``InputError``
+    before any work, and so does a report or summary unwritable after it.
     """
     handlers = {
         "build-supp": _run_build_supp,
@@ -244,8 +249,6 @@ def _supp_construction(rep: SupportRep) -> dict:
 
 
 def _supp_bounds(k: int, dim: int) -> dict:
-    from math import comb
-
     return {
         "dim": dim,
         "binomial_bound": comb(2 * k, k),
@@ -291,8 +294,6 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     rep = build_hd_sign(
         n, k, seed=config.seed, gamma_mode=gamma_mode, max_pairs=config.max_pairs
     )
-    from math import comb
-
     dim_formula = 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
     report.construction = {
         "n": n,
@@ -418,18 +419,22 @@ def _run_compose(config: RunConfig, report: Report) -> None:
     _check_semantics(problem, spec, config, report)
     if config.out:
         doc = problem_to_json(problem, max_entries=config.max_dim)
-        doc["provenance"] = {"composition_spec": config.params["spec"]}
+        # relative to the artifact, so rp-verify finds it from any directory
+        spec = os.path.relpath(config.params["spec"], os.path.dirname(config.out))
+        doc["provenance"] = {"composition_spec": spec}
         _save_json(doc, config.out)
 
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
-    problem, recorded_spec = _load(
-        config.params["rp"],
-        lambda doc: (
-            problem_from_json(doc),
-            doc.get("provenance", {}).get("composition_spec"),
-        ),
-    )
+    rp_path = config.params["rp"]
+
+    def load(doc: dict) -> tuple[RankProblem, str | None]:
+        recorded = doc.get("provenance", {}).get("composition_spec")
+        if recorded is not None:  # compose records it relative to the rp file
+            recorded = os.path.join(os.path.dirname(rp_path), recorded)
+        return problem_from_json(doc), recorded
+
+    problem, recorded_spec = _load(rp_path, load)
     spec_path = config.params.get("spec") or recorded_spec
     if spec_path is None:
         raise InputError("no composition spec available to verify against")

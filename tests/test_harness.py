@@ -633,13 +633,15 @@ class TestCli:
     def test_cli_unknown_mode(self, tmp_path):
         out = tmp_path / "rep.json"
         main(["build-supp", "--n", "4", "--k", "1", "--seed", "3", "--out", str(out)])
+        report = tmp_path / "v.report.json"
         modes = ("half", "sample", "sample:0", "sample:-3", "sample:x", "sample:\u00b2",
-                 "sample:\u0663")
+                 "sample:\u0663", "sample:+5", "sample: 5", "sample:5_0")
         for mode in modes:
-            with pytest.raises(SystemExit):
-                main(["verify-supp", str(out), "--mode", mode])
-            with pytest.raises(SystemExit):
-                main(["verify-sign", str(out), "--mode", mode])
+            for command in ("verify-supp", "verify-sign"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, str(out), "--mode", mode, "--report", str(report)])
+                assert str(exc.value).startswith(f"bad --mode {mode!r}: ")
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_cli_lower_bound_on_ternary_rep_reports_failure(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -760,16 +762,84 @@ class TestCli:
         error = self.failed_report(tmp_path, sample(301))
         assert error.startswith("BudgetExceededError: 301 pairs exceed")
 
-    @pytest.mark.parametrize(
-        "name",
-        ["HAMRANK_MAX_PAIRS", "HAMRANK_MAX_DIM", "HAMRANK_THREADS", "HAMRANK_MAX_BITS"],
-    )
-    def test_cli_bad_environment_value_exits_cleanly(self, tmp_path, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
+    @pytest.mark.parametrize("value", ["abc", " 30", "3_0", "\u0663\u0660"])
+    @pytest.mark.parametrize("name", ["HAMRANK_MAX_PAIRS", "HAMRANK_MAX_DIM"])
+    def test_cli_bad_environment_value_exits_cleanly(
+        self, tmp_path, monkeypatch, name, value
+    ):
+        monkeypatch.setenv(name, value)
         args = ["build-supp", "--n", "3", "--k", "1", "--out", str(tmp_path / "r.json")]
         with pytest.raises(SystemExit) as exc:
-            main(args)
-        assert str(exc.value) == f"bad {name}='abc': expected an integer"
+            main(args + ["--report", str(tmp_path / "r.report.json")])
+        assert str(exc.value) == f"bad {name}={value!r}: expected an integer"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--n", "\u0663"),
+            ("--k", " 1"),
+            ("--seed", "1_0"),
+            ("--threads", "+2"),
+            ("--alphabet", "0, 1"),
+            ("--alphabet", "0,\u0663"),
+        ],
+    )
+    def test_cli_integer_flags_take_ascii_decimals_only(
+        self, tmp_path, capsys, flag, value
+    ):
+        args = ["build-supp", "--n", "3", "--k", "1", "--out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--report", str(tmp_path / "r.report.json"), flag, value])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in error and repr(value) in error
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,alphabet",
+        [
+            (["--alphabet", "0,1,2", "--seed", "007"], [0, 1, 2]),
+            (["--alphabet=-1,0", "--seed", "7"], [-1, 0]),
+        ],
+    )
+    def test_cli_ascii_integers_build_what_run_builds(self, tmp_path, argv, alphabet):
+        cli = tmp_path / "cli"
+        cli.mkdir()
+        args = ["build-supp", "--n", "3", "--k", "2", "--threads", "2", *argv]
+        paths = ["--out", str(cli / "rep.json"), "--report", str(cli / "r.report.json")]
+        assert main(args + paths) == 0
+        params = {"n": 3, "k": 2, "alphabet": alphabet}
+        config = make_config(
+            tmp_path, "r", seed=7, threads=2, out=str(tmp_path / "rep.json"), params=params
+        )
+        assert run("build-supp", config).certified
+        for name in ("rep.json", "r.report.json"):
+            docs = [json.loads((d / name).read_text()) for d in (cli, tmp_path)]
+            for doc in docs:
+                doc.pop("timing", None)
+            assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize(
+        "first,second", [("--out", "--report"), ("--out", "--csv"), ("--report", "--csv")]
+    )
+    def test_cli_two_outputs_naming_one_file_refused_before_work(
+        self, tmp_path, monkeypatch, first, second
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr("hamrank.harness.build_hd_supp", never)
+        paths = {f: str(tmp_path / f"out{f}") for f in ("--out", "--report", "--csv")}
+        paths[first] = str(tmp_path / "same.json")
+        paths[second] = f"{tmp_path}/./same.json"
+        args = ["build-supp", "--n", "3", "--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [arg for item in paths.items() for arg in item])
+        assert str(exc.value) == (
+            f"build-supp: cannot write {paths[second]}: {paths[first]} names the same file"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--report", "--csv"])
     def test_cli_output_in_missing_directory_refused_before_work(
@@ -820,6 +890,25 @@ class TestCli:
         assert error == (
             "InputError: rank problem has 4 indices, its composition spec 8"
         )
+
+    def test_cli_rp_verify_finds_the_recorded_spec_from_another_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from .test_report_bytes import compose_spec
+
+        (tmp_path / "specs").mkdir()
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        compose_spec("specs/s.json")
+        assert main(["compose", "--spec", "specs/s.json", "--out", "out/rp.json"]) == 0
+        doc = json.loads((tmp_path / "out" / "rp.json").read_text())
+        assert doc["provenance"] == {"composition_spec": "../specs/s.json"}
+        assert main(["rp-verify", "out/rp.json"]) == 0
+        monkeypatch.chdir(tmp_path / "out")
+        assert main(["rp-verify", "rp.json"]) == 0
+        assert main(["rp-verify", "rp.json", "--spec", "../specs/s.json"]) == 0
+        error = self.failed_report(tmp_path, ["rp-verify", "rp.json", "--spec", "s.json"])
+        assert error.startswith("InputError: cannot load s.json: FileNotFoundError")
 
     @pytest.mark.parametrize(
         "command,text",
@@ -1061,9 +1150,7 @@ class TestCli:
         error = self.failed_report(tmp_path, ["verify-sign", str(file)])
         assert error.startswith("RecursionError: ")
 
-    def test_cli_threads_are_recorded_and_change_nothing_else(
-        self, tmp_path, monkeypatch
-    ):
+    def test_cli_threads_are_recorded_and_change_nothing_else(self, tmp_path):
         rep = tmp_path / "rep.json"
         main(["build-supp", "--n", "4", "--k", "2", "--seed", "3", "--out", str(rep)])
 
@@ -1076,10 +1163,6 @@ class TestCli:
 
         lone = report("lone")
         flag = report("flag", "--threads", "2")
-        monkeypatch.setenv("HAMRANK_THREADS", "2")
-        env = report("env")
         assert (lone["config"]["threads"], flag["config"]["threads"]) == (1, 2)
-        assert env["config"]["threads"] == 2
-        for doc in (flag, env):
-            doc["config"]["threads"] = 1
-            assert doc == lone
+        flag["config"]["threads"] = 1
+        assert flag == lone
