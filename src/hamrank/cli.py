@@ -121,12 +121,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         kind, _, count = mode.partition(":")
         bad = f"bad --mode {mode!r}: use exhaustive or sample:COUNT, COUNT >= 1"
         try:
-            config.sample_count = int_from_json(count)
+            config.sample = int_from_json(count)
         except InputError:
             raise SystemExit(bad) from None
-        if kind != "sample" or config.sample_count < 1:
+        if kind != "sample" or config.sample < 1:
             raise SystemExit(bad)
-        config.verify_mode = "sample"
     return config
 
 

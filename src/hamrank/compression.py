@@ -42,7 +42,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, bareiss, int_from_json, rank_exact
-from .parallel import REPORT_CAP
+from .parallel import REPORT_CAP, SweepReport
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -246,19 +246,6 @@ class Compressor:
         return comp
 
 
-@dataclass(frozen=True)
-class CompressionReport:
-    """Outcome of checking a compressor against a family, in enumeration order."""
-
-    checked: int
-    violation_count: int
-    violations: tuple[dict, ...]  # capped sample of violation records
-
-    @property
-    def ok(self) -> bool:
-        return self.violation_count == 0
-
-
 # -------------------------------------------------------------------
 # Fitting and verification
 # -------------------------------------------------------------------
@@ -347,11 +334,12 @@ def _violation(family: MatFamily, index: int, achieved: int, required: int) -> d
     return record
 
 
-def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
+def verify_compressor(comp: Compressor, family: MatFamily) -> SweepReport:
     """Exhaustively check rank(apply(M)) == min(rank(M), a', b') over the family.
 
-    Deterministic: members are visited in index order, and the report lists
-    the first ``REPORT_CAP`` violations.
+    Deterministic: members are visited in index order.  The report's
+    ``pairs_checked`` is the family size; it counts every violating member
+    and lists the first ``REPORT_CAP`` of them as records.
     """
     if comp.source_shape != family.shape:
         raise SizeMismatchError(
@@ -364,19 +352,16 @@ def verify_compressor(comp: Compressor, family: MatFamily) -> CompressionReport:
         count += 1
         if count <= REPORT_CAP:
             first.append(shortfall)
-    return CompressionReport(
-        checked=family.size,
-        violation_count=count,
-        violations=tuple(_violation(family, *shortfall) for shortfall in first),
-    )
+    records = tuple(_violation(family, *shortfall) for shortfall in first)
+    return SweepReport(family.size, count, records)
 
 
-def certified(comp: Compressor, report: CompressionReport) -> Compressor:
+def certified(comp: Compressor, report: SweepReport) -> Compressor:
     """``comp`` marked verified by ``report``, its check over the family, or
     ``RetriesExhaustedError`` naming the first violating member.  For the
     deterministic constructions, which are never redrawn; the caller runs
     the check, so perfbench counts its patterns under the caller's module."""
-    if not report.ok:
+    if not report.certified:
         raise RetriesExhaustedError(
             f"{comp.method} compressor failed family verification",
             member=report.violations[0],

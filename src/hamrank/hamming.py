@@ -43,7 +43,7 @@ from .errors import (
 )
 from .exact import Mat, int_from_json, ints_from_json
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import REPORT_CAP, SweepReport, sweep
+from .parallel import REPORT_CAP, SweepReport, pairwise, sweep
 from .seeds import rng_stream, seed_stream
 from .veronese import minor_embed
 
@@ -323,22 +323,22 @@ def _packed_rows(
 
 def verify_support_rep(
     rep: SupportRep,
-    mode: str = "exhaustive",
-    sample_count: int | None = None,
+    sample: int | None = None,
     sample_seed: int = 0,
     max_pairs: int | None = None,
 ) -> SweepReport:
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
-    Exhaustive mode sweeps all |alphabet|^(2n) ordered pairs in product
-    order and embeds every word once, before the first row; each row is
-    checked by ``_packed_rows``, one big-integer multiply-add per
-    coordinate against the packed columns, with the Hamming ball of radius
-    k - 1 as ground truth.  Sample mode draws ``sample_count`` seeded
-    uniform ordered pairs, embeds only the drawn words, each once, and
-    checks each pair by its own dot product and letter codes.  Either way
-    ``max_pairs`` bounds the pairs checked, before anything is embedded.
-    The report is deterministic for a given mode and seed.
+    With ``sample`` None the check is exhaustive: it sweeps all
+    |alphabet|^(2n) ordered pairs in product order and embeds every word
+    once, before the first row; each row is checked by ``_packed_rows``, one
+    big-integer multiply-add per coordinate against the packed columns, with
+    the Hamming ball of radius k - 1 as ground truth.  Otherwise it draws
+    ``sample`` seeded uniform ordered pairs (at least one), embeds only the
+    drawn words, each once, and checks each pair by its own dot product and
+    letter codes.  Either way ``max_pairs`` bounds the pairs checked, before
+    anything is embedded.  The report is deterministic for a given sample
+    count and seed.
     """
     if rep.compressor is None:
         raise ValueError("verification needs a Hamming-threshold representation")
@@ -346,7 +346,7 @@ def verify_support_rep(
     a = len(alphabet)
 
     def prepare():
-        if mode == "exhaustive":
+        if sample is None:
             words = [word_of_index(i, n, alphabet) for i in range(a**n)]
             us, vs = list(map(rep.u, words)), list(map(rep.v, words))
             return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
@@ -356,27 +356,13 @@ def verify_support_rep(
         bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
         code = cache(lambda i: sum(map(getitem, bits, word(i))))
         need = 2 * k
+        return pairwise(
+            lambda i, j: (sum(map(mul, u(i), v(j))) != 0)
+            != ((code(i) ^ code(j)).bit_count() >= need)
+        )
 
-        def check(i: int, cols) -> tuple[int, list[int]]:
-            ui, ci = u(i), code(i)
-            bad = [
-                j
-                for j in cols
-                if (sum(map(mul, ui, v(j))) != 0)
-                != ((ci ^ code(j)).bit_count() >= need)
-            ]
-            return len(bad), bad
-
-        return check
-
-    result = sweep(
-        a**n,
-        prepare,
-        mode,
-        sample_count,
-        rng_stream(sample_seed, "verify-sample", n, k),
-        max_pairs,
-    )
+    rng = rng_stream(sample_seed, "verify-sample", n, k)
+    result = sweep(a**n, prepare, sample, rng, max_pairs)
     records = []
     for i, j in result.violations:
         x, y = word_of_index(i, n, alphabet), word_of_index(j, n, alphabet)
@@ -401,16 +387,17 @@ class IdentityCertificate:
 def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     """Exhibit the 2^k x 2^k identity inside dist >= k and check it.
 
-    Rows are the words w . 0^(n-k) over the first k coordinates; column j
-    complements the first k bits of row j.  Row i meets column j at distance
-    k - dist(w_i, w_j), which reaches k exactly on the diagonal, so the
-    pattern of nonzero dots must be the identity.  An identity of size m
-    forces any same-support matrix to have rank at least m.  A broken
-    pattern raises ``PatternViolationError`` with its failing-cell count.
+    With lo and hi the alphabet's first two letters, the rows are the words
+    w . lo^(n-k) for w in {lo, hi}^k; column j swaps lo and hi in the first
+    k letters of row j.  Row i meets column j at distance k - dist(w_i, w_j),
+    which reaches k exactly on the diagonal, so the pattern of nonzero dots
+    must be the identity.  An identity of size m forces any same-support
+    matrix to have rank at least m.  A broken pattern raises
+    ``PatternViolationError`` with its failing-cell count.
     """
-    if rep.alphabet is None or len(rep.alphabet) != 2:
-        raise InputError("the identity certificate needs a two-letter alphabet")
-    lo, hi = rep.alphabet
+    if rep.alphabet is None or len(rep.alphabet) < 2:
+        raise InputError("the identity certificate needs at least two letters")
+    lo, hi = rep.alphabet[:2]
     n, k = rep.n, rep.k
     if k > n:
         raise InputError(f"the identity certificate needs k <= n, got k={k}, n={n}")
@@ -421,10 +408,7 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
         flipped = tuple(hi if b == lo else lo for b in bits)
         cols.append(flipped + (lo,) * (n - k))
 
-    def check(i: int, js) -> tuple[int, list[int]]:
-        bad = [j for j in js if rep.query(rows[i], cols[j]) != (i == j)]
-        return len(bad), bad
-
+    check = pairwise(lambda i, j: rep.query(rows[i], cols[j]) != (i == j))
     result = sweep(len(rows), lambda: check)
     if not result.certified:
         i, j = result.violations[0]

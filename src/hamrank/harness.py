@@ -30,7 +30,7 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import sweep
+from .parallel import pairwise, sweep
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -72,14 +72,16 @@ CSV_COLUMNS = [
 class RunConfig:
     """Knobs shared by every subcommand; one seed feeds all randomness.
 
-    ``threads`` is only recorded in the report's config, beside a null
-    ``max_bits`` that keeps the report bytes of earlier versions.
+    ``sample`` is the verifiers' only mode switch: ``None`` checks every
+    pair, a count draws that many.  The report's config writes it as
+    ``verify_mode`` and ``sample_count``.  ``threads`` is only recorded
+    there, beside a null ``max_bits`` that keeps the report bytes of earlier
+    versions.
     """
 
     seed: int = 0
     threads: int = 1
-    verify_mode: str = "exhaustive"
-    sample_count: int | None = None
+    sample: int | None = None
     max_dim: int = 1 << 20
     max_pairs: int = 1 << 24
     out: str | None = None
@@ -91,8 +93,8 @@ class RunConfig:
         return {
             "seed": self.seed,
             "threads": self.threads,
-            "verify_mode": self.verify_mode,
-            "sample_count": self.sample_count,
+            "verify_mode": "exhaustive" if self.sample is None else "sample",
+            "sample_count": self.sample,
             "max_bits": None,
             "max_dim": self.max_dim,
             "max_pairs": self.max_pairs,
@@ -175,9 +177,11 @@ def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
 
 
 def _check_outputs(config: RunConfig) -> None:
-    """Refuse an output path in a missing directory, and two output paths
-    that resolve to one file, before any work."""
-    seen: dict[str, str] = {}
+    """Refuse an output path in a missing directory, and an output path that
+    resolves to the same file as another output or an input (``rep``, ``rp``
+    or ``spec``), before any work."""
+    inputs = filter(None, map(config.params.get, ("rep", "rp", "spec")))
+    seen = {os.path.realpath(path): f"the input {path}" for path in inputs}
     for path in filter(None, (config.out, config.report_path, config.csv_path)):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
@@ -276,13 +280,7 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
     rep = _load(config.params["rep"], load_supp)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(rep.k, rep.dim)
-    result = verify_support_rep(
-        rep,
-        mode=config.verify_mode,
-        sample_count=config.sample_count,
-        sample_seed=config.seed,
-        max_pairs=config.max_pairs,
-    )
+    result = verify_support_rep(rep, config.sample, config.seed, config.max_pairs)
     report.verification = result.to_json()
     report.status = "certified" if result.certified else "failed"
 
@@ -344,29 +342,18 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
     word = cache(lambda i: word_of_index(i, n, alphabet))
-
-    def check(i: int, cols) -> tuple[int, list[int]]:
-        x = word(i)
-        bad = [
-            j
-            for j in cols
-            if eval_sign(rep, x, word(j)) != (1 if dist(x, word(j)) == k else -1)
-        ]
-        return len(bad), bad
-
-    result = sweep(
-        len(alphabet) ** n,
-        lambda: check,
-        config.verify_mode,
-        config.sample_count,
-        rng_stream(config.seed, "verify-sign", n, k),
-        config.max_pairs,
+    check = pairwise(
+        lambda i, j: eval_sign(rep, word(i), word(j))
+        != (1 if dist(word(i), word(j)) == k else -1)
     )
+    rng = rng_stream(config.seed, "verify-sign", n, k)
+    count = len(alphabet) ** n
+    result = sweep(count, lambda: check, config.sample, rng, config.max_pairs)
     report.construction = {"n": n, "k": k, "dim": rep.dim}
     report.verification = {
         "pairs_checked": result.pairs_checked,
         "violation_count": result.violation_count,
-        "mode": config.verify_mode,
+        "mode": result.mode,
     }
     report.status = "certified" if result.certified else "failed"
 
@@ -385,16 +372,10 @@ def _check_semantics(
 ) -> None:
     """Compare every pair's evaluation with the composition semantics."""
     tuple_of = cache(spec.tuple_of)
-
-    def check(x: int, cols) -> tuple[int, list[int]]:
-        tx = tuple_of(x)
-        bad = [
-            y
-            for y in cols
-            if problem.eval(x, y) != compose_semantics(spec, tx, tuple_of(y))
-        ]
-        return len(bad), bad
-
+    check = pairwise(
+        lambda x, y: problem.eval(x, y)
+        != compose_semantics(spec, tuple_of(x), tuple_of(y))
+    )
     result = sweep(problem.index_count, lambda: check, max_pairs=config.max_pairs)
     report.verification = {
         "pairs_checked": result.pairs_checked,

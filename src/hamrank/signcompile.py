@@ -400,6 +400,8 @@ def sign_from_json(doc: dict) -> SignRep:
 def _node_from_json(obj: dict) -> SignRep:
     if obj["type"] == "const":
         return ConstLeaf(int_from_json(obj["sign"]))
+    if obj["type"] != "combine":
+        raise InputError(f"unknown sign node type {obj['type']!r}")
     return Combine(
         oracle=load_supp(obj["oracle"]),
         rep0=_node_from_json(obj["rep0"]),

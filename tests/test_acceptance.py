@@ -126,7 +126,7 @@ def test_criterion_05_rank_compression():
             assert comp.verified
             assert comp.seed == 300 + n and comp.retries >= 0  # bookkeeping present
             report = verify_compressor(comp, family)
-            assert report.checked == 3**n
+            assert report.pairs_checked == 3**n
             assert report.violation_count == 0
 
 

@@ -70,7 +70,7 @@ class TestMatFamily:
         fam = MatFamily.diagonal_differences_multi([])
         comp = fit_compressor(fam, 1, seed=0)
         report = verify_compressor(comp, fam)
-        assert (report.checked, report.violation_count) == (1, 0)
+        assert (report.pairs_checked, report.violation_count) == (1, 0)
 
     def test_nth_product_enumerates_product_order(self):
         values = [(0, 1), (5,), (-2, 0, 7), range(4)]
@@ -144,16 +144,22 @@ class TestVerify:
         fam = MatFamily.diagonal_differences(5, (0, 1))
         comp = fit_compressor(fam, 2, seed=9)
         report = verify_compressor(comp, fam)
-        assert report.ok and report.checked == 3**5
+        assert report.certified and report.pairs_checked == 3**5
 
     def test_zero_left_flags_every_nonzero_member(self):
-        fam = MatFamily.diagonal_differences(3, (0, 1))
+        fam = MatFamily.diagonal_differences(4, (0, 1))
         comp = fit_compressor(fam, 2, seed=9)
-        broken = Compressor(left=Mat.zeros(2, 3), right=comp.right, seed=0, verified=False)
+        broken = Compressor(left=Mat.zeros(2, 4), right=comp.right, seed=0, verified=False)
         report = verify_compressor(broken, fam)
         patterns = itertools.product(*fam.diag_values)
-        nonzero_members = sum(1 for p in patterns if support(p) > 0)
-        assert report.violation_count == nonzero_members
+        want = [
+            {"index": i, "achieved": 0, "required": min(support(p), 2), "pattern": list(p)}
+            for i, p in enumerate(patterns)
+            if support(p) > 0
+        ]
+        assert report.pairs_checked == 3**4
+        assert report.violation_count == len(want) > 32
+        assert list(report.violations) == want[:32]
 
     def test_zero_left_on_explicit_family_records_entries(self, rng):
         members = [random_mat(rng, 3, 3, bound=4) for _ in range(40)]
@@ -171,7 +177,7 @@ class TestVerify:
             for i, (m, rank) in enumerate(zip(fam.explicit, fam.member_ranks))
             if rank > 0
         ]
-        assert report.checked == fam.size
+        assert report.pairs_checked == fam.size
         assert report.violation_count == len(want) > 32
         assert list(report.violations) == want[:32]
 
@@ -303,7 +309,7 @@ class TestFamilyWalkMatchesBruteForce:
         for comp in [fitted, zero_left, *randoms]:
             expected = brute_force_report(comp, alphabets)
             report = verify_compressor(comp, fam)
-            assert report.checked == expected["checked"]
+            assert report.pairs_checked == expected["checked"]
             assert report.violation_count == expected["violation_count"]
             assert list(report.violations) == expected["violations"]
             counts.append(expected["violation_count"])

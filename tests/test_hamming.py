@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamrank.compression import Compressor
-from hamrank.errors import BudgetExceededError, PatternViolationError
+from hamrank.errors import BudgetExceededError, InputError, PatternViolationError
 from hamrank.exact import Mat, det_exact
 from hamrank.hamming import (
     SupportRep,
@@ -145,9 +145,7 @@ class TestVerify:
         assert not report.certified
 
         # sample mode counts every far draw; replay the sweep's own stream
-        sample = verify_support_rep(
-            zeroed(rep), mode="sample", sample_count=200, sample_seed=5
-        )
+        sample = verify_support_rep(zeroed(rep), sample=200, sample_seed=5)
         rng = rng_stream(5, "verify-sample", 3, 2)
         drawn = [(words[rng.randrange(8)], words[rng.randrange(8)]) for _ in range(200)]
         far_drawn = [(x, y) for x, y in drawn if hamming(x, y) >= 2]
@@ -158,15 +156,13 @@ class TestVerify:
 
     def test_sample_mode(self):
         rep = build_hd_supp(8, 3, seed=14)
-        report = verify_support_rep(rep, mode="sample", sample_count=20000, sample_seed=5)
+        report = verify_support_rep(rep, sample=20000, sample_seed=5)
         assert report.certified
         assert report.pairs_checked == 20000
 
     def test_sample_mode_seeded_k3_n10(self):
         rep = build_hd_supp(10, 3, seed=15)
-        report = verify_support_rep(
-            rep, mode="sample", sample_count=100_000, sample_seed=7
-        )
+        report = verify_support_rep(rep, sample=100_000, sample_seed=7)
         assert report.certified
 
     def test_pair_budget_guard(self):
@@ -178,17 +174,30 @@ class TestVerify:
 
     def test_sample_budget_counts_drawn_pairs(self):
         rep = build_hd_supp(4, 1, seed=1)
-        report = verify_support_rep(rep, mode="sample", sample_count=100, max_pairs=100)
+        report = verify_support_rep(rep, sample=100, max_pairs=100)
         assert report.certified and report.pairs_checked == 100
         with pytest.raises(BudgetExceededError, match="^101 pairs exceed"):
-            verify_support_rep(rep, mode="sample", sample_count=101, max_pairs=100)
+            verify_support_rep(rep, sample=101, max_pairs=100)
 
-    def test_sample_budget_is_checked_before_the_table_is_built(self):
+    @pytest.mark.parametrize(
+        "sample,error",
+        [(10**20, BudgetExceededError), (0, InputError), (-1, InputError)],
+        ids=["over-budget", "zero", "negative"],
+    )
+    def test_refused_sample_never_builds_the_table(self, monkeypatch, sample, error):
         def prepare():
-            raise AssertionError("prepared over budget")
+            raise AssertionError("prepared a refused sample")
 
-        with pytest.raises(BudgetExceededError):
-            sweep(4, prepare, "sample", 10**20, random.Random(0), max_pairs=1 << 24)
+        with pytest.raises(error):
+            sweep(4, prepare, sample, random.Random(0), max_pairs=1 << 24)
+
+        def never(*args):
+            raise AssertionError("embedded a word for a refused sample")
+
+        rep = build_hd_supp(4, 1, seed=1)
+        monkeypatch.setattr("hamrank.hamming.minor_embed", never)
+        with pytest.raises(error):
+            verify_support_rep(rep, sample=sample, max_pairs=1 << 24)
 
     def test_ternary_exhaustive(self):
         rep = build_hd_supp(3, 2, (0, 1, 2), seed=4)
@@ -340,9 +349,19 @@ class TestIdentityCertificate:
         ):
             identity_certificate(rep)
 
-    def test_needs_two_letter_alphabet(self):
-        rep = build_hd_supp(3, 2, (0, 1, 2), seed=2)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "n,k,alphabet", [(3, 2, (0, 1, 2)), (5, 2, (-1, 0, 3)), (4, 3, (0, 1, 2))]
+    )
+    def test_any_alphabet_lends_its_first_two_letters(self, n, k, alphabet):
+        rep = build_hd_supp(n, k, alphabet, seed=2)
+        cert = identity_certificate(rep)
+        assert cert.size == 2**k
+        for word in cert.row_words + cert.col_words:
+            assert set(word) <= set(alphabet[:2])
+
+    def test_needs_two_letters(self):
+        rep = build_hd_supp(3, 1, (5,), seed=2)
+        with pytest.raises(InputError, match="^the identity certificate needs at least two"):
             identity_certificate(rep)
 
 

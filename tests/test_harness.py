@@ -200,8 +200,7 @@ class TestRunBuildVerify:
             tmp_path,
             "v",
             seed=11,
-            verify_mode="sample",
-            sample_count=5000,
+            sample=5000,
             params={"rep": str(out)},
         )
         report = run("verify-supp", config)
@@ -643,15 +642,22 @@ class TestCli:
                 assert str(exc.value).startswith(f"bad --mode {mode!r}: ")
         assert list(tmp_path.iterdir()) == [out]
 
-    def test_cli_lower_bound_on_ternary_rep_reports_failure(self, tmp_path):
+    def test_cli_lower_bound_on_ternary_rep_certifies(self, tmp_path):
         out = tmp_path / "rep.json"
         report = tmp_path / "lb.report.json"
         args = ["build-supp", "--n", "3", "--k", "2", "--alphabet", "0,1,2", "--out"]
-        main(args + [str(out)])
-        assert main(["lower-bound", str(out), "--report", str(report)]) == 1
-        doc = json.loads(report.read_text())
-        assert doc["status"] == "failed"
-        assert doc["error"].startswith("InputError:")
+        assert main(args + [str(out)]) == 0
+        assert main(["lower-bound", str(out), "--report", str(report)]) == 0
+        verification = json.loads(report.read_text())["verification"]
+        assert verification["identity_size"] == 4
+        assert verification["violation_count"] == 0
+
+    def test_cli_lower_bound_on_one_letter_rep_reports_failure(self, tmp_path):
+        out = tmp_path / "rep.json"
+        args = ["build-supp", "--n", "3", "--k", "1", "--alphabet", "0", "--out"]
+        assert main(args + [str(out)]) == 0
+        error = self.failed_report(tmp_path, ["lower-bound", str(out)])
+        assert error == "InputError: the identity certificate needs at least two letters"
 
     def test_cli_lower_bound_with_k_over_n_names_both(self, tmp_path):
         from .test_report_bytes import edge_supp_doc
@@ -821,6 +827,32 @@ class TestCli:
             assert docs[0] == docs[1]
 
     @pytest.mark.parametrize(
+        "argv,doc,flag",
+        [
+            (["verify-supp"], weights_supp_doc(3), "--report"),
+            (["lower-bound"], weights_supp_doc(3), "--csv"),
+            (["verify-sign"], equality_sign_doc(3), "--report"),
+            (["rp-verify"], neq_problem_doc(), "--csv"),
+            (["compose", "--spec"], neq_spec_doc(), "--out"),
+        ],
+        ids=["verify-supp", "lower-bound", "verify-sign", "rp-verify", "compose"],
+    )
+    def test_cli_output_naming_the_input_refused_before_work(
+        self, tmp_path, argv, doc, flag
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        before = path.read_bytes()
+        out = f"{tmp_path}/./input.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path), flag, out])
+        assert str(exc.value) == (
+            f"{argv[0]}: cannot write {out}: the input {path} names the same file"
+        )
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
         "first,second", [("--out", "--report"), ("--out", "--csv"), ("--report", "--csv")]
     )
     def test_cli_two_outputs_naming_one_file_refused_before_work(
@@ -965,6 +997,7 @@ class TestCli:
                     )
                 ),
             ),
+            ("verify-sign", json.dumps(sign_with(["type"], "banana"))),
         ],
         ids=[
             "missing", "truncated-supp", "not-json", "sign-schema", "rp-schema",
@@ -978,6 +1011,7 @@ class TestCli:
             "supp-alphabet-plus", "supp-alphabet-string", "sign-gamma-float",
             "sign-gamma-bool", "sign-gamma-space", "sign-const-bool",
             "sign-const-float", "sign-meta-n-over-oracle", "sign-inner-alphabet",
+            "sign-type-unknown",
         ],
     )
     def test_cli_bad_input_file_reports_failure(self, tmp_path, command, text):

@@ -31,11 +31,8 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_report(command, params, seed=0, out=None, mode="exhaustive", count=None):
-    config = RunConfig(
-        seed=seed, out=out, verify_mode=mode, sample_count=count, params=params
-    )
-    return run(command, config)
+def run_report(command, params, seed=0, out=None, sample=None):
+    return run(command, RunConfig(seed=seed, out=out, sample=sample, params=params))
 
 
 def supp_cases(prefix, n, k, alphabet):
@@ -44,7 +41,7 @@ def supp_cases(prefix, n, k, alphabet):
         "build-supp", {"n": n, "k": k, "alphabet": list(alphabet)}, seed=3, out=rep
     )
     exhaustive = run_report("verify-supp", {"rep": rep})
-    sample = run_report("verify-supp", {"rep": rep}, seed=11, mode="sample", count=500)
+    sample = run_report("verify-supp", {"rep": rep}, seed=11, sample=500)
     return {
         f"{prefix}-build": build,
         f"{prefix}-verify": exhaustive,
@@ -128,7 +125,7 @@ def digests(tmp_path_factory):
         )
         reports["sign-verify"] = run_report("verify-sign", {"rep": "s.sign.json"})
         reports["sign-sample"] = run_report(
-            "verify-sign", {"rep": "s.sign.json"}, seed=2, mode="sample", count=300
+            "verify-sign", {"rep": "s.sign.json"}, seed=2, sample=300
         )
         compose_spec("spec.json")
         reports["compose"] = run_report(

@@ -10,6 +10,7 @@ from hamrank.cli import main
 from hamrank.errors import (
     BudgetExceededError,
     HamrankError,
+    InputError,
     PatternViolationError,
     ZeroValueError,
 )
@@ -355,4 +356,8 @@ class TestSerialization:
         for x in words(4)[:6]:
             for y in words(4)[:6]:
                 assert eval_value(back, x, y) == eval_value(rep, x, y)
+        # any node type but const and combine is refused, at any depth
+        doc["tree"]["rep0"]["type"] = "banana"
+        with pytest.raises(InputError, match="^unknown sign node type 'banana'$"):
+            sign_from_json(doc)
 
