@@ -13,10 +13,14 @@ Diag(word) to k x k; the vectors have dimension C(2k, k) and
 valid over any finite integer alphabet.  Construction certifies itself
 through the compressor's exhaustive family verification; an independent
 exhaustive (or sampled) pair check and an explicit identity-submatrix
-certificate for the 2^k lower bound are provided on top.  The exhaustive
-pair check packs the right embeddings column by column into big integers,
-with a slot width taken from the largest entries, so a row of |A|^n pairs
-costs one exact multiply-add per coordinate (``_packed_rows``).
+certificate for the 2^k lower bound are provided on top.
+
+Both exhaustive verifiers share one packed-dot kernel, ``pack_columns``: it
+packs the right embeddings column by column into big integers, with a slot
+width taken from the largest entries, so a row of |A|^n exact dots costs one
+multiply-add per coordinate.  The pair check (``_packed_rows``) reads each
+slot's nonzero test from its top bit without unpacking; verify-sign
+(``signcompile.positive_rows``) unpacks the slots into its oracles' dots.
 """
 
 from __future__ import annotations
@@ -233,14 +237,15 @@ def _violation(x: Word, y: Word, value: int, expected: bool) -> dict:
     }
 
 
-def near_indices(i: int, n: int, size: int, k: int) -> list[int]:
-    """The indices of the words at distance < k from word ``i``.
+def near_indices(i: int, n: int, size: int, k: int, lo: int = 0) -> list[int]:
+    """The indices of the words at distance t, lo <= t < k, from word ``i``.
 
     Words of length ``n`` over ``size`` letters are numbered in
     ``word_of_index`` order, so letter positions are base-``size`` digits,
     the first position most significant.  A word at distance t arises once:
-    from the t positions where it differs and one other digit at each.  The
-    list is empty at k = 0 and holds every index once k > n.
+    from the t positions where it differs and one other digit at each.  With
+    ``lo`` 0 this is the ball of radius k - 1: empty at k = 0, every index
+    once k > n; ``lo = k - 1`` gives the shell at distance exactly k - 1.
     """
     steps = []  # per position, the index changes that move it to another letter
     for p in range(n):
@@ -248,43 +253,41 @@ def near_indices(i: int, n: int, size: int, k: int) -> list[int]:
         digit = i // place % size
         steps.append([(e - digit) * place for e in range(size) if e != digit])
     near = []
-    for t in range(min(k, n + 1)):
+    for t in range(lo, min(k, n + 1)):
         for chosen in itertools.combinations(steps, t):
             near.extend(i + sum(step) for step in itertools.product(*chosen))
     return near
 
 
-def _packed_rows(
-    us: Sequence[Sequence[int]],
-    vs: Sequence[Sequence[int]],
-    near: Callable[[int], list[int]],
-) -> Callable[[int, Sequence[int]], tuple[int, list[int]]]:
-    """The exhaustive row check of <us[i], vs[j]> != 0 iff j not in near(i).
+def _slot_ones(width: int, count: int) -> int:
+    """R = sum_j 2^(jW): a one in the lowest byte of each of ``count``
+    slots of ``width`` bytes."""
+    return int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+
+
+def pack_columns(
+    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+) -> tuple[Callable[[int], int], int, int]:
+    """Every dot <us[i], vs[j]> of row i at once, as one exact integer.
 
     Each coordinate column of ``vs`` is packed once into one integer
     P_c = sum_j vs[j][c] 2^(jW), so row i is the single integer
-    S = bias R + sum_c us[i][c] P_c with R = sum_j 2^(jW): a multiply-add per
-    coordinate.  The slot width W comes from the data, never assumed:
+    S_i = bias R + sum_c us[i][c] P_c with R = sum_j 2^(jW): a multiply-add
+    per coordinate.  The slot width W comes from the data, never assumed:
     bias = 1 + sum_c max_i |us[i][c]| max_j |vs[j][c]| bounds every |dot| by
     bias - 1, and W = bitlen(2 bias) + 1, rounded up to whole bytes, puts
-    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S in base 2^W
-    are therefore exactly those slots, and xoring out bias R and adding
-    2^(W-1) - 1 to each slot sets its top bit exactly where the dot is
-    nonzero, without a carry between slots.  This is an integer identity:
-    no modulus and no fallback.  The truth sets every top bit except those
-    of ``near(i)``; the row's failures are the set bits of the xor of the
-    two, counted by popcount; only the first ``REPORT_CAP`` are turned back
-    into columns, from the top byte of each slot.
-
-    The check takes whole rows: its ``cols`` is always the
-    ``range(len(vs))`` an exhaustive ``sweep`` passes, and is not read.
+    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S_i in base
+    2^W are therefore exactly those slots, slot j the dot with vs[j], with
+    no carry between slots.  This is an integer identity: no modulus and no
+    fallback.  Returns ``(row, width, bias)``: ``row(i)`` is S_i and
+    ``width`` is W in bytes.
     """
     count = len(vs)
     u_max = [max(map(abs, col)) for col in zip(*us)]
     v_max = [max(map(abs, col)) for col in zip(*vs)]
     bias = 1 + sum(map(mul, u_max, v_max))
     width = ((2 * bias).bit_length() + 8) // 8  # slot bytes, W = 8 width bits
-    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+    ones = _slot_ones(width, count)
     packed = []
     for weight, off, col in zip(u_max, v_max, zip(*vs)):
         if not weight:
@@ -295,15 +298,45 @@ def _packed_rows(
         data = b"".join((c + off).to_bytes(width, "little") for c in col)
         packed.append(int.from_bytes(data, "little") - off * ones)
     base = bias * ones
-    low = ((1 << (8 * width - 1)) - 1) * ones
-    tops = low + ones
 
-    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+    def row(i: int) -> int:
         s = base
         for c, p in zip(us[i], packed):
             if c:
                 s += c * p
-        nonzero = ((s ^ base) + low) & tops
+        return s
+
+    return row, width, bias
+
+
+def _packed_rows(
+    us: Sequence[Sequence[int]],
+    vs: Sequence[Sequence[int]],
+    near: Callable[[int], list[int]],
+) -> Callable[[int, Sequence[int]], tuple[int, list[int]]]:
+    """The exhaustive row check of <us[i], vs[j]> != 0 iff j not in near(i).
+
+    Row i's dots come packed from ``pack_columns``, slot j holding
+    dot_ij + bias in [1, 2^(W-1)).  Xoring out the biases and adding
+    2^(W-1) - 1 to each slot sets its top bit exactly where the dot is
+    nonzero, without a carry between slots, so no slot is unpacked.  The
+    truth sets every top bit except those of ``near(i)``; the row's failures
+    are the set bits of the xor of the two, counted by popcount; only the
+    first ``REPORT_CAP`` are turned back into columns, from the top byte of
+    each slot.
+
+    The check takes whole rows: its ``cols`` is always the
+    ``range(len(vs))`` an exhaustive ``sweep`` passes, and is not read.
+    """
+    count = len(vs)
+    row, width, bias = pack_columns(us, vs)
+    ones = _slot_ones(width, count)
+    base = bias * ones
+    low = ((1 << (8 * width - 1)) - 1) * ones
+    tops = low + ones
+
+    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+        nonzero = ((row(i) ^ base) + low) & tops
         ball = bytearray(count * width)
         for j in near(i):
             ball[j * width + width - 1] = 0x80

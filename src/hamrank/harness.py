@@ -26,6 +26,7 @@ from .hamming import (
     dist,
     identity_certificate,
     load_supp,
+    near_indices,
     verify_support_rep,
     word_of_index,
 )
@@ -46,6 +47,7 @@ from .signcompile import (
     build_hd_sign,
     eval_sign,
     gamma_values,
+    positive_rows,
     proof_dim_bound,
     sign_from_json,
     sign_to_json,
@@ -176,11 +178,29 @@ def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
         raise InputError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _recorded_spec(rp_path: str, doc: dict) -> str | None:
+    """The composition spec an rp document records, as a path: compose
+    records it relative to the rp file."""
+    recorded = doc.get("provenance", {}).get("composition_spec")
+    if recorded is not None:
+        recorded = os.path.join(os.path.dirname(rp_path), recorded)
+    return recorded
+
+
 def _check_outputs(config: RunConfig) -> None:
     """Refuse an output path in a missing directory, and an output path that
-    resolves to the same file as another output or an input (``rep``, ``rp``
-    or ``spec``), before any work."""
-    inputs = filter(None, map(config.params.get, ("rep", "rp", "spec")))
+    resolves to the same file as another output or an input, before any
+    work.  The inputs are ``rep``, ``rp`` and ``spec``, or without ``spec``
+    the spec the rp file records (an rp file that cannot be read records
+    none here; rp-verify reports it)."""
+    p = config.params
+    spec = p.get("spec")
+    if spec is None and "rp" in p:
+        try:
+            spec = _load(p["rp"], lambda doc: _recorded_spec(p["rp"], doc))
+        except InputError:
+            pass
+    inputs = filter(None, (p.get("rep"), p.get("rp"), spec))
     seen = {os.path.realpath(path): f"the input {path}" for path in inputs}
     for path in filter(None, (config.out, config.report_path, config.csv_path)):
         folder = os.path.dirname(path) or "."
@@ -339,16 +359,31 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
 
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
+    """Check sign == +1 iff dist == k on every ordered pair, a whole row
+    (``cols`` unread) against the Hamming shell at distance k at a time, or
+    each drawn pair alone by ``eval_sign``."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
-    word = cache(lambda i: word_of_index(i, n, alphabet))
-    check = pairwise(
-        lambda i, j: eval_sign(rep, word(i), word(j))
-        != (1 if dist(word(i), word(j)) == k else -1)
-    )
-    rng = rng_stream(config.seed, "verify-sign", n, k)
     count = len(alphabet) ** n
-    result = sweep(count, lambda: check, config.sample, rng, config.max_pairs)
+    word = cache(lambda i: word_of_index(i, n, alphabet))
+
+    def prepare():
+        if config.sample is not None:
+            return pairwise(
+                lambda i, j: eval_sign(rep, word(i), word(j))
+                != (1 if dist(word(i), word(j)) == k else -1)
+            )
+        positive = positive_rows(rep, list(map(word, range(count))))
+
+        def check(i, cols):
+            shell = near_indices(i, n, len(alphabet), k + 1, lo=k)
+            bad = set(positive(i)).symmetric_difference(shell)
+            return len(bad), sorted(bad)
+
+        return check
+
+    rng = rng_stream(config.seed, "verify-sign", n, k)
+    result = sweep(count, prepare, config.sample, rng, config.max_pairs)
     report.construction = {"n": n, "k": k, "dim": rep.dim}
     report.verification = {
         "pairs_checked": result.pairs_checked,
@@ -408,14 +443,9 @@ def _run_compose(config: RunConfig, report: Report) -> None:
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
     rp_path = config.params["rp"]
-
-    def load(doc: dict) -> tuple[RankProblem, str | None]:
-        recorded = doc.get("provenance", {}).get("composition_spec")
-        if recorded is not None:  # compose records it relative to the rp file
-            recorded = os.path.join(os.path.dirname(rp_path), recorded)
-        return problem_from_json(doc), recorded
-
-    problem, recorded_spec = _load(rp_path, load)
+    problem, recorded_spec = _load(
+        rp_path, lambda doc: (problem_from_json(doc), _recorded_spec(rp_path, doc))
+    )
     spec_path = config.params.get("spec") or recorded_spec
     if spec_path is None:
         raise InputError("no composition spec available to verify against")

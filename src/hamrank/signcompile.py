@@ -37,7 +37,14 @@ from .errors import (
     ZeroValueError,
 )
 from .exact import Mat, int_from_json
-from .hamming import SupportRep, build_hd_supp, difference_classes, dist, load_supp
+from .hamming import (
+    SupportRep,
+    build_hd_supp,
+    difference_classes,
+    dist,
+    load_supp,
+    pack_columns,
+)
 from .parallel import check_pairs
 from .seeds import seed_stream
 from .veronese import prove_det_sum
@@ -104,11 +111,62 @@ def eval_value(rep: SignRep, x, y) -> int:
 def eval_sign(rep: SignRep, x, y) -> int:
     value = eval_value(rep, x, y)
     if value == 0:
-        raise ZeroValueError(
-            f"sign value vanished at ({x!r}, {y!r}); dominance constant or "
-            "construction is broken"
-        )
+        raise _vanished(x, y)
     return 1 if value > 0 else -1
+
+
+def _vanished(x, y) -> ZeroValueError:
+    return ZeroValueError(
+        f"sign value vanished at ({x!r}, {y!r}); dominance constant or "
+        "construction is broken"
+    )
+
+
+def positive_rows(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
+    """The exhaustive row form of ``eval_sign`` over ``words``: ``row(i)``
+    lists the j with eval_sign(rep, words[i], words[j]) == 1, in order, and
+    raises its ``ZeroValueError`` at the first j where the value vanishes.
+
+    Each oracle packs its own embeddings once (``hamming.pack_columns``), so
+    its exact dots with words[i] are one multiply-add per coordinate,
+    unpacked slot by slot.  The ``eval_value`` recursion then runs column by
+    column: a leaf is its sign, a combine is a where s == 0, else
+    a + gamma s^2 b.
+    """
+    count = len(words)
+
+    def values(node: SignRep) -> Callable[[int], list[int]]:
+        if isinstance(node, ConstLeaf):
+            leaf = [node.sign] * count
+            return lambda i: leaf
+        oracle, gamma = node.oracle, node.gamma
+        dots, width, bias = pack_columns(
+            list(map(oracle.u, words)), list(map(oracle.v, words))
+        )
+        row1, row0 = values(node.rep1), values(node.rep0)
+
+        def row(i: int) -> list[int]:
+            data = dots(i).to_bytes(count * width, "little")
+            s_row = [
+                int.from_bytes(data[j : j + width], "little") - bias
+                for j in range(0, len(data), width)
+            ]
+            return [
+                a if s == 0 else a + gamma * s * s * b
+                for a, s, b in zip(row1(i), s_row, row0(i))
+            ]
+
+        return row
+
+    value_row = values(rep)
+
+    def row(i: int) -> list[int]:
+        got = value_row(i)
+        if 0 in got:
+            raise _vanished(words[i], words[got.index(0)])
+        return [j for j, value in enumerate(got) if value > 0]
+
+    return row
 
 
 def gamma_values(rep: SignRep) -> list[int]:

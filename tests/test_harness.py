@@ -332,6 +332,80 @@ class TestSignCommands:
         assert report.certified
         assert report.verification["pairs_checked"] == 729
 
+    @staticmethod
+    def pairwise_verify_sign(path):
+        """The per-pair check the row kernel replaced: ``eval_sign`` on every
+        ordered pair in row-major order, against dist == k."""
+        from hamrank.errors import HamrankError
+        from hamrank.harness import _load, _load_sign
+        from hamrank.hamming import dist, word_of_index
+        from hamrank.parallel import pairwise, sweep
+        from hamrank.signcompile import eval_sign
+
+        rep, n, k = _load(str(path), _load_sign)
+        alphabet = rep.oracle.alphabet
+        words = [word_of_index(i, n, alphabet) for i in range(len(alphabet) ** n)]
+        check = pairwise(
+            lambda i, j: eval_sign(rep, words[i], words[j])
+            != (1 if dist(words[i], words[j]) == k else -1)
+        )
+        try:
+            result = sweep(len(words), lambda: check)
+        except HamrankError as exc:
+            return None, None, "failed", f"{type(exc).__name__}: {exc}"
+        status = "certified" if result.certified else "failed"
+        return result.pairs_checked, result.violation_count, status, None
+
+    @pytest.mark.parametrize(
+        "case",
+        ["hd-6-1", "hd-6-2", "ternary-4-1", "equality-3", "meta-k-over-n",
+         "gamma-lowered", "gamma-vanishing", "vanishing-twice-in-a-row"],
+    )
+    def test_row_kernel_matches_the_pairwise_check(self, tmp_path, case):
+        from hamrank.signcompile import build_hd_sign, sign_to_json
+
+        if case == "ternary-4-1":
+            rep = build_hd_sign(4, 1, alphabet=(0, 1, 2))
+            doc = sign_to_json(rep, {"n": 4, "k": 1})
+        elif case == "equality-3":
+            doc = equality_sign_doc(3)
+        elif case == "gamma-vanishing":  # 1 - s^2 is 0 where s = +-1
+            doc = doc_with(equality_sign_doc(3), ["tree", "gamma"], "1")
+        elif case == "vanishing-twice-in-a-row":
+            # row (0, 0, 0) meets s = -1 twice: at (0, 1, 0), then (1, 0, 0)
+            doc = doc_with(equality_sign_doc(3), ["tree", "gamma"], "1")
+            doc["tree"]["oracle"]["compressor"]["left"]["entries"] = ["1", "1", "4"]
+        elif case == "meta-k-over-n":
+            doc = doc_with(hd_sign_doc(6, 1), ["meta", "k"], 7)
+        elif case == "gamma-lowered":  # the root's sign is its rep1's: dist >= 1
+            doc = doc_with(hd_sign_doc(6, 1), ["tree", "gamma"], "0")
+        else:
+            doc = hd_sign_doc(6, int(case[-1]))
+        path = tmp_path / "rep.sign.json"
+        path.write_text(json.dumps(doc))
+        report = run("verify-sign", make_config(tmp_path, "vs", params={"rep": str(path)}))
+        ver = report.verification
+        got = ver.get("pairs_checked"), ver.get("violation_count")
+        assert (*got, report.status, report.error) == self.pairwise_verify_sign(path)
+        violations = {
+            "meta-k-over-n": 64 * 6,  # every positive pair, at distance 1
+            "gamma-lowered": 4096 - 64 - 64 * 6,  # the pairs at distance >= 2
+            "gamma-vanishing": None,  # no count: the first zero ends the check
+            "vanishing-twice-in-a-row": None,
+        }
+        assert ver.get("violation_count") == violations.get(case, 0)
+        vanished = {
+            "gamma-vanishing": "((0, 0, 0), (1, 0, 0))",
+            "vanishing-twice-in-a-row": "((0, 0, 0), (0, 1, 0))",
+        }
+        if case in vanished:
+            assert report.error == (
+                f"ZeroValueError: sign value vanished at {vanished[case]}; "
+                "dominance constant or construction is broken"
+            )
+        else:
+            assert report.error is None
+
 
 class TestComposeCommands:
     def test_compose_and_rp_verify(self, tmp_path):
@@ -768,6 +842,23 @@ class TestCli:
         error = self.failed_report(tmp_path, sample(301))
         assert error.startswith("BudgetExceededError: 301 pairs exceed")
 
+    def test_cli_exhaustive_sign_over_the_pair_budget_never_embeds(
+        self, tmp_path, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("embedded or packed a word over the budget")
+
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
+        monkeypatch.setattr("hamrank.hamming.minor_embed", never)
+        monkeypatch.setattr("hamrank.signcompile.pack_columns", never)
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(equality_sign_doc(3)))
+        error = self.failed_report(tmp_path, ["verify-sign", str(rep)])
+        assert error == (
+            "BudgetExceededError: 64 pairs exceed the exhaustive budget of 63; "
+            "rerun in sample mode with an explicit count"
+        )
+
     @pytest.mark.parametrize("value", ["abc", " 30", "3_0", "\u0663\u0660"])
     @pytest.mark.parametrize("name", ["HAMRANK_MAX_PAIRS", "HAMRANK_MAX_DIM"])
     def test_cli_bad_environment_value_exits_cleanly(
@@ -941,6 +1032,29 @@ class TestCli:
         assert main(["rp-verify", "rp.json", "--spec", "../specs/s.json"]) == 0
         error = self.failed_report(tmp_path, ["rp-verify", "rp.json", "--spec", "s.json"])
         assert error.startswith("InputError: cannot load s.json: FileNotFoundError")
+
+    @pytest.mark.parametrize("flag", ["--report", "--csv"])
+    def test_cli_rp_verify_never_writes_over_the_recorded_spec(
+        self, tmp_path, monkeypatch, flag
+    ):
+        from .test_report_bytes import compose_spec
+
+        monkeypatch.chdir(tmp_path)
+        compose_spec("s.json")
+        assert main(["compose", "--spec", "s.json", "--out", "rp.json"]) == 0
+        before = (tmp_path / "s.json").read_bytes()
+        for rp in ("rp.json", "broken.rp.json"):  # one certifies, one fails
+            if rp == "broken.rp.json":
+                doc = json.loads((tmp_path / "rp.json").read_text())
+                (tmp_path / rp).write_text(json.dumps({**doc, "index_count": 3}))
+            with pytest.raises(SystemExit) as exc:
+                main(["rp-verify", rp, flag, "./s.json"])
+            assert str(exc.value) == (
+                "rp-verify: cannot write ./s.json: the input s.json names the same file"
+            )
+            assert (tmp_path / "s.json").read_bytes() == before
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["broken.rp.json", "rp.json", "s.json"]
 
     @pytest.mark.parametrize(
         "command,text",
@@ -1166,10 +1280,12 @@ class TestCli:
             except RecursionError:
                 return 0
 
-        # a chain that loads but overflows the stack in eval_value: 980
-        # combine nodes from the top of a fresh interpreter.  json.dumps
-        # itself recurses, so the document is built as a string.
-        depth = headroom() - 16
+        # a chain that loads but overflows the stack in eval_value, which a
+        # drawn pair runs through: 980 combine nodes from the top of a fresh
+        # interpreter.  (The exhaustive row kernel's stack is a few frames
+        # shallower, so it evaluates this chain.)  json.dumps itself
+        # recurses, so the document is built as a string.
+        depth = headroom() - 15
         oracle = json.dumps(build_hd_supp(2, 1).to_json())
         node = (
             '{"type": "combine", "gamma": "1", "oracle": ' + oracle
@@ -1181,8 +1297,8 @@ class TestCli:
             '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 1}, "tree": '
             + tree + "}"
         )
-        error = self.failed_report(tmp_path, ["verify-sign", str(file)])
-        assert error.startswith("RecursionError: ")
+        argv = ["verify-sign", str(file), "--mode", "sample:1"]
+        assert self.failed_report(tmp_path, argv).startswith("RecursionError: ")
 
     def test_cli_threads_are_recorded_and_change_nothing_else(self, tmp_path):
         rep = tmp_path / "rep.json"
