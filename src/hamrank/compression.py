@@ -14,12 +14,14 @@ without checking it.
 
 The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
 D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
-They are kept as the value sets D_p and checked by one exact odometer walk
-in index order, last position fastest: each step advances one position p
-and wraps every later position back to its first value, so each compressed
-matrix is the previous one plus a precomputed integer combination of the
-outer products of matching columns of L and R.  No pattern list and no
-matrix object is built per member.
+They are kept as the value sets D_p and checked exactly, in index order, by
+rows of packed determinants: C(z) is linear in z, so splitting z into a
+prefix and a suffix makes det C(z) the dot product of a minor embedding of
+the prefix's compressed matrix with one of the suffix's (the det-sum
+identity of ``veronese``), and one row of packed big-integer dots
+(``parallel.packed_nonzero``) gives a whole prefix's determinants at once.
+Exact Bareiss ranks are left for members below the rank cap and for
+failures.  No pattern list and no matrix object is built per member.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -41,8 +43,9 @@ from .errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from .exact import Mat, bareiss, int_from_json, rank_exact
-from .parallel import REPORT_CAP, SweepReport
+from .exact import Mat, int_from_json, rank_exact
+from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
+from .veronese import minor_embed, prove_det_sum
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -251,65 +254,119 @@ class Compressor:
 # -------------------------------------------------------------------
 
 
+def _split(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(first suffix position, suffix pattern count) of the longest run of
+    trailing positions with at most 2 sqrt(family size) patterns."""
+    size = math.prod(map(len, values))
+    split, count = len(values), 1
+    while split and (count * len(values[split - 1])) ** 2 <= 4 * size:
+        split -= 1
+        count *= len(values[split])
+    return split, count
+
+
+def _partial_sums(
+    comp: Compressor, values: tuple[tuple[int, ...], ...], positions: range
+) -> list[tuple[list[int], int]]:
+    """(flat C(z), support of z) for z over the product of ``values[p]``,
+    p in ``positions``, every other position 0, in product order."""
+    a1, b1 = comp.target_shape
+    n = len(values)
+    le, re = comp.left.entries, comp.right.entries
+    sums = [([0] * (a1 * b1), 0)]
+    for p in positions:
+        outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
+        sums = [
+            ([m + v * o for m, o in zip(flat, outer)], supp + (v != 0))
+            for flat, supp in sums
+            for v in values[p]
+        ]
+    return sums
+
+
 def _diagonal_shortfalls(
     comp: Compressor, values: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, int, int]]:
     """(index, achieved, required) for each Diag(z), z in the product of
     ``values``, whose compressed rank falls short, in index order.
 
-    The walk is an odometer in product order, last position fastest,
-    starting from the all-first-values pattern, which is compressed
-    directly.  Each later step advances one position p by one value and
-    wraps every later position from its last value back to its first, so
-    the flat compressed matrix gains one precomputed integer combination of
-    the outer products l_q r_q^T, q >= p, of columns of L and R.  The update
-    is an exact integer identity, and every member gets one exact Bareiss
-    rank.
+    The positions split into a prefix and a suffix, the longest run of
+    trailing positions whose pattern count is at most 2 sqrt(family size).
+    C is linear in z, so C(z) = C(z_pre) + C(z_suf), and member (i, j),
+    prefix i with suffix j, has index i * #suffixes + j.  The rank cap
+    c = min(a', b') is reached exactly where some c x c restriction of C(z)
+    to all rows and c columns, or all columns and c rows, has a nonzero
+    determinant (a square target has one restriction), and by the det-sum
+    identity, which ``prove_det_sum`` checks,
+
+        det(C(z)[S, T]) = <left(C(z_pre)[S, T]), right(C(z_suf)[S, T])>.
+
+    So the suffixes' right embeddings are packed once per restriction
+    (``parallel.packed_nonzero``), and each prefix row gets every exact
+    determinant for C(2c, c) big-integer multiply-adds per restriction; the
+    top-bit flags, ORed over the restrictions, mark the members of rank c.
+    Exact Bareiss ranks run only where the flags do not decide: on members
+    below the cap, whose rank must equal their support, and on members at
+    the cap that are not flagged, for their achieved rank.  A row whose
+    members all lie below the cap reads no flags, and a family with no
+    member at the cap embeds nothing.  Each exact rank is one ``rank_exact``
+    call, so their count is the number of exact rechecks.
     """
     a1, b1 = comp.target_shape
     cap = min(a1, b1)
-    n = len(values)
-    le, re = comp.left.entries, comp.right.entries
-    rows = [slice(i * b1, (i + 1) * b1) for i in range(a1)]
+    split, count = _split(values)
+    prefixes = _partial_sums(comp, values, range(split))
+    suffixes = _partial_sums(comp, values, range(split, len(values)))
+    top = max(supp for _, supp in suffixes)
+    # per deficit t = cap - prefix support: the suffixes reaching the cap, as
+    # flag bytes, and the suffixes below it
+    reach = [
+        int.from_bytes(bytes(0x80 * (supp >= t) for _, supp in suffixes), "little")
+        for t in range(cap + 1)
+    ]
+    below = [
+        [j for j, (_, supp) in enumerate(suffixes) if supp < t] for t in range(cap + 1)
+    ]
 
-    # moves[p][d]: (flat delta, support change) of advancing position p from
-    # its d-th value while every later position wraps to its first
-    moves = [None] * n
-    wrap, wrap_supp = [0] * (a1 * b1), 0
-    for p in reversed(range(n)):
-        vals = values[p]
-        outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
-        moves[p] = [
-            (
-                [w + (hi - lo) * o for w, o in zip(wrap, outer)],
-                wrap_supp + (hi != 0) - (lo != 0),
-            )
-            for lo, hi in zip(vals, vals[1:])
-        ]
-        wrap = [w + (vals[0] - vals[-1]) * o for w, o in zip(wrap, outer)]
-        wrap_supp += (vals[0] != 0) - (vals[-1] != 0)
+    kernels = []
+    if any(cap - supp <= top for _, supp in prefixes):
+        prove_det_sum(cap)
+        for cells in _restrictions(a1, b1):
+            us = [_embed(flat, cells, cap, "left") for flat, _ in prefixes]
+            vs = [_embed(flat, cells, cap, "right") for flat, _ in suffixes]
+            kernels.append(packed_nonzero(us, vs))
 
-    start = comp.apply_diag([vals[0] for vals in values])
-    achieved = rank_exact(start)
-    flat = list(start.entries)
-    support = sum(1 for vals in values if vals[0] != 0)
-    last = [len(vals) - 1 for vals in values]
-    digits = [0] * n
-    for index in itertools.count():
-        required = support if support < cap else cap
-        if achieved != required:
-            yield index, achieved, required
-        p = n - 1
-        while p >= 0 and digits[p] == last[p]:
-            digits[p] = 0
-            p -= 1
-        if p < 0:
-            return
-        delta, dsupp = moves[p][digits[p]]
-        digits[p] += 1
-        flat = list(map(add, flat, delta))
-        support += dsupp
-        achieved = bareiss(list(map(flat.__getitem__, rows)))[0]
+    for i, (pre, pre_supp) in enumerate(prefixes):
+        t = max(cap - pre_supp, 0)
+        checks = below[t]
+        if t <= top:
+            flags = 0
+            for nonzero, width in kernels:
+                flags |= int.from_bytes(top_bytes(nonzero(i), width, count), "little")
+            if diff := flags ^ reach[t]:
+                odd = flagged(diff.to_bytes(count, "little"))
+                checks = sorted({*checks, *odd})
+        for j in checks:
+            suf, suf_supp = suffixes[j]
+            achieved = rank_exact(Mat(a1, b1, tuple(map(add, pre, suf))))
+            required = min(pre_supp + suf_supp, cap)
+            if achieved != required:
+                yield i * count + j, achieved, required
+
+
+def _restrictions(a1: int, b1: int) -> list[list[int]]:
+    """The flat cells of each maximal square restriction of an a1 x b1
+    matrix: all rows and a1 of the columns, or all columns and b1 rows."""
+    if a1 <= b1:
+        cuts = [(range(a1), cols) for cols in itertools.combinations(range(b1), a1)]
+    else:
+        cuts = [(rows, range(b1)) for rows in itertools.combinations(range(a1), b1)]
+    return [[r * b1 + c for r in rows for c in cols] for rows, cols in cuts]
+
+
+def _embed(flat: list[int], cells: list[int], size: int, side: str) -> tuple[int, ...]:
+    """The minor embedding of the size x size restriction ``cells`` of ``flat``."""
+    return minor_embed(Mat(size, size, tuple(map(flat.__getitem__, cells))), side)
 
 
 def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int, int]]:

@@ -15,12 +15,11 @@ through the compressor's exhaustive family verification; an independent
 exhaustive (or sampled) pair check and an explicit identity-submatrix
 certificate for the 2^k lower bound are provided on top.
 
-Both exhaustive verifiers share one packed-dot kernel, ``pack_columns``: it
-packs the right embeddings column by column into big integers, with a slot
-width taken from the largest entries, so a row of |A|^n exact dots costs one
-multiply-add per coordinate.  The pair check (``_packed_rows``) reads each
-slot's nonzero test from its top bit without unpacking; verify-sign
-(``signcompile.positive_rows``) unpacks the slots into its oracles' dots.
+The exhaustive pair check (``_packed_rows``) runs on the packed-dot kernel
+of ``parallel``: the right embeddings of all |A|^n words are packed once, so
+a row of exact dots costs one multiply-add per coordinate, and each slot's
+nonzero test is read from its top bit without unpacking.  The compressor's
+family walk and verify-sign run on the same kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +46,15 @@ from .errors import (
 )
 from .exact import Mat, int_from_json, ints_from_json
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import REPORT_CAP, SweepReport, pairwise, sweep
+from .parallel import (
+    REPORT_CAP,
+    SweepReport,
+    flagged,
+    packed_nonzero,
+    pairwise,
+    sweep,
+    top_bytes,
+)
 from .seeds import rng_stream, seed_stream
 from .veronese import minor_embed
 
@@ -259,56 +266,6 @@ def near_indices(i: int, n: int, size: int, k: int, lo: int = 0) -> list[int]:
     return near
 
 
-def _slot_ones(width: int, count: int) -> int:
-    """R = sum_j 2^(jW): a one in the lowest byte of each of ``count``
-    slots of ``width`` bytes."""
-    return int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
-
-
-def pack_columns(
-    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
-) -> tuple[Callable[[int], int], int, int]:
-    """Every dot <us[i], vs[j]> of row i at once, as one exact integer.
-
-    Each coordinate column of ``vs`` is packed once into one integer
-    P_c = sum_j vs[j][c] 2^(jW), so row i is the single integer
-    S_i = bias R + sum_c us[i][c] P_c with R = sum_j 2^(jW): a multiply-add
-    per coordinate.  The slot width W comes from the data, never assumed:
-    bias = 1 + sum_c max_i |us[i][c]| max_j |vs[j][c]| bounds every |dot| by
-    bias - 1, and W = bitlen(2 bias) + 1, rounded up to whole bytes, puts
-    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S_i in base
-    2^W are therefore exactly those slots, slot j the dot with vs[j], with
-    no carry between slots.  This is an integer identity: no modulus and no
-    fallback.  Returns ``(row, width, bias)``: ``row(i)`` is S_i and
-    ``width`` is W in bytes.
-    """
-    count = len(vs)
-    u_max = [max(map(abs, col)) for col in zip(*us)]
-    v_max = [max(map(abs, col)) for col in zip(*vs)]
-    bias = 1 + sum(map(mul, u_max, v_max))
-    width = ((2 * bias).bit_length() + 8) // 8  # slot bytes, W = 8 width bits
-    ones = _slot_ones(width, count)
-    packed = []
-    for weight, off, col in zip(u_max, v_max, zip(*vs)):
-        if not weight:
-            # no row weighs this column, and bias does not bound its entries
-            packed.append(0)
-            continue
-        # shifted by off >= 0, each entry packs as unsigned bytes, below 2 bias
-        data = b"".join((c + off).to_bytes(width, "little") for c in col)
-        packed.append(int.from_bytes(data, "little") - off * ones)
-    base = bias * ones
-
-    def row(i: int) -> int:
-        s = base
-        for c, p in zip(us[i], packed):
-            if c:
-                s += c * p
-        return s
-
-    return row, width, bias
-
-
 def _packed_rows(
     us: Sequence[Sequence[int]],
     vs: Sequence[Sequence[int]],
@@ -316,40 +273,28 @@ def _packed_rows(
 ) -> Callable[[int, Sequence[int]], tuple[int, list[int]]]:
     """The exhaustive row check of <us[i], vs[j]> != 0 iff j not in near(i).
 
-    Row i's dots come packed from ``pack_columns``, slot j holding
-    dot_ij + bias in [1, 2^(W-1)).  Xoring out the biases and adding
-    2^(W-1) - 1 to each slot sets its top bit exactly where the dot is
-    nonzero, without a carry between slots, so no slot is unpacked.  The
-    truth sets every top bit except those of ``near(i)``; the row's failures
-    are the set bits of the xor of the two, counted by popcount; only the
-    first ``REPORT_CAP`` are turned back into columns, from the top byte of
-    each slot.
+    Row i's nonzero tests come packed from ``parallel.packed_nonzero``, one
+    top bit per slot.  The truth sets every top bit except those of
+    ``near(i)``; the row's failures are the set bits of the xor of the two,
+    counted by popcount; only the first ``REPORT_CAP`` are turned back into
+    columns, from the top byte of each slot.
 
     The check takes whole rows: its ``cols`` is always the
     ``range(len(vs))`` an exhaustive ``sweep`` passes, and is not read.
     """
     count = len(vs)
-    row, width, bias = pack_columns(us, vs)
-    ones = _slot_ones(width, count)
-    base = bias * ones
-    low = ((1 << (8 * width - 1)) - 1) * ones
-    tops = low + ones
+    nonzero, width = packed_nonzero(us, vs)
+    tops = int.from_bytes(b"\x80".rjust(width, b"\0") * count, "little")
 
     def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
-        nonzero = ((row(i) ^ base) + low) & tops
         ball = bytearray(count * width)
         for j in near(i):
             ball[j * width + width - 1] = 0x80
-        diff = nonzero ^ tops ^ int.from_bytes(ball, "little")
+        diff = nonzero(i) ^ tops ^ int.from_bytes(ball, "little")
         if not diff:
             return 0, []
-        flags = diff.to_bytes(count * width, "little")[width - 1 :: width]
-        first = []
-        j = flags.find(0x80)
-        while j >= 0 and len(first) < REPORT_CAP:
-            first.append(j)
-            j = flags.find(0x80, j + 1)
-        return diff.bit_count(), first
+        first = itertools.islice(flagged(top_bytes(diff, width, count)), REPORT_CAP)
+        return diff.bit_count(), list(first)
 
     return check
 

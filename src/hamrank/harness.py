@@ -187,12 +187,20 @@ def _recorded_spec(rp_path: str, doc: dict) -> str | None:
     return recorded
 
 
+def _spec_files(spec_path: str, doc: dict) -> list[str]:
+    """The inner problem files a spec document references, as paths: each
+    ``{"file": ...}`` is relative to the spec's directory."""
+    base_dir = os.path.dirname(os.path.abspath(spec_path))
+    return [os.path.join(base_dir, e["file"]) for e in doc["inners"] if "file" in e]
+
+
 def _check_outputs(config: RunConfig) -> None:
     """Refuse an output path in a missing directory, and an output path that
     resolves to the same file as another output or an input, before any
     work.  The inputs are ``rep``, ``rp`` and ``spec``, or without ``spec``
-    the spec the rp file records (an rp file that cannot be read records
-    none here; rp-verify reports it)."""
+    the spec the rp file records, and the inner problem files the spec
+    references (an rp file or spec that cannot be read names none here; the
+    run reports it)."""
     p = config.params
     spec = p.get("spec")
     if spec is None and "rp" in p:
@@ -200,7 +208,12 @@ def _check_outputs(config: RunConfig) -> None:
             spec = _load(p["rp"], lambda doc: _recorded_spec(p["rp"], doc))
         except InputError:
             pass
-    inputs = filter(None, (p.get("rep"), p.get("rp"), spec))
+    inputs = [path for path in (p.get("rep"), p.get("rp"), spec) if path]
+    if spec is not None:
+        try:
+            inputs += _load(spec, lambda doc: _spec_files(spec, doc))
+        except InputError:
+            pass
     seen = {os.path.realpath(path): f"the input {path}" for path in inputs}
     for path in filter(None, (config.out, config.report_path, config.csv_path)):
         folder = os.path.dirname(path) or "."
@@ -394,10 +407,12 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
 
 
 def _load_spec(spec_path: str) -> CompositionSpec:
+    """The spec, each inner problem file loaded on its own, so that a bad
+    one is named in the error."""
     base_dir = os.path.dirname(os.path.abspath(spec_path))
 
-    def load_ref(rel: str) -> dict:
-        return _load(os.path.join(base_dir, rel))
+    def load_ref(rel: str) -> RankProblem:
+        return _load(os.path.join(base_dir, rel), problem_from_json)
 
     return _load(spec_path, lambda doc: spec_from_json(doc, load_file=load_ref))
 

@@ -7,13 +7,22 @@ first failing columns (``pairwise`` makes one from a pair test); the core
 owns the budget check, the exhaustive/sample dispatch, the row scan and the
 capped violation sample.  A sample count is the only mode switch: ``None``
 sweeps every pair.  Rows run in index order, in the calling thread.
+
+Every exhaustive row check over exact dot products shares one packed-dot
+kernel, ``pack_columns``: it packs the right vectors column by column into
+big integers, with a slot width taken from the largest entries, so a row of
+exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
+each slot's nonzero test from its top bit without unpacking; the Hamming
+pair check, the diagonal family walk of ``compression`` and verify-sign
+(``signcompile.positive_rows``, which unpacks the slots) all run on it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from operator import mul
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import BudgetExceededError, InputError
 
@@ -119,3 +128,93 @@ def sweep(
         bad += row_bad
         violations.extend((i, j) for j in row_cols[: REPORT_CAP - len(violations)])
     return SweepReport(count * count, bad, tuple(violations))
+
+
+# -------------------------------------------------------------------
+# Packed exact dots
+# -------------------------------------------------------------------
+
+
+def _slot_ones(width: int, count: int) -> int:
+    """R = sum_j 2^(jW): a one in the lowest byte of each of ``count``
+    slots of ``width`` bytes."""
+    return int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+
+
+def pack_columns(
+    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+) -> tuple[Callable[[int], int], int, int]:
+    """Every dot <us[i], vs[j]> of row i at once, as one exact integer.
+
+    Each coordinate column of ``vs`` is packed once into one integer
+    P_c = sum_j vs[j][c] 2^(jW), so row i is the single integer
+    S_i = bias R + sum_c us[i][c] P_c with R = sum_j 2^(jW): a multiply-add
+    per coordinate.  The slot width W comes from the data, never assumed:
+    bias = 1 + sum_c max_i |us[i][c]| max_j |vs[j][c]| bounds every |dot| by
+    bias - 1, and W = bitlen(2 bias) + 1, rounded up to whole bytes, puts
+    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S_i in base
+    2^W are therefore exactly those slots, slot j the dot with vs[j], with
+    no carry between slots.  This is an integer identity: no modulus and no
+    fallback.  Returns ``(row, width, bias)``: ``row(i)`` is S_i and
+    ``width`` is W in bytes.
+    """
+    count = len(vs)
+    u_max = [max(map(abs, col)) for col in zip(*us)]
+    v_max = [max(map(abs, col)) for col in zip(*vs)]
+    bias = 1 + sum(map(mul, u_max, v_max))
+    width = ((2 * bias).bit_length() + 8) // 8  # slot bytes, W = 8 width bits
+    ones = _slot_ones(width, count)
+    packed = []
+    for weight, off, col in zip(u_max, v_max, zip(*vs)):
+        if not weight:
+            # no row weighs this column, and bias does not bound its entries
+            packed.append(0)
+            continue
+        # shifted by off >= 0, each entry packs as unsigned bytes, below 2 bias
+        data = b"".join((c + off).to_bytes(width, "little") for c in col)
+        packed.append(int.from_bytes(data, "little") - off * ones)
+    base = bias * ones
+
+    def row(i: int) -> int:
+        s = base
+        for c, p in zip(us[i], packed):
+            if c:
+                s += c * p
+        return s
+
+    return row, width, bias
+
+
+def packed_nonzero(
+    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+) -> tuple[Callable[[int], int], int]:
+    """Row i's nonzero tests <us[i], vs[j]> != 0, all j at once.
+
+    Returns ``(nonzero, width)``.  ``nonzero(i)`` is the packed row of
+    ``pack_columns``, slot j holding dot_ij + bias in [1, 2^(W-1)), with the
+    biases xored out and 2^(W-1) - 1 added to each slot: that sets the
+    slot's top bit exactly where the dot is nonzero, without a carry between
+    slots, and every other bit is masked off.  No slot is unpacked;
+    ``top_bytes`` turns the flags into one byte per slot.
+    """
+    row, width, bias = pack_columns(us, vs)
+    ones = _slot_ones(width, len(vs))
+    base = bias * ones
+    low = ((1 << (8 * width - 1)) - 1) * ones
+    tops = low + ones
+    return (lambda i: ((row(i) ^ base) + low) & tops), width
+
+
+def top_bytes(flags: int, width: int, count: int) -> bytes:
+    """The top byte of each of ``count`` slots of ``width`` bytes in
+    ``flags``: 0x80 where a slot's top bit is set, 0 elsewhere, for flags
+    that set no other bit."""
+    return flags.to_bytes(count * width, "little")[width - 1 :: width]
+
+
+def flagged(flags: bytes) -> Iterator[int]:
+    """The slots whose byte in ``flags`` (from ``top_bytes``) is set, in order."""
+    j = flags.find(0x80)
+    while j >= 0:
+        yield j
+        j = flags.find(0x80, j + 1)

@@ -604,7 +604,8 @@ def spec_to_json(spec: CompositionSpec) -> dict:
 
 
 def spec_from_json(doc: dict, load_file=None) -> CompositionSpec:
-    """Rebuild a composition spec; ``load_file`` resolves file references."""
+    """Rebuild a composition spec; ``load_file`` turns a file reference into
+    its rank problem."""
     if doc.get("schema") != "hamrank-compspec/1":
         raise ValueError(f"not a composition spec: {doc.get('schema')!r}")
     inners = []
@@ -614,7 +615,7 @@ def spec_from_json(doc: dict, load_file=None) -> CompositionSpec:
         elif "file" in entry:
             if load_file is None:
                 raise ValueError("file references need a loader")
-            inners.append(problem_from_json(load_file(entry["file"])))
+            inners.append(load_file(entry["file"]))
         else:
             raise ValueError("inner entry needs 'problem' or 'file'")
     return CompositionSpec(r=doc["r"], h=tuple(doc["h"]), inners=tuple(inners))

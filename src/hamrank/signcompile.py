@@ -43,9 +43,8 @@ from .hamming import (
     difference_classes,
     dist,
     load_supp,
-    pack_columns,
 )
-from .parallel import check_pairs
+from .parallel import check_pairs, pack_columns
 from .seeds import seed_stream
 from .veronese import prove_det_sum
 
@@ -127,7 +126,7 @@ def positive_rows(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
     lists the j with eval_sign(rep, words[i], words[j]) == 1, in order, and
     raises its ``ZeroValueError`` at the first j where the value vanishes.
 
-    Each oracle packs its own embeddings once (``hamming.pack_columns``), so
+    Each oracle packs its own embeddings once (``parallel.pack_columns``), so
     its exact dots with words[i] are one multiply-add per coordinate,
     unpacked slot by slot.  The ``eval_value`` recursion then runs column by
     column: a leaf is its sign, a combine is a where s == 0, else

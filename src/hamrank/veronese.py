@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -79,6 +80,49 @@ def det_sum_terms(k: int) -> tuple[MinorIndex, ...]:
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(k: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """How ``minor_embed`` computes every minor of a k x k matrix at once.
+
+    The minors det A[alpha, beta], |alpha| = |beta|, are numbered by size,
+    then alpha, then beta, so the Laplace expansion of one along its first
+    row alpha[0] reads only earlier ones: its steps are (entry index of
+    (alpha[0], beta[t]), number of the minor on alpha[1:] and beta without
+    beta[t], (-1)^t).  Per term of ``det_sum_terms(k)`` the plan also keeps
+    the sign and the numbers of the minor (alpha, beta) and of its
+    complement (co-alpha, co-beta).
+    """
+    pairs = [
+        (alpha, beta)
+        for size in range(k + 1)
+        for alpha in itertools.combinations(range(k), size)
+        for beta in itertools.combinations(range(k), size)
+    ]
+    number = {pair: i for i, pair in enumerate(pairs)}
+    steps = tuple(
+        tuple(
+            (
+                alpha[0] * k + col,
+                number[alpha[1:], beta[:pos] + beta[pos + 1 :]],
+                -1 if pos % 2 else 1,
+            )
+            for pos, col in enumerate(beta)
+        )
+        for alpha, beta in pairs
+    )
+    terms = det_sum_terms(k)
+    full = range(k)
+    own = tuple(number[t.alpha, t.beta] for t in terms)
+    complement = tuple(
+        number[
+            tuple(i for i in full if i not in t.alpha),
+            tuple(j for j in full if j not in t.beta),
+        ]
+        for t in terms
+    )
+    return steps, tuple(t.sign for t in terms), own, complement
+
+
 def minor_embed(a: Mat, side: str) -> tuple[int, ...]:
     """Embed a k x k matrix as its vector of (signed) minors.
 
@@ -88,24 +132,25 @@ def minor_embed(a: Mat, side: str) -> tuple[int, ...]:
     columns.  The empty minor is 1 and the full minor is the determinant.
     For equal-size square A, B the dot product of the two embeddings equals
     det(A + B) exactly, so pairing left(A) with right(-B) computes det(A - B).
+    All C(2k, k) minors come from one memoized Laplace pass (``_laplace_plan``):
+    each is a signed sum of entries times smaller minors, in exact integers.
     """
     if not a.is_square():
         raise NonSquareError(f"minor embedding requires a square matrix, got {a.shape}")
-    terms = det_sum_terms(a.rows)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    steps, signs, own, complement = _laplace_plan(a.rows)
+    e = a.entries
+    minors = []
+    for expansion in steps:
+        total = 0 if expansion else 1  # the empty minor
+        for entry, sub, sign in expansion:
+            if x := e[entry]:
+                total += sign * x * minors[sub]
+        minors.append(total)
     if side == "left":
-        return tuple(t.sign * det_exact(a.submatrix(t.alpha, t.beta)) for t in terms)
-    if side == "right":
-        full = range(a.rows)
-        return tuple(
-            det_exact(
-                a.submatrix(
-                    [i for i in full if i not in t.alpha],
-                    [j for j in full if j not in t.beta],
-                )
-            )
-            for t in terms
-        )
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return tuple(map(mul, signs, map(minors.__getitem__, own)))
+    return tuple(map(minors.__getitem__, complement))
 
 
 @lru_cache(maxsize=None)

@@ -140,15 +140,19 @@ def rng() -> random.Random:
 def _mutated_det_sum_terms(monkeypatch, mutate):
     """Serve ``mutate(terms)`` for every det-sum expansion.
 
-    The proof cache is emptied on both sides, so the broken expansion is
-    proved afresh and no result outlives the patch.
+    The proof cache and the embedding plans, which read the terms, are
+    emptied on both sides, so the broken expansion is embedded and proved
+    afresh and no result outlives the patch.
     """
     real = veronese.det_sum_terms
-    veronese.prove_det_sum.cache_clear()
+    caches = (veronese.prove_det_sum, veronese._laplace_plan)
+    for cached in caches:
+        cached.cache_clear()
     monkeypatch.setattr(veronese, "det_sum_terms", lambda k: mutate(real(k)))
     yield
     monkeypatch.undo()
-    veronese.prove_det_sum.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -278,20 +279,41 @@ def random_compressor(rng, n, rows, cols):
 
 
 WALK_FAMILIES = [
-    ("binary", [(0, 1)] * 4),
-    ("ternary", [(0, 1, 2)] * 3),
-    ("multi", [(0, 1), (0, 1, 2)]),
-    ("one-letter", [(0, 1), (5,), (0, 1, 2)]),
+    ("binary", [(0, 1)] * 7),
+    ("ternary", [(0, 1, 2)] * 5),
+    ("mixed", [(0, 1), (0, 1, 2), (0, 1), (-1, 0, 3), (0, 1)]),
+    ("one-letter", [(0, 1), (5,), (0, 1, 2), (7,), (0, 1)]),
 ]
+
+TARGETS = [(1, 1), (2, 2), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+
+def family_of(alphabets):
+    if len(set(alphabets)) == 1:
+        return MatFamily.diagonal_differences(len(alphabets), alphabets[0])
+    return MatFamily.diagonal_differences_multi(alphabets)
+
+
+def assert_walk_is_brute_force(comp, fam, alphabets):
+    expected = brute_force_report(comp, alphabets)
+    report = verify_compressor(comp, fam)
+    assert report.pairs_checked == expected["checked"]
+    assert report.violation_count == expected["violation_count"]
+    assert list(report.violations) == expected["violations"]
+    return expected["violation_count"]
 
 
 class TestFamilyWalkMatchesBruteForce:
     @pytest.mark.parametrize("name,alphabets", WALK_FAMILIES)
+    def test_the_walk_splits_into_prefix_rows_and_suffix_columns(self, name, alphabets):
+        values = family_of(alphabets).diag_values
+        split, count = compression._split(values)
+        assert 0 < split < len(values)
+        assert 1 < count < math.prod(map(len, values))
+
+    @pytest.mark.parametrize("name,alphabets", WALK_FAMILIES)
     def test_fitted_zero_left_and_random_compressors(self, name, alphabets):
-        if len(set(alphabets)) == 1:
-            fam = MatFamily.diagonal_differences(len(alphabets), alphabets[0])
-        else:
-            fam = MatFamily.diagonal_differences_multi(alphabets)
+        fam = family_of(alphabets)
         n = len(alphabets)
         fitted = fit_compressor(fam, 2, seed=17)
         zero_left = Compressor(
@@ -301,22 +323,78 @@ class TestFamilyWalkMatchesBruteForce:
             verified=False,
         )
         rng = random.Random(name)
-        randoms = [
-            random_compressor(rng, n, rows, cols)
-            for rows, cols in [(1, 1), (2, 2), (1, 2), (2, 1), (2, 3)] * 2
+        randoms = [random_compressor(rng, n, rows, cols) for rows, cols in TARGETS * 2]
+        counts = [
+            assert_walk_is_brute_force(comp, fam, alphabets)
+            for comp in [fitted, zero_left, *randoms]
         ]
-        counts = []
-        for comp in [fitted, zero_left, *randoms]:
-            expected = brute_force_report(comp, alphabets)
-            report = verify_compressor(comp, fam)
-            assert report.pairs_checked == expected["checked"]
-            assert report.violation_count == expected["violation_count"]
-            assert list(report.violations) == expected["violations"]
-            counts.append(expected["violation_count"])
         assert counts[0] == 0
-        # the zero map fails every nonzero member (over 32 for two families)
-        assert counts[1] == fam.size - 1
+        # the zero map fails every nonzero member, over 32 of them, in index order
+        assert counts[1] == fam.size - 1 > 32
+        indices = [v["index"] for v in verify_compressor(zero_left, fam).violations]
+        patterns = enumerate(itertools.product(*fam.diag_values))
+        assert indices == [i for i, z in patterns if any(z)][:32]
         assert sum(1 for c in counts[2:] if c > 0) >= 4
+
+    @pytest.mark.parametrize("rows,cols", TARGETS[2:])
+    def test_non_square_targets(self, rows, cols):
+        alphabets = [(0, 1)] * 7
+        fam = family_of(alphabets)
+        rng = random.Random(f"{rows}x{cols}")
+        comps = [random_compressor(rng, 7, rows, cols) for _ in range(3)]
+        # a generic draw over a wide range, then its column 0 reused as
+        # column 1 of both factors: C(z) then sees only z_0 + z_1 there, so
+        # members such as (1, -1, 0, ...) fall short
+        wide = Compressor(
+            random_mat(rng, rows, 7, bound=1 << 16),
+            random_mat(rng, cols, 7, bound=1 << 16),
+            seed=0,
+            verified=False,
+        )
+
+        def reuse(m):
+            entries = list(m.entries)
+            entries[1::7] = entries[::7]
+            return Mat(m.rows, 7, tuple(entries))
+
+        reused = replace(wide, left=reuse(wide.left), right=reuse(wide.right))
+        counts = [
+            assert_walk_is_brute_force(comp, fam, alphabets)
+            for comp in [*comps, wide, reused]
+        ]
+        assert counts[3] == 0 < counts[4]
+
+    @pytest.mark.parametrize("rows,cols", TARGETS)
+    def test_flags_decide_every_member_at_the_cap(
+        self, monkeypatch, rows, cols
+    ):
+        # the packed flags, ORed over every square restriction, decide every
+        # member at the cap; Bareiss sees the 1 + 2 * 7 * [cap = 2] others.
+        # The longer factor's first row is zero, so the first restriction
+        # never reaches the cap and the others must.
+        calls = []
+        monkeypatch.setattr(
+            compression, "rank_exact", lambda m: calls.append(m) or rank_exact(m)
+        )
+        rng = random.Random(rows * 10 + cols)
+        left = random_mat(rng, rows, 7, bound=1 << 16)
+        right = random_mat(rng, cols, 7, bound=1 << 16)
+        if rows != cols:
+            longer = right if rows < cols else left
+            longer = Mat(longer.rows, 7, (0,) * 7 + longer.entries[7:])
+            left, right = (left, longer) if rows < cols else (longer, right)
+        wide = Compressor(left, right, seed=0, verified=False)
+        fam = MatFamily.diagonal_differences(7, (0, 1))
+        assert verify_compressor(wide, fam).certified
+        assert len(calls) == (15 if min(rows, cols) == 2 else 1)
+
+    @pytest.mark.parametrize("rows,cols", TARGETS)
+    def test_empty_family_and_one_letter_positions(self, rows, cols):
+        rng = random.Random(rows * 10 + cols)
+        for alphabets in ([], [(5,)], [(5,), (3,), (0, 1)]):
+            fam = MatFamily.diagonal_differences_multi(alphabets)
+            comp = random_compressor(rng, len(alphabets), rows, cols)
+            assert_walk_is_brute_force(comp, fam, alphabets)
 
     def test_retries_exhausted_member_really_violates(self, monkeypatch):
         fam = MatFamily.diagonal_differences(3, (0, 1, 2))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamrank.compression import Compressor
+from hamrank.compression import Compressor, MatFamily, verify_compressor
 from hamrank.errors import BudgetExceededError, InputError, PatternViolationError
 from hamrank.exact import Mat, det_exact
 from hamrank.hamming import (
@@ -98,6 +98,19 @@ class TestBuild:
     def test_bounds_on_k(self):
         with pytest.raises(ValueError):
             build_hd_supp(3, 4, seed=1)
+
+    def test_largest_binary_family_under_the_budget_certifies(self):
+        # 3^15 patterns, the largest binary family MAX_DIAGONAL_PATTERNS admits
+        rep = build_hd_supp(15, 1)
+        family = MatFamily.diagonal_differences(15, (0, 1))
+        report = verify_compressor(rep.compressor, family)
+        assert rep.compressor.verified
+        assert (report.pairs_checked, report.violation_count) == (3**15, 0)
+
+    def test_n14_k2_fit_is_verified(self):
+        rep = build_hd_supp(14, 2, seed=7)
+        assert rep.compressor.verified and rep.compressor.method == "fit"
+        assert (rep.n, rep.k, rep.dim) == (14, 2, 6)
 
 
 class TestEvaluationPaths:

@@ -1056,6 +1056,56 @@ class TestCli:
         names = sorted(path.name for path in tmp_path.iterdir())
         assert names == ["broken.rp.json", "rp.json", "s.json"]
 
+    def write_file_spec(self, folder):
+        """A spec in ``folder`` whose two inners reference specs/inner.json."""
+        (folder / "specs").mkdir()
+        (folder / "specs" / "inner.json").write_text(json.dumps(neq_problem_doc()))
+        spec = folder / "specs" / "s.json"
+        inners = [{"file": "inner.json"}] * 2
+        spec.write_text(json.dumps(neq_spec_doc(inners=inners)))
+        return spec, folder / "specs" / "inner.json"
+
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--csv"])
+    def test_cli_compose_never_writes_over_an_inner_file(
+        self, tmp_path, monkeypatch, flag
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("composition started")
+
+        monkeypatch.setattr("hamrank.harness.distance_r_compose", never)
+        spec, inner = self.write_file_spec(tmp_path)
+        before = inner.read_bytes()
+        out = f"{tmp_path}/specs/./inner.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["compose", "--spec", str(spec), flag, out])
+        assert str(exc.value) == (
+            f"compose: cannot write {out}: the input {inner} names the same file"
+        )
+        assert inner.read_bytes() == before
+
+    @pytest.mark.parametrize("given", [False, True], ids=["recorded", "--spec"])
+    def test_cli_rp_verify_never_writes_over_an_inner_file(self, tmp_path, given):
+        spec, inner = self.write_file_spec(tmp_path)
+        rp = tmp_path / "rp.json"
+        assert main(["compose", "--spec", str(spec), "--out", str(rp)]) == 0
+        before = inner.read_bytes()
+        argv = ["rp-verify", str(rp), *(["--spec", str(spec)] if given else [])]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--report", str(inner)])
+        assert str(exc.value) == (
+            f"rp-verify: cannot write {inner}: the input {inner} names the same file"
+        )
+        assert inner.read_bytes() == before
+
+    def test_cli_bad_inner_file_is_named_in_the_load_error(self, tmp_path):
+        spec, inner = self.write_file_spec(tmp_path)
+        inner.write_text(json.dumps({"schema": "hamrank-report/1"}))
+        error = self.failed_report(tmp_path, ["compose", "--spec", str(spec)])
+        assert error == (
+            f"InputError: cannot load {spec}: InputError: cannot load {inner}: "
+            "ValueError: not a rank-problem document: 'hamrank-report/1'"
+        )
+
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -1280,12 +1330,13 @@ class TestCli:
             except RecursionError:
                 return 0
 
-        # a chain that loads but overflows the stack in eval_value, which a
-        # drawn pair runs through: 980 combine nodes from the top of a fresh
-        # interpreter.  (The exhaustive row kernel's stack is a few frames
-        # shallower, so it evaluates this chain.)  json.dumps itself
-        # recurses, so the document is built as a string.
-        depth = headroom() - 15
+        # the deepest chain that loads (one node more and json.load
+        # overflows), which overflows the stack in eval_value, the recursion
+        # a drawn pair runs through; one node fewer and the evaluation fits.
+        # (The exhaustive row kernel's stack is a few frames shallower, so it
+        # evaluates this chain.)  json.dumps itself recurses, so the
+        # document is built as a string.
+        depth = headroom() - 14
         oracle = json.dumps(build_hd_supp(2, 1).to_json())
         node = (
             '{"type": "combine", "gamma": "1", "oracle": ' + oracle

@@ -49,7 +49,40 @@ class TestDetSumTerms:
         assert sizes == sorted(sizes)
 
 
+def defined_embed(a, side):
+    """``minor_embed`` by its definition: one determinant per term."""
+    full = range(a.rows)
+    if side == "left":
+        return tuple(
+            t.sign * det_exact(a.submatrix(t.alpha, t.beta))
+            for t in det_sum_terms(a.rows)
+        )
+    return tuple(
+        det_exact(
+            a.submatrix(
+                [i for i in full if i not in t.alpha],
+                [j for j in full if j not in t.beta],
+            )
+        )
+        for t in det_sum_terms(a.rows)
+    )
+
+
 class TestMinorEmbed:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_laplace_pass_matches_the_definition(self, k, side):
+        rng = random.Random(f"{k}{side}")
+        for trial in range(40):
+            # random, then zero-heavy with some wide entries
+            wide = [0, 0, 0, 1, -1, 1 << 70, -(1 << 33)]
+            entries = [
+                rng.randint(-9, 9) if trial % 2 else rng.choice(wide)
+                for _ in range(k * k)
+            ]
+            a = Mat(k, k, tuple(entries))
+            assert minor_embed(a, side) == defined_embed(a, side)
+
     def test_k1_literal(self):
         a, b = 7, -3
         left = minor_embed(Mat(1, 1, (a,)), "left")
