@@ -15,13 +15,15 @@ without checking it.
 The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
 D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
 They are kept as the value sets D_p and checked exactly, in index order, by
-rows of packed determinants: C(z) is linear in z, so splitting z into a
-prefix and a suffix makes det C(z) the dot product of a minor embedding of
-the prefix's compressed matrix with one of the suffix's (the det-sum
-identity of ``veronese``), and one row of packed big-integer dots
-(``parallel.packed_nonzero``) gives a whole prefix's determinants at once.
-Exact Bareiss ranks are left for members below the rank cap and for
-failures.  No pattern list and no matrix object is built per member.
+rows of packed determinants: C(z) adds one rank-one term per position, so
+det C(z) is a sum of c-fold monomials z^S with coefficients det C(1_S), and
+splitting z into a prefix and a suffix makes it the dot product of the
+prefix's monomials with the suffix's partly evaluated coefficients.  One row
+of packed big-integer dots (``parallel.packed_nonzero``) gives a whole
+prefix's determinants at once.  Below the rank cap a member's rank depends
+only on its support, checked once per support; exact Bareiss ranks of
+members are left for failures.  No pattern list and no matrix object is
+built per member.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -29,6 +31,7 @@ avoids randomness altogether.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -43,9 +46,8 @@ from .errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from .exact import Mat, int_from_json, rank_exact
+from .exact import Mat, det_exact, int_from_json, rank_exact
 from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
-from .veronese import minor_embed, prove_det_sum
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -268,8 +270,9 @@ def _split(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 def _partial_sums(
     comp: Compressor, values: tuple[tuple[int, ...], ...], positions: range
 ) -> list[tuple[list[int], int]]:
-    """(flat C(z), support of z) for z over the product of ``values[p]``,
-    p in ``positions``, every other position 0, in product order."""
+    """(flat C(z), support of z as a bit mask) for z over the product of
+    ``values[p]``, p in ``positions``, every other position 0, in product
+    order."""
     a1, b1 = comp.target_shape
     n = len(values)
     le, re = comp.left.entries, comp.right.entries
@@ -277,8 +280,8 @@ def _partial_sums(
     for p in positions:
         outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
         sums = [
-            ([m + v * o for m, o in zip(flat, outer)], supp + (v != 0))
-            for flat, supp in sums
+            ([m + v * o for m, o in zip(flat, outer)], mask | (v != 0) << p)
+            for flat, mask in sums
             for v in values[p]
         ]
     return sums
@@ -293,63 +296,87 @@ def _diagonal_shortfalls(
     The positions split into a prefix and a suffix, the longest run of
     trailing positions whose pattern count is at most 2 sqrt(family size).
     C is linear in z, so C(z) = C(z_pre) + C(z_suf), and member (i, j),
-    prefix i with suffix j, has index i * #suffixes + j.  The rank cap
-    c = min(a', b') is reached exactly where some c x c restriction of C(z)
-    to all rows and c columns, or all columns and c rows, has a nonzero
-    determinant (a square target has one restriction), and by the det-sum
-    identity, which ``prove_det_sum`` checks,
+    prefix i with suffix j, has index i * #suffixes + j.
 
-        det(C(z)[S, T]) = <left(C(z_pre)[S, T]), right(C(z_suf)[S, T])>.
+    A member of support S below the rank cap c = min(a', b') has
+    C(z) = L_S Diag(z_S) R_S^T with Diag(z_S) invertible, so its rank is
+    |S| exactly when the columns of L and of R on S are independent: a
+    property of S alone, checked once per support by two exact ranks.
 
-    So the suffixes' right embeddings are packed once per restriction
+    The cap is reached exactly where some c x c restriction of C(z) to all
+    rows and c columns, or all columns and c rows, has a nonzero
+    determinant (a square target has one restriction).  Each such
+    determinant is a polynomial in z that ``_cap_coefficients`` expands,
+    det = sum_S coef(S) z^S over the c-sets S of positions, and splitting
+    each S into its prefix part T and suffix part U makes it a dot product:
+
+        det = <(z_pre^T over T), (sum_U coef(T + U) z_suf^U over T)>.
+
+    So the suffixes' vectors are packed once per restriction
     (``parallel.packed_nonzero``), and each prefix row gets every exact
-    determinant for C(2c, c) big-integer multiply-adds per restriction; the
-    top-bit flags, ORed over the restrictions, mark the members of rank c.
-    Exact Bareiss ranks run only where the flags do not decide: on members
-    below the cap, whose rank must equal their support, and on members at
-    the cap that are not flagged, for their achieved rank.  A row whose
-    members all lie below the cap reads no flags, and a family with no
-    member at the cap embeds nothing.  Each exact rank is one ``rank_exact``
-    call, so their count is the number of exact rechecks.
+    determinant for one big-integer multiply-add per nonzero monomial of the
+    prefix; the top-bit flags, ORed over the restrictions, mark the members
+    of rank c.  A row whose members all lie below the cap reads no flags,
+    and a family with no member at the cap expands nothing.  Exact Bareiss
+    ranks of C(z), one ``rank_exact`` call each, run only on the members
+    that fail, for their achieved rank.
     """
     a1, b1 = comp.target_shape
     cap = min(a1, b1)
+    n = len(values)
     split, count = _split(values)
     prefixes = _partial_sums(comp, values, range(split))
-    suffixes = _partial_sums(comp, values, range(split, len(values)))
-    top = max(supp for _, supp in suffixes)
+    suffixes = _partial_sums(comp, values, range(split, n))
+    sizes = [mask.bit_count() for _, mask in suffixes]
+    top = max(sizes)
     # per deficit t = cap - prefix support: the suffixes reaching the cap, as
     # flag bytes, and the suffixes below it
     reach = [
-        int.from_bytes(bytes(0x80 * (supp >= t) for _, supp in suffixes), "little")
+        int.from_bytes(bytes(0x80 * (size >= t) for size in sizes), "little")
         for t in range(cap + 1)
     ]
-    below = [
-        [j for j, (_, supp) in enumerate(suffixes) if supp < t] for t in range(cap + 1)
-    ]
+    below = [[j for j, size in enumerate(sizes) if size < t] for t in range(cap + 1)]
+
+    @functools.cache
+    def independent(mask: int) -> bool:
+        cols = [p for p in range(n) if mask >> p & 1]
+        return all(
+            rank_exact(factor.submatrix(range(factor.rows), cols)) == len(cols)
+            for factor in (comp.left, comp.right)
+        )
 
     kernels = []
-    if any(cap - supp <= top for _, supp in prefixes):
-        prove_det_sum(cap)
-        for cells in _restrictions(a1, b1):
-            us = [_embed(flat, cells, cap, "left") for flat, _ in prefixes]
-            vs = [_embed(flat, cells, cap, "right") for flat, _ in suffixes]
+    if any(cap - mask.bit_count() <= top for _, mask in prefixes):
+        pre = (1 << split) - 1
+        expansions = _cap_coefficients(comp, values, cap)
+        prefix_parts = sorted({s & pre for expansion in expansions for s in expansion})
+        slot = {t: i for i, t in enumerate(prefix_parts)}
+        width = len(slot)
+        monomials = {t: [int(i == j) for j in range(width)] for t, i in slot.items()}
+        us = _evaluate(monomials, values, range(split), width)
+        for expansion in expansions:
+            poly: dict[int, list[int]] = {}
+            for s, coef in expansion.items():
+                poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
+            vs = _evaluate(poly, values, range(split, n), width)
             kernels.append(packed_nonzero(us, vs))
 
-    for i, (pre, pre_supp) in enumerate(prefixes):
-        t = max(cap - pre_supp, 0)
-        checks = below[t]
+    for i, (pre_flat, pre_mask) in enumerate(prefixes):
+        t = max(cap - pre_mask.bit_count(), 0)
+        checks = [j for j in below[t] if not independent(pre_mask | suffixes[j][1])]
         if t <= top:
             flags = 0
-            for nonzero, width in kernels:
-                flags |= int.from_bytes(top_bytes(nonzero(i), width, count), "little")
+            for nonzero, slot_bytes in kernels:
+                flags |= int.from_bytes(
+                    top_bytes(nonzero(i), slot_bytes, count), "little"
+                )
             if diff := flags ^ reach[t]:
                 odd = flagged(diff.to_bytes(count, "little"))
                 checks = sorted({*checks, *odd})
         for j in checks:
-            suf, suf_supp = suffixes[j]
-            achieved = rank_exact(Mat(a1, b1, tuple(map(add, pre, suf))))
-            required = min(pre_supp + suf_supp, cap)
+            suf_flat, suf_mask = suffixes[j]
+            achieved = rank_exact(Mat(a1, b1, tuple(map(add, pre_flat, suf_flat))))
+            required = min((pre_mask | suf_mask).bit_count(), cap)
             if achieved != required:
                 yield i * count + j, achieved, required
 
@@ -364,9 +391,65 @@ def _restrictions(a1: int, b1: int) -> list[list[int]]:
     return [[r * b1 + c for r in rows for c in cols] for rows, cols in cuts]
 
 
-def _embed(flat: list[int], cells: list[int], size: int, side: str) -> tuple[int, ...]:
-    """The minor embedding of the size x size restriction ``cells`` of ``flat``."""
-    return minor_embed(Mat(size, size, tuple(map(flat.__getitem__, cells))), side)
+def _cap_coefficients(
+    comp: Compressor, values: tuple[tuple[int, ...], ...], cap: int
+) -> list[dict[int, int]]:
+    """det C(z)[cells] = sum_S coef(S) z^S for each restriction ``cells`` of
+    ``_restrictions``, as {bit mask of S: coef(S)} without the zeros.
+
+    C(z)[cells] = sum_p z_p (l_p r_p^T)[cells] adds one rank-one term per
+    position, so its determinant is affine in each z_p and homogeneous of
+    degree c in z: a sum over the c-sets S of positions of coef(S) z^S.  At
+    the indicator z = 1_S every other term vanishes, so coef(S) is
+    det C(1_S)[cells], one exact c x c determinant.  Positions whose only
+    value is 0 never contribute and are left out of S.
+    """
+    a1, b1 = comp.target_shape
+    n = len(values)
+    le, re = comp.left.entries, comp.right.entries
+    live = [p for p, vals in enumerate(values) if any(vals)]
+    outer = {p: [x * y for x in le[p::n] for y in re[p::n]] for p in live}
+    cuts = _restrictions(a1, b1)
+    expansions: list[dict[int, int]] = [{} for _ in cuts]
+    zero = [0] * (a1 * b1)
+    for subset in itertools.combinations(live, cap):
+        flat = [sum(col) for col in zip(zero, *map(outer.__getitem__, subset))]
+        mask = sum(1 << p for p in subset)
+        for expansion, cells in zip(expansions, cuts):
+            if coef := det_exact(Mat(cap, cap, tuple(map(flat.__getitem__, cells)))):
+                expansion[mask] = coef
+    return expansions
+
+
+def _evaluate(
+    poly: dict[int, list[int]],
+    values: tuple[tuple[int, ...], ...],
+    positions: range,
+    width: int,
+) -> list[list[int]]:
+    """The vector sum_T z^T poly[T] (T a bit mask of positions) for z over
+    the product of ``values[p]``, p in ``positions``, in product order; the
+    masks hold no other positions.  Each position is substituted in turn,
+    so a prefix shared by many points is substituted once."""
+    states = [poly]
+    for p in positions:
+        bit = 1 << p
+        states = [_substitute(state, bit, v) for state in states for v in values[p]]
+    zero = [0] * width
+    return [state.get(0, zero) for state in states]
+
+
+def _substitute(poly: dict[int, list[int]], bit: int, v: int) -> dict[int, list[int]]:
+    """``poly`` with the variable of ``bit`` set to v."""
+    out: dict[int, list[int]] = {}
+    for mask, vec in poly.items():
+        if mask & bit:
+            if not v:
+                continue
+            mask ^= bit
+            vec = [v * x for x in vec]
+        out[mask] = list(map(add, out[mask], vec)) if mask in out else vec
+    return out
 
 
 def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int, int]]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -369,7 +370,9 @@ class TestFamilyWalkMatchesBruteForce:
         self, monkeypatch, rows, cols
     ):
         # the packed flags, ORed over every square restriction, decide every
-        # member at the cap; Bareiss sees the 1 + 2 * 7 * [cap = 2] others.
+        # member at the cap, and each support below it is checked once: the
+        # only exact ranks are of the columns of L and R on the empty support
+        # and, for cap 2, on each single position; no member is reranked.
         # The longer factor's first row is zero, so the first restriction
         # never reaches the cap and the others must.
         calls = []
@@ -386,7 +389,31 @@ class TestFamilyWalkMatchesBruteForce:
         wide = Compressor(left, right, seed=0, verified=False)
         fam = MatFamily.diagonal_differences(7, (0, 1))
         assert verify_compressor(wide, fam).certified
-        assert len(calls) == (15 if min(rows, cols) == 2 else 1)
+        supports = [()] + [(p,) for p in range(7)] * (min(rows, cols) == 2)
+        assert Counter(calls) == Counter(
+            f.submatrix(range(f.rows), s) for s in supports for f in (left, right)
+        )
+
+    def test_a_dependent_support_fails_every_member_on_it(self):
+        # columns 0 and 1 of L are equal, so C(z) has rank 1 on every member
+        # whose support is {0, 1}, whatever its values, and (generically)
+        # rank 2 on every larger support: the 4 x 4 members on {0, 1} are
+        # exactly the failures, each with Bareiss's achieved rank
+        alphabets = [(0, 1, 2)] * 5
+        rng = random.Random(3)
+        entries = list(random_mat(rng, 2, 5, bound=1 << 16).entries)
+        entries[1::5] = entries[::5]
+        comp = Compressor(
+            Mat(2, 5, tuple(entries)),
+            random_mat(rng, 2, 5, bound=1 << 16),
+            seed=0,
+            verified=False,
+        )
+        fam = family_of(alphabets)
+        assert assert_walk_is_brute_force(comp, fam, alphabets) == 16
+        for v in verify_compressor(comp, fam).violations:
+            assert 0 not in v["pattern"][:2] and v["pattern"][2:] == [0, 0, 0]
+            assert (v["achieved"], v["required"]) == (1, 2)
 
     @pytest.mark.parametrize("rows,cols", TARGETS)
     def test_empty_family_and_one_letter_positions(self, rows, cols):

@@ -1330,26 +1330,36 @@ class TestCli:
             except RecursionError:
                 return 0
 
-        # the deepest chain that loads (one node more and json.load
-        # overflows), which overflows the stack in eval_value, the recursion
-        # a drawn pair runs through; one node fewer and the evaluation fits.
-        # (The exhaustive row kernel's stack is a few frames shallower, so it
-        # evaluates this chain.)  json.dumps itself recurses, so the
-        # document is built as a string.
+        def chain(depth):
+            """verify-sign argv for a chain of ``depth`` combine nodes;
+            json.dumps itself recurses, so the document is built as a
+            string."""
+            node = (
+                '{"type": "combine", "gamma": "1", "oracle": ' + oracle
+                + ', "rep0": {"type": "const", "sign": 1}, "rep1": '
+            )
+            tree = node * depth + '{"type": "const", "sign": 1}' + "}" * depth
+            file.write_text(
+                '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 1}, "tree": '
+                + tree + "}"
+            )
+            return ["verify-sign", str(file), "--mode", "sample:1"]
+
+        # the deepest chain that loads, which overflows the stack in
+        # eval_value, the recursion a drawn pair runs through.  (The
+        # exhaustive row kernel's stack is a few frames shallower, so it
+        # evaluates this chain.)  Chains that load but overflow in eval are a
+        # window of one depth today: the first assert fails if a frame more
+        # in loading closes it, the second if eval runs a frame shallower.
         depth = headroom() - 14
         oracle = json.dumps(build_hd_supp(2, 1).to_json())
-        node = (
-            '{"type": "combine", "gamma": "1", "oracle": ' + oracle
-            + ', "rep0": {"type": "const", "sign": 1}, "rep1": '
-        )
-        tree = node * depth + '{"type": "const", "sign": 1}' + "}" * depth
         file = tmp_path / "chain.json"
-        file.write_text(
-            '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 1}, "tree": '
-            + tree + "}"
+        assert self.failed_report(tmp_path, chain(depth + 1)).startswith(
+            f"InputError: cannot load {file}: RecursionError: "
         )
-        argv = ["verify-sign", str(file), "--mode", "sample:1"]
-        assert self.failed_report(tmp_path, argv).startswith("RecursionError: ")
+        assert self.failed_report(tmp_path, chain(depth)).startswith(
+            "RecursionError: "
+        )
 
     def test_cli_threads_are_recorded_and_change_nothing_else(self, tmp_path):
         rep = tmp_path / "rep.json"
