@@ -3,10 +3,12 @@
 Every certificate that compares a construction with ground truth pair by
 pair runs through ``sweep``.  The caller supplies one check per row that
 evaluates a whole row in one pass and returns its failure count with its
-first failing columns (``pairwise`` makes one from a pair test); the core
-owns the budget check, the exhaustive/sample dispatch, the row scan and the
-capped violation sample.  A sample count is the only mode switch: ``None``
-sweeps every pair.  Rows run in index order, in the calling thread.
+first failing columns (``pairwise`` makes one from a pair test, and
+``symmetric`` from a symmetric one, deciding each unordered pair once);
+the core owns the budget check, the exhaustive/sample dispatch, the row
+scan and the capped violation sample.  A sample count is the only mode
+switch: ``None`` sweeps every pair.  Rows run in index order, in the
+calling thread.
 
 Every exhaustive row check over exact dot products shares one packed-dot
 kernel, ``pack_columns``: it packs the right vectors column by column into
@@ -76,6 +78,42 @@ def pairwise(fails: Callable[[int, int], bool]) -> RowCheck:
 
     def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
         bad = [j for j in cols if fails(i, j)]
+        return len(bad), bad
+
+    return check
+
+
+def symmetric(fails: Callable[[int, int], bool]) -> RowCheck:
+    """The row check of a symmetric pair test, ``fails(i, j) == fails(j, i)``.
+
+    Row i evaluates ``fails(i, j)`` for j >= i only; column j < i fails
+    where row j failed at column i.  Only failures are kept, each until the
+    row that mirrors it, so memory grows with the violations, not with the
+    pairs.  The mirror holds only over rows that were checked whole, so the
+    check takes rows 0, 1, 2, ... in order, each with ``cols`` the whole row
+    ``range(count)`` as the exhaustive ``sweep`` gives them, and raises
+    ``ValueError`` on anything else: a row out of order, or partial
+    ``cols`` such as a sampled pair.
+    """
+    mirrored: dict[int, list[int]] = {}  # row -> earlier rows failing there
+    done = 0  # rows checked
+    whole = None  # the first row's cols, every row's cols
+
+    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+        nonlocal done, whole
+        if whole is None and cols == range(len(cols)):
+            whole = cols
+        if i != done or cols != whole or i >= len(whole):
+            raise ValueError(
+                f"a symmetric row check takes whole rows in index order, not "
+                f"row {i} of columns {cols!r} after {done} rows"
+            )
+        done += 1
+        upper = [j for j in whole[i:] if fails(i, j)]
+        for j in upper:
+            if j > i:
+                mirrored.setdefault(j, []).append(i)
+        bad = mirrored.pop(i, []) + upper
         return len(bad), bad
 
     return check

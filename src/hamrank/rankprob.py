@@ -57,6 +57,12 @@ class RankProblem:
     and ``_compress_problem`` take min(dist, k) and min(rank, size), which
     their fits checked on every difference; ``_block_problem`` sums weighted
     block ranks; ``problem_from_json`` sums its pattern blocks' ranks.
+
+    Every problem is symmetric: ``eval(x, y) == eval(y, x)``, because
+    A(y) - A(x) = -(A(x) - A(y)) and rank(M) = rank(-M), and each
+    ``rank_fn`` above is symmetric too (min(dist, k), a cap of a symmetric
+    rank, a weighted sum of symmetric ranks, or a rank of the difference).
+    The composition check decides each unordered pair once on this contract.
     """
 
     index_count: int

@@ -462,6 +462,75 @@ class TestComposeCommands:
         assert max(r for r, _ in shapes) == max(len(rows) for rows, _ in blocks)
         assert max(c for _, c in shapes) == max(len(cols) for _, cols in blocks)
 
+    @pytest.mark.parametrize(
+        "case,violations",
+        [("certified", 0), ("entry-changed", 30), ("g0-flipped", 64)],
+    )
+    def test_symmetric_check_matches_the_pairwise_check(
+        self, tmp_path, monkeypatch, case, violations
+    ):
+        """rp-verify decides each unordered pair once and reports what the
+        pair-by-pair check reports on every ordered pair."""
+        from hamrank import harness
+        from hamrank.exact import Mat
+        from hamrank.parallel import pairwise, sweep
+        from hamrank.rankprob import (
+            CompositionSpec,
+            RankProblem,
+            compose_semantics,
+            distance_r_compose,
+            problem_from_json,
+            problem_to_json,
+            spec_to_json,
+            symmetric_problem,
+        )
+
+        inner = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
+        spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(inner,) * 6)
+        doc = problem_to_json(distance_r_compose(spec, seed=3))
+        if case == "entry-changed":  # entry (0, 1) of A(5)
+            entries = doc["a"][5]["entries"]
+            entries[1] = str(int(entries[1]) + 1)
+        elif case == "g0-flipped":  # every diagonal pair fails
+            doc["g"][0] ^= 1
+        spec_path, rp_path = tmp_path / "spec.json", tmp_path / "rp.json"
+        spec_path.write_text(json.dumps(spec_to_json(spec)))
+        rp_path.write_text(json.dumps(doc))
+
+        results = []
+
+        def recording_sweep(*args, **kwargs):
+            results.append(sweep(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "sweep", recording_sweep)
+        evals = Counter()
+        real_eval = RankProblem.eval
+
+        def counting_eval(p, x, y):
+            evals[p.index_count] += 1
+            return real_eval(p, x, y)
+
+        monkeypatch.setattr(RankProblem, "eval", counting_eval)
+        params = {"rp": str(rp_path), "spec": str(spec_path)}
+        report = run("rp-verify", make_config(tmp_path, "rv", params=params))
+        monkeypatch.undo()
+
+        loaded = problem_from_json(doc)
+        reference = sweep(
+            64,
+            lambda: pairwise(
+                lambda x, y: loaded.eval(x, y)
+                != compose_semantics(spec, spec.tuple_of(x), spec.tuple_of(y))
+            ),
+        )
+        assert results == [reference]
+        assert reference.pairs_checked == 4096
+        assert reference.violation_count == violations
+        assert report.verification["violation_count"] == violations
+        assert report.certified == (violations == 0)
+        assert evals[64] == report.timing["pairs_evaluated"] == 64 * 65 // 2
+
     def test_spec_file_references(self, tmp_path):
         from hamrank.exact import Mat
         from hamrank.rankprob import problem_to_json, symmetric_problem

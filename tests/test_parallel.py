@@ -1,0 +1,88 @@
+"""The symmetric row check against the pair-by-pair one."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hamrank.parallel import REPORT_CAP, pairwise, sweep, symmetric
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A symmetric 0/1 failure table on up to 12 indices, dense enough to
+    pass the report cap."""
+    count = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [[False] * count for _ in range(count)]
+    for i, j in itertools.combinations_with_replacement(range(count), 2):
+        table[i][j] = table[j][i] = rng.random() < density
+    return table
+
+
+class TestSymmetricRowCheck:
+    @settings(max_examples=120, deadline=None)
+    @given(symmetric_tables())
+    def test_matches_the_pairwise_check(self, table):
+        count = len(table)
+        asked = []
+
+        def fails(i, j):
+            asked.append((i, j))
+            return table[i][j]
+
+        got = sweep(count, lambda: symmetric(fails))
+        assert got == sweep(count, lambda: pairwise(lambda i, j: table[i][j]))
+        # each unordered pair once, the diagonal included
+        upper = itertools.combinations_with_replacement(range(count), 2)
+        assert sorted(asked) == list(upper)
+
+    def test_dense_failures_fill_the_report_in_pair_order(self):
+        got = sweep(12, lambda: symmetric(lambda i, j: True))
+        assert got.violation_count == 144
+        first = itertools.islice(itertools.product(range(12), repeat=2), REPORT_CAP)
+        assert got.violations == tuple(first)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [1],  # row 0 skipped
+            [0, 2],  # row 1 skipped
+            [0, 1, 1],  # a row twice
+            [0, 1, 2, 3, 0],  # a second sweep through one check
+        ],
+        ids=["first-skipped", "middle-skipped", "repeated", "restarted"],
+    )
+    def test_refuses_rows_out_of_order(self, rows):
+        check = symmetric(lambda i, j: False)
+        *before, last = rows
+        for i in before:
+            check(i, range(4))
+        with pytest.raises(ValueError, match="whole rows in index order"):
+            check(last, range(4))
+
+    @pytest.mark.parametrize(
+        "cols",
+        [(2,), range(1, 4), range(0, 4, 2), [0, 1, 2, 3], range(0)],
+        ids=["sampled-pair", "tail", "strided", "list", "empty"],
+    )
+    def test_refuses_partial_rows(self, cols):
+        check = symmetric(lambda i, j: False)
+        with pytest.raises(ValueError, match="whole rows in index order"):
+            check(0, cols)
+
+    def test_refuses_a_row_of_another_width(self):
+        check = symmetric(lambda i, j: False)
+        check(0, range(4))
+        with pytest.raises(ValueError, match="whole rows in index order"):
+            check(1, range(5))
+
+    def test_refuses_sample_mode(self):
+        def never(i, j):
+            raise AssertionError("evaluated a sampled pair")
+
+        with pytest.raises(ValueError, match="whole rows in index order"):
+            sweep(4, lambda: symmetric(never), sample=3, rng=random.Random(0))

@@ -123,6 +123,65 @@ class TestEval:
             symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 2))
 
 
+def assert_symmetric(p: RankProblem) -> None:
+    """rank_fn and eval agree on (x, y) and (y, x) for every pair."""
+    for x, y in itertools.combinations(range(p.index_count), 2):
+        assert p.rank_fn(x, y) == p.rank_fn(y, x)
+        assert p.eval(x, y) == p.eval(y, x)
+
+
+def small_composition(seed: int) -> RankProblem:
+    spec = CompositionSpec(r=1, h=(0, 1), inners=(neq_inner(),) * 3)
+    return distance_r_compose(spec, seed=seed)
+
+
+class TestSymmetry:
+    """The contract the composition check reads each unordered pair once on."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: hd_rank_problem(3, 2, seed=61),
+            lambda: hd_rank_problem(2, 1, (0, 1, 2), seed=62),
+            lambda: rankprob._compress_problem(random_table_problem(), 2, seed=63),
+            lambda: bool_combine(
+                lambda bits: bits[0] ^ bits[1],
+                [hd_rank_problem(3, 1, seed=64), hd_rank_problem(3, 2, seed=65)],
+                seed=66,
+            ),
+            lambda: small_composition(67),
+            lambda: problem_from_json(problem_to_json(small_composition(68))),
+        ],
+        ids=[
+            "hd_rank_problem", "hd_rank_problem-ternary", "_compress_problem",
+            "bool_combine", "distance_r_compose", "problem_from_json-composed",
+        ],
+    )
+    def test_constructed_problems_are_symmetric(self, build):
+        assert_symmetric(build())
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_tables(), st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    def test_table_problems_are_symmetric(self, table, g):
+        p = symmetric_problem(len(table), table.__getitem__, g)
+        assert_symmetric(p)
+        assert_symmetric(problem_from_json(problem_to_json(p)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_tables(), st.data())
+    def test_compose_semantics_is_symmetric(self, table, data):
+        g = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+        r = data.draw(st.integers(0, 3))
+        h = data.draw(st.lists(st.integers(0, 1), min_size=r + 1, max_size=r + 1))
+        inner = symmetric_problem(len(table), table.__getitem__, g)
+        spec = CompositionSpec(
+            r=r, h=tuple(h), inners=(inner,) * data.draw(st.integers(1, 3))
+        )
+        tuples = [spec.tuple_of(x) for x in range(spec.index_count)]
+        for x, y in itertools.combinations(tuples, 2):
+            assert compose_semantics(spec, x, y) == compose_semantics(spec, y, x)
+
+
 class TestHdRankProblem:
     def test_k1_is_inequality(self):
         p = hd_rank_problem(3, 1, seed=4)

@@ -149,6 +149,10 @@ def digests(tmp_path_factory):
         out["to-sign-rep:table-55"] = digest(sign_rep_bytes(random_table_problem(), 56))
         out["_zeroed_violations"] = reports["zeroed-verify"].verification
         out["_zeroed_identity"] = reports["zeroed-lower-bound"].verification
+        out["_evaluated"] = {
+            name: reports[name].timing["pairs_evaluated"]
+            for name in ("compose", "rp-verify", "compose-threshold")
+        }
         return out
     finally:
         mp.undo()
@@ -171,6 +175,15 @@ def test_zeroed_lower_bound_counts_every_failing_cell(digests):
     ver = digests["_zeroed_identity"]
     assert ver["violation_count"] == 4
     assert ver["detail"].startswith("identity pattern broken at (0, 0): dot zero")
+
+
+def test_composition_checks_evaluate_each_unordered_pair_once(digests):
+    # in the timing section, outside the pinned bytes: 4 and 16 indices
+    assert digests["_evaluated"] == {
+        "compose": 4 * 5 // 2,
+        "rp-verify": 4 * 5 // 2,
+        "compose-threshold": 16 * 17 // 2,
+    }
 
 
 def edge_supp_doc(n: int, k: int, left, right) -> dict:
