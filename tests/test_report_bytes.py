@@ -88,12 +88,15 @@ EXPECTED = {
     "sign-build": "1a53978ed144525bb3fe4eebba74f2608ddbd325b84225ad76205a8d19773f86",
     "sign-verify": "3a9a1bc340ebb58c10d061a60225942f2172a58b59175309a3290accab3150a7",
     "sign-sample": "f5a42b235af951a342086eb577a9fc08da288c7b3139595285ef14939235b5d8",
+    # gammas [2, 6274]
+    "sign-build-norm": "a1dd879ab7872ba874e91ea7ab06a4894204f6b57aca31f3bbcc5279af7e1b9f",
     "compose": "e2e47776a8eeb5bcf63c4c1104f6709c8c027a09ddc1d3aa7f8d3936ffb854a8",
     "compose-threshold": "66c02183953ad9376d474f83d80bd606bba5594981ba4dcf83532ce30b8daf4f",
     "rp-verify": "ba4e09a0273d22ce580ae5cba5b8aced10f15e143564519f80a84999b395b9df",
     "artifact:bin.supp.json": "a29b4ef6627270b7bd522858076dcf234fd1564b9bcefe9837ea5f1382c5f11d",
     "artifact:ter.supp.json": "8ac8e2cdec3e589715c7d63a4c1270820db68ec338298ad32f7306bc1114c65a",
     "artifact:s.sign.json": "e55ea2b66b5d0ee63df8e098f9bc3b9500c13bea1a6da5a00d79c4d91ed06abe",
+    "artifact:sn.sign.json": "43cfaaeef4a27ac195cf00645ebb089f4b39ee84a65184e6ef0d7bc3a76e9641",
     "artifact:rp.json": "1716d1a6ce19f43c9f97ff962507b54d504df2c3dbdd89eb396ae9374b5294dd",
     "artifact:rp-r2.json": "a753abe7402a8ae54bdf13da8dd11fd7cb4535e666be0aacf3f93c9b644c434b",
     # dim 37, gammas [2]
@@ -123,6 +126,12 @@ def digests(tmp_path_factory):
             seed=5,
             out="s.sign.json",
         )
+        reports["sign-build-norm"] = run_report(
+            "build-sign",
+            {"n": 3, "k": 1, "gamma_mode": "norm_bound"},
+            seed=5,
+            out="sn.sign.json",
+        )
         reports["sign-verify"] = run_report("verify-sign", {"rep": "s.sign.json"})
         reports["sign-sample"] = run_report(
             "verify-sign", {"rep": "s.sign.json"}, seed=2, sample=300
@@ -139,7 +148,12 @@ def digests(tmp_path_factory):
         )
         out = {name: digest(r.canonical_bytes()) for name, r in reports.items()}
         for path in (
-            "bin.supp.json", "ter.supp.json", "s.sign.json", "rp.json", "rp-r2.json"
+            "bin.supp.json",
+            "ter.supp.json",
+            "s.sign.json",
+            "sn.sign.json",
+            "rp.json",
+            "rp-r2.json",
         ):
             with open(path, "rb") as fh:
                 out[f"artifact:{path}"] = digest(fh.read())

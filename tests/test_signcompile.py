@@ -274,6 +274,30 @@ class TestTruth:
         with pytest.raises(PatternViolationError, match="compiled sign disagrees"):
             build_hd_sign(4, 1, seed=2)
 
+    @pytest.mark.parametrize("gamma_mode", ["exact_scan", "norm_bound"])
+    @pytest.mark.parametrize(
+        "n,k,alphabet,pair",
+        [
+            (4, 1, (0, 1), ((0, 0, 0, 1), (0, 0, 0, 0))),
+            (5, 2, (0, 1), ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+            (3, 1, (0, 1, 2), ((0, 0, 1), (0, 0, 0))),
+        ],
+    )
+    def test_oracles_one_threshold_too_high_fail_at_a_pinned_pair(
+        self, monkeypatch, n, k, alphabet, pair, gamma_mode
+    ):
+        # as above, in both gamma modes: the first failing pair and the
+        # values there are named exactly
+        build = signcompile.build_hd_supp
+        monkeypatch.setattr(
+            signcompile,
+            "build_hd_supp",
+            lambda n, t, alphabet, seed: build(n, t + 1, alphabet, seed),
+        )
+        message = f"compiled sign disagrees with the truth at {pair!r}: -1 vs 1"
+        with pytest.raises(PatternViolationError, match=f"^{re.escape(message)}$"):
+            build_hd_sign(n, k, seed=2, gamma_mode=gamma_mode, alphabet=alphabet)
+
     def test_build_hd_sign_refuses_over_budget_before_building(self, monkeypatch):
         def no_build(*args, **kwargs):
             raise AssertionError("an oracle was built")
