@@ -23,7 +23,9 @@ of packed big-integer dots (``parallel.packed_nonzero``) gives a whole
 prefix's determinants at once.  Below the rank cap a member's rank depends
 only on its support, checked once per support; exact Bareiss ranks of
 members are left for failures.  No pattern list and no matrix object is
-built per member.
+built per member.  ``det_rows`` unpacks the same rows into the exact
+determinants of a square target (``parallel.packed_dots``), which
+build-sign reads as its oracles' values.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -38,7 +40,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -47,7 +49,8 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, det_exact, int_from_json, rank_exact
-from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
+from .parallel import REPORT_CAP, SweepReport, flagged, top_bytes
+from .parallel import packed_dots, packed_nonzero
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -256,7 +259,7 @@ class Compressor:
 # -------------------------------------------------------------------
 
 
-def _split(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+def split_positions(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """(first suffix position, suffix pattern count) of the longest run of
     trailing positions with at most 2 sqrt(family size) patterns."""
     size = math.prod(map(len, values))
@@ -267,24 +270,13 @@ def _split(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     return split, count
 
 
-def _partial_sums(
-    comp: Compressor, values: tuple[tuple[int, ...], ...], positions: range
-) -> list[tuple[list[int], int]]:
-    """(flat C(z), support of z as a bit mask) for z over the product of
-    ``values[p]``, p in ``positions``, every other position 0, in product
-    order."""
-    a1, b1 = comp.target_shape
-    n = len(values)
-    le, re = comp.left.entries, comp.right.entries
-    sums = [([0] * (a1 * b1), 0)]
+def _supports(values: tuple[tuple[int, ...], ...], positions: range) -> list[int]:
+    """The support of each z over the product of ``values[p]``, p in
+    ``positions``, as a bit mask, in product order."""
+    masks = [0]
     for p in positions:
-        outer = [x * y for x in le[p::n] for y in re[p::n]]  # l_p r_p^T
-        sums = [
-            ([m + v * o for m, o in zip(flat, outer)], mask | (v != 0) << p)
-            for flat, mask in sums
-            for v in values[p]
-        ]
-    return sums
+        masks = [mask | (v != 0) << p for mask in masks for v in values[p]]
+    return masks
 
 
 def _diagonal_shortfalls(
@@ -295,8 +287,7 @@ def _diagonal_shortfalls(
 
     The positions split into a prefix and a suffix, the longest run of
     trailing positions whose pattern count is at most 2 sqrt(family size).
-    C is linear in z, so C(z) = C(z_pre) + C(z_suf), and member (i, j),
-    prefix i with suffix j, has index i * #suffixes + j.
+    Member (i, j), prefix i with suffix j, has index i * #suffixes + j.
 
     A member of support S below the rank cap c = min(a', b') has
     C(z) = L_S Diag(z_S) R_S^T with Diag(z_S) invertible, so its rank is
@@ -305,29 +296,23 @@ def _diagonal_shortfalls(
 
     The cap is reached exactly where some c x c restriction of C(z) to all
     rows and c columns, or all columns and c rows, has a nonzero
-    determinant (a square target has one restriction).  Each such
-    determinant is a polynomial in z that ``_cap_coefficients`` expands,
-    det = sum_S coef(S) z^S over the c-sets S of positions, and splitting
-    each S into its prefix part T and suffix part U makes it a dot product:
-
-        det = <(z_pre^T over T), (sum_U coef(T + U) z_suf^U over T)>.
-
-    So the suffixes' vectors are packed once per restriction
+    determinant (a square target has one restriction), a dot product of
+    prefix and suffix vectors (``_det_vectors``).  So the suffixes'
+    vectors are packed once per restriction
     (``parallel.packed_nonzero``), and each prefix row gets every exact
     determinant for one big-integer multiply-add per nonzero monomial of the
     prefix; the top-bit flags, ORed over the restrictions, mark the members
     of rank c.  A row whose members all lie below the cap reads no flags,
     and a family with no member at the cap expands nothing.  Exact Bareiss
-    ranks of C(z), one ``rank_exact`` call each, run only on the members
-    that fail, for their achieved rank.
+    ranks of C(z) (``apply_diag``, one ``rank_exact`` call each) run only
+    on the members that fail, for their achieved rank.
     """
-    a1, b1 = comp.target_shape
-    cap = min(a1, b1)
+    cap = min(comp.target_shape)
     n = len(values)
-    split, count = _split(values)
-    prefixes = _partial_sums(comp, values, range(split))
-    suffixes = _partial_sums(comp, values, range(split, n))
-    sizes = [mask.bit_count() for _, mask in suffixes]
+    split, count = split_positions(values)
+    prefixes = _supports(values, range(split))
+    suffixes = _supports(values, range(split, n))
+    sizes = [mask.bit_count() for mask in suffixes]
     top = max(sizes)
     # per deficit t = cap - prefix support: the suffixes reaching the cap, as
     # flag bytes, and the suffixes below it
@@ -346,24 +331,13 @@ def _diagonal_shortfalls(
         )
 
     kernels = []
-    if any(cap - mask.bit_count() <= top for _, mask in prefixes):
-        pre = (1 << split) - 1
-        expansions = _cap_coefficients(comp, values, cap)
-        prefix_parts = sorted({s & pre for expansion in expansions for s in expansion})
-        slot = {t: i for i, t in enumerate(prefix_parts)}
-        width = len(slot)
-        monomials = {t: [int(i == j) for j in range(width)] for t, i in slot.items()}
-        us = _evaluate(monomials, values, range(split), width)
-        for expansion in expansions:
-            poly: dict[int, list[int]] = {}
-            for s, coef in expansion.items():
-                poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
-            vs = _evaluate(poly, values, range(split, n), width)
-            kernels.append(packed_nonzero(us, vs))
+    if any(cap - mask.bit_count() <= top for mask in prefixes):
+        us, restricted = _det_vectors(comp, values, split)
+        kernels = [packed_nonzero(us, vs) for vs in restricted]
 
-    for i, (pre_flat, pre_mask) in enumerate(prefixes):
+    for i, pre_mask in enumerate(prefixes):
         t = max(cap - pre_mask.bit_count(), 0)
-        checks = [j for j in below[t] if not independent(pre_mask | suffixes[j][1])]
+        checks = [j for j in below[t] if not independent(pre_mask | suffixes[j])]
         if t <= top:
             flags = 0
             for nonzero, slot_bytes in kernels:
@@ -374,11 +348,46 @@ def _diagonal_shortfalls(
                 odd = flagged(diff.to_bytes(count, "little"))
                 checks = sorted({*checks, *odd})
         for j in checks:
-            suf_flat, suf_mask = suffixes[j]
-            achieved = rank_exact(Mat(a1, b1, tuple(map(add, pre_flat, suf_flat))))
-            required = min((pre_mask | suf_mask).bit_count(), cap)
+            achieved = rank_exact(comp.apply_diag(nth_product(i * count + j, values)))
+            required = min((pre_mask | suffixes[j]).bit_count(), cap)
             if achieved != required:
                 yield i * count + j, achieved, required
+
+
+def _det_vectors(
+    comp: Compressor, values: tuple[tuple[int, ...], ...], split: int
+) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """(us, [vs per restriction]) with det C(z)[cells] = <us[i], vs[j]> for
+    prefix i and suffix j of z, in product order.  ``_cap_coefficients``
+    expands det = sum_S coef(S) z^S over the c-sets S of positions, and
+    splitting each S into its prefix part T and suffix part U makes it
+
+        det = <(z_pre^T over T), (sum_U coef(T + U) z_suf^U over T)>.
+    """
+    pre = (1 << split) - 1
+    expansions = _cap_coefficients(comp, values, min(comp.target_shape))
+    prefix_parts = sorted({s & pre for expansion in expansions for s in expansion})
+    slot = {t: i for i, t in enumerate(prefix_parts)}
+    width = len(slot)
+    monomials = {t: [int(i == j) for j in range(width)] for t, i in slot.items()}
+    us = _evaluate(monomials, values, range(split), width)
+    restricted = []
+    for expansion in expansions:
+        poly: dict[int, list[int]] = {}
+        for s, coef in expansion.items():
+            poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
+        restricted.append(_evaluate(poly, values, range(split, len(values)), width))
+    return us, restricted
+
+
+def det_rows(
+    comp: Compressor, values: tuple[tuple[int, ...], ...]
+) -> Callable[[int], list[int]]:
+    """Row i lists det C(z), C = comp.apply_diag onto a square target, for
+    prefix i of z with each suffix, split by ``split_positions`` and in
+    product order: the family walk's rows, unpacked (``packed_dots``)."""
+    (us, (vs,)) = _det_vectors(comp, values, split_positions(values)[0])
+    return packed_dots(us, vs)
 
 
 def _restrictions(a1: int, b1: int) -> list[list[int]]:

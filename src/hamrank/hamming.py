@@ -19,7 +19,8 @@ The exhaustive pair check (``_packed_rows``) runs on the packed-dot kernel
 of ``parallel``: the right embeddings of all |A|^n words are packed once, so
 a row of exact dots costs one multiply-add per coordinate, and each slot's
 nonzero test is read from its top bit without unpacking.  The compressor's
-family walk and verify-sign run on the same kernel.
+family walk and verify-sign run on the same kernel, and build-sign reads
+the reps' dots as the walk's rows of det C(x - y) (``compression.det_rows``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
 from operator import getitem, mul
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .compression import (
     Compressor,
@@ -141,27 +142,6 @@ def check_alphabet(alphabet: Sequence[int]) -> tuple[int, ...]:
 def word_of_index(i: int, n: int, alphabet: tuple[int, ...]) -> Word:
     """Index -> word, matching itertools.product enumeration order."""
     return nth_product(i, (alphabet,) * n)
-
-
-def difference_classes(n: int, alphabet: Sequence[int]) -> Iterator[tuple[Word, Word]]:
-    """One word pair (x, y) per class {z, -z} of differences z = x - y.
-
-    z runs over (A - A)^n, A the alphabet, in product order over the sorted
-    differences, skipping each z whose first nonzero entry is negative (its
-    class was met at -z).  Coordinate i of the pair is one fixed letter pair
-    (a, b) with a - b = z_i.  The class of z stands for
-    prod_i #{(a, b) : a - b = z_i} ordered pairs, and so does that of -z:
-    3^n + 1 over 2 classes for a two-letter alphabet, 3,281 at n = 8.
-    """
-    letters: dict[int, tuple[int, int]] = {}
-    for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
-        letters.setdefault(a - b, (a, b))
-    words: dict[Word, Word] = {}  # one tuple per word, however many classes use it
-    for z in itertools.product(sorted(letters), repeat=n):
-        if next((d for d in z if d), 0) >= 0:
-            x = tuple(letters[d][0] for d in z)
-            y = tuple(letters[d][1] for d in z)
-            yield words.setdefault(x, x), words.setdefault(y, y)
 
 
 def dist(x: Sequence[int], y: Sequence[int]) -> int:

@@ -19,7 +19,7 @@ from math import comb
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
-from .errors import HamrankError, InputError, PatternViolationError
+from .errors import BudgetExceededError, HamrankError, InputError, PatternViolationError
 from .hamming import (
     SupportRep,
     build_hd_supp,
@@ -47,6 +47,7 @@ from .signcompile import (
     build_hd_sign,
     eval_sign,
     gamma_values,
+    hd_sign_dim,
     positive_rows,
     proof_dim_bound,
     sign_from_json,
@@ -322,10 +323,15 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     p = config.params
     n, k = p["n"], p["k"]
     gamma_mode = p.get("gamma_mode", "exact_scan")
+    dim_formula = hd_sign_dim(n, k)
+    if dim_formula > config.max_dim:
+        # refused before the det-sum proofs, which grow like (k+1)! 2^(k+1)
+        raise BudgetExceededError(
+            f"sign dimension {dim_formula} exceeds the budget {config.max_dim}"
+        )
     rep = build_hd_sign(
         n, k, seed=config.seed, gamma_mode=gamma_mode, max_pairs=config.max_pairs
     )
-    dim_formula = 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
     report.construction = {
         "n": n,
         "k": k,

@@ -14,9 +14,9 @@ Every exhaustive row check over exact dot products shares one packed-dot
 kernel, ``pack_columns``: it packs the right vectors column by column into
 big integers, with a slot width taken from the largest entries, so a row of
 exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
-each slot's nonzero test from its top bit without unpacking; the Hamming
-pair check, the diagonal family walk of ``compression`` and verify-sign
-(``signcompile.positive_rows``, which unpacks the slots) all run on it.
+each slot's nonzero test from its top bit without unpacking (the Hamming
+pair check, the family walk of ``compression``); ``packed_dots`` unpacks
+the slots (``compression.det_rows`` and sign-tree rows).
 """
 
 from __future__ import annotations
@@ -221,6 +221,21 @@ def pack_columns(
         return s
 
     return row, width, bias
+
+
+def packed_dots(
+    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+) -> Callable[[int], list[int]]:
+    """Row i's exact dots <us[i], vs[j]>, all j: the packed row of
+    ``pack_columns``, unpacked slot by slot."""
+    row, width, bias = pack_columns(us, vs)
+    starts = range(0, len(vs) * width, width)
+
+    def dots(i: int) -> list[int]:
+        data = row(i).to_bytes(len(vs) * width, "little")
+        return [int.from_bytes(data[j : j + width], "little") - bias for j in starts]
+
+    return dots
 
 
 def packed_nonzero(

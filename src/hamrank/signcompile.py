@@ -18,16 +18,21 @@ which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
 (1 + r^2)^depth bound of a compiled rep, and both numbers are reported.
 Every compile is checked against ground truth that the caller gives, on
 every ordered pair of the domain or on pairs that stand for them all
-(``build_hd_sign`` uses one pair per difference class).  A tree over some
-other index domain needs no translation layer here: a ``SupportRep`` built
-on maps from indices to matrices already answers at indices.
+(``build_hd_sign`` uses one pair per difference class), as ``PairRows``,
+whose oracle dots come a row at a time; one column recursion,
+``value_row``, serves the gamma scan, the check and verify-sign.  A tree
+over some other index domain needs no translation layer here: a
+``SupportRep`` built on maps from indices to matrices already answers at
+indices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cache
+from math import comb
+from typing import Callable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -36,15 +41,10 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
+from .compression import det_rows, split_positions
 from .exact import Mat, int_from_json
-from .hamming import (
-    SupportRep,
-    build_hd_supp,
-    difference_classes,
-    dist,
-    load_supp,
-)
-from .parallel import check_pairs, pack_columns
+from .hamming import SupportRep, build_hd_supp, check_alphabet, dist, load_supp
+from .parallel import check_pairs, packed_dots
 from .seeds import seed_stream
 from .veronese import prove_det_sum
 
@@ -121,46 +121,57 @@ def _vanished(x, y) -> ZeroValueError:
     )
 
 
+@dataclass(frozen=True)
+class PairRows:
+    """The ordered pairs a compile checks, as rows of ``width`` columns:
+    ``cols[i]`` lists the columns of row i that stand for pairs, in pair
+    order, ``pair(i, j)`` names the pair (x, y) of one, and
+    ``dots(oracle)(i)`` lists the oracle's exact dots at every column of
+    row i (``dots`` builds each oracle's row function once)."""
+
+    cols: Sequence[Sequence[int]]
+    width: int
+    pair: Callable[[int, int], tuple]
+    dots: Callable[[SupportRep], Callable[[int], list[int]]]
+
+
+def domain_rows(domain: Sequence) -> PairRows:
+    """Every ordered pair (domain[i], domain[j]); each oracle's embeddings
+    are packed once (``parallel.packed_dots``)."""
+    count = len(domain)
+
+    def dots(oracle: SupportRep) -> Callable[[int], list[int]]:
+        return packed_dots(list(map(oracle.u, domain)), list(map(oracle.v, domain)))
+
+    return PairRows(
+        [range(count)] * count, count, lambda i, j: (domain[i], domain[j]), cache(dots)
+    )
+
+
+def value_row(rep: SignRep, rows: PairRows, i: int) -> list[int]:
+    """``eval_value`` at every column of row i, column by column: a leaf is
+    its sign, a combine is a where s == 0, else a + gamma s^2 b."""
+    if isinstance(rep, ConstLeaf):
+        return [rep.sign] * rows.width
+    gamma = rep.gamma
+    return [
+        a if s == 0 else a + gamma * s * s * b
+        for a, s, b in zip(
+            value_row(rep.rep1, rows, i),
+            rows.dots(rep.oracle)(i),
+            value_row(rep.rep0, rows, i),
+        )
+    ]
+
+
 def positive_rows(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
     """The exhaustive row form of ``eval_sign`` over ``words``: ``row(i)``
     lists the j with eval_sign(rep, words[i], words[j]) == 1, in order, and
-    raises its ``ZeroValueError`` at the first j where the value vanishes.
-
-    Each oracle packs its own embeddings once (``parallel.pack_columns``), so
-    its exact dots with words[i] are one multiply-add per coordinate,
-    unpacked slot by slot.  The ``eval_value`` recursion then runs column by
-    column: a leaf is its sign, a combine is a where s == 0, else
-    a + gamma s^2 b.
-    """
-    count = len(words)
-
-    def values(node: SignRep) -> Callable[[int], list[int]]:
-        if isinstance(node, ConstLeaf):
-            leaf = [node.sign] * count
-            return lambda i: leaf
-        oracle, gamma = node.oracle, node.gamma
-        dots, width, bias = pack_columns(
-            list(map(oracle.u, words)), list(map(oracle.v, words))
-        )
-        row1, row0 = values(node.rep1), values(node.rep0)
-
-        def row(i: int) -> list[int]:
-            data = dots(i).to_bytes(count * width, "little")
-            s_row = [
-                int.from_bytes(data[j : j + width], "little") - bias
-                for j in range(0, len(data), width)
-            ]
-            return [
-                a if s == 0 else a + gamma * s * s * b
-                for a, s, b in zip(row1(i), s_row, row0(i))
-            ]
-
-        return row
-
-    value_row = values(rep)
+    raises its ``ZeroValueError`` at the first j where the value vanishes."""
+    rows = domain_rows(words)
 
     def row(i: int) -> list[int]:
-        got = value_row(i)
+        got = value_row(rep, rows, i)
         if 0 in got:
             raise _vanished(words[i], words[got.index(0)])
         return [j for j, value in enumerate(got) if value > 0]
@@ -195,53 +206,36 @@ def proof_dim_bound(rep: SignRep) -> int:
 
 
 def choose_gamma(
-    oracle: SupportRep,
-    rep0: SignRep,
-    rep1: SignRep,
-    domain: Sequence,
-    mode: str = "exact_scan",
-    pairs: Iterable | None = None,
+    oracle: SupportRep, rep0: SignRep, rep1: SignRep, rows: PairRows
 ) -> int:
     """The integer making the squared-oracle term dominate on its support.
 
-    exact_scan visits every pair with a nonzero oracle value and returns
+    It scans every pair of ``rows`` with a nonzero oracle value and returns
     1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
     gamma * s^2 * |value0| >= s^2 |value0| + |value1| > |value1| pointwise,
     so dominance is strict while pairs off the support are untouched.  The
-    pairs are every ordered pair of ``domain`` unless ``pairs`` is given,
-    which must take every value triple (s^2, value0, value1) that the
-    domain's pairs take, as one pair per difference class does.
+    pairs must take every value triple (s^2, value0, value1) that the
+    domain's pairs take, as all pairs (``domain_rows``) or one per
+    difference class (``build_hd_sign``) do.
 
-    norm_bound certifies a possibly larger constant without scanning pairs:
-    |value1| is bounded through the combine recursion using single-input
-    coordinate bounds for each oracle, and s^2 * |value0| >= 1 on the
-    support because both factors are nonzero integers there.  It is always
-    >= the scanned value.
-
-    Returns 1 when the oracle's support over the domain is empty (dominance
+    Returns 1 when the oracle's support over the pairs is empty (dominance
     is vacuous there).
     """
-    if mode == "exact_scan":
-        best = 0
-        for x, y in _pairs(domain, pairs):
-            s = oracle.dot(x, y)
+    best = 0
+    for i, cols in enumerate(rows.cols):
+        if not cols:
+            continue
+        s_row = rows.dots(oracle)(i)
+        v0_row, v1_row = value_row(rep0, rows, i), value_row(rep1, rows, i)
+        for j in cols:
+            s, v0 = s_row[j], v0_row[j]
             if s == 0:
                 continue
-            v0 = eval_value(rep0, x, y)
             if v0 == 0:
+                x, y = rows.pair(i, j)
                 raise ZeroValueError(f"support branch value vanished at ({x!r}, {y!r})")
-            v1 = eval_value(rep1, x, y)
-            need = -((-abs(v1)) // (s * s * abs(v0)))  # ceil division
-            if need > best:
-                best = need
-        return 1 + best
-    if mode == "norm_bound":
-        return 1 + _value_bound(rep1, domain)
-    raise ValueError(f"unknown gamma mode {mode!r}")
-
-
-def _pairs(domain: Sequence, pairs: Iterable | None) -> Iterable:
-    return itertools.product(domain, repeat=2) if pairs is None else pairs
+            best = max(best, -((-abs(v1_row[j])) // (s * s * abs(v0))))  # ceil
+    return 1 + best
 
 
 def _dot_bound(oracle: SupportRep, domain) -> int:
@@ -291,7 +285,7 @@ def compile_tree(
     domain: Sequence,
     truth: Callable,
     gamma_mode: str = "exact_scan",
-    pairs: Sequence | None = None,
+    rows: PairRows | None = None,
 ) -> SignRep:
     """Compile a tree of support reps into a verified structured sign
     representation.
@@ -300,35 +294,47 @@ def compile_tree(
     compiled children.  The branch taken when the oracle answers 1 rides the
     squared-oracle term (the oracle value is nonzero exactly there), the
     branch for answer 0 stands alone (the term vanishes exactly there).
+    Gammas come from ``choose_gamma`` (exact_scan), or from a bound on
+    |value1| over ``domain`` (norm_bound, ``_value_bound``), as
+    s^2 |value0| >= 1 on the support; it is >= the scanned gamma.
 
     The compiled sign is then checked against ``truth(x, y)``, the 0/1 entry
     the sign must encode, which the caller knows independently of the
-    oracles.  The exact_scan gammas and the check visit every ordered pair
-    of ``domain``, or the re-iterable ``pairs`` in its place when given:
-    the caller vouches that every node value and the truth take the same
-    values on them as on all domain pairs (``build_hd_sign`` passes one
-    pair per difference class).  norm_bound gammas always bound over the
-    whole domain.  Any disagreement raises ``PatternViolationError`` naming
-    the first failing pair in pair order.
+    oracles.  The gamma scan and the check visit ``rows``, every ordered
+    pair of ``domain`` unless given: the caller vouches that every node
+    value and the truth take the same values on them as on all domain
+    pairs.  Any disagreement raises ``PatternViolationError`` naming the
+    first failing pair in pair order.
     """
-    rep = _compile(tree, domain, gamma_mode, pairs)
-    for x, y in _pairs(domain, pairs):
-        want = 1 if truth(x, y) else -1
-        got = eval_sign(rep, x, y)
-        if got != want:
-            raise PatternViolationError(
-                f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
-                f"{got} vs {want}"
-            )
+    rows = rows or domain_rows(domain)
+    rep = _compile(tree, domain, gamma_mode, rows)
+    for i, cols in enumerate(rows.cols):
+        values = value_row(rep, rows, i) if cols else ()
+        for j in cols:
+            x, y = rows.pair(i, j)
+            want = 1 if truth(x, y) else -1
+            got = (values[j] > 0) - (values[j] < 0)
+            if got == 0:
+                raise _vanished(x, y)
+            if got != want:
+                raise PatternViolationError(
+                    f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
+                    f"{got} vs {want}"
+                )
     return rep
 
 
-def _compile(tree: OracleTree, domain, gamma_mode: str, pairs) -> SignRep:
+def _compile(tree: OracleTree, domain, gamma_mode: str, rows: PairRows) -> SignRep:
     if isinstance(tree, ConstLeaf):
         return tree
-    rep0 = _compile(tree.child1, domain, gamma_mode, pairs)
-    rep1 = _compile(tree.child0, domain, gamma_mode, pairs)
-    gamma = choose_gamma(tree.oracle, rep0, rep1, domain, gamma_mode, pairs)
+    rep0 = _compile(tree.child1, domain, gamma_mode, rows)
+    rep1 = _compile(tree.child0, domain, gamma_mode, rows)
+    if gamma_mode == "exact_scan":
+        gamma = choose_gamma(tree.oracle, rep0, rep1, rows)
+    elif gamma_mode == "norm_bound":
+        gamma = 1 + _value_bound(rep1, domain)
+    else:
+        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
     return Combine(oracle=tree.oracle, rep0=rep0, rep1=rep1, gamma=gamma)
 
 
@@ -378,6 +384,14 @@ def materialize(
 # -------------------------------------------------------------------
 
 
+def hd_sign_dim(n: int, k: int) -> int:
+    """The dimension of ``build_hd_sign(n, k)``, 1 + C(2k, k)^2 +
+    C(2k+2, k+1)^2 (41 at k=1, 437 at k=2), for 1 <= k < n only."""
+    if not (1 <= k < n):
+        raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
+    return 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
+
+
 def build_hd_sign(
     n: int,
     k: int,
@@ -391,13 +405,9 @@ def build_hd_sign(
     "Distance exactly k" is g(dist) for g = (0, ..., 0, 1, 0), 1 at k
     only, and ``threshold_tree`` decides it with two queries: dist >= k+1
     at the root (answer 1 settles the output to 0), then dist >= k.  The
-    compiled dimension is exactly
-
-        1 + C(2k, k)^2 + C(2k+2, k+1)^2,
-
-    e.g. 41 for k=1 and 437 for k=2, inside the (1 + r^2)^2 proof bound.
-    Oracles are freshly built, verified support representations sharing the
-    root seed through named substreams.
+    compiled dimension is ``hd_sign_dim(n, k)``.  Oracles are freshly
+    built, verified support representations sharing the root seed through
+    named substreams.
 
     The exact_scan gammas and the check against the definition
     dist(x, y) == k run over one pair per difference class {z, -z},
@@ -408,10 +418,11 @@ def build_hd_sign(
     oracle's dot product at (x, y) is det(C(x) - C(y)) = det(C(z)) for its
     linear compressor map C, det(C(-z)) = +-det(C(z)), and every node value
     reads its oracle only through s == 0 and s^2, so each value, and the
-    truth, is constant on a class.
+    truth, is constant on a class.  So the oracles' values are read from
+    the family walk's determinant rows (``_class_rows``), with no word
+    embedded.
     """
-    if not (1 <= k < n):
-        raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
+    hd_sign_dim(n, k)  # refuses k outside 1..n-1
     check_pairs(len(alphabet) ** (2 * n), max_pairs)
     for size in (k, k + 1):
         prove_det_sum(size)
@@ -420,8 +431,39 @@ def build_hd_sign(
         lambda t: build_hd_supp(n, t, alphabet, seed_stream(seed, "sign-oracle", t)),
     )
     domain = list(itertools.product(tuple(alphabet), repeat=n))
-    classes = list(difference_classes(n, alphabet))
-    return compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, classes)
+    rows = _class_rows(n, alphabet)
+    return compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, rows)
+
+
+def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
+    """One pair (x, y) per class {z, -z}, z = x - y over (A - A)^n in
+    product order, prefix i of z in row i and suffix j in column j of
+    ``compression.det_rows``; x_p, y_p is the letter pair first met with
+    a - b = z_p.  A z whose first nonzero entry is negative, met at -z, is
+    skipped: the differences are sorted and symmetric, so z -> -z reverses
+    product order, and those z are the ones before 0, in the rows before
+    the middle (zero prefix) row and in its columns before the middle."""
+    letters: dict[int, tuple[int, int]] = {}
+    for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
+        letters.setdefault(a - b, (a, b))
+    values = (tuple(sorted(letters)),) * n
+    split, count = split_positions(values)
+    prefixes, suffixes = (
+        [
+            (tuple(letters[d][0] for d in z), tuple(letters[d][1] for d in z))
+            for z in itertools.product(*part)
+        ]
+        for part in (values[:split], values[split:])
+    )
+    half = len(prefixes) // 2
+    cols = [()] * half + [range(count // 2, count)] + [range(count)] * half
+
+    def pair(i: int, j: int) -> tuple:
+        (x0, y0), (x1, y1) = prefixes[i], suffixes[j]
+        return x0 + x1, y0 + y1
+
+    dots = cache(lambda oracle: det_rows(oracle.compressor, values))
+    return PairRows(cols, count, pair, dots)
 
 
 # -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hamrank.errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from hamrank.exact import Mat, rank_exact
+from hamrank.exact import Mat, det_exact, rank_exact
 
 from .conftest import random_mat
 
@@ -308,7 +308,7 @@ class TestFamilyWalkMatchesBruteForce:
     @pytest.mark.parametrize("name,alphabets", WALK_FAMILIES)
     def test_the_walk_splits_into_prefix_rows_and_suffix_columns(self, name, alphabets):
         values = family_of(alphabets).diag_values
-        split, count = compression._split(values)
+        split, count = compression.split_positions(values)
         assert 0 < split < len(values)
         assert 1 < count < math.prod(map(len, values))
 
@@ -442,3 +442,44 @@ class TestFamilyWalkMatchesBruteForce:
         assert member["achieved"] == exc.value.achieved == achieved
         assert member["required"] == exc.value.required == min(support(z), 2)
         assert achieved != min(support(z), 2)
+
+
+DET_ROW_CASES = [
+    *[(7, k, (0, 1)) for k in (1, 2, 3)],
+    (5, 2, (0, 1, 2)),
+    (4, 2, (-1, 0, 3)),
+]
+
+
+class TestDetRows:
+    @staticmethod
+    def rows_of(comp, values):
+        """{z: det_rows entry} over the whole product of ``values``."""
+        split, count = compression.split_positions(values)
+        row = compression.det_rows(comp, values)
+        out = {}
+        for i, pre in enumerate(itertools.product(*values[:split])):
+            dets = row(i)
+            assert len(dets) == count
+            for det, suf in zip(dets, itertools.product(*values[split:])):
+                out[pre + suf] = det
+        return out
+
+    @pytest.mark.parametrize("n,k,alphabet", DET_ROW_CASES)
+    def test_entries_are_the_determinants_and_the_oracle_dots(self, n, k, alphabet):
+        from hamrank.hamming import build_hd_supp
+
+        rep = build_hd_supp(n, k, alphabet, seed=n + k)
+        values = MatFamily.diagonal_differences(n, alphabet).diag_values
+        dets = self.rows_of(rep.compressor, values)
+        assert list(dets) == list(itertools.product(*values))
+        for z, det in dets.items():
+            assert det == det_exact(rep.compressor.apply_diag(z))
+        words = list(itertools.product(alphabet, repeat=n))
+        for x, y in itertools.product(words, repeat=2):
+            assert rep.dot(x, y) == dets[tuple(a - b for a, b in zip(x, y))]
+
+    def test_a_family_with_no_live_position_has_zero_rows(self):
+        comp = fit_compressor(MatFamily.diagonal_differences(4, (5,)), 2, seed=1)
+        values = MatFamily.diagonal_differences(4, (5,)).diag_values
+        assert self.rows_of(comp, values) == {(0, 0, 0, 0): 0}

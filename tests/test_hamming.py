@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import replace
-from math import comb, prod
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +14,6 @@ from hamrank.exact import Mat, det_exact
 from hamrank.hamming import (
     SupportRep,
     build_hd_supp,
-    difference_classes,
     dist,
     identity_certificate,
     load_supp,
@@ -386,30 +385,6 @@ class TestSerialization:
             for y in all_words(4)[:8]:
                 assert back.dot(x, y) == rep.dot(x, y)
         assert back.dim == rep.dim and back.k == rep.k
-
-
-class TestDifferenceClasses:
-    @pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_each_difference_once_up_to_sign(self, alphabet, n):
-        ways = Counter(a - b for a in alphabet for b in alphabet)
-        seen = set()
-        pairs = 0
-        for x, y in difference_classes(n, alphabet):
-            assert set(x) | set(y) <= set(alphabet)
-            z = tuple(a - b for a, b in zip(x, y))
-            minus = tuple(-d for d in z)
-            assert z not in seen and minus not in seen
-            seen.add(z)
-            pairs += prod(ways[d] for d in z)
-            if minus != z:
-                pairs += prod(ways[d] for d in minus)
-        signed = seen | {tuple(-d for d in z) for z in seen}
-        assert signed == set(itertools.product(sorted(ways), repeat=n))
-        assert pairs == len(alphabet) ** (2 * n)
-
-    def test_binary_n8_count(self):
-        assert sum(1 for _ in difference_classes(8, (0, 1))) == (3**8 + 1) // 2 == 3281
 
 
 def test_dist_helper():

@@ -332,6 +332,17 @@ class TestSignCommands:
         assert report.certified
         assert report.verification["pairs_checked"] == 729
 
+    @pytest.mark.parametrize("k,dim", [(3, 5301), (4, 68405)])
+    def test_the_k_curve_at_n8_verifies_on_every_pair(self, tmp_path, k, dim):
+        out = str(tmp_path / "s.json")
+        build = make_config(tmp_path, "bs", seed=7, out=out, params={"n": 8, "k": k})
+        report = run("build-sign", build)
+        assert report.certified
+        assert report.construction["dim"] == report.bounds["dim_formula"] == dim
+        vreport = run("verify-sign", make_config(tmp_path, "vs", params={"rep": out}))
+        assert vreport.certified
+        assert vreport.verification["pairs_checked"] == 65536
+
     @staticmethod
     def pairwise_verify_sign(path):
         """The per-pair check the row kernel replaced: ``eval_sign`` on every
@@ -919,7 +930,7 @@ class TestCli:
 
         monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
         monkeypatch.setattr("hamrank.hamming.minor_embed", never)
-        monkeypatch.setattr("hamrank.signcompile.pack_columns", never)
+        monkeypatch.setattr("hamrank.signcompile.packed_dots", never)
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps(equality_sign_doc(3)))
         error = self.failed_report(tmp_path, ["verify-sign", str(rep)])
@@ -1051,6 +1062,24 @@ class TestCli:
             f"build-supp: cannot write {paths[flag]}: no directory {missing}"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_cli_build_sign_over_the_dimension_budget_builds_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from hamrank.signcompile import hd_sign_dim
+
+        def never(*args):
+            raise AssertionError("proved or built past the dimension budget")
+
+        monkeypatch.setattr("hamrank.signcompile.prove_det_sum", never)
+        monkeypatch.setattr("hamrank.signcompile.build_hd_supp", never)
+        args = ["build-sign", "--n", "7", "--k", "6", "--out", str(tmp_path / "s.json")]
+        assert self.failed_report(tmp_path, args) == (
+            "BudgetExceededError: sign dimension 12632401 exceeds the budget 1048576"
+        )
+        assert not (tmp_path / "s.json").exists()
+        # k = 5 stays under the default HAMRANK_MAX_DIM
+        assert hd_sign_dim(6, 5) == 917281 <= 1 << 20
 
     def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
         args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]

@@ -1,7 +1,9 @@
 import itertools
 import json
 import re
-from math import comb
+from collections import Counter
+from dataclasses import replace
+from math import comb, prod
 
 import pytest
 
@@ -14,7 +16,7 @@ from hamrank.errors import (
     PatternViolationError,
     ZeroValueError,
 )
-from hamrank.exact import rank_exact
+from hamrank.exact import Mat, rank_exact
 from hamrank.hamming import SupportRep, build_hd_supp, dist
 from hamrank.signcompile import (
     Combine,
@@ -23,6 +25,7 @@ from hamrank.signcompile import (
     build_hd_sign,
     choose_gamma,
     compile_tree,
+    domain_rows,
     eval_sign,
     eval_value,
     gamma_values,
@@ -76,14 +79,15 @@ class TestDepthOne:
     def test_gamma_for_constant_children(self):
         # both branches constant: gamma = 1 + ceil(1/min s^2) = 2
         oracle = build_hd_supp(4, 1, seed=2)
-        gamma = choose_gamma(oracle, ConstLeaf(-1), ConstLeaf(1), words(4))
+        gamma = choose_gamma(oracle, ConstLeaf(-1), ConstLeaf(1), domain_rows(words(4)))
         assert gamma == 2
 
     def test_empty_support_gives_unit_gamma(self):
         oracle = build_hd_supp(4, 2, seed=3)
         base = (0, 0, 0, 0)
         near = (1, 0, 0, 0)  # distance 1 < 2: oracle vanishes on this domain
-        gamma = choose_gamma(oracle, ConstLeaf(1), ConstLeaf(-1), [base, near])
+        rows = domain_rows([base, near])
+        gamma = choose_gamma(oracle, ConstLeaf(1), ConstLeaf(-1), rows)
         assert gamma == 1
 
 
@@ -321,7 +325,9 @@ ACCEPTANCE_GRID = [
 
 class TestDifferenceClassCompile:
     @pytest.mark.parametrize("gamma_mode", ["exact_scan", "norm_bound"])
-    @pytest.mark.parametrize("n,k,alphabet", ACCEPTANCE_GRID + [(4, 3, (0, 1))])
+    @pytest.mark.parametrize(
+        "n,k,alphabet", ACCEPTANCE_GRID + [(4, 3, (0, 1)), (6, 3, (0, 1))]
+    )
     def test_classes_give_the_pair_path_rep(self, n, k, alphabet, gamma_mode):
         rep = build_hd_sign(n, k, seed=n, gamma_mode=gamma_mode, alphabet=alphabet)
         domain = list(itertools.product(alphabet, repeat=n))
@@ -334,6 +340,26 @@ class TestDifferenceClassCompile:
         assert gamma_values(by_pairs) == gamma_values(rep)
         for x, y in itertools.product(domain, repeat=2):
             assert eval_sign(rep, x, y) == (1 if truth(x, y) else -1)
+
+    def test_a_one_letter_alphabet_has_empty_oracle_supports(self):
+        rep = build_hd_sign(4, 1, alphabet=(5,))
+        assert gamma_values(rep) == [1, 1]
+        assert eval_sign(rep, (5,) * 4, (5,) * 4) == -1
+
+    def test_the_oracle_values_are_read_from_the_compressor(self, monkeypatch):
+        # a zero left column 0 hides position 0 from both oracles
+        build = signcompile.build_hd_supp
+
+        def zeroed(n, t, alphabet, seed):
+            comp = build(n, t, alphabet, seed).compressor
+            left = list(comp.left.entries)
+            left[:: comp.left.cols] = [0] * comp.left.rows
+            comp = replace(comp, left=Mat(comp.left.rows, comp.left.cols, tuple(left)))
+            return SupportRep.of_compressor(comp, alphabet, seed)
+
+        monkeypatch.setattr(signcompile, "build_hd_supp", zeroed)
+        with pytest.raises(PatternViolationError, match="compiled sign disagrees"):
+            build_hd_sign(4, 1, seed=2)
 
     def test_a_flipped_expansion_sign_fails_the_build(self, flipped_det_sum_sign):
         with pytest.raises(HamrankError, match=r"k=1 at A=\[\[1\]\], B=\[\[0\]\]"):
@@ -350,6 +376,36 @@ class TestDifferenceClassCompile:
         assert doc["status"] == "failed"
         assert doc["error"].startswith("PatternViolationError: det-sum identity")
         assert "k=2 at A=" in doc["error"]
+
+
+class TestClassRows:
+    @staticmethod
+    def pairs(n, alphabet):
+        rows = signcompile._class_rows(n, alphabet)
+        return [rows.pair(i, j) for i, cols in enumerate(rows.cols) for j in cols]
+
+    @pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_difference_once_up_to_sign_in_product_order(self, alphabet, n):
+        ways = Counter(a - b for a in alphabet for b in alphabet)
+        first = {}
+        for a, b in itertools.product(alphabet, repeat=2):
+            first.setdefault(a - b, (a, b))
+        seen = []
+        pairs = 0
+        for x, y in self.pairs(n, alphabet):
+            z = tuple(a - b for a, b in zip(x, y))
+            assert [(a, b) for a, b in zip(x, y)] == [first[d] for d in z]
+            assert next((d for d in z if d), 0) >= 0
+            seen.append(z)
+            pairs += prod(ways[d] for d in z) * (2 if any(z) else 1)
+        assert seen == sorted(set(seen))
+        signed = set(seen) | {tuple(-d for d in z) for z in seen}
+        assert signed == set(itertools.product(sorted(ways), repeat=n))
+        assert pairs == len(alphabet) ** (2 * n)
+
+    def test_binary_n8_count(self):
+        assert len(self.pairs(8, (0, 1))) == (3**8 + 1) // 2 == 3281
 
 
 class TestInputMaps:
