@@ -386,7 +386,7 @@ def det_rows(
     """Row i lists det C(z), C = comp.apply_diag onto a square target, for
     prefix i of z with each suffix, split by ``split_positions`` and in
     product order: the family walk's rows, unpacked (``packed_dots``)."""
-    (us, (vs,)) = _det_vectors(comp, values, split_positions(values)[0])
+    us, (vs,) = _det_vectors(comp, values, split_positions(values)[0])
     return packed_dots(us, vs)
 
 
