@@ -286,7 +286,8 @@ WALK_FAMILIES = [
     ("one-letter", [(0, 1), (5,), (0, 1, 2), (7,), (0, 1)]),
 ]
 
-TARGETS = [(1, 1), (2, 2), (1, 2), (2, 1), (2, 3), (3, 2)]
+TARGETS = [(1, 1), (2, 2)]
+RECTANGULAR = [(1, 2), (2, 1), (2, 3), (3, 2)]
 
 
 def family_of(alphabets):
@@ -302,6 +303,13 @@ def assert_walk_is_brute_force(comp, fam, alphabets):
     assert report.violation_count == expected["violation_count"]
     assert list(report.violations) == expected["violations"]
     return expected["violation_count"]
+
+
+def reuse(m):
+    """``m`` with column 0 reused as column 1."""
+    entries = list(m.entries)
+    entries[1 :: m.cols] = entries[:: m.cols]
+    return Mat(m.rows, m.cols, tuple(entries))
 
 
 class TestFamilyWalkMatchesBruteForce:
@@ -324,7 +332,7 @@ class TestFamilyWalkMatchesBruteForce:
             verified=False,
         )
         rng = random.Random(name)
-        randoms = [random_compressor(rng, n, rows, cols) for rows, cols in TARGETS * 2]
+        randoms = [random_compressor(rng, n, rows, cols) for rows, cols in TARGETS * 6]
         counts = [
             assert_walk_is_brute_force(comp, fam, alphabets)
             for comp in [fitted, zero_left, *randoms]
@@ -337,7 +345,7 @@ class TestFamilyWalkMatchesBruteForce:
         assert indices == [i for i, z in patterns if any(z)][:32]
         assert sum(1 for c in counts[2:] if c > 0) >= 4
 
-    @pytest.mark.parametrize("rows,cols", TARGETS[2:])
+    @pytest.mark.parametrize("rows,cols", RECTANGULAR)
     def test_non_square_targets(self, rows, cols):
         alphabets = [(0, 1)] * 7
         fam = family_of(alphabets)
@@ -352,12 +360,6 @@ class TestFamilyWalkMatchesBruteForce:
             seed=0,
             verified=False,
         )
-
-        def reuse(m):
-            entries = list(m.entries)
-            entries[1::7] = entries[::7]
-            return Mat(m.rows, 7, tuple(entries))
-
         reused = replace(wide, left=reuse(wide.left), right=reuse(wide.right))
         counts = [
             assert_walk_is_brute_force(comp, fam, alphabets)
@@ -365,7 +367,7 @@ class TestFamilyWalkMatchesBruteForce:
         ]
         assert counts[3] == 0 < counts[4]
 
-    @pytest.mark.parametrize("rows,cols", TARGETS)
+    @pytest.mark.parametrize("rows,cols", TARGETS + RECTANGULAR)
     def test_flags_decide_every_member_at_the_cap(
         self, monkeypatch, rows, cols
     ):
@@ -394,6 +396,19 @@ class TestFamilyWalkMatchesBruteForce:
             f.submatrix(range(f.rows), s) for s in supports for f in (left, right)
         )
 
+    def test_cap_three(self):
+        # a fitted 3 x 3 compressor passes; with column 0 reused as column 1
+        # of both factors, C(z) sees only z_0 + z_1 there, so members on
+        # supports holding 0 and 1, such as (1, -1, 0, ...), fall short
+        alphabets = [(0, 1)] * 7
+        fam = family_of(alphabets)
+        fitted = fit_compressor(fam, 3, seed=17)
+        reused = replace(fitted, left=reuse(fitted.left), right=reuse(fitted.right))
+        assert assert_walk_is_brute_force(fitted, fam, alphabets) == 0
+        assert assert_walk_is_brute_force(reused, fam, alphabets) > 0
+        for v in verify_compressor(reused, fam).violations:
+            assert 0 not in v["pattern"][:2]
+
     def test_a_dependent_support_fails_every_member_on_it(self):
         # columns 0 and 1 of L are equal, so C(z) has rank 1 on every member
         # whose support is {0, 1}, whatever its values, and (generically)
@@ -415,7 +430,7 @@ class TestFamilyWalkMatchesBruteForce:
             assert 0 not in v["pattern"][:2] and v["pattern"][2:] == [0, 0, 0]
             assert (v["achieved"], v["required"]) == (1, 2)
 
-    @pytest.mark.parametrize("rows,cols", TARGETS)
+    @pytest.mark.parametrize("rows,cols", TARGETS + RECTANGULAR)
     def test_empty_family_and_one_letter_positions(self, rows, cols):
         rng = random.Random(rows * 10 + cols)
         for alphabets in ([], [(5,)], [(5,), (3,), (0, 1)]):
