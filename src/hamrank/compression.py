@@ -3,10 +3,10 @@
 A compressor is a two-sided linear map M -> L * M * R^T chosen so that for
 every member M of a fixed finite family,
 
-    rank(L * M * R^T) == min(rank(M), a', b')
+    rank(L * M * R^T) == min(rank(M), k)
 
-where (a', b') is the target shape.  Such maps exist generically; we fit one
-onto a square target by drawing integer entries at random, verifying the
+where the target is k x k: L and R both have k rows.  Such maps exist
+generically; we fit one by drawing integer entries at random, verifying the
 equality exhaustively over the family, and retrying with a doubled entry
 range on failure.  The returned compressor is always carried together with
 its verification status: nothing in the package ever assumes genericity
@@ -20,12 +20,12 @@ det C(z) is a sum of c-fold monomials z^S with coefficients det C(1_S), and
 splitting z into a prefix and a suffix makes it the dot product of the
 prefix's monomials with the suffix's partly evaluated coefficients.  One row
 of packed big-integer dots (``parallel.packed_nonzero``) gives a whole
-prefix's determinants at once.  Below the rank cap a member's rank depends
-only on its support, checked once per support; exact Bareiss ranks of
-members are left for failures.  No pattern list and no matrix object is
+prefix's determinants at once.  Below the rank cap k a member's rank
+depends only on its support, checked once per support; exact Bareiss ranks
+of members are left for failures.  No pattern list and no matrix object is
 built per member.  ``det_rows`` unpacks the same rows into the exact
-determinants of a square target (``parallel.packed_dots``), which
-build-sign reads as its oracles' values.
+determinants (``parallel.packed_dots``), which build-sign reads as its
+oracles' values.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -159,15 +159,21 @@ class MatFamily:
 
 @dataclass(frozen=True)
 class Compressor:
-    """A verified two-sided rank compressor M -> left * M * right^T."""
+    """A verified two-sided rank compressor M -> left * M * right^T onto a
+    square k x k target; factors with different row counts are refused."""
 
-    left: Mat  # a' x a
-    right: Mat  # b' x b
+    left: Mat  # k x a
+    right: Mat  # k x b
     seed: int
     verified: bool
     retries: int = 0
     entry_range: int = 0  # 0 for deterministic constructions
     method: str = "fit"
+
+    def __post_init__(self):
+        if self.left.rows != self.right.rows:
+            shapes = f"{self.left.shape} and {self.right.shape}"
+            raise InputError(f"factor shapes {shapes} do not give a square target")
 
     @property
     def source_shape(self) -> tuple[int, int]:
@@ -191,26 +197,25 @@ class Compressor:
 
     def apply_diag(self, pattern: Sequence[int]) -> Mat:
         """apply(Diag(pattern)) as the support sum of column outer products."""
-        a1, a = self.left.shape
-        b1, b = self.right.shape
-        if a != b or len(pattern) != a:
+        k, a = self.left.shape
+        if self.right.cols != a or len(pattern) != a:
             raise SizeMismatchError(
                 f"diagonal pattern of length {len(pattern)} does not fit "
                 f"source shape {self.source_shape}"
             )
-        out = [0] * (a1 * b1)
+        out = [0] * (k * k)
         le, re = self.left.entries, self.right.entries
         for idx, z in enumerate(pattern):
             if z == 0:
                 continue
-            for i in range(a1):
+            for i in range(k):
                 li = z * le[i * a + idx]
                 if li == 0:
                     continue
-                base = i * b1
-                for j in range(b1):
-                    out[base + j] += li * re[j * b + idx]
-        return Mat(a1, b1, tuple(out))
+                base = i * k
+                for j in range(k):
+                    out[base + j] += li * re[j * a + idx]
+        return Mat(k, k, tuple(out))
 
     def to_json(self) -> dict:
         return {
@@ -289,25 +294,22 @@ def _diagonal_shortfalls(
     trailing positions whose pattern count is at most 2 sqrt(family size).
     Member (i, j), prefix i with suffix j, has index i * #suffixes + j.
 
-    A member of support S below the rank cap c = min(a', b') has
+    A member of support S below the rank cap k, the target size, has
     C(z) = L_S Diag(z_S) R_S^T with Diag(z_S) invertible, so its rank is
     |S| exactly when the columns of L and of R on S are independent: a
     property of S alone, checked once per support by two exact ranks.
 
-    The cap is reached exactly where some c x c restriction of C(z) to all
-    rows and c columns, or all columns and c rows, has a nonzero
-    determinant (a square target has one restriction), a dot product of
-    prefix and suffix vectors (``_det_vectors``).  So the suffixes'
-    vectors are packed once per restriction
-    (``parallel.packed_nonzero``), and each prefix row gets every exact
-    determinant for one big-integer multiply-add per nonzero monomial of the
-    prefix; the top-bit flags, ORed over the restrictions, mark the members
-    of rank c.  A row whose members all lie below the cap reads no flags,
-    and a family with no member at the cap expands nothing.  Exact Bareiss
-    ranks of C(z) (``apply_diag``, one ``rank_exact`` call each) run only
-    on the members that fail, for their achieved rank.
+    The cap is reached exactly where the k x k determinant det C(z) is
+    nonzero, a dot product of prefix and suffix vectors (``_det_vectors``).
+    So the suffixes' vectors are packed once (``parallel.packed_nonzero``),
+    and each prefix row gets every exact determinant for one big-integer
+    multiply-add per nonzero monomial of the prefix; the top-bit flags mark
+    the members of rank k.  A row whose members all lie below the cap reads
+    no flags, and a family with no member at the cap expands nothing.  Exact
+    Bareiss ranks of C(z) (``apply_diag``, one ``rank_exact`` call each) run
+    only on the members that fail, for their achieved rank.
     """
-    cap = min(comp.target_shape)
+    cap = comp.left.rows
     n = len(values)
     split, count = split_positions(values)
     prefixes = _supports(values, range(split))
@@ -330,20 +332,15 @@ def _diagonal_shortfalls(
             for factor in (comp.left, comp.right)
         )
 
-    kernels = []
+    # a row reads flags only if t <= top, that is only when this kernel exists
     if any(cap - mask.bit_count() <= top for mask in prefixes):
-        us, restricted = _det_vectors(comp, values, split)
-        kernels = [packed_nonzero(us, vs) for vs in restricted]
+        nonzero, slot_bytes = packed_nonzero(*_det_vectors(comp, values, split))
 
     for i, pre_mask in enumerate(prefixes):
         t = max(cap - pre_mask.bit_count(), 0)
         checks = [j for j in below[t] if not independent(pre_mask | suffixes[j])]
         if t <= top:
-            flags = 0
-            for nonzero, slot_bytes in kernels:
-                flags |= int.from_bytes(
-                    top_bytes(nonzero(i), slot_bytes, count), "little"
-                )
+            flags = int.from_bytes(top_bytes(nonzero(i), slot_bytes, count), "little")
             if diff := flags ^ reach[t]:
                 odd = flagged(diff.to_bytes(count, "little"))
                 checks = sorted({*checks, *odd})
@@ -356,78 +353,62 @@ def _diagonal_shortfalls(
 
 def _det_vectors(
     comp: Compressor, values: tuple[tuple[int, ...], ...], split: int
-) -> tuple[list[list[int]], list[list[list[int]]]]:
-    """(us, [vs per restriction]) with det C(z)[cells] = <us[i], vs[j]> for
-    prefix i and suffix j of z, in product order.  ``_cap_coefficients``
-    expands det = sum_S coef(S) z^S over the c-sets S of positions, and
-    splitting each S into its prefix part T and suffix part U makes it
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(us, vs) with det C(z) = <us[i], vs[j]> for prefix i and suffix j of
+    z, in product order.  ``_cap_coefficients`` expands det = sum_S coef(S)
+    z^S over the k-sets S of positions, and splitting each S into its prefix
+    part T and suffix part U makes it
 
         det = <(z_pre^T over T), (sum_U coef(T + U) z_suf^U over T)>.
     """
     pre = (1 << split) - 1
-    expansions = _cap_coefficients(comp, values, min(comp.target_shape))
-    prefix_parts = sorted({s & pre for expansion in expansions for s in expansion})
-    slot = {t: i for i, t in enumerate(prefix_parts)}
+    expansion = _cap_coefficients(comp, values)
+    slot = {t: i for i, t in enumerate(sorted({s & pre for s in expansion}))}
     width = len(slot)
     monomials = {t: [int(i == j) for j in range(width)] for t, i in slot.items()}
-    us = _evaluate(monomials, values, range(split), width)
-    restricted = []
-    for expansion in expansions:
-        poly: dict[int, list[int]] = {}
-        for s, coef in expansion.items():
-            poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
-        restricted.append(_evaluate(poly, values, range(split, len(values)), width))
-    return us, restricted
+    poly: dict[int, list[int]] = {}
+    for s, coef in expansion.items():
+        poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
+    return (
+        _evaluate(monomials, values, range(split), width),
+        _evaluate(poly, values, range(split, len(values)), width),
+    )
 
 
 def det_rows(
     comp: Compressor, values: tuple[tuple[int, ...], ...]
 ) -> Callable[[int], list[int]]:
-    """Row i lists det C(z), C = comp.apply_diag onto a square target, for
-    prefix i of z with each suffix, split by ``split_positions`` and in
-    product order: the family walk's rows, unpacked (``packed_dots``)."""
-    us, (vs,) = _det_vectors(comp, values, split_positions(values)[0])
-    return packed_dots(us, vs)
-
-
-def _restrictions(a1: int, b1: int) -> list[list[int]]:
-    """The flat cells of each maximal square restriction of an a1 x b1
-    matrix: all rows and a1 of the columns, or all columns and b1 rows."""
-    if a1 <= b1:
-        cuts = [(range(a1), cols) for cols in itertools.combinations(range(b1), a1)]
-    else:
-        cuts = [(rows, range(b1)) for rows in itertools.combinations(range(a1), b1)]
-    return [[r * b1 + c for r in rows for c in cols] for rows, cols in cuts]
+    """Row i lists det C(z), C = comp.apply_diag, for prefix i of z with
+    each suffix, split by ``split_positions`` and in product order: the
+    family walk's rows, unpacked (``packed_dots``)."""
+    return packed_dots(*_det_vectors(comp, values, split_positions(values)[0]))
 
 
 def _cap_coefficients(
-    comp: Compressor, values: tuple[tuple[int, ...], ...], cap: int
-) -> list[dict[int, int]]:
-    """det C(z)[cells] = sum_S coef(S) z^S for each restriction ``cells`` of
-    ``_restrictions``, as {bit mask of S: coef(S)} without the zeros.
+    comp: Compressor, values: tuple[tuple[int, ...], ...]
+) -> dict[int, int]:
+    """det C(z) = sum_S coef(S) z^S as {bit mask of S: coef(S)}, without
+    the zeros.
 
-    C(z)[cells] = sum_p z_p (l_p r_p^T)[cells] adds one rank-one term per
-    position, so its determinant is affine in each z_p and homogeneous of
-    degree c in z: a sum over the c-sets S of positions of coef(S) z^S.  At
-    the indicator z = 1_S every other term vanishes, so coef(S) is
-    det C(1_S)[cells], one exact c x c determinant.  Positions whose only
-    value is 0 never contribute and are left out of S.
+    C(z) = sum_p z_p l_p r_p^T adds one rank-one term per position, so the
+    determinant of the k x k matrix C(z) is affine in each z_p and
+    homogeneous of degree k in z: a sum over the k-sets S of positions of
+    coef(S) z^S.  At the indicator z = 1_S every other term vanishes, so
+    coef(S) is det C(1_S), one exact k x k determinant.  Positions whose
+    only value is 0 never contribute and are left out of S.
     """
-    a1, b1 = comp.target_shape
+    k = comp.left.rows
     n = len(values)
     le, re = comp.left.entries, comp.right.entries
     live = [p for p, vals in enumerate(values) if any(vals)]
     outer = {p: [x * y for x in le[p::n] for y in re[p::n]] for p in live}
-    cuts = _restrictions(a1, b1)
-    expansions: list[dict[int, int]] = [{} for _ in cuts]
-    zero = [0] * (a1 * b1)
-    for subset in itertools.combinations(live, cap):
-        flat = [sum(col) for col in zip(zero, *map(outer.__getitem__, subset))]
-        mask = sum(1 << p for p in subset)
-        for expansion, cells in zip(expansions, cuts):
-            if coef := det_exact(Mat(cap, cap, tuple(map(flat.__getitem__, cells)))):
-                expansion[mask] = coef
-    return expansions
+    zero = [0] * (k * k)
+    expansion = {}
+    for subset in itertools.combinations(live, k):
+        flat = tuple(sum(col) for col in zip(zero, *map(outer.__getitem__, subset)))
+        if coef := det_exact(Mat(k, k, flat)):
+            expansion[sum(1 << p for p in subset)] = coef
+    return expansion
 
 
 def _evaluate(
@@ -466,9 +447,8 @@ def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int,
     if family.is_diagonal:
         yield from _diagonal_shortfalls(comp, family.diag_values)
         return
-    a1, b1 = comp.target_shape
     for index, (m, rank) in enumerate(zip(family.explicit, family.member_ranks)):
-        required = min(rank, a1, b1)
+        required = min(rank, comp.left.rows)
         achieved = rank_exact(comp.apply(m))
         if achieved != required:
             yield index, achieved, required
@@ -484,7 +464,8 @@ def _violation(family: MatFamily, index: int, achieved: int, required: int) -> d
 
 
 def verify_compressor(comp: Compressor, family: MatFamily) -> SweepReport:
-    """Exhaustively check rank(apply(M)) == min(rank(M), a', b') over the family.
+    """Exhaustively check rank(apply(M)) == min(rank(M), k) over the family,
+    for the compressor's k x k target.
 
     Deterministic: members are visited in index order.  The report's
     ``pairs_checked`` is the family size; it counts every violating member

@@ -412,18 +412,19 @@ def build_hd_sign(
     The exact_scan gammas and the check against the definition
     dist(x, y) == k run over one pair per difference class {z, -z},
     z = x - y, which stand for all |alphabet|^(2n) ordered pairs;
-    ``max_pairs`` bounds that pair count before anything is built.  The
-    reduction is sound once ``veronese.prove_det_sum`` has proved the
-    minor-embedding identity for both oracle sizes k and k + 1: then an
-    oracle's dot product at (x, y) is det(C(x) - C(y)) = det(C(z)) for its
-    linear compressor map C, det(C(-z)) = +-det(C(z)), and every node value
-    reads its oracle only through s == 0 and s^2, so each value, and the
-    truth, is constant on a class.  So the oracles' values are read from
-    the family walk's determinant rows (``_class_rows``), with no word
-    embedded.
+    ``max_pairs`` bounds the (|A - A|^n + 1) / 2 class pairs before any
+    proof or oracle is built.  The reduction is sound once
+    ``veronese.prove_det_sum`` has proved the minor-embedding identity for
+    both oracle sizes k and k + 1: then an oracle's dot product at (x, y)
+    is det(C(x) - C(y)) = det(C(z)) for its linear compressor map C,
+    det(C(-z)) = +-det(C(z)), and every node value reads its oracle only
+    through s == 0 and s^2, so each value, and the truth, is constant on a
+    class.  So the oracles' values are read from the family walk's
+    determinant rows (``_class_rows``), with no word embedded.
     """
     hd_sign_dim(n, k)  # refuses k outside 1..n-1
-    check_pairs(len(alphabet) ** (2 * n), max_pairs)
+    diffs = {a - b for a, b in itertools.product(check_alphabet(alphabet), repeat=2)}
+    check_pairs((len(diffs) ** n + 1) // 2, max_pairs)
     for size in (k, k + 1):
         prove_det_sum(size)
     tree = threshold_tree(

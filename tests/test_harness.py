@@ -864,11 +864,11 @@ class TestCli:
         assert self.failed_report(tmp_path, args).startswith("InputError:")
 
     def test_cli_build_sign_over_pair_budget_reports_failure_at_once(self, tmp_path):
-        args = ["build-sign", "--n", "13", "--k", "1", "--out", str(tmp_path / "s.json")]
+        args = ["build-sign", "--n", "16", "--k", "1", "--out", str(tmp_path / "s.json")]
         start = time.perf_counter()
         error = self.failed_report(tmp_path, args)
         assert time.perf_counter() - start < 1.0
-        assert error.startswith("BudgetExceededError: 67108864 pairs exceed")
+        assert error.startswith("BudgetExceededError: 21523361 pairs exceed")
 
     @pytest.mark.parametrize(
         "command,doc",
@@ -1282,6 +1282,18 @@ class TestCli:
             path.write_text(text)
         error = self.failed_report(tmp_path, [command, str(path)])
         assert error.startswith(f"InputError: cannot load {path}: ")
+
+    def test_cli_verify_supp_refuses_a_non_square_target(self, tmp_path):
+        doc = weights_supp_doc(3)
+        doc["compressor"]["right"] = {"rows": 2, "cols": 3, "entries": ["1"] * 6}
+        doc["compressor"]["target_shape"] = [1, 2]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        error = self.failed_report(tmp_path, ["verify-supp", str(path)])
+        assert error == (
+            f"InputError: cannot load {path}: InputError: factor shapes (1, 3) "
+            "and (2, 3) do not give a square target"
+        )
 
     def test_cli_constant_sign_tree_reports_failure(self, tmp_path):
         # a lone constant leaf names no oracle, so no alphabet to verify over

@@ -488,6 +488,19 @@ class TestMultisetDecode:
         with pytest.raises(InconsistentFingerprintError):
             multiset_decode({1: 5, 2: 5}, 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 4), st.integers(-3, 12), max_size=4),
+        st.integers(0, 5),
+    )
+    def test_any_fingerprint_decodes_exactly_or_is_refused(self, capped_sums, bound):
+        try:
+            decoded = multiset_decode(capped_sums, bound)
+        except InconsistentFingerprintError:
+            return
+        assert len(decoded) <= bound and all(u > 0 for u in decoded)
+        assert {t: sum(min(u, t) for u in decoded) for t in capped_sums} == capped_sums
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
     def test_round_trip_property(self, elements):

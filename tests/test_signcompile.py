@@ -307,8 +307,15 @@ class TestTruth:
             raise AssertionError("an oracle was built")
 
         monkeypatch.setattr(signcompile, "build_hd_supp", no_build)
-        with pytest.raises(BudgetExceededError, match="^67108864 pairs exceed"):
-            build_hd_sign(13, 1, max_pairs=1 << 24)
+        with pytest.raises(BudgetExceededError, match="^21523361 pairs exceed"):
+            build_hd_sign(16, 1, max_pairs=1 << 24)
+
+    def test_build_hd_sign_budget_counts_the_class_pairs(self):
+        # (3^5 + 1) / 2 = 122 classes {z, -z} stand for the 4^5 ordered pairs
+        message = "^122 pairs exceed the exhaustive budget of 121$"
+        with pytest.raises(BudgetExceededError, match=message):
+            build_hd_sign(5, 1, max_pairs=121)
+        assert build_hd_sign(5, 1, max_pairs=122).dim == 41
 
 
 def tree_of(rep):
