@@ -300,6 +300,7 @@ WALK_FAMILIES = [
 ]
 
 TARGETS = [(1, 1), (2, 2)]
+NON_SQUARE = [(1, 2), (2, 1), (2, 3), (3, 2)]
 
 
 def family_of(alphabets):
@@ -357,14 +358,30 @@ class TestFamilyWalkMatchesBruteForce:
         assert indices == [i for i, z in patterns if any(z)][:32]
         assert sum(1 for c in counts[2:] if c > 0) >= 4
 
-    @pytest.mark.parametrize("rows,cols", TARGETS)
+    @pytest.mark.parametrize("rows,cols", NON_SQUARE)
+    def test_non_square_targets(self, rows, cols):
+        # factors of different row counts are refused, built or loaded
+        message = (
+            rf"^factor shapes \({rows}, 7\) and \({cols}, 7\) "
+            "do not give a square target$"
+        )
+        rng = random.Random(f"{rows}x{cols}")
+        with pytest.raises(InputError, match=message):
+            random_compressor(rng, 7, rows, cols)
+        doc = random_compressor(rng, 7, rows, rows).to_json()
+        doc["right"] = random_mat(rng, cols, 7, bound=2).to_json()
+        doc["target_shape"] = [rows, cols]
+        with pytest.raises(InputError, match=message):
+            Compressor.from_json(doc)
+
+    @pytest.mark.parametrize("rows,cols", [*TARGETS, (3, 3)])
     def test_flags_decide_every_member_at_the_cap(
         self, monkeypatch, rows, cols
     ):
         # the packed flags decide every member at the cap, and each support
         # below it is checked once: the only exact ranks are of the columns
-        # of L and R on the empty support and, for cap 2, on each single
-        # position; no member is reranked
+        # of L and R on each support of fewer than k positions; no member is
+        # reranked
         calls = []
         monkeypatch.setattr(
             compression, "rank_exact", lambda m: calls.append(m) or rank_exact(m)
@@ -375,16 +392,18 @@ class TestFamilyWalkMatchesBruteForce:
         wide = Compressor(left, right, seed=0, verified=False)
         fam = MatFamily.diagonal_differences(7, (0, 1))
         assert verify_compressor(wide, fam).certified
-        supports = [()] + [(p,) for p in range(7)] * (min(rows, cols) == 2)
+        supports = [
+            s for size in range(rows) for s in itertools.combinations(range(7), size)
+        ]
         assert Counter(calls) == Counter(
             f.submatrix(range(f.rows), s) for s in supports for f in (left, right)
         )
 
-    def test_cap_three(self):
+    @pytest.mark.parametrize("name,alphabets", WALK_FAMILIES[:3])
+    def test_cap_three(self, name, alphabets):
         # a fitted 3 x 3 compressor passes; with column 0 reused as column 1
         # of both factors, C(z) sees only z_0 + z_1 there, so members on
         # supports holding 0 and 1, such as (1, -1, 0, ...), fall short
-        alphabets = [(0, 1)] * 7
         fam = family_of(alphabets)
         fitted = fit_compressor(fam, 3, seed=17)
         reused = replace(fitted, left=reuse(fitted.left), right=reuse(fitted.right))
@@ -414,7 +433,7 @@ class TestFamilyWalkMatchesBruteForce:
             assert 0 not in v["pattern"][:2] and v["pattern"][2:] == [0, 0, 0]
             assert (v["achieved"], v["required"]) == (1, 2)
 
-    @pytest.mark.parametrize("rows,cols", TARGETS)
+    @pytest.mark.parametrize("rows,cols", [*TARGETS, (3, 3)])
     def test_empty_family_and_one_letter_positions(self, rows, cols):
         rng = random.Random(rows * 10 + cols)
         for alphabets in ([], [(5,)], [(5,), (3,), (0, 1)]):
