@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
-from operator import getitem, mul
+from operator import getitem, mul, ne
 from typing import Callable, Hashable, Sequence
 
 from .compression import (
@@ -68,12 +68,13 @@ class SupportRep:
     ``a_map`` sends an index (a word, for Hamming reps) to a size x size
     integer matrix.  u and v are the left minor embedding of a_map(x) and
     the right one of -a_map(y) (``veronese.minor_embed``), of dimension
-    C(2 size, size), so the dot product is nonzero exactly where the
-    difference has full rank.  Each embedding is computed on first use and
-    memoized, so a representation over 2^n words costs memory only for the
-    words actually touched.  A Hamming rep (``of_compressor``) also carries
-    its compressor, alphabet and seed, and derives ``n``, ``k`` and its
-    document's predicate ``HD>=k`` from the compressor; other reps have none.
+    ``dim`` = C(2 ``size``, ``size``), so the dot product is nonzero exactly
+    where the difference has full rank.  Each embedding is computed on first
+    use and memoized, so a representation over 2^n words costs memory only
+    for the words actually touched.  A Hamming rep (``of_compressor``) also
+    carries its compressor, alphabet and seed, and derives ``n``, ``k`` and
+    its document's predicate ``HD>=k`` from the compressor; other reps have
+    none.
     """
 
     alphabet: tuple[int, ...] | None = None
@@ -81,7 +82,7 @@ class SupportRep:
     seed: int | None = None
 
     def __init__(self, a_map: Callable[[Hashable], Mat], size: int):
-        self.dim = comb(2 * size, size)
+        self.size, self.dim = size, comb(2 * size, size)
         self.u = cache(lambda x: minor_embed(a_map(x), "left"))
         self.v = cache(lambda y: minor_embed(-a_map(y), "right"))
 
@@ -148,7 +149,7 @@ def dist(x: Sequence[int], y: Sequence[int]) -> int:
     """Hamming distance between equal-length words."""
     if len(x) != len(y):
         raise SizeMismatchError("words must have equal length")
-    return sum(1 for a, b in zip(x, y) if a != b)
+    return sum(map(ne, x, y))
 
 
 def _weights_compressor(n: int) -> Compressor:

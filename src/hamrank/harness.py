@@ -48,7 +48,7 @@ from .signcompile import (
     eval_sign,
     gamma_values,
     hd_sign_dim,
-    positive_rows,
+    positive_upper,
     proof_dim_bound,
     sign_from_json,
     sign_to_json,
@@ -378,9 +378,10 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
 
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
-    """Check sign == +1 iff dist == k on every ordered pair, a whole row
-    (``cols`` unread) against the Hamming shell at distance k at a time, or
-    each drawn pair alone by ``eval_sign``."""
+    """Check sign == +1 iff dist == k on every ordered pair, a row at a
+    time, its columns j >= i (``positive_upper``) against the Hamming shell
+    at distance k and the rest mirrored (``symmetric``), or each drawn pair
+    alone by ``eval_sign``; the timing section records the pairs evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
     count = len(alphabet) ** n
@@ -392,17 +393,19 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 lambda i, j: eval_sign(rep, word(i), word(j))
                 != (1 if dist(word(i), word(j)) == k else -1)
             )
-        positive = positive_rows(rep, list(map(word, range(count))))
+        positive = positive_upper(rep, list(map(word, range(count))))
 
-        def check(i, cols):
+        def upper(i, cols):
             shell = near_indices(i, n, len(alphabet), k + 1, lo=k)
-            bad = set(positive(i)).symmetric_difference(shell)
+            bad = set(positive(i)).symmetric_difference(j for j in shell if j >= i)
             return len(bad), sorted(bad)
 
-        return check
+        return symmetric(upper)
 
     rng = rng_stream(config.seed, "verify-sign", n, k)
     result = sweep(count, prepare, config.sample, rng, config.max_pairs)
+    evaluated = count * (count + 1) // 2 if config.sample is None else config.sample
+    report.timing["pairs_evaluated"] = evaluated
     report.construction = {"n": n, "k": k, "dim": rep.dim}
     report.verification = {
         "pairs_checked": result.pairs_checked,
@@ -441,7 +444,9 @@ def _check_semantics(
         return problem.eval(x, y) != compose_semantics(spec, tuple_of(x), tuple_of(y))
 
     result = sweep(
-        problem.index_count, lambda: symmetric(fails), max_pairs=config.max_pairs
+        problem.index_count,
+        lambda: symmetric(pairwise(fails)),
+        max_pairs=config.max_pairs,
     )
     report.timing["pairs_evaluated"] = evaluated
     report.verification = {

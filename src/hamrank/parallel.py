@@ -4,11 +4,11 @@ Every certificate that compares a construction with ground truth pair by
 pair runs through ``sweep``.  The caller supplies one check per row that
 evaluates a whole row in one pass and returns its failure count with its
 first failing columns (``pairwise`` makes one from a pair test, and
-``symmetric`` from a symmetric one, deciding each unordered pair once);
-the core owns the budget check, the exhaustive/sample dispatch, the row
-scan and the capped violation sample.  A sample count is the only mode
-switch: ``None`` sweeps every pair.  Rows run in index order, in the
-calling thread.
+``symmetric`` from the upper triangle of a symmetric one, deciding each
+unordered pair once); the core owns the budget check, the exhaustive/sample
+dispatch, the row scan and the capped violation sample.  A sample count is
+the only mode switch: ``None`` sweeps every pair.  Rows run in index order,
+in the calling thread.
 
 Every exhaustive row check over exact dot products shares one packed-dot
 kernel, ``pack_columns``: it packs the right vectors column by column into
@@ -16,7 +16,7 @@ big integers, with a slot width taken from the largest entries, so a row of
 exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
 each slot's nonzero test from its top bit without unpacking (the Hamming
 pair check, the family walk of ``compression``); ``packed_dots`` unpacks
-the slots (``compression.det_rows`` and sign-tree rows).
+the slots from any column on (``compression.det_rows``, sign-tree rows).
 """
 
 from __future__ import annotations
@@ -83,17 +83,18 @@ def pairwise(fails: Callable[[int, int], bool]) -> RowCheck:
     return check
 
 
-def symmetric(fails: Callable[[int, int], bool]) -> RowCheck:
-    """The row check of a symmetric pair test, ``fails(i, j) == fails(j, i)``.
+def symmetric(upper: RowCheck) -> RowCheck:
+    """The row check of a symmetric failure table from ``upper``, its row
+    check on the columns j >= i, which must list every failing column in
+    order (``pairwise`` of a symmetric pair test does).
 
-    Row i evaluates ``fails(i, j)`` for j >= i only; column j < i fails
-    where row j failed at column i.  Only failures are kept, each until the
-    row that mirrors it, so memory grows with the violations, not with the
-    pairs.  The mirror holds only over rows that were checked whole, so the
-    check takes rows 0, 1, 2, ... in order, each with ``cols`` the whole row
-    ``range(count)`` as the exhaustive ``sweep`` gives them, and raises
-    ``ValueError`` on anything else: a row out of order, or partial
-    ``cols`` such as a sampled pair.
+    Column j < i fails where row j failed at column i.  Only failures are
+    kept, each until the row that mirrors it, so memory grows with the
+    violations, not with the pairs.  The mirror holds only over rows that
+    were checked whole, so the check takes rows 0, 1, 2, ... in order, each
+    with ``cols`` the whole row ``range(count)`` as the exhaustive ``sweep``
+    gives them, and raises ``ValueError`` on anything else: a row out of
+    order, or partial ``cols`` such as a sampled pair.
     """
     mirrored: dict[int, list[int]] = {}  # row -> earlier rows failing there
     done = 0  # rows checked
@@ -109,11 +110,11 @@ def symmetric(fails: Callable[[int, int], bool]) -> RowCheck:
                 f"row {i} of columns {cols!r} after {done} rows"
             )
         done += 1
-        upper = [j for j in whole[i:] if fails(i, j)]
-        for j in upper:
+        upper_bad = upper(i, whole[i:])[1]
+        for j in upper_bad:
             if j > i:
                 mirrored.setdefault(j, []).append(i)
-        bad = mirrored.pop(i, []) + upper
+        bad = mirrored.pop(i, []) + upper_bad
         return len(bad), bad
 
     return check
@@ -225,15 +226,16 @@ def pack_columns(
 
 def packed_dots(
     us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
-) -> Callable[[int], list[int]]:
-    """Row i's exact dots <us[i], vs[j]>, all j: the packed row of
-    ``pack_columns``, unpacked slot by slot."""
+) -> Callable[..., list[int]]:
+    """``dots(i, lo=0)``: row i's exact dots <us[i], vs[j]> for j >= lo, the
+    packed row of ``pack_columns`` unpacked slot by slot from slot lo."""
     row, width, bias = pack_columns(us, vs)
     starts = range(0, len(vs) * width, width)
 
-    def dots(i: int) -> list[int]:
+    def dots(i: int, lo: int = 0) -> list[int]:
         data = row(i).to_bytes(len(vs) * width, "little")
-        return [int.from_bytes(data[j : j + width], "little") - bias for j in starts]
+        at = starts[lo:]  # the byte offsets of slots lo, lo + 1, ...
+        return [int.from_bytes(data[j : j + width], "little") - bias for j in at]
 
     return dots
 

@@ -126,13 +126,13 @@ class PairRows:
     """The ordered pairs a compile checks, as rows of ``width`` columns:
     ``cols[i]`` lists the columns of row i that stand for pairs, in pair
     order, ``pair(i, j)`` names the pair (x, y) of one, and
-    ``dots(oracle)(i)`` lists the oracle's exact dots at every column of
-    row i (``dots`` builds each oracle's row function once)."""
+    ``dots(oracle)(i, lo=0)`` lists the oracle's exact dots at columns lo,
+    lo + 1, ... of row i (``dots`` builds each oracle's row function once)."""
 
     cols: Sequence[Sequence[int]]
     width: int
     pair: Callable[[int, int], tuple]
-    dots: Callable[[SupportRep], Callable[[int], list[int]]]
+    dots: Callable[[SupportRep], Callable[..., list[int]]]
 
 
 def domain_rows(domain: Sequence) -> PairRows:
@@ -140,7 +140,7 @@ def domain_rows(domain: Sequence) -> PairRows:
     are packed once (``parallel.packed_dots``)."""
     count = len(domain)
 
-    def dots(oracle: SupportRep) -> Callable[[int], list[int]]:
+    def dots(oracle: SupportRep) -> Callable[..., list[int]]:
         return packed_dots(list(map(oracle.u, domain)), list(map(oracle.v, domain)))
 
     return PairRows(
@@ -148,33 +148,43 @@ def domain_rows(domain: Sequence) -> PairRows:
     )
 
 
-def value_row(rep: SignRep, rows: PairRows, i: int) -> list[int]:
-    """``eval_value`` at every column of row i, column by column: a leaf is
-    its sign, a combine is a where s == 0, else a + gamma s^2 b."""
+def value_row(rep: SignRep, rows: PairRows, i: int, lo: int = 0) -> list[int]:
+    """``eval_value`` at columns lo, lo + 1, ... of row i, column by column:
+    a leaf is its sign, a combine is a where s == 0, else a + gamma s^2 b."""
     if isinstance(rep, ConstLeaf):
-        return [rep.sign] * rows.width
+        return [rep.sign] * (rows.width - lo)
     gamma = rep.gamma
     return [
         a if s == 0 else a + gamma * s * s * b
         for a, s, b in zip(
-            value_row(rep.rep1, rows, i),
-            rows.dots(rep.oracle)(i),
-            value_row(rep.rep0, rows, i),
+            value_row(rep.rep1, rows, i, lo),
+            rows.dots(rep.oracle)(i, lo),
+            value_row(rep.rep0, rows, i, lo),
         )
     ]
 
 
-def positive_rows(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
-    """The exhaustive row form of ``eval_sign`` over ``words``: ``row(i)``
-    lists the j with eval_sign(rep, words[i], words[j]) == 1, in order, and
-    raises its ``ZeroValueError`` at the first j where the value vanishes."""
+def positive_upper(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
+    """The exhaustive row form of ``eval_sign`` over ``words``, upper
+    triangle only: ``row(i)`` lists the j >= i with eval_sign(rep, words[i],
+    words[j]) == 1, in order, and raises its ``ZeroValueError`` at the first
+    such j where the value vanishes.  The rest of the row is the mirror
+    image once ``veronese.prove_det_sum`` passes at every oracle size, which
+    runs first: an oracle's dot at (x, y) is then det(C(x) - C(y)),
+    (-1)^size times its dot at (y, x), and every node reads it only through
+    s == 0 and s^2, so any tree's value is symmetric, a broken tree's too."""
+    nodes = [rep]
+    while nodes:
+        if isinstance(node := nodes.pop(), Combine):
+            prove_det_sum(node.oracle.size)
+            nodes += [node.rep0, node.rep1]
     rows = domain_rows(words)
 
     def row(i: int) -> list[int]:
-        got = value_row(rep, rows, i)
+        got = value_row(rep, rows, i, i)
         if 0 in got:
-            raise _vanished(words[i], words[got.index(0)])
-        return [j for j, value in enumerate(got) if value > 0]
+            raise _vanished(words[i], words[i + got.index(0)])
+        return [j for j, value in enumerate(got, i) if value > 0]
 
     return row
 

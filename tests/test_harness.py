@@ -342,6 +342,25 @@ class TestSignCommands:
         vreport = run("verify-sign", make_config(tmp_path, "vs", params={"rep": out}))
         assert vreport.certified
         assert vreport.verification["pairs_checked"] == 65536
+        assert vreport.timing["pairs_evaluated"] == 256 * 257 // 2
+
+    def test_verify_sign_mirrors_only_under_the_det_sum_identity(
+        self, tmp_path, request
+    ):
+        path = tmp_path / "rep.sign.json"
+        path.write_text(json.dumps(hd_sign_doc(3, 1)))
+        request.getfixturevalue("flipped_det_sum_sign")  # after the build
+        params = {"rep": str(path)}
+        report = run("verify-sign", make_config(tmp_path, "vs", params=params))
+        assert report.status == "failed"
+        assert report.error.startswith("PatternViolationError: det-sum identity")
+        assert report.verification == {}
+        # sample mode evaluates each drawn pair alone, with no proof to gate it
+        config = make_config(tmp_path, "vss", sample=50, params=params)
+        sample = run("verify-sign", config)
+        assert sample.error is None
+        assert sample.verification["pairs_checked"] == 50
+        assert sample.timing["pairs_evaluated"] == 50
 
     @staticmethod
     def pairwise_verify_sign(path):
@@ -369,15 +388,17 @@ class TestSignCommands:
 
     @pytest.mark.parametrize(
         "case",
-        ["hd-6-1", "hd-6-2", "ternary-4-1", "equality-3", "meta-k-over-n",
-         "gamma-lowered", "gamma-vanishing", "vanishing-twice-in-a-row"],
+        ["hd-6-1", "hd-6-2", "ternary-4-1", "ternary-3-2", "equality-3",
+         "meta-k-over-n", "gamma-lowered", "gamma-negative", "gamma-vanishing",
+         "vanishing-twice-in-a-row"],
     )
     def test_row_kernel_matches_the_pairwise_check(self, tmp_path, case):
         from hamrank.signcompile import build_hd_sign, sign_to_json
 
-        if case == "ternary-4-1":
-            rep = build_hd_sign(4, 1, alphabet=(0, 1, 2))
-            doc = sign_to_json(rep, {"n": 4, "k": 1})
+        if case.startswith("ternary"):
+            n, k = int(case[-3]), int(case[-1])
+            rep = build_hd_sign(n, k, alphabet=(0, 1, 2))
+            doc = sign_to_json(rep, {"n": n, "k": k})
         elif case == "equality-3":
             doc = equality_sign_doc(3)
         elif case == "gamma-vanishing":  # 1 - s^2 is 0 where s = +-1
@@ -390,6 +411,8 @@ class TestSignCommands:
             doc = doc_with(hd_sign_doc(6, 1), ["meta", "k"], 7)
         elif case == "gamma-lowered":  # the root's sign is its rep1's: dist >= 1
             doc = doc_with(hd_sign_doc(6, 1), ["tree", "gamma"], "0")
+        elif case == "gamma-negative":  # +1 where dist >= 2 too, not -1
+            doc = doc_with(hd_sign_doc(3, 1), ["tree", "gamma"], "-5")
         else:
             doc = hd_sign_doc(6, int(case[-1]))
         path = tmp_path / "rep.sign.json"
@@ -401,6 +424,7 @@ class TestSignCommands:
         violations = {
             "meta-k-over-n": 64 * 6,  # every positive pair, at distance 1
             "gamma-lowered": 4096 - 64 - 64 * 6,  # the pairs at distance >= 2
+            "gamma-negative": 8 * (3 + 1),  # the pairs at distance >= 2
             "gamma-vanishing": None,  # no count: the first zero ends the check
             "vanishing-twice-in-a-row": None,
         }

@@ -34,14 +34,14 @@ class TestSymmetricRowCheck:
             asked.append((i, j))
             return table[i][j]
 
-        got = sweep(count, lambda: symmetric(fails))
+        got = sweep(count, lambda: symmetric(pairwise(fails)))
         assert got == sweep(count, lambda: pairwise(lambda i, j: table[i][j]))
         # each unordered pair once, the diagonal included
         upper = itertools.combinations_with_replacement(range(count), 2)
         assert sorted(asked) == list(upper)
 
     def test_dense_failures_fill_the_report_in_pair_order(self):
-        got = sweep(12, lambda: symmetric(lambda i, j: True))
+        got = sweep(12, lambda: symmetric(pairwise(lambda i, j: True)))
         assert got.violation_count == 144
         first = itertools.islice(itertools.product(range(12), repeat=2), REPORT_CAP)
         assert got.violations == tuple(first)
@@ -57,7 +57,7 @@ class TestSymmetricRowCheck:
         ids=["first-skipped", "middle-skipped", "repeated", "restarted"],
     )
     def test_refuses_rows_out_of_order(self, rows):
-        check = symmetric(lambda i, j: False)
+        check = symmetric(pairwise(lambda i, j: False))
         *before, last = rows
         for i in before:
             check(i, range(4))
@@ -70,12 +70,12 @@ class TestSymmetricRowCheck:
         ids=["sampled-pair", "tail", "strided", "list", "empty"],
     )
     def test_refuses_partial_rows(self, cols):
-        check = symmetric(lambda i, j: False)
+        check = symmetric(pairwise(lambda i, j: False))
         with pytest.raises(ValueError, match="whole rows in index order"):
             check(0, cols)
 
     def test_refuses_a_row_of_another_width(self):
-        check = symmetric(lambda i, j: False)
+        check = symmetric(pairwise(lambda i, j: False))
         check(0, range(4))
         with pytest.raises(ValueError, match="whole rows in index order"):
             check(1, range(5))
@@ -84,5 +84,6 @@ class TestSymmetricRowCheck:
         def never(i, j):
             raise AssertionError("evaluated a sampled pair")
 
+        check = symmetric(pairwise(never))
         with pytest.raises(ValueError, match="whole rows in index order"):
-            sweep(4, lambda: symmetric(never), sample=3, rng=random.Random(0))
+            sweep(4, lambda: check, sample=3, rng=random.Random(0))

@@ -167,6 +167,10 @@ def digests(tmp_path_factory):
             name: reports[name].timing["pairs_evaluated"]
             for name in ("compose", "rp-verify", "compose-threshold")
         }
+        out["_sign_evaluated"] = {
+            name: reports[name].timing["pairs_evaluated"]
+            for name in ("sign-verify", "sign-sample")
+        }
         return out
     finally:
         mp.undo()
@@ -197,6 +201,15 @@ def test_composition_checks_evaluate_each_unordered_pair_once(digests):
         "compose": 4 * 5 // 2,
         "rp-verify": 4 * 5 // 2,
         "compose-threshold": 16 * 17 // 2,
+    }
+
+
+def test_verify_sign_evaluates_each_unordered_pair_once(digests):
+    # in the timing section, so the sign-verify and sign-sample bytes pinned
+    # above are those of the ordered sweep: 8 words, 300 drawn pairs
+    assert digests["_sign_evaluated"] == {
+        "sign-verify": 8 * 9 // 2,
+        "sign-sample": 300,
     }
 
 
