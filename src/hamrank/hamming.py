@@ -18,9 +18,13 @@ certificate for the 2^k lower bound are provided on top.
 The exhaustive pair check (``_packed_rows``) runs on the packed-dot kernel
 of ``parallel``: the right embeddings of all |A|^n words are packed once, so
 a row of exact dots costs one multiply-add per coordinate, and each slot's
-nonzero test is read from its top bit without unpacking.  The compressor's
-family walk and verify-sign run on the same kernel, and build-sign reads
-the reps' dots as the walk's rows of det C(x - y) (``compression.det_rows``).
+nonzero test is read from its top bit without unpacking.  The word grid is
+embedded once (``word_embeddings``): C(x) is the sum of the compressed
+prefix and suffix half-words, each word takes one left Laplace pass, and
+its right vector is a proved signed permutation of the left one.  The
+compressor's family walk and verify-sign run on the same kernel, and
+build-sign reads the reps' dots as the walk's rows of det C(x - y)
+(``compression.det_rows``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
-from operator import getitem, mul, ne
+from operator import add, getitem, mul, ne
 from typing import Callable, Hashable, Sequence
 
 from .compression import (
@@ -38,6 +42,7 @@ from .compression import (
     certified,
     fit_compressor,
     nth_product,
+    split_positions,
     verify_compressor,
 )
 from .errors import (
@@ -57,9 +62,10 @@ from .parallel import (
     top_bytes,
 )
 from .seeds import rng_stream, seed_stream
-from .veronese import minor_embed
+from .veronese import minor_embed, negated_right
 
 Word = tuple[int, ...]
+Vector = tuple[int, ...]  # one side of a minor embedding
 
 
 class SupportRep:
@@ -69,12 +75,15 @@ class SupportRep:
     integer matrix.  u and v are the left minor embedding of a_map(x) and
     the right one of -a_map(y) (``veronese.minor_embed``), of dimension
     ``dim`` = C(2 ``size``, ``size``), so the dot product is nonzero exactly
-    where the difference has full rank.  Each embedding is computed on first
-    use and memoized, so a representation over 2^n words costs memory only
-    for the words actually touched.  A Hamming rep (``of_compressor``) also
-    carries its compressor, alphabet and seed, and derives ``n``, ``k`` and
-    its document's predicate ``HD>=k`` from the compressor; other reps have
-    none.
+    where the difference has full rank.  u(x) is one Laplace pass over
+    a_map(x), computed on first use and memoized; v(y) is the proved signed
+    permutation ``veronese.negated_right`` of u(y), memoized too, so a word
+    is embedded once for both sides and a representation over 2^n words
+    costs memory only for the words actually touched.  An exhaustive sweep
+    embeds the whole word grid at once instead (``word_embeddings``).  A
+    Hamming rep (``of_compressor``) also carries its compressor, alphabet
+    and seed, and derives ``n``, ``k`` and its document's predicate
+    ``HD>=k`` from the compressor; other reps have none.
     """
 
     alphabet: tuple[int, ...] | None = None
@@ -83,8 +92,10 @@ class SupportRep:
 
     def __init__(self, a_map: Callable[[Hashable], Mat], size: int):
         self.size, self.dim = size, comb(2 * size, size)
-        self.u = cache(lambda x: minor_embed(a_map(x), "left"))
-        self.v = cache(lambda y: minor_embed(-a_map(y), "right"))
+        # the closures hold u, never self: a cycle would keep every rep
+        # alive until a garbage-collector pass
+        self.u = u = cache(lambda x: minor_embed(a_map(x), "left"))
+        self.v = cache(lambda y: negated_right(size)(u(y)))
 
     @classmethod
     def of_compressor(
@@ -234,17 +245,51 @@ def near_indices(i: int, n: int, size: int, k: int, lo: int = 0) -> list[int]:
     from the t positions where it differs and one other digit at each.  With
     ``lo`` 0 this is the ball of radius k - 1: empty at k = 0, every index
     once k > n; ``lo = k - 1`` gives the shell at distance exactly k - 1.
+    A range with no radius of 1 or more, as at k <= 1, builds no steps.
     """
+    top = min(k, n + 1)  # the radii are lo <= t < top
+    if top <= max(lo, 1):
+        return [i] if lo == 0 < top else []
     steps = []  # per position, the index changes that move it to another letter
     for p in range(n):
         place = size ** (n - 1 - p)
         digit = i // place % size
         steps.append([(e - digit) * place for e in range(size) if e != digit])
     near = []
-    for t in range(lo, min(k, n + 1)):
+    for t in range(lo, top):
         for chosen in itertools.combinations(steps, t):
             near.extend(i + sum(step) for step in itertools.product(*chosen))
     return near
+
+
+def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
+    """(us, vs): u(x) and v(x) of a Hamming rep for every word x, in
+    ``word_of_index`` order, each word embedded once.
+
+    C = ``apply_diag`` of the compressor is linear in the word, so
+    C(x) = C(prefix . 0) + C(0 . suffix) for the split of
+    ``compression.split_positions``: ``apply_diag`` runs once per half-word,
+    about 2 sqrt(|A|^n) times, and each word costs one k x k add and one
+    ``minor_embed(..., "left")``.  v is that vector's proved signed
+    permutation ``veronese.negated_right``.  Nothing is kept in the rep's
+    memo.
+    """
+    n, k, alphabet = rep.n, rep.k, rep.alphabet
+    split = split_positions((alphabet,) * n)[0]
+    apply = rep.compressor.apply_diag
+    head, tail = (0,) * split, (0,) * (n - split)
+    prefixes = [
+        apply(p + tail).entries for p in itertools.product(alphabet, repeat=split)
+    ]
+    suffixes = [
+        apply(head + q).entries for q in itertools.product(alphabet, repeat=n - split)
+    ]
+    us = [
+        minor_embed(Mat(k, k, tuple(map(add, p, q))), "left")
+        for p in prefixes
+        for q in suffixes
+    ]
+    return us, list(map(negated_right(k), us))
 
 
 def _packed_rows(
@@ -290,12 +335,14 @@ def verify_support_rep(
 
     With ``sample`` None the check is exhaustive: it sweeps all
     |alphabet|^(2n) ordered pairs in product order and embeds every word
-    once, before the first row; each row is checked by ``_packed_rows``, one
+    once, left side only, from compressed half-words (``word_embeddings``),
+    before the first row; each row is checked by ``_packed_rows``, one
     big-integer multiply-add per coordinate against the packed columns, with
     the Hamming ball of radius k - 1 as ground truth.  Otherwise it draws
     ``sample`` seeded uniform ordered pairs (at least one), embeds only the
-    drawn words, each once, and checks each pair by its own dot product and
-    letter codes.  Either way ``max_pairs`` bounds the pairs checked, before
+    drawn words, each once through the rep's memo, and checks each pair by
+    its own dot product and letter codes.  Violation records read the same
+    vectors.  Either way ``max_pairs`` bounds the pairs checked, before
     anything is embedded.  The report is deterministic for a given sample
     count and seed.
     """
@@ -304,12 +351,15 @@ def verify_support_rep(
     n, k, alphabet = rep.n, rep.k, rep.alphabet
     a = len(alphabet)
 
+    word = cache(lambda i: word_of_index(i, n, alphabet))
+    u = v = None  # index -> u, v vector: what prepare embeds
+
     def prepare():
+        nonlocal u, v
         if sample is None:
-            words = [word_of_index(i, n, alphabet) for i in range(a**n)]
-            us, vs = list(map(rep.u, words)), list(map(rep.v, words))
+            us, vs = word_embeddings(rep)
+            u, v = us.__getitem__, vs.__getitem__
             return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
-        word = cache(lambda i: word_of_index(i, n, alphabet))
         u, v = cache(lambda i: rep.u(word(i))), cache(lambda i: rep.v(word(i)))
         # one-hot letter codes: each differing position sets two bits of the xor
         bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
@@ -324,8 +374,8 @@ def verify_support_rep(
     result = sweep(a**n, prepare, sample, rng, max_pairs)
     records = []
     for i, j in result.violations:
-        x, y = word_of_index(i, n, alphabet), word_of_index(j, n, alphabet)
-        records.append(_violation(x, y, rep.dot(x, y), dist(x, y) >= k))
+        x, y = word(i), word(j)
+        records.append(_violation(x, y, sum(map(mul, u(i), v(j))), dist(x, y) >= k))
     return replace(result, violations=tuple(records))
 
 

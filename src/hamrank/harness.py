@@ -28,6 +28,7 @@ from .hamming import (
     load_supp,
     near_indices,
     verify_support_rep,
+    word_embeddings,
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
@@ -45,6 +46,7 @@ from .seeds import rng_stream
 from .signcompile import (
     Combine,
     build_hd_sign,
+    domain_rows,
     eval_sign,
     gamma_values,
     hd_sign_dim,
@@ -379,9 +381,11 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     """Check sign == +1 iff dist == k on every ordered pair, a row at a
-    time, its columns j >= i (``positive_upper``) against the Hamming shell
-    at distance k and the rest mirrored (``symmetric``), or each drawn pair
-    alone by ``eval_sign``; the timing section records the pairs evaluated."""
+    time, its columns j >= i (``positive_upper``, each oracle's word grid
+    embedded once by ``word_embeddings``) against the Hamming shell at
+    distance k and the rest mirrored (``symmetric``), or each drawn pair
+    alone by ``eval_sign``; the timing section records the pairs
+    evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     alphabet = rep.oracle.alphabet
     count = len(alphabet) ** n
@@ -393,7 +397,8 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 lambda i, j: eval_sign(rep, word(i), word(j))
                 != (1 if dist(word(i), word(j)) == k else -1)
             )
-        positive = positive_upper(rep, list(map(word, range(count))))
+        words = list(map(word, range(count)))
+        positive = positive_upper(rep, domain_rows(words, word_embeddings))
 
         def upper(i, cols):
             shell = near_indices(i, n, len(alphabet), k + 1, lo=k)

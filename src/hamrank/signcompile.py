@@ -19,11 +19,12 @@ which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
 Every compile is checked against ground truth that the caller gives, on
 every ordered pair of the domain or on pairs that stand for them all
 (``build_hd_sign`` uses one pair per difference class), as ``PairRows``,
-whose oracle dots come a row at a time; one column recursion,
-``value_row``, serves the gamma scan, the check and verify-sign.  A tree
-over some other index domain needs no translation layer here: a
-``SupportRep`` built on maps from indices to matrices already answers at
-indices.
+whose oracle dots come a row at a time (exhaustive verify-sign embeds each
+oracle's word grid once, by ``hamming.word_embeddings``); one column
+recursion, ``value_row``, serves the gamma scan, the check and
+verify-sign.  A tree over some other index domain needs no translation
+layer here: a ``SupportRep`` built on maps from indices to matrices
+already answers at indices.
 """
 
 from __future__ import annotations
@@ -135,12 +136,17 @@ class PairRows:
     dots: Callable[[SupportRep], Callable[..., list[int]]]
 
 
-def domain_rows(domain: Sequence) -> PairRows:
+def domain_rows(domain: Sequence, embed: Callable | None = None) -> PairRows:
     """Every ordered pair (domain[i], domain[j]); each oracle's embeddings
-    are packed once (``parallel.packed_dots``)."""
+    are packed once (``parallel.packed_dots``).  ``embed(oracle)`` gives
+    them as (us, vs) in domain order, as ``hamming.word_embeddings`` does
+    for the word grid of a Hamming oracle; by default each element goes
+    through the oracle's memo."""
     count = len(domain)
 
     def dots(oracle: SupportRep) -> Callable[..., list[int]]:
+        if embed:
+            return packed_dots(*embed(oracle))
         return packed_dots(list(map(oracle.u, domain)), list(map(oracle.v, domain)))
 
     return PairRows(
@@ -164,26 +170,27 @@ def value_row(rep: SignRep, rows: PairRows, i: int, lo: int = 0) -> list[int]:
     ]
 
 
-def positive_upper(rep: SignRep, words: Sequence) -> Callable[[int], list[int]]:
-    """The exhaustive row form of ``eval_sign`` over ``words``, upper
-    triangle only: ``row(i)`` lists the j >= i with eval_sign(rep, words[i],
-    words[j]) == 1, in order, and raises its ``ZeroValueError`` at the first
-    such j where the value vanishes.  The rest of the row is the mirror
-    image once ``veronese.prove_det_sum`` passes at every oracle size, which
-    runs first: an oracle's dot at (x, y) is then det(C(x) - C(y)),
-    (-1)^size times its dot at (y, x), and every node reads it only through
-    s == 0 and s^2, so any tree's value is symmetric, a broken tree's too."""
+def positive_upper(rep: SignRep, rows: PairRows) -> Callable[[int], list[int]]:
+    """The exhaustive row form of ``eval_sign`` over the square grid
+    ``rows`` (every row holds every column, as ``domain_rows`` gives it),
+    upper triangle only: ``row(i)`` lists the j >= i with
+    eval_sign(rep, *rows.pair(i, j)) == 1, in order, and raises its
+    ``ZeroValueError`` at the first such j where the value vanishes.  The
+    rest of the row is the mirror image once ``veronese.prove_det_sum``
+    passes at every oracle size, which runs first: an oracle's dot at
+    (x, y) is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and
+    every node reads it only through s == 0 and s^2, so any tree's value is
+    symmetric, a broken tree's too."""
     nodes = [rep]
     while nodes:
         if isinstance(node := nodes.pop(), Combine):
             prove_det_sum(node.oracle.size)
             nodes += [node.rep0, node.rep1]
-    rows = domain_rows(words)
 
     def row(i: int) -> list[int]:
         got = value_row(rep, rows, i, i)
         if 0 in got:
-            raise _vanished(words[i], words[i + got.index(0)])
+            raise _vanished(*rows.pair(i, i + got.index(0)))
         return [j for j, value in enumerate(got, i) if value > 0]
 
     return row

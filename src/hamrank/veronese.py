@@ -5,7 +5,9 @@ Three constructions live here:
 * the determinant-of-sum expansion det(A + B) as a signed sum of paired
   complementary minors (Marcus, "Determinants of sums", 1990), realized as
   aligned left/right embedding vectors of length C(2k, k) whose dot product
-  is exactly det(A + B), with a finite proof of that identity per k;
+  is exactly det(A + B), with a finite proof of that identity per k, and
+  the right embedding of -A read off the left one of A by a signed
+  permutation, proved per k the same way;
 * a rational-coordinate embedding of binary strings into the plane such
   that squared distance 1 characterizes Hamming distance 1, built from
   Pythagorean-parametrized unit vectors and verified exhaustively;
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     NonSquareError,
@@ -153,6 +155,21 @@ def minor_embed(a: Mat, side: str) -> tuple[int, ...]:
     return tuple(map(minors.__getitem__, complement))
 
 
+def _rook_mats(k: int) -> dict[tuple[int, ...], Mat]:
+    """The 0/1 matrix of every partial rook placement of a k x k matrix: at
+    most k cells, no two in one row or column, keyed by the cells'
+    row-major indices in row order, so every sub-placement taken in order is
+    itself a key.  There are sum_s C(k, s) k!/(k - s)! of them (209 at
+    k = 4)."""
+    placements = [
+        tuple(i * k + j for i, j in zip(rows, cols))
+        for size in range(k + 1)
+        for rows in itertools.combinations(range(k), size)
+        for cols in itertools.permutations(range(k), size)
+    ]
+    return {p: Mat(k, k, tuple(int(t in p) for t in range(k * k))) for p in placements}
+
+
 @lru_cache(maxsize=None)
 def prove_det_sum(k: int) -> int:
     """Prove det(A + B) == <minor_embed(A, "left"), minor_embed(B, "right")>
@@ -166,28 +183,19 @@ def prove_det_sum(k: int) -> int:
     is multilinear, so its coefficient is the signed sum of the polynomial's
     values at the 0/1 points on its sub-placements.  Two such polynomials
     therefore agree everywhere iff they agree at every rook point: a partial
-    rook placement (at most k cells, no two in one row or column) with each
-    cell given to A or to B.  That is sum_s C(k, s) k!/(k - s)! 2^s points:
-    3, 17, 139 and 1,473 for k = 1, 2, 3, 4.  Each placement's 0/1 matrix is
-    embedded once (209 placements at k = 4).  The check runs the real
-    ``minor_embed`` and raises ``PatternViolationError`` naming k and the
-    point at the first mismatch.
+    rook placement (``_rook_mats``) with each cell given to A or to B.  That
+    is sum_s C(k, s) k!/(k - s)! 2^s points: 3, 17, 139 and 1,473 for
+    k = 1, 2, 3, 4.  Each placement's 0/1 matrix is embedded once.  The
+    check runs the real ``minor_embed`` and raises ``PatternViolationError``
+    naming k and the point at the first mismatch.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # a placement is its cells' row-major indices in row order, so every
-    # sub-placement taken in order is itself a key of ``mats``
-    placements = [
-        tuple(i * k + j for i, j in zip(rows, cols))
-        for size in range(k + 1)
-        for rows in itertools.combinations(range(k), size)
-        for cols in itertools.permutations(range(k), size)
-    ]
-    mats = {p: Mat(k, k, tuple(int(t in p) for t in range(k * k))) for p in placements}
+    mats = _rook_mats(k)
     lefts = {p: minor_embed(m, "left") for p, m in mats.items()}
     rights = {p: minor_embed(m, "right") for p, m in mats.items()}
     points = 0
-    for p in placements:
+    for p in mats:
         for size in range(len(p) + 1):
             for to_a in itertools.combinations(p, size):
                 to_b = tuple(t for t in p if t not in to_a)
@@ -201,6 +209,46 @@ def prove_det_sum(k: int) -> int:
                         f"B={b.to_lists()}: det(A + B) = {lhs}, embeddings give {rhs}"
                     )
     return points
+
+
+@lru_cache(maxsize=None)
+def negated_right(k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map minor_embed(A, "left") -> minor_embed(-A, "right") for every
+    k x k integer matrix A, proved once per k.
+
+    Right coordinate t of -A is det(-A)[co-alpha, co-beta], which is
+    (-1)^|co-alpha| det A[co-alpha, co-beta], and left coordinate t' of A,
+    at the term t' = (co-alpha, co-beta), is sign(t') det A[co-alpha,
+    co-beta].  So the map is a signed permutation: coordinate t is
+    (-1)^|co-alpha| sign(t') left[t'], read off ``_laplace_plan(k)``.  Each
+    coordinate of either side is a single signed minor of A, multilinear
+    with a rook placement per monomial, so the sides agree everywhere iff
+    they agree at every 0/1 rook placement (``_rook_mats``, as in
+    ``prove_det_sum``).  The map is checked there against the real
+    ``minor_embed`` when it is built; a mismatch raises
+    ``PatternViolationError`` naming k and the placement.
+    """
+    _, signs, own, complement = _laplace_plan(k)
+    term = {minor: t for t, minor in enumerate(own)}
+    # a minor that is no left coordinate (a broken plan) reads coordinate
+    # 0, and the check below refutes it
+    order = [term.get(minor, 0) for minor in complement]
+    factors = [
+        (-1) ** (k - len(t.alpha)) * signs[co]
+        for t, co in zip(det_sum_terms(k), order)
+    ]
+
+    def flip(left: Sequence[int]) -> tuple[int, ...]:
+        return tuple(map(mul, factors, map(left.__getitem__, order)))
+
+    for m in _rook_mats(k).values():
+        want, got = minor_embed(-m, "right"), flip(minor_embed(m, "left"))
+        if want != got:
+            raise PatternViolationError(
+                f"negated right embedding fails for k={k} at A={m.to_lists()}: "
+                f"minor_embed(-A, 'right') = {list(want)}, the map gives {list(got)}"
+            )
+    return flip
 
 
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:

@@ -140,12 +140,12 @@ def rng() -> random.Random:
 def _mutated_det_sum_terms(monkeypatch, mutate):
     """Serve ``mutate(terms)`` for every det-sum expansion.
 
-    The proof cache and the embedding plans, which read the terms, are
-    emptied on both sides, so the broken expansion is embedded and proved
-    afresh and no result outlives the patch.
+    The proof cache, the embedding plans and the proved negated-right maps,
+    which read the terms, are emptied on both sides, so the broken expansion
+    is embedded and proved afresh and no result outlives the patch.
     """
     real = veronese.det_sum_terms
-    caches = (veronese.prove_det_sum, veronese._laplace_plan)
+    caches = (veronese.prove_det_sum, veronese._laplace_plan, veronese.negated_right)
     for cached in caches:
         cached.cache_clear()
     monkeypatch.setattr(veronese, "det_sum_terms", lambda k: mutate(real(k)))

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from math import comb
@@ -19,6 +21,7 @@ from hamrank.hamming import (
     load_supp,
     near_indices,
     verify_support_rep,
+    word_embeddings,
     word_of_index,
 )
 from hamrank.parallel import sweep
@@ -224,11 +227,17 @@ class TestVerify:
             return minor_embed(m, side)
 
         monkeypatch.setattr("hamrank.hamming.minor_embed", counting)
-        # zeroed: every far pair is a violation, whose record recomputes a dot
+        # zeroed: every far pair is a violation, and each record reads a dot
+        # from the sweep's own vectors
         rep = zeroed(build_hd_supp(4, 2, seed=1))
-        assert verify_support_rep(rep).violation_count == 176
+        report = verify_support_rep(rep)
+        assert report.violation_count == 176
+        assert {v["dot"] for v in report.violations} == {"0"}
+        # one Laplace pass per word: v is a signed permutation of u
+        assert calls == {"left": 2**4}
+        # the grid is not kept in the rep's memo: a second sweep embeds anew
         verify_support_rep(rep)
-        assert calls == {"left": 2**4, "right": 2**4}
+        assert calls == {"left": 2 * 2**4}
 
 
 def hand_rep(n, k, alphabet, left, right) -> SupportRep:
@@ -240,6 +249,13 @@ def hand_rep(n, k, alphabet, left, right) -> SupportRep:
         verified=False,
     )
     return SupportRep.of_compressor(comp, alphabet, None)
+
+
+def random_rep(n, k, alphabet, seed) -> SupportRep:
+    """A hand-built rep with k x n factors of random entries in [-9, 9]."""
+    rng = random.Random(seed)
+    left, right = ([rng.randint(-9, 9) for _ in range(k * n)] for _ in range(2))
+    return hand_rep(n, k, alphabet, left, right)
 
 
 WIDE = 1 << 200
@@ -315,13 +331,90 @@ class TestPackedSweep:
 def test_near_indices_is_the_hamming_ball(alphabet, n):
     words = all_words(n, alphabet)
     for k in range(n + 2):
-        for i, x in enumerate(words):
-            near = near_indices(i, n, len(alphabet), k)
-            assert sorted(near) == [j for j, y in enumerate(words) if dist(x, y) < k]
-            if k == 0:
-                assert near == []
-            if k > n:
-                assert len(near) == len(words)
+        for lo in range(k + 2):  # lo >= k asks for no radius at all
+            for i, x in enumerate(words):
+                near = near_indices(i, n, len(alphabet), k, lo)
+                want = [j for j, y in enumerate(words) if lo <= dist(x, y) < k]
+                assert sorted(near) == want
+                if k == 0 or lo >= k:
+                    assert near == []
+                if k == 1 and lo == 0:
+                    assert near == [i]
+                if k > n and lo == 0:
+                    assert len(near) == len(words)
+
+
+class TestWordEmbeddings:
+    """The word grid from compressed halves against the definition."""
+
+    @staticmethod
+    def assert_definition(rep):
+        comp = rep.compressor
+        us, vs = word_embeddings(rep)
+        words = all_words(rep.n, rep.alphabet)
+        assert len(us) == len(vs) == len(words)
+        for x, u, v in zip(words, us, vs):
+            assert u == minor_embed(comp.apply_diag(x), "left")
+            assert v == minor_embed(-comp.apply_diag(x), "right")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_binary(self, n, k):
+        self.assert_definition(random_rep(n, k, (0, 1), seed=100 * n + k))
+
+    @pytest.mark.parametrize(
+        "n,k,alphabet", [(3, 2, (0, 1, 2)), (5, 2, (-1, 0, 3)), (7, 2, (0, 1))]
+    )
+    def test_other_alphabets_and_odd_n(self, n, k, alphabet):
+        self.assert_definition(random_rep(n, k, alphabet, seed=n))
+
+    def test_a_built_rep_and_its_memo(self):
+        rep = build_hd_supp(5, 2, seed=3)
+        self.assert_definition(rep)
+        us, vs = word_embeddings(rep)
+        for i, x in enumerate(all_words(5)):
+            assert (rep.u(x), rep.v(x)) == (us[i], vs[i])
+
+    def test_apply_diag_runs_once_per_half_word(self, monkeypatch):
+        calls = Counter()
+        real = Compressor.apply_diag
+
+        def counting(self, pattern):
+            calls[len(pattern)] += 1
+            return real(self, pattern)
+
+        monkeypatch.setattr(Compressor, "apply_diag", counting)
+        # 2^11 words split after position 5: 2^5 prefixes, 2^6 suffixes
+        rep = hand_rep(11, 1, (0, 1), range(1, 12), [1] * 11)
+        assert len(word_embeddings(rep)[0]) == 2**11
+        assert calls == {11: 2**5 + 2**6}
+
+
+def test_piece_rep_vectors_are_the_definition():
+    from hamrank.rankprob import _compress_problem, piece_support_rep
+
+    from .conftest import random_table_problem
+
+    p = random_table_problem()
+    for threshold in (1, 2, 3):
+        rep = piece_support_rep(p, threshold, seed=46 + threshold)
+        a_map = _compress_problem(p, threshold, 46 + threshold).a_map
+        for x in range(p.index_count):
+            assert rep.u(x) == minor_embed(a_map(x), "left")
+            assert rep.v(x) == minor_embed(-a_map(x), "right")
+
+
+def test_a_rep_dies_on_del_without_the_garbage_collector():
+    # a cycle through the memo closures would keep it until a gc pass
+    gc.disable()
+    try:
+        rep = build_hd_supp(4, 2, seed=1)
+        assert rep.dot((0, 0, 1, 1), (1, 1, 0, 0)) != 0
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestIdentityCertificate:

@@ -175,6 +175,61 @@ class TestDetSumProof:
             prove_det_sum(k)
 
 
+class TestNegatedRight:
+    @pytest.mark.parametrize("k", range(6))
+    def test_is_the_right_embedding_of_the_negation(self, k):
+        flip = veronese.negated_right(k)
+        rng = random.Random(k)
+        for bound in (1, 9, 1 << 70):
+            for _ in range(20):
+                a = random_mat(rng, k, k, bound)
+                assert flip(minor_embed(a, "left")) == minor_embed(-a, "right")
+
+    @pytest.mark.parametrize(
+        "k,placements", [(0, 1), (1, 2), (2, 7), (3, 34), (4, 209)]
+    )
+    def test_is_proved_at_every_rook_placement(self, monkeypatch, k, placements):
+        assert placements == sum(comb(k, s) * perm(k, s) for s in range(k + 1))
+        seen = []
+
+        def recording(a, side):
+            seen.append((a.entries, side))
+            return minor_embed(a, side)
+
+        veronese.negated_right.cache_clear()
+        monkeypatch.setattr(veronese, "minor_embed", recording)
+        try:
+            veronese.negated_right(k)
+        finally:
+            veronese.negated_right.cache_clear()
+        lefts = {a for a, side in seen if side == "left"}
+        rights = {tuple(-e for e in a) for a, side in seen if side == "right"}
+        assert len(seen) == 2 * placements
+        assert lefts == rights and len(lefts) == placements
+        assert all(set(a) <= {0, 1} for a in lefts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_right_side_off_the_permutation_is_caught(self, monkeypatch, k):
+        def off(a, side):
+            # the full right minor, det(-A), with the wrong sign
+            v = minor_embed(a, side)
+            return (-v[0], *v[1:]) if side == "right" else v
+
+        veronese.negated_right.cache_clear()
+        monkeypatch.setattr(veronese, "minor_embed", off)
+        try:
+            with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
+                veronese.negated_right(k)
+        finally:
+            veronese.negated_right.cache_clear()
+
+    def test_a_flipped_expansion_sign_cancels(self, flipped_det_sum_sign):
+        # the map reads the term signs that the left side applies
+        a = Mat(2, 2, (1, 2, 3, 4))
+        flip = veronese.negated_right(2)
+        assert flip(minor_embed(a, "left")) == minor_embed(-a, "right")
+
+
 class TestUnitDistanceEmbedding:
     def test_index_convention(self):
         points = hypercube_unit_embed(3, seed=0)
