@@ -27,6 +27,13 @@ built per member.  ``det_rows`` unpacks the same rows into the exact
 determinants (``parallel.packed_dots``), which build-sign reads as its
 oracles' values.
 
+Explicit families are difference families {B_x - B_y}: the all-pairs
+differences of a rank problem's maps, or a member list taken against a
+zero base.  The compressor is linear, so a check compresses each of the N
+bases once, not each of up to N(N+1)/2 members, and ranks member (x, y)
+as the difference of two compressed bases.  Member ranks are computed
+once per family and shared by every draw and every fit over it.
+
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
 """
@@ -39,8 +46,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import add
-from typing import Callable, Iterator, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -77,34 +84,65 @@ def nth_product(index: int, values: Sequence[Sequence]) -> tuple:
 class MatFamily:
     """A finite, deterministically enumerable set of a x b matrices.
 
-    Either an explicit tuple of members, or a diagonal product family
-    {Diag(z) : z in D_1 x ... x D_n} given by the sorted value sets D_p
-    (``diag_values``) and never materialized.  Diagonal members are numbered
-    in product order, last position fastest; the rank of Diag(z) is the
-    support size of z.
+    Either an explicit difference family or a diagonal product family.
+
+    A difference family holds base maps B_0, ..., B_(N-1) (``bases``) and,
+    for each distinct member in first-occurrence order, the first pair
+    (x, y) with B_x - B_y equal to it (``pairs``).  A compressor is linear,
+    L (B_x - B_y) R^T = L B_x R^T - L B_y R^T, so a check compresses each
+    base once and ranks one k x k difference per member.
+
+    A diagonal product family {Diag(z) : z in D_1 x ... x D_n} is given by
+    the sorted value sets D_p (``diag_values``) and never materialized.
+    Diagonal members are numbered in product order, last position fastest;
+    the rank of Diag(z) is the support size of z.
     """
 
     shape: tuple[int, int]
-    explicit: tuple[Mat, ...] | None = None
+    bases: tuple[Mat, ...] | None = None
+    pairs: tuple[tuple[int, int], ...] | None = None
     diag_values: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if (self.explicit is None) == (self.diag_values is None):
-            raise ValueError("exactly one of explicit/diag_values must be given")
+        if (self.bases is None) == (self.diag_values is None):
+            raise ValueError("exactly one of bases/diag_values must be given")
 
     @classmethod
     def from_members(cls, members: Sequence[Mat]) -> "MatFamily":
-        """The distinct members, in first-occurrence order."""
-        members = list(members)
+        """The distinct members, in first-occurrence order: each member is
+        a base, taken against one more base, the zero matrix."""
+        members = tuple(members)
         if not members:
             raise ValueError("family must be nonempty")
-        shape = members[0].shape
-        if any(m.shape != shape for m in members):
+        zero = len(members)
+        return cls._distinct(
+            (*members, Mat.zeros(*members[0].shape)), ((x, zero) for x in range(zero))
+        )
+
+    @classmethod
+    def differences(cls, bases: Sequence[Mat]) -> "MatFamily":
+        """The family {B_x - B_y : x <= y} of the bases' differences,
+        deduplicated in x-major order; x > y would only negate a member."""
+        bases = tuple(bases)
+        n = len(bases)
+        return cls._distinct(bases, ((x, y) for x in range(n) for y in range(x, n)))
+
+    @classmethod
+    def _distinct(
+        cls, bases: tuple[Mat, ...], pairs: Iterable[tuple[int, int]]
+    ) -> "MatFamily":
+        """The difference family of the first of ``pairs`` giving each
+        distinct B_x - B_y."""
+        if not bases:
+            raise ValueError("family must be nonempty")
+        shape = bases[0].shape
+        if any(b.shape != shape for b in bases):
             raise SizeMismatchError("family members must share one shape")
-        seen = {}
-        for m in members:
-            seen.setdefault(m.entries, m)
-        return cls(shape=shape, explicit=tuple(seen.values()))
+        first: dict[tuple[int, ...], tuple[int, int]] = {}
+        for x, y in pairs:
+            diff = tuple(map(sub, bases[x].entries, bases[y].entries))
+            first.setdefault(diff, (x, y))
+        return cls(shape=shape, bases=bases, pairs=tuple(first.values()))
 
     @classmethod
     def diagonal_differences(cls, n: int, alphabet: Sequence[int]) -> "MatFamily":
@@ -138,18 +176,24 @@ class MatFamily:
 
     @property
     def size(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
+        if self.pairs is not None:
+            return len(self.pairs)
         return math.prod(len(v) for v in self.diag_values)
 
     @property
     def is_diagonal(self) -> bool:
         return self.diag_values is not None
 
+    def member(self, index: int) -> Mat:
+        """The difference family's member ``index``, B_x - B_y."""
+        x, y = self.pairs[index]
+        return self.bases[x] - self.bases[y]
+
     @cached_property
     def member_ranks(self) -> tuple[int, ...]:
-        """Rank of every explicit member, in enumeration order."""
-        return tuple(rank_exact(m) for m in self.explicit)
+        """Rank of every member of a difference family, in index order;
+        computed once per family, however many draws check it."""
+        return tuple(rank_exact(self.member(i)) for i in range(self.size))
 
 
 # -------------------------------------------------------------------
@@ -447,17 +491,18 @@ def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int,
     if family.is_diagonal:
         yield from _diagonal_shortfalls(comp, family.diag_values)
         return
-    for index, (m, rank) in enumerate(zip(family.explicit, family.member_ranks)):
+    compressed = [comp.apply(base) for base in family.bases]
+    for index, ((x, y), rank) in enumerate(zip(family.pairs, family.member_ranks)):
         required = min(rank, comp.left.rows)
-        achieved = rank_exact(comp.apply(m))
+        achieved = rank_exact(compressed[x] - compressed[y])
         if achieved != required:
             yield index, achieved, required
 
 
 def _violation(family: MatFamily, index: int, achieved: int, required: int) -> dict:
     record = {"index": index, "achieved": achieved, "required": required}
-    if family.explicit is not None:
-        record["entries"] = [str(e) for e in family.explicit[index].entries]
+    if family.pairs is not None:
+        record["entries"] = [str(e) for e in family.member(index).entries]
     else:
         record["pattern"] = list(nth_product(index, family.diag_values))
     return record

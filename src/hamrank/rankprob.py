@@ -12,15 +12,19 @@ function, and closes problems under distance-r composition using capped
 rank sums and multiset fingerprint decoding.
 
 Every resize of a problem's maps, for combination, sign pieces or
-composition, goes through ``_compress_problem``.  Construction is
-deterministic per seed; every fitted compressor inside a construction
-carries its own exhaustive family verification.
+composition, goes through ``_compress_problem``, which fits over the
+problem's difference family {A(x) - A(y) : x <= y}
+(``RankProblem.differences``), built with its member ranks once per
+problem: the sign pieces of one problem, and the thresholds of one capped
+sum, share it.  Construction is deterministic per seed; every fitted
+compressor inside a construction carries its own exhaustive family
+verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from math import prod
 from typing import Callable, Mapping, Sequence
 
@@ -83,6 +87,13 @@ class RankProblem:
     def eval(self, x: int, y: int) -> int:
         return self.g[min(self.rank_fn(x, y), self.order)]
 
+    @cached_property
+    def differences(self) -> MatFamily:
+        """{A(x) - A(y) : x <= y} as a difference family over the maps
+        A(0), ..., A(index_count - 1), built once per problem, so every fit
+        over it shares one family and one set of member ranks."""
+        return MatFamily.differences(map(self.a_map, range(self.index_count)))
+
 
 def symmetric_problem(
     index_count: int, a_map: Callable[[int], Mat], g: Sequence[int], name: str = ""
@@ -121,13 +132,14 @@ def _hamming_problem(
     min(dist, k) for every pair; g is the threshold step at k.
     """
     comp = fit_compressor(MatFamily.diagonal_differences_multi(alphabets), k, seed)
+    word = cache(lambda i: nth_product(i, alphabets))
 
     def a_map(i: int) -> Mat:
-        return comp.apply_diag(nth_product(i, alphabets))
+        return comp.apply_diag(word(i))
 
     def rank_fn(x: int, y: int) -> int:
         # certified by the compressor's exhaustive family verification
-        return min(dist(nth_product(x, alphabets), nth_product(y, alphabets)), k)
+        return min(dist(word(x), word(y)), k)
 
     count = prod(len(alpha) for alpha in alphabets)
     return RankProblem(count, cache(a_map), _step(k), rank_fn, name)
@@ -159,19 +171,19 @@ def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
 
     Maps already size x size are kept (ranks are at most size); size 0
     gives 0 x 0 maps of rank 0.  Otherwise a compressor is fitted over
-    {A(x) - A(y) : x <= y}, x-major: L (A(x) - A(y)) R^T is the difference
-    of the compressed maps, of rank min(rank(A(x) - A(y)), size), which the
-    fit checked on every member; the compressor is linear, so x > y
-    negates a member.
+    ``p.differences``, {A(x) - A(y) : x <= y}, the one difference family of
+    ``p`` that every resize of it shares: L (A(x) - A(y)) R^T is the
+    difference of the compressed maps, of rank min(rank(A(x) - A(y)),
+    size), which the fit checked on every member; the compressor is
+    linear, so x > y negates a member.
     """
     if p.a_map(0).shape == (size, size):
         return p
     if size == 0:
         return _block_problem([], p.index_count, p.g, f"norm({p.name})")
-    mats = [p.a_map(x) for x in range(p.index_count)]
-    diffs = [ax - ay for x, ax in enumerate(mats) for ay in mats[x:]]
-    comp = fit_compressor(MatFamily.from_members(diffs), size, seed)
-    a_map = cache(lambda x: comp.apply(mats[x]))
+    family = p.differences
+    comp = fit_compressor(family, size, seed)
+    a_map = cache(lambda x: comp.apply(family.bases[x]))
     rank_fn = cache(lambda x, y: min(p.rank_fn(x, y), size))
     return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
 

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: the
 determinant oracle is cofactor expansion, the rank oracle enumerates
 minors, the expansion-sign oracle counts permutation inversions, and the
-support-rep sweep oracle checks one dot product per ordered pair.
+support-rep sweep oracle checks one dot product per ordered pair, and the
+compressor references check each member of a family by its own two-sided
+product and Bareiss rank, where the family check compresses bases.
 Expected values asserted in tests come from these, not from the code
 under test.
 """
@@ -18,7 +20,7 @@ from operator import mul
 import pytest
 
 from hamrank import veronese
-from hamrank.exact import Mat
+from hamrank.exact import Mat, rank_exact
 
 
 def det_cofactor(m: Mat) -> int:
@@ -121,6 +123,45 @@ def random_mat(rng: random.Random, rows: int, cols: int, bound: int = 9) -> Mat:
     return Mat(
         rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols))
     )
+
+
+def distinct_differences(bases) -> list[Mat]:
+    """{B_x - B_y : x <= y} by definition: every difference built as a
+    matrix, x-major, the first of equal ones kept."""
+    seen = {}
+    for x, bx in enumerate(bases):
+        for by in bases[x:]:
+            diff = bx - by
+            seen.setdefault(diff.entries, diff)
+    return list(seen.values())
+
+
+def reference_shortfalls(comp, members):
+    """(index, achieved, required) of each member the compressor fails, by
+    definition: one two-sided product and one rank per member."""
+    for index, m in enumerate(members):
+        required = min(rank_exact(m), comp.left.rows)
+        achieved = rank_exact(comp.apply(m))
+        if achieved != required:
+            yield index, achieved, required
+
+
+def reference_fit(members, size, seed):
+    """(left, right, retries, entry_range) of the draw ``fit_compressor``
+    keeps, each draw checked member by member; None if every draw fails."""
+    from hamrank import compression
+
+    a, b = members[0].shape
+    rng = random.Random(seed)
+    span = compression.ENTRY_RANGE
+    for attempt in range(compression.FIT_DRAWS):
+        left = Mat(size, a, tuple(rng.randint(-span, span) for _ in range(size * a)))
+        right = Mat(size, b, tuple(rng.randint(-span, span) for _ in range(size * b)))
+        comp = compression.Compressor(left, right, seed, verified=False)
+        if next(reference_shortfalls(comp, members), None) is None:
+            return left, right, attempt, span
+        span *= 2
+    return None
 
 
 def random_table_problem():

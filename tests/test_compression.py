@@ -23,7 +23,12 @@ from hamrank.errors import (
 )
 from hamrank.exact import Mat, det_exact, rank_exact
 
-from .conftest import random_mat
+from .conftest import (
+    distinct_differences,
+    random_mat,
+    reference_fit,
+    reference_shortfalls,
+)
 
 
 def support(z):
@@ -175,9 +180,9 @@ class TestVerify:
                 "index": i,
                 "achieved": 0,
                 "required": min(rank, 2),
-                "entries": [str(e) for e in m.entries],
+                "entries": [str(e) for e in fam.member(i).entries],
             }
-            for i, (m, rank) in enumerate(zip(fam.explicit, fam.member_ranks))
+            for i, rank in enumerate(fam.member_ranks)
             if rank > 0
         ]
         assert report.pairs_checked == fam.size
@@ -203,6 +208,113 @@ class TestVerify:
         )
         for m in fam_mats:
             assert rank_exact(comp.apply(m)) <= min(rank_exact(m), 2, 2)
+
+
+def difference_tables(rng):
+    """(name, bases): random integer tables, a rank-2 table of 4 x 4
+    products, and tables with repeated and zero bases."""
+    square = [random_mat(rng, 3, 3, bound=2) for _ in range(6)]
+    low = [
+        random_mat(rng, 4, 2, bound=2).mul(random_mat(rng, 2, 4, bound=2))
+        for _ in range(7)
+    ]
+    return [
+        ("random-3x3", [random_mat(rng, 3, 3, bound=1) for _ in range(9)]),
+        ("random-4x4", [random_mat(rng, 4, 4, bound=3) for _ in range(6)]),
+        ("rectangular", [random_mat(rng, 3, 4, bound=2) for _ in range(6)]),
+        ("rank-2", low),
+        ("repeats", square + square[:3] + [Mat.zeros(3, 3)] * 2),
+    ]
+
+
+def deficient_compressors(rng, a, b, k):
+    """A random compressor, one whose L repeats its first row, one whose R
+    has a zero first column, and the zero-left map, all onto k x k."""
+    left, right = random_mat(rng, k, a, bound=3), random_mat(rng, k, b, bound=3)
+    repeated = Mat(k, a, left.entries[:a] * 2 + left.entries[2 * a :])
+    zero_col = Mat(k, b, tuple(e * bool(j % b) for j, e in enumerate(right.entries)))
+    factors = [(left, right), (repeated, right), (left, zero_col), (Mat.zeros(k, a), right)]
+    return [Compressor(lf, rf, seed=0, verified=False) for lf, rf in factors]
+
+
+def reference_records(comp, members):
+    return [
+        {
+            "index": i,
+            "achieved": got,
+            "required": want,
+            "entries": [str(e) for e in members[i].entries],
+        }
+        for i, got, want in reference_shortfalls(comp, members)
+    ]
+
+
+class TestDifferenceFamily:
+    """The difference family compresses each base once and ranks member
+    (x, y) as C(B_x) - C(B_y); a member-by-member check is the reference."""
+
+    @pytest.mark.parametrize("build", ["differences", "from_members"])
+    def test_shortfalls_and_records_are_the_per_member_check(self, build):
+        rng = random.Random(build)
+        failing = 0
+        for name, bases in difference_tables(rng):
+            if build == "differences":
+                fam, members = MatFamily.differences(bases), distinct_differences(bases)
+            else:
+                fam = MatFamily.from_members(bases)
+                members = list({m.entries: m for m in bases}.values())
+            assert fam.size == len(members)
+            assert [fam.member(i) for i in range(fam.size)] == members
+            assert fam.member_ranks == tuple(map(rank_exact, members))
+            a, b = fam.shape
+            for comp in deficient_compressors(rng, a, b, 2):
+                want = list(reference_shortfalls(comp, members))
+                assert list(compression._shortfalls(comp, fam)) == want, name
+                report = verify_compressor(comp, fam)
+                assert (report.pairs_checked, report.violation_count) == (
+                    fam.size,
+                    len(want),
+                )
+                assert list(report.violations) == reference_records(comp, members)[:32]
+                failing += bool(want)
+        # the repeated row and the zero left fail every table's rank-2 members
+        assert failing >= 10
+
+    def test_fit_keeps_the_per_member_draw(self, monkeypatch):
+        # entries from [-1, 1] first: early draws fail, and the range doubles
+        monkeypatch.setattr(compression, "ENTRY_RANGE", 1)
+        rng = random.Random(5)
+        retried = 0
+        for name, bases in difference_tables(rng):
+            fam, members = MatFamily.differences(bases), distinct_differences(bases)
+            for size in (1, 2):
+                for seed in range(4):
+                    want = reference_fit(members, size, seed)
+                    comp = fit_compressor(fam, size, seed)
+                    got = (comp.left, comp.right, comp.retries, comp.entry_range)
+                    assert got == want, (name, size, seed)
+                    retried += comp.retries > 0
+        assert retried >= 5
+
+    def test_a_draw_applies_the_compressor_once_per_base(self, monkeypatch):
+        rng = random.Random(8)
+        bases = [random_mat(rng, 3, 3, bound=2) for _ in range(9)]
+        fam = MatFamily.differences(bases)
+        # 36 distinct differences of x < y and the one zero member of x = y
+        assert fam.size == 9 * 8 // 2 + 1
+        applied = []
+        apply = Compressor.apply
+        monkeypatch.setattr(
+            Compressor, "apply", lambda comp, m: applied.append(m) or apply(comp, m)
+        )
+        comp = fit_compressor(fam, 2, seed=3)
+        assert comp.retries == 0 and len(applied) <= len(bases)
+        applied.clear()
+        # the zero map fails every draw
+        monkeypatch.setattr(compression, "ENTRY_RANGE", 0)
+        with pytest.raises(RetriesExhaustedError):
+            fit_compressor(fam, 2, seed=3)
+        assert len(applied) <= compression.FIT_DRAWS * len(bases)
 
 
 class TestCertified:

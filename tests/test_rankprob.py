@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
+from functools import cached_property
 from math import comb, prod
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamrank import rankprob
+from hamrank import compression, rankprob
 from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
@@ -44,7 +45,13 @@ from hamrank.signcompile import (
     threshold_tree,
 )
 
-from .conftest import hamming, random_mat, random_table_problem
+from .conftest import (
+    distinct_differences,
+    hamming,
+    random_mat,
+    random_table_problem,
+    reference_fit,
+)
 
 
 def neq_inner() -> RankProblem:
@@ -212,6 +219,19 @@ class TestHdRankProblem:
             for y in range(8):
                 assert p.eval(x, y) == (1 if x == y else 0)
 
+    def test_each_index_is_decoded_once(self, monkeypatch):
+        decoded = []
+        nth_product = rankprob.nth_product
+        monkeypatch.setattr(
+            rankprob, "nth_product", lambda i, v: decoded.append(i) or nth_product(i, v)
+        )
+        p = hd_rank_problem(3, 2, seed=8)
+        for x in range(8):
+            p.a_map(x)
+            for y in range(8):
+                p.eval(x, y)
+        assert sorted(decoded) == list(range(8))
+
 
 class TestBoolCombine:
     def test_identity_gamma_reproduces_component(self):
@@ -288,6 +308,75 @@ class TestBoolCombine:
         four, eight = hd_rank_problem(2, 1, seed=7), hd_rank_problem(3, 1, seed=7)
         with pytest.raises(InputError, match="different index counts"):
             bool_combine(lambda bits: bits[0] | bits[1], [four, eight])
+
+
+def reference_maps(mats, size, seed):
+    """The compressed maps by definition: zero padding when the maps fit
+    in size x size, else the draw that a member-by-member check of the
+    distinct differences keeps, applied to each map."""
+    a, b = mats[0].shape
+    if size >= max(a, b):
+        cells = [(i, j) for i in range(size) for j in range(size)]
+        return [
+            Mat(size, size, tuple(m.at(i, j) if i < a and j < b else 0 for i, j in cells))
+            for m in mats
+        ]
+    left, right, _, _ = reference_fit(distinct_differences(mats), size, seed)
+    return [left.mul(m).mul(right.transpose()) for m in mats]
+
+
+SMALL = ([[1, 0], [0, 1]], [[2, 1], [1, 0]], [[0, 0], [1, 1]])
+EDGE_TABLES = {
+    # (maps, target size, distinct differences): equal maps leave only the
+    # zero difference
+    "one-index": ([Mat.from_rows([[1, 2, 0], [0, 1, 3], [2, 0, 1]])], 2, 1),
+    "all-equal": ([Mat.from_rows([[1, -1, 2], [0, 2, 1], [3, 1, 0]])] * 5, 1, 1),
+    "all-zero": ([Mat.zeros(3, 3)] * 5, 2, 1),
+    "smaller-than-target": ([Mat.from_rows(rows) for rows in SMALL], 3, 4),
+}
+
+
+class TestCompressProblem:
+    @pytest.mark.parametrize("name", EDGE_TABLES)
+    def test_edge_tables_keep_the_per_member_maps(self, name):
+        mats, size, members = EDGE_TABLES[name]
+        p = symmetric_problem(len(mats), mats.__getitem__, (0, 1), name=name)
+        q = rankprob._compress_problem(p, size, seed=9)
+        compressed = [q.a_map(x) for x in range(len(mats))]
+        assert compressed == reference_maps(mats, size, seed=9)
+        assert all(m.shape == (size, size) for m in compressed)
+        for x, y in itertools.product(range(len(mats)), repeat=2):
+            dense = rank_exact(compressed[x] - compressed[y])
+            assert q.rank_fn(x, y) == min(p.rank_fn(x, y), size) == dense
+        assert p.differences.size == members
+
+    def test_compose_ranks_each_family_once_for_all_its_fits(self, monkeypatch):
+        spec = example_cc_hd(1, 2, 2, 3, seed=31)
+        ranked, fits = [], []
+        member_ranks = compression.MatFamily.member_ranks
+
+        def count_ranks(family):
+            ranked.append(family)
+            return member_ranks.func(family)
+
+        counted = cached_property(count_ranks)
+        counted.__set_name__(compression.MatFamily, "member_ranks")
+        monkeypatch.setattr(compression.MatFamily, "member_ranks", counted)
+        fit = rankprob.fit_compressor
+
+        def record_fit(family, size, seed):
+            if not family.is_diagonal:
+                fits.append((family, size))
+            return fit(family, size, seed)
+
+        monkeypatch.setattr(rankprob, "fit_compressor", record_fit)
+        distance_r_compose(spec, seed=32)
+        assert len({id(f) for f in ranked}) == len(ranked)
+        sizes = {id(f): [s for g, s in fits if g is f] for f in ranked}
+        assert {id(f) for f, _ in fits} == sizes.keys()
+        # the inner at cap 1 (one family for the three coordinates), each
+        # capped sum's block assembly, and each capped sum at its thresholds
+        assert sorted(sizes.values()) == [[1], [1, 1, 1], [1, 2, 3], [2], [4]]
 
 
 def tree_dim(tree) -> int:
