@@ -43,6 +43,7 @@ from .signcompile import (
     build_hd_sign,
     choose_gamma,
     compile_tree,
+    domain_rows,
     eval_sign,
     eval_value,
     materialize,

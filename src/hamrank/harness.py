@@ -50,6 +50,7 @@ from .signcompile import (
     eval_sign,
     gamma_values,
     hd_sign_dim,
+    oracles,
     positive_upper,
     proof_dim_bound,
     sign_from_json,
@@ -365,17 +366,13 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
     if not isinstance(rep, Combine):
         raise InputError("sign document has no oracle to take the alphabet from")
     n, alphabet = meta["n"], rep.oracle.alphabet
-    nodes = [rep]
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, Combine):
-            if node.oracle.n != n or node.oracle.alphabet != alphabet:
-                raise InputError(
-                    f"an oracle on words of length {node.oracle.n} over "
-                    f"{list(node.oracle.alphabet)} does not fit meta n = {n} "
-                    f"and the root alphabet {list(alphabet)}"
-                )
-            nodes += [node.rep0, node.rep1]
+    for oracle in oracles(rep):
+        if oracle.n != n or oracle.alphabet != alphabet:
+            raise InputError(
+                f"an oracle on words of length {oracle.n} over "
+                f"{list(oracle.alphabet)} does not fit meta n = {n} "
+                f"and the root alphabet {list(alphabet)}"
+            )
     return rep, n, meta["k"]
 
 

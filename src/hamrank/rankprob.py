@@ -15,10 +15,10 @@ Every resize of a problem's maps, for combination, sign pieces or
 composition, goes through ``_compress_problem``, which fits over the
 problem's difference family {A(x) - A(y) : x <= y}
 (``RankProblem.differences``), built with its member ranks once per
-problem: the sign pieces of one problem, and the thresholds of one capped
-sum, share it.  Construction is deterministic per seed; every fitted
-compressor inside a construction carries its own exhaustive family
-verification.
+problem.  The sign pieces of one problem and the thresholds of one capped
+sum share it, and ``to_sign_rep`` compiles on one pair per member, against
+g of its rank.  Construction is deterministic per seed; every fitted
+compressor carries its own exhaustive family verification.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import SignRep, compile_tree, threshold_tree
+from .signcompile import SignRep, compile_tree, domain_rows, threshold_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -299,13 +299,22 @@ def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:
     ``threshold_tree`` asks rank >= t at the change points of g through
     ``piece_support_rep``, the least dimension of any threshold tree.  More
     than COMPOSE_PAIR_BUDGET index pairs are refused before any all-pairs
-    piece is fitted; the sign is checked against ``p.eval`` on every pair.
+    piece is fitted.  The sign is checked against g(rank), from the member
+    ranks of ``p.differences``, on each member's first pair (x, y): once the
+    det-sum identity is proved, a piece's dot is det(C(B_x - B_y)), C
+    linear, and nodes read it only through s == 0 and s^2, so all pairs of
+    a member, (y, x) too, take its values.
     """
     check_pairs(p.index_count**2, COMPOSE_PAIR_BUDGET)
     tree = threshold_tree(
         p.g, lambda t: piece_support_rep(p, t, seed_stream(seed, "piece", t))
     )
-    return compile_tree(tree, range(p.index_count), p.eval)
+    cols: list[list[int]] = [[] for _ in range(p.index_count)]
+    for x, y in p.differences.pairs:
+        cols[x].append(y)
+    rank = dict(zip(p.differences.pairs, p.differences.member_ranks))
+    rows = replace(domain_rows(range(p.index_count)), cols=cols)
+    return compile_tree(tree, rows, lambda x, y: p.g[min(rank[x, y], p.order)])
 
 
 # -------------------------------------------------------------------

@@ -16,15 +16,15 @@ value0 dictates the sign.  Dimensions follow the exact recursion
 
 which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
 (1 + r^2)^depth bound of a compiled rep, and both numbers are reported.
-Every compile is checked against ground truth that the caller gives, on
-every ordered pair of the domain or on pairs that stand for them all
-(``build_hd_sign`` uses one pair per difference class), as ``PairRows``,
-whose oracle dots come a row at a time (exhaustive verify-sign embeds each
-oracle's word grid once, by ``hamming.word_embeddings``); one column
-recursion, ``value_row``, serves the gamma scan, the check and
-verify-sign.  A tree over some other index domain needs no translation
-layer here: a ``SupportRep`` built on maps from indices to matrices
-already answers at indices.
+Every compile runs on ``PairRows``, pairs that its caller says stand for
+the whole domain: every ordered pair (``domain_rows``), one per difference
+class of words (``build_hd_sign``) or one per distinct member of a rank
+problem's difference family (``rankprob.to_sign_rep``), once
+``veronese.prove_det_sum`` has passed at every oracle size.  Oracle dots
+come a row at a time, and one column recursion, ``value_row``, serves the
+gamma scan, the check against the caller's ground truth and verify-sign.
+A ``SupportRep`` built on maps from indices to matrices already answers at
+indices, so other index domains need no translation layer.
 """
 
 from __future__ import annotations
@@ -124,11 +124,12 @@ def _vanished(x, y) -> ZeroValueError:
 
 @dataclass(frozen=True)
 class PairRows:
-    """The ordered pairs a compile checks, as rows of ``width`` columns:
-    ``cols[i]`` lists the columns of row i that stand for pairs, in pair
-    order, ``pair(i, j)`` names the pair (x, y) of one, and
-    ``dots(oracle)(i, lo=0)`` lists the oracle's exact dots at columns lo,
-    lo + 1, ... of row i (``dots`` builds each oracle's row function once)."""
+    """The ordered pairs a compile scans and checks, standing for every pair
+    of its domain, as rows of ``width`` columns: ``cols[i]`` lists the
+    columns of row i that stand for pairs, in pair order, ``pair(i, j)``
+    names the pair (x, y) of one, and ``dots(oracle)(i, lo=0)`` lists the
+    oracle's exact dots at columns lo, lo + 1, ... of row i (``dots``
+    builds each oracle's row function once)."""
 
     cols: Sequence[Sequence[int]]
     width: int
@@ -170,22 +171,30 @@ def value_row(rep: SignRep, rows: PairRows, i: int, lo: int = 0) -> list[int]:
     ]
 
 
+def oracles(tree: OracleTree | SignRep) -> list[SupportRep]:
+    """Every oracle of a tree or compiled rep: root, answer-0 branch, then 1."""
+    if isinstance(tree, ConstLeaf):
+        return []
+    if isinstance(tree, Node):
+        return [tree.oracle, *oracles(tree.child0), *oracles(tree.child1)]
+    return [tree.oracle, *oracles(tree.rep1), *oracles(tree.rep0)]
+
+
+def _prove_det_sums(tree: OracleTree | SignRep) -> None:
+    for size in sorted({oracle.size for oracle in oracles(tree)}):
+        prove_det_sum(size)
+
+
 def positive_upper(rep: SignRep, rows: PairRows) -> Callable[[int], list[int]]:
     """The exhaustive row form of ``eval_sign`` over the square grid
-    ``rows`` (every row holds every column, as ``domain_rows`` gives it),
-    upper triangle only: ``row(i)`` lists the j >= i with
-    eval_sign(rep, *rows.pair(i, j)) == 1, in order, and raises its
-    ``ZeroValueError`` at the first such j where the value vanishes.  The
-    rest of the row is the mirror image once ``veronese.prove_det_sum``
-    passes at every oracle size, which runs first: an oracle's dot at
-    (x, y) is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and
-    every node reads it only through s == 0 and s^2, so any tree's value is
-    symmetric, a broken tree's too."""
-    nodes = [rep]
-    while nodes:
-        if isinstance(node := nodes.pop(), Combine):
-            prove_det_sum(node.oracle.size)
-            nodes += [node.rep0, node.rep1]
+    ``rows`` of ``domain_rows``, upper triangle only: ``row(i)`` lists the
+    j >= i with eval_sign(rep, *rows.pair(i, j)) == 1, in order, and raises
+    its ``ZeroValueError`` at the first such j where the value vanishes.
+    The rest of the row is the mirror image once ``_prove_det_sums`` passes,
+    which runs first: an oracle's dot at (x, y) is then det(C(x) - C(y)),
+    (-1)^size times its dot at (y, x), and nodes read it only through s == 0
+    and s^2, so any tree's value is symmetric, a broken tree's too."""
+    _prove_det_sums(rep)
 
     def row(i: int) -> list[int]:
         got = value_row(rep, rows, i, i)
@@ -206,15 +215,13 @@ def gamma_values(rep: SignRep) -> list[int]:
 def proof_dim_bound(rep: SignRep) -> int:
     """The (1 + r^2)^depth bound, r the largest oracle dimension queried."""
 
-    def depth_and_r(node: SignRep) -> tuple[int, int]:
+    def depth(node: SignRep) -> int:
         if isinstance(node, ConstLeaf):
-            return 0, 0
-        d0, r0 = depth_and_r(node.rep0)
-        d1, r1 = depth_and_r(node.rep1)
-        return 1 + max(d0, d1), max(node.oracle.dim, r0, r1)
+            return 0
+        return 1 + max(depth(node.rep0), depth(node.rep1))
 
-    depth, r = depth_and_r(rep)
-    return (1 + r * r) ** depth
+    r = max((oracle.dim for oracle in oracles(rep)), default=0)
+    return (1 + r * r) ** depth(rep)
 
 
 # -------------------------------------------------------------------
@@ -231,12 +238,10 @@ def choose_gamma(
     1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
     gamma * s^2 * |value0| >= s^2 |value0| + |value1| > |value1| pointwise,
     so dominance is strict while pairs off the support are untouched.  The
-    pairs must take every value triple (s^2, value0, value1) that the
-    domain's pairs take, as all pairs (``domain_rows``) or one per
-    difference class (``build_hd_sign``) do.
-
-    Returns 1 when the oracle's support over the pairs is empty (dominance
-    is vacuous there).
+    rows must take every value triple (s^2, value0, value1) that the
+    domain's pairs take, as the rows of ``compile_tree``'s callers do.  It
+    returns 1 when the oracle's support on the rows is empty (dominance is
+    vacuous there).
     """
     best = 0
     for i, cols in enumerate(rows.cols):
@@ -255,23 +260,21 @@ def choose_gamma(
     return 1 + best
 
 
-def _dot_bound(oracle: SupportRep, domain) -> int:
-    # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|): two
-    # single-input sweeps, never a pair scan.
-    usum = max(sum(abs(c) for c in oracle.u(x)) for x in domain)
-    vmax = max(max(abs(c) for c in oracle.v(y)) for y in domain)
+def _dot_bound(oracle: SupportRep) -> int:
+    # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|) over the
+    # oracle's words: two single-input sweeps, never a pair scan.
+    words = list(itertools.product(oracle.alphabet, repeat=oracle.n))
+    usum = max(sum(abs(c) for c in oracle.u(x)) for x in words)
+    vmax = max(max(abs(c) for c in oracle.v(y)) for y in words)
     return usum * vmax
 
 
-def _value_bound(rep: SignRep, domain) -> int:
-    """A certified upper bound on |value| over the domain."""
+def _value_bound(rep: SignRep) -> int:
+    """A certified upper bound on |value| over the oracles' words."""
     if isinstance(rep, ConstLeaf):
         return 1
-    s_bound = _dot_bound(rep.oracle, domain)
-    return (
-        _value_bound(rep.rep1, domain)
-        + rep.gamma * s_bound * s_bound * _value_bound(rep.rep0, domain)
-    )
+    s_squared = _dot_bound(rep.oracle) ** 2
+    return _value_bound(rep.rep1) + rep.gamma * s_squared * _value_bound(rep.rep0)
 
 
 # -------------------------------------------------------------------
@@ -298,33 +301,27 @@ def threshold_tree(g: Sequence[int], oracle: Callable[[int], SupportRep]) -> Ora
 
 
 def compile_tree(
-    tree: OracleTree,
-    domain: Sequence,
-    truth: Callable,
-    gamma_mode: str = "exact_scan",
-    rows: PairRows | None = None,
+    tree: OracleTree, rows: PairRows, truth: Callable, gamma_mode: str = "exact_scan"
 ) -> SignRep:
-    """Compile a tree of support reps into a verified structured sign
-    representation.
+    """Compile a tree of support reps into a verified structured sign rep.
 
-    Bottom-up: sign leaves stay as they are; each inner node combines its
-    compiled children.  The branch taken when the oracle answers 1 rides the
+    ``_prove_det_sums`` runs first.  Then, bottom-up, each inner node
+    combines its compiled children: the branch for answer 1 rides the
     squared-oracle term (the oracle value is nonzero exactly there), the
     branch for answer 0 stands alone (the term vanishes exactly there).
     Gammas come from ``choose_gamma`` (exact_scan), or from a bound on
-    |value1| over ``domain`` (norm_bound, ``_value_bound``), as
-    s^2 |value0| >= 1 on the support; it is >= the scanned gamma.
+    |value1| over the words of compressor-backed oracles (norm_bound,
+    ``_value_bound``), as s^2 |value0| >= 1 on the support.
 
-    The compiled sign is then checked against ``truth(x, y)``, the 0/1 entry
-    the sign must encode, which the caller knows independently of the
-    oracles.  The gamma scan and the check visit ``rows``, every ordered
-    pair of ``domain`` unless given: the caller vouches that every node
-    value and the truth take the same values on them as on all domain
-    pairs.  Any disagreement raises ``PatternViolationError`` naming the
-    first failing pair in pair order.
+    The sign is then checked against ``truth(x, y)``, the 0/1 entry it must
+    encode, which the caller knows independently of the oracles.  The scan
+    and the check visit ``rows`` only: the caller vouches that every node
+    value and the truth take the same values there as on every pair of the
+    domain.  A disagreement raises ``PatternViolationError`` naming the
+    first failing pair in row order.
     """
-    rows = rows or domain_rows(domain)
-    rep = _compile(tree, domain, gamma_mode, rows)
+    _prove_det_sums(tree)
+    rep = _compile(tree, rows, gamma_mode)
     for i, cols in enumerate(rows.cols):
         values = value_row(rep, rows, i) if cols else ()
         for j in cols:
@@ -341,15 +338,17 @@ def compile_tree(
     return rep
 
 
-def _compile(tree: OracleTree, domain, gamma_mode: str, rows: PairRows) -> SignRep:
+def _compile(tree: OracleTree, rows: PairRows, gamma_mode: str) -> SignRep:
     if isinstance(tree, ConstLeaf):
         return tree
-    rep0 = _compile(tree.child1, domain, gamma_mode, rows)
-    rep1 = _compile(tree.child0, domain, gamma_mode, rows)
+    rep0 = _compile(tree.child1, rows, gamma_mode)
+    rep1 = _compile(tree.child0, rows, gamma_mode)
     if gamma_mode == "exact_scan":
         gamma = choose_gamma(tree.oracle, rep0, rep1, rows)
+    elif gamma_mode == "norm_bound" and tree.oracle.compressor is not None:
+        gamma = 1 + _value_bound(rep1)
     elif gamma_mode == "norm_bound":
-        gamma = 1 + _value_bound(rep1, domain)
+        raise ValueError("gamma mode 'norm_bound' needs compressor-backed oracles")
     else:
         raise ValueError(f"unknown gamma mode {gamma_mode!r}")
     return Combine(oracle=tree.oracle, rep0=rep0, rep1=rep1, gamma=gamma)
@@ -427,30 +426,24 @@ def build_hd_sign(
     named substreams.
 
     The exact_scan gammas and the check against the definition
-    dist(x, y) == k run over one pair per difference class {z, -z},
-    z = x - y, which stand for all |alphabet|^(2n) ordered pairs;
+    dist(x, y) == k run over ``_class_rows``: one pair per difference class
+    {z, -z}, z = x - y, standing for all |alphabet|^(2n) ordered pairs;
     ``max_pairs`` bounds the (|A - A|^n + 1) / 2 class pairs before any
-    proof or oracle is built.  The reduction is sound once
-    ``veronese.prove_det_sum`` has proved the minor-embedding identity for
-    both oracle sizes k and k + 1: then an oracle's dot product at (x, y)
-    is det(C(x) - C(y)) = det(C(z)) for its linear compressor map C,
-    det(C(-z)) = +-det(C(z)), and every node value reads its oracle only
-    through s == 0 and s^2, so each value, and the truth, is constant on a
-    class.  So the oracles' values are read from the family walk's
-    determinant rows (``_class_rows``), with no word embedded.
+    oracle is built.  Once ``compile_tree`` has proved the det-sum identity,
+    an oracle's dot at (x, y) is det(C(z)) for its linear compressor map C,
+    det(C(-z)) = +-det(C(z)), and nodes read it only through s == 0 and
+    s^2, so each value and the truth is constant on a class, and the dots
+    are read from the family walk's determinant rows, with no word embedded.
     """
     hd_sign_dim(n, k)  # refuses k outside 1..n-1
     diffs = {a - b for a, b in itertools.product(check_alphabet(alphabet), repeat=2)}
     check_pairs((len(diffs) ** n + 1) // 2, max_pairs)
-    for size in (k, k + 1):
-        prove_det_sum(size)
     tree = threshold_tree(
         (0,) * k + (1, 0),
         lambda t: build_hd_supp(n, t, alphabet, seed_stream(seed, "sign-oracle", t)),
     )
-    domain = list(itertools.product(tuple(alphabet), repeat=n))
     rows = _class_rows(n, alphabet)
-    return compile_tree(tree, domain, lambda x, y: dist(x, y) == k, gamma_mode, rows)
+    return compile_tree(tree, rows, lambda x, y: dist(x, y) == k, gamma_mode)
 
 
 def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:

@@ -40,7 +40,10 @@ from hamrank.rankprob import (
 from hamrank.signcompile import (
     Combine,
     ConstLeaf,
+    compile_tree,
+    domain_rows,
     eval_sign,
+    gamma_values,
     sign_to_json,
     threshold_tree,
 )
@@ -507,6 +510,90 @@ class TestToSignRep:
             lambda p, threshold, seed: build(p, threshold + 1, seed),
         )
         with pytest.raises(PatternViolationError):
+            to_sign_rep(hd_rank_problem(3, 1, seed=1), seed=2)
+
+
+def identity_problem(count, g):
+    return symmetric_problem(count, lambda x: Mat(1, 1, (x,)), g)
+
+
+# every problem that the tests here and in test_report_bytes.py compile
+SIGN_PROBLEMS = {
+    "hd-3-1": (lambda: hd_rank_problem(3, 1, seed=13), 14),
+    "hd-3-1-s1": (lambda: hd_rank_problem(3, 1, seed=1), 2),
+    "hd-6-1": (lambda: hd_rank_problem(6, 1, seed=15), 16),
+    "hd-4-2": (lambda: hd_rank_problem(4, 2, seed=17), 18),
+    "exact-1": (lambda: replace(hd_rank_problem(5, 2, seed=3), g=(0, 1, 0)), 4),
+    "exact-2": (lambda: replace(hd_rank_problem(5, 3, seed=3), g=(0, 0, 1, 0)), 4),
+    "table-55": (random_table_problem, 56),
+    "const-0": (lambda: identity_problem(3, (0, 0)), 14),
+    "const-1": (lambda: identity_problem(4, (1, 1)), 19),
+}
+
+
+def spy_compiles(monkeypatch):
+    """Record each ``to_sign_rep`` compile's tree and the pairs its truth
+    is asked about, in order."""
+    calls = []
+    real = rankprob.compile_tree
+
+    def spy(tree, rows, truth):
+        asked = []
+        calls.append(SimpleNamespace(tree=tree, asked=asked))
+        return real(tree, rows, lambda x, y: asked.append((x, y)) or truth(x, y))
+
+    monkeypatch.setattr(rankprob, "compile_tree", spy)
+    return calls
+
+
+class TestMemberCompile:
+    """``to_sign_rep`` compiles on one pair per distinct member of the
+    problem's difference family; a compile over every index pair, against
+    ``p.eval``, must agree with it."""
+
+    @pytest.mark.parametrize("name", sorted(SIGN_PROBLEMS))
+    def test_members_give_the_pair_path_rep(self, monkeypatch, name):
+        build, seed = SIGN_PROBLEMS[name]
+        p = build()
+        calls = spy_compiles(monkeypatch)
+        rep = to_sign_rep(p, seed=seed)
+        (call,) = calls
+        by_pairs = compile_tree(call.tree, domain_rows(range(p.index_count)), p.eval)
+        assert by_pairs.dim == rep.dim
+        assert gamma_values(by_pairs) == gamma_values(rep)
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in SIGN_PROBLEMS if not n.startswith("const"))
+    )
+    def test_members_and_pairs_both_catch_pieces_one_threshold_too_high(
+        self, monkeypatch, name
+    ):
+        build, seed = SIGN_PROBLEMS[name]
+        p = build()
+        piece = rankprob.piece_support_rep
+        monkeypatch.setattr(
+            rankprob,
+            "piece_support_rep",
+            lambda p, threshold, seed: piece(p, threshold + 1, seed),
+        )
+        calls = spy_compiles(monkeypatch)
+        with pytest.raises(PatternViolationError, match="compiled sign disagrees"):
+            to_sign_rep(p, seed=seed)
+        (call,) = calls
+        rows = domain_rows(range(p.index_count))
+        with pytest.raises(PatternViolationError, match="compiled sign disagrees"):
+            compile_tree(call.tree, rows, p.eval)
+
+    def test_each_member_is_checked_once_in_family_order(self, monkeypatch):
+        p = replace(hd_rank_problem(7, 2, seed=3), g=(0, 1, 0))
+        calls = spy_compiles(monkeypatch)
+        to_sign_rep(p)
+        (call,) = calls
+        assert call.asked == list(p.differences.pairs)
+        assert len(call.asked) == p.differences.size == 1094
+
+    def test_the_det_sum_gate_runs_before_any_scan(self, flipped_det_sum_sign):
+        with pytest.raises(PatternViolationError, match="^det-sum identity fails"):
             to_sign_rep(hd_rank_problem(3, 1, seed=1), seed=2)
 
 

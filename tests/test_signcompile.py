@@ -54,10 +54,10 @@ def neq_tree(oracle):
 
 class TestLeaves:
     def test_constant_leaf_compiles_to_constant_sign(self):
-        rep = compile_tree(ConstLeaf(1), words(2), lambda x, y: True)
+        rep = compile_tree(ConstLeaf(1), domain_rows(words(2)), lambda x, y: True)
         assert isinstance(rep, ConstLeaf)
         assert rep.sign == 1 and rep.dim == 1
-        rep0 = compile_tree(ConstLeaf(-1), words(2), lambda x, y: False)
+        rep0 = compile_tree(ConstLeaf(-1), domain_rows(words(2)), lambda x, y: False)
         assert rep0.sign == -1
 
     def test_constant_eval(self):
@@ -70,7 +70,7 @@ class TestDepthOne:
     def test_neq_style_tree_dim_five(self):
         oracle = build_hd_supp(6, 1, seed=1)
         domain = words(6)
-        rep = compile_tree(neq_tree(oracle), domain, differ)
+        rep = compile_tree(neq_tree(oracle), domain_rows(domain), differ)
         assert rep.dim == 1 + oracle.dim**2 * 1 == 5
         for x in domain:
             for y in domain:
@@ -99,7 +99,7 @@ class TestGammaModes:
     def test_rescan_reproduces_gamma(self):
         oracle, tree = self.build_pair(5, 4)
         domain = words(5)
-        rep = compile_tree(tree, domain, differ)
+        rep = compile_tree(tree, domain_rows(domain), differ)
         best = 0
         for x in domain:
             for y in domain:
@@ -133,12 +133,24 @@ class TestGammaModes:
     def test_norm_bound_dominates_exact_scan(self, n, seed):
         oracle, tree = self.build_pair(n, seed)
         domain = words(n)
-        scanned = compile_tree(tree, domain, differ, gamma_mode="exact_scan")
-        bounded = compile_tree(tree, domain, differ, gamma_mode="norm_bound")
+        scanned = compile_tree(
+            tree, domain_rows(domain), differ, gamma_mode="exact_scan"
+        )
+        bounded = compile_tree(
+            tree, domain_rows(domain), differ, gamma_mode="norm_bound"
+        )
         assert bounded.gamma >= scanned.gamma
         for x in domain:
             for y in domain:
                 assert eval_sign(bounded, x, y) == eval_sign(scanned, x, y)
+
+    def test_norm_bound_refuses_an_oracle_without_words(self):
+        # an index rep has no compressor, so no alphabet or length to bound over
+        oracle = SupportRep(lambda i: Mat(1, 1, (i,)), 1)
+        rows = domain_rows(range(3))
+        with pytest.raises(ValueError, match="^gamma mode 'norm_bound' needs"):
+            compile_tree(neq_tree(oracle), rows, differ, gamma_mode="norm_bound")
+        assert compile_tree(neq_tree(oracle), rows, differ).gamma == 2
 
     def test_norm_bound_full_build_still_correct(self):
         rep = build_hd_sign(5, 1, seed=3, gamma_mode="norm_bound")
@@ -222,7 +234,7 @@ class TestHdSign:
 
     def test_within_proof_bound(self):
         tree = threshold_tree((0, 1, 0), lambda t: build_hd_supp(5, t, seed=t))
-        rep = compile_tree(tree, words(5), lambda x, y: dist(x, y) == 1)
+        rep = compile_tree(tree, domain_rows(words(5)), lambda x, y: dist(x, y) == 1)
         # depth 2 over oracles of dimension 2 and C(4, 2) = 6
         assert proof_dim_bound(rep) == (1 + 6 * 6) ** 2
         assert rep.dim == 41 <= proof_dim_bound(rep)
@@ -238,8 +250,8 @@ class TestDomains:
     def test_two_word_tuple_domain_matches_the_list(self):
         tree = neq_tree(build_hd_supp(2, 1, seed=0))
         domain = [(0, 0), (1, 1)]
-        as_list = compile_tree(tree, domain, differ)
-        as_tuple = compile_tree(tree, tuple(domain), differ)
+        as_list = compile_tree(tree, domain_rows(domain), differ)
+        as_tuple = compile_tree(tree, domain_rows(tuple(domain)), differ)
         assert as_tuple.gamma == as_list.gamma == 2
         for x, y in itertools.product(domain, repeat=2):
             assert eval_sign(as_tuple, x, y) == eval_sign(as_list, x, y)
@@ -256,7 +268,7 @@ class TestTruth:
 
         first = re.escape(f"at ({domain[2]!r}, {domain[5]!r}): 1 vs -1")
         with pytest.raises(PatternViolationError, match=first):
-            compile_tree(tree, domain, truth)
+            compile_tree(tree, domain_rows(domain), truth)
 
     def test_build_hd_sign_checks_against_the_distance(self, monkeypatch):
         # the oracle tree is right; only the ground truth is made wrong
@@ -342,7 +354,7 @@ class TestDifferenceClassCompile:
         def truth(x, y):
             return dist(x, y) == k
 
-        by_pairs = compile_tree(tree_of(rep), domain, truth, gamma_mode)
+        by_pairs = compile_tree(tree_of(rep), domain_rows(domain), truth, gamma_mode)
         assert by_pairs.dim == rep.dim
         assert gamma_values(by_pairs) == gamma_values(rep)
         for x, y in itertools.product(domain, repeat=2):
@@ -415,6 +427,19 @@ class TestClassRows:
         assert len(self.pairs(8, (0, 1))) == (3**8 + 1) // 2 == 3281
 
 
+class TestPackageRoot:
+    def test_a_depth_one_tree_compiles_from_package_root_names(self):
+        import hamrank
+
+        oracle = hamrank.build_hd_supp(3, 1, seed=1)
+        tree = hamrank.Node(oracle, hamrank.ConstLeaf(-1), hamrank.ConstLeaf(1))
+        rows = hamrank.domain_rows(words(3))
+        rep = hamrank.compile_tree(tree, rows, differ)
+        assert rep.dim == 5
+        for x, y in itertools.product(words(3), repeat=2):
+            assert hamrank.eval_sign(rep, x, y) == (1 if x != y else -1)
+
+
 class TestInputMaps:
     def test_translation_maps_reduce_other_domains(self):
         # domain of plain integers, translated into words by the oracle's maps
@@ -427,7 +452,7 @@ class TestInputMaps:
         oracle = SupportRep(lambda i: compress(to_word(i)), 1)
         tree = Node(oracle=oracle, child0=ConstLeaf(1), child1=ConstLeaf(-1))
         domain = list(range(1 << n))
-        rep = compile_tree(tree, domain, lambda i, j: i == j)
+        rep = compile_tree(tree, domain_rows(domain), lambda i, j: i == j)
         for i in domain:
             for j in domain:
                 assert (eval_sign(rep, i, j) == 1) == (i == j)
