@@ -21,7 +21,7 @@ a row of exact dots costs one multiply-add per coordinate, and each slot's
 nonzero test is read from its top bit without unpacking.  The word grid is
 embedded once (``word_embeddings``): C(x) is the sum of the compressed
 prefix and suffix half-words, each word takes one left Laplace pass, and
-its right vector is a proved signed permutation of the left one.  The
+its right vector is a signed permutation of the left one.  The
 compressor's family walk and verify-sign run on the same kernel, and
 build-sign reads the reps' dots as the walk's rows of det C(x - y)
 (``compression.det_rows``).
@@ -76,7 +76,7 @@ class SupportRep:
     the right one of -a_map(y) (``veronese.minor_embed``), of dimension
     ``dim`` = C(2 ``size``, ``size``), so the dot product is nonzero exactly
     where the difference has full rank.  u(x) is one Laplace pass over
-    a_map(x), computed on first use and memoized; v(y) is the proved signed
+    a_map(x), computed on first use and memoized; v(y) is the signed
     permutation ``veronese.negated_right`` of u(y), memoized too, so a word
     is embedded once for both sides and a representation over 2^n words
     costs memory only for the words actually touched.  An exhaustive sweep
@@ -270,9 +270,8 @@ def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
     C(x) = C(prefix . 0) + C(0 . suffix) for the split of
     ``compression.split_positions``: ``apply_diag`` runs once per half-word,
     about 2 sqrt(|A|^n) times, and each word costs one k x k add and one
-    ``minor_embed(..., "left")``.  v is that vector's proved signed
-    permutation ``veronese.negated_right``.  Nothing is kept in the rep's
-    memo.
+    ``minor_embed(..., "left")``.  v is that vector's signed permutation
+    ``veronese.negated_right``.  Nothing is kept in the rep's memo.
     """
     n, k, alphabet = rep.n, rep.k, rep.alphabet
     split = split_positions((alphabet,) * n)[0]

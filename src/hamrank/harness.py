@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import comb
 from typing import Callable, TextIO, TypeVar
@@ -32,7 +32,7 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import pairwise, sweep, symmetric
+from .parallel import packed_dots, pairwise, sweep, symmetric
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -395,7 +395,8 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 != (1 if dist(word(i), word(j)) == k else -1)
             )
         words = list(map(word, range(count)))
-        positive = positive_upper(rep, domain_rows(words, word_embeddings))
+        grid = cache(lambda oracle: packed_dots(*word_embeddings(oracle)))
+        positive = positive_upper(rep, replace(domain_rows(words), dots=grid))
 
         def upper(i, cols):
             shell = near_indices(i, n, len(alphabet), k + 1, lo=k)

@@ -44,7 +44,14 @@ from .errors import (
 )
 from .compression import det_rows, split_positions
 from .exact import Mat, int_from_json
-from .hamming import SupportRep, build_hd_supp, check_alphabet, dist, load_supp
+from .hamming import (
+    SupportRep,
+    build_hd_supp,
+    check_alphabet,
+    dist,
+    load_supp,
+    word_embeddings,
+)
 from .parallel import check_pairs, packed_dots
 from .seeds import seed_stream
 from .veronese import prove_det_sum
@@ -126,7 +133,7 @@ def _vanished(x, y) -> ZeroValueError:
 class PairRows:
     """The ordered pairs a compile scans and checks, standing for every pair
     of its domain, as rows of ``width`` columns: ``cols[i]`` lists the
-    columns of row i that stand for pairs, in pair order, ``pair(i, j)``
+    columns of row i that stand for pairs, ascending, ``pair(i, j)``
     names the pair (x, y) of one, and ``dots(oracle)(i, lo=0)`` lists the
     oracle's exact dots at columns lo, lo + 1, ... of row i (``dots``
     builds each oracle's row function once)."""
@@ -137,17 +144,12 @@ class PairRows:
     dots: Callable[[SupportRep], Callable[..., list[int]]]
 
 
-def domain_rows(domain: Sequence, embed: Callable | None = None) -> PairRows:
+def domain_rows(domain: Sequence) -> PairRows:
     """Every ordered pair (domain[i], domain[j]); each oracle's embeddings
-    are packed once (``parallel.packed_dots``).  ``embed(oracle)`` gives
-    them as (us, vs) in domain order, as ``hamming.word_embeddings`` does
-    for the word grid of a Hamming oracle; by default each element goes
-    through the oracle's memo."""
+    go through its memo and are packed once (``parallel.packed_dots``)."""
     count = len(domain)
 
     def dots(oracle: SupportRep) -> Callable[..., list[int]]:
-        if embed:
-            return packed_dots(*embed(oracle))
         return packed_dots(list(map(oracle.u, domain)), list(map(oracle.v, domain)))
 
     return PairRows(
@@ -241,31 +243,31 @@ def choose_gamma(
     rows must take every value triple (s^2, value0, value1) that the
     domain's pairs take, as the rows of ``compile_tree``'s callers do.  It
     returns 1 when the oracle's support on the rows is empty (dominance is
-    vacuous there).
+    vacuous there).  Each row is evaluated from its first listed column.
     """
     best = 0
     for i, cols in enumerate(rows.cols):
         if not cols:
             continue
-        s_row = rows.dots(oracle)(i)
-        v0_row, v1_row = value_row(rep0, rows, i), value_row(rep1, rows, i)
+        s_row = rows.dots(oracle)(i, lo := cols[0])
+        v0_row, v1_row = value_row(rep0, rows, i, lo), value_row(rep1, rows, i, lo)
         for j in cols:
-            s, v0 = s_row[j], v0_row[j]
+            s, v0, v1 = s_row[j - lo], v0_row[j - lo], v1_row[j - lo]
             if s == 0:
                 continue
             if v0 == 0:
                 x, y = rows.pair(i, j)
                 raise ZeroValueError(f"support branch value vanished at ({x!r}, {y!r})")
-            best = max(best, -((-abs(v1_row[j])) // (s * s * abs(v0))))  # ceil
+            best = max(best, -((-abs(v1)) // (s * s * abs(v0))))  # ceil
     return 1 + best
 
 
 def _dot_bound(oracle: SupportRep) -> int:
     # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|) over the
-    # oracle's words: two single-input sweeps, never a pair scan.
-    words = list(itertools.product(oracle.alphabet, repeat=oracle.n))
-    usum = max(sum(abs(c) for c in oracle.u(x)) for x in words)
-    vmax = max(max(abs(c) for c in oracle.v(y)) for y in words)
+    # oracle's word grid: two single-input sweeps, never a pair scan.
+    us, vs = word_embeddings(oracle)
+    usum = max(sum(map(abs, u)) for u in us)
+    vmax = max(max(map(abs, v)) for v in vs)
     return usum * vmax
 
 
@@ -323,11 +325,11 @@ def compile_tree(
     _prove_det_sums(tree)
     rep = _compile(tree, rows, gamma_mode)
     for i, cols in enumerate(rows.cols):
-        values = value_row(rep, rows, i) if cols else ()
+        values = value_row(rep, rows, i, lo := cols[0]) if cols else ()
         for j in cols:
             x, y = rows.pair(i, j)
             want = 1 if truth(x, y) else -1
-            got = (values[j] > 0) - (values[j] < 0)
+            got = (values[j - lo] > 0) - (values[j - lo] < 0)
             if got == 0:
                 raise _vanished(x, y)
             if got != want:

@@ -7,7 +7,7 @@ Three constructions live here:
   aligned left/right embedding vectors of length C(2k, k) whose dot product
   is exactly det(A + B), with a finite proof of that identity per k, and
   the right embedding of -A read off the left one of A by a signed
-  permutation, proved per k the same way;
+  permutation of the terms;
 * a rational-coordinate embedding of binary strings into the plane such
   that squared distance 1 characterizes Hamming distance 1, built from
   Pythagorean-parametrized unit vectors and verified exhaustively;
@@ -184,8 +184,10 @@ def prove_det_sum(k: int) -> int:
     values at the 0/1 points on its sub-placements.  Two such polynomials
     therefore agree everywhere iff they agree at every rook point: a partial
     rook placement (``_rook_mats``) with each cell given to A or to B.  That
-    is sum_s C(k, s) k!/(k - s)! 2^s points: 3, 17, 139 and 1,473 for
-    k = 1, 2, 3, 4.  Each placement's 0/1 matrix is embedded once.  The
+    is sum_s C(k, s) k!/(k - s)! 2^s points: 3, 17, 139, 1,473 and 19,091
+    for k = 1, ..., 5.  Each placement's 0/1 matrix is embedded once, its
+    right vector kept as its nonzero (coordinate, value) pairs, and its
+    determinant taken once, as every split (A, B) of it sums to it.  The
     check runs the real ``minor_embed`` and raises ``PatternViolationError``
     naming k and the point at the first mismatch.
     """
@@ -193,17 +195,20 @@ def prove_det_sum(k: int) -> int:
         raise ValueError("k must be nonnegative")
     mats = _rook_mats(k)
     lefts = {p: minor_embed(m, "left") for p, m in mats.items()}
-    rights = {p: minor_embed(m, "right") for p, m in mats.items()}
+    rights = {
+        p: [(t, x) for t, x in enumerate(minor_embed(m, "right")) if x]
+        for p, m in mats.items()
+    }
     points = 0
-    for p in mats:
+    for p, m in mats.items():
+        lhs = det_exact(m)
         for size in range(len(p) + 1):
             for to_a in itertools.combinations(p, size):
                 to_b = tuple(t for t in p if t not in to_a)
-                a, b = mats[to_a], mats[to_b]
-                lhs = det_exact(a + b)
-                rhs = dot(lefts[to_a], rights[to_b])
+                rhs = sum(lefts[to_a][t] * x for t, x in rights[to_b])
                 points += 1
                 if lhs != rhs:
+                    a, b = mats[to_a], mats[to_b]
                     raise PatternViolationError(
                         f"det-sum identity fails for k={k} at A={a.to_lists()}, "
                         f"B={b.to_lists()}: det(A + B) = {lhs}, embeddings give {rhs}"
@@ -214,25 +219,25 @@ def prove_det_sum(k: int) -> int:
 @lru_cache(maxsize=None)
 def negated_right(k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map minor_embed(A, "left") -> minor_embed(-A, "right") for every
-    k x k integer matrix A, proved once per k.
+    k x k integer matrix A, read off ``_laplace_plan(k)``.
 
     Right coordinate t of -A is det(-A)[co-alpha, co-beta], which is
-    (-1)^|co-alpha| det A[co-alpha, co-beta], and left coordinate t' of A,
-    at the term t' = (co-alpha, co-beta), is sign(t') det A[co-alpha,
-    co-beta].  So the map is a signed permutation: coordinate t is
-    (-1)^|co-alpha| sign(t') left[t'], read off ``_laplace_plan(k)``.  Each
-    coordinate of either side is a single signed minor of A, multilinear
-    with a rook placement per monomial, so the sides agree everywhere iff
-    they agree at every 0/1 rook placement (``_rook_mats``, as in
-    ``prove_det_sum``).  The map is checked there against the real
-    ``minor_embed`` when it is built; a mismatch raises
-    ``PatternViolationError`` naming k and the placement.
+    (-1)^|co-alpha| det A[co-alpha, co-beta] since a minor of size s is
+    homogeneous of degree s, and left coordinate t' of A, at the term
+    t' = (co-alpha, co-beta), is sign(t') det A[co-alpha, co-beta].  So the
+    map is a signed permutation: coordinate t is (-1)^|co-alpha| sign(t')
+    left[t'].  ``minor_embed`` reads both sides' minors through the same
+    plan, so no matrix is embedded here.  A plan whose complementary minor
+    is no term's own minor raises ``PatternViolationError`` naming k; tests
+    pin the map against ``minor_embed(-A, "right")``.
     """
     _, signs, own, complement = _laplace_plan(k)
     term = {minor: t for t, minor in enumerate(own)}
-    # a minor that is no left coordinate (a broken plan) reads coordinate
-    # 0, and the check below refutes it
-    order = [term.get(minor, 0) for minor in complement]
+    if not term.keys() >= set(complement):
+        raise PatternViolationError(
+            f"negated right embedding fails for k={k}: a co-minor is no term's minor"
+        )
+    order = [term[minor] for minor in complement]
     factors = [
         (-1) ** (k - len(t.alpha)) * signs[co]
         for t, co in zip(det_sum_terms(k), order)
@@ -241,13 +246,6 @@ def negated_right(k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
     def flip(left: Sequence[int]) -> tuple[int, ...]:
         return tuple(map(mul, factors, map(left.__getitem__, order)))
 
-    for m in _rook_mats(k).values():
-        want, got = minor_embed(-m, "right"), flip(minor_embed(m, "left"))
-        if want != got:
-            raise PatternViolationError(
-                f"negated right embedding fails for k={k} at A={m.to_lists()}: "
-                f"minor_embed(-A, 'right') = {list(want)}, the map gives {list(got)}"
-            )
     return flip
 
 

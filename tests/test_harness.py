@@ -332,7 +332,7 @@ class TestSignCommands:
         assert report.certified
         assert report.verification["pairs_checked"] == 729
 
-    @pytest.mark.parametrize("k,dim", [(3, 5301), (4, 68405)])
+    @pytest.mark.parametrize("k,dim", [(3, 5301), (4, 68405), (5, 917281)])
     def test_the_k_curve_at_n8_verifies_on_every_pair(self, tmp_path, k, dim):
         out = str(tmp_path / "s.json")
         build = make_config(tmp_path, "bs", seed=7, out=out, params={"n": 8, "k": k})

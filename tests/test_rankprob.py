@@ -1,7 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, prod
 from types import SimpleNamespace
 
@@ -591,6 +591,28 @@ class TestMemberCompile:
         (call,) = calls
         assert call.asked == list(p.differences.pairs)
         assert len(call.asked) == p.differences.size == 1094
+
+    def test_each_row_is_dotted_from_its_first_member(self, monkeypatch):
+        # of the 64 x 128 = 8,192 columns of the rows that hold a member
+        p = replace(hd_rank_problem(7, 2, seed=3), g=(0, 1, 0))
+        real, widths = rankprob.compile_tree, {}
+
+        def counting(tree, rows, truth):
+            def dots(oracle):
+                row = rows.dots(oracle)
+
+                def counted(i, lo=0):
+                    got = row(i, lo)
+                    widths.setdefault(oracle, set()).add((i, len(got)))
+                    return got
+
+                return counted
+
+            return real(tree, replace(rows, dots=cache(dots)), truth)
+
+        monkeypatch.setattr(rankprob, "compile_tree", counting)
+        to_sign_rep(p)
+        assert [sum(w for _, w in seen) for seen in widths.values()] == [5462] * 2
 
     def test_the_det_sum_gate_runs_before_any_scan(self, flipped_det_sum_sign):
         with pytest.raises(PatternViolationError, match="^det-sum identity fails"):

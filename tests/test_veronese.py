@@ -153,7 +153,9 @@ class TestMinorEmbed:
 
 
 class TestDetSumProof:
-    @pytest.mark.parametrize("k,points", [(1, 3), (2, 17), (3, 139), (4, 1473)])
+    @pytest.mark.parametrize(
+        "k,points", [(1, 3), (2, 17), (3, 139), (4, 1473), (5, 19091)]
+    )
     def test_checks_every_rook_point(self, k, points):
         # partial rook placements of s cells, each cell given to A or to B
         assert points == sum(comb(k, s) * perm(k, s) * 2**s for s in range(k + 1))
@@ -185,43 +187,44 @@ class TestNegatedRight:
                 a = random_mat(rng, k, k, bound)
                 assert flip(minor_embed(a, "left")) == minor_embed(-a, "right")
 
-    @pytest.mark.parametrize(
-        "k,placements", [(0, 1), (1, 2), (2, 7), (3, 34), (4, 209)]
-    )
-    def test_is_proved_at_every_rook_placement(self, monkeypatch, k, placements):
-        assert placements == sum(comb(k, s) * perm(k, s) for s in range(k + 1))
-        seen = []
+    @pytest.mark.parametrize("k", range(6))
+    def test_agrees_with_the_negation_at_every_rook_placement(self, k):
+        # the points of the multilinear argument prove_det_sum rests on
+        flip = veronese.negated_right(k)
+        for m in veronese._rook_mats(k).values():
+            assert flip(minor_embed(m, "left")) == minor_embed(-m, "right")
 
-        def recording(a, side):
-            seen.append((a.entries, side))
-            return minor_embed(a, side)
+    @pytest.mark.parametrize("k", range(6))
+    def test_embeds_no_matrix(self, monkeypatch, k):
+        def never(a, side):
+            raise AssertionError("negated_right embedded a matrix")
 
         veronese.negated_right.cache_clear()
-        monkeypatch.setattr(veronese, "minor_embed", recording)
+        monkeypatch.setattr(veronese, "minor_embed", never)
         try:
             veronese.negated_right(k)
         finally:
             veronese.negated_right.cache_clear()
-        lefts = {a for a, side in seen if side == "left"}
-        rights = {tuple(-e for e in a) for a, side in seen if side == "right"}
-        assert len(seen) == 2 * placements
-        assert lefts == rights and len(lefts) == placements
-        assert all(set(a) <= {0, 1} for a in lefts)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_plan_off_its_own_minors_is_refused(self, k, swapped_det_sum_term):
+        with pytest.raises(PatternViolationError, match=rf"for k={k}: a co-minor"):
+            veronese.negated_right(k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_a_right_side_off_the_permutation_is_caught(self, monkeypatch, k):
         def off(a, side):
-            # the full right minor, det(-A), with the wrong sign
+            # the full right minor, det(B), with the wrong sign
             v = minor_embed(a, side)
             return (-v[0], *v[1:]) if side == "right" else v
 
-        veronese.negated_right.cache_clear()
+        veronese.prove_det_sum.cache_clear()
         monkeypatch.setattr(veronese, "minor_embed", off)
         try:
             with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
-                veronese.negated_right(k)
+                prove_det_sum(k)
         finally:
-            veronese.negated_right.cache_clear()
+            veronese.prove_det_sum.cache_clear()
 
     def test_a_flipped_expansion_sign_cancels(self, flipped_det_sum_sign):
         # the map reads the term signs that the left side applies
