@@ -3,8 +3,9 @@
 The pipeline: compress the diagonal-difference family so that the rank of
 Diag(x - y) is preserved up to a cap of k, then replace the full-rank test
 det != 0 by an inner product of minor embeddings.  A ``SupportRep`` is
-built from one square map A and pairs the left minor embedding of A(x) with
-the right one of -A(y), so <u(x), v(y)> = det(A(x) - A(y)).  For threshold
+built from one square map A and pairs the minor embedding of A(x) with the
+right one of -A(y), a signed permutation of that of A(y), so
+<u(x), v(y)> = det(A(x) - A(y)) (``veronese.prove_det_sum``).  For threshold
 distance, ``SupportRep.of_compressor`` takes A = C, where C compresses
 Diag(word) to k x k; the vectors have dimension C(2k, k) and
 
@@ -20,8 +21,8 @@ of ``parallel``: the right embeddings of all |A|^n words are packed once, so
 a row of exact dots costs one multiply-add per coordinate, and each slot's
 nonzero test is read from its top bit without unpacking.  The word grid is
 embedded once (``word_embeddings``): C(x) is the sum of the compressed
-prefix and suffix half-words, each word takes one left Laplace pass, and
-its right vector is a signed permutation of the left one.  The
+prefix and suffix half-words, each word takes one Laplace pass, and its
+right vector is a signed permutation of its minor embedding.  The
 compressor's family walk and verify-sign run on the same kernel, and
 build-sign reads the reps' dots as the walk's rows of det C(x - y)
 (``compression.det_rows``).
@@ -72,18 +73,19 @@ class SupportRep:
     """The support rep <u(x), v(y)> = det(a_map(x) - a_map(y)) for a square map.
 
     ``a_map`` sends an index (a word, for Hamming reps) to a size x size
-    integer matrix.  u and v are the left minor embedding of a_map(x) and
-    the right one of -a_map(y) (``veronese.minor_embed``), of dimension
-    ``dim`` = C(2 ``size``, ``size``), so the dot product is nonzero exactly
-    where the difference has full rank.  u(x) is one Laplace pass over
-    a_map(x), computed on first use and memoized; v(y) is the signed
-    permutation ``veronese.negated_right`` of u(y), memoized too, so a word
-    is embedded once for both sides and a representation over 2^n words
-    costs memory only for the words actually touched.  An exhaustive sweep
-    embeds the whole word grid at once instead (``word_embeddings``).  A
-    Hamming rep (``of_compressor``) also carries its compressor, alphabet
-    and seed, and derives ``n``, ``k`` and its document's predicate
-    ``HD>=k`` from the compressor; other reps have none.
+    integer matrix.  u(x), the minor embedding of a_map(x)
+    (``veronese.minor_embed``) of dimension ``dim`` = C(2 ``size``, ``size``),
+    is one Laplace pass, computed on first use and memoized; v(y), the right
+    embedding of -a_map(y), is the signed permutation
+    ``veronese.negated_right`` of u(y), memoized too.  The dot product is
+    det(a_map(x) - a_map(y)) (``veronese.prove_det_sum``), nonzero exactly
+    where the difference has full rank.  A word is embedded once for both
+    sides, and a representation over 2^n words costs memory only for the
+    words actually touched.  An exhaustive sweep embeds the whole word grid
+    at once instead (``word_embeddings``).  A Hamming rep (``of_compressor``)
+    also carries its compressor, alphabet and seed, and derives ``n``, ``k``
+    and its document's predicate ``HD>=k`` from the compressor; other reps
+    have none.
     """
 
     alphabet: tuple[int, ...] | None = None
@@ -94,7 +96,7 @@ class SupportRep:
         self.size, self.dim = size, comb(2 * size, size)
         # the closures hold u, never self: a cycle would keep every rep
         # alive until a garbage-collector pass
-        self.u = u = cache(lambda x: minor_embed(a_map(x), "left"))
+        self.u = u = cache(lambda x: minor_embed(a_map(x)))
         self.v = cache(lambda y: negated_right(size)(u(y)))
 
     @classmethod
@@ -270,8 +272,8 @@ def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
     C(x) = C(prefix . 0) + C(0 . suffix) for the split of
     ``compression.split_positions``: ``apply_diag`` runs once per half-word,
     about 2 sqrt(|A|^n) times, and each word costs one k x k add and one
-    ``minor_embed(..., "left")``.  v is that vector's signed permutation
-    ``veronese.negated_right``.  Nothing is kept in the rep's memo.
+    ``minor_embed``.  v is its signed permutation ``veronese.negated_right``,
+    as ``veronese.prove_det_sum`` proves.  Nothing is kept in the rep's memo.
     """
     n, k, alphabet = rep.n, rep.k, rep.alphabet
     split = split_positions((alphabet,) * n)[0]
@@ -284,7 +286,7 @@ def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
         apply(head + q).entries for q in itertools.product(alphabet, repeat=n - split)
     ]
     us = [
-        minor_embed(Mat(k, k, tuple(map(add, p, q))), "left")
+        minor_embed(Mat(k, k, tuple(map(add, p, q))))
         for p in prefixes
         for q in suffixes
     ]

@@ -322,16 +322,18 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
     report.status = "certified" if result.certified else "failed"
 
 
+def _check_sign_dim(dim: int, config: RunConfig) -> None:
+    if dim > config.max_dim:  # before the det-sum proofs: (k+1)! 2^(k+1) points
+        msg = f"sign dimension {dim} exceeds the budget {config.max_dim}"
+        raise BudgetExceededError(msg)
+
+
 def _run_build_sign(config: RunConfig, report: Report) -> None:
     p = config.params
     n, k = p["n"], p["k"]
     gamma_mode = p.get("gamma_mode", "exact_scan")
     dim_formula = hd_sign_dim(n, k)
-    if dim_formula > config.max_dim:
-        # refused before the det-sum proofs, which grow like (k+1)! 2^(k+1)
-        raise BudgetExceededError(
-            f"sign dimension {dim_formula} exceeds the budget {config.max_dim}"
-        )
+    _check_sign_dim(dim_formula, config)
     rep = build_hd_sign(
         n, k, seed=config.seed, gamma_mode=gamma_mode, max_pairs=config.max_pairs
     )
@@ -384,6 +386,7 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     alone by ``eval_sign``; the timing section records the pairs
     evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
+    _check_sign_dim(rep.dim, config)
     alphabet = rep.oracle.alphabet
     count = len(alphabet) ** n
     word = cache(lambda i: word_of_index(i, n, alphabet))

@@ -4,10 +4,10 @@ Three constructions live here:
 
 * the determinant-of-sum expansion det(A + B) as a signed sum of paired
   complementary minors (Marcus, "Determinants of sums", 1990), realized as
-  aligned left/right embedding vectors of length C(2k, k) whose dot product
-  is exactly det(A + B), with a finite proof of that identity per k, and
-  the right embedding of -A read off the left one of A by a signed
-  permutation of the terms;
+  one minor embedding of length C(2k, k) per matrix and a signed
+  permutation of its terms that turns the embedding of B into the right
+  embedding of -B, whose dot product with the embedding of A is exactly
+  det(A - B), with a finite proof of that pairing per k;
 * a rational-coordinate embedding of binary strings into the plane such
   that squared distance 1 characterizes Hamming distance 1, built from
   Pythagorean-parametrized unit vectors and verified exhaustively;
@@ -92,7 +92,7 @@ def _laplace_plan(k: int) -> tuple[tuple, tuple, tuple, tuple]:
     (alpha[0], beta[t]), number of the minor on alpha[1:] and beta without
     beta[t], (-1)^t).  Per term of ``det_sum_terms(k)`` the plan also keeps
     the sign and the numbers of the minor (alpha, beta) and of its
-    complement (co-alpha, co-beta).
+    complement (co-alpha, co-beta), which ``negated_right`` pairs.
     """
     pairs = [
         (alpha, beta)
@@ -125,23 +125,18 @@ def _laplace_plan(k: int) -> tuple[tuple, tuple, tuple, tuple]:
     return steps, tuple(t.sign for t in terms), own, complement
 
 
-def minor_embed(a: Mat, side: str) -> tuple[int, ...]:
-    """Embed a k x k matrix as its vector of (signed) minors.
-
-    Per term of ``det_sum_terms(k)``, the left side emits
-    sign * det(A[alpha, beta]) and the right side emits
-    det(B[co-alpha, co-beta]), the minor on the complementary rows and
-    columns.  The empty minor is 1 and the full minor is the determinant.
-    For equal-size square A, B the dot product of the two embeddings equals
-    det(A + B) exactly, so pairing left(A) with right(-B) computes det(A - B).
-    All C(2k, k) minors come from one memoized Laplace pass (``_laplace_plan``):
-    each is a signed sum of entries times smaller minors, in exact integers.
+def minor_embed(a: Mat) -> tuple[int, ...]:
+    """Embed a k x k matrix as its signed minors: per term of
+    ``det_sum_terms(k)``, sign * det(A[alpha, beta]), where the empty minor
+    is 1 and the full minor is the determinant.  Its dot with
+    ``negated_right(k)`` of the embedding of B is det(A - B)
+    (``prove_det_sum``).  All C(2k, k) minors come from one memoized Laplace
+    pass (``_laplace_plan``): each is a signed sum of entries times smaller
+    minors, in exact integers.
     """
     if not a.is_square():
         raise NonSquareError(f"minor embedding requires a square matrix, got {a.shape}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    steps, signs, own, complement = _laplace_plan(a.rows)
+    steps, signs, own, _ = _laplace_plan(a.rows)
     e = a.entries
     minors = []
     for expansion in steps:
@@ -150,9 +145,7 @@ def minor_embed(a: Mat, side: str) -> tuple[int, ...]:
             if x := e[entry]:
                 total += sign * x * minors[sub]
         minors.append(total)
-    if side == "left":
-        return tuple(map(mul, signs, map(minors.__getitem__, own)))
-    return tuple(map(minors.__getitem__, complement))
+    return tuple(map(mul, signs, map(minors.__getitem__, own)))
 
 
 def _rook_mats(k: int) -> dict[tuple[int, ...], Mat]:
@@ -171,65 +164,19 @@ def _rook_mats(k: int) -> dict[tuple[int, ...], Mat]:
 
 
 @lru_cache(maxsize=None)
-def prove_det_sum(k: int) -> int:
-    """Prove det(A + B) == <minor_embed(A, "left"), minor_embed(B, "right")>
-    for all k x k matrices A, B; return the number of points checked.
-
-    Both sides are polynomials in the 2k^2 entries of A and B.  Every
-    monomial of det(A + B), and of every term
-    sign * det A[alpha, beta] * det B[co-alpha, co-beta], takes exactly one
-    entry from each row and from each column of A and B together: a full
-    rook placement whose cells are each given to A or to B.  Each monomial
-    is multilinear, so its coefficient is the signed sum of the polynomial's
-    values at the 0/1 points on its sub-placements.  Two such polynomials
-    therefore agree everywhere iff they agree at every rook point: a partial
-    rook placement (``_rook_mats``) with each cell given to A or to B.  That
-    is sum_s C(k, s) k!/(k - s)! 2^s points: 3, 17, 139, 1,473 and 19,091
-    for k = 1, ..., 5.  Each placement's 0/1 matrix is embedded once, its
-    right vector kept as its nonzero (coordinate, value) pairs, and its
-    determinant taken once, as every split (A, B) of it sums to it.  The
-    check runs the real ``minor_embed`` and raises ``PatternViolationError``
-    naming k and the point at the first mismatch.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    mats = _rook_mats(k)
-    lefts = {p: minor_embed(m, "left") for p, m in mats.items()}
-    rights = {
-        p: [(t, x) for t, x in enumerate(minor_embed(m, "right")) if x]
-        for p, m in mats.items()
-    }
-    points = 0
-    for p, m in mats.items():
-        lhs = det_exact(m)
-        for size in range(len(p) + 1):
-            for to_a in itertools.combinations(p, size):
-                to_b = tuple(t for t in p if t not in to_a)
-                rhs = sum(lefts[to_a][t] * x for t, x in rights[to_b])
-                points += 1
-                if lhs != rhs:
-                    a, b = mats[to_a], mats[to_b]
-                    raise PatternViolationError(
-                        f"det-sum identity fails for k={k} at A={a.to_lists()}, "
-                        f"B={b.to_lists()}: det(A + B) = {lhs}, embeddings give {rhs}"
-                    )
-    return points
-
-
-@lru_cache(maxsize=None)
 def negated_right(k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The map minor_embed(A, "left") -> minor_embed(-A, "right") for every
-    k x k integer matrix A, read off ``_laplace_plan(k)``.
+    """The map from ``minor_embed(A)`` to the right embedding of -A, whose
+    dot with ``minor_embed(B)`` is det(B - A), for every k x k integer
+    matrix A, read off ``_laplace_plan(k)``.
 
     Right coordinate t of -A is det(-A)[co-alpha, co-beta], which is
     (-1)^|co-alpha| det A[co-alpha, co-beta] since a minor of size s is
-    homogeneous of degree s, and left coordinate t' of A, at the term
+    homogeneous of degree s; left coordinate t' of A, at the term
     t' = (co-alpha, co-beta), is sign(t') det A[co-alpha, co-beta].  So the
-    map is a signed permutation: coordinate t is (-1)^|co-alpha| sign(t')
-    left[t'].  ``minor_embed`` reads both sides' minors through the same
-    plan, so no matrix is embedded here.  A plan whose complementary minor
-    is no term's own minor raises ``PatternViolationError`` naming k; tests
-    pin the map against ``minor_embed(-A, "right")``.
+    map is a signed permutation, coordinate t is (-1)^|co-alpha| sign(t')
+    left[t'], and no matrix is embedded here.  A plan whose complementary
+    minor is no term's own minor raises ``PatternViolationError`` naming k;
+    ``prove_det_sum`` proves the map.
     """
     _, signs, own, complement = _laplace_plan(k)
     term = {minor: t for t, minor in enumerate(own)}
@@ -247,6 +194,53 @@ def negated_right(k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
         return tuple(map(mul, factors, map(left.__getitem__, order)))
 
     return flip
+
+
+@lru_cache(maxsize=None)
+def prove_det_sum(k: int) -> int:
+    """Prove det(A - B) == <minor_embed(A), negated_right(k)(minor_embed(B))>,
+    the pairing ``hamming.SupportRep`` runs, for all k x k matrices A, B;
+    return the number of points checked.
+
+    Both sides are polynomials in the 2k^2 entries of A and B.
+    ``negated_right`` pairs term t with +-1 times the left coordinate of the
+    term whose own minor is t's complement, so every monomial of det(A - B)
+    and of every sign * det A[alpha, beta] * +-det B[co-alpha, co-beta]
+    takes exactly one entry from each row and from each column of A and B
+    together: a full rook placement whose cells are each given to A or to B.
+    Each monomial is multilinear, so its coefficient is the signed sum of
+    the polynomial's values at the 0/1 points on its sub-placements.  Two
+    such polynomials therefore agree everywhere iff they agree at every rook
+    point: a partial rook placement (``_rook_mats``) with each cell given to
+    A or to B.  That is sum_s C(k, s) k!/(k - s)! 2^s points: 3, 17, 139,
+    1,473 and 19,091 for k = 1, ..., 5.  Each placement's 0/1 matrix is
+    embedded once, its flip kept as its nonzero (coordinate, value) pairs,
+    and its determinant taken once: giving its cells to_b to B multiplies
+    that by (-1)^|to_b|, as each B cell is alone in its row.
+    ``negated_right(k)`` runs first, so a plan off its own minors is refused
+    there (and a negative k by ``det_sum_terms``); then the first mismatch
+    raises ``PatternViolationError`` naming k and the point.
+    """
+    flip = negated_right(k)
+    mats = _rook_mats(k)
+    lefts = {p: minor_embed(m) for p, m in mats.items()}
+    rights = {p: [(t, x) for t, x in enumerate(flip(u)) if x] for p, u in lefts.items()}
+    points = 0
+    for p, m in mats.items():
+        det = det_exact(m)
+        for size in range(len(p) + 1):
+            lhs = -det if (len(p) - size) % 2 else det
+            for to_a in itertools.combinations(p, size):
+                to_b = tuple(t for t in p if t not in to_a)
+                rhs = sum(lefts[to_a][t] * x for t, x in rights[to_b])
+                points += 1
+                if lhs != rhs:
+                    a, b = mats[to_a], mats[to_b]
+                    raise PatternViolationError(
+                        f"det-sum identity fails for k={k} at A={a.to_lists()}, "
+                        f"B={b.to_lists()}: det(A - B) = {lhs}, embeddings give {rhs}"
+                    )
+    return points
 
 
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:

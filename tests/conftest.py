@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 determinant oracle is cofactor expansion, the rank oracle enumerates
-minors, the expansion-sign oracle counts permutation inversions, and the
+minors, the expansion-sign oracle counts permutation inversions, the
+minor-embedding oracle takes one determinant per det-sum term, the
 support-rep sweep oracle checks one dot product per ordered pair, and the
 compressor references check each member of a family by its own two-sided
 product and Bareiss rank, where the family check compresses bases.
@@ -20,7 +21,8 @@ from operator import mul
 import pytest
 
 from hamrank import veronese
-from hamrank.exact import Mat, rank_exact
+from hamrank.exact import Mat, det_exact, rank_exact
+from hamrank.veronese import det_sum_terms
 
 
 def det_cofactor(m: Mat) -> int:
@@ -117,6 +119,27 @@ def expansion_sign(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> int
         if perm[i] > perm[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def defined_embed(a: Mat, side: str) -> tuple[int, ...]:
+    """One side of the det(A + B) expansion by its definition, one
+    determinant per term: sign * det A[alpha, beta] on the left,
+    det A[co-alpha, co-beta] on the right."""
+    full = range(a.rows)
+    if side == "left":
+        return tuple(
+            t.sign * det_exact(a.submatrix(t.alpha, t.beta))
+            for t in det_sum_terms(a.rows)
+        )
+    return tuple(
+        det_exact(
+            a.submatrix(
+                [i for i in full if i not in t.alpha],
+                [j for j in full if j not in t.beta],
+            )
+        )
+        for t in det_sum_terms(a.rows)
+    )
 
 
 def random_mat(rng: random.Random, rows: int, cols: int, bound: int = 9) -> Mat:

@@ -19,6 +19,7 @@ from hamrank.veronese import (
     dot,
     hypercube_unit_embed,
     minor_embed,
+    negated_right,
     sq_dist,
     unit_distance_vector,
 )
@@ -36,7 +37,7 @@ from hamrank.rankprob import (
 )
 from hamrank.harness import RunConfig, run
 
-from .conftest import expansion_sign, hamming, random_mat
+from .conftest import defined_embed, expansion_sign, hamming, random_mat
 
 
 class _criterion:
@@ -81,19 +82,23 @@ def test_criterion_02_lower_bound_certificate(headline_reps):
 
 
 def test_criterion_03_determinant_sum_identity():
-    with _criterion(3, "minor-embedding dot equals det(A+B), 200 pairs per k in 1..4"):
+    with _criterion(
+        3, "minor-embedding dots equal det(A+B) and det(A-B), 200 pairs per k in 1..4"
+    ):
         for k in (1, 2, 3, 4):
             terms = det_sum_terms(k)
             assert len(terms) == comb(2 * k, k)
             for t in terms:
                 assert t.sign == expansion_sign(t.alpha, t.beta, k)
+            flip = negated_right(k)
             rng = random.Random(1000 + k)
             for _ in range(200):
                 a = random_mat(rng, k, k)
                 b = random_mat(rng, k, k)
-                assert dot(minor_embed(a, "left"), minor_embed(b, "right")) == det_exact(
-                    a + b
-                )
+                u = minor_embed(a)
+                # the expansion by its definition, then the pairing SupportRep runs
+                assert dot(u, defined_embed(b, "right")) == det_exact(a + b)
+                assert dot(u, flip(minor_embed(b))) == det_exact(a - b)
 
 
 def test_criterion_04_sign_rank_construction():

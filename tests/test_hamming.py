@@ -28,7 +28,7 @@ from hamrank.parallel import sweep
 from hamrank.seeds import rng_stream
 from hamrank.veronese import minor_embed
 
-from .conftest import hamming, pair_reference_report
+from .conftest import defined_embed, hamming, pair_reference_report
 
 
 def all_words(n, alphabet=(0, 1)):
@@ -222,9 +222,9 @@ class TestVerify:
     def test_exhaustive_sweep_embeds_each_word_once_per_side(self, monkeypatch):
         calls = Counter()
 
-        def counting(m, side):
-            calls[side] += 1
-            return minor_embed(m, side)
+        def counting(m):
+            calls["minor_embed"] += 1
+            return minor_embed(m)
 
         monkeypatch.setattr("hamrank.hamming.minor_embed", counting)
         # zeroed: every far pair is a violation, and each record reads a dot
@@ -234,10 +234,10 @@ class TestVerify:
         assert report.violation_count == 176
         assert {v["dot"] for v in report.violations} == {"0"}
         # one Laplace pass per word: v is a signed permutation of u
-        assert calls == {"left": 2**4}
+        assert calls == {"minor_embed": 2**4}
         # the grid is not kept in the rep's memo: a second sweep embeds anew
         verify_support_rep(rep)
-        assert calls == {"left": 2 * 2**4}
+        assert calls == {"minor_embed": 2 * 2**4}
 
 
 def hand_rep(n, k, alphabet, left, right) -> SupportRep:
@@ -354,8 +354,8 @@ class TestWordEmbeddings:
         words = all_words(rep.n, rep.alphabet)
         assert len(us) == len(vs) == len(words)
         for x, u, v in zip(words, us, vs):
-            assert u == minor_embed(comp.apply_diag(x), "left")
-            assert v == minor_embed(-comp.apply_diag(x), "right")
+            assert u == minor_embed(comp.apply_diag(x))
+            assert v == defined_embed(-comp.apply_diag(x), "right")
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -400,8 +400,8 @@ def test_piece_rep_vectors_are_the_definition():
         rep = piece_support_rep(p, threshold, seed=46 + threshold)
         a_map = _compress_problem(p, threshold, 46 + threshold).a_map
         for x in range(p.index_count):
-            assert rep.u(x) == minor_embed(a_map(x), "left")
-            assert rep.v(x) == minor_embed(-a_map(x), "right")
+            assert rep.u(x) == minor_embed(a_map(x))
+            assert rep.v(x) == defined_embed(-a_map(x), "right")
 
 
 def test_a_rep_dies_on_del_without_the_garbage_collector():

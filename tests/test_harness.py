@@ -911,9 +911,9 @@ class TestCli:
         monkeypatch.setattr(itertools, "product", guarded)
         embedded = Counter()
 
-        def counting(m, side):
-            embedded[side] += 1
-            return minor_embed(m, side)
+        def counting(m):
+            embedded["minor_embed"] += 1
+            return minor_embed(m)
 
         monkeypatch.setattr("hamrank.hamming.minor_embed", counting)
         rep = tmp_path / "rep.json"
@@ -954,7 +954,7 @@ class TestCli:
 
         monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
         monkeypatch.setattr("hamrank.hamming.minor_embed", never)
-        monkeypatch.setattr("hamrank.signcompile.packed_dots", never)
+        monkeypatch.setattr("hamrank.harness.packed_dots", never)
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps(equality_sign_doc(3)))
         error = self.failed_report(tmp_path, ["verify-sign", str(rep)])
@@ -1104,6 +1104,27 @@ class TestCli:
         assert not (tmp_path / "s.json").exists()
         # k = 5 stays under the default HAMRANK_MAX_DIM
         assert hd_sign_dim(6, 5) == 917281 <= 1 << 20
+
+    @pytest.mark.parametrize(
+        "mode", [[], ["--mode", "sample:10"]], ids=["exhaustive", "sample"]
+    )
+    def test_cli_verify_sign_over_the_dimension_budget_proves_nothing(
+        self, tmp_path, monkeypatch, mode
+    ):
+        from hamrank.signcompile import sign_from_json
+
+        def never(*args):
+            raise AssertionError("proved past the dimension budget")
+
+        doc = equality_sign_doc(3)
+        dim = sign_from_json(doc).dim
+        monkeypatch.setenv("HAMRANK_MAX_DIM", str(dim - 1))
+        monkeypatch.setattr("hamrank.signcompile.prove_det_sum", never)
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(doc))
+        assert self.failed_report(tmp_path, ["verify-sign", str(rep), *mode]) == (
+            f"BudgetExceededError: sign dimension {dim} exceeds the budget {dim - 1}"
+        )
 
     def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
         args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]

@@ -18,7 +18,7 @@ from hamrank.veronese import (
     unit_distance_vector,
 )
 
-from .conftest import det_cofactor, expansion_sign, random_mat
+from .conftest import defined_embed, det_cofactor, expansion_sign, random_mat
 
 
 class TestDetSumTerms:
@@ -49,25 +49,6 @@ class TestDetSumTerms:
         assert sizes == sorted(sizes)
 
 
-def defined_embed(a, side):
-    """``minor_embed`` by its definition: one determinant per term."""
-    full = range(a.rows)
-    if side == "left":
-        return tuple(
-            t.sign * det_exact(a.submatrix(t.alpha, t.beta))
-            for t in det_sum_terms(a.rows)
-        )
-    return tuple(
-        det_exact(
-            a.submatrix(
-                [i for i in full if i not in t.alpha],
-                [j for j in full if j not in t.beta],
-            )
-        )
-        for t in det_sum_terms(a.rows)
-    )
-
-
 class TestMinorEmbed:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -81,12 +62,16 @@ class TestMinorEmbed:
                 for _ in range(k * k)
             ]
             a = Mat(k, k, tuple(entries))
-            assert minor_embed(a, side) == defined_embed(a, side)
+            if side == "left":
+                assert minor_embed(a) == defined_embed(a, side)
+            else:
+                flip = veronese.negated_right(k)
+                assert flip(minor_embed(-a)) == defined_embed(a, side)
 
     def test_k1_literal(self):
         a, b = 7, -3
-        left = minor_embed(Mat(1, 1, (a,)), "left")
-        right = minor_embed(Mat(1, 1, (b,)), "right")
+        left = minor_embed(Mat(1, 1, (a,)))
+        right = veronese.negated_right(1)(minor_embed(Mat(1, 1, (-b,))))
         assert left == (1, a)
         assert right == (b, 1)
         assert dot(left, right) == a + b
@@ -97,29 +82,25 @@ class TestMinorEmbed:
         for _ in range(60):
             a = random_mat(rng, k, k)
             b = random_mat(rng, k, k)
-            u = minor_embed(a, "left")
-            v = minor_embed(b, "right")
+            u = minor_embed(a)
+            v = veronese.negated_right(k)(minor_embed(-b))
             assert dot(u, v) == det_exact(a + b)
 
     def test_zero_matrix_left_pattern(self):
         k = 3
         zero = Mat.zeros(k, k)
-        u = minor_embed(zero, "left")
+        u = minor_embed(zero)
         assert u[0] == 1 and all(c == 0 for c in u[1:])
         b = random_mat(random.Random(9), k, k)
-        assert dot(u, minor_embed(b, "right")) == det_exact(b)
+        assert dot(u, veronese.negated_right(k)(minor_embed(-b))) == det_exact(b)
 
     def test_pairing_with_negation_computes_difference(self):
         rng = random.Random(12)
         a = random_mat(rng, 2, 2)
         b = random_mat(rng, 2, 2)
-        u = minor_embed(a, "left")
-        v = minor_embed(-b, "right")
+        u = minor_embed(a)
+        v = veronese.negated_right(2)(minor_embed(b))
         assert dot(u, v) == det_exact(a - b)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            minor_embed(Mat.identity(2), "middle")
 
     @pytest.mark.parametrize("k", range(5))
     def test_coordinates_match_cofactor_minors(self, k):
@@ -146,8 +127,8 @@ class TestMinorEmbed:
                 )
                 for alpha, beta in pairs
             ]
-            assert minor_embed(a, "left") == tuple(left)
-            assert minor_embed(a, "right") == tuple(right)
+            assert minor_embed(a) == tuple(left)
+            assert veronese.negated_right(k)(minor_embed(-a)) == tuple(right)
             # the empty term is 1 on the left; its complement is det(A)
             assert left[0] == 1 and right[0] == det_exact(a)
 
@@ -173,8 +154,36 @@ class TestDetSumProof:
     def test_a_term_with_alpha_and_beta_swapped_is_caught(
         self, k, swapped_det_sum_term
     ):
-        with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
+        # negated_right(k) runs first and refuses the plan
+        with pytest.raises(PatternViolationError, match=rf"for k={k}: a co-minor"):
             prove_det_sum(k)
+
+    @pytest.mark.parametrize(
+        "k,placements", [(1, 2), (2, 7), (3, 34), (4, 209), (5, 1546)]
+    )
+    def test_one_embedding_and_one_determinant_per_placement(
+        self, monkeypatch, k, placements
+    ):
+        calls = {"minor_embed": 0, "det_exact": 0}
+
+        def counting(name):
+            real = getattr(veronese, name)
+
+            def counted(m):
+                calls[name] += 1
+                return real(m)
+
+            monkeypatch.setattr(veronese, name, counted)
+
+        counting("minor_embed")
+        counting("det_exact")
+        veronese.prove_det_sum.cache_clear()
+        try:
+            prove_det_sum(k)
+        finally:
+            veronese.prove_det_sum.cache_clear()
+        assert len(veronese._rook_mats(k)) == placements
+        assert calls == {"minor_embed": placements, "det_exact": placements}
 
 
 class TestNegatedRight:
@@ -185,18 +194,18 @@ class TestNegatedRight:
         for bound in (1, 9, 1 << 70):
             for _ in range(20):
                 a = random_mat(rng, k, k, bound)
-                assert flip(minor_embed(a, "left")) == minor_embed(-a, "right")
+                assert flip(minor_embed(a)) == defined_embed(-a, "right")
 
     @pytest.mark.parametrize("k", range(6))
     def test_agrees_with_the_negation_at_every_rook_placement(self, k):
         # the points of the multilinear argument prove_det_sum rests on
         flip = veronese.negated_right(k)
         for m in veronese._rook_mats(k).values():
-            assert flip(minor_embed(m, "left")) == minor_embed(-m, "right")
+            assert flip(minor_embed(m)) == defined_embed(-m, "right")
 
     @pytest.mark.parametrize("k", range(6))
     def test_embeds_no_matrix(self, monkeypatch, k):
-        def never(a, side):
+        def never(a):
             raise AssertionError("negated_right embedded a matrix")
 
         veronese.negated_right.cache_clear()
@@ -213,13 +222,20 @@ class TestNegatedRight:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_a_right_side_off_the_permutation_is_caught(self, monkeypatch, k):
-        def off(a, side):
-            # the full right minor, det(B), with the wrong sign
-            v = minor_embed(a, side)
-            return (-v[0], *v[1:]) if side == "right" else v
+        real = veronese.negated_right
+
+        def off(size):
+            flip = real(size)
+
+            def wrong(u):
+                # the full right minor, det(-B), with the wrong sign
+                v = flip(u)
+                return (-v[0], *v[1:])
+
+            return wrong
 
         veronese.prove_det_sum.cache_clear()
-        monkeypatch.setattr(veronese, "minor_embed", off)
+        monkeypatch.setattr(veronese, "negated_right", off)
         try:
             with pytest.raises(PatternViolationError, match=rf"k={k} at A=\[\["):
                 prove_det_sum(k)
@@ -230,7 +246,7 @@ class TestNegatedRight:
         # the map reads the term signs that the left side applies
         a = Mat(2, 2, (1, 2, 3, 4))
         flip = veronese.negated_right(2)
-        assert flip(minor_embed(a, "left")) == minor_embed(-a, "right")
+        assert flip(minor_embed(a)) == defined_embed(-a, "right")
 
 
 class TestUnitDistanceEmbedding:
