@@ -111,8 +111,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(
         seed=args.seed,
         threads=args.threads,
-        max_dim=_env_int("HAMRANK_MAX_DIM", 1 << 20),
-        max_pairs=_env_int("HAMRANK_MAX_PAIRS", 1 << 24),
+        max_dim=_env_int("HAMRANK_MAX_DIM", RunConfig.max_dim),
+        max_pairs=_env_int("HAMRANK_MAX_PAIRS", RunConfig.max_pairs),
         out=getattr(args, "out", None),
         report_path=args.report,
         csv_path=args.csv,

@@ -308,7 +308,7 @@ class Compressor:
 # -------------------------------------------------------------------
 
 
-def split_positions(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+def split_positions(values: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(first suffix position, suffix pattern count) of the longest run of
     trailing positions with at most 2 sqrt(family size) patterns."""
     size = math.prod(map(len, values))
@@ -317,6 +317,24 @@ def split_positions(values: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         split -= 1
         count *= len(values[split])
     return split, count
+
+
+def word_map(
+    comp: Compressor, alphabets: Sequence[Sequence[int]]
+) -> Callable[[tuple[int, ...]], Mat]:
+    """x -> comp.apply_diag(x) on word tuples over ``alphabets`` (one per
+    position) as C(prefix . 0) + C(0 . suffix), exact as ``apply_diag`` is
+    linear, split by ``split_positions``; each half-word is compressed once,
+    on first use, about 2 sqrt(|A|^n) ``apply_diag`` calls for all words."""
+    split = split_positions(alphabets)[0]
+    k, head, tail = comp.left.rows, (0,) * split, (0,) * (len(alphabets) - split)
+    prefix = functools.cache(lambda p: comp.apply_diag(p + tail).entries)
+    suffix = functools.cache(lambda q: comp.apply_diag(head + q).entries)
+
+    def apply(x: tuple[int, ...]) -> Mat:
+        return Mat(k, k, tuple(map(add, prefix(x[:split]), suffix(x[split:]))))
+
+    return apply
 
 
 def _supports(values: tuple[tuple[int, ...], ...], positions: range) -> list[int]:

@@ -7,7 +7,9 @@ built from one square map A and pairs the minor embedding of A(x) with the
 right one of -A(y), a signed permutation of that of A(y), so
 <u(x), v(y)> = det(A(x) - A(y)) (``veronese.prove_det_sum``).  For threshold
 distance, ``SupportRep.of_compressor`` takes A = C, where C compresses
-Diag(word) to k x k; the vectors have dimension C(2k, k) and
+Diag(word) to k x k by ``compression.word_map``, the one map that feeds the
+rep's memo, the word grid (``word_embeddings``) and ``rankprob``'s Hamming
+problems; the vectors have dimension C(2k, k) and
 
     <u(x), v(y)> != 0   if and only if   dist(x, y) >= k,
 
@@ -16,13 +18,11 @@ through the compressor's exhaustive family verification; an independent
 exhaustive (or sampled) pair check and an explicit identity-submatrix
 certificate for the 2^k lower bound are provided on top.
 
-The exhaustive pair check (``_packed_rows``) runs on the packed-dot kernel
-of ``parallel``: the right embeddings of all |A|^n words are packed once, so
-a row of exact dots costs one multiply-add per coordinate, and each slot's
-nonzero test is read from its top bit without unpacking.  The word grid is
-embedded once (``word_embeddings``): C(x) is the sum of the compressed
-prefix and suffix half-words, each word takes one Laplace pass, and its
-right vector is a signed permutation of its minor embedding.  The
+The exhaustive pair check (``_packed_rows``) embeds the word grid once, a
+Laplace pass per word (``word_embeddings``), and runs on the packed-dot
+kernel of ``parallel``: the right embeddings of all |A|^n words are packed
+once, so a row of exact dots costs one multiply-add per coordinate, and
+each slot's nonzero test is read from its top bit without unpacking.  The
 compressor's family walk and verify-sign run on the same kernel, and
 build-sign reads the reps' dots as the walk's rows of det C(x - y)
 (``compression.det_rows``).
@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
-from operator import add, getitem, mul, ne
+from operator import getitem, mul, ne
 from typing import Callable, Hashable, Sequence
 
 from .compression import (
@@ -43,8 +43,8 @@ from .compression import (
     certified,
     fit_compressor,
     nth_product,
-    split_positions,
     verify_compressor,
+    word_map,
 )
 from .errors import (
     InputError,
@@ -72,20 +72,19 @@ Vector = tuple[int, ...]  # one side of a minor embedding
 class SupportRep:
     """The support rep <u(x), v(y)> = det(a_map(x) - a_map(y)) for a square map.
 
-    ``a_map`` sends an index (a word, for Hamming reps) to a size x size
-    integer matrix.  u(x), the minor embedding of a_map(x)
-    (``veronese.minor_embed``) of dimension ``dim`` = C(2 ``size``, ``size``),
-    is one Laplace pass, computed on first use and memoized; v(y), the right
-    embedding of -a_map(y), is the signed permutation
-    ``veronese.negated_right`` of u(y), memoized too.  The dot product is
-    det(a_map(x) - a_map(y)) (``veronese.prove_det_sum``), nonzero exactly
-    where the difference has full rank.  A word is embedded once for both
-    sides, and a representation over 2^n words costs memory only for the
-    words actually touched.  An exhaustive sweep embeds the whole word grid
-    at once instead (``word_embeddings``).  A Hamming rep (``of_compressor``)
-    also carries its compressor, alphabet and seed, and derives ``n``, ``k``
-    and its document's predicate ``HD>=k`` from the compressor; other reps
-    have none.
+    ``a_map``, kept as given, sends an index to a size x size integer
+    matrix; a Hamming rep's (``of_compressor``) is ``compression.word_map``,
+    the one map both its memo and its word grid (``word_embeddings``) read.
+    u(x), the minor embedding of a_map(x) (``veronese.minor_embed``) of
+    dimension ``dim`` = C(2 ``size``, ``size``), is one Laplace pass,
+    computed on first use and memoized; v(y), the right embedding of
+    -a_map(y), is the signed permutation ``veronese.negated_right`` of u(y),
+    memoized too.  The dot product is det(a_map(x) - a_map(y))
+    (``veronese.prove_det_sum``), nonzero exactly where the difference has
+    full rank.  A rep over 2^n words costs memory only for the words
+    touched.  A Hamming rep also carries its compressor, alphabet and seed,
+    and derives ``n``, ``k`` and its document's predicate ``HD>=k`` from
+    the compressor; other reps have none.
     """
 
     alphabet: tuple[int, ...] | None = None
@@ -93,7 +92,7 @@ class SupportRep:
     seed: int | None = None
 
     def __init__(self, a_map: Callable[[Hashable], Mat], size: int):
-        self.size, self.dim = size, comb(2 * size, size)
+        self.a_map, self.size, self.dim = a_map, size, comb(2 * size, size)
         # the closures hold u, never self: a cycle would keep every rep
         # alive until a garbage-collector pass
         self.u = u = cache(lambda x: minor_embed(a_map(x)))
@@ -103,7 +102,7 @@ class SupportRep:
     def of_compressor(
         cls, comp: Compressor, alphabet: Sequence[int], seed: int | None
     ) -> "SupportRep":
-        """The rep det(C(x) - C(y)) of dist >= k, C = comp.apply_diag.
+        """The rep det(C(x) - C(y)) of dist >= k, C = ``word_map`` of comp.
 
         The compressor's factors are k x n, both of one shape: n is the word
         length and k the threshold.  The alphabet must pass
@@ -111,8 +110,9 @@ class SupportRep:
         """
         if comp.left.shape != comp.right.shape:
             raise InputError(f"factor shapes {comp.left.shape} != {comp.right.shape}")
-        rep = cls(comp.apply_diag, comp.left.rows)
-        rep.alphabet, rep.compressor, rep.seed = check_alphabet(alphabet), comp, seed
+        alphabet = check_alphabet(alphabet)
+        rep = cls(word_map(comp, (alphabet,) * comp.left.cols), comp.left.rows)
+        rep.alphabet, rep.compressor, rep.seed = alphabet, comp, seed
         return rep
 
     @property
@@ -175,10 +175,7 @@ def _weights_compressor(n: int) -> Compressor:
 
 
 def build_hd_supp(
-    n: int,
-    k: int,
-    alphabet: Sequence[int] = (0, 1),
-    seed: int = 0,
+    n: int, k: int, alphabet: Sequence[int] = (0, 1), seed: int = 0
 ) -> SupportRep:
     """Build a verified dim-C(2k,k) support representation of dist >= k.
 
@@ -268,29 +265,13 @@ def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
     """(us, vs): u(x) and v(x) of a Hamming rep for every word x, in
     ``word_of_index`` order, each word embedded once.
 
-    C = ``apply_diag`` of the compressor is linear in the word, so
-    C(x) = C(prefix . 0) + C(0 . suffix) for the split of
-    ``compression.split_positions``: ``apply_diag`` runs once per half-word,
-    about 2 sqrt(|A|^n) times, and each word costs one k x k add and one
-    ``minor_embed``.  v is its signed permutation ``veronese.negated_right``,
-    as ``veronese.prove_det_sum`` proves.  Nothing is kept in the rep's memo.
+    Each word is one k x k add of compressed half-words (the rep's ``a_map``,
+    ``compression.word_map``) and one ``minor_embed``; v is its signed
+    permutation ``veronese.negated_right``.  Nothing is kept in the rep's memo.
     """
-    n, k, alphabet = rep.n, rep.k, rep.alphabet
-    split = split_positions((alphabet,) * n)[0]
-    apply = rep.compressor.apply_diag
-    head, tail = (0,) * split, (0,) * (n - split)
-    prefixes = [
-        apply(p + tail).entries for p in itertools.product(alphabet, repeat=split)
-    ]
-    suffixes = [
-        apply(head + q).entries for q in itertools.product(alphabet, repeat=n - split)
-    ]
-    us = [
-        minor_embed(Mat(k, k, tuple(map(add, p, q))))
-        for p in prefixes
-        for q in suffixes
-    ]
-    return us, list(map(negated_right(k), us))
+    words = itertools.product(rep.alphabet, repeat=rep.n)
+    us = [minor_embed(rep.a_map(x)) for x in words]
+    return us, list(map(negated_right(rep.k), us))
 
 
 def _packed_rows(
@@ -411,12 +392,9 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     n, k = rep.n, rep.k
     if k > n:
         raise InputError(f"the identity certificate needs k <= n, got k={k}, n={n}")
-    rows = []
-    cols = []
-    for bits in itertools.product((lo, hi), repeat=k):
-        rows.append(tuple(bits) + (lo,) * (n - k))
-        flipped = tuple(hi if b == lo else lo for b in bits)
-        cols.append(flipped + (lo,) * (n - k))
+    heads, tail = list(itertools.product((lo, hi), repeat=k)), (lo,) * (n - k)
+    rows = [w + tail for w in heads]
+    cols = [tuple(hi if b == lo else lo for b in w) + tail for w in heads]
 
     check = pairwise(lambda i, j: rep.query(rows[i], cols[j]) != (i == j))
     result = sweep(len(rows), lambda: check)

@@ -19,7 +19,7 @@ from math import comb
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
-from .errors import BudgetExceededError, HamrankError, InputError, PatternViolationError
+from .errors import HamrankError, InputError, PatternViolationError
 from .hamming import (
     SupportRep,
     build_hd_supp,
@@ -44,8 +44,10 @@ from .rankprob import (
 )
 from .seeds import rng_stream
 from .signcompile import (
+    MAX_SIGN_DIM,
     Combine,
     build_hd_sign,
+    check_sign_dim,
     domain_rows,
     eval_sign,
     gamma_values,
@@ -88,7 +90,7 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     sample: int | None = None
-    max_dim: int = 1 << 20
+    max_dim: int = MAX_SIGN_DIM
     max_pairs: int = 1 << 24
     out: str | None = None
     report_path: str | None = None
@@ -322,18 +324,12 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
     report.status = "certified" if result.certified else "failed"
 
 
-def _check_sign_dim(dim: int, config: RunConfig) -> None:
-    if dim > config.max_dim:  # before the det-sum proofs: (k+1)! 2^(k+1) points
-        msg = f"sign dimension {dim} exceeds the budget {config.max_dim}"
-        raise BudgetExceededError(msg)
-
-
 def _run_build_sign(config: RunConfig, report: Report) -> None:
     p = config.params
     n, k = p["n"], p["k"]
     gamma_mode = p.get("gamma_mode", "exact_scan")
     dim_formula = hd_sign_dim(n, k)
-    _check_sign_dim(dim_formula, config)
+    check_sign_dim(dim_formula, config.max_dim)
     rep = build_hd_sign(
         n, k, seed=config.seed, gamma_mode=gamma_mode, max_pairs=config.max_pairs
     )
@@ -386,7 +382,7 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     alone by ``eval_sign``; the timing section records the pairs
     evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
-    _check_sign_dim(rep.dim, config)
+    check_sign_dim(rep.dim, config.max_dim)
     alphabet = rep.oracle.alphabet
     count = len(alphabet) ** n
     word = cache(lambda i: word_of_index(i, n, alphabet))

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from math import prod
+from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .compression import MatFamily, fit_compressor, nth_product
+from .compression import MatFamily, fit_compressor, nth_product, word_map
 from .errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
@@ -39,7 +39,8 @@ from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import SignRep, compile_tree, domain_rows, threshold_tree
+from .signcompile import SignRep, check_sign_dim, compile_tree, domain_rows
+from .signcompile import threshold_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -127,22 +128,20 @@ def _hamming_problem(
     """The order-k problem with eval(x, y) = 1 iff dist >= k between
     the tuples of ``product(*alphabets)`` numbered x and y.
 
-    A(x) compresses Diag(tuple x) to k x k through a compressor fitted over
-    the full diagonal-difference family, so rank(A(x) - A(y)) equals
-    min(dist, k) for every pair; g is the threshold step at k.
+    A is ``compression.word_map`` of a k x k compressor fitted over the full
+    diagonal-difference family, so rank(A(x) - A(y)) equals min(dist, k)
+    for every pair; g is the threshold step at k.
     """
     comp = fit_compressor(MatFamily.diagonal_differences_multi(alphabets), k, seed)
     word = cache(lambda i: nth_product(i, alphabets))
-
-    def a_map(i: int) -> Mat:
-        return comp.apply_diag(word(i))
+    compress = word_map(comp, alphabets)
 
     def rank_fn(x: int, y: int) -> int:
         # certified by the compressor's exhaustive family verification
         return min(dist(word(x), word(y)), k)
 
-    count = prod(len(alpha) for alpha in alphabets)
-    return RankProblem(count, cache(a_map), _step(k), rank_fn, name)
+    a_map = cache(lambda i: compress(word(i)))
+    return RankProblem(prod(map(len, alphabets)), a_map, _step(k), rank_fn, name)
 
 
 def hd_rank_problem(
@@ -256,14 +255,12 @@ def bool_combine(
         for i, p in enumerate(problems)
     ]
     weights = [prod(k_i + 1 for k_i in orders[:i]) for i in range(q)]
-
-    g_table = []
-    for t in range(total_order + 1):
-        bits_idx = 0
-        for i, p in enumerate(resized):
-            digit = (t // weights[i]) % (orders[i] + 1)
-            bits_idx |= p.g[digit] << i
-        g_table.append(table[bits_idx])
+    # digit i of rank t, weight w and radix k + 1, is component i's rank
+    digits = list(enumerate(zip(weights, orders, resized)))
+    g_table = [
+        table[sum(p.g[t // w % (k + 1)] << i for i, (w, k, p) in digits)]
+        for t in range(total_order + 1)
+    ]
 
     combined = _block_problem(
         [(w, p, lambda x: x) for w, p in zip(weights, resized)],
@@ -298,14 +295,17 @@ def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:
 
     ``threshold_tree`` asks rank >= t at the change points of g through
     ``piece_support_rep``, the least dimension of any threshold tree.  More
-    than COMPOSE_PAIR_BUDGET index pairs are refused before any all-pairs
-    piece is fitted.  The sign is checked against g(rank), from the member
-    ranks of ``p.differences``, on each member's first pair (x, y): once the
-    det-sum identity is proved, a piece's dot is det(C(B_x - B_y)), C
-    linear, and nodes read it only through s == 0 and s^2, so all pairs of
-    a member, (y, x) too, take its values.
+    than COMPOSE_PAIR_BUDGET index pairs, or a tree dimension 1 + sum
+    C(2t, t)^2 over the change points t above ``MAX_SIGN_DIM``, are refused
+    before any piece is fitted.  The sign is checked against g(rank), from
+    the member ranks of ``p.differences``, on each member's first pair
+    (x, y): once the det-sum identity is proved, a piece's dot is
+    det(C(B_x - B_y)), C linear, and nodes read it only through s == 0 and
+    s^2, so all pairs of a member, (y, x) too, take its values.
     """
     check_pairs(p.index_count**2, COMPOSE_PAIR_BUDGET)
+    changes = [t for t in range(1, len(p.g)) if p.g[t] != p.g[t - 1]]
+    check_sign_dim(1 + sum(comb(2 * t, t) ** 2 for t in changes))
     tree = threshold_tree(
         p.g, lambda t: piece_support_rep(p, t, seed_stream(seed, "piece", t))
     )

@@ -182,6 +182,16 @@ def oracles(tree: OracleTree | SignRep) -> list[SupportRep]:
     return [tree.oracle, *oracles(tree.rep1), *oracles(tree.rep0)]
 
 
+MAX_SIGN_DIM = 1 << 20  # default budget on a sign rep's dimension
+
+
+def check_sign_dim(dim: int, max_dim: int = MAX_SIGN_DIM) -> None:
+    """Refuse a sign dimension above ``max_dim`` before any det-sum proof:
+    a proof of size c takes sum_s C(c, s) c!/(c - s)! 2^s rook points."""
+    if dim > max_dim:
+        raise BudgetExceededError(f"sign dimension {dim} exceeds the budget {max_dim}")
+
+
 def _prove_det_sums(tree: OracleTree | SignRep) -> None:
     for size in sorted({oracle.size for oracle in oracles(tree)}):
         prove_det_sum(size)
@@ -383,10 +393,8 @@ def materialize(
     back to the combine recursion, term by term, so structural and
     materialized evaluation agree exactly.  Column count equals ``rep.dim``.
     """
-    if max_dim is not None and rep.dim > max_dim:
-        raise BudgetExceededError(
-            f"materializing dimension {rep.dim} exceeds the budget {max_dim}"
-        )
+    if max_dim is not None:
+        check_sign_dim(rep.dim, max_dim)
     u_rows = [_row(rep, x, "u") for x in indices]
     v_rows = [_row(rep, y, "v") for y in indices]
     dim = rep.dim

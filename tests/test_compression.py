@@ -350,6 +350,39 @@ class TestDiagonalFastPath:
             total = total + Mat.from_rows([[zi * a * b for b in q] for a in p])
         assert comp.apply_diag(z) == total
 
+    @pytest.mark.parametrize(
+        "alphabets",
+        [
+            ((0, 1, 2), (5,), (-3, 4), (-1, 0, 1, 7), (0, 1)),
+            ((7,), (-2, -1)),
+            ((0, 1),) * 6,
+        ],
+    )
+    def test_word_map_is_apply_diag(self, rng, alphabets):
+        # mixed sizes, one-letter positions and negative letters
+        n = len(alphabets)
+        comp = Compressor(random_mat(rng, 2, n), random_mat(rng, 2, n), 0, False)
+        word = compression.word_map(comp, alphabets)
+        for x in itertools.product(*alphabets):
+            assert word(x) == comp.apply_diag(x)
+
+    def test_word_map_compresses_each_half_word_once(self, monkeypatch, rng):
+        alphabets = ((0, 1, 2),) * 3 + ((-1, 4),) * 3
+        comp = Compressor(random_mat(rng, 3, 6), random_mat(rng, 3, 6), 0, False)
+        calls = Counter()
+        real = Compressor.apply_diag
+        monkeypatch.setattr(
+            Compressor, "apply_diag", lambda c, z: calls.update([z]) or real(c, z)
+        )
+        word = compression.word_map(comp, alphabets)
+        for x in itertools.product(*alphabets):
+            word(x)
+            word(x)
+        split = compression.split_positions(alphabets)[0]
+        halves = math.prod(map(len, alphabets[:split]))
+        halves += math.prod(map(len, alphabets[split:]))
+        assert sum(calls.values()) == halves
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -175,6 +175,20 @@ class TestVerify:
         assert report.certified
         assert report.pairs_checked == 20000
 
+    def test_sample_mode_compresses_each_half_word_at_most_once(self, monkeypatch):
+        calls = Counter()
+        real = Compressor.apply_diag
+        monkeypatch.setattr(
+            Compressor, "apply_diag", lambda c, z: calls.update([z]) or real(c, z)
+        )
+        # 2^8 words split after position 3: 2^3 prefixes, 2^5 suffixes; the
+        # 2,000 drawn pairs touch nearly every word
+        rep = build_hd_supp(8, 2, seed=14)
+        calls.clear()
+        report = verify_support_rep(rep, sample=2000, sample_seed=5)
+        assert report.certified
+        assert sum(calls.values()) <= 2**3 + 2**5
+
     def test_sample_mode_seeded_k3_n10(self):
         rep = build_hd_supp(10, 3, seed=15)
         report = verify_support_rep(rep, sample=100_000, sample_seed=7)

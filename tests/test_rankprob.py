@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamrank import compression, rankprob
+from hamrank import compression, rankprob, signcompile
 from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
@@ -221,6 +221,20 @@ class TestHdRankProblem:
         for x in range(8):
             for y in range(8):
                 assert p.eval(x, y) == (1 if x == y else 0)
+
+    @pytest.mark.parametrize(
+        "n,k,alphabet", [(4, 2, (0, 1)), (3, 2, (-1, 0, 5)), (5, 3, (0, 1))]
+    )
+    def test_a_map_is_apply_diag_of_each_word(self, monkeypatch, n, k, alphabet):
+        fitted = []
+        fit = rankprob.fit_compressor
+        monkeypatch.setattr(
+            rankprob, "fit_compressor", lambda *a: fitted.append(fit(*a)) or fitted[-1]
+        )
+        p = hd_rank_problem(n, k, alphabet, seed=9)
+        (comp,) = fitted
+        for i in range(p.index_count):
+            assert p.a_map(i) == comp.apply_diag(word_of_index(i, n, alphabet))
 
     def test_each_index_is_decoded_once(self, monkeypatch):
         decoded = []
@@ -494,6 +508,21 @@ class TestToSignRep:
         monkeypatch.setattr(rankprob, "piece_support_rep", no_build)
         with pytest.raises(BudgetExceededError, match="^65536 pairs exceed"):
             to_sign_rep(hd_rank_problem(8, 1))
+
+    def test_refuses_a_tree_over_the_sign_budget_before_any_fit(self, monkeypatch):
+        # g changes only at 7: a tree of dimension 1 + C(14, 7)^2 over two
+        # random 7 x 7 maps, whose proof would walk 5,129,307 rook points
+        def refused(*args, **kwargs):
+            raise AssertionError("fitted or proved past the budget")
+
+        monkeypatch.setattr(rankprob, "fit_compressor", refused)
+        monkeypatch.setattr(signcompile, "prove_det_sum", refused)
+        rng = random.Random(68)
+        mats = [random_mat(rng, 7, 7) for _ in range(2)]
+        p = symmetric_problem(2, lambda x: mats[x], (0,) * 7 + (1,))
+        message = "^sign dimension 11778625 exceeds the budget 1048576$"
+        with pytest.raises(BudgetExceededError, match=message):
+            to_sign_rep(p)
 
     def test_constant_problem_compiles_to_constant(self):
         p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1))
