@@ -23,15 +23,14 @@ of packed big-integer dots (``parallel.packed_nonzero``) gives a whole
 prefix's determinants at once.  Below the rank cap k a member's rank
 depends only on its support, checked once per support; exact Bareiss ranks
 of members are left for failures.  No pattern list and no matrix object is
-built per member.  ``det_rows`` unpacks the same rows into the exact
-determinants (``parallel.packed_dots``), which build-sign reads as its
-oracles' values.
+built per member.  The same prefix and suffix vectors (``det_vectors``)
+are what ``signcompile`` packs into build-sign's exact oracle values.
 
 Explicit families are difference families {B_x - B_y}: the all-pairs
-differences of a rank problem's maps, or a member list taken against a
-zero base.  The compressor is linear, so a check compresses each of the N
-bases once, not each of up to N(N+1)/2 members, and ranks member (x, y)
-as the difference of two compressed bases.  Member ranks are computed
+differences of a rank problem's maps.  The compressor is linear, so a
+check compresses each of the N bases once, not each of up to N(N+1)/2
+members, and ranks member (x, y) as the difference of two compressed
+bases.  Member ranks are computed
 once per family and shared by every draw and every fit over it.
 
 When the target is at least as large as the source, the identity embedding
@@ -47,7 +46,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -56,8 +55,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact import Mat, det_exact, int_from_json, rank_exact
-from .parallel import REPORT_CAP, SweepReport, flagged, top_bytes
-from .parallel import packed_dots, packed_nonzero
+from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -108,38 +106,18 @@ class MatFamily:
             raise ValueError("exactly one of bases/diag_values must be given")
 
     @classmethod
-    def from_members(cls, members: Sequence[Mat]) -> "MatFamily":
-        """The distinct members, in first-occurrence order: each member is
-        a base, taken against one more base, the zero matrix."""
-        members = tuple(members)
-        if not members:
-            raise ValueError("family must be nonempty")
-        zero = len(members)
-        return cls._distinct(
-            (*members, Mat.zeros(*members[0].shape)), ((x, zero) for x in range(zero))
-        )
-
-    @classmethod
     def differences(cls, bases: Sequence[Mat]) -> "MatFamily":
         """The family {B_x - B_y : x <= y} of the bases' differences,
-        deduplicated in x-major order; x > y would only negate a member."""
+        deduplicated in x-major order, each member kept at its first pair;
+        x > y would only negate a member."""
         bases = tuple(bases)
-        n = len(bases)
-        return cls._distinct(bases, ((x, y) for x in range(n) for y in range(x, n)))
-
-    @classmethod
-    def _distinct(
-        cls, bases: tuple[Mat, ...], pairs: Iterable[tuple[int, int]]
-    ) -> "MatFamily":
-        """The difference family of the first of ``pairs`` giving each
-        distinct B_x - B_y."""
         if not bases:
             raise ValueError("family must be nonempty")
         shape = bases[0].shape
         if any(b.shape != shape for b in bases):
             raise SizeMismatchError("family members must share one shape")
         first: dict[tuple[int, ...], tuple[int, int]] = {}
-        for x, y in pairs:
+        for x, y in itertools.combinations_with_replacement(range(len(bases)), 2):
             diff = tuple(map(sub, bases[x].entries, bases[y].entries))
             first.setdefault(diff, (x, y))
         return cls(shape=shape, bases=bases, pairs=tuple(first.values()))
@@ -362,7 +340,7 @@ def _diagonal_shortfalls(
     property of S alone, checked once per support by two exact ranks.
 
     The cap is reached exactly where the k x k determinant det C(z) is
-    nonzero, a dot product of prefix and suffix vectors (``_det_vectors``).
+    nonzero, a dot product of prefix and suffix vectors (``det_vectors``).
     So the suffixes' vectors are packed once (``parallel.packed_nonzero``),
     and each prefix row gets every exact determinant for one big-integer
     multiply-add per nonzero monomial of the prefix; the top-bit flags mark
@@ -396,7 +374,7 @@ def _diagonal_shortfalls(
 
     # a row reads flags only if t <= top, that is only when this kernel exists
     if any(cap - mask.bit_count() <= top for mask in prefixes):
-        nonzero, slot_bytes = packed_nonzero(*_det_vectors(comp, values, split))
+        nonzero, slot_bytes = packed_nonzero(*det_vectors(comp, values, split))
 
     for i, pre_mask in enumerate(prefixes):
         t = max(cap - pre_mask.bit_count(), 0)
@@ -413,7 +391,7 @@ def _diagonal_shortfalls(
                 yield i * count + j, achieved, required
 
 
-def _det_vectors(
+def det_vectors(
     comp: Compressor, values: tuple[tuple[int, ...], ...], split: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """(us, vs) with det C(z) = <us[i], vs[j]> for prefix i and suffix j of
@@ -435,15 +413,6 @@ def _det_vectors(
         _evaluate(monomials, values, range(split), width),
         _evaluate(poly, values, range(split, len(values)), width),
     )
-
-
-def det_rows(
-    comp: Compressor, values: tuple[tuple[int, ...], ...]
-) -> Callable[[int], list[int]]:
-    """Row i lists det C(z), C = comp.apply_diag, for prefix i of z with
-    each suffix, split by ``split_positions`` and in product order: the
-    family walk's rows, unpacked (``packed_dots``)."""
-    return packed_dots(*_det_vectors(comp, values, split_positions(values)[0]))
 
 
 def _cap_coefficients(

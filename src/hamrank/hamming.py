@@ -8,8 +8,8 @@ right one of -A(y), a signed permutation of that of A(y), so
 <u(x), v(y)> = det(A(x) - A(y)) (``veronese.prove_det_sum``).  For threshold
 distance, ``SupportRep.of_compressor`` takes A = C, where C compresses
 Diag(word) to k x k by ``compression.word_map``, the one map that feeds the
-rep's memo, the word grid (``word_embeddings``) and ``rankprob``'s Hamming
-problems; the vectors have dimension C(2k, k) and
+rep's memo, its embedded grids (``SupportRep.embed``) and ``rankprob``'s
+Hamming problems; the vectors have dimension C(2k, k) and
 
     <u(x), v(y)> != 0   if and only if   dist(x, y) >= k,
 
@@ -19,13 +19,12 @@ exhaustive (or sampled) pair check and an explicit identity-submatrix
 certificate for the 2^k lower bound are provided on top.
 
 The exhaustive pair check (``_packed_rows``) embeds the word grid once, a
-Laplace pass per word (``word_embeddings``), and runs on the packed-dot
+Laplace pass per word (``SupportRep.embed``), and runs on the packed-dot
 kernel of ``parallel``: the right embeddings of all |A|^n words are packed
 once, so a row of exact dots costs one multiply-add per coordinate, and
 each slot's nonzero test is read from its top bit without unpacking.  The
-compressor's family walk and verify-sign run on the same kernel, and
-build-sign reads the reps' dots as the walk's rows of det C(x - y)
-(``compression.det_rows``).
+compressor's family walk runs on the same kernel; sign trees read exact
+dots from rows that ``signcompile`` alone packs.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
 from operator import getitem, mul, ne
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .compression import (
     Compressor,
@@ -74,7 +73,7 @@ class SupportRep:
 
     ``a_map``, kept as given, sends an index to a size x size integer
     matrix; a Hamming rep's (``of_compressor``) is ``compression.word_map``,
-    the one map both its memo and its word grid (``word_embeddings``) read.
+    the one map both its memo and ``embed`` read.
     u(x), the minor embedding of a_map(x) (``veronese.minor_embed``) of
     dimension ``dim`` = C(2 ``size``, ``size``), is one Laplace pass,
     computed on first use and memoized; v(y), the right embedding of
@@ -122,6 +121,13 @@ class SupportRep:
     @property
     def k(self) -> int:
         return self.compressor.target_shape[0]
+
+    def embed(self, domain: Iterable) -> tuple[list[Vector], list[Vector]]:
+        """(us, vs): u(x) and v(x) for each x of ``domain``, words or indices,
+        in order: one ``minor_embed`` of a_map(x) each, v its signed
+        permutation ``negated_right``; the memo is neither read nor filled."""
+        us = [minor_embed(self.a_map(x)) for x in domain]
+        return us, list(map(negated_right(self.size), us))
 
     def dot(self, x, y) -> int:
         return sum(map(mul, self.u(x), self.v(y)))
@@ -261,19 +267,6 @@ def near_indices(i: int, n: int, size: int, k: int, lo: int = 0) -> list[int]:
     return near
 
 
-def word_embeddings(rep: SupportRep) -> tuple[list[Vector], list[Vector]]:
-    """(us, vs): u(x) and v(x) of a Hamming rep for every word x, in
-    ``word_of_index`` order, each word embedded once.
-
-    Each word is one k x k add of compressed half-words (the rep's ``a_map``,
-    ``compression.word_map``) and one ``minor_embed``; v is its signed
-    permutation ``veronese.negated_right``.  Nothing is kept in the rep's memo.
-    """
-    words = itertools.product(rep.alphabet, repeat=rep.n)
-    us = [minor_embed(rep.a_map(x)) for x in words]
-    return us, list(map(negated_right(rep.k), us))
-
-
 def _packed_rows(
     us: Sequence[Sequence[int]],
     vs: Sequence[Sequence[int]],
@@ -317,7 +310,7 @@ def verify_support_rep(
 
     With ``sample`` None the check is exhaustive: it sweeps all
     |alphabet|^(2n) ordered pairs in product order and embeds every word
-    once, left side only, from compressed half-words (``word_embeddings``),
+    once, left side only, from compressed half-words (``SupportRep.embed``),
     before the first row; each row is checked by ``_packed_rows``, one
     big-integer multiply-add per coordinate against the packed columns, with
     the Hamming ball of radius k - 1 as ground truth.  Otherwise it draws
@@ -339,7 +332,7 @@ def verify_support_rep(
     def prepare():
         nonlocal u, v
         if sample is None:
-            us, vs = word_embeddings(rep)
+            us, vs = rep.embed(itertools.product(alphabet, repeat=n))
             u, v = us.__getitem__, vs.__getitem__
             return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
         u, v = cache(lambda i: rep.u(word(i))), cache(lambda i: rep.v(word(i)))

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 from typing import Callable, TextIO, TypeVar
@@ -28,11 +28,10 @@ from .hamming import (
     load_supp,
     near_indices,
     verify_support_rep,
-    word_embeddings,
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import packed_dots, pairwise, sweep, symmetric
+from .parallel import pairwise, sweep, symmetric
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -376,8 +375,8 @@ def _load_sign(doc: dict) -> tuple[Combine, int, int]:
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     """Check sign == +1 iff dist == k on every ordered pair, a row at a
-    time, its columns j >= i (``positive_upper``, each oracle's word grid
-    embedded once by ``word_embeddings``) against the Hamming shell at
+    time, its columns j >= i (``positive_upper`` on ``domain_rows``, each
+    oracle's word grid embedded once) against the Hamming shell at
     distance k and the rest mirrored (``symmetric``), or each drawn pair
     alone by ``eval_sign``; the timing section records the pairs
     evaluated."""
@@ -394,8 +393,7 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 != (1 if dist(word(i), word(j)) == k else -1)
             )
         words = list(map(word, range(count)))
-        grid = cache(lambda oracle: packed_dots(*word_embeddings(oracle)))
-        positive = positive_upper(rep, replace(domain_rows(words), dots=grid))
+        positive = positive_upper(rep, domain_rows(words))
 
         def upper(i, cols):
             shell = near_indices(i, n, len(alphabet), k + 1, lo=k)

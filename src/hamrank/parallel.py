@@ -16,7 +16,8 @@ big integers, with a slot width taken from the largest entries, so a row of
 exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
 each slot's nonzero test from its top bit without unpacking (the Hamming
 pair check, the family walk of ``compression``); ``packed_dots`` unpacks
-the slots from any column on (``compression.det_rows``, sign-tree rows).
+the slots from any column on, for sign-tree rows, which only
+``signcompile._packed`` packs.
 """
 
 from __future__ import annotations

@@ -21,8 +21,12 @@ the whole domain: every ordered pair (``domain_rows``), one per difference
 class of words (``build_hd_sign``) or one per distinct member of a rank
 problem's difference family (``rankprob.to_sign_rep``), once
 ``veronese.prove_det_sum`` has passed at every oracle size.  Oracle dots
-come a row at a time, and one column recursion, ``value_row``, serves the
-gamma scan, the check against the caller's ground truth and verify-sign.
+come a row at a time from the one packing site, ``_packed``: a row source
+gives each oracle's (left, right) vectors, ``SupportRep.embed`` over a
+domain or ``compression.det_vectors`` over difference classes, and they are
+packed once per oracle (``parallel.packed_dots``).  One column recursion,
+``value_row``, serves the gamma scan, the check against the caller's
+ground truth and verify-sign.
 A ``SupportRep`` built on maps from indices to matrices already answers at
 indices, so other index domains need no translation layer.
 """
@@ -42,7 +46,7 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .compression import det_rows, split_positions
+from .compression import det_vectors, split_positions
 from .exact import Mat, int_from_json
 from .hamming import (
     SupportRep,
@@ -50,7 +54,6 @@ from .hamming import (
     check_alphabet,
     dist,
     load_supp,
-    word_embeddings,
 )
 from .parallel import check_pairs, packed_dots
 from .seeds import seed_stream
@@ -135,8 +138,9 @@ class PairRows:
     of its domain, as rows of ``width`` columns: ``cols[i]`` lists the
     columns of row i that stand for pairs, ascending, ``pair(i, j)``
     names the pair (x, y) of one, and ``dots(oracle)(i, lo=0)`` lists the
-    oracle's exact dots at columns lo, lo + 1, ... of row i (``dots``
-    builds each oracle's row function once)."""
+    oracle's exact dots at columns lo, lo + 1, ... of row i.  Every row
+    source builds ``dots`` with ``_packed``, the one place an oracle's
+    vectors are packed."""
 
     cols: Sequence[Sequence[int]]
     width: int
@@ -144,16 +148,23 @@ class PairRows:
     dots: Callable[[SupportRep], Callable[..., list[int]]]
 
 
+def _packed(
+    vectors: Callable[[SupportRep], tuple[list, list]],
+) -> Callable[[SupportRep], Callable[..., list[int]]]:
+    """``PairRows.dots`` for rows whose dots are <us[i], vs[j]>, (us, vs) =
+    vectors(oracle): each oracle's vectors packed once (``packed_dots``)."""
+    return cache(lambda oracle: packed_dots(*vectors(oracle)))
+
+
 def domain_rows(domain: Sequence) -> PairRows:
-    """Every ordered pair (domain[i], domain[j]); each oracle's embeddings
-    go through its memo and are packed once (``parallel.packed_dots``)."""
+    """Every ordered pair (domain[i], domain[j]), each oracle's dots packed
+    from its ``SupportRep.embed`` of the domain; its memo stays empty."""
     count = len(domain)
-
-    def dots(oracle: SupportRep) -> Callable[..., list[int]]:
-        return packed_dots(list(map(oracle.u, domain)), list(map(oracle.v, domain)))
-
     return PairRows(
-        [range(count)] * count, count, lambda i, j: (domain[i], domain[j]), cache(dots)
+        [range(count)] * count,
+        count,
+        lambda i, j: (domain[i], domain[j]),
+        _packed(lambda oracle: oracle.embed(domain)),
     )
 
 
@@ -199,13 +210,14 @@ def _prove_det_sums(tree: OracleTree | SignRep) -> None:
 
 def positive_upper(rep: SignRep, rows: PairRows) -> Callable[[int], list[int]]:
     """The exhaustive row form of ``eval_sign`` over the square grid
-    ``rows`` of ``domain_rows``, upper triangle only: ``row(i)`` lists the
-    j >= i with eval_sign(rep, *rows.pair(i, j)) == 1, in order, and raises
-    its ``ZeroValueError`` at the first such j where the value vanishes.
-    The rest of the row is the mirror image once ``_prove_det_sums`` passes,
-    which runs first: an oracle's dot at (x, y) is then det(C(x) - C(y)),
-    (-1)^size times its dot at (y, x), and nodes read it only through s == 0
-    and s^2, so any tree's value is symmetric, a broken tree's too."""
+    ``rows`` of ``domain_rows``, read from its packed dots, upper triangle
+    only: ``row(i)`` lists the j >= i with eval_sign(rep, *rows.pair(i, j))
+    == 1, in order, and raises its ``ZeroValueError`` at the first such j
+    where the value vanishes.  The rest of the row is the mirror image once
+    ``_prove_det_sums`` passes, which runs first: an oracle's dot at (x, y)
+    is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and nodes
+    read it only through s == 0 and s^2, so any tree's value is symmetric,
+    a broken tree's too."""
     _prove_det_sums(rep)
 
     def row(i: int) -> list[int]:
@@ -275,7 +287,7 @@ def choose_gamma(
 def _dot_bound(oracle: SupportRep) -> int:
     # |<u, v>| <= (max_x sum_i |u_i(x)|) * (max_y max_i |v_i(y)|) over the
     # oracle's word grid: two single-input sweeps, never a pair scan.
-    us, vs = word_embeddings(oracle)
+    us, vs = oracle.embed(itertools.product(oracle.alphabet, repeat=oracle.n))
     usum = max(sum(map(abs, u)) for u in us)
     vmax = max(max(map(abs, v)) for v in vs)
     return usum * vmax
@@ -458,12 +470,13 @@ def build_hd_sign(
 
 def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
     """One pair (x, y) per class {z, -z}, z = x - y over (A - A)^n in
-    product order, prefix i of z in row i and suffix j in column j of
-    ``compression.det_rows``; x_p, y_p is the letter pair first met with
-    a - b = z_p.  A z whose first nonzero entry is negative, met at -z, is
-    skipped: the differences are sorted and symmetric, so z -> -z reverses
-    product order, and those z are the ones before 0, in the rows before
-    the middle (zero prefix) row and in its columns before the middle."""
+    product order, prefix i of z in row i and suffix j in column j, the
+    dots packed from ``compression.det_vectors``; x_p, y_p is the letter
+    pair first met with a - b = z_p.  A z whose first nonzero entry is
+    negative, met at -z, is skipped: the differences are sorted and
+    symmetric, so z -> -z reverses product order, and those z are the ones
+    before 0, in the rows before the middle (zero prefix) row and in its
+    columns before the middle."""
     letters: dict[int, tuple[int, int]] = {}
     for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
         letters.setdefault(a - b, (a, b))
@@ -483,7 +496,7 @@ def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
         (x0, y0), (x1, y1) = prefixes[i], suffixes[j]
         return x0 + x1, y0 + y1
 
-    dots = cache(lambda oracle: det_rows(oracle.compressor, values))
+    dots = _packed(lambda oracle: det_vectors(oracle.compressor, values, split))
     return PairRows(cols, count, pair, dots)
 
 

@@ -22,6 +22,7 @@ from hamrank.errors import (
     SizeMismatchError,
 )
 from hamrank.exact import Mat, det_exact, rank_exact
+from hamrank.parallel import packed_dots
 
 from .conftest import (
     distinct_differences,
@@ -63,16 +64,16 @@ class TestMatFamily:
 
     def test_explicit_dedupe(self, rng):
         m = random_mat(rng, 2, 2)
-        fam = MatFamily.from_members([m, m, Mat.zeros(2, 2)])
-        assert fam.size == 2
+        fam = MatFamily.differences([m, m, Mat.zeros(2, 2)])
+        assert fam.size == 2  # the zero matrix and m
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(SizeMismatchError):
-            MatFamily.from_members([Mat.zeros(2, 2), Mat.zeros(3, 3)])
+            MatFamily.differences([Mat.zeros(2, 2), Mat.zeros(3, 3)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            MatFamily.from_members([])
+            MatFamily.differences([])
 
     def test_empty_product_checks_its_one_member(self):
         fam = MatFamily.diagonal_differences_multi([])
@@ -99,14 +100,14 @@ class TestFit:
             assert rank_exact(comp.apply(Mat.diag(z))) == min(support(z), 2)
 
     def test_zero_family(self):
-        fam = MatFamily.from_members([Mat.zeros(3, 3)])
+        fam = MatFamily.differences([Mat.zeros(3, 3)])
         comp = fit_compressor(fam, 1, seed=5)
         assert comp.verified
         assert rank_exact(comp.apply(Mat.zeros(3, 3))) == 0
 
     def test_identity_case(self, rng):
         mats = [random_mat(rng, 3, 3) for _ in range(4)]
-        fam = MatFamily.from_members(mats)
+        fam = MatFamily.differences(mats)
         comp = fit_compressor(fam, 3, seed=1)
         assert comp.method == "identity"
         for m in mats:
@@ -114,7 +115,7 @@ class TestFit:
 
     def test_identity_embedding_pads(self, rng):
         mats = [random_mat(rng, 2, 2) for _ in range(3)]
-        fam = MatFamily.from_members(mats)
+        fam = MatFamily.differences(mats)
         comp = fit_compressor(fam, 4, seed=1)
         assert comp.method == "identity"
         for m in mats:
@@ -124,7 +125,7 @@ class TestFit:
 
     def test_rectangular_members_embed_into_a_square_target(self, rng):
         mats = [random_mat(rng, 2, 3) for _ in range(4)] + [Mat.zeros(2, 3)]
-        fam = MatFamily.from_members(mats)
+        fam = MatFamily.differences(mats)
         comp = fit_compressor(fam, 3, seed=1)
         assert comp.method == "identity"
         assert comp.target_shape == (3, 3)
@@ -171,7 +172,7 @@ class TestVerify:
 
     def test_zero_left_on_explicit_family_records_entries(self, rng):
         members = [random_mat(rng, 3, 3, bound=4) for _ in range(40)]
-        fam = MatFamily.from_members([Mat.zeros(3, 3)] + members)
+        fam = MatFamily.differences([Mat.zeros(3, 3)] + members)
         right = random_mat(rng, 2, 3)
         broken = Compressor(left=Mat.zeros(2, 3), right=right, seed=0, verified=False)
         report = verify_compressor(broken, fam)
@@ -253,16 +254,11 @@ class TestDifferenceFamily:
     """The difference family compresses each base once and ranks member
     (x, y) as C(B_x) - C(B_y); a member-by-member check is the reference."""
 
-    @pytest.mark.parametrize("build", ["differences", "from_members"])
-    def test_shortfalls_and_records_are_the_per_member_check(self, build):
-        rng = random.Random(build)
+    def test_shortfalls_and_records_are_the_per_member_check(self):
+        rng = random.Random("differences")
         failing = 0
         for name, bases in difference_tables(rng):
-            if build == "differences":
-                fam, members = MatFamily.differences(bases), distinct_differences(bases)
-            else:
-                fam = MatFamily.from_members(bases)
-                members = list({m.entries: m for m in bases}.values())
+            fam, members = MatFamily.differences(bases), distinct_differences(bases)
             assert fam.size == len(members)
             assert [fam.member(i) for i in range(fam.size)] == members
             assert fam.member_ranks == tuple(map(rank_exact, members))
@@ -617,9 +613,10 @@ DET_ROW_CASES = [
 class TestDetRows:
     @staticmethod
     def rows_of(comp, values):
-        """{z: det_rows entry} over the whole product of ``values``."""
+        """{z: <us[i], vs[j]>} of ``det_vectors``, prefix i and suffix j of
+        z, packed as sign-tree rows pack them, over the product of ``values``."""
         split, count = compression.split_positions(values)
-        row = compression.det_rows(comp, values)
+        row = packed_dots(*compression.det_vectors(comp, values, split))
         out = {}
         for i, pre in enumerate(itertools.product(*values[:split])):
             dets = row(i)

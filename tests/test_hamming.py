@@ -21,7 +21,6 @@ from hamrank.hamming import (
     load_supp,
     near_indices,
     verify_support_rep,
-    word_embeddings,
     word_of_index,
 )
 from hamrank.parallel import sweep
@@ -359,13 +358,14 @@ def test_near_indices_is_the_hamming_ball(alphabet, n):
 
 
 class TestWordEmbeddings:
-    """The word grid from compressed halves against the definition."""
+    """The word grid from compressed halves (``SupportRep.embed``) against
+    the definition."""
 
     @staticmethod
     def assert_definition(rep):
         comp = rep.compressor
-        us, vs = word_embeddings(rep)
         words = all_words(rep.n, rep.alphabet)
+        us, vs = rep.embed(words)
         assert len(us) == len(vs) == len(words)
         for x, u, v in zip(words, us, vs):
             assert u == minor_embed(comp.apply_diag(x))
@@ -385,7 +385,8 @@ class TestWordEmbeddings:
     def test_a_built_rep_and_its_memo(self):
         rep = build_hd_supp(5, 2, seed=3)
         self.assert_definition(rep)
-        us, vs = word_embeddings(rep)
+        us, vs = rep.embed(all_words(5))
+        assert (rep.u.cache_info().currsize, rep.v.cache_info().currsize) == (0, 0)
         for i, x in enumerate(all_words(5)):
             assert (rep.u(x), rep.v(x)) == (us[i], vs[i])
 
@@ -400,7 +401,7 @@ class TestWordEmbeddings:
         monkeypatch.setattr(Compressor, "apply_diag", counting)
         # 2^11 words split after position 5: 2^5 prefixes, 2^6 suffixes
         rep = hand_rep(11, 1, (0, 1), range(1, 12), [1] * 11)
-        assert len(word_embeddings(rep)[0]) == 2**11
+        assert len(rep.embed(all_words(11))[0]) == 2**11
         assert calls == {11: 2**5 + 2**6}
 
 

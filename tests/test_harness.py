@@ -954,7 +954,7 @@ class TestCli:
 
         monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
         monkeypatch.setattr("hamrank.hamming.minor_embed", never)
-        monkeypatch.setattr("hamrank.harness.packed_dots", never)
+        monkeypatch.setattr("hamrank.signcompile.packed_dots", never)
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps(equality_sign_doc(3)))
         error = self.failed_report(tmp_path, ["verify-sign", str(rep)])

@@ -1,12 +1,16 @@
-"""The symmetric row check against the pair-by-pair one."""
+"""The symmetric row check against the pair-by-pair one, and the one
+module that packs exact dots."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamrank
 from hamrank.parallel import REPORT_CAP, pairwise, sweep, symmetric
 
 
@@ -87,3 +91,21 @@ class TestSymmetricRowCheck:
         check = symmetric(pairwise(never))
         with pytest.raises(ValueError, match="whole rows in index order"):
             sweep(4, lambda: check, sample=3, rng=random.Random(0))
+
+
+def test_only_signcompile_packs_dots():
+    """``packed_dots`` is named in the package by its definition in
+    ``parallel`` and by ``signcompile``, the one site that packs an
+    oracle's vectors, and by no other module."""
+    naming = set()
+    for path in Path(hamrank.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                getattr(node, "id", None),  # a name
+                getattr(node, "attr", None),  # an attribute
+                getattr(node, "name", None),  # a def or an imported name
+                getattr(node, "asname", None),
+            )
+            if "packed_dots" in named:
+                naming.add(path.stem)
+    assert naming == {"parallel", "signcompile"}

@@ -44,6 +44,7 @@ from hamrank.signcompile import (
     domain_rows,
     eval_sign,
     gamma_values,
+    oracles,
     sign_to_json,
     threshold_tree,
 )
@@ -620,6 +621,14 @@ class TestMemberCompile:
         (call,) = calls
         assert call.asked == list(p.differences.pairs)
         assert len(call.asked) == p.differences.size == 1094
+
+    def test_pieces_leave_their_memos_empty(self):
+        p = replace(hd_rank_problem(7, 2, seed=3), g=(0, 1, 0))
+        memos = [
+            (piece.u.cache_info().currsize, piece.v.cache_info().currsize)
+            for piece in oracles(to_sign_rep(p))
+        ]
+        assert memos == [(0, 0)] * 2
 
     def test_each_row_is_dotted_from_its_first_member(self, monkeypatch):
         # of the 64 x 128 = 8,192 columns of the rows that hold a member

@@ -257,6 +257,37 @@ class TestDomains:
             assert eval_sign(as_tuple, x, y) == eval_sign(as_list, x, y)
 
 
+def binary_oracle():
+    return build_hd_supp(4, 2, seed=1), words(4)
+
+
+def ternary_oracle():
+    domain = list(itertools.product((0, 1, 2), repeat=3))
+    return build_hd_supp(3, 2, (0, 1, 2), seed=2), domain
+
+
+def piece_oracle():
+    from hamrank.rankprob import piece_support_rep
+
+    from .conftest import random_table_problem
+
+    p = random_table_problem()
+    return piece_support_rep(p, 2, seed=48), range(p.index_count)
+
+
+class TestDomainRows:
+    """Each oracle's row dots are packed from its ``embed`` of the domain."""
+
+    @pytest.mark.parametrize("build", [binary_oracle, ternary_oracle, piece_oracle])
+    def test_row_dots_are_the_oracle_dots_and_the_memo_stays_empty(self, build):
+        oracle, domain = build()
+        rows = domain_rows(domain)
+        got = [rows.dots(oracle)(i) for i in range(len(domain))]
+        assert (oracle.u.cache_info().currsize, oracle.v.cache_info().currsize) == (0, 0)
+        assert got == [[oracle.dot(x, y) for y in domain] for x in domain]
+        assert rows.dots(oracle)(1, 3) == got[1][3:]
+
+
 class TestTruth:
     def test_first_disagreement_in_pair_order_is_named(self):
         tree = neq_tree(build_hd_supp(3, 1, seed=1))
