@@ -37,9 +37,8 @@ from .hamming import (
     verify_support_rep,
 )
 from .signcompile import (
-    Combine,
-    ConstLeaf,
-    Node,
+    SignForm,
+    Term,
     build_hd_sign,
     choose_gamma,
     compile_tree,

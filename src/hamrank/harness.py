@@ -44,14 +44,13 @@ from .rankprob import (
 from .seeds import rng_stream
 from .signcompile import (
     MAX_SIGN_DIM,
-    Combine,
+    SignForm,
     build_hd_sign,
     check_sign_dim,
     domain_rows,
     eval_sign,
     gamma_values,
     hd_sign_dim,
-    oracles,
     positive_upper,
     proof_dim_bound,
     sign_from_json,
@@ -246,10 +245,10 @@ def _save_json(doc: dict, path: str) -> None:
 def run(subcommand: str, config: RunConfig) -> Report:
     """Dispatch a subcommand and return its report.
 
-    Budget violations, module errors and too deep a recursion (a sign tree
-    past the stack) end in a failed report instead of crashing.  Output
-    paths in a missing directory or naming one file raise ``InputError``
-    before any work, and so does a report or summary unwritable after it.
+    Budget violations and module errors end in a failed report instead of
+    crashing.  Output paths in a missing directory or naming one file raise
+    ``InputError`` before any work, and so does a report or summary
+    unwritable after it.
     """
     handlers = {
         "build-supp": _run_build_supp,
@@ -267,7 +266,7 @@ def run(subcommand: str, config: RunConfig) -> Report:
     start = time.perf_counter()
     try:
         handlers[subcommand](config, report)
-    except (HamrankError, RecursionError) as exc:
+    except HamrankError as exc:
         report.status = "failed"
         report.error = f"{type(exc).__name__}: {exc}"
     report.timing["millis"] = int((time.perf_counter() - start) * 1000)
@@ -352,18 +351,19 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     report.status = "certified"
 
 
-def _load_sign(doc: dict) -> tuple[Combine, int, int]:
-    """A sign document's tree and its meta n and k; every oracle in the
-    tree must take words of length n over the root oracle's alphabet."""
+def _load_sign(doc: dict) -> tuple[SignForm, int, int]:
+    """A sign document's form and its meta n and k; every oracle in the
+    form must take words of length n over the root oracle's alphabet,
+    checked root first."""
     rep, meta = sign_from_json(doc), doc.get("meta")
     if not isinstance(meta, dict) or any(
         type(meta.get(key)) is not int or meta[key] < 0 for key in ("n", "k")
     ):
         raise InputError("sign document has no meta with integers n, k >= 0")
-    if not isinstance(rep, Combine):
+    if not rep.terms:
         raise InputError("sign document has no oracle to take the alphabet from")
-    n, alphabet = meta["n"], rep.oracle.alphabet
-    for oracle in oracles(rep):
+    n, alphabet = meta["n"], rep.terms[-1].oracle.alphabet
+    for oracle in reversed([term.oracle for term in rep.terms]):
         if oracle.n != n or oracle.alphabet != alphabet:
             raise InputError(
                 f"an oracle on words of length {oracle.n} over "
@@ -382,7 +382,7 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     check_sign_dim(rep.dim, config.max_dim)
-    alphabet = rep.oracle.alphabet
+    alphabet = rep.terms[-1].oracle.alphabet
     count = len(alphabet) ** n
     word = cache(lambda i: word_of_index(i, n, alphabet))
 

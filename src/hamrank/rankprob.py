@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from math import comb, prod
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .compression import MatFamily, fit_compressor, nth_product, word_map
@@ -39,8 +39,8 @@ from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
-from .signcompile import SignRep, check_sign_dim, compile_tree, domain_rows
-from .signcompile import threshold_tree
+from .signcompile import SignForm, check_sign_dim, compile_tree, domain_rows
+from .signcompile import threshold_dim, threshold_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
 
@@ -290,22 +290,21 @@ def piece_support_rep(p: RankProblem, threshold: int, seed: int) -> SupportRep:
     return SupportRep(q.a_map, threshold)
 
 
-def to_sign_rep(p: RankProblem, seed: int = 0) -> SignRep:
+def to_sign_rep(p: RankProblem, seed: int = 0) -> SignForm:
     """Compile a rank problem to a verified structured sign representation.
 
     ``threshold_tree`` asks rank >= t at the change points of g through
     ``piece_support_rep``, the least dimension of any threshold tree.  More
-    than COMPOSE_PAIR_BUDGET index pairs, or a tree dimension 1 + sum
-    C(2t, t)^2 over the change points t above ``MAX_SIGN_DIM``, are refused
-    before any piece is fitted.  The sign is checked against g(rank), from
-    the member ranks of ``p.differences``, on each member's first pair
-    (x, y): once the det-sum identity is proved, a piece's dot is
-    det(C(B_x - B_y)), C linear, and nodes read it only through s == 0 and
-    s^2, so all pairs of a member, (y, x) too, take its values.
+    than COMPOSE_PAIR_BUDGET index pairs, or a tree dimension
+    ``threshold_dim(p.g)`` above ``MAX_SIGN_DIM``, are refused before any
+    piece is fitted.  The sign is checked against g(rank), from the member
+    ranks of ``p.differences``, on each member's first pair (x, y): once
+    the det-sum identity is proved, a piece's dot is det(C(B_x - B_y)), C
+    linear, and the form reads it only through s^2, so all pairs of a
+    member, (y, x) too, take its values.
     """
     check_pairs(p.index_count**2, COMPOSE_PAIR_BUDGET)
-    changes = [t for t in range(1, len(p.g)) if p.g[t] != p.g[t - 1]]
-    check_sign_dim(1 + sum(comb(2 * t, t) ** 2 for t in changes))
+    check_sign_dim(threshold_dim(p.g))
     tree = threshold_tree(
         p.g, lambda t: piece_support_rep(p, t, seed_stream(seed, "piece", t))
     )

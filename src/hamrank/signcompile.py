@@ -1,21 +1,25 @@
-"""Decision trees of support reps and the support-to-sign compiler.
+"""Threshold decision trees of support reps and the support-to-sign compiler.
 
-A decision tree whose inner nodes query verified support representations
-and whose leaves are constant +-1 signs compiles bottom-up into a
-structured sign representation: each inner node becomes a combine node
+A threshold tree decides g(rank), g a 0/1 table, by asking rank >= t at
+each change point t of g, and every such tree is a chain, so it compiles
+to one flat form, a ``SignForm``:
 
-    value(x, y) = value1(x, y) + gamma * s(x, y)^2 * value0(x, y)
+    value(x, y) = sigma_0 + sum_t gamma_t * sigma_t * s_t(x, y)^2,
 
-where s is the oracle's inner product at (x, y).  Wherever
-the oracle entry is 0 the squared term vanishes identically (not
-approximately), so value1 dictates the sign; wherever it is 1 the integer
-dominance constant gamma makes the squared term strictly dominate, so
-value0 dictates the sign.  Dimensions follow the exact recursion
+one ``Term`` per change point, ascending by threshold, where s_t is that
+oracle's inner product at (x, y) and sigma_t the sign of g from t on.
+Wherever s_t is 0 its term vanishes identically (not approximately), so
+the smaller terms dictate the sign; wherever it is nonzero the integer
+dominance constant gamma_t makes its term strictly dominate them, so
+sigma_t does.  The dimension is
 
-    dim(combine) = dim(rep1) + oracle_dim^2 * dim(rep0),
+    dim = 1 + sum_t d_t^2,
 
-which the compiler tracks per node; ``proof_dim_bound`` gives the coarse
-(1 + r^2)^depth bound of a compiled rep, and both numbers are reported.
+d_t the oracle's dimension (``threshold_dim`` before any oracle is
+built); ``proof_dim_bound`` gives the coarse (1 + r^2)^terms bound, and
+both numbers are reported.  ``hamrank-sign/1`` documents store the form as
+the nested chain of combine nodes it came from, and the reader accepts
+only chains.
 Every compile runs on ``PairRows``, pairs that its caller says stand for
 the whole domain: every ordered pair (``domain_rows``), one per difference
 class of words (``build_hd_sign``) or one per distinct member of a rank
@@ -24,7 +28,7 @@ problem's difference family (``rankprob.to_sign_rep``), once
 come a row at a time from the one packing site, ``_packed``: a row source
 gives each oracle's (left, right) vectors, ``SupportRep.embed`` over a
 domain or ``compression.det_vectors`` over difference classes, and they are
-packed once per oracle (``parallel.packed_dots``).  One column recursion,
+packed once per oracle (``parallel.packed_dots``).  One row loop,
 ``value_row``, serves the gamma scan, the check against the caller's
 ground truth and verify-sign.
 A ``SupportRep`` built on maps from indices to matrices already answers at
@@ -34,7 +38,7 @@ indices, so other index domains need no translation layer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
 from typing import Callable, Sequence
@@ -61,65 +65,48 @@ from .veronese import prove_det_sum
 
 
 # -------------------------------------------------------------------
-# Structured sign representations
+# Flat sign forms
 # -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConstLeaf:
-    sign: int  # +1 or -1
+class Term:
+    """One change point: gamma * sign * s(x, y)^2, s the oracle's dot."""
+
+    oracle: SupportRep
+    sign: int  # +1 or -1: the sign of g from this change point on
+    gamma: int | None = None  # None until ``compile_tree`` chooses it
+
+
+@dataclass(frozen=True)
+class SignForm:
+    """value(x, y) = const + the sum of the terms, ascending by threshold
+    with the root last; dim 1 + sum d^2 over the terms' oracles."""
+
+    const: int  # +1 or -1: the sign of g[0]
+    terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        signs = (self.const, *(term.sign for term in self.terms))
+        if any(sign not in (1, -1) for sign in signs):
             raise ValueError("constant sign must be +1 or -1")
 
     @property
     def dim(self) -> int:
-        return 1
+        return 1 + sum(term.oracle.dim**2 for term in self.terms)
 
 
-@dataclass(frozen=True)
-class Combine:
-    """One compile step; rep0 rides the dominant squared-oracle term."""
-
-    oracle: SupportRep
-    rep0: "SignRep"  # sign on the oracle's support (tree branch for answer 1)
-    rep1: "SignRep"  # sign where the oracle vanishes (branch for answer 0)
-    gamma: int
-
-    @property
-    def dim(self) -> int:
-        return self.rep1.dim + self.oracle.dim**2 * self.rep0.dim
-
-
-SignRep = ConstLeaf | Combine
-
-
-@dataclass(frozen=True)
-class Node:
-    """Inner tree node: query the oracle at (x, y), branch on the answer."""
-
-    oracle: SupportRep
-    child0: "OracleTree"
-    child1: "OracleTree"
-
-
-OracleTree = Node | ConstLeaf
-
-
-def eval_value(rep: SignRep, x, y) -> int:
+def eval_value(form: SignForm, x, y) -> int:
     """The exact integer value whose sign encodes the matrix entry."""
-    if isinstance(rep, ConstLeaf):
-        return rep.sign
-    s = rep.oracle.dot(x, y)
-    v1 = eval_value(rep.rep1, x, y)
-    if s == 0:
-        return v1
-    return v1 + rep.gamma * s * s * eval_value(rep.rep0, x, y)
+    value = form.const
+    for term in form.terms:
+        s = term.oracle.dot(x, y)
+        value += term.gamma * term.sign * s * s
+    return value
 
 
-def eval_sign(rep: SignRep, x, y) -> int:
-    value = eval_value(rep, x, y)
+def eval_sign(form: SignForm, x, y) -> int:
+    value = eval_value(form, x, y)
     if value == 0:
         raise _vanished(x, y)
     return 1 if value > 0 else -1
@@ -168,29 +155,15 @@ def domain_rows(domain: Sequence) -> PairRows:
     )
 
 
-def value_row(rep: SignRep, rows: PairRows, i: int, lo: int = 0) -> list[int]:
-    """``eval_value`` at columns lo, lo + 1, ... of row i, column by column:
-    a leaf is its sign, a combine is a where s == 0, else a + gamma s^2 b."""
-    if isinstance(rep, ConstLeaf):
-        return [rep.sign] * (rows.width - lo)
-    gamma = rep.gamma
-    return [
-        a if s == 0 else a + gamma * s * s * b
-        for a, s, b in zip(
-            value_row(rep.rep1, rows, i, lo),
-            rows.dots(rep.oracle)(i, lo),
-            value_row(rep.rep0, rows, i, lo),
-        )
-    ]
-
-
-def oracles(tree: OracleTree | SignRep) -> list[SupportRep]:
-    """Every oracle of a tree or compiled rep: root, answer-0 branch, then 1."""
-    if isinstance(tree, ConstLeaf):
-        return []
-    if isinstance(tree, Node):
-        return [tree.oracle, *oracles(tree.child0), *oracles(tree.child1)]
-    return [tree.oracle, *oracles(tree.rep1), *oracles(tree.rep0)]
+def value_row(form: SignForm, rows: PairRows, i: int, lo: int = 0) -> list[int]:
+    """``eval_value`` at columns lo, lo + 1, ... of row i, term by term:
+    each adds gamma sign s^2 where its dot s is nonzero."""
+    values = [form.const] * (rows.width - lo)
+    for term in form.terms:
+        c = term.gamma * term.sign
+        dots = rows.dots(term.oracle)(i, lo)
+        values = [a + c * s * s if s else a for a, s in zip(values, dots)]
+    return values
 
 
 MAX_SIGN_DIM = 1 << 20  # default budget on a sign rep's dimension
@@ -203,25 +176,25 @@ def check_sign_dim(dim: int, max_dim: int = MAX_SIGN_DIM) -> None:
         raise BudgetExceededError(f"sign dimension {dim} exceeds the budget {max_dim}")
 
 
-def _prove_det_sums(tree: OracleTree | SignRep) -> None:
-    for size in sorted({oracle.size for oracle in oracles(tree)}):
+def _prove_det_sums(form: SignForm) -> None:
+    for size in sorted({term.oracle.size for term in form.terms}):
         prove_det_sum(size)
 
 
-def positive_upper(rep: SignRep, rows: PairRows) -> Callable[[int], list[int]]:
+def positive_upper(form: SignForm, rows: PairRows) -> Callable[[int], list[int]]:
     """The exhaustive row form of ``eval_sign`` over the square grid
     ``rows`` of ``domain_rows``, read from its packed dots, upper triangle
-    only: ``row(i)`` lists the j >= i with eval_sign(rep, *rows.pair(i, j))
+    only: ``row(i)`` lists the j >= i with eval_sign(form, *rows.pair(i, j))
     == 1, in order, and raises its ``ZeroValueError`` at the first such j
     where the value vanishes.  The rest of the row is the mirror image once
     ``_prove_det_sums`` passes, which runs first: an oracle's dot at (x, y)
-    is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and nodes
-    read it only through s == 0 and s^2, so any tree's value is symmetric,
-    a broken tree's too."""
-    _prove_det_sums(rep)
+    is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and the
+    form reads it only through s^2, so any form's value is symmetric, a
+    broken form's too."""
+    _prove_det_sums(form)
 
     def row(i: int) -> list[int]:
-        got = value_row(rep, rows, i, i)
+        got = value_row(form, rows, i, i)
         if 0 in got:
             raise _vanished(*rows.pair(i, i + got.index(0)))
         return [j for j, value in enumerate(got, i) if value > 0]
@@ -229,23 +202,15 @@ def positive_upper(rep: SignRep, rows: PairRows) -> Callable[[int], list[int]]:
     return row
 
 
-def gamma_values(rep: SignRep) -> list[int]:
-    """Dominance constants in bottom-up (rep1 before rep0) order."""
-    if isinstance(rep, ConstLeaf):
-        return []
-    return gamma_values(rep.rep1) + gamma_values(rep.rep0) + [rep.gamma]
+def gamma_values(form: SignForm) -> list[int]:
+    """Dominance constants, ascending by threshold (the root's last)."""
+    return [term.gamma for term in form.terms]
 
 
-def proof_dim_bound(rep: SignRep) -> int:
-    """The (1 + r^2)^depth bound, r the largest oracle dimension queried."""
-
-    def depth(node: SignRep) -> int:
-        if isinstance(node, ConstLeaf):
-            return 0
-        return 1 + max(depth(node.rep0), depth(node.rep1))
-
-    r = max((oracle.dim for oracle in oracles(rep)), default=0)
-    return (1 + r * r) ** depth(rep)
+def proof_dim_bound(form: SignForm) -> int:
+    """The (1 + r^2)^terms bound, r the largest oracle dimension queried."""
+    r = max((term.oracle.dim for term in form.terms), default=0)
+    return (1 + r * r) ** len(form.terms)
 
 
 # -------------------------------------------------------------------
@@ -253,34 +218,28 @@ def proof_dim_bound(rep: SignRep) -> int:
 # -------------------------------------------------------------------
 
 
-def choose_gamma(
-    oracle: SupportRep, rep0: SignRep, rep1: SignRep, rows: PairRows
-) -> int:
-    """The integer making the squared-oracle term dominate on its support.
+def choose_gamma(oracle: SupportRep, below: SignForm, rows: PairRows) -> int:
+    """The integer making the oracle's squared term dominate ``below``, the
+    form of the smaller terms, on the oracle's support.
 
-    It scans every pair of ``rows`` with a nonzero oracle value and returns
-    1 + max ceil(|value1| / (s^2 |value0|)); multiplying out shows
-    gamma * s^2 * |value0| >= s^2 |value0| + |value1| > |value1| pointwise,
-    so dominance is strict while pairs off the support are untouched.  The
-    rows must take every value triple (s^2, value0, value1) that the
-    domain's pairs take, as the rows of ``compile_tree``'s callers do.  It
-    returns 1 when the oracle's support on the rows is empty (dominance is
-    vacuous there).  Each row is evaluated from its first listed column.
+    It scans every pair of ``rows`` with a nonzero oracle value s and
+    returns 1 + max ceil(|below| / s^2); multiplying out shows
+    gamma * s^2 >= s^2 + |below| > |below| pointwise, so dominance is
+    strict while pairs off the support are untouched.  The rows must take
+    every value pair (s^2, below) that the domain's pairs take, as the
+    rows of ``compile_tree``'s callers do.  It returns 1 when the oracle's
+    support on the rows is empty (dominance is vacuous there).  Each row is
+    evaluated from its first listed column.
     """
     best = 0
     for i, cols in enumerate(rows.cols):
         if not cols:
             continue
         s_row = rows.dots(oracle)(i, lo := cols[0])
-        v0_row, v1_row = value_row(rep0, rows, i, lo), value_row(rep1, rows, i, lo)
+        v_row = value_row(below, rows, i, lo)
         for j in cols:
-            s, v0, v1 = s_row[j - lo], v0_row[j - lo], v1_row[j - lo]
-            if s == 0:
-                continue
-            if v0 == 0:
-                x, y = rows.pair(i, j)
-                raise ZeroValueError(f"support branch value vanished at ({x!r}, {y!r})")
-            best = max(best, -((-abs(v1)) // (s * s * abs(v0))))  # ceil
+            if s := s_row[j - lo]:
+                best = max(best, -((-abs(v_row[j - lo])) // (s * s)))  # ceil
     return 1 + best
 
 
@@ -293,61 +252,78 @@ def _dot_bound(oracle: SupportRep) -> int:
     return usum * vmax
 
 
-def _value_bound(rep: SignRep) -> int:
-    """A certified upper bound on |value| over the oracles' words."""
-    if isinstance(rep, ConstLeaf):
-        return 1
-    s_squared = _dot_bound(rep.oracle) ** 2
-    return _value_bound(rep.rep1) + rep.gamma * s_squared * _value_bound(rep.rep0)
-
-
 # -------------------------------------------------------------------
 # Compiler
 # -------------------------------------------------------------------
 
 
-def threshold_tree(g: Sequence[int], oracle: Callable[[int], SupportRep]) -> OracleTree:
+def _changes(g: Sequence[int]) -> list[int]:
+    """The change points of a 0/1 table: the t >= 1 with g[t] != g[t-1]."""
+    return [t for t in range(1, len(g)) if g[t] != g[t - 1]]
+
+
+def threshold_dim(g: Sequence[int]) -> int:
+    """The dimension of ``threshold_tree(g, ...)`` over Hamming or rank
+    oracles of threshold t, dimension C(2t, t): 1 + sum C(2t, t)^2 over
+    the change points t of g, known before any oracle is built."""
+    return 1 + sum(comb(2 * t, t) ** 2 for t in _changes(g))
+
+
+def threshold_tree(g: Sequence[int], oracle: Callable[[int], SupportRep]) -> SignForm:
     """The tree deciding g(rank), g a 0/1 table, by ``oracle(t)`` of rank >= t.
 
     It asks rank >= t at each change point t (g[t] != g[t-1]), the largest
-    at the root; answer 1 is the leaf of g[t], answer 0 the next smaller
-    change point, and below the smallest sits the leaf of g[0].  Its
-    dimension, 1 + sum d(t)^2 over the change points for oracles of
-    dimension d(t), is the least of any rank-threshold tree: by induction,
-    splitting at t costs best(below t) + d(t)^2 * best(from t), at least
-    best(below t) + d(t)^2 + sum of d^2 above t, as d(t)^2 >= 1.
+    at the root; answer 1 is the sign of g[t], answer 0 the next smaller
+    change point, and below the smallest sits the sign of g[0].  So it is a
+    chain, returned as its flat form with the gammas still unchosen: the
+    constant 2 g[0] - 1 and one ``Term(oracle(t), 2 g[t] - 1)`` per change
+    point, ascending.  Its dimension, 1 + sum d(t)^2 over the change points
+    for oracles of dimension d(t), is the least of any rank-threshold tree:
+    by induction, splitting at t costs best(below t) + d(t)^2 *
+    best(from t), at least best(below t) + d(t)^2 + sum of d^2 above t, as
+    d(t)^2 >= 1.
     """
-    tree = ConstLeaf(2 * g[0] - 1)
-    for t in range(1, len(g)):
-        if g[t] != g[t - 1]:
-            tree = Node(oracle(t), child0=tree, child1=ConstLeaf(2 * g[t] - 1))
-    return tree
+    terms = tuple(Term(oracle(t), 2 * g[t] - 1) for t in _changes(g))
+    return SignForm(2 * g[0] - 1, terms)
 
 
 def compile_tree(
-    tree: OracleTree, rows: PairRows, truth: Callable, gamma_mode: str = "exact_scan"
-) -> SignRep:
-    """Compile a tree of support reps into a verified structured sign rep.
+    tree: SignForm, rows: PairRows, truth: Callable, gamma_mode: str = "exact_scan"
+) -> SignForm:
+    """Fill in the gammas of a threshold tree's form and verify its sign.
 
-    ``_prove_det_sums`` runs first.  Then, bottom-up, each inner node
-    combines its compiled children: the branch for answer 1 rides the
-    squared-oracle term (the oracle value is nonzero exactly there), the
-    branch for answer 0 stands alone (the term vanishes exactly there).
-    Gammas come from ``choose_gamma`` (exact_scan), or from a bound on
-    |value1| over the words of compressor-backed oracles (norm_bound,
-    ``_value_bound``), as s^2 |value0| >= 1 on the support.
+    ``_prove_det_sums`` runs first.  Then, smallest threshold first, each
+    term gets a gamma that makes it dominate the form of the terms below
+    it on its oracle's support (off it the term vanishes exactly): from
+    ``choose_gamma`` (exact_scan), or from a bound on the form below over
+    the words of compressor-backed oracles (norm_bound), the running sum
+    1 + sum gamma * ``_dot_bound``^2, as s^2 >= 1 on the support.
 
     The sign is then checked against ``truth(x, y)``, the 0/1 entry it must
     encode, which the caller knows independently of the oracles.  The scan
-    and the check visit ``rows`` only: the caller vouches that every node
-    value and the truth take the same values there as on every pair of the
+    and the check visit ``rows`` only: the caller vouches that every term
+    and the truth take the same values there as on every pair of the
     domain.  A disagreement raises ``PatternViolationError`` naming the
     first failing pair in row order.
     """
     _prove_det_sums(tree)
-    rep = _compile(tree, rows, gamma_mode)
+    terms: list[Term] = []
+    bound = 1  # norm_bound: 1 + sum gamma * _dot_bound^2 over ``terms``
+    for term in tree.terms:
+        if gamma_mode == "exact_scan":
+            gamma = choose_gamma(term.oracle, SignForm(tree.const, tuple(terms)), rows)
+        elif gamma_mode == "norm_bound" and term.oracle.compressor is not None:
+            if terms:
+                bound += terms[-1].gamma * _dot_bound(terms[-1].oracle) ** 2
+            gamma = 1 + bound
+        elif gamma_mode == "norm_bound":
+            raise ValueError("gamma mode 'norm_bound' needs compressor-backed oracles")
+        else:
+            raise ValueError(f"unknown gamma mode {gamma_mode!r}")
+        terms.append(replace(term, gamma=gamma))
+    form = SignForm(tree.const, tuple(terms))
     for i, cols in enumerate(rows.cols):
-        values = value_row(rep, rows, i, lo := cols[0]) if cols else ()
+        values = value_row(form, rows, i, lo := cols[0]) if cols else ()
         for j in cols:
             x, y = rows.pair(i, j)
             want = 1 if truth(x, y) else -1
@@ -359,23 +335,7 @@ def compile_tree(
                     f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
                     f"{got} vs {want}"
                 )
-    return rep
-
-
-def _compile(tree: OracleTree, rows: PairRows, gamma_mode: str) -> SignRep:
-    if isinstance(tree, ConstLeaf):
-        return tree
-    rep0 = _compile(tree.child1, rows, gamma_mode)
-    rep1 = _compile(tree.child0, rows, gamma_mode)
-    if gamma_mode == "exact_scan":
-        gamma = choose_gamma(tree.oracle, rep0, rep1, rows)
-    elif gamma_mode == "norm_bound" and tree.oracle.compressor is not None:
-        gamma = 1 + _value_bound(rep1)
-    elif gamma_mode == "norm_bound":
-        raise ValueError("gamma mode 'norm_bound' needs compressor-backed oracles")
-    else:
-        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
-    return Combine(oracle=tree.oracle, rep0=rep0, rep1=rep1, gamma=gamma)
+    return form
 
 
 # -------------------------------------------------------------------
@@ -383,33 +343,33 @@ def _compile(tree: OracleTree, rows: PairRows, gamma_mode: str) -> SignRep:
 # -------------------------------------------------------------------
 
 
-def _row(rep: SignRep, w, side: str) -> list[int]:
-    """Row w of the U factor (side "u") or of the V factor (side "v")."""
-    if isinstance(rep, ConstLeaf):
-        return [rep.sign if side == "u" else 1]
-    row1 = _row(rep.rep1, w, side)
-    s = rep.oracle.u(w) if side == "u" else rep.oracle.v(w)
-    row0 = _row(rep.rep0, w, side)
-    g = rep.gamma if side == "u" else 1
-    return row1 + [g * si * sj * c for si in s for sj in s for c in row0]
+def _row(form: SignForm, w, side: str) -> list[int]:
+    """Row w of the U factor (side "u"), [const] ++ gamma sign u(w) (x) u(w)
+    per term, or of the V factor (side "v"), [1] ++ v(w) (x) v(w) per term."""
+    row = [form.const if side == "u" else 1]
+    for term in form.terms:
+        s = term.oracle.u(w) if side == "u" else term.oracle.v(w)
+        c = term.gamma * term.sign if side == "u" else 1
+        row += [c * si * sj for si in s for sj in s]
+    return row
 
 
 def materialize(
-    rep: SignRep, indices: Sequence, max_dim: int | None = None
+    form: SignForm, indices: Sequence, max_dim: int | None = None
 ) -> tuple[Mat, Mat]:
     """Explicit factor matrices U, V with <U(x), V(y)> = value(x, y).
 
-    Row x of U concatenates the rep1 row with the gamma-scaled tensor
-    u(x) (x) u(x) (x) U0(x); V mirrors it without the gamma.  The tensor
-    identity <a (x) c, b (x) d> = <a, b><c, d> collapses the dot product
-    back to the combine recursion, term by term, so structural and
-    materialized evaluation agree exactly.  Column count equals ``rep.dim``.
+    Row x of U concatenates the constant with each term's gamma- and
+    sign-scaled tensor u(x) (x) u(x); V mirrors it with 1 and v(y) (x) v(y).
+    The tensor identity <a (x) a, b (x) b> = <a, b>^2 gives each term's
+    s^2, so structural and materialized evaluation agree exactly.  Column
+    count equals ``form.dim``.
     """
     if max_dim is not None:
-        check_sign_dim(rep.dim, max_dim)
-    u_rows = [_row(rep, x, "u") for x in indices]
-    v_rows = [_row(rep, y, "v") for y in indices]
-    dim = rep.dim
+        check_sign_dim(form.dim, max_dim)
+    u_rows = [_row(form, x, "u") for x in indices]
+    v_rows = [_row(form, y, "v") for y in indices]
+    dim = form.dim
     if any(len(r) != dim for r in u_rows) or any(len(r) != dim for r in v_rows):
         raise SizeMismatchError("materialized row length disagrees with dim")
     u_mat = Mat(len(u_rows), dim, tuple(c for r in u_rows for c in r))
@@ -427,7 +387,7 @@ def hd_sign_dim(n: int, k: int) -> int:
     C(2k+2, k+1)^2 (41 at k=1, 437 at k=2), for 1 <= k < n only."""
     if not (1 <= k < n):
         raise InputError(f"need 1 <= k < n, got k={k}, n={n}")
-    return 1 + comb(2 * k, k) ** 2 + comb(2 * k + 2, k + 1) ** 2
+    return threshold_dim((0,) * k + (1, 0))
 
 
 def build_hd_sign(
@@ -437,7 +397,7 @@ def build_hd_sign(
     gamma_mode: str = "exact_scan",
     alphabet: Sequence[int] = (0, 1),
     max_pairs: int | None = None,
-) -> SignRep:
+) -> SignForm:
     """Sign representation of dist(x, y) == k on words of length n.
 
     "Distance exactly k" is g(dist) for g = (0, ..., 0, 1, 0), 1 at k
@@ -453,8 +413,8 @@ def build_hd_sign(
     ``max_pairs`` bounds the (|A - A|^n + 1) / 2 class pairs before any
     oracle is built.  Once ``compile_tree`` has proved the det-sum identity,
     an oracle's dot at (x, y) is det(C(z)) for its linear compressor map C,
-    det(C(-z)) = +-det(C(z)), and nodes read it only through s == 0 and
-    s^2, so each value and the truth is constant on a class, and the dots
+    det(C(-z)) = +-det(C(z)), and the form reads it only through s^2, so
+    each value and the truth is constant on a class, and the dots
     are read from the family walk's determinant rows, with no word embedded.
     """
     hd_sign_dim(n, k)  # refuses k outside 1..n-1
@@ -505,39 +465,43 @@ def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
 # -------------------------------------------------------------------
 
 
-def sign_to_json(rep: SignRep, meta: dict | None = None) -> dict:
-    doc = {"schema": "hamrank-sign/1", "tree": _node_to_json(rep)}
+def sign_to_json(form: SignForm, meta: dict | None = None) -> dict:
+    """The form as the nested chain it came from: the root combine first,
+    each combine's answer-1 branch ("rep0") the const of its sign and its
+    answer-0 branch ("rep1") the next smaller term, the const at the bottom."""
+    tree = {"type": "const", "sign": form.const}
+    for term in form.terms:
+        tree = {
+            "type": "combine",
+            "gamma": str(term.gamma),
+            "oracle": term.oracle.to_json(),
+            "rep0": {"type": "const", "sign": term.sign},
+            "rep1": tree,
+        }
+    doc = {"schema": "hamrank-sign/1", "tree": tree}
     if meta:
         doc["meta"] = meta
     return doc
 
 
-def _node_to_json(rep: SignRep) -> dict:
-    if isinstance(rep, ConstLeaf):
-        return {"type": "const", "sign": rep.sign}
-    return {
-        "type": "combine",
-        "gamma": str(rep.gamma),
-        "oracle": rep.oracle.to_json(),
-        "rep0": _node_to_json(rep.rep0),
-        "rep1": _node_to_json(rep.rep1),
-    }
-
-
-def sign_from_json(doc: dict) -> SignRep:
+def sign_from_json(doc: dict) -> SignForm:
+    """The form of a ``sign_to_json`` chain, read from the root down the
+    "rep1" branches; a combine under "rep0" is refused, as the tree is then
+    not a chain."""
     if doc.get("schema") != "hamrank-sign/1":
         raise ValueError(f"not a sign-rep document: {doc.get('schema')!r}")
-    return _node_from_json(doc["tree"])
+    node, terms = doc["tree"], []
+    while _node_type(node) == "combine":
+        oracle = load_supp(node["oracle"])
+        if _node_type(node["rep0"]) == "combine":
+            raise InputError("sign tree is not a chain: a combine under rep0")
+        sign = int_from_json(node["rep0"]["sign"])
+        terms.append(Term(oracle, sign, int_from_json(node["gamma"])))
+        node = node["rep1"]
+    return SignForm(int_from_json(node["sign"]), tuple(reversed(terms)))
 
 
-def _node_from_json(obj: dict) -> SignRep:
-    if obj["type"] == "const":
-        return ConstLeaf(int_from_json(obj["sign"]))
-    if obj["type"] != "combine":
-        raise InputError(f"unknown sign node type {obj['type']!r}")
-    return Combine(
-        oracle=load_supp(obj["oracle"]),
-        rep0=_node_from_json(obj["rep0"]),
-        rep1=_node_from_json(obj["rep1"]),
-        gamma=int_from_json(obj["gamma"]),
-    )
+def _node_type(node: dict) -> str:
+    if node["type"] not in ("const", "combine"):
+        raise InputError(f"unknown sign node type {node['type']!r}")
+    return node["type"]

@@ -373,7 +373,7 @@ class TestSignCommands:
         from hamrank.signcompile import eval_sign
 
         rep, n, k = _load(str(path), _load_sign)
-        alphabet = rep.oracle.alphabet
+        alphabet = rep.terms[-1].oracle.alphabet
         words = [word_of_index(i, n, alphabet) for i in range(len(alphabet) ** n)]
         check = pairwise(
             lambda i, j: eval_sign(rep, words[i], words[j])
@@ -730,8 +730,9 @@ class TestLoaderFuzz:
         loaded = loads_or_names_the_path(tmp_path, doc, _load_sign)
         if loaded is not None:
             rep = loaded[0]
-            assert type(rep.gamma) is int
-            word = (rep.oracle.alphabet[0],) * rep.oracle.n
+            assert [type(term.gamma) for term in rep.terms] == [int]
+            root = rep.terms[-1].oracle
+            word = (root.alphabet[0],) * root.n
             assert eval_sign(rep, word, word) in (1, -1)
 
 
@@ -1476,7 +1477,7 @@ class TestCli:
         error = self.failed_report(tmp_path, [*argv, str(file)])
         assert error.startswith(f"InputError: cannot load {file}: RecursionError: ")
 
-    def test_cli_sign_tree_too_deep_to_evaluate_reports_failure(self, tmp_path):
+    def test_cli_sign_chain_as_deep_as_json_reads_verifies(self, tmp_path):
         from hamrank.hamming import build_hd_supp
 
         def headroom():
@@ -1485,36 +1486,39 @@ class TestCli:
             except RecursionError:
                 return 0
 
-        def chain(depth):
-            """verify-sign argv for a chain of ``depth`` combine nodes;
-            json.dumps itself recurses, so the document is built as a
-            string."""
+        def verify(depth, mode):
+            """The verify-sign report on a chain of ``depth`` combine nodes
+            over one dist >= 2 oracle on words of length 2, value -1 + 2 s^2
+            per node, so sign +1 iff dist == 2; json.dumps itself recurses,
+            so the document is built as a string."""
             node = (
-                '{"type": "combine", "gamma": "1", "oracle": ' + oracle
+                '{"type": "combine", "gamma": "2", "oracle": ' + oracle
                 + ', "rep0": {"type": "const", "sign": 1}, "rep1": '
             )
-            tree = node * depth + '{"type": "const", "sign": 1}' + "}" * depth
+            tree = node * depth + '{"type": "const", "sign": -1}' + "}" * depth
             file.write_text(
-                '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 1}, "tree": '
+                '{"schema": "hamrank-sign/1", "meta": {"n": 2, "k": 2}, "tree": '
                 + tree + "}"
             )
-            return ["verify-sign", str(file), "--mode", "sample:1"]
+            main(["verify-sign", str(file), "--mode", mode, "--report", str(report)])
+            return json.loads(report.read_text())
 
-        # the deepest chain that loads, which overflows the stack in
-        # eval_value, the recursion a drawn pair runs through.  (The
-        # exhaustive row kernel's stack is a few frames shallower, so it
-        # evaluates this chain.)  Chains that load but overflow in eval are a
-        # window of one depth today: the first assert fails if a frame more
-        # in loading closes it, the second if eval runs a frame shallower.
+        # the deepest chain that json decodes: reading and evaluating the
+        # form recurse no further, so it verifies like any other document,
+        # in both modes, and one node more fails only in json.  The first
+        # assert fails if a frame more in loading takes this depth from
+        # json, the last if a frame less gives it one more.
         depth = headroom() - 14
-        oracle = json.dumps(build_hd_supp(2, 1).to_json())
-        file = tmp_path / "chain.json"
-        assert self.failed_report(tmp_path, chain(depth + 1)).startswith(
-            f"InputError: cannot load {file}: RecursionError: "
-        )
-        assert self.failed_report(tmp_path, chain(depth)).startswith(
-            "RecursionError: "
-        )
+        oracle = json.dumps(build_hd_supp(2, 2).to_json())
+        file, report = tmp_path / "chain.json", tmp_path / "chain.report.json"
+        for mode in ("exhaustive", "sample:5"):
+            doc = verify(depth, mode)
+            assert (doc["status"], doc["error"]) == ("certified", None)
+            assert doc["construction"]["dim"] == 1 + depth * 6**2
+        doc = verify(depth + 1, "exhaustive")
+        assert doc["schema"] == "hamrank-report/1" and doc["status"] == "failed"
+        error = f"InputError: cannot load {file}: RecursionError: "
+        assert doc["error"].startswith(error)
 
     def test_cli_threads_are_recorded_and_change_nothing_else(self, tmp_path):
         rep = tmp_path / "rep.json"

@@ -38,14 +38,13 @@ from hamrank.rankprob import (
     to_sign_rep,
 )
 from hamrank.signcompile import (
-    Combine,
-    ConstLeaf,
+    SignForm,
     compile_tree,
     domain_rows,
     eval_sign,
     gamma_values,
-    oracles,
     sign_to_json,
+    threshold_dim,
     threshold_tree,
 )
 
@@ -398,10 +397,12 @@ class TestCompressProblem:
 
 
 def tree_dim(tree) -> int:
-    """The compiled dimension of an oracle tree, by the combine recursion."""
-    if isinstance(tree, ConstLeaf):
-        return 1
-    return tree_dim(tree.child0) + tree.oracle.dim**2 * tree_dim(tree.child1)
+    """The compiled dimension of a threshold tree by the combine recursion
+    dim(below) + d^2 * dim(answer-1 sign), down the chain of its terms."""
+    dim = 1
+    for term in tree.terms:
+        dim += term.oracle.dim**2 * 1
+    return dim
 
 
 def best_threshold_dim(g, lo, hi) -> int:
@@ -433,24 +434,29 @@ class TestThresholdTree:
             assert built == changes
             want = 1 + sum(comb(2 * t, t) ** 2 for t in changes)
             assert tree_dim(tree) == best_threshold_dim(g, 0, order) == want
+            assert tree.dim == threshold_dim(g) == want
+            assert tree.const == 2 * g[0] - 1
+            assert [term.sign for term in tree.terms] == [2 * g[t] - 1 for t in changes]
+            assert gamma_values(tree) == [None] * len(changes)
 
     def test_order_one_single_piece_depth_one(self):
         p = hd_rank_problem(3, 1, seed=13)
         rep = to_sign_rep(p, seed=14)
         # one rank >= 1 piece of dimension C(2, 1), with sign leaves below it
-        assert isinstance(rep, Combine) and rep.oracle.dim == 2
-        assert rep.rep0 == ConstLeaf(1) and rep.rep1 == ConstLeaf(-1)
+        (root,) = rep.terms
+        assert root.oracle.dim == 2
+        assert root.sign == 1 and rep.const == -1
 
     def test_arbitrary_table_asks_every_change_point(self):
         p = random_table_problem()
         rep = to_sign_rep(p, seed=56)
         # g = (1, 0, 1, 0): the root asks rank >= 3, then rank >= 2, then
         # rank >= 1, each answer 1 settling to the sign of g there
-        assert rep.oracle.dim == 20 and rep.rep0 == ConstLeaf(-1)
-        assert rep.rep1.oracle.dim == 6 and rep.rep1.rep0 == ConstLeaf(1)
-        last = rep.rep1.rep1
+        last, middle, root = rep.terms
+        assert root.oracle.dim == 20 and root.sign == -1
+        assert middle.oracle.dim == 6 and middle.sign == 1
         assert last.oracle.dim == 2
-        assert last.rep0 == ConstLeaf(-1) and last.rep1 == ConstLeaf(1)
+        assert last.sign == -1 and rep.const == 1
         assert rep.dim == 441 == 1 + 2**2 + 6**2 + 20**2
         for x in range(8):
             for y in range(8):
@@ -458,7 +464,7 @@ class TestThresholdTree:
 
     def test_constant_g_collapses_to_leaf(self):
         p = symmetric_problem(3, lambda x: Mat(1, 1, (x,)), (0, 0))
-        assert to_sign_rep(p, seed=14) == ConstLeaf(-1)
+        assert to_sign_rep(p, seed=14) == SignForm(-1, ())
 
     def test_piece_support_rep_matches_threshold(self):
         from hamrank.rankprob import piece_support_rep
@@ -484,9 +490,10 @@ class TestToSignRep:
         p = hd_rank_problem(4, 2, seed=17)
         rep = to_sign_rep(p, seed=18)
         # g = (0, 0, 1) changes only at 2: one rank >= 2 query over two leaves
-        assert rep.oracle.dim == 6
-        assert rep.rep0 == ConstLeaf(1) and rep.rep1 == ConstLeaf(-1)
-        assert rep.dim == 37 == rep.rep1.dim + rep.oracle.dim**2 * rep.rep0.dim
+        (root,) = rep.terms
+        assert root.oracle.dim == 6
+        assert root.sign == 1 and rep.const == -1
+        assert rep.dim == 37 == SignForm(rep.const).dim + root.oracle.dim**2 * 1
         ws = brute_words(4)
         for x in range(16):
             for y in range(16):
@@ -528,7 +535,7 @@ class TestToSignRep:
     def test_constant_problem_compiles_to_constant(self):
         p = symmetric_problem(4, lambda x: Mat(1, 1, (x,)), (1, 1))
         rep = to_sign_rep(p, seed=19)
-        assert isinstance(rep, ConstLeaf) and rep.sign == 1
+        assert rep.terms == () and rep.const == 1
 
     def test_checks_against_the_problem_not_its_oracles(self, monkeypatch):
         # each piece answers one threshold too high, so the compiled sign
@@ -626,7 +633,7 @@ class TestMemberCompile:
         p = replace(hd_rank_problem(7, 2, seed=3), g=(0, 1, 0))
         memos = [
             (piece.u.cache_info().currsize, piece.v.cache_info().currsize)
-            for piece in oracles(to_sign_rep(p))
+            for piece in (term.oracle for term in to_sign_rep(p).terms)
         ]
         assert memos == [(0, 0)] * 2
 

@@ -1,12 +1,15 @@
+import ast
 import itertools
 import json
 import re
 from collections import Counter
 from dataclasses import replace
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
+import hamrank
 from hamrank import signcompile
 from hamrank.cli import main
 from hamrank.errors import (
@@ -19,9 +22,8 @@ from hamrank.errors import (
 from hamrank.exact import Mat, rank_exact
 from hamrank.hamming import SupportRep, build_hd_supp, dist
 from hamrank.signcompile import (
-    Combine,
-    ConstLeaf,
-    Node,
+    SignForm,
+    Term,
     build_hd_sign,
     choose_gamma,
     compile_tree,
@@ -49,19 +51,24 @@ def differ(x, y) -> bool:
 
 def neq_tree(oracle):
     """Answer 1 where the oracle's dot product is nonzero."""
-    return Node(oracle=oracle, child0=ConstLeaf(-1), child1=ConstLeaf(1))
+    return SignForm(-1, (Term(oracle, 1),))
+
+
+def below(rep):
+    """The form of every term of ``rep`` but its root."""
+    return SignForm(rep.const, rep.terms[:-1])
 
 
 class TestLeaves:
     def test_constant_leaf_compiles_to_constant_sign(self):
-        rep = compile_tree(ConstLeaf(1), domain_rows(words(2)), lambda x, y: True)
-        assert isinstance(rep, ConstLeaf)
-        assert rep.sign == 1 and rep.dim == 1
-        rep0 = compile_tree(ConstLeaf(-1), domain_rows(words(2)), lambda x, y: False)
-        assert rep0.sign == -1
+        rep = compile_tree(SignForm(1), domain_rows(words(2)), lambda x, y: True)
+        assert rep == SignForm(1, ())
+        assert rep.const == 1 and rep.dim == 1
+        rep0 = compile_tree(SignForm(-1), domain_rows(words(2)), lambda x, y: False)
+        assert rep0.const == -1
 
     def test_constant_eval(self):
-        rep = ConstLeaf(-1)
+        rep = SignForm(-1)
         for x, y in itertools.product(words(2), repeat=2):
             assert eval_sign(rep, x, y) == -1
 
@@ -79,7 +86,7 @@ class TestDepthOne:
     def test_gamma_for_constant_children(self):
         # both branches constant: gamma = 1 + ceil(1/min s^2) = 2
         oracle = build_hd_supp(4, 1, seed=2)
-        gamma = choose_gamma(oracle, ConstLeaf(-1), ConstLeaf(1), domain_rows(words(4)))
+        gamma = choose_gamma(oracle, SignForm(1), domain_rows(words(4)))
         assert gamma == 2
 
     def test_empty_support_gives_unit_gamma(self):
@@ -87,7 +94,7 @@ class TestDepthOne:
         base = (0, 0, 0, 0)
         near = (1, 0, 0, 0)  # distance 1 < 2: oracle vanishes on this domain
         rows = domain_rows([base, near])
-        gamma = choose_gamma(oracle, ConstLeaf(1), ConstLeaf(-1), rows)
+        gamma = choose_gamma(oracle, SignForm(-1), rows)
         assert gamma == 1
 
 
@@ -106,11 +113,11 @@ class TestGammaModes:
                 s = oracle.dot(x, y)
                 if s == 0:
                     continue
-                v1 = abs(eval_value(rep.rep1, x, y))
-                v0 = abs(eval_value(rep.rep0, x, y))
+                v1 = abs(eval_value(below(rep), x, y))
+                v0 = abs(rep.terms[-1].sign)
                 need = -(-v1 // (s * s * v0))
                 best = max(best, need)
-        assert rep.gamma == 1 + best
+        assert rep.terms[-1].gamma == 1 + best
 
     def test_root_gamma_rescan_on_full_build(self):
         # independent second pass over all 4096 pairs of the n=6 build
@@ -120,14 +127,14 @@ class TestGammaModes:
         seen = False
         for x in domain:
             for y in domain:
-                s = rep.oracle.dot(x, y)
+                s = rep.terms[-1].oracle.dot(x, y)
                 if s == 0:
                     continue
                 seen = True
-                v1 = abs(eval_value(rep.rep1, x, y))
-                v0 = abs(eval_value(rep.rep0, x, y))
+                v1 = abs(eval_value(below(rep), x, y))
+                v0 = abs(rep.terms[-1].sign)
                 best = max(best, -(-v1 // (s * s * v0)))
-        assert seen and rep.gamma == 1 + best
+        assert seen and rep.terms[-1].gamma == 1 + best
 
     @pytest.mark.parametrize("n,seed", [(3, 1), (4, 2), (5, 9)])
     def test_norm_bound_dominates_exact_scan(self, n, seed):
@@ -139,7 +146,7 @@ class TestGammaModes:
         bounded = compile_tree(
             tree, domain_rows(domain), differ, gamma_mode="norm_bound"
         )
-        assert bounded.gamma >= scanned.gamma
+        assert bounded.terms[-1].gamma >= scanned.terms[-1].gamma
         for x in domain:
             for y in domain:
                 assert eval_sign(bounded, x, y) == eval_sign(scanned, x, y)
@@ -150,12 +157,12 @@ class TestGammaModes:
         rows = domain_rows(range(3))
         with pytest.raises(ValueError, match="^gamma mode 'norm_bound' needs"):
             compile_tree(neq_tree(oracle), rows, differ, gamma_mode="norm_bound")
-        assert compile_tree(neq_tree(oracle), rows, differ).gamma == 2
+        assert gamma_values(compile_tree(neq_tree(oracle), rows, differ)) == [2]
 
     def test_norm_bound_full_build_still_correct(self):
         rep = build_hd_sign(5, 1, seed=3, gamma_mode="norm_bound")
         scan = build_hd_sign(5, 1, seed=3, gamma_mode="exact_scan")
-        assert rep.gamma >= scan.gamma
+        assert rep.terms[-1].gamma >= scan.terms[-1].gamma
         for x in words(5):
             for y in words(5):
                 assert eval_sign(rep, x, y) == eval_sign(scan, x, y)
@@ -166,15 +173,13 @@ class TestEvaluation:
         rep = build_hd_sign(5, 1, seed=7)
         for x in words(5):
             for y in words(5):
-                if rep.oracle.dot(x, y) == 0:
-                    assert eval_value(rep, x, y) == eval_value(rep.rep1, x, y)
+                if rep.terms[-1].oracle.dot(x, y) == 0:
+                    assert eval_value(rep, x, y) == eval_value(below(rep), x, y)
 
     def test_zero_value_raises(self):
         oracle = build_hd_supp(2, 1, seed=0)
         # gamma too small by construction: value = -1 + 1*1*1 = 0 somewhere
-        broken = Combine(
-            oracle=oracle, rep0=ConstLeaf(1), rep1=ConstLeaf(-1), gamma=1
-        )
+        broken = SignForm(-1, (Term(oracle, 1, gamma=1),))
         with pytest.raises(ZeroValueError):
             for x in words(2):
                 for y in words(2):
@@ -201,7 +206,7 @@ class TestEvaluation:
             materialize(rep, words(4), max_dim=10)
 
     def test_constant_leaf_materializes_to_ones(self):
-        u_mat, v_mat = materialize(ConstLeaf(1), words(2))
+        u_mat, v_mat = materialize(SignForm(1), words(2))
         assert u_mat.entries == (1,) * 4
         assert v_mat.entries == (1,) * 4
 
@@ -228,8 +233,8 @@ class TestHdSign:
 
     def test_dim_recursion_via_gammas(self):
         rep = build_hd_sign(5, 1, seed=6)
-        assert isinstance(rep, Combine) and isinstance(rep.rep1, Combine)
-        assert rep.dim == rep.rep1.dim + rep.oracle.dim**2 * rep.rep0.dim
+        assert len(rep.terms) == 2
+        assert rep.dim == below(rep).dim + rep.terms[-1].oracle.dim ** 2
         assert len(gamma_values(rep)) == 2
 
     def test_within_proof_bound(self):
@@ -238,8 +243,8 @@ class TestHdSign:
         # depth 2 over oracles of dimension 2 and C(4, 2) = 6
         assert proof_dim_bound(rep) == (1 + 6 * 6) ** 2
         assert rep.dim == 41 <= proof_dim_bound(rep)
-        assert proof_dim_bound(rep.rep1) == 1 + 2 * 2
-        assert proof_dim_bound(ConstLeaf(1)) == 1
+        assert proof_dim_bound(below(rep)) == 1 + 2 * 2
+        assert proof_dim_bound(SignForm(1)) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +257,7 @@ class TestDomains:
         domain = [(0, 0), (1, 1)]
         as_list = compile_tree(tree, domain_rows(domain), differ)
         as_tuple = compile_tree(tree, domain_rows(tuple(domain)), differ)
-        assert as_tuple.gamma == as_list.gamma == 2
+        assert gamma_values(as_tuple) == gamma_values(as_list) == [2]
         for x, y in itertools.product(domain, repeat=2):
             assert eval_sign(as_tuple, x, y) == eval_sign(as_list, x, y)
 
@@ -362,10 +367,8 @@ class TestTruth:
 
 
 def tree_of(rep):
-    """The oracle tree a compiled rep came from."""
-    if isinstance(rep, ConstLeaf):
-        return rep
-    return Node(oracle=rep.oracle, child1=tree_of(rep.rep0), child0=tree_of(rep.rep1))
+    """The threshold tree a compiled rep came from: its gammas unchosen."""
+    return SignForm(rep.const, tuple(replace(t, gamma=None) for t in rep.terms))
 
 
 ACCEPTANCE_GRID = [
@@ -460,10 +463,8 @@ class TestClassRows:
 
 class TestPackageRoot:
     def test_a_depth_one_tree_compiles_from_package_root_names(self):
-        import hamrank
-
         oracle = hamrank.build_hd_supp(3, 1, seed=1)
-        tree = hamrank.Node(oracle, hamrank.ConstLeaf(-1), hamrank.ConstLeaf(1))
+        tree = hamrank.SignForm(-1, (hamrank.Term(oracle, 1),))
         rows = hamrank.domain_rows(words(3))
         rep = hamrank.compile_tree(tree, rows, differ)
         assert rep.dim == 5
@@ -481,7 +482,7 @@ class TestInputMaps:
             return tuple((i >> b) & 1 for b in range(n))
 
         oracle = SupportRep(lambda i: compress(to_word(i)), 1)
-        tree = Node(oracle=oracle, child0=ConstLeaf(1), child1=ConstLeaf(-1))
+        tree = SignForm(1, (Term(oracle, -1),))
         domain = list(range(1 << n))
         rep = compile_tree(tree, domain_rows(domain), lambda i, j: i == j)
         for i in domain:
@@ -500,7 +501,82 @@ class TestSerialization:
             for y in words(4)[:6]:
                 assert eval_value(back, x, y) == eval_value(rep, x, y)
         # any node type but const and combine is refused, at any depth
-        doc["tree"]["rep0"]["type"] = "banana"
-        with pytest.raises(InputError, match="^unknown sign node type 'banana'$"):
+        for path in (["rep0"], ["rep1"], ["rep1", "rep0"], ["rep1", "rep1"]):
+            bad = json.loads(json.dumps(doc))
+            node = bad["tree"]
+            for key in path:
+                node = node[key]
+            node["type"] = "banana"
+            with pytest.raises(InputError, match="^unknown sign node type 'banana'$"):
+                sign_from_json(bad)
+
+    @pytest.mark.parametrize("gamma_mode", ["exact_scan", "norm_bound"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_built_document_reads_back_to_the_same_document(self, k, gamma_mode):
+        rep = build_hd_sign(4, k, seed=k, gamma_mode=gamma_mode)
+        doc = sign_to_json(rep, meta={"n": 4, "k": k})
+        back = sign_from_json(doc)
+        assert sign_to_json(back, meta={"n": 4, "k": k}) == doc
+        assert json.dumps(sign_to_json(back, meta={"n": 4, "k": k})) == json.dumps(doc)
+        assert back.const == rep.const == -1
+        assert [t.sign for t in back.terms] == [t.sign for t in rep.terms] == [1, -1]
+        assert gamma_values(back) == gamma_values(rep)
+
+    def test_the_chain_runs_from_the_root_down_its_answer_0_branches(self):
+        rep = build_hd_sign(4, 1, seed=9)
+        tree = sign_to_json(rep)["tree"]
+        root, smaller = rep.terms[::-1]
+        assert tree["gamma"] == str(root.gamma) and tree["rep0"]["sign"] == -1
+        assert tree["rep1"]["gamma"] == str(smaller.gamma)
+        assert tree["rep1"]["rep0"] == {"type": "const", "sign": 1}
+        assert tree["rep1"]["rep1"] == {"type": "const", "sign": -1}
+        assert [key for key in tree] == ["type", "gamma", "oracle", "rep0", "rep1"]
+
+    def test_a_combine_under_rep0_is_not_a_chain(self, tmp_path):
+        # a rep0 of a combine is the answer-1 branch; a threshold tree only
+        # puts a sign there
+        doc = sign_to_json(build_hd_sign(4, 1, seed=9), meta={"n": 4, "k": 1})
+        inner = doc["tree"]["rep1"]
+        doc["tree"]["rep0"], doc["tree"]["rep1"] = inner, inner["rep1"]
+        with pytest.raises(InputError, match="^sign tree is not a chain: "):
             sign_from_json(doc)
+        path = tmp_path / "tree.sign.json"
+        path.write_text(json.dumps(doc))
+        report_path = tmp_path / "tree.report.json"
+        assert main(["verify-sign", str(path), "--report", str(report_path)]) == 1
+        report = json.loads(report_path.read_text())
+        assert report["schema"] == "hamrank-report/1"
+        assert report["status"] == "failed"
+        assert report["error"] == (
+            f"InputError: cannot load {path}: InputError: sign tree is not a "
+            "chain: a combine under rep0"
+        )
+
+
+def test_the_sign_form_stays_flat():
+    """No function in ``signcompile`` calls itself, and the tree types it
+    replaced are named nowhere in the package."""
+    tree = ast.parse(Path(signcompile.__file__).read_text())
+    recursive = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {
+                node.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            if fn.name in called:
+                recursive.append(fn.name)
+    assert recursive == []
+    naming = set()
+    for path in Path(hamrank.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                getattr(node, "id", None),  # a name
+                getattr(node, "attr", None),  # an attribute
+                getattr(node, "name", None),  # a def, a class or an imported name
+                getattr(node, "asname", None),
+            )
+            naming.update({"Combine", "ConstLeaf", "Node", "OracleTree"} & set(named))
+    assert naming == set()
 
