@@ -479,6 +479,9 @@ def _run_compose(config: RunConfig, report: Report) -> None:
 
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
+    """Check the loaded rank problem against its composition spec on every
+    pair; the timing section also records the block ranks that fell back
+    from the det pairing to a Bareiss elimination."""
     rp_path = config.params["rp"]
     problem, recorded_spec = _load(
         rp_path, lambda doc: (problem_from_json(doc), _recorded_spec(rp_path, doc))
@@ -494,6 +497,7 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
         )
     report.construction = {"order": problem.order, "index_count": problem.index_count}
     _check_semantics(problem, spec, config, report)
+    report.timing["exact_rechecks"] = problem.meta["exact_rechecks"]
 
 
 def _run_lower_bound(config: RunConfig, report: Report) -> None:

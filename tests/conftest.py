@@ -187,6 +187,20 @@ def reference_fit(members, size, seed):
     return None
 
 
+def assert_loaded_ranks_are_dense(doc: dict):
+    """Load a rank-problem document and check its ``rank_fn``, the det
+    pairing with a Bareiss fallback per pattern block, against the dense
+    ``rank_exact`` of A(x) - A(y) on every pair x <= y; return the loaded
+    problem."""
+    from hamrank.rankprob import problem_from_json
+
+    loaded = problem_from_json(doc)
+    table = [Mat.from_json(m) for m in doc["a"]]
+    for x, y in itertools.combinations_with_replacement(range(len(table)), 2):
+        assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y]), (x, y)
+    return loaded
+
+
 def random_table_problem():
     """Eight random 3 x 3 maps under g = (1, 0, 1, 0): order 3, three change points."""
     from hamrank.rankprob import symmetric_problem

@@ -33,11 +33,18 @@ from hamrank.rankprob import (
     hd_rank_problem,
     multiset_decode,
     negate,
+    problem_to_json,
     symmetric_problem,
 )
 from hamrank.harness import RunConfig, run
 
-from .conftest import defined_embed, expansion_sign, hamming, random_mat
+from .conftest import (
+    assert_loaded_ranks_are_dense,
+    defined_embed,
+    expansion_sign,
+    hamming,
+    random_mat,
+)
 
 
 class _criterion:
@@ -225,6 +232,8 @@ def test_criterion_07_distance_r_composition():
                 ty = hd_spec.tuple_of(y)
                 want = 1 if hamming(tx, ty) == 2 else 0
                 assert hd_prob.eval(x, y) == want
+        # its document loads with the det-pairing ranks, each the dense rank
+        assert_loaded_ranks_are_dense(problem_to_json(hd_prob))
 
 
 def test_criterion_08_multiset_fingerprint():

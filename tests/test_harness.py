@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import itertools
 import json
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,8 @@ from hamrank.cli import main
 from hamrank.harness import CSV_COLUMNS, RunConfig, run
 from hamrank.seeds import seed_stream
 from hamrank.veronese import minor_embed
+
+from .conftest import assert_loaded_ranks_are_dense
 
 
 def weights_supp_doc(n):
@@ -442,6 +446,34 @@ class TestSignCommands:
             assert report.error is None
 
 
+PERFBENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def exact_2_of_6(tmp_path_factory):
+    """A directory holding the compose workload's exact-2-of-6 spec and the
+    artifact its seed-7 ``compose --out`` job writes."""
+    from hamrank.rankprob import CompositionSpec, hd_rank_problem, spec_to_json
+
+    base = tmp_path_factory.mktemp("exact-2-of-6")
+    inequality = hd_rank_problem(1, 1, (0, 1), seed=7)
+    spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(inequality,) * 6)
+    (base / "exact-2-of-6.spec.json").write_text(json.dumps(spec_to_json(spec)))
+    mp = pytest.MonkeyPatch()
+    mp.chdir(base)
+    try:
+        argv = ["compose", "--spec", "exact-2-of-6.spec.json", "--seed", "7"]
+        out = ["--out", "exact-2-of-6.rp.json", "--report", "compose.report.json"]
+        assert main(argv + out) == 0
+    finally:
+        mp.undo()
+    return base
+
+
 class TestComposeCommands:
     def test_compose_and_rp_verify(self, tmp_path):
         from hamrank.exact import Mat
@@ -514,7 +546,6 @@ class TestComposeCommands:
             RankProblem,
             compose_semantics,
             distance_r_compose,
-            problem_from_json,
             problem_to_json,
             spec_to_json,
             symmetric_problem,
@@ -551,7 +582,7 @@ class TestComposeCommands:
         report = run("rp-verify", make_config(tmp_path, "rv", params=params))
         monkeypatch.undo()
 
-        loaded = problem_from_json(doc)
+        loaded = assert_loaded_ranks_are_dense(doc)
         reference = sweep(
             64,
             lambda: pairwise(
@@ -565,6 +596,65 @@ class TestComposeCommands:
         assert report.verification["violation_count"] == violations
         assert report.certified == (violations == 0)
         assert evals[64] == report.timing["pairs_evaluated"] == 64 * 65 // 2
+
+    def test_exact_2_of_6_ranks_are_the_dense_ranks(self, exact_2_of_6):
+        path = exact_2_of_6 / "exact-2-of-6.rp.json"
+        want = json.loads(PERFBENCH_DIGESTS.read_text())["compose"]
+        assert sha256(path.read_bytes()) == want["compose-exact-2-of-6"]["artifact"]
+        assert_loaded_ranks_are_dense(json.loads(path.read_text()))
+
+    def test_rp_verify_counts_its_exact_rechecks(self, exact_2_of_6, monkeypatch):
+        """The table's 13 pattern blocks (one 3 x 3, eight 2 x 2, four
+        1 x 1) over 2,080 unordered pairs would be 27,040 eliminations; the
+        det pairing certifies every full-rank block difference, so only the
+        singular ones reach Bareiss.  The count is timing, so the report's
+        canonical bytes stay the benchmark's."""
+        from hamrank import rankprob
+
+        sizes = []
+        bareiss = rankprob.bareiss
+        monkeypatch.setattr(
+            rankprob, "bareiss", lambda a: sizes.append(len(a)) or bareiss(a)
+        )
+        monkeypatch.chdir(exact_2_of_6)
+        argv = ["rp-verify", "exact-2-of-6.rp.json", "--seed", "7"]
+        assert main(argv + ["--report", "rp-verify.report.json"]) == 0
+        with open("rp-verify.report.json") as fh:
+            report = json.load(fh)
+        assert report["timing"]["exact_rechecks"] == len(sizes) == 3040
+        # the 1 x 1 blocks fall back on the 64 diagonal pairs only
+        assert Counter(sizes) == {1: 4 * 64, 2: 2048, 3: 736}
+        del report["timing"]
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        want = json.loads(PERFBENCH_DIGESTS.read_text())["compose"]
+        assert sha256(canonical.encode()) == want["rp-verify-exact-2-of-6"]["report"]
+
+    def test_a_broken_pairing_never_certifies(self, exact_2_of_6, monkeypatch):
+        """With one sign of ``negated_right`` flipped, the det-sum proof
+        that ``problem_from_json`` runs before it pairs any block fails, and
+        rp-verify ends in a failed report that names the identity."""
+        from hamrank import hamming, veronese
+
+        real = veronese.negated_right
+
+        def broken(k):
+            flip = real(k)
+            return lambda left: (-flip(left)[0], *flip(left)[1:])
+
+        monkeypatch.setattr(veronese, "negated_right", broken)
+        monkeypatch.setattr(hamming, "negated_right", broken)
+        monkeypatch.chdir(exact_2_of_6)
+        veronese.prove_det_sum.cache_clear()
+        try:
+            code = main(["rp-verify", "exact-2-of-6.rp.json", "--report", "broken.json"])
+        finally:
+            monkeypatch.undo()
+            veronese.prove_det_sum.cache_clear()
+        report = json.loads((exact_2_of_6 / "broken.json").read_text())
+        assert code == 1
+        assert report["schema"] == "hamrank-report/1"
+        assert report["status"] == "failed"
+        assert "det-sum identity fails" in report["error"]
 
     def test_spec_file_references(self, tmp_path):
         from hamrank.exact import Mat

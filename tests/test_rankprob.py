@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import cache, cached_property
 from math import comb, prod
@@ -49,6 +50,7 @@ from hamrank.signcompile import (
 )
 
 from .conftest import (
+    assert_loaded_ranks_are_dense,
     distinct_differences,
     hamming,
     random_mat,
@@ -64,6 +66,38 @@ def neq_inner() -> RankProblem:
 
 def brute_words(n):
     return [word_of_index(i, n, (0, 1)) for i in range(2**n)]
+
+
+def every_path_doc() -> dict:
+    """A rank-problem document on six 12 x 13 maps, block diagonal with a
+    5 x 5, a 2 x 3, a 3 x 3 and a 2 x 2 block, every block entry nonzero.
+    A(0) and A(1) agree on the 5 x 5 block.  On the 3 x 3 block, indices
+    0, 1, 2 differ by multiples of one rank-1 matrix, as the even indices
+    do on the 2 x 2 block, so those differences have determinant 0 and
+    rank 1; the other entries are drawn from 1..3."""
+    rng = random.Random(37)
+
+    def drawn(count):
+        return [rng.randint(1, 3) for _ in range(count)]
+
+    big = [drawn(25) for _ in range(6)]
+    big[1] = big[0]
+    wide = [drawn(6) for _ in range(6)]
+    base3, ones3 = [2, 1, 1, 1, 3, 1, 1, 1, 4], [1, 2, 1, 2, 4, 2, 1, 2, 1]
+    mid = [[b + x * u for b, u in zip(base3, ones3)] if x < 3 else drawn(9)
+           for x in range(6)]
+    small = [[1 + x, 2 + x, 3 + x, 4 + x] if x % 2 == 0 else drawn(4)
+             for x in range(6)]
+    layout = [((0, 0), 5, 5, big), ((5, 5), 2, 3, wide), ((7, 8), 3, 3, mid),
+              ((10, 11), 2, 2, small)]
+    table = []
+    for x in range(6):
+        entries = [0] * (12 * 13)
+        for (r0, c0), rows, cols, values in layout:
+            for i, j in itertools.product(range(rows), range(cols)):
+                entries[(r0 + i) * 13 + c0 + j] = values[x][i * cols + j]
+        table.append(Mat(12, 13, tuple(entries)))
+    return problem_to_json(symmetric_problem(6, table.__getitem__, (0, 1, 0)))
 
 
 @st.composite
@@ -887,6 +921,34 @@ class TestSerialization:
             assert loaded.rank_fn(x, y) == dense
             # the rank built from the certified identities, not eliminated
             assert built.rank_fn(x, y) == dense
+
+    def test_loaded_rank_takes_every_path(self, monkeypatch):
+        """Every block shape of ``every_path_doc`` reaches its path: the
+        5 x 5 and 2 x 3 blocks are eliminated on every pair, the paired
+        3 x 3 and 2 x 2 ones only on the diagonal and on their singular
+        nonzero differences."""
+        doc = every_path_doc()
+        table = [Mat.from_json(m) for m in doc["a"]]
+        blocks = pattern_blocks(table)
+        assert sorted((len(r), len(c)) for r, c in blocks) == [
+            (2, 2), (2, 3), (3, 3), (5, 5)
+        ]
+        shapes = []
+        bareiss = rankprob.bareiss
+        monkeypatch.setattr(
+            rankprob,
+            "bareiss",
+            lambda a: shapes.append((len(a), len(a[0]))) or bareiss(a),
+        )
+        loaded = assert_loaded_ranks_are_dense(doc)
+        eliminated = Counter(shapes)
+        assert eliminated[5, 5] == eliminated[2, 3] == 6 * 7 // 2
+        # the diagonal, then the rank-1 differences among indices 0, 1, 2
+        # and among the even indices
+        assert eliminated[3, 3] >= 6 + 3
+        assert eliminated[2, 2] >= 6 + 3
+        assert eliminated[3, 3] + eliminated[2, 2] < 2 * 6 * 7 // 2
+        assert loaded.meta["exact_rechecks"] == len(shapes)
 
     def test_empty_table_loads(self):
         doc = problem_to_json(neq_inner())
