@@ -82,12 +82,9 @@ class SupportRep:
     (``veronese.prove_det_sum``), nonzero exactly where the difference has
     full rank.  A rep over 2^n words costs memory only for the words
     touched.  Besides Hamming reps, ``rankprob`` pairs index maps: a sign
-    piece's compressed map, and in ``problem_from_json`` A(x) cut to one
-    square pattern block of a loaded table, whose rep memoizes at most
-    2 C(2 ``size``, ``size``) ints per index.  A Hamming rep also carries
-    its compressor, alphabet and seed, and derives ``n``, ``k`` and its
-    document's predicate ``HD>=k`` from the compressor; other reps have
-    none.
+    piece's compressed map.  A Hamming rep also carries its compressor,
+    alphabet and seed, and derives ``n``, ``k`` and its document's
+    predicate ``HD>=k`` from the compressor; other reps have none.
     """
 
     alphabet: tuple[int, ...] | None = None

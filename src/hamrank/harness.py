@@ -480,8 +480,8 @@ def _run_compose(config: RunConfig, report: Report) -> None:
 
 def _run_rp_verify(config: RunConfig, report: Report) -> None:
     """Check the loaded rank problem against its composition spec on every
-    pair; the timing section also records the block ranks that fell back
-    from the det pairing to a Bareiss elimination."""
+    pair; the timing section also records the loaded problem's block
+    eliminations."""
     rp_path = config.params["rp"]
     problem, recorded_spec = _load(
         rp_path, lambda doc: (problem_from_json(doc), _recorded_spec(rp_path, doc))

@@ -23,6 +23,7 @@ compressor carries its own exhaustive family verification.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import prod
@@ -43,7 +44,6 @@ from .signcompile import SignForm, check_sign_dim, compile_tree, domain_rows
 from .signcompile import threshold_dim, threshold_tree
 from .signcompile import eval_sign  # noqa: F401 (perfbench traces this binding)
 from .veronese import minor_embed  # noqa: F401 (perfbench traces this binding)
-from .veronese import prove_det_sum
 
 
 # -------------------------------------------------------------------
@@ -548,9 +548,6 @@ def strict_cc_hd(c: int, r: int, n: int, m: int, seed: int = 0) -> CompositionSp
 # -------------------------------------------------------------------
 
 
-PAIRING_MAX_SIZE = 4  # prove_det_sum checks 1,473 points at 4, 19,091 at 5
-
-
 def problem_to_json(p: RankProblem, max_entries: int = 2_000_000) -> dict:
     """Explicit-table JSON form; guarded so huge assemblies fail loudly."""
     shape = p.a_map(0).shape
@@ -578,14 +575,14 @@ def problem_from_json(doc: dict) -> RankProblem:
     The document must say ``"symmetric": true``, hold no B table, state
     ``order`` as len(g) - 1 and ``index_count`` as the length of A, whose
     matrices must share one shape.  The blocks of the table's union nonzero
-    pattern (``pattern_blocks``) are found once, here; every A(x) - A(y) is
-    zero outside them, so the loaded ``rank_fn`` sums block ranks and
-    memoizes the sum per pair.  A square block of size s <= PAIRING_MAX_SIZE
-    gets one ``SupportRep`` of A(x) cut to the block, after
-    ``prove_det_sum(s)`` has passed: a nonzero dot is det(B_x - B_y), which
-    certifies rank s.  Only a zero dot, and every other block, goes to a
-    Bareiss elimination of the block difference; ``meta["exact_rechecks"]``
-    counts those eliminations.
+    pattern (``pattern_blocks``) are found once, here, and grouped by their
+    cut over every index (shape and entries in every matrix): blocks with
+    equal cuts have equal differences on every pair, so a table of w_i
+    copies of A_i (``bool_combine``'s layout) ranks each A_i once, weighted
+    by w_i.  Every A(x) - A(y) is zero outside the blocks, so the loaded
+    ``rank_fn`` adds 0 for a block whose two cuts are equal and w times the
+    Bareiss rank of the block difference for every other block, memoized
+    per pair; ``meta["exact_rechecks"]`` counts those eliminations.
     """
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
@@ -603,31 +600,25 @@ def problem_from_json(doc: dict) -> RankProblem:
     if len(shapes) > 1:
         raise InputError(f"the A table mixes matrix shapes {shapes}")
     width = shapes[0][1] if shapes else 0
-    meta = {"exact_rechecks": 0}
-
-    def block_rank(block_rows, block_cols) -> Callable[[int, int], int]:
-        cells = [[i * width + j for j in block_cols] for i in block_rows]
-
-        def eliminate(x: int, y: int) -> int:
-            meta["exact_rechecks"] += 1
-            ax, ay = a_tab[x].entries, a_tab[y].entries
-            return bareiss([[ax[t] - ay[t] for t in row] for row in cells])[0]
-
-        s = len(cells)
-        if s != len(block_cols) or s > PAIRING_MAX_SIZE:
-            return eliminate
-        prove_det_sum(s)
-        flat = [t for row in cells for t in row]
-        rep = SupportRep(
-            lambda x: Mat(s, s, tuple(map(a_tab[x].entries.__getitem__, flat))), s
+    copies = Counter(
+        tuple(
+            tuple(tuple(m.entries[i * width + j] for j in cols) for i in rows)
+            for m in a_tab
         )
-        return lambda x, y: s if rep.query(x, y) else eliminate(x, y)
-
-    ranks = [block_rank(*block) for block in pattern_blocks(a_tab)]
+        for rows, cols in pattern_blocks(a_tab)
+    )
+    meta = {"exact_rechecks": 0}
 
     @cache
     def rank_fn(x: int, y: int) -> int:
-        return sum(rank(x, y) for rank in ranks)
+        total = 0
+        for cut, w in copies.items():
+            bx, by = cut[x], cut[y]
+            if bx != by:
+                meta["exact_rechecks"] += 1
+                diff = [[p - q for p, q in zip(rx, ry)] for rx, ry in zip(bx, by)]
+                total += w * bareiss(diff)[0]
+        return total
 
     return RankProblem(count, a_tab.__getitem__, g, rank_fn, doc.get("name", ""), meta)
 

@@ -187,17 +187,18 @@ def reference_fit(members, size, seed):
     return None
 
 
-def assert_loaded_ranks_are_dense(doc: dict):
-    """Load a rank-problem document and check its ``rank_fn``, the det
-    pairing with a Bareiss fallback per pattern block, against the dense
-    ``rank_exact`` of A(x) - A(y) on every pair x <= y; return the loaded
-    problem."""
+def assert_loaded_ranks_are_dense(doc: dict, dense_rank=None):
+    """Load a rank-problem document and check its ``rank_fn``, which ranks
+    each distinct pattern block of a pair by Bareiss, against the dense rank
+    of A(x) - A(y) on every pair x <= y: ``rank_exact`` of the difference,
+    or ``dense_rank(A(x), A(y))`` when given; return the loaded problem."""
     from hamrank.rankprob import problem_from_json
 
     loaded = problem_from_json(doc)
     table = [Mat.from_json(m) for m in doc["a"]]
+    dense_rank = dense_rank or (lambda a, b: rank_exact(a - b))
     for x, y in itertools.combinations_with_replacement(range(len(table)), 2):
-        assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y]), (x, y)
+        assert loaded.rank_fn(x, y) == dense_rank(table[x], table[y]), (x, y)
     return loaded
 
 

@@ -232,7 +232,7 @@ def test_criterion_07_distance_r_composition():
                 ty = hd_spec.tuple_of(y)
                 want = 1 if hamming(tx, ty) == 2 else 0
                 assert hd_prob.eval(x, y) == want
-        # its document loads with the det-pairing ranks, each the dense rank
+        # its loaded document ranks every pair as the dense rank does
         assert_loaded_ranks_are_dense(problem_to_json(hd_prob))
 
 

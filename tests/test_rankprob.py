@@ -73,8 +73,8 @@ def every_path_doc() -> dict:
     5 x 5, a 2 x 3, a 3 x 3 and a 2 x 2 block, every block entry nonzero.
     A(0) and A(1) agree on the 5 x 5 block.  On the 3 x 3 block, indices
     0, 1, 2 differ by multiples of one rank-1 matrix, as the even indices
-    do on the 2 x 2 block, so those differences have determinant 0 and
-    rank 1; the other entries are drawn from 1..3."""
+    do on the 2 x 2 block, so those square differences are singular and
+    nonzero; the other entries are drawn from 1..3."""
     rng = random.Random(37)
 
     def drawn(count):
@@ -98,6 +98,49 @@ def every_path_doc() -> dict:
                 entries[(r0 + i) * 13 + c0 + j] = values[x][i * cols + j]
         table.append(Mat(12, 13, tuple(entries)))
     return problem_to_json(symmetric_problem(6, table.__getitem__, (0, 1, 0)))
+
+
+# one 2 x 2 block per index, flattened, with all entries nonzero; the odd
+# copy differs from it at index 2 only, where the difference from index 0
+# has rank 2 instead of 1
+REPEATED = [[1, 2, 3, 4], [2, 1, 1, 3], [2, 3, 4, 5], [3, 1, 2, 2]]
+ODD = [*REPEATED[:2], [2, 3, 4, 6], REPEATED[3]]
+
+
+def repeated_block_doc() -> dict:
+    """A rank-problem document on four 6 x 6 maps, block diagonal with three
+    2 x 2 blocks: two copies of ``REPEATED`` and then one of ``ODD``."""
+    table = []
+    for x in range(4):
+        entries = [0] * 36
+        for offset, block in ((0, REPEATED), (2, REPEATED), (4, ODD)):
+            for i, j in itertools.product(range(2), repeat=2):
+                entries[(offset + i) * 6 + offset + j] = block[x][i * 2 + j]
+        table.append(Mat(6, 6, tuple(entries)))
+    return problem_to_json(symmetric_problem(4, table.__getitem__, (0, 1, 0, 1, 0)))
+
+
+def differing_blocks(table, blocks, x, y):
+    """The blocks of ``table`` (from ``pattern_blocks``) on which A(x) and
+    A(y) differ."""
+    width = table[0].shape[1]
+
+    def cut(z, rows, cols):
+        return [table[z].entries[i * width + j] for i in rows for j in cols]
+
+    return [(r, c) for r, c in blocks if cut(x, r, c) != cut(y, r, c)]
+
+
+def recorded_bareiss(monkeypatch, record=lambda a: (len(a), len(a[0]))):
+    """Patch ``rankprob.bareiss`` to append ``record`` of each input, its
+    shape by default, to the returned list; ``record`` runs before the
+    elimination consumes the input."""
+    calls = []
+    bareiss = rankprob.bareiss
+    monkeypatch.setattr(
+        rankprob, "bareiss", lambda a: calls.append(record(a)) or bareiss(a)
+    )
+    return calls
 
 
 @st.composite
@@ -923,32 +966,61 @@ class TestSerialization:
             assert built.rank_fn(x, y) == dense
 
     def test_loaded_rank_takes_every_path(self, monkeypatch):
-        """Every block shape of ``every_path_doc`` reaches its path: the
-        5 x 5 and 2 x 3 blocks are eliminated on every pair, the paired
-        3 x 3 and 2 x 2 ones only on the diagonal and on their singular
-        nonzero differences."""
+        """Each block of ``every_path_doc`` is eliminated on exactly the
+        pairs whose two cuts differ, and adds 0 on the others: the 5 x 5
+        block on pair (0, 1), every block on the diagonal."""
         doc = every_path_doc()
         table = [Mat.from_json(m) for m in doc["a"]]
         blocks = pattern_blocks(table)
         assert sorted((len(r), len(c)) for r, c in blocks) == [
             (2, 2), (2, 3), (3, 3), (5, 5)
         ]
-        shapes = []
-        bareiss = rankprob.bareiss
-        monkeypatch.setattr(
-            rankprob,
-            "bareiss",
-            lambda a: shapes.append((len(a), len(a[0]))) or bareiss(a),
-        )
-        loaded = assert_loaded_ranks_are_dense(doc)
-        eliminated = Counter(shapes)
-        assert eliminated[5, 5] == eliminated[2, 3] == 6 * 7 // 2
-        # the diagonal, then the rank-1 differences among indices 0, 1, 2
-        # and among the even indices
-        assert eliminated[3, 3] >= 6 + 3
-        assert eliminated[2, 2] >= 6 + 3
-        assert eliminated[3, 3] + eliminated[2, 2] < 2 * 6 * 7 // 2
+        shapes = recorded_bareiss(monkeypatch)
+        loaded = problem_from_json(doc)
+        for x, y in itertools.combinations_with_replacement(range(6), 2):
+            before = len(shapes)
+            assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y])
+            differing = [
+                (len(rows), len(cols))
+                for rows, cols in differing_blocks(table, blocks, x, y)
+            ]
+            assert Counter(shapes[before:]) == Counter(differing), (x, y)
+            assert ((5, 5) in differing) == (x != y and (x, y) != (0, 1))
         assert loaded.meta["exact_rechecks"] == len(shapes)
+
+    def test_equal_copies_rank_once_and_an_odd_copy_alone(self, monkeypatch):
+        """On ``repeated_block_doc`` each pair eliminates the difference of
+        the two equal copies once and that of the odd copy once."""
+        doc = repeated_block_doc()
+        assert_loaded_ranks_are_dense(doc)
+        eliminated = recorded_bareiss(monkeypatch, record=lambda a: sum(a, []))
+        loaded = problem_from_json(doc)
+        for x, y in itertools.combinations(range(4), 2):
+            before = len(eliminated)
+            loaded.rank_fn(x, y)
+            copies = [
+                [p - q for p, q in zip(block[x], block[y])]
+                for block in (REPEATED, ODD)
+            ]
+            assert sorted(eliminated[before:]) == sorted(copies), (x, y)
+        assert loaded.meta["exact_rechecks"] == len(eliminated) == 2 * 6
+
+    def test_each_block_and_pair_is_eliminated_once(self, monkeypatch):
+        """The per-pair memo: two full passes of ``rank_fn`` and ``eval``
+        over every ordered pair eliminate each block of a pair whose cuts
+        differ exactly once."""
+        doc = every_path_doc()
+        table = [Mat.from_json(m) for m in doc["a"]]
+        blocks = pattern_blocks(table)
+        shapes = recorded_bareiss(monkeypatch)
+        loaded = problem_from_json(doc)
+        pairs = list(itertools.product(range(6), repeat=2))
+        for _ in range(2):
+            for x, y in pairs:
+                loaded.rank_fn(x, y)
+                loaded.eval(x, y)
+        want = sum(len(differing_blocks(table, blocks, x, y)) for x, y in pairs)
+        assert len(shapes) == loaded.meta["exact_rechecks"] == want
 
     def test_empty_table_loads(self):
         doc = problem_to_json(neq_inner())

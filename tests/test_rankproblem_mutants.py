@@ -1,13 +1,20 @@
-"""Damaged rank-problem documents: rp-verify never certifies a wrong one.
+"""Damaged rank-problem and composition-spec documents: rp-verify and
+compose never certify a wrong one.
 
 The certified ``compose --out`` document of exact Hamming distance 2 over
 four inequality inners (r = 2, 16 indices) is damaged by a seeded mutator:
-one JSON leaf at a time, each key dropped, two A matrices swapped, or one
-bit of g flipped.  Every mutant must end in a ``hamrank-report/1``, and a
+one JSON leaf at a time, each key dropped, two A matrices swapped, one bit
+of g flipped, or one entry of one copy of a repeated pattern block changed
+at one index.  Every mutant must end in a ``hamrank-report/1``, and a
 certified one must agree on every pair with an independent reference: the
 dense ``rank_exact`` of each difference of the mutated table, read through
 the mutated g, against ``compose_semantics``.  The reference uses no
-pattern blocks and no det pairing.
+pattern blocks.
+
+The spec of that composition, its inners inline, is damaged the same way
+(every leaf, each key dropped, each bit of h flipped) and composed.  A
+certified mutant's ``--out`` table must agree in the same way with the
+semantics of a reference spec whose inners rank by dense ``rank_exact``.
 """
 
 import itertools
@@ -18,7 +25,7 @@ from functools import cache
 import pytest
 
 from hamrank.cli import main
-from hamrank.exact import Mat, rank_exact
+from hamrank.exact import Mat, pattern_blocks, rank_exact
 from hamrank.rankprob import (
     CompositionSpec,
     compose_semantics,
@@ -26,6 +33,7 @@ from hamrank.rankprob import (
     symmetric_problem,
 )
 
+from .conftest import assert_loaded_ranks_are_dense
 from .mutants import copy, dropped_keys, leaf_mutants
 
 INEQUALITY = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
@@ -45,21 +53,61 @@ def structural_mutants(doc, rng):
         mutant = copy(doc)
         mutant["g"][t] ^= 1
         yield f"flip:g/{t}", mutant
+    yield from copy_mutants(doc, rng)
 
 
-def reference_violations(doc, dense_rank):
-    """(violations, pairs) of g(rank(A(x) - A(y))) against the composition
-    semantics over every ordered pair of the spec's indices, the table's
-    entries parsed by ``int``."""
-    table = [
-        (m["rows"], m["cols"], tuple(int(e) for e in m["entries"])) for m in doc["a"]
+def copy_mutants(doc, rng):
+    """For each pattern block the table repeats (equal cuts over every
+    index), its last copy with one drawn entry at one drawn index x set to
+    that entry's value at another index y, so that copy alone changes, and
+    its difference at (x, y) loses that entry."""
+    table = [Mat.from_json(m) for m in doc["a"]]
+    width = table[0].shape[1]
+    copies = {}
+    for rows, cols in pattern_blocks(table):
+        cells = [i * width + j for i in rows for j in cols]
+        cut = tuple(tuple(m.entries[t] for t in cells) for m in table)
+        copies.setdefault(cut, []).append(cells)
+    for blocks in copies.values():
+        if len(blocks) > 1:
+            t = rng.choice(blocks[-1])
+            x, y = rng.choice([
+                (x, y)
+                for x, y in itertools.permutations(range(len(table)), 2)
+                if table[x].entries[t] != table[y].entries[t]
+            ])
+            mutant = copy(doc)
+            mutant["a"][x]["entries"][t] = doc["a"][y]["entries"][t]
+            yield f"copy:a/{x}/entries/{t}", mutant
+
+
+def table_of(doc):
+    """The A table of a rank-problem document, entries parsed by ``int``."""
+    return [
+        Mat(m["rows"], m["cols"], tuple(int(e) for e in m["entries"])) for m in doc["a"]
     ]
+
+
+@cache
+def _dense_rank(a, b):
+    return rank_exact(a - b)
+
+
+def dense_rank(a, b):
+    """rank(A - B), memoized per unordered pair, as rank(-M) = rank(M)."""
+    return _dense_rank(*sorted((a, b), key=lambda m: m.entries))
+
+
+def reference_violations(doc, spec=SPEC):
+    """(violations, pairs) of g(rank(A(x) - A(y))) against the semantics of
+    ``spec`` over every ordered pair of its indices."""
+    table = table_of(doc)
     g = [int(bit) for bit in doc["g"]]
-    indices = range(SPEC.index_count)
+    indices = range(spec.index_count)
     bad = 0
     for x, y in itertools.product(indices, repeat=2):
         rank = dense_rank(table[x], table[y])
-        truth = compose_semantics(SPEC, SPEC.tuple_of(x), SPEC.tuple_of(y))
+        truth = compose_semantics(spec, spec.tuple_of(x), spec.tuple_of(y))
         bad += g[min(rank, len(g) - 1)] != truth
     return bad, len(indices) ** 2
 
@@ -93,24 +141,68 @@ def verify(base, doc):
 
 
 def test_a_certified_mutant_is_correct_by_the_reference(built):
-    @cache
-    def dense_rank(a, b):
-        (rows, cols, ea), (_, _, eb) = a, b
-        return rank_exact(Mat(rows, cols, tuple(p - q for p, q in zip(ea, eb))))
-
     doc = json.loads((built / "rp.json").read_text())
-    assert reference_violations(doc, dense_rank) == (0, 256)
+    assert reference_violations(doc) == (0, 256)
     rng = random.Random("rp-mutants")
     mutants = [
         *leaf_mutants(doc, lambda path: path[0] == "a", rng, 80),
         *structural_mutants(doc, rng),
     ]
-    statuses = set()
+    statuses, tables = set(), set()
     for name, mutant in mutants:
         report = verify(built, mutant)
         statuses.add(report["status"])
         if report["status"] == "certified":
             pairs = report["verification"]["pairs_checked"]
-            assert reference_violations(mutant, dense_rank) == (0, pairs), name
+            assert reference_violations(mutant) == (0, pairs), name
+            # the loaded ranks depend on the table alone
+            table = tuple(table_of(mutant))
+            if table not in tables:
+                tables.add(table)
+                assert_loaded_ranks_are_dense(mutant, dense_rank)
     # both outcomes occur, so the property is not vacuous either way
+    assert statuses == {"certified", "failed"}
+
+
+def reference_spec(doc):
+    """The composition a spec document states, each inner a dense
+    ``symmetric_problem`` over its table, entries parsed by ``int``."""
+    inners = []
+    for entry in doc["inners"]:
+        table = table_of(entry["problem"])
+        g = entry["problem"]["g"]
+        inners.append(symmetric_problem(len(table), table.__getitem__, g))
+    return CompositionSpec(r=doc["r"], h=tuple(doc["h"]), inners=tuple(inners))
+
+
+def spec_mutants(doc):
+    """Every op on every leaf, each key dropped, and each bit of h flipped."""
+    yield from leaf_mutants(doc, lambda path: False, random.Random(), 0)
+    yield from dropped_keys(doc)
+    for t in range(len(doc["h"])):
+        mutant = copy(doc)
+        mutant["h"][t] ^= 1
+        yield f"flip:h/{t}", mutant
+
+
+def test_a_certified_spec_mutant_is_correct_by_the_reference(tmp_path):
+    spec, out, report = (tmp_path / name for name in ("spec.json", "rp.json", "r.json"))
+    statuses = set()
+    for name, mutant in spec_mutants(spec_to_json(SPEC)):
+        spec.write_text(json.dumps(mutant))
+        out.unlink(missing_ok=True)
+        report.unlink(missing_ok=True)
+        argv = ["compose", "--spec", str(spec), "--seed", "3", "--out", str(out)]
+        code = main(argv + ["--report", str(report)])
+        got = json.loads(report.read_text())
+        assert got["schema"] == "hamrank-report/1", name
+        assert code == (0 if got["status"] == "certified" else 1), name
+        statuses.add(got["status"])
+        if got["status"] == "certified":
+            pairs = got["verification"]["pairs_checked"]
+            built = json.loads(out.read_text())
+            violations = reference_violations(built, reference_spec(mutant))
+            assert violations == (0, pairs), name
+            for entry in mutant["inners"]:
+                assert_loaded_ranks_are_dense(entry["problem"])
     assert statuses == {"certified", "failed"}
