@@ -25,6 +25,13 @@ once, so a row of exact dots costs one multiply-add per coordinate, and
 each slot's nonzero test is read from its top bit without unpacking.  The
 compressor's family walk runs on the same kernel; sign trees read exact
 dots from rows that ``signcompile`` alone packs.
+
+The sampled pair check has no row to share.  It certifies a drawn pair by
+a residue instead: each drawn word's u and v are packed once modulo the
+prime ``RESIDUE_PRIME`` (``parallel.pack_residues``), and one small
+product gives the dot mod that prime.  A nonzero residue proves the dot
+nonzero; a zero one is only a prompt, and the pair's exact dot decides
+it, so the verdicts and report bytes are those of the exact check.
 """
 
 from __future__ import annotations
@@ -54,8 +61,10 @@ from .exact import Mat, int_from_json, ints_from_json
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
 from .parallel import (
     REPORT_CAP,
+    RESIDUE_PRIME,
     SweepReport,
     flagged,
+    pack_residues,
     packed_nonzero,
     pairwise,
     sweep,
@@ -315,9 +324,18 @@ def verify_support_rep(
     before the first row; each row is checked by ``_packed_rows``, one
     big-integer multiply-add per coordinate against the packed columns, with
     the Hamming ball of radius k - 1 as ground truth.  Otherwise it draws
-    ``sample`` seeded uniform ordered pairs (at least one), embeds only the
-    drawn words, each once through the rep's memo, and checks each pair by
-    its own dot product and letter codes.  Violation records read the same
+    ``sample`` seeded uniform ordered pairs (at least one) and embeds only
+    the drawn words, u(x) each once through the rep's memo ``rep.u``.  One
+    memo per drawn index holds ``(left, right, code)``: u and its signed
+    permutation v packed mod ``RESIDUE_PRIME`` by ``pack_residues``, and
+    the word's one-hot letter code; v itself is never kept, and ``rep.v``
+    stays empty.  A pair's residue, the middle digit of left(x) right(y)
+    mod the prime, is <u(x), v(y)> mod the prime: where it is nonzero the
+    dot is nonzero; where it reads 0 (every pair at distance < k, about 1
+    in 32,749 of the others) the exact dot, from ``rep.u`` and v =
+    ``negated_right(size)(u)``, decides, and the report counts the pair in
+    ``exact_rechecks``, outside its JSON.  The truth is read from the xor
+    of the letter codes.  Violation records read the exact dot of the same
     vectors.  Either way ``max_pairs`` bounds the pairs checked, before
     anything is embedded.  The report is deterministic for a given sample
     count and seed.
@@ -329,6 +347,10 @@ def verify_support_rep(
 
     word = cache(lambda i: word_of_index(i, n, alphabet))
     u = v = None  # index -> u, v vector: what prepare embeds
+    rechecks = 0  # sampled pairs whose residue read 0
+
+    def dot(i: int, j: int) -> int:
+        return sum(map(mul, u(i), v(j)))
 
     def prepare():
         nonlocal u, v
@@ -336,23 +358,39 @@ def verify_support_rep(
             us, vs = rep.embed(itertools.product(alphabet, repeat=n))
             u, v = us.__getitem__, vs.__getitem__
             return _packed_rows(us, vs, lambda i: near_indices(i, n, a, k))
-        u, v = cache(lambda i: rep.u(word(i))), cache(lambda i: rep.v(word(i)))
+        # u from the rep's memo; v, a signed permutation of u, is never kept
+        flip = negated_right(rep.size)
+        u, v = (lambda i: rep.u(word(i))), (lambda j: flip(u(j)))
+        left, right, shift, mask = pack_residues(rep.dim)
         # one-hot letter codes: each differing position sets two bits of the xor
         bits = [{c: 1 << (p * a + b) for b, c in enumerate(alphabet)} for p in range(n)]
-        code = cache(lambda i: sum(map(getitem, bits, word(i))))
+
+        @cache
+        def packed(i: int) -> tuple[int, int, int]:
+            ui = u(i)
+            return left(ui), right(flip(ui)), sum(map(getitem, bits, word(i)))
+
         need = 2 * k
-        return pairwise(
-            lambda i, j: (sum(map(mul, u(i), v(j))) != 0)
-            != ((code(i) ^ code(j)).bit_count() >= need)
-        )
+
+        def fails(i: int, j: int) -> bool:
+            nonlocal rechecks
+            left_i, _, code_i = packed(i)
+            _, right_j, code_j = packed(j)
+            nonzero = (left_i * right_j >> shift & mask) % RESIDUE_PRIME != 0
+            if not nonzero:
+                rechecks += 1
+                nonzero = dot(i, j) != 0
+            return nonzero != ((code_i ^ code_j).bit_count() >= need)
+
+        return pairwise(fails)
 
     rng = rng_stream(sample_seed, "verify-sample", n, k)
     result = sweep(a**n, prepare, sample, rng, max_pairs)
     records = []
     for i, j in result.violations:
         x, y = word(i), word(j)
-        records.append(_violation(x, y, sum(map(mul, u(i), v(j))), dist(x, y) >= k))
-    return replace(result, violations=tuple(records))
+        records.append(_violation(x, y, dot(i, j), dist(x, y) >= k))
+    return replace(result, violations=tuple(records), exact_rechecks=rechecks)
 
 
 # -------------------------------------------------------------------

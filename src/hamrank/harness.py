@@ -184,18 +184,32 @@ def _load(path: str, loader: Callable[[dict], T] = lambda doc: doc) -> T:
 
 def _recorded_spec(rp_path: str, doc: dict) -> str | None:
     """The composition spec an rp document records, as a path: compose
-    records it relative to the rp file."""
-    recorded = doc.get("provenance", {}).get("composition_spec")
-    if recorded is not None:
-        recorded = os.path.join(os.path.dirname(rp_path), recorded)
-    return recorded
+    records it relative to the rp file.  A ``provenance`` that is not an
+    object, or a ``composition_spec`` that is not a string, is refused by
+    name."""
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise InputError(f"provenance {provenance!r} is not an object")
+    recorded = provenance.get("composition_spec")
+    if recorded is None:
+        return None
+    if not isinstance(recorded, str):
+        raise InputError(f"provenance.composition_spec {recorded!r} is not a string")
+    return os.path.join(os.path.dirname(rp_path), recorded)
 
 
 def _spec_files(spec_path: str, doc: dict) -> list[str]:
     """The inner problem files a spec document references, as paths: each
-    ``{"file": ...}`` is relative to the spec's directory."""
+    ``{"file": ...}`` is relative to the spec's directory.  An entry of
+    ``inners`` that is not an object is refused by name."""
     base_dir = os.path.dirname(os.path.abspath(spec_path))
-    return [os.path.join(base_dir, e["file"]) for e in doc["inners"] if "file" in e]
+    files = []
+    for t, entry in enumerate(doc["inners"]):
+        if not isinstance(entry, dict):
+            raise InputError(f"inners[{t}] {entry!r} is not an object")
+        if "file" in entry:
+            files.append(os.path.join(base_dir, entry["file"]))
+    return files
 
 
 def _check_outputs(config: RunConfig) -> None:
@@ -314,10 +328,15 @@ def _run_build_supp(config: RunConfig, report: Report) -> None:
 
 
 def _run_verify_supp(config: RunConfig, report: Report) -> None:
+    """Check the loaded rep on every pair or on drawn pairs; the timing
+    section records the pairs evaluated and the sampled pairs whose residue
+    read 0, each rechecked by its exact dot."""
     rep = _load(config.params["rep"], load_supp)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(rep.k, rep.dim)
     result = verify_support_rep(rep, config.sample, config.seed, config.max_pairs)
+    report.timing["pairs_evaluated"] = result.pairs_checked
+    report.timing["exact_rechecks"] = result.exact_rechecks
     report.verification = result.to_json()
     report.status = "certified" if result.certified else "failed"
 

@@ -17,15 +17,18 @@ exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
 each slot's nonzero test from its top bit without unpacking (the Hamming
 pair check, the family walk of ``compression``); ``packed_dots`` unpacks
 the slots from any column on, for sign-tree rows, which only
-``signcompile._packed`` packs.
+``signcompile._packed`` packs.  A sampled pair has no row to share, so
+``pack_residues`` packs its two vectors modulo a small prime instead: one
+small product certifies most dots nonzero, and the caller computes the
+exact dot only where the residue reads 0.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BudgetExceededError, InputError
 
@@ -58,6 +61,9 @@ class SweepReport:
     violation_count: int
     violations: tuple  # capped sample, in check order
     mode: str = "exhaustive"  # "sample" when the pairs were drawn
+    # pairs a one-sided fast path left to the exact check: a cost, not an
+    # outcome, so neither compared nor serialized
+    exact_rechecks: int = field(default=0, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -223,6 +229,37 @@ def pack_columns(
         return s
 
     return row, width, bias
+
+
+RESIDUE_PRIME = 32749  # the largest prime below 2^15
+
+
+def pack_residues(
+    dim: int,
+) -> tuple[Callable[[Sequence[int]], int], Callable[[Sequence[int]], int], int, int]:
+    """A one-sided nonzero test of <u, v> for ``dim``-vectors: one product
+    of two small integers, read modulo P = ``RESIDUE_PRIME``.
+
+    Returns ``(left, right, shift, mask)``.  With W = bitlen(dim P^2),
+    ``left(u)`` = sum_c (u_c mod P) 2^(cW) and ``right(v)`` packs v mod P in
+    reverse order, v_c at digit dim - 1 - c.  Base-2^W digit t of
+    left(u) right(v) is the sum of (u_a mod P)(v_b mod P) over
+    a + dim - 1 - b = t: at most dim terms, each below P^2, so the digit is
+    below dim P^2 < 2^W and no digit carries into the next.  Digit
+    dim - 1, ``left(u) * right(v) >> shift & mask``, is therefore exactly
+    sum_c (u_c mod P)(v_c mod P), which is congruent to <u, v> mod P.  A
+    digit nonzero mod P proves <u, v> != 0; one that reads 0 proves
+    nothing, and the caller computes the exact dot.
+    """
+    width = (dim * RESIDUE_PRIME**2).bit_length()
+
+    def right(v: Iterable[int]) -> int:
+        packed = 0  # Horner: v[0] ends in the top digit
+        for c in v:
+            packed = packed << width | c % RESIDUE_PRIME
+        return packed
+
+    return (lambda u: right(reversed(u))), right, (dim - 1) * width, (1 << width) - 1
 
 
 def packed_dots(

@@ -5,6 +5,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -337,6 +338,93 @@ class TestPackedSweep:
         assert {(v["dot"], v["expected_nonzero"]) for v in report.violations} == {
             ("0", True)
         }
+
+
+def sample_reference(rep, sample, seed):
+    """(report, zero residues): the sampled ``verify_support_rep`` report,
+    pair by pair, and how many drawn pairs have a dot divisible by 32749.
+
+    The sweep's own stream is replayed, row index first, and each drawn pair
+    is checked by its own dot product of the rep's embeddings against
+    dist(x, y) >= k; the first 32 failures are kept as records.
+    """
+    words = all_words(rep.n, rep.alphabet)
+    rng = rng_stream(seed, "verify-sample", rep.n, rep.k)
+    bad = zeros = 0
+    records = []
+    for _ in range(sample):
+        x, y = words[rng.randrange(len(words))], words[rng.randrange(len(words))]
+        dot = sum(map(mul, rep.u(x), rep.v(y)))
+        zeros += dot % 32749 == 0
+        far = hamming(x, y) >= rep.k
+        if (dot != 0) != far:
+            bad += 1
+            if len(records) < 32:
+                records.append(
+                    {"x": list(x), "y": list(y), "dot": str(dot), "expected_nonzero": far}
+                )
+    report = {
+        "pairs_checked": sample,
+        "violation_count": bad,
+        "violations": records,
+        "mode": "sample",
+        "certified": bad == 0,
+    }
+    return report, zeros
+
+
+PIN_REPS = [
+    *((n, k, (0, 1)) for n in range(2, 7) for k in range(1, min(n, 3) + 1)),
+    *((n, k, (0, 1, 2)) for n in range(2, 5) for k in (1, 2)),
+]
+
+
+class TestResidueCertificate:
+    """Sample mode's residue certificate, with the exact dot only where the
+    residue reads 0, against the pair-by-pair exact reference."""
+
+    @staticmethod
+    def assert_reference(rep, sample, seed):
+        kept = rep.v.cache_info().currsize
+        report = verify_support_rep(rep, sample=sample, sample_seed=seed)
+        # the check keeps no right embedding in the rep's memo
+        assert rep.v.cache_info().currsize == kept
+        want, zeros = sample_reference(rep, sample, seed)
+        assert report.to_json() == want
+        assert report.exact_rechecks == zeros
+        return report
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n,k,alphabet", PIN_REPS)
+    def test_fitted_and_zeroed_reps_match_the_exact_path(self, n, k, alphabet, seed):
+        rep = build_hd_supp(n, k, alphabet, seed=seed)
+        for sample in (1, 37, 500):
+            assert self.assert_reference(rep, sample, seed).certified
+            broken = self.assert_reference(zeroed(rep), sample, seed)
+            # every far pair fails and every residue reads 0
+            assert broken.exact_rechecks == sample
+
+    @pytest.mark.parametrize(
+        "rep",
+        [
+            random_rep(3, 2, (-1, 0, 3), seed=5),
+            hand_rep(2, 0, (-1, 2), [], []),  # dim 1: the digit is the lowest
+            hand_rep(3, 2, (-3, 0, 4), [WIDE] * 6, [-WIDE] * 6),
+            hand_rep(3, 3, (0, 1), [WIDE + 1, -WIDE, 7] * 3, [1, -WIDE, WIDE] * 3),
+        ],
+        ids=["random", "k0", "wide", "wide-k3"],
+    )
+    def test_hand_reps_match_the_exact_path(self, rep):
+        for seed in (0, 1):
+            self.assert_reference(rep, 200, seed)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (6, 3)])
+    def test_a_rep_whose_every_residue_is_zero_certifies_by_the_fallback(self, n, k):
+        rep = build_hd_supp(n, k, seed=1)
+        # 32749 divides every entry of C(x), so it divides every dot
+        scaled = with_left(rep, [32749 * e for e in rep.compressor.left.entries])
+        report = self.assert_reference(scaled, 500, 3)
+        assert report.certified and report.exact_rechecks == 500
 
 
 @pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])

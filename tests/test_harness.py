@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hamrank.cli import main
 from hamrank.harness import CSV_COLUMNS, RunConfig, run
-from hamrank.seeds import seed_stream
+from hamrank.seeds import rng_stream, seed_stream
 from hamrank.veronese import minor_embed
 
 from .conftest import assert_loaded_ranks_are_dense
@@ -183,6 +183,9 @@ class TestRunBuildVerify:
         assert vreport.certified
         assert vreport.verification["pairs_checked"] == 4**6
         assert vreport.verification["violation_count"] == 0
+        # exhaustive rows read exact dots: no residue, no recheck
+        assert vreport.timing["pairs_evaluated"] == 4**6
+        assert vreport.timing["exact_rechecks"] == 0
 
     def test_lower_bound_subcommand(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -221,6 +224,43 @@ class TestRunBuildVerify:
         report = run("verify-supp", config)
         assert not report.certified
         assert report.status == "failed"
+
+    def test_verify_supp_counts_its_pairs_and_exact_rechecks(
+        self, tmp_path, monkeypatch
+    ):
+        """perfbench's seed-7 sample-9-3 job: its recheck count is the drawn
+        pairs at distance < 3 (dot 0) plus the far ones whose dot 32749
+        divides, and its canonical bytes are perfbench's pinned digest."""
+        from operator import mul
+
+        from hamrank.hamming import load_supp, word_of_index
+
+        monkeypatch.chdir(tmp_path)
+        build = ["build-supp", "--n", "9", "--k", "3", "--alphabet", "0,1"]
+        assert main([*build, "--out", "b9k3.supp.json", "--seed", "7"]) == 0
+        argv = ["verify-supp", "b9k3.supp.json", "--mode", "sample:50000"]
+        assert main([*argv, "--seed", "7", "--report", "r.json"]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        timing = report.pop("timing")
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == (
+            "627570ccd1edf3ac090a21e89ff3ec6a321d9cdd7a46c3ff8a089127ce11aa19"
+        )
+
+        rep = load_supp(json.loads((tmp_path / "b9k3.supp.json").read_text()))
+        rng = rng_stream(7, "verify-sample", 9, 3)
+        near = far_zero = 0
+        for _ in range(50000):
+            i, j = rng.randrange(512), rng.randrange(512)
+            x, y = word_of_index(i, 9, (0, 1)), word_of_index(j, 9, (0, 1))
+            if sum(a != b for a, b in zip(x, y)) < 3:
+                near += 1
+            else:
+                far_zero += sum(map(mul, rep.u(x), rep.v(y))) % 32749 == 0
+        assert timing["pairs_evaluated"] == 50000
+        assert timing["exact_rechecks"] == near + far_zero
+        # both kinds occur: the far ones are the residue's own false zeros
+        assert (near, far_zero) == (4580, 5)
 
 
 class TestDeterminism:
@@ -1241,6 +1281,47 @@ class TestCli:
         assert main(["rp-verify", "rp.json", "--spec", "../specs/s.json"]) == 0
         error = self.failed_report(tmp_path, ["rp-verify", "rp.json", "--spec", "s.json"])
         assert error.startswith("InputError: cannot load s.json: FileNotFoundError")
+
+    @pytest.mark.parametrize(
+        "provenance,detail",
+        [
+            ("s.json", "provenance 's.json' is not an object"),
+            (["s.json"], "provenance ['s.json'] is not an object"),
+            ({"composition_spec": 3}, "provenance.composition_spec 3 is not a string"),
+            (
+                {"composition_spec": ["s.json"]},
+                "provenance.composition_spec ['s.json'] is not a string",
+            ),
+        ],
+    )
+    def test_cli_rp_verify_names_a_malformed_recorded_spec(
+        self, tmp_path, monkeypatch, provenance, detail
+    ):
+        from .test_report_bytes import compose_spec
+
+        monkeypatch.chdir(tmp_path)
+        compose_spec("s.json")
+        assert main(["compose", "--spec", "s.json", "--out", "rp.json"]) == 0
+        doc = json.loads((tmp_path / "rp.json").read_text())
+        (tmp_path / "rp.json").write_text(json.dumps({**doc, "provenance": provenance}))
+        error = self.failed_report(tmp_path, ["rp-verify", "rp.json"])
+        assert error == f"InputError: cannot load rp.json: InputError: {detail}"
+        # a --spec override does not read the recorded one, but the loader
+        # still refuses the malformed field
+        error = self.failed_report(tmp_path, ["rp-verify", "rp.json", "--spec", "s.json"])
+        assert error == f"InputError: cannot load rp.json: InputError: {detail}"
+
+    @pytest.mark.parametrize("entry", ["inner.json", ["inner.json"], 3, None])
+    def test_spec_files_names_an_inner_that_is_not_an_object(self, tmp_path, entry):
+        from hamrank.errors import InputError
+        from hamrank.harness import _spec_files
+
+        doc = {"inners": [{"file": "a.json"}, entry]}
+        with pytest.raises(InputError, match=r"^inners\[1\] .* is not an object$"):
+            _spec_files(str(tmp_path / "s.json"), doc)
+        assert _spec_files(str(tmp_path / "s.json"), {"inners": [{"file": "a.json"}]}) == [
+            str(tmp_path / "a.json")
+        ]
 
     @pytest.mark.parametrize("flag", ["--report", "--csv"])
     def test_cli_rp_verify_never_writes_over_the_recorded_spec(

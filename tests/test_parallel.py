@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamrank
-from hamrank.parallel import REPORT_CAP, pairwise, sweep, symmetric
+from hamrank.parallel import (
+    REPORT_CAP,
+    RESIDUE_PRIME,
+    pack_residues,
+    pairwise,
+    sweep,
+    symmetric,
+)
 
 
 @st.composite
@@ -109,3 +116,37 @@ def test_only_signcompile_packs_dots():
             if "packed_dots" in named:
                 naming.add(path.stem)
     assert naming == {"parallel", "signcompile"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 6, 20, 70, 924]),
+    data=st.data(),
+)
+def test_residue_digit_is_the_dot_mod_the_prime(dim, data):
+    """The middle digit of left(u) * right(v) is sum (u_c mod P)(v_c mod P)
+    with no carry in from the lower digits, for any entries, the largest
+    residues included."""
+    left, right, shift, mask = pack_residues(dim)
+    big = st.integers(-(1 << 120), 1 << 120)
+    edge = st.sampled_from([0, -1, RESIDUE_PRIME - 1, RESIDUE_PRIME, -RESIDUE_PRIME])
+    u = data.draw(st.lists(big | edge, min_size=dim, max_size=dim))
+    v = data.draw(st.lists(big | edge, min_size=dim, max_size=dim))
+    digit = left(u) * right(v) >> shift & mask
+    P = RESIDUE_PRIME
+    assert digit == sum((a % P) * (b % P) for a, b in zip(u, v))
+    assert digit % P == sum(a * b for a, b in zip(u, v)) % P
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 20, 70, 252, 924])
+def test_every_residue_at_its_largest_still_carries_nothing(dim):
+    """With every residue P - 1, digit t of the product holds
+    min(t, 2 dim - 2 - t) + 1 terms (P - 1)^2, dim of them in the middle
+    one, the most a digit can hold: each digit reads its own sum."""
+    left, right, shift, mask = pack_residues(dim)
+    width = mask.bit_length()
+    assert shift == (dim - 1) * width
+    product = left([-1] * dim) * right([RESIDUE_PRIME - 1] * dim)
+    digits = [product >> t * width & mask for t in range(2 * dim)]
+    terms = [min(t, 2 * dim - 2 - t) + 1 for t in range(2 * dim - 1)] + [0]
+    assert digits == [m * (RESIDUE_PRIME - 1) ** 2 for m in terms]

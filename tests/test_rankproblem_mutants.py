@@ -148,10 +148,19 @@ def test_a_certified_mutant_is_correct_by_the_reference(built):
         *leaf_mutants(doc, lambda path: path[0] == "a", rng, 80),
         *structural_mutants(doc, rng),
     ]
+    assert "provenance/composition_spec:retype" in dict(mutants)
     statuses, tables = set(), set()
     for name, mutant in mutants:
         report = verify(built, mutant)
         statuses.add(report["status"])
+        if name == "provenance/composition_spec:retype":
+            # the recorded spec, now a list, is refused by its field's name
+            assert report["status"] == "failed"
+            assert report["error"].startswith("InputError: cannot load "), name
+            assert report["error"].endswith(
+                ": InputError: provenance.composition_spec ['spec.json'] "
+                "is not a string"
+            ), report["error"]
         if report["status"] == "certified":
             pairs = report["verification"]["pairs_checked"]
             assert reference_violations(mutant) == (0, pairs), name
