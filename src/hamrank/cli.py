@@ -13,6 +13,7 @@ and a bad one exits at once.  Negative letters need
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -48,7 +49,11 @@ def _add_verify_mode(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call, built on the first: parsing
+    leaves no state in it, so a bad flag on one call does not reach the
+    next."""
     parser = argparse.ArgumentParser(
         prog="hamrank",
         description=(

@@ -31,7 +31,9 @@ a residue instead: each drawn word's u and v are packed once modulo the
 prime ``RESIDUE_PRIME`` (``parallel.pack_residues``), and one small
 product gives the dot mod that prime.  A nonzero residue proves the dot
 nonzero; a zero one is only a prompt, and the pair's exact dot decides
-it, so the verdicts and report bytes are those of the exact check.
+it, so the verdicts and report bytes are those of the exact check.  The
+check is a row check: it reads the row's packed word once and loops over
+the drawn columns.
 """
 
 from __future__ import annotations
@@ -335,10 +337,12 @@ def verify_support_rep(
     in 32,749 of the others) the exact dot, from ``rep.u`` and v =
     ``negated_right(size)(u)``, decides, and the report counts the pair in
     ``exact_rechecks``, outside its JSON.  The truth is read from the xor
-    of the letter codes.  Violation records read the exact dot of the same
-    vectors.  Either way ``max_pairs`` bounds the pairs checked, before
-    anything is embedded.  The report is deterministic for a given sample
-    count and seed.
+    of the letter codes.  The check is one row check: it reads row i's
+    ``(left, code)`` once and loops over ``cols``, which the sweep gives
+    as the one drawn column, each pair checked as it is drawn.  Violation
+    records read the exact dot of the same vectors.  Either way
+    ``max_pairs`` bounds the pairs checked, before anything is embedded.
+    The report is deterministic for a given sample count and seed.
     """
     if rep.compressor is None:
         raise ValueError("verification needs a Hamming-threshold representation")
@@ -372,17 +376,21 @@ def verify_support_rep(
 
         need = 2 * k
 
-        def fails(i: int, j: int) -> bool:
+        def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
             nonlocal rechecks
             left_i, _, code_i = packed(i)
-            _, right_j, code_j = packed(j)
-            nonzero = (left_i * right_j >> shift & mask) % RESIDUE_PRIME != 0
-            if not nonzero:
-                rechecks += 1
-                nonzero = dot(i, j) != 0
-            return nonzero != ((code_i ^ code_j).bit_count() >= need)
+            bad = []
+            for j in cols:
+                _, right_j, code_j = packed(j)
+                nonzero = (left_i * right_j >> shift & mask) % RESIDUE_PRIME != 0
+                if not nonzero:
+                    rechecks += 1
+                    nonzero = dot(i, j) != 0
+                if nonzero != ((code_i ^ code_j).bit_count() >= need):
+                    bad.append(j)
+            return len(bad), bad
 
-        return pairwise(fails)
+        return check
 
     rng = rng_stream(sample_seed, "verify-sample", n, k)
     result = sweep(a**n, prepare, sample, rng, max_pairs)

@@ -7,7 +7,8 @@ first failing columns (``pairwise`` makes one from a pair test, and
 ``symmetric`` from the upper triangle of a symmetric one, deciding each
 unordered pair once); the core owns the budget check, the exhaustive/sample
 dispatch, the row scan and the capped violation sample.  A sample count is
-the only mode switch: ``None`` sweeps every pair.  Rows run in index order,
+the only mode switch: ``None`` sweeps every pair; a count draws its pairs
+through ``uniform``, the ``randrange`` stream.  Rows run in index order,
 in the calling thread.
 
 Every exhaustive row check over exact dot products shares one packed-dot
@@ -127,6 +128,30 @@ def symmetric(upper: RowCheck) -> RowCheck:
     return check
 
 
+def uniform(rng: random.Random, count: int) -> Callable[[], int]:
+    """``draw()``: one uniform draw from range(count), the same stream as
+    ``rng.randrange(count)``.
+
+    Each draw takes r = ``rng.getrandbits(count.bit_length())`` and draws
+    again while r >= count, which is CPython's ``_randbelow`` for a
+    ``Random`` (``_randbelow_with_getrandbits``), without ``randrange``'s
+    argument handling around it.  A count below 1 raises ``ValueError``
+    here, as ``randrange`` would at its first draw: with no value to draw,
+    the loop would never end.
+    """
+    if count < 1:
+        raise ValueError(f"no uniform draw from an empty range({count})")
+    getrandbits, bits = rng.getrandbits, count.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        return r
+
+    return draw
+
+
 def sweep(
     count: int,
     prepare: Callable[[], RowCheck],
@@ -143,21 +168,23 @@ def sweep(
     alone caps what it keeps.  With ``sample`` None the sweep is exhaustive:
     it refuses grids over ``max_pairs``, then checks each row i once, with
     ``cols`` the whole row ``range(count)``.  Otherwise it refuses a
-    ``sample`` below 1 or over ``max_pairs``, then draws that many pairs
-    from ``rng``, row index first, and checks each as a one-column row.  The
-    report counts every failure and keeps the first ``REPORT_CAP`` failing
-    (i, j) pairs in pair order.
+    ``sample`` below 1 or over ``max_pairs``, and an empty grid, then draws
+    that many pairs from ``rng`` through ``uniform``, row index first, the
+    stream ``rng.randrange(count)`` gives, and checks each as a one-column
+    row as it is drawn; no draw is stored.  The report counts every failure
+    and keeps the first ``REPORT_CAP`` failing (i, j) pairs in pair order.
     """
     if sample is not None:
         if sample < 1:
             raise InputError(f"a sample needs at least one pair, got {sample}")
         check_pairs(sample, max_pairs, "; draw fewer sample pairs")
+        draw = uniform(rng, count)
         check = prepare()
         bad = 0
         violations = []
         for _ in range(sample):
-            i = rng.randrange(count)
-            j = rng.randrange(count)
+            i = draw()
+            j = draw()
             if check(i, (j,))[0]:
                 bad += 1
                 if len(violations) < REPORT_CAP:

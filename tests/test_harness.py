@@ -388,6 +388,39 @@ class TestSignCommands:
         assert vreport.verification["pairs_checked"] == 65536
         assert vreport.timing["pairs_evaluated"] == 256 * 257 // 2
 
+    def test_sampled_verify_sign_replays_the_randrange_stream(
+        self, tmp_path, monkeypatch
+    ):
+        from hamrank import harness
+        from hamrank.hamming import dist, word_of_index
+        from hamrank.signcompile import eval_sign, sign_from_json
+
+        doc = hd_sign_doc(3, 1)
+        doc["tree"]["rep0"]["sign"] = -doc["tree"]["rep0"]["sign"]  # the root term
+        path = tmp_path / "broken.sign.json"
+        path.write_text(json.dumps(doc))
+        swept, harness_sweep = [], harness.sweep
+
+        def recorded(*args, **kwargs):
+            swept.append(harness_sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(harness, "sweep", recorded)
+        config = make_config(tmp_path, "vs", seed=2, sample=300, params={"rep": str(path)})
+        report = run("verify-sign", config)
+
+        form, words = sign_from_json(doc), [word_of_index(i, 3, (0, 1)) for i in range(8)]
+        rng = rng_stream(2, "verify-sign", 3, 1)
+        bad = []
+        for _ in range(300):
+            i, j = rng.randrange(8), rng.randrange(8)
+            x, y = words[i], words[j]
+            if eval_sign(form, x, y) != (1 if dist(x, y) == 1 else -1):
+                bad.append((i, j))
+        assert report.status == "failed"
+        assert report.verification["violation_count"] == len(bad) == 153
+        assert swept[0].violations == tuple(bad[:32])
+
     def test_verify_sign_mirrors_only_under_the_det_sum_identity(
         self, tmp_path, request
     ):
@@ -898,6 +931,32 @@ class TestCli:
         assert code == 0
         code = main(["lower-bound", str(out)])
         assert code == 0
+
+    def test_cli_parser_is_built_once_and_keeps_no_state(self, tmp_path, monkeypatch):
+        from hamrank import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        build = ["build-supp", "--n", "4", "--k", "2", "--seed", "3", "--out", "rep.json"]
+        verify = ["verify-supp", "rep.json", "--mode", "sample:500", "--seed", "11"]
+
+        def reports(directory):
+            monkeypatch.chdir(directory)
+            assert main([*build, "--report", "build.json"]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-supp", "rep.json", "--no-such-flag"])
+            assert exc.value.code == 2
+            assert main([*verify, "--report", "verify.json"]) == 0
+            docs = [json.loads(Path(name).read_text()) for name in ("build.json", "verify.json")]
+            for doc in docs:
+                del doc["timing"]
+            return docs
+
+        (tmp_path / "cached").mkdir()
+        (tmp_path / "fresh").mkdir()
+        cached = reports(tmp_path / "cached")
+        # every call parses with a parser of its own
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert reports(tmp_path / "fresh") == cached
 
     def test_cli_sample_mode_flag(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -1,5 +1,5 @@
-"""The symmetric row check against the pair-by-pair one, and the one
-module that packs exact dots."""
+"""The symmetric row check against the pair-by-pair one, the sample
+draws against ``randrange``, and the one module that packs exact dots."""
 
 import ast
 import itertools
@@ -18,6 +18,7 @@ from hamrank.parallel import (
     pairwise,
     sweep,
     symmetric,
+    uniform,
 )
 
 
@@ -98,6 +99,36 @@ class TestSymmetricRowCheck:
         check = symmetric(pairwise(never))
         with pytest.raises(ValueError, match="whole rows in index order"):
             sweep(4, lambda: check, sample=3, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 512, 2048, 2187, 3**15, 2**64 + 1])
+def test_uniform_draws_the_randrange_stream(count):
+    for seed in range(5):
+        draw, reference = uniform(random.Random(seed), count), random.Random(seed)
+        drawn = [draw() for _ in range(1000)]
+        assert drawn == [reference.randrange(count) for _ in range(1000)]
+
+
+class NoBits(random.Random):
+    """A stream that fails a test drawing from it, where a draw from an
+    empty range would loop for ever."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from an empty range")
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_uniform_refuses_an_empty_range_before_any_draw(count):
+    with pytest.raises(ValueError, match="empty range"):
+        uniform(NoBits(0), count)
+
+
+def test_sampled_sweep_refuses_an_empty_grid_before_prepare():
+    def prepare():
+        raise AssertionError("prepared a check over an empty grid")
+
+    with pytest.raises(ValueError, match="empty range"):
+        sweep(0, prepare, sample=5, rng=NoBits(0))
 
 
 def test_only_signcompile_packs_dots():
