@@ -243,12 +243,6 @@ def prove_det_sum(k: int) -> int:
     return points
 
 
-def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
-    if len(u) != len(v):
-        raise SizeMismatchError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
-
-
 # -------------------------------------------------------------------
 # Hypercube unit-distance embedding
 # -------------------------------------------------------------------

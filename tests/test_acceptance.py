@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from hamrank.exact import Mat, det_exact, rank_exact
+from hamrank.exact import Mat
 from hamrank.compression import MatFamily, fit_compressor, verify_compressor
 from hamrank.veronese import (
     det_sum_terms,
-    dot,
     hypercube_unit_embed,
     minor_embed,
     negated_right,
@@ -27,24 +26,19 @@ from hamrank.hamming import build_hd_supp, identity_certificate, verify_support_
 from hamrank.signcompile import build_hd_sign, eval_sign, eval_value, materialize
 from hamrank.rankprob import (
     bool_combine,
-    compose_semantics,
     distance_r_compose,
     example_cc_hd,
     hd_rank_problem,
     multiset_decode,
     negate,
     problem_to_json,
+    spec_to_json,
     symmetric_problem,
 )
 from hamrank.harness import RunConfig, run
 
-from .conftest import (
-    assert_loaded_ranks_are_dense,
-    defined_embed,
-    expansion_sign,
-    hamming,
-    random_mat,
-)
+from . import reference
+from .conftest import assert_loaded_ranks_are_dense, random_mat
 
 
 class _criterion:
@@ -96,7 +90,7 @@ def test_criterion_03_determinant_sum_identity():
             terms = det_sum_terms(k)
             assert len(terms) == comb(2 * k, k)
             for t in terms:
-                assert t.sign == expansion_sign(t.alpha, t.beta, k)
+                assert t.sign == reference.expansion_sign(t.alpha, t.beta, k)
             flip = negated_right(k)
             rng = random.Random(1000 + k)
             for _ in range(200):
@@ -104,8 +98,10 @@ def test_criterion_03_determinant_sum_identity():
                 b = random_mat(rng, k, k)
                 u = minor_embed(a)
                 # the expansion by its definition, then the pairing SupportRep runs
-                assert dot(u, defined_embed(b, "right")) == det_exact(a + b)
-                assert dot(u, flip(minor_embed(b))) == det_exact(a - b)
+                right = reference.expansion(b.to_lists(), "right")
+                assert reference.dot(u, right) == reference.det((a + b).to_lists())
+                right = flip(minor_embed(b))
+                assert reference.dot(u, right) == reference.det((a - b).to_lists())
 
 
 def test_criterion_04_sign_rank_construction():
@@ -119,12 +115,12 @@ def test_criterion_04_sign_rank_construction():
             words = list(itertools.product((0, 1), repeat=n))
             for x in words:
                 for y in words:
-                    assert (eval_sign(rep, x, y) == 1) == (hamming(x, y) == k)
+                    assert (eval_sign(rep, x, y) == 1) == (reference.dist(x, y) == k)
         rep6 = build_hd_sign(6, 1, seed=205)
         words6 = list(itertools.product((0, 1), repeat=6))
         u_mat, v_mat = materialize(rep6, words6)
         table = u_mat.mul(v_mat.transpose())
-        assert rank_exact(table) <= 41
+        assert reference.rank(table.to_lists()) <= 41
         for i, x in enumerate(words6):
             for j, y in enumerate(words6):
                 assert table.at(i, j) == eval_value(rep6, x, y)
@@ -154,7 +150,7 @@ def test_criterion_06_boolean_combination():
             wx = word_of_index(x, 4, (0, 1))
             for y in range(16):
                 wy = word_of_index(y, 4, (0, 1))
-                assert combined.eval(x, y) == (1 if hamming(wx, wy) == 1 else 0)
+                assert combined.eval(x, y) == (1 if reference.dist(wx, wy) == 1 else 0)
 
         # three components of orders <= 2 on 8 indices, random truth table
         rng = random.Random(404)
@@ -180,7 +176,9 @@ def test_criterion_06_boolean_combination():
                 assert combined.eval(x, y) == gamma(
                     tuple(p.eval(x, y) for p in comps)
                 )
-                dense = rank_exact(combined.a_map(x) - combined.a_map(y))
+                dense = reference.rank(
+                    (combined.a_map(x) - combined.a_map(y)).to_lists()
+                )
                 assert dense == sum(
                     w * p.rank_fn(x, y) for w, p in zip(weights, comps)
                 )
@@ -192,15 +190,14 @@ def test_criterion_07_distance_r_composition():
         prob = distance_r_compose(spec, seed=502)
         count = spec.index_count
         assert count**2 == 4096
+        truth = reference.spec_semantics(spec_to_json(spec))
         for x in range(count):
-            tx = spec.tuple_of(x)
             for y in range(count):
-                assert prob.eval(x, y) == compose_semantics(
-                    spec, tx, spec.tuple_of(y)
-                )
+                assert prob.eval(x, y) == truth(x, y)
         # capped-rank identity wherever at most r coordinates differ
         capped_maps = prob.meta["capped_maps"]
         k = spec.inners[0].order
+        inner_rank = [reference.table_rank(problem_to_json(p)) for p in spec.inners]
         for x in range(count):
             tx = spec.tuple_of(x)
             for y in range(count):
@@ -208,15 +205,10 @@ def test_criterion_07_distance_r_composition():
                 if sum(1 for a, b in zip(tx, ty) if a != b) > spec.r:
                     continue
                 for t in range(1, k + 1):
-                    lhs = rank_exact(capped_maps[t](x) - capped_maps[t](y))
+                    capped = capped_maps[t](x) - capped_maps[t](y)
+                    lhs = reference.rank(capped.to_lists())
                     rhs = sum(
-                        min(
-                            rank_exact(
-                                spec.inners[i].a_map(tx[i])
-                                - spec.inners[i].a_map(ty[i])
-                            ),
-                            t,
-                        )
+                        min(inner_rank[i](tx[i], ty[i]), t)
                         for i in range(spec.coordinates)
                     )
                     assert lhs == rhs
@@ -230,7 +222,7 @@ def test_criterion_07_distance_r_composition():
             tx = hd_spec.tuple_of(x)
             for y in range(16):
                 ty = hd_spec.tuple_of(y)
-                want = 1 if hamming(tx, ty) == 2 else 0
+                want = 1 if reference.dist(tx, ty) == 2 else 0
                 assert hd_prob.eval(x, y) == want
         # its loaded document ranks every pair as the dense rank does
         assert_loaded_ranks_are_dense(problem_to_json(hd_prob))
@@ -264,7 +256,8 @@ def test_criterion_09_unit_distance_embedding():
         assert {len(u) for u in left + right} == {4}
         for x in range(1 << n):
             for y in range(1 << n):
-                assert (dot(left[x], right[y]) == 0) == ((x ^ y).bit_count() == 1)
+                value = reference.dot(left[x], right[y])
+                assert (value == 0) == ((x ^ y).bit_count() == 1)
 
 
 def test_criterion_10_exactness_and_determinism(tmp_path):

@@ -21,19 +21,29 @@ from hamrank.errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from hamrank.exact import Mat, det_exact, rank_exact
+from hamrank.exact import Mat, rank_exact
 from hamrank.parallel import packed_dots
 
-from .conftest import (
-    distinct_differences,
-    random_mat,
-    reference_fit,
-    reference_shortfalls,
-)
+from . import reference
+from .conftest import distinct_differences, random_mat, reference_fit
 
 
 def support(z):
     return sum(1 for v in z if v != 0)
+
+
+def compressed_rank(comp, rows):
+    """rank(L M R^T) by the reference, from the compressor's raw factors."""
+    return reference.rank(reference.compressor(comp.to_json())(rows))
+
+
+def records(shortfalls, key, values):
+    """The report records of the first 32 reference shortfalls, each with
+    its member's ``key`` field taken from ``values``."""
+    return [
+        {"index": i, "achieved": got, "required": required, key: values[i]}
+        for i, got, required in shortfalls[:32]
+    ]
 
 
 class TestMatFamily:
@@ -97,13 +107,13 @@ class TestFit:
         comp = fit_compressor(fam, 2, seed=101)
         assert comp.verified
         for z in patterns:
-            assert rank_exact(comp.apply(Mat.diag(z))) == min(support(z), 2)
+            assert compressed_rank(comp, reference.diagonal(z)) == min(support(z), 2)
 
     def test_zero_family(self):
         fam = MatFamily.differences([Mat.zeros(3, 3)])
         comp = fit_compressor(fam, 1, seed=5)
         assert comp.verified
-        assert rank_exact(comp.apply(Mat.zeros(3, 3))) == 0
+        assert compressed_rank(comp, Mat.zeros(3, 3).to_lists()) == 0
 
     def test_identity_case(self, rng):
         mats = [random_mat(rng, 3, 3) for _ in range(4)]
@@ -121,7 +131,7 @@ class TestFit:
         for m in mats:
             out = comp.apply(m)
             assert out.shape == (4, 4)
-            assert rank_exact(out) == rank_exact(m)
+            assert reference.rank(out.to_lists()) == reference.rank(m.to_lists())
 
     def test_rectangular_members_embed_into_a_square_target(self, rng):
         mats = [random_mat(rng, 2, 3) for _ in range(4)] + [Mat.zeros(2, 3)]
@@ -130,7 +140,7 @@ class TestFit:
         assert comp.method == "identity"
         assert comp.target_shape == (3, 3)
         for m in mats:
-            assert rank_exact(comp.apply(m)) == rank_exact(m)
+            assert compressed_rank(comp, m.to_lists()) == reference.rank(m.to_lists())
 
     def test_determinism(self):
         fam = MatFamily.diagonal_differences(4, (0, 1))
@@ -208,7 +218,8 @@ class TestVerify:
             verified=False,
         )
         for m in fam_mats:
-            assert rank_exact(comp.apply(m)) <= min(rank_exact(m), 2, 2)
+            rows = m.to_lists()
+            assert compressed_rank(comp, rows) <= min(reference.rank(rows), 2, 2)
 
 
 def difference_tables(rng):
@@ -238,18 +249,6 @@ def deficient_compressors(rng, a, b, k):
     return [Compressor(lf, rf, seed=0, verified=False) for lf, rf in factors]
 
 
-def reference_records(comp, members):
-    return [
-        {
-            "index": i,
-            "achieved": got,
-            "required": want,
-            "entries": [str(e) for e in members[i].entries],
-        }
-        for i, got, want in reference_shortfalls(comp, members)
-    ]
-
-
 class TestDifferenceFamily:
     """The difference family compresses each base once and ranks member
     (x, y) as C(B_x) - C(B_y); a member-by-member check is the reference."""
@@ -261,17 +260,19 @@ class TestDifferenceFamily:
             fam, members = MatFamily.differences(bases), distinct_differences(bases)
             assert fam.size == len(members)
             assert [fam.member(i) for i in range(fam.size)] == members
-            assert fam.member_ranks == tuple(map(rank_exact, members))
+            rows = [m.to_lists() for m in members]
+            assert fam.member_ranks == tuple(map(reference.rank, rows))
             a, b = fam.shape
             for comp in deficient_compressors(rng, a, b, 2):
-                want = list(reference_shortfalls(comp, members))
+                want = list(reference.compressor_failures(comp.to_json(), rows))
                 assert list(compression._shortfalls(comp, fam)) == want, name
                 report = verify_compressor(comp, fam)
                 assert (report.pairs_checked, report.violation_count) == (
                     fam.size,
                     len(want),
                 )
-                assert list(report.violations) == reference_records(comp, members)[:32]
+                entries = [[str(e) for e in m.entries] for m in members]
+                assert list(report.violations) == records(want, "entries", entries)
                 failing += bool(want)
         # the repeated row and the zero left fail every table's rank-2 members
         assert failing >= 10
@@ -400,30 +401,6 @@ class TestSerialization:
             Compressor.from_json(doc)
 
 
-def brute_force_report(comp, alphabets, cap=32):
-    """The compression report by definition: every Diag(z) in product order."""
-    value_sets = [sorted({a - b for a in alpha for b in alpha}) for alpha in alphabets]
-    a1, b1 = comp.target_shape
-    checked = count = 0
-    records = []
-    for index, z in enumerate(itertools.product(*value_sets)):
-        checked += 1
-        required = min(support(z), a1, b1)
-        achieved = rank_exact(comp.apply(Mat.diag(z)))
-        if achieved != required:
-            count += 1
-            if len(records) < cap:
-                records.append(
-                    {
-                        "index": index,
-                        "achieved": achieved,
-                        "required": required,
-                        "pattern": list(z),
-                    }
-                )
-    return {"checked": checked, "violation_count": count, "violations": records}
-
-
 def random_compressor(rng, n, rows, cols):
     return Compressor(
         left=random_mat(rng, rows, n, bound=2),
@@ -451,12 +428,18 @@ def family_of(alphabets):
 
 
 def assert_walk_is_brute_force(comp, fam, alphabets):
-    expected = brute_force_report(comp, alphabets)
+    """The walk's report against the reference on every Diag(z), in product
+    order; returns the violation count."""
+    value_sets = [sorted({a - b for a in alpha for b in alpha}) for alpha in alphabets]
+    patterns = list(itertools.product(*value_sets))
+    members = map(reference.diagonal, patterns)
+    want = list(reference.compressor_failures(comp.to_json(), members))
     report = verify_compressor(comp, fam)
-    assert report.pairs_checked == expected["checked"]
-    assert report.violation_count == expected["violation_count"]
-    assert list(report.violations) == expected["violations"]
-    return expected["violation_count"]
+    assert report.pairs_checked == len(patterns)
+    assert report.violation_count == len(want)
+    pattern_lists = [list(z) for z in patterns]
+    assert list(report.violations) == records(want, "pattern", pattern_lists)
+    return len(want)
 
 
 def reuse(m):
@@ -597,7 +580,7 @@ class TestFamilyWalkMatchesBruteForce:
             seed=0,
             verified=False,
         )
-        achieved = rank_exact(zero.apply(Mat.diag(z)))
+        achieved = compressed_rank(zero, reference.diagonal(z))
         assert member["achieved"] == exc.value.achieved == achieved
         assert member["required"] == exc.value.required == min(support(z), 2)
         assert achieved != min(support(z), 2)
@@ -633,8 +616,9 @@ class TestDetRows:
         values = MatFamily.diagonal_differences(n, alphabet).diag_values
         dets = self.rows_of(rep.compressor, values)
         assert list(dets) == list(itertools.product(*values))
+        compress = reference.compressor(rep.compressor.to_json())
         for z, det in dets.items():
-            assert det == det_exact(rep.compressor.apply_diag(z))
+            assert det == reference.det(compress(reference.diagonal(z)))
         words = list(itertools.product(alphabet, repeat=n))
         for x, y in itertools.product(words, repeat=2):
             assert rep.dot(x, y) == dets[tuple(a - b for a, b in zip(x, y))]

@@ -5,7 +5,6 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from math import comb
-from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from hamrank.compression import Compressor, MatFamily, verify_compressor
 from hamrank.errors import BudgetExceededError, InputError, PatternViolationError
-from hamrank.exact import Mat, det_exact
+from hamrank.exact import Mat
 from hamrank.hamming import (
     SupportRep,
     build_hd_supp,
@@ -28,7 +27,7 @@ from hamrank.parallel import sweep
 from hamrank.seeds import rng_stream
 from hamrank.veronese import minor_embed
 
-from .conftest import defined_embed, hamming, pair_reference_report
+from . import reference
 
 
 def all_words(n, alphabet=(0, 1)):
@@ -70,7 +69,7 @@ class TestBuild:
         assert rep.dim == 6
         for x in all_words(4):
             for y in all_words(4):
-                assert rep.query(x, y) == (hamming(x, y) >= 2)
+                assert rep.query(x, y) == (reference.dist(x, y) >= 2)
 
     def test_k2_ternary_alphabet(self):
         alphabet = (0, 1, 2)
@@ -78,7 +77,7 @@ class TestBuild:
         words = all_words(4, alphabet)
         for x in words:
             for y in words:
-                assert rep.query(x, y) == (hamming(x, y) >= 2)
+                assert rep.query(x, y) == (reference.dist(x, y) >= 2)
 
     def test_two_letter_nonbinary_alphabet_fast_path(self):
         rep = build_hd_supp(5, 1, (3, 8), seed=2)
@@ -118,14 +117,13 @@ class TestBuild:
 class TestEvaluationPaths:
     def test_dot_equals_compressed_determinant(self):
         rep = build_hd_supp(5, 2, seed=10)
-        comp = rep.compressor
+        dot = reference.supp_dot(rep.to_json())
         rng = random.Random(3)
         words = all_words(5)
         for _ in range(50):
             x = rng.choice(words)
             y = rng.choice(words)
-            diff = tuple(a - b for a, b in zip(x, y))
-            assert rep.dot(x, y) == det_exact(comp.apply_diag(diff))
+            assert rep.dot(x, y) == dot(x, y)
 
     def test_diagonal_vanishes(self):
         rep = build_hd_supp(5, 2, seed=10)
@@ -154,7 +152,7 @@ class TestVerify:
         report = verify_support_rep(zeroed(rep))
         words = all_words(3)
         far = sum(
-            1 for x in words for y in words if hamming(x, y) >= 2
+            1 for x in words for y in words if reference.dist(x, y) >= 2
         )
         assert report.violation_count == far
         assert not report.certified
@@ -163,7 +161,7 @@ class TestVerify:
         sample = verify_support_rep(zeroed(rep), sample=200, sample_seed=5)
         rng = rng_stream(5, "verify-sample", 3, 2)
         drawn = [(words[rng.randrange(8)], words[rng.randrange(8)]) for _ in range(200)]
-        far_drawn = [(x, y) for x, y in drawn if hamming(x, y) >= 2]
+        far_drawn = [(x, y) for x, y in drawn if reference.dist(x, y) >= 2]
         assert sample.pairs_checked == 200
         assert sample.violation_count == len(far_drawn) > 32
         kept = [(tuple(v["x"]), tuple(v["y"])) for v in sample.violations]
@@ -293,12 +291,12 @@ class TestPackedSweep:
     )
     def test_binary_matches_reference(self, n, k):
         rep = build_hd_supp(n, k, seed=n + k)
-        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+        assert verify_support_rep(rep).to_json() == reference_report(rep)
 
     @pytest.mark.parametrize("n,k,alphabet", [(5, 2, (0, 1, 2)), (4, 2, (-1, 0, 3))])
     def test_wider_alphabets_match_reference(self, n, k, alphabet):
         rep = build_hd_supp(n, k, alphabet, seed=3)
-        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+        assert verify_support_rep(rep).to_json() == reference_report(rep)
 
     def test_broken_reps_match_reference(self):
         fitted = build_hd_supp(6, 2, seed=2)
@@ -311,7 +309,7 @@ class TestPackedSweep:
         ]
         for rep in broken:
             report = verify_support_rep(rep).to_json()
-            assert report == pair_reference_report(rep)
+            assert report == reference_report(rep)
             assert report["violation_count"] > 0
 
     @settings(max_examples=40, deadline=None)
@@ -323,7 +321,7 @@ class TestPackedSweep:
     # less than bitlen(2 bias) + 1 rounded up would overflow a slot
     @example(rep=hand_rep(1, 1, (-1, 1), [1 << 198], [1]))
     def test_slot_width_comes_from_the_data(self, rep):
-        assert verify_support_rep(rep).to_json() == pair_reference_report(rep)
+        assert verify_support_rep(rep).to_json() == reference_report(rep)
 
     def test_zeroed_n11_counts_every_far_pair(self):
         rep = zeroed(build_hd_supp(11, 1))
@@ -340,37 +338,34 @@ class TestPackedSweep:
         }
 
 
-def sample_reference(rep, sample, seed):
-    """(report, zero residues): the sampled ``verify_support_rep`` report,
-    pair by pair, and how many drawn pairs have a dot divisible by 32749.
+def reference_report(rep, drawn=None):
+    """``verify_support_rep(rep).to_json()`` by the reference on the rep's
+    document: exhaustive over every ordered pair of words in product order,
+    or in sample mode over the ``drawn`` pairs."""
+    words = all_words(rep.n, rep.alphabet)
+    pairs = list(itertools.product(words, repeat=2)) if drawn is None else drawn
+    count, records = reference.tally(reference.supp_failures(rep.to_json(), pairs))
+    return {
+        "pairs_checked": len(pairs),
+        "violation_count": count,
+        "violations": records,
+        "mode": "exhaustive" if drawn is None else "sample",
+        "certified": count == 0,
+    }
 
-    The sweep's own stream is replayed, row index first, and each drawn pair
-    is checked by its own dot product of the rep's embeddings against
-    dist(x, y) >= k; the first 32 failures are kept as records.
-    """
+
+def sample_reference(rep, sample, seed):
+    """(report, zero residues): the sampled ``verify_support_rep`` report by
+    the reference, and how many drawn pairs have a dot divisible by 32749.
+    The sweep's own stream is replayed, row index first."""
     words = all_words(rep.n, rep.alphabet)
     rng = rng_stream(seed, "verify-sample", rep.n, rep.k)
-    bad = zeros = 0
-    records = []
-    for _ in range(sample):
-        x, y = words[rng.randrange(len(words))], words[rng.randrange(len(words))]
-        dot = sum(map(mul, rep.u(x), rep.v(y)))
-        zeros += dot % 32749 == 0
-        far = hamming(x, y) >= rep.k
-        if (dot != 0) != far:
-            bad += 1
-            if len(records) < 32:
-                records.append(
-                    {"x": list(x), "y": list(y), "dot": str(dot), "expected_nonzero": far}
-                )
-    report = {
-        "pairs_checked": sample,
-        "violation_count": bad,
-        "violations": records,
-        "mode": "sample",
-        "certified": bad == 0,
-    }
-    return report, zeros
+    drawn = [
+        (words[rng.randrange(len(words))], words[rng.randrange(len(words))])
+        for _ in range(sample)
+    ]
+    dot = reference.supp_dot(rep.to_json())
+    return reference_report(rep, drawn), sum(dot(x, y) % 32749 == 0 for x, y in drawn)
 
 
 PIN_REPS = [
@@ -435,7 +430,9 @@ def test_near_indices_is_the_hamming_ball(alphabet, n):
         for lo in range(k + 2):  # lo >= k asks for no radius at all
             for i, x in enumerate(words):
                 near = near_indices(i, n, len(alphabet), k, lo)
-                want = [j for j, y in enumerate(words) if lo <= dist(x, y) < k]
+                want = [
+                    j for j, y in enumerate(words) if lo <= reference.dist(x, y) < k
+                ]
                 assert sorted(near) == want
                 if k == 0 or lo >= k:
                     assert near == []
@@ -451,13 +448,14 @@ class TestWordEmbeddings:
 
     @staticmethod
     def assert_definition(rep):
-        comp = rep.compressor
+        compress = reference.compressor(rep.compressor.to_json())
         words = all_words(rep.n, rep.alphabet)
         us, vs = rep.embed(words)
         assert len(us) == len(vs) == len(words)
         for x, u, v in zip(words, us, vs):
-            assert u == minor_embed(comp.apply_diag(x))
-            assert v == defined_embed(-comp.apply_diag(x), "right")
+            negated = compress(reference.diagonal([-a for a in x]))
+            assert u == reference.expansion(compress(reference.diagonal(x)), "left")
+            assert v == reference.expansion(negated, "right")
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -503,8 +501,8 @@ def test_piece_rep_vectors_are_the_definition():
         rep = piece_support_rep(p, threshold, seed=46 + threshold)
         a_map = _compress_problem(p, threshold, 46 + threshold).a_map
         for x in range(p.index_count):
-            assert rep.u(x) == minor_embed(a_map(x))
-            assert rep.v(x) == defined_embed(-a_map(x), "right")
+            assert rep.u(x) == reference.expansion(a_map(x).to_lists(), "left")
+            assert rep.v(x) == reference.expansion((-a_map(x)).to_lists(), "right")
 
 
 def test_a_rep_dies_on_del_without_the_garbage_collector():
@@ -534,7 +532,7 @@ class TestIdentityCertificate:
         for i, x in enumerate(cert.row_words):
             for j, y in enumerate(cert.col_words):
                 assert rep.query(x, y) == (i == j)
-                assert (hamming(x, y) >= 2) == (i == j)
+                assert (reference.dist(x, y) >= 2) == (i == j)
 
     def test_k3_n6(self):
         rep = build_hd_supp(6, 3, seed=6)

@@ -16,6 +16,7 @@ from hamrank.harness import CSV_COLUMNS, RunConfig, run
 from hamrank.seeds import rng_stream, seed_stream
 from hamrank.veronese import minor_embed
 
+from . import reference
 from .conftest import assert_loaded_ranks_are_dense
 
 
@@ -231,9 +232,7 @@ class TestRunBuildVerify:
         """perfbench's seed-7 sample-9-3 job: its recheck count is the drawn
         pairs at distance < 3 (dot 0) plus the far ones whose dot 32749
         divides, and its canonical bytes are perfbench's pinned digest."""
-        from operator import mul
-
-        from hamrank.hamming import load_supp, word_of_index
+        from hamrank.hamming import word_of_index
 
         monkeypatch.chdir(tmp_path)
         build = ["build-supp", "--n", "9", "--k", "3", "--alphabet", "0,1"]
@@ -247,16 +246,16 @@ class TestRunBuildVerify:
             "627570ccd1edf3ac090a21e89ff3ec6a321d9cdd7a46c3ff8a089127ce11aa19"
         )
 
-        rep = load_supp(json.loads((tmp_path / "b9k3.supp.json").read_text()))
+        dot = reference.supp_dot(json.loads((tmp_path / "b9k3.supp.json").read_text()))
         rng = rng_stream(7, "verify-sample", 9, 3)
         near = far_zero = 0
         for _ in range(50000):
             i, j = rng.randrange(512), rng.randrange(512)
             x, y = word_of_index(i, 9, (0, 1)), word_of_index(j, 9, (0, 1))
-            if sum(a != b for a, b in zip(x, y)) < 3:
+            if reference.dist(x, y) < 3:
                 near += 1
             else:
-                far_zero += sum(map(mul, rep.u(x), rep.v(y))) % 32749 == 0
+                far_zero += dot(x, y) % 32749 == 0
         assert timing["pairs_evaluated"] == 50000
         assert timing["exact_rechecks"] == near + far_zero
         # both kinds occur: the far ones are the residue's own false zeros
@@ -392,8 +391,7 @@ class TestSignCommands:
         self, tmp_path, monkeypatch
     ):
         from hamrank import harness
-        from hamrank.hamming import dist, word_of_index
-        from hamrank.signcompile import eval_sign, sign_from_json
+        from hamrank.hamming import word_of_index
 
         doc = hd_sign_doc(3, 1)
         doc["tree"]["rep0"]["sign"] = -doc["tree"]["rep0"]["sign"]  # the root term
@@ -409,14 +407,13 @@ class TestSignCommands:
         config = make_config(tmp_path, "vs", seed=2, sample=300, params={"rep": str(path)})
         report = run("verify-sign", config)
 
-        form, words = sign_from_json(doc), [word_of_index(i, 3, (0, 1)) for i in range(8)]
+        words = [word_of_index(i, 3, (0, 1)) for i in range(8)]
         rng = rng_stream(2, "verify-sign", 3, 1)
-        bad = []
-        for _ in range(300):
-            i, j = rng.randrange(8), rng.randrange(8)
-            x, y = words[i], words[j]
-            if eval_sign(form, x, y) != (1 if dist(x, y) == 1 else -1):
-                bad.append((i, j))
+        drawn = [(words[rng.randrange(8)], words[rng.randrange(8)]) for _ in range(300)]
+        bad = [
+            (words.index(x), words.index(y))
+            for x, y in reference.sign_failures(doc, drawn)
+        ]
         assert report.status == "failed"
         assert report.verification["violation_count"] == len(bad) == 153
         assert swept[0].violations == tuple(bad[:32])
@@ -445,7 +442,7 @@ class TestSignCommands:
         ordered pair in row-major order, against dist == k."""
         from hamrank.errors import HamrankError
         from hamrank.harness import _load, _load_sign
-        from hamrank.hamming import dist, word_of_index
+        from hamrank.hamming import word_of_index
         from hamrank.parallel import pairwise, sweep
         from hamrank.signcompile import eval_sign
 
@@ -454,7 +451,7 @@ class TestSignCommands:
         words = [word_of_index(i, n, alphabet) for i in range(len(alphabet) ** n)]
         check = pairwise(
             lambda i, j: eval_sign(rep, words[i], words[j])
-            != (1 if dist(words[i], words[j]) == k else -1)
+            != (1 if reference.dist(words[i], words[j]) == k else -1)
         )
         try:
             result = sweep(len(words), lambda: check)
@@ -613,11 +610,10 @@ class TestComposeCommands:
         pair-by-pair check reports on every ordered pair."""
         from hamrank import harness
         from hamrank.exact import Mat
-        from hamrank.parallel import pairwise, sweep
+        from hamrank.parallel import sweep
         from hamrank.rankprob import (
             CompositionSpec,
             RankProblem,
-            compose_semantics,
             distance_r_compose,
             problem_to_json,
             spec_to_json,
@@ -655,17 +651,15 @@ class TestComposeCommands:
         report = run("rp-verify", make_config(tmp_path, "rv", params=params))
         monkeypatch.undo()
 
-        loaded = assert_loaded_ranks_are_dense(doc)
-        reference = sweep(
-            64,
-            lambda: pairwise(
-                lambda x, y: loaded.eval(x, y)
-                != compose_semantics(spec, spec.tuple_of(x), spec.tuple_of(y))
-            ),
-        )
-        assert results == [reference]
-        assert reference.pairs_checked == 4096
-        assert reference.violation_count == violations
+        assert_loaded_ranks_are_dense(doc)
+        truth = reference.spec_semantics(spec_to_json(spec))
+        pairs = itertools.product(range(64), repeat=2)
+        count, first = reference.tally(reference.rank_failures(doc, pairs, truth))
+        assert [(r.pairs_checked, r.mode, r.violation_count) for r in results] == [
+            (4096, "exhaustive", count)
+        ]
+        assert list(results[0].violations) == first
+        assert count == violations
         assert report.verification["violation_count"] == violations
         assert report.certified == (violations == 0)
         assert evals[64] == report.timing["pairs_evaluated"] == 64 * 65 // 2

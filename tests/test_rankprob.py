@@ -18,7 +18,7 @@ from hamrank.errors import (
     PatternViolationError,
     SizeMismatchError,
 )
-from hamrank.exact import Mat, pattern_blocks, rank_exact
+from hamrank.exact import Mat, pattern_blocks
 from hamrank.hamming import word_of_index
 from hamrank.rankprob import (
     CompositionSpec,
@@ -49,10 +49,10 @@ from hamrank.signcompile import (
     threshold_tree,
 )
 
+from . import reference
 from .conftest import (
     assert_loaded_ranks_are_dense,
     distinct_differences,
-    hamming,
     random_mat,
     random_table_problem,
     reference_fit,
@@ -184,7 +184,7 @@ class TestEval:
         ws = brute_words(4)
         for x in range(16):
             for y in range(16):
-                assert p.eval(x, y) == (1 if hamming(ws[x], ws[y]) >= 2 else 0)
+                assert p.eval(x, y) == (1 if reference.dist(ws[x], ws[y]) >= 2 else 0)
 
     def test_symmetric_diagonal_is_g_of_zero(self):
         p = hd_rank_problem(3, 1, seed=2)
@@ -203,7 +203,8 @@ class TestEval:
         for q in (p, rankprob._compress_problem(wide, 2, seed=3)):
             for x in range(8):
                 for y in range(8):
-                    assert q.rank_fn(x, y) == rank_exact(q.a_map(x) - q.a_map(y))
+                    dense = reference.rank((q.a_map(x) - q.a_map(y)).to_lists())
+                    assert q.rank_fn(x, y) == dense
 
     def test_g_table_must_be_boolean(self):
         with pytest.raises(ValueError):
@@ -281,7 +282,7 @@ class TestHdRankProblem:
         ws = brute_words(5)
         for x in range(32):
             for y in range(32):
-                assert p.eval(x, y) == (1 if hamming(ws[x], ws[y]) >= 2 else 0)
+                assert p.eval(x, y) == (1 if reference.dist(ws[x], ws[y]) >= 2 else 0)
 
     def test_bad_parameters_raise_input_error(self):
         for n, k, alphabet in [(3, 0, (0, 1)), (3, 4, (0, 1)), (3, 2, (0, 0))]:
@@ -342,7 +343,7 @@ class TestBoolCombine:
         ws = brute_words(4)
         for x in range(16):
             for y in range(16):
-                want = 1 if hamming(ws[x], ws[y]) == 1 else 0
+                want = 1 if reference.dist(ws[x], ws[y]) == 1 else 0
                 assert combined.eval(x, y) == want
 
     def test_three_random_components_joint_truth_table(self):
@@ -371,7 +372,9 @@ class TestBoolCombine:
         weights = combined.meta["weights"]
         for x in range(8):
             for y in range(8):
-                dense = rank_exact(combined.a_map(x) - combined.a_map(y))
+                dense = reference.rank(
+                    (combined.a_map(x) - combined.a_map(y)).to_lists()
+                )
                 split = weights[0] * lo.rank_fn(x, y) + weights[1] * hi.rank_fn(x, y)
                 assert dense == split == combined.rank_fn(x, y)
 
@@ -416,7 +419,8 @@ def reference_maps(mats, size, seed):
             for m in mats
         ]
     left, right, _, _ = reference_fit(distinct_differences(mats), size, seed)
-    return [left.mul(m).mul(right.transpose()) for m in mats]
+    compress = reference.compressor({"left": left.to_json(), "right": right.to_json()})
+    return [Mat.from_rows(compress(m.to_lists())) for m in mats]
 
 
 SMALL = ([[1, 0], [0, 1]], [[2, 1], [1, 0]], [[0, 0], [1, 1]])
@@ -440,7 +444,7 @@ class TestCompressProblem:
         assert compressed == reference_maps(mats, size, seed=9)
         assert all(m.shape == (size, size) for m in compressed)
         for x, y in itertools.product(range(len(mats)), repeat=2):
-            dense = rank_exact(compressed[x] - compressed[y])
+            dense = reference.rank((compressed[x] - compressed[y]).to_lists())
             assert q.rank_fn(x, y) == min(p.rank_fn(x, y), size) == dense
         assert p.differences.size == members
 
@@ -574,7 +578,8 @@ class TestToSignRep:
         ws = brute_words(4)
         for x in range(16):
             for y in range(16):
-                assert (eval_sign(rep, x, y) == 1) == (hamming(ws[x], ws[y]) >= 2)
+                want = reference.dist(ws[x], ws[y]) >= 2
+                assert (eval_sign(rep, x, y) == 1) == want
 
     @pytest.mark.parametrize("k,dim", [(1, 41), (2, 437)])
     def test_exact_distance_gets_the_build_sign_dim(self, k, dim):
@@ -584,7 +589,8 @@ class TestToSignRep:
         ws = brute_words(5)
         for x in range(32):
             for y in range(32):
-                assert (eval_sign(rep, x, y) == 1) == (hamming(ws[x], ws[y]) == k)
+                want = reference.dist(ws[x], ws[y]) == k
+                assert (eval_sign(rep, x, y) == 1) == want
 
     def test_refuses_over_budget_before_building(self, monkeypatch):
         def no_build(*args, **kwargs):
@@ -762,7 +768,7 @@ class TestCompositionSemantics:
                     total = sum(
                         1
                         for i in delta
-                        if hamming(words2[x[i]], words2[y[i]]) <= 1
+                        if reference.dist(words2[x[i]], words2[y[i]]) <= 1
                     )
                     want = spec.h[total]
                 assert compose_semantics(spec, x, y) == want
@@ -834,21 +840,23 @@ class TestDistanceRCompose:
         spec = CompositionSpec(r=1, h=(0, 1), inners=(neq_inner(),))
         prob = distance_r_compose(spec, seed=24)
         inner = spec.inners[0]
+        truth = reference.spec_semantics(spec_to_json(spec))
         for x in range(2):
             for y in range(2):
                 want = 0 if x == y else inner.eval(x, y)
                 assert prob.eval(x, y) == want
-                assert prob.eval(x, y) == compose_semantics(spec, (x,), (y,))
+                assert prob.eval(x, y) == truth(x, y)
 
     def test_hd_as_composition(self):
         spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(neq_inner(),) * 4)
         prob = distance_r_compose(spec, seed=25)
+        truth = reference.spec_semantics(spec_to_json(spec))
         for x in range(16):
             tx = spec.tuple_of(x)
             for y in range(16):
                 ty = spec.tuple_of(y)
-                want = 1 if hamming(tx, ty) == 2 else 0
-                assert prob.eval(x, y) == want == compose_semantics(spec, tx, ty)
+                want = 1 if reference.dist(tx, ty) == 2 else 0
+                assert prob.eval(x, y) == want == truth(x, y)
 
     def test_mismatched_inner_tables_rejected(self):
         a = neq_inner()
@@ -860,11 +868,10 @@ class TestDistanceRCompose:
     def test_distance_zero_is_equality_gate(self):
         spec = CompositionSpec(r=0, h=(1,), inners=(neq_inner(),) * 2)
         prob = distance_r_compose(spec, seed=29)
+        truth = reference.spec_semantics(spec_to_json(spec))
         for x in range(4):
-            tx = spec.tuple_of(x)
             for y in range(4):
-                want = compose_semantics(spec, tx, spec.tuple_of(y))
-                assert prob.eval(x, y) == want == (1 if x == y else 0)
+                assert prob.eval(x, y) == truth(x, y) == (1 if x == y else 0)
 
     def test_pair_budget(self, monkeypatch):
         monkeypatch.setattr(rankprob, "COMPOSE_PAIR_BUDGET", 4)
@@ -896,10 +903,10 @@ class TestDistanceRCompose:
         # r+1 exceeds the coordinate count: the gate never fires
         spec = CompositionSpec(r=3, h=(1, 0, 0, 0), inners=(neq_inner(),) * 2)
         prob = distance_r_compose(spec, seed=28)
+        truth = reference.spec_semantics(spec_to_json(spec))
         for x in range(4):
-            tx = spec.tuple_of(x)
             for y in range(4):
-                assert prob.eval(x, y) == compose_semantics(spec, tx, spec.tuple_of(y))
+                assert prob.eval(x, y) == truth(x, y)
 
 
 class TestCcHdFamily:
@@ -924,10 +931,10 @@ class TestCcHdFamily:
     def test_strict_form_composes_faithfully(self):
         s = strict_cc_hd(1, 1, 2, 2, seed=31)
         prob = distance_r_compose(s, seed=32)
+        truth = reference.spec_semantics(spec_to_json(s))
         for x in range(s.index_count):
-            tx = s.tuple_of(x)
             for y in range(s.index_count):
-                assert prob.eval(x, y) == compose_semantics(s, tx, s.tuple_of(y))
+                assert prob.eval(x, y) == truth(x, y)
 
 
 class TestSerialization:
@@ -952,7 +959,8 @@ class TestSerialization:
         doc = problem_to_json(symmetric_problem(len(table), table.__getitem__, (0, 1)))
         loaded = problem_from_json(doc)
         for x, y in itertools.product(range(len(table)), repeat=2):
-            assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y])
+            dense = reference.rank((table[x] - table[y]).to_lists())
+            assert loaded.rank_fn(x, y) == dense
 
     def test_loaded_block_rank_on_a_composed_table(self):
         spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(neq_inner(),) * 4)
@@ -960,7 +968,7 @@ class TestSerialization:
         loaded = problem_from_json(problem_to_json(built))
         assert len(pattern_blocks([loaded.a_map(x) for x in range(16)])) > 1
         for x, y in itertools.product(range(16), repeat=2):
-            dense = rank_exact(loaded.a_map(x) - loaded.a_map(y))
+            dense = reference.rank((loaded.a_map(x) - loaded.a_map(y)).to_lists())
             assert loaded.rank_fn(x, y) == dense
             # the rank built from the certified identities, not eliminated
             assert built.rank_fn(x, y) == dense
@@ -979,7 +987,8 @@ class TestSerialization:
         loaded = problem_from_json(doc)
         for x, y in itertools.combinations_with_replacement(range(6), 2):
             before = len(shapes)
-            assert loaded.rank_fn(x, y) == rank_exact(table[x] - table[y])
+            dense = reference.rank((table[x] - table[y]).to_lists())
+            assert loaded.rank_fn(x, y) == dense
             differing = [
                 (len(rows), len(cols))
                 for rows, cols in differing_blocks(table, blocks, x, y)

@@ -6,38 +6,48 @@ four inequality inners (r = 2, 16 indices) is damaged by a seeded mutator:
 one JSON leaf at a time, each key dropped, two A matrices swapped, one bit
 of g flipped, or one entry of one copy of a repeated pattern block changed
 at one index.  Every mutant must end in a ``hamrank-report/1``, and a
-certified one must agree on every pair with an independent reference: the
-dense ``rank_exact`` of each difference of the mutated table, read through
-the mutated g, against ``compose_semantics``.  The reference uses no
-pattern blocks.
+certified one must pass ``reference.rank_failures`` on every pair: the
+reference's rank of each difference of the mutated table, read through
+the mutated g, against ``reference.spec_semantics`` of the spec file that
+rp-verify reads.  The reference imports nothing from hamrank, so neither
+``compose_semantics`` nor the pattern blocks that rp-verify runs decide
+the truth.
 
 The spec of that composition, its inners inline, is damaged the same way
 (every leaf, each key dropped, each bit of h flipped) and composed.  A
 certified mutant's ``--out`` table must agree in the same way with the
-semantics of a reference spec whose inners rank by dense ``rank_exact``.
+reference semantics of the mutated spec document.
+
+``compose_semantics`` itself is pinned against the reference semantics on
+every pair of this spec and of the seed-7 exact-2-of-6 spec.
 """
 
 import itertools
 import json
 import random
-from functools import cache
+from math import prod
 
 import pytest
 
 from hamrank.cli import main
-from hamrank.exact import Mat, pattern_blocks, rank_exact
+from hamrank.exact import Mat, pattern_blocks
 from hamrank.rankprob import (
     CompositionSpec,
     compose_semantics,
+    hd_rank_problem,
     spec_to_json,
     symmetric_problem,
 )
 
+from . import reference
 from .conftest import assert_loaded_ranks_are_dense
 from .mutants import copy, dropped_keys, leaf_mutants
 
 INEQUALITY = symmetric_problem(2, lambda x: Mat(1, 1, (x,)), (0, 1), name="neq")
 SPEC = CompositionSpec(r=2, h=(0, 0, 1), inners=(INEQUALITY,) * 4)
+EXACT_2_OF_6 = CompositionSpec(
+    r=2, h=(0, 0, 1), inners=(hd_rank_problem(1, 1, (0, 1), seed=7),) * 6
+)
 
 
 def structural_mutants(doc, rng):
@@ -81,35 +91,22 @@ def copy_mutants(doc, rng):
             yield f"copy:a/{x}/entries/{t}", mutant
 
 
-def table_of(doc):
-    """The A table of a rank-problem document, entries parsed by ``int``."""
-    return [
-        Mat(m["rows"], m["cols"], tuple(int(e) for e in m["entries"])) for m in doc["a"]
-    ]
+def reference_violations(doc, spec_doc):
+    """(violations, pairs): the reference's failing pairs of the rank
+    problem ``doc`` against the semantics of ``spec_doc``, over every
+    ordered pair of the spec's indices."""
+    count = prod(len(entry["problem"]["a"]) for entry in spec_doc["inners"])
+    truth = reference.spec_semantics(spec_doc)
+    pairs = itertools.product(range(count), repeat=2)
+    return reference.tally(reference.rank_failures(doc, pairs, truth))[0], count**2
 
 
-@cache
-def _dense_rank(a, b):
-    return rank_exact(a - b)
-
-
-def dense_rank(a, b):
-    """rank(A - B), memoized per unordered pair, as rank(-M) = rank(M)."""
-    return _dense_rank(*sorted((a, b), key=lambda m: m.entries))
-
-
-def reference_violations(doc, spec=SPEC):
-    """(violations, pairs) of g(rank(A(x) - A(y))) against the semantics of
-    ``spec`` over every ordered pair of its indices."""
-    table = table_of(doc)
-    g = [int(bit) for bit in doc["g"]]
-    indices = range(spec.index_count)
-    bad = 0
-    for x, y in itertools.product(indices, repeat=2):
-        rank = dense_rank(table[x], table[y])
-        truth = compose_semantics(spec, spec.tuple_of(x), spec.tuple_of(y))
-        bad += g[min(rank, len(g) - 1)] != truth
-    return bad, len(indices) ** 2
+@pytest.mark.parametrize("spec", [SPEC, EXACT_2_OF_6], ids=["neq-4", "exact-2-of-6"])
+def test_compose_semantics_is_the_reference(spec):
+    truth = reference.spec_semantics(spec_to_json(spec))
+    for x, y in itertools.product(range(spec.index_count), repeat=2):
+        got = compose_semantics(spec, spec.tuple_of(x), spec.tuple_of(y))
+        assert got == truth(x, y), (x, y)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +139,8 @@ def verify(base, doc):
 
 def test_a_certified_mutant_is_correct_by_the_reference(built):
     doc = json.loads((built / "rp.json").read_text())
-    assert reference_violations(doc) == (0, 256)
+    spec = json.loads((built / "spec.json").read_text())
+    assert reference_violations(doc, spec) == (0, 256)
     rng = random.Random("rp-mutants")
     mutants = [
         *leaf_mutants(doc, lambda path: path[0] == "a", rng, 80),
@@ -163,25 +161,14 @@ def test_a_certified_mutant_is_correct_by_the_reference(built):
             ), report["error"]
         if report["status"] == "certified":
             pairs = report["verification"]["pairs_checked"]
-            assert reference_violations(mutant) == (0, pairs), name
+            assert reference_violations(mutant, spec) == (0, pairs), name
             # the loaded ranks depend on the table alone
-            table = tuple(table_of(mutant))
+            table = json.dumps([reference.matrix(m) for m in mutant["a"]])
             if table not in tables:
                 tables.add(table)
-                assert_loaded_ranks_are_dense(mutant, dense_rank)
+                assert_loaded_ranks_are_dense(mutant)
     # both outcomes occur, so the property is not vacuous either way
     assert statuses == {"certified", "failed"}
-
-
-def reference_spec(doc):
-    """The composition a spec document states, each inner a dense
-    ``symmetric_problem`` over its table, entries parsed by ``int``."""
-    inners = []
-    for entry in doc["inners"]:
-        table = table_of(entry["problem"])
-        g = entry["problem"]["g"]
-        inners.append(symmetric_problem(len(table), table.__getitem__, g))
-    return CompositionSpec(r=doc["r"], h=tuple(doc["h"]), inners=tuple(inners))
 
 
 def spec_mutants(doc):
@@ -210,7 +197,7 @@ def test_a_certified_spec_mutant_is_correct_by_the_reference(tmp_path):
         if got["status"] == "certified":
             pairs = got["verification"]["pairs_checked"]
             built = json.loads(out.read_text())
-            violations = reference_violations(built, reference_spec(mutant))
+            violations = reference_violations(built, mutant)
             assert violations == (0, pairs), name
             for entry in mutant["inners"]:
                 assert_loaded_ranks_are_dense(entry["problem"])

@@ -2,11 +2,12 @@
 
 Certified ``build-sign`` documents at n = 4 are damaged by a seeded
 mutator, one JSON leaf or one tree node at a time.  Every mutant must end
-in a ``hamrank-report/1``, and a certified one must agree on every pair
-with an independent reference that reads the document's raw entries: each
-oracle's dot is det_exact(L Diag(x - y) R^T), the tree is evaluated node by
-node, and the truth is dist(x, y) == k.  The reference uses no minor
-embedding, packing, mirror or difference classes.
+in a ``hamrank-report/1``, and a certified one must pass
+``reference.sign_failures`` on every pair.  That reference reads the
+document's raw entries and imports nothing from hamrank: each oracle's dot
+is det(L Diag(x - y) R^T) by its own modular elimination, the tree is
+evaluated node by node, and the truth is its own dist(x, y) == k, with no
+minor embedding, packing, mirror or difference classes.
 """
 
 import itertools
@@ -16,9 +17,8 @@ import random
 import pytest
 
 from hamrank.cli import main
-from hamrank.exact import Mat, det_exact
-from hamrank.hamming import dist
 
+from . import reference
 from .mutants import at, copy, dropped_keys, leaf_mutants
 
 
@@ -37,41 +37,14 @@ def structural_mutants(doc):
     yield from dropped_keys(doc)
 
 
-def reference_dot(oracle, x, y):
-    """det(L Diag(x - y) R^T) from the oracle's raw factor entries."""
-    left, right = oracle["compressor"]["left"], oracle["compressor"]["right"]
-    k, n = left["rows"], left["cols"]
-    lv, rv = [int(e) for e in left["entries"]], [int(e) for e in right["entries"]]
-    z = [a - b for a, b in zip(x, y)]
-    c = [
-        sum(lv[i * n + p] * z[p] * rv[j * n + p] for p in range(n))
-        for i in range(k)
-        for j in range(k)
-    ]
-    return det_exact(Mat(k, k, tuple(c)))
-
-
-def reference_value(node, x, y):
-    """The tree's value node by node: a const is its sign, a combine
-    value(rep1) + gamma s^2 value(rep0)."""
-    if node["type"] == "const":
-        return int(node["sign"])
-    s = reference_dot(node["oracle"], x, y)
-    below = reference_value(node["rep1"], x, y)
-    return below + int(node["gamma"]) * s * s * reference_value(node["rep0"], x, y)
-
-
 def reference_violations(doc):
-    """(violations, pairs) of sign == +1 iff dist == k over every ordered
-    pair of words of length meta n over the root oracle's alphabet."""
-    n, k = doc["meta"]["n"], doc["meta"]["k"]
+    """(violations, pairs): the reference's failing pairs among every
+    ordered pair of words of length meta n over the root oracle's
+    alphabet."""
     alphabet = [int(a) for a in doc["tree"]["oracle"]["alphabet"]]
-    words = list(itertools.product(alphabet, repeat=n))
-    bad = 0
-    for x, y in itertools.product(words, repeat=2):
-        value = reference_value(doc["tree"], x, y)
-        bad += (value > 0) - (value < 0) != (1 if dist(x, y) == k else -1)
-    return bad, len(words) ** 2
+    words = list(itertools.product(alphabet, repeat=doc["meta"]["n"]))
+    pairs = itertools.product(words, repeat=2)
+    return reference.tally(reference.sign_failures(doc, pairs))[0], len(words) ** 2
 
 
 @pytest.fixture(scope="module")

@@ -4,23 +4,23 @@ Certified ``build-supp`` documents (binary n = 4 at k = 1 and 2, ternary
 n = 3 at k = 2) are damaged by a seeded mutator, one JSON leaf or one
 dropped key at a time, and each mutant is verified exhaustively and on a
 sample of 400 drawn pairs.  Every mutant must end in a
-``hamrank-report/1``, and a certified one must agree on every pair with an
-independent reference that reads the document's raw entries: the dot is
-det_exact(L Diag(x - y) R^T) and the truth is dist(x, y) >= k.  The
-reference uses no minor embedding, packing, residue or letter codes.
+``hamrank-report/1``, and a certified one must pass
+``reference.supp_failures`` on every pair.  That reference reads the
+document's raw entries and imports nothing from hamrank: the dot is
+det(L Diag(x - y) R^T) by its own modular elimination and the truth is its
+own dist(x, y) >= k, with no minor embedding, packing, residue or letter
+codes.
 """
 
 import itertools
 import json
 import random
-from functools import cache
 
 import pytest
 
 from hamrank.cli import main
-from hamrank.exact import Mat, det_exact
-from hamrank.hamming import dist
 
+from . import reference
 from .mutants import dropped_keys, leaf_mutants, leaves, ops
 
 DOCS = {"bin-4-1": (4, 1, "0,1"), "bin-4-2": (4, 2, "0,1"), "ter-3-2": (3, 2, "0,1,2")}
@@ -33,29 +33,11 @@ def in_entries(path):
 
 
 def reference_violations(doc):
-    """Violations of det(L Diag(x - y) R^T) != 0 iff dist(x, y) >= k over
-    every ordered pair of words of length n over the alphabet, all read
-    from the document's raw fields; one determinant per difference x - y."""
-    n, k = doc["n"], doc["k"]
-    left, right = doc["compressor"]["left"], doc["compressor"]["right"]
-    cols = left["cols"]
-    lv, rv = [int(e) for e in left["entries"]], [int(e) for e in right["entries"]]
-    words = list(itertools.product([int(a) for a in doc["alphabet"]], repeat=n))
-
-    @cache
-    def dot(z):
-        c = [
-            sum(lv[i * cols + p] * z[p] * rv[j * cols + p] for p in range(cols))
-            for i in range(left["rows"])
-            for j in range(right["rows"])
-        ]
-        return det_exact(Mat(left["rows"], right["rows"], tuple(c)))
-
-    bad = 0
-    for x, y in itertools.product(words, repeat=2):
-        z = tuple(a - b for a, b in zip(x, y))
-        bad += (dot(z) != 0) != (dist(x, y) >= k)
-    return bad
+    """The reference's failing pairs among every ordered pair of words of
+    length n over the document's alphabet."""
+    words = list(itertools.product([int(a) for a in doc["alphabet"]], repeat=doc["n"]))
+    pairs = itertools.product(words, repeat=2)
+    return reference.tally(reference.supp_failures(doc, pairs))[0]
 
 
 @pytest.fixture(scope="module")

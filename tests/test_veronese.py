@@ -7,10 +7,9 @@ import pytest
 
 from hamrank import veronese
 from hamrank.errors import PatternViolationError, RetriesExhaustedError
-from hamrank.exact import Mat, det_exact
+from hamrank.exact import Mat
 from hamrank.veronese import (
     det_sum_terms,
-    dot,
     hypercube_unit_embed,
     minor_embed,
     prove_det_sum,
@@ -18,7 +17,8 @@ from hamrank.veronese import (
     unit_distance_vector,
 )
 
-from .conftest import defined_embed, det_cofactor, expansion_sign, random_mat
+from . import reference
+from .conftest import random_mat
 
 
 class TestDetSumTerms:
@@ -39,7 +39,7 @@ class TestDetSumTerms:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_signs_match_inversion_oracle(self, k):
         for t in det_sum_terms(k):
-            assert t.sign == expansion_sign(t.alpha, t.beta, k)
+            assert t.sign == reference.expansion_sign(t.alpha, t.beta, k)
 
     def test_canonical_order_is_stable(self):
         first = det_sum_terms(3)
@@ -63,10 +63,10 @@ class TestMinorEmbed:
             ]
             a = Mat(k, k, tuple(entries))
             if side == "left":
-                assert minor_embed(a) == defined_embed(a, side)
+                assert minor_embed(a) == reference.expansion(a.to_lists(), side)
             else:
                 flip = veronese.negated_right(k)
-                assert flip(minor_embed(-a)) == defined_embed(a, side)
+                assert flip(minor_embed(-a)) == reference.expansion(a.to_lists(), side)
 
     def test_k1_literal(self):
         a, b = 7, -3
@@ -74,7 +74,7 @@ class TestMinorEmbed:
         right = veronese.negated_right(1)(minor_embed(Mat(1, 1, (-b,))))
         assert left == (1, a)
         assert right == (b, 1)
-        assert dot(left, right) == a + b
+        assert reference.dot(left, right) == a + b
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_dot_is_det_of_sum(self, k):
@@ -84,7 +84,7 @@ class TestMinorEmbed:
             b = random_mat(rng, k, k)
             u = minor_embed(a)
             v = veronese.negated_right(k)(minor_embed(-b))
-            assert dot(u, v) == det_exact(a + b)
+            assert reference.dot(u, v) == reference.det((a + b).to_lists())
 
     def test_zero_matrix_left_pattern(self):
         k = 3
@@ -92,7 +92,8 @@ class TestMinorEmbed:
         u = minor_embed(zero)
         assert u[0] == 1 and all(c == 0 for c in u[1:])
         b = random_mat(random.Random(9), k, k)
-        assert dot(u, veronese.negated_right(k)(minor_embed(-b))) == det_exact(b)
+        v = veronese.negated_right(k)(minor_embed(-b))
+        assert reference.dot(u, v) == reference.det(b.to_lists())
 
     def test_pairing_with_negation_computes_difference(self):
         rng = random.Random(12)
@@ -100,37 +101,20 @@ class TestMinorEmbed:
         b = random_mat(rng, 2, 2)
         u = minor_embed(a)
         v = veronese.negated_right(2)(minor_embed(b))
-        assert dot(u, v) == det_exact(a - b)
+        assert reference.dot(u, v) == reference.det((a - b).to_lists())
 
     @pytest.mark.parametrize("k", range(5))
     def test_coordinates_match_cofactor_minors(self, k):
         # canonical term order: by size, then alpha, then beta, lexicographic
-        pairs = [
-            (alpha, beta)
-            for size in range(k + 1)
-            for alpha in itertools.combinations(range(k), size)
-            for beta in itertools.combinations(range(k), size)
-        ]
         rng = random.Random(700 + k)
         for _ in range(3):
             a = random_mat(rng, k, k)
-            left = [
-                expansion_sign(alpha, beta, k) * det_cofactor(a.submatrix(alpha, beta))
-                for alpha, beta in pairs
-            ]
-            right = [
-                det_cofactor(
-                    a.submatrix(
-                        [i for i in range(k) if i not in alpha],
-                        [j for j in range(k) if j not in beta],
-                    )
-                )
-                for alpha, beta in pairs
-            ]
-            assert minor_embed(a) == tuple(left)
-            assert veronese.negated_right(k)(minor_embed(-a)) == tuple(right)
+            left = reference.expansion(a.to_lists(), "left")
+            right = reference.expansion(a.to_lists(), "right")
+            assert minor_embed(a) == left
+            assert veronese.negated_right(k)(minor_embed(-a)) == right
             # the empty term is 1 on the left; its complement is det(A)
-            assert left[0] == 1 and right[0] == det_exact(a)
+            assert left[0] == 1 and right[0] == reference.det(a.to_lists())
 
 
 class TestDetSumProof:
@@ -194,14 +178,15 @@ class TestNegatedRight:
         for bound in (1, 9, 1 << 70):
             for _ in range(20):
                 a = random_mat(rng, k, k, bound)
-                assert flip(minor_embed(a)) == defined_embed(-a, "right")
+                want = reference.expansion((-a).to_lists(), "right")
+                assert flip(minor_embed(a)) == want
 
     @pytest.mark.parametrize("k", range(6))
     def test_agrees_with_the_negation_at_every_rook_placement(self, k):
         # the points of the multilinear argument prove_det_sum rests on
         flip = veronese.negated_right(k)
         for m in veronese._rook_mats(k).values():
-            assert flip(minor_embed(m)) == defined_embed(-m, "right")
+            assert flip(minor_embed(m)) == reference.expansion((-m).to_lists(), "right")
 
     @pytest.mark.parametrize("k", range(6))
     def test_embeds_no_matrix(self, monkeypatch, k):
@@ -246,7 +231,7 @@ class TestNegatedRight:
         # the map reads the term signs that the left side applies
         a = Mat(2, 2, (1, 2, 3, 4))
         flip = veronese.negated_right(2)
-        assert flip(minor_embed(a)) == defined_embed(-a, "right")
+        assert flip(minor_embed(a)) == reference.expansion((-a).to_lists(), "right")
 
 
 class TestUnitDistanceEmbedding:
@@ -285,7 +270,7 @@ class TestUnitDistanceEmbedding:
         # dot vanishes exactly on Hamming-distance-1 pairs
         for x in range(1 << n):
             for y in range(1 << n):
-                value = dot(left[x], right[y])
+                value = reference.dot(left[x], right[y])
                 assert (value == 0) == ((x ^ y).bit_count() == 1)
                 assert value == sq_dist(points[x], points[y]) - 1
 
