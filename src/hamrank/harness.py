@@ -31,7 +31,7 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import pairwise, sweep, symmetric
+from .parallel import check_pairs, mirrored, pairwise, sweep
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -394,11 +394,11 @@ def _load_sign(doc: dict) -> tuple[SignForm, int, int]:
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     """Check sign == +1 iff dist == k on every ordered pair, a row at a
-    time, its columns j >= i (``positive_upper`` on ``domain_rows``, each
-    oracle's word grid embedded once) against the Hamming shell at
-    distance k and the rest mirrored (``symmetric``), or each drawn pair
-    alone by ``eval_sign``; the timing section records the pairs
-    evaluated."""
+    time: row i's columns j >= i (``positive_upper`` on ``domain_rows``,
+    each oracle's word grid embedded once) against the Hamming shell at
+    distance k, each failure off the diagonal counted for (j, i) too
+    (``mirrored``), or each drawn pair alone by ``eval_sign``; the timing
+    section records the pairs evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     check_sign_dim(rep.dim, config.max_dim)
     alphabet = rep.terms[-1].oracle.alphabet
@@ -414,12 +414,12 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
         words = list(map(word, range(count)))
         positive = positive_upper(rep, domain_rows(words))
 
-        def upper(i, cols):
+        def bad_from(i):
             shell = near_indices(i, n, len(alphabet), k + 1, lo=k)
-            bad = set(positive(i)).symmetric_difference(j for j in shell if j >= i)
-            return len(bad), sorted(bad)
+            upper = (j for j in shell if j >= i)
+            return sorted(set(positive(i)).symmetric_difference(upper))
 
-        return symmetric(upper)
+        return mirrored(bad_from)
 
     rng = rng_stream(config.seed, "verify-sign", n, k)
     result = sweep(count, prepare, config.sample, rng, config.max_pairs)
@@ -446,28 +446,25 @@ def _load_spec(spec_path: str) -> CompositionSpec:
 
 
 def _check_semantics(
-    problem: RankProblem, spec: CompositionSpec, config: RunConfig, report: Report
+    problem: RankProblem, spec: CompositionSpec, report: Report
 ) -> None:
-    """Compare every pair's evaluation with the composition semantics.
+    """Compare every pair's evaluation with the composition semantics; the
+    caller checks the pair budget.
 
     Both sides are symmetric in the pair (see ``RankProblem``; the semantics
     reads only Delta and the inner evaluations), so each unordered pair is
-    evaluated once and every ordered pair is still counted; the timing
-    section records how many pairs were evaluated."""
+    evaluated once and every ordered pair is still counted (``mirrored``);
+    the timing section records how many pairs were evaluated."""
+    count = problem.index_count
     tuple_of = cache(spec.tuple_of)
-    evaluated = 0
 
     def fails(x: int, y: int) -> bool:
-        nonlocal evaluated
-        evaluated += 1
         return problem.eval(x, y) != compose_semantics(spec, tuple_of(x), tuple_of(y))
 
     result = sweep(
-        problem.index_count,
-        lambda: symmetric(pairwise(fails)),
-        max_pairs=config.max_pairs,
+        count, lambda: mirrored(lambda x: [y for y in range(x, count) if fails(x, y)])
     )
-    report.timing["pairs_evaluated"] = evaluated
+    report.timing["pairs_evaluated"] = count * (count + 1) // 2
     report.verification = {
         "pairs_checked": result.pairs_checked,
         "violation_count": result.violation_count,
@@ -478,6 +475,7 @@ def _check_semantics(
 
 def _run_compose(config: RunConfig, report: Report) -> None:
     spec = _load_spec(config.params["spec"])
+    check_pairs(spec.index_count**2, config.max_pairs)
     problem = distance_r_compose(spec, seed=config.seed)
     report.construction = {
         "coordinates": spec.coordinates,
@@ -488,7 +486,7 @@ def _run_compose(config: RunConfig, report: Report) -> None:
         "name": problem.name,
         "gate_order": problem.meta.get("gate_order"),
     }
-    _check_semantics(problem, spec, config, report)
+    _check_semantics(problem, spec, report)
     if config.out:
         doc = problem_to_json(problem, max_entries=config.max_dim)
         # relative to the artifact, so rp-verify finds it from any directory
@@ -515,7 +513,8 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
             f"spec {spec.index_count}"
         )
     report.construction = {"order": problem.order, "index_count": problem.index_count}
-    _check_semantics(problem, spec, config, report)
+    check_pairs(problem.index_count**2, config.max_pairs)
+    _check_semantics(problem, spec, report)
     report.timing["exact_rechecks"] = problem.meta["exact_rechecks"]
 
 

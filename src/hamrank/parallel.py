@@ -4,12 +4,13 @@ Every certificate that compares a construction with ground truth pair by
 pair runs through ``sweep``.  The caller supplies one check per row that
 evaluates a whole row in one pass and returns its failure count with its
 first failing columns (``pairwise`` makes one from a pair test, and
-``symmetric`` from the upper triangle of a symmetric one, deciding each
-unordered pair once); the core owns the budget check, the exhaustive/sample
-dispatch, the row scan and the capped violation sample.  A sample count is
-the only mode switch: ``None`` sweeps every pair; a count draws its pairs
-through ``uniform``, the ``randrange`` stream.  Rows run in index order,
-in the calling thread.
+``mirrored`` one from the failing columns j >= i of a table that fails at
+(j, i) where it fails at (i, j), deciding each unordered pair once and
+counting both its orders); the core owns the budget check, the
+exhaustive/sample dispatch, the row scan and the capped violation sample.
+A sample count is the only mode switch: ``None`` sweeps every pair; a count
+draws its pairs through ``uniform``, the ``randrange`` stream.  Rows run in
+index order, in the calling thread.
 
 Every exhaustive row check over exact dot products shares one packed-dot
 kernel, ``pack_columns``: it packs the right vectors column by column into
@@ -91,39 +92,18 @@ def pairwise(fails: Callable[[int, int], bool]) -> RowCheck:
     return check
 
 
-def symmetric(upper: RowCheck) -> RowCheck:
-    """The row check of a symmetric failure table from ``upper``, its row
-    check on the columns j >= i, which must list every failing column in
-    order (``pairwise`` of a symmetric pair test does).
+def mirrored(bad_from: Callable[[int], list[int]]) -> RowCheck:
+    """The row check of a failure table with (j, i) failing where (i, j)
+    does, from ``bad_from(i)``: row i's failing columns j >= i, in order.
 
-    Column j < i fails where row j failed at column i.  Only failures are
-    kept, each until the row that mirrors it, so memory grows with the
-    violations, not with the pairs.  The mirror holds only over rows that
-    were checked whole, so the check takes rows 0, 1, 2, ... in order, each
-    with ``cols`` the whole row ``range(count)`` as the exhaustive ``sweep``
-    gives them, and raises ``ValueError`` on anything else: a row out of
-    order, or partial ``cols`` such as a sampled pair.
+    Each failure off the diagonal counts for (i, j) and (j, i) and is
+    recorded once, as (i, j).  The count holds over the exhaustive sweep's
+    whole rows only; the check reads no ``cols``.
     """
-    mirrored: dict[int, list[int]] = {}  # row -> earlier rows failing there
-    done = 0  # rows checked
-    whole = None  # the first row's cols, every row's cols
 
     def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
-        nonlocal done, whole
-        if whole is None and cols == range(len(cols)):
-            whole = cols
-        if i != done or cols != whole or i >= len(whole):
-            raise ValueError(
-                f"a symmetric row check takes whole rows in index order, not "
-                f"row {i} of columns {cols!r} after {done} rows"
-            )
-        done += 1
-        upper_bad = upper(i, whole[i:])[1]
-        for j in upper_bad:
-            if j > i:
-                mirrored.setdefault(j, []).append(i)
-        bad = mirrored.pop(i, []) + upper_bad
-        return len(bad), bad
+        bad = bad_from(i)
+        return 2 * len(bad) - (i in bad), bad
 
     return check
 
@@ -172,7 +152,9 @@ def sweep(
     that many pairs from ``rng`` through ``uniform``, row index first, the
     stream ``rng.randrange(count)`` gives, and checks each as a one-column
     row as it is drawn; no draw is stored.  The report counts every failure
-    and keeps the first ``REPORT_CAP`` failing (i, j) pairs in pair order.
+    and keeps the first ``REPORT_CAP`` failing (i, j) pairs in pair order;
+    under a ``mirrored`` check these are unordered pairs i <= j in row order,
+    each off-diagonal one standing for (j, i) too.
     """
     if sample is not None:
         if sample < 1:

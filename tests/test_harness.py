@@ -418,6 +418,39 @@ class TestSignCommands:
         assert report.verification["violation_count"] == len(bad) == 153
         assert swept[0].violations == tuple(bad[:32])
 
+    def test_exhaustive_verify_sign_records_its_failures_at_i_le_j(
+        self, tmp_path, monkeypatch
+    ):
+        """The exhaustive sweep counts every ordered failing pair and
+        records each unordered one once, i <= j, in row order."""
+        from hamrank import harness
+        from hamrank.hamming import word_of_index
+
+        doc = hd_sign_doc(3, 1)
+        doc["tree"]["rep0"]["sign"] = -doc["tree"]["rep0"]["sign"]  # the root term
+        path = tmp_path / "broken.sign.json"
+        path.write_text(json.dumps(doc))
+        swept, harness_sweep = [], harness.sweep
+
+        def recorded(*args, **kwargs):
+            swept.append(harness_sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(harness, "sweep", recorded)
+        config = make_config(tmp_path, "vs", params={"rep": str(path)})
+        report = run("verify-sign", config)
+
+        words = [word_of_index(i, 3, (0, 1)) for i in range(8)]
+        pairs = itertools.product(words, repeat=2)
+        bad = [
+            (words.index(x), words.index(y))
+            for x, y in reference.sign_failures(doc, pairs)
+        ]
+        assert report.status == "failed"
+        assert report.verification["violation_count"] == len(bad)
+        assert swept[0].violations == tuple([(i, j) for i, j in bad if i <= j][:32])
+        assert report.timing["pairs_evaluated"] == 8 * 9 // 2
+
     def test_verify_sign_mirrors_only_under_the_det_sum_identity(
         self, tmp_path, request
     ):
@@ -654,10 +687,12 @@ class TestComposeCommands:
         assert_loaded_ranks_are_dense(doc)
         truth = reference.spec_semantics(spec_to_json(spec))
         pairs = itertools.product(range(64), repeat=2)
-        count, first = reference.tally(reference.rank_failures(doc, pairs, truth))
+        count, _ = reference.tally(reference.rank_failures(doc, pairs, truth))
         assert [(r.pairs_checked, r.mode, r.violation_count) for r in results] == [
             (4096, "exhaustive", count)
         ]
+        upper = itertools.combinations_with_replacement(range(64), 2)
+        _, first = reference.tally(reference.rank_failures(doc, upper, truth))
         assert list(results[0].violations) == first
         assert count == violations
         assert report.verification["violation_count"] == violations
@@ -1314,6 +1349,37 @@ class TestCli:
         error = self.failed_report(tmp_path, ["rp-verify", str(rp)])
         assert error == (
             "InputError: rank problem has 4 indices, its composition spec 8"
+        )
+
+    def test_cli_compose_over_the_pair_budget_fits_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from .test_report_bytes import compose_spec
+
+        def never(*args):
+            raise AssertionError("fitted a compressor over the budget")
+
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "100")
+        monkeypatch.setattr("hamrank.rankprob.fit_compressor", never)
+        spec, rp = tmp_path / "spec.json", tmp_path / "rp.json"
+        compose_spec(str(spec), r=2, h=(0, 0, 1), coordinates=6)
+        argv = ["compose", "--spec", str(spec), "--out", str(rp)]
+        assert self.failed_report(tmp_path, argv) == (
+            "BudgetExceededError: 4096 pairs exceed the exhaustive budget of 100"
+        )
+        assert not rp.exists()
+
+    def test_cli_rp_verify_over_the_pair_budget_gives_no_sample_advice(
+        self, tmp_path, monkeypatch
+    ):
+        from .test_report_bytes import compose_spec
+
+        spec, rp = tmp_path / "spec.json", tmp_path / "rp.json"
+        compose_spec(str(spec), coordinates=3)
+        assert main(["compose", "--spec", str(spec), "--out", str(rp)]) == 0
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
+        assert self.failed_report(tmp_path, ["rp-verify", str(rp)]) == (
+            "BudgetExceededError: 64 pairs exceed the exhaustive budget of 63"
         )
 
     def test_cli_rp_verify_finds_the_recorded_spec_from_another_directory(

@@ -1,5 +1,5 @@
-"""The symmetric row check against the pair-by-pair one, the sample
-draws against ``randrange``, and the one module that packs exact dots."""
+"""The mirrored row check against the pair-by-pair one, the sample draws
+against ``randrange``, and the one module that packs exact dots."""
 
 import ast
 import itertools
@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamrank
+from hamrank import parallel
 from hamrank.parallel import (
     REPORT_CAP,
     RESIDUE_PRIME,
+    mirrored,
     pack_residues,
     pairwise,
     sweep,
-    symmetric,
     uniform,
 )
 
@@ -35,70 +36,68 @@ def symmetric_tables(draw):
     return table
 
 
-class TestSymmetricRowCheck:
-    @settings(max_examples=120, deadline=None)
-    @given(symmetric_tables())
-    def test_matches_the_pairwise_check(self, table):
-        count = len(table)
-        asked = []
+@settings(max_examples=120, deadline=None)
+@given(symmetric_tables())
+def test_mirrored_check_counts_what_the_pairwise_check_counts(table):
+    count = len(table)
+    asked = []
 
-        def fails(i, j):
-            asked.append((i, j))
-            return table[i][j]
+    def bad_from(i):
+        asked.extend((i, j) for j in range(i, count))
+        return [j for j in range(i, count) if table[i][j]]
 
-        got = sweep(count, lambda: symmetric(pairwise(fails)))
-        assert got == sweep(count, lambda: pairwise(lambda i, j: table[i][j]))
-        # each unordered pair once, the diagonal included
-        upper = itertools.combinations_with_replacement(range(count), 2)
-        assert sorted(asked) == list(upper)
+    got = sweep(count, lambda: mirrored(bad_from))
+    every = pairwise(lambda i, j: table[i][j])
+    want = sweep(count, lambda: every)
+    assert got.pairs_checked == want.pairs_checked
+    assert got.violation_count == want.violation_count
+    # each unordered pair once, the diagonal included, in row order
+    upper = list(itertools.combinations_with_replacement(range(count), 2))
+    assert asked == upper
+    failures = [(i, j) for i in range(count) for j in every(i, range(count))[1]]
+    assert list(got.violations) == [(i, j) for i, j in failures if i <= j][:REPORT_CAP]
 
-    def test_dense_failures_fill_the_report_in_pair_order(self):
-        got = sweep(12, lambda: symmetric(pairwise(lambda i, j: True)))
-        assert got.violation_count == 144
-        first = itertools.islice(itertools.product(range(12), repeat=2), REPORT_CAP)
-        assert got.violations == tuple(first)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [1],  # row 0 skipped
-            [0, 2],  # row 1 skipped
-            [0, 1, 1],  # a row twice
-            [0, 1, 2, 3, 0],  # a second sweep through one check
-        ],
-        ids=["first-skipped", "middle-skipped", "repeated", "restarted"],
-    )
-    def test_refuses_rows_out_of_order(self, rows):
-        check = symmetric(pairwise(lambda i, j: False))
-        *before, last = rows
-        for i in before:
-            check(i, range(4))
-        with pytest.raises(ValueError, match="whole rows in index order"):
-            check(last, range(4))
+@pytest.mark.parametrize(
+    "bad,count",
+    [([], 0), ([2], 1), ([3], 2), ([2, 3], 3), ([2, 3, 4, 5], 7)],
+    ids=["none", "diagonal", "off-diagonal", "both", "whole-row"],
+)
+def test_mirrored_counts_the_diagonal_once_and_the_rest_twice(bad, count):
+    check = mirrored(lambda i: bad)
+    assert check(2, range(6)) == (count, bad)
 
-    @pytest.mark.parametrize(
-        "cols",
-        [(2,), range(1, 4), range(0, 4, 2), [0, 1, 2, 3], range(0)],
-        ids=["sampled-pair", "tail", "strided", "list", "empty"],
-    )
-    def test_refuses_partial_rows(self, cols):
-        check = symmetric(pairwise(lambda i, j: False))
-        with pytest.raises(ValueError, match="whole rows in index order"):
-            check(0, cols)
 
-    def test_refuses_a_row_of_another_width(self):
-        check = symmetric(pairwise(lambda i, j: False))
-        check(0, range(4))
-        with pytest.raises(ValueError, match="whole rows in index order"):
-            check(1, range(5))
+def test_mirrored_dense_failures_fill_the_report_in_row_order():
+    got = sweep(12, lambda: mirrored(lambda i: list(range(i, 12))))
+    assert got.violation_count == 144
+    upper = itertools.combinations_with_replacement(range(12), 2)
+    assert got.violations == tuple(itertools.islice(upper, REPORT_CAP))
 
-    def test_refuses_sample_mode(self):
-        def never(i, j):
-            raise AssertionError("evaluated a sampled pair")
 
-        check = symmetric(pairwise(never))
-        with pytest.raises(ValueError, match="whole rows in index order"):
-            sweep(4, lambda: check, sample=3, rng=random.Random(0))
+@pytest.mark.parametrize(
+    "rows",
+    [[1], [0, 2], [0, 1, 1], [0, 1, 2, 3, 0]],
+    ids=["first-skipped", "middle-skipped", "repeated", "restarted"],
+)
+def test_mirrored_rows_are_the_same_in_any_order(rows):
+    """Each row's result is its own: no row depends on the rows checked
+    before it, or on the columns it is given."""
+
+    def bad_from(i):
+        return [j for j in range(i, 4) if (i + j) % 3 == 0]
+
+    fresh = [mirrored(bad_from)(i, ()) for i in range(4)]
+    check = mirrored(bad_from)
+    assert [check(i, range(4)) for i in rows] == [fresh[i] for i in rows]
+    assert fresh == [(3, [0, 3]), (2, [2]), (0, []), (1, [3])]
+
+
+def test_row_checks_keep_no_state():
+    """A row check is a function of its row alone: ``parallel`` rebinds
+    no name of an enclosing scope, so no check counts or replays rows."""
+    tree = ast.parse(Path(parallel.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 512, 2048, 2187, 3**15, 2**64 + 1])
