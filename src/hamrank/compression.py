@@ -15,23 +15,14 @@ without checking it.
 The families that matter are diagonal products {Diag(z) : z in D_1 x ... x
 D_n}, e.g. the (2|A|-1)^n difference patterns of words over an alphabet A.
 They are kept as the value sets D_p and checked exactly, in index order, by
-rows of packed determinants: C(z) adds one rank-one term per position, so
-det C(z) is a sum of c-fold monomials z^S with coefficients det C(1_S), and
-splitting z into a prefix and a suffix makes it the dot product of the
-prefix's monomials with the suffix's partly evaluated coefficients.  One row
-of packed big-integer dots (``parallel.packed_nonzero``) gives a whole
-prefix's determinants at once.  Below the rank cap k a member's rank
-depends only on its support, checked once per support; exact Bareiss ranks
-of members are left for failures.  No pattern list and no matrix object is
-built per member.  The same prefix and suffix vectors (``det_vectors``)
-are what ``signcompile`` packs into build-sign's exact oracle values.
+rows of packed determinants (``_diagonal_shortfalls``), with no pattern list
+and no matrix object per member.  The same prefix and suffix vectors
+(``det_vectors``) are what ``signcompile`` packs into build-sign's exact
+oracle values.
 
-Explicit families are difference families {B_x - B_y}: the all-pairs
-differences of a rank problem's maps.  The compressor is linear, so a
-check compresses each of the N bases once, not each of up to N(N+1)/2
-members, and ranks member (x, y) as the difference of two compressed
-bases.  Member ranks are computed
-once per family and shared by every draw and every fit over it.
+Explicit families are the all-pairs difference families {B_x - B_y} of a
+rank problem's maps (``MatFamily.differences``): a check compresses each
+base once and eliminates one compressed difference per member.
 
 When the target is at least as large as the source, the identity embedding
 avoids randomness altogether.
@@ -43,7 +34,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add, sub
 from typing import Callable, Iterator, Sequence
@@ -54,7 +45,7 @@ from .errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from .exact import Mat, det_exact, int_from_json, rank_exact
+from .exact import Mat, bareiss, det_exact, int_from_json, rank_exact
 from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
@@ -88,7 +79,8 @@ class MatFamily:
     for each distinct member in first-occurrence order, the first pair
     (x, y) with B_x - B_y equal to it (``pairs``).  A compressor is linear,
     L (B_x - B_y) R^T = L B_x R^T - L B_y R^T, so a check compresses each
-    base once and ranks one k x k difference per member.
+    base once and ranks one k x k difference per member.  ``rank(x, y)``,
+    a rank problem's ``rank_fn``, states the rank of B_x - B_y.
 
     A diagonal product family {Diag(z) : z in D_1 x ... x D_n} is given by
     the sorted value sets D_p (``diag_values``) and never materialized.
@@ -100,13 +92,15 @@ class MatFamily:
     bases: tuple[Mat, ...] | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
     diag_values: tuple[tuple[int, ...], ...] | None = None
+    rank: Callable[[int, int], int] | None = field(default=None, compare=False)
+    _compressed: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         if (self.bases is None) == (self.diag_values is None):
             raise ValueError("exactly one of bases/diag_values must be given")
 
     @classmethod
-    def differences(cls, bases: Sequence[Mat]) -> "MatFamily":
+    def differences(cls, bases: Sequence[Mat], rank=None) -> "MatFamily":
         """The family {B_x - B_y : x <= y} of the bases' differences,
         deduplicated in x-major order, each member kept at its first pair;
         x > y would only negate a member."""
@@ -120,7 +114,7 @@ class MatFamily:
         for x, y in itertools.combinations_with_replacement(range(len(bases)), 2):
             diff = tuple(map(sub, bases[x].entries, bases[y].entries))
             first.setdefault(diff, (x, y))
-        return cls(shape=shape, bases=bases, pairs=tuple(first.values()))
+        return cls(shape, bases, tuple(first.values()), rank=rank)
 
     @classmethod
     def diagonal_differences(cls, n: int, alphabet: Sequence[int]) -> "MatFamily":
@@ -169,9 +163,18 @@ class MatFamily:
 
     @cached_property
     def member_ranks(self) -> tuple[int, ...]:
-        """Rank of every member of a difference family, in index order;
-        computed once per family, however many draws check it."""
-        return tuple(rank_exact(self.member(i)) for i in range(self.size))
+        """Rank of every member of a difference family, in index order,
+        ``rank`` at its first pair or else Bareiss on the member; computed
+        once per family, however many draws check it."""
+        rank = self.rank or (lambda x, y: rank_exact(self.bases[x] - self.bases[y]))
+        return tuple(rank(x, y) for x, y in self.pairs)
+
+    def compressed(self, comp: "Compressor") -> tuple[Mat, ...]:
+        """C(B_0), ..., C(B_(N-1)), computed once per compressor."""
+        key = (comp.left, comp.right)
+        if key not in self._compressed:
+            self._compressed[key] = tuple(map(comp.apply, self.bases))
+        return self._compressed[key]
 
 
 # -------------------------------------------------------------------
@@ -478,10 +481,11 @@ def _shortfalls(comp: Compressor, family: MatFamily) -> Iterator[tuple[int, int,
     if family.is_diagonal:
         yield from _diagonal_shortfalls(comp, family.diag_values)
         return
-    compressed = [comp.apply(base) for base in family.bases]
+    k = comp.left.rows
+    rows = [[c.row(i) for i in range(k)] for c in family.compressed(comp)]
     for index, ((x, y), rank) in enumerate(zip(family.pairs, family.member_ranks)):
-        required = min(rank, comp.left.rows)
-        achieved = rank_exact(compressed[x] - compressed[y])
+        required = min(rank, k)
+        achieved = bareiss([list(map(sub, *pair)) for pair in zip(rows[x], rows[y])])[0]
         if achieved != required:
             yield index, achieved, required
 
@@ -497,7 +501,7 @@ def _violation(family: MatFamily, index: int, achieved: int, required: int) -> d
 
 def verify_compressor(comp: Compressor, family: MatFamily) -> SweepReport:
     """Exhaustively check rank(apply(M)) == min(rank(M), k) over the family,
-    for the compressor's k x k target.
+    for the compressor's k x k target and a difference family's member ranks.
 
     Deterministic: members are visited in index order.  The report's
     ``pairs_checked`` is the family size; it counts every violating member
@@ -508,12 +512,9 @@ def verify_compressor(comp: Compressor, family: MatFamily) -> SweepReport:
             f"compressor source {comp.source_shape} does not match family "
             f"shape {family.shape}"
         )
-    first: list[tuple[int, int, int]] = []
-    count = 0
-    for shortfall in _shortfalls(comp, family):
-        count += 1
-        if count <= REPORT_CAP:
-            first.append(shortfall)
+    shortfalls = _shortfalls(comp, family)
+    first = list(itertools.islice(shortfalls, REPORT_CAP))
+    count = len(first) + sum(1 for _ in shortfalls)
     records = tuple(_violation(family, *shortfall) for shortfall in first)
     return SweepReport(family.size, count, records)
 
@@ -529,12 +530,6 @@ def certified(comp: Compressor, report: SweepReport) -> Compressor:
             member=report.violations[0],
         )
     return replace(comp, verified=True)
-
-
-def _identity_embedding(a: int, b: int, size: int, seed: int) -> Compressor:
-    left = Mat(size, a, tuple(int(i == j) for i in range(size) for j in range(a)))
-    right = Mat(size, b, tuple(int(i == j) for i in range(size) for j in range(b)))
-    return Compressor(left, right, seed, verified=False, method="identity")
 
 
 def fit_compressor(family: MatFamily, size: int, seed: int) -> Compressor:
@@ -558,7 +553,11 @@ def fit_compressor(family: MatFamily, size: int, seed: int) -> Compressor:
     a, b = family.shape
     if size >= max(a, b):
         # cannot fail: the embedding preserves rank exactly
-        comp = _identity_embedding(a, b, size, seed)
+        left, right = (
+            Mat(size, c, tuple(int(i == j) for i in range(size) for j in range(c)))
+            for c in (a, b)
+        )
+        comp = Compressor(left, right, seed, verified=False, method="identity")
         return certified(comp, verify_compressor(comp, family))
 
     rng = random.Random(seed)

@@ -11,14 +11,13 @@ threshold tree, one verified support rep per change point of the step
 function, and closes problems under distance-r composition using capped
 rank sums and multiset fingerprint decoding.
 
-Every resize of a problem's maps, for combination, sign pieces or
-composition, goes through ``_compress_problem``, which fits over the
-problem's difference family {A(x) - A(y) : x <= y}
-(``RankProblem.differences``), built with its member ranks once per
-problem.  The sign pieces of one problem and the thresholds of one capped
-sum share it, and ``to_sign_rep`` compiles on one pair per member, against
-g of its rank.  Construction is deterministic per seed; every fitted
-compressor carries its own exhaustive family verification.
+Every resize of a problem's maps goes through ``_compress_problem``, which
+fits over the problem's difference family {A(x) - A(y) : x <= y}
+(``RankProblem.differences``), built once per problem with each member's
+rank from ``rank_fn`` at its first pair.  The fit eliminates every
+compressed member against that rank, and nothing eliminates an
+uncompressed member, so each constructor's rank source is its own proof
+obligation (see ``RankProblem``).  Construction is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import prod
+from operator import sub
 from typing import Callable, Mapping, Sequence
 
 from .compression import MatFamily, fit_compressor, nth_product, word_map
@@ -57,18 +57,19 @@ class RankProblem:
 
     ``g`` is tabulated on {0, ..., order}, order = len(g) - 1; ranks above
     the order are capped before lookup, which is harmless because g is
-    constant there.  ``rank_fn(x, y)`` is the exact rank of A(x) - A(y),
-    and each constructor states its source: ``symmetric_problem`` eliminates
-    the difference (the reference for hand-written maps); ``_hamming_problem``
-    and ``_compress_problem`` take min(dist, k) and min(rank, size), which
-    their fits checked on every difference; ``_block_problem`` sums weighted
-    block ranks; ``problem_from_json`` sums its pattern blocks' ranks.
+    constant there.  ``rank_fn(x, y)`` is the exact rank of A(x) - A(y);
+    fits over ``differences`` check their compressed members against it and
+    rank no member otherwise, so each constructor proves its source:
+    ``symmetric_problem`` eliminates the difference; ``_hamming_problem``
+    takes min(dist, k) and ``_compress_problem`` min(rank, size), each
+    proved by its fit; ``_block_problem`` sums weighted block ranks, rank
+    being additive over blocks; ``problem_from_json`` sums its pattern
+    blocks' Bareiss ranks.
 
     Every problem is symmetric: ``eval(x, y) == eval(y, x)``, because
     A(y) - A(x) = -(A(x) - A(y)) and rank(M) = rank(-M), and each
-    ``rank_fn`` above is symmetric too (min(dist, k), a cap of a symmetric
-    rank, a weighted sum of symmetric ranks, or a rank of the difference).
-    The composition check decides each unordered pair once on this contract.
+    ``rank_fn`` above is symmetric too.  The composition check decides each
+    unordered pair once on this contract.
     """
 
     index_count: int
@@ -92,9 +93,10 @@ class RankProblem:
     @cached_property
     def differences(self) -> MatFamily:
         """{A(x) - A(y) : x <= y} as a difference family over the maps
-        A(0), ..., A(index_count - 1), built once per problem, so every fit
-        over it shares one family and one set of member ranks."""
-        return MatFamily.differences(map(self.a_map, range(self.index_count)))
+        A(0), ..., A(index_count - 1), ranked by ``rank_fn``; built once per
+        problem, so every fit over it shares one family and member ranks."""
+        bases = map(self.a_map, range(self.index_count))
+        return MatFamily.differences(bases, self.rank_fn)
 
 
 def symmetric_problem(
@@ -169,22 +171,19 @@ def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     """``p`` on size x size maps, every rank capped at size, evaluation at
     order <= size preserved; the one way this module resizes a problem.
 
-    Maps already size x size are kept (ranks are at most size); size 0
-    gives 0 x 0 maps of rank 0.  Otherwise a compressor is fitted over
-    ``p.differences``, {A(x) - A(y) : x <= y}, the one difference family of
-    ``p`` that every resize of it shares: L (A(x) - A(y)) R^T is the
-    difference of the compressed maps, of rank min(rank(A(x) - A(y)),
-    size), which the fit checked on every member; the compressor is
-    linear, so x > y negates a member.
+    Maps already size x size are kept; size 0 gives 0 x 0 maps of rank 0.
+    Otherwise a compressor C is fitted over ``p.differences``, which every
+    resize of ``p`` shares, and the maps are the bases its accepted draw
+    compressed: C(A(x)) - C(A(y)) = C(A(x) - A(y)) by linearity, of rank
+    min(rank_fn(x, y), size), which the fit checked on every member.
     """
     if p.a_map(0).shape == (size, size):
         return p
     if size == 0:
         return _block_problem([], p.index_count, p.g, f"norm({p.name})")
     family = p.differences
-    comp = fit_compressor(family, size, seed)
-    a_map = cache(lambda x: comp.apply(family.bases[x]))
-    rank_fn = cache(lambda x, y: min(p.rank_fn(x, y), size))
+    a_map = family.compressed(fit_compressor(family, size, seed)).__getitem__
+    rank_fn = lambda x, y: min(p.rank_fn(x, y), size)  # noqa: E731
     return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
 
 
@@ -192,13 +191,22 @@ def _block_problem(
     parts: Sequence[tuple], index_count: int, g: Sequence[int], name: str
 ) -> RankProblem:
     """A(x) places, per part (w, P, imap), w copies of P's A(imap(x)) along
-    the diagonal; rank is additive, so a pair ranks sum w * rank_P."""
+    the diagonal; rank is additive, so a pair ranks sum w * rank_P, summed
+    part by part for every y >= x when row x is first asked."""
 
     def a_map(x: int) -> Mat:
         return block_diag([p.a_map(imap(x)) for w, p, imap in parts for _ in range(w)])
 
+    @cache
+    def row(x: int) -> list[int]:
+        ys, sums = range(x, index_count), [0] * (index_count - x)
+        for w, p, imap in parts:
+            ix, rank = imap(x), p.rank_fn
+            sums = [s + w * rank(ix, imap(y)) for s, y in zip(sums, ys)]
+        return sums
+
     def rank_fn(x: int, y: int) -> int:
-        return sum(w * p.rank_fn(imap(x), imap(y)) for w, p, imap in parts)
+        return row(x)[y - x] if x <= y else row(y)[x - y]
 
     return RankProblem(index_count, a_map, tuple(g), rank_fn, name)
 
@@ -298,8 +306,8 @@ def to_sign_rep(p: RankProblem, seed: int = 0) -> SignForm:
     ``piece_support_rep``, the least dimension of any threshold tree.  More
     than COMPOSE_PAIR_BUDGET index pairs, or a tree dimension
     ``threshold_dim(p.g)`` above ``MAX_SIGN_DIM``, are refused before any
-    piece is fitted.  The sign is checked against g(rank), from the member
-    ranks of ``p.differences``, on each member's first pair (x, y): once
+    piece is fitted.  The sign is checked against ``p.eval`` on the first
+    pair (x, y) of each member of ``p.differences``: once
     the det-sum identity is proved, a piece's dot is det(C(B_x - B_y)), C
     linear, and the form reads it only through s^2, so all pairs of a
     member, (y, x) too, take its values.
@@ -312,9 +320,8 @@ def to_sign_rep(p: RankProblem, seed: int = 0) -> SignForm:
     cols: list[list[int]] = [[] for _ in range(p.index_count)]
     for x, y in p.differences.pairs:
         cols[x].append(y)
-    rank = dict(zip(p.differences.pairs, p.differences.member_ranks))
     rows = replace(domain_rows(range(p.index_count)), cols=cols)
-    return compile_tree(tree, rows, lambda x, y: p.g[min(rank[x, y], p.order)])
+    return compile_tree(tree, rows, p.eval)
 
 
 # -------------------------------------------------------------------
@@ -580,9 +587,10 @@ def problem_from_json(doc: dict) -> RankProblem:
     equal cuts have equal differences on every pair, so a table of w_i
     copies of A_i (``bool_combine``'s layout) ranks each A_i once, weighted
     by w_i.  Every A(x) - A(y) is zero outside the blocks, so the loaded
-    ``rank_fn`` adds 0 for a block whose two cuts are equal and w times the
-    Bareiss rank of the block difference for every other block, memoized
-    per pair; ``meta["exact_rechecks"]`` counts those eliminations.
+    ``rank_fn``, memoized per pair, adds 0 for a block whose two cuts are
+    equal and w times the Bareiss rank of the block difference for every
+    other block, eliminated once per distinct difference;
+    ``meta["exact_rechecks"]`` counts those eliminations.
     """
     if doc.get("schema") != "hamrank-rankproblem/1":
         raise ValueError(f"not a rank-problem document: {doc.get('schema')!r}")
@@ -610,14 +618,18 @@ def problem_from_json(doc: dict) -> RankProblem:
     meta = {"exact_rechecks": 0}
 
     @cache
+    def block_rank(diff: tuple[tuple[int, ...], ...]) -> int:
+        meta["exact_rechecks"] += 1
+        return bareiss(list(map(list, diff)))[0]
+
+    @cache
     def rank_fn(x: int, y: int) -> int:
         total = 0
         for cut, w in copies.items():
             bx, by = cut[x], cut[y]
             if bx != by:
-                meta["exact_rechecks"] += 1
-                diff = [[p - q for p, q in zip(rx, ry)] for rx, ry in zip(bx, by)]
-                total += w * bareiss(diff)[0]
+                diff = tuple(tuple(map(sub, *rows)) for rows in zip(bx, by))
+                total += w * block_rank(diff)
         return total
 
     return RankProblem(count, a_tab.__getitem__, g, rank_fn, doc.get("name", ""), meta)

@@ -707,10 +707,11 @@ class TestComposeCommands:
 
     def test_rp_verify_counts_its_exact_rechecks(self, exact_2_of_6, monkeypatch):
         """The table's 13 pattern blocks (one 3 x 3, eight 2 x 2, four
-        1 x 1) are copies of 3 distinct ones, each eliminated once on each
-        of the 2,016 pairs x < y, whose cuts all differ; the 64 pairs x = y
-        eliminate nothing.  The count is timing, so the report's canonical
-        bytes stay the benchmark's."""
+        1 x 1) are copies of 3 distinct ones.  The 2,016 pairs x < y, whose
+        cuts all differ, meet 364 distinct differences of each, and each
+        distinct difference is eliminated once; the 64 pairs x = y eliminate
+        nothing.  The count is timing, so the report's canonical bytes stay
+        the benchmark's."""
         from hamrank import rankprob
 
         sizes = []
@@ -723,11 +724,11 @@ class TestComposeCommands:
         assert main(argv + ["--report", "rp-verify.report.json"]) == 0
         with open("rp-verify.report.json") as fh:
             report = json.load(fh)
-        assert report["timing"]["exact_rechecks"] == 6048
+        assert report["timing"]["exact_rechecks"] == 3 * 364
         # the spec's six 2-index inners load through the same function and
         # eliminate their 1 x 1 difference once per order the semantics
         # asks: the leading coordinate's inner as (0, 1) only, so 1 + 5 * 2
-        assert Counter(sizes) == {1: 2016 + 11, 2: 2016, 3: 2016}
+        assert Counter(sizes) == {1: 364 + 11, 2: 364, 3: 364}
         del report["timing"]
         canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
         want = json.loads(PERFBENCH_DIGESTS.read_text())["compose"]

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import replace
-from functools import cache, cached_property
+from functools import cache
 from math import comb, prod
 from types import SimpleNamespace
 
@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamrank import compression, rankprob, signcompile
+from hamrank import compression, exact, rankprob, signcompile
 from hamrank.errors import (
     BudgetExceededError,
     InconsistentFingerprintError,
     InputError,
     PatternViolationError,
+    RetriesExhaustedError,
     SizeMismatchError,
 )
 from hamrank.exact import Mat, pattern_blocks
@@ -121,14 +122,18 @@ def repeated_block_doc() -> dict:
 
 
 def differing_blocks(table, blocks, x, y):
-    """The blocks of ``table`` (from ``pattern_blocks``) on which A(x) and
-    A(y) differ."""
-    width = table[0].shape[1]
+    """The differences A(x) - A(y), as tuples of rows, on the blocks of
+    ``table`` (from ``pattern_blocks``) where the two maps differ."""
+    diffs = (
+        tuple(tuple(table[x].at(i, j) - table[y].at(i, j) for j in cols) for i in rows)
+        for rows, cols in blocks
+    )
+    return [diff for diff in diffs if any(map(any, diff))]
 
-    def cut(z, rows, cols):
-        return [table[z].entries[i * width + j] for i in rows for j in cols]
 
-    return [(r, c) for r, c in blocks if cut(x, r, c) != cut(y, r, c)]
+def as_tuples(a):
+    """The rows of ``a`` as a tuple of tuples."""
+    return tuple(map(tuple, a))
 
 
 def recorded_bareiss(monkeypatch, record=lambda a: (len(a), len(a[0]))):
@@ -407,6 +412,17 @@ class TestBoolCombine:
             bool_combine(lambda bits: bits[0] | bits[1], [four, eight])
 
 
+def workload_spec(name: str, seed: int) -> CompositionSpec:
+    """The compose workload's cc-hd or exact-2-of-6 spec at ``seed``, through
+    its JSON form, so the inners are loaded problems as the CLI's are."""
+    if name == "cc-hd":
+        spec = example_cc_hd(1, 2, 2, 3, seed=seed)
+    else:
+        inequality = hd_rank_problem(1, 1, seed=seed)
+        spec = CompositionSpec(r=2, h=(0, 0, 1), inners=(inequality,) * 6)
+    return spec_from_json(spec_to_json(spec))
+
+
 def reference_maps(mats, size, seed):
     """The compressed maps by definition: zero padding when the maps fit
     in size x size, else the draw that a member-by-member check of the
@@ -449,17 +465,31 @@ class TestCompressProblem:
         assert p.differences.size == members
 
     def test_compose_ranks_each_family_once_for_all_its_fits(self, monkeypatch):
+        """Every difference family a composition fits takes its member
+        ranks from its problem's ``rank_fn``, asked once per member at the
+        member's first pair however many fits share the family; no
+        uncompressed member is built."""
         spec = example_cc_hd(1, 2, 2, 3, seed=31)
-        ranked, fits = [], []
-        member_ranks = compression.MatFamily.member_ranks
+        made, fits, members = [], [], []
+        differences = compression.MatFamily.differences.__func__
 
-        def count_ranks(family):
-            ranked.append(family)
-            return member_ranks.func(family)
+        def record_ranks(cls, bases, rank=None):
+            asked = []
+            family = differences(
+                cls, bases, lambda x, y: asked.append((x, y)) or rank(x, y)
+            )
+            made.append((family, asked))
+            return family
 
-        counted = cached_property(count_ranks)
-        counted.__set_name__(compression.MatFamily, "member_ranks")
-        monkeypatch.setattr(compression.MatFamily, "member_ranks", counted)
+        monkeypatch.setattr(
+            compression.MatFamily, "differences", classmethod(record_ranks)
+        )
+        member = compression.MatFamily.member
+        monkeypatch.setattr(
+            compression.MatFamily,
+            "member",
+            lambda family, i: members.append(i) or member(family, i),
+        )
         fit = rankprob.fit_compressor
 
         def record_fit(family, size, seed):
@@ -469,12 +499,107 @@ class TestCompressProblem:
 
         monkeypatch.setattr(rankprob, "fit_compressor", record_fit)
         distance_r_compose(spec, seed=32)
-        assert len({id(f) for f in ranked}) == len(ranked)
+        assert members == []
+        assert all(asked == list(f.pairs) for f, asked in made if asked)
+        ranked = [f for f, asked in made if asked]
         sizes = {id(f): [s for g, s in fits if g is f] for f in ranked}
         assert {id(f) for f, _ in fits} == sizes.keys()
         # the inner at cap 1 (one family for the three coordinates), each
         # capped sum's block assembly, and each capped sum at its thresholds
         assert sorted(sizes.values()) == [[1], [1, 1, 1], [1, 2, 3], [2], [4]]
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("name", ["cc-hd", "exact-2-of-6"])
+    def test_compose_member_ranks_are_the_dense_ranks(self, monkeypatch, name, seed):
+        """Every difference family a workload composition fits ranks its
+        members by its problem's ``rank_fn``, and each rank is the
+        reference's rank of the member built by definition."""
+        fitted = {}
+        fit = rankprob.fit_compressor
+
+        def record_fit(family, size, seed):
+            if not family.is_diagonal:
+                fitted[id(family)] = family
+            return fit(family, size, seed)
+
+        monkeypatch.setattr(rankprob, "fit_compressor", record_fit)
+        distance_r_compose(workload_spec(name, seed), seed=seed)
+        assert len(fitted) == {"cc-hd": 7, "exact-2-of-6": 2}[name]
+        for family in fitted.values():
+            members = distinct_differences(family.bases)
+            assert family.rank is not None
+            assert family.member_ranks == tuple(
+                reference.rank(m.to_lists()) for m in members
+            )
+
+    def test_an_overstated_rank_fails_every_draw(self):
+        """The fit checks each compressed member against ``rank_fn``: a
+        ``rank_fn`` that states rank 2 for a rank-1 difference, below the
+        target size 2, leaves no draw that passes."""
+        rng = random.Random(61)
+        mats = [random_mat(rng, 3, 3, bound=3) for _ in range(5)]
+        mats.append(mats[0] + Mat.from_rows([[1, 2, 0], [2, 4, 0], [3, 6, 0]]))
+        p = symmetric_problem(6, mats.__getitem__, (0, 1, 0))
+        assert p.rank_fn(0, 5) == 1
+        assert rankprob._compress_problem(p, 2, seed=62).a_map(5).shape == (2, 2)
+        overstated = replace(
+            p, rank_fn=lambda x, y: 2 if {x, y} == {0, 5} else p.rank_fn(x, y)
+        )
+        with pytest.raises(RetriesExhaustedError) as info:
+            rankprob._compress_problem(overstated, 2, seed=62)
+        index = overstated.differences.pairs.index((0, 5))
+        assert info.value.member["index"] == index
+        assert (info.value.achieved, info.value.required) == (1, 2)
+
+    def test_workload_cc_hd_eliminates_compressed_members_only(self, monkeypatch):
+        """The compose workload's seed-7 cc-hd build eliminates 2,226
+        matrices: 2,205 compressed k x k members, k <= 4, in the fits'
+        checks, 15 in the gate's diagonal walk and 6 block differences of
+        the loaded inners.  It applies a compressor 396 times: each base of
+        a fitted family once per draw, and no base again for the maps."""
+        spec = workload_spec("cc-hd", 7)
+        shapes = Counter()
+        bareiss = exact.bareiss
+        for module in (exact, compression, rankprob):
+            name = module.__name__
+
+            def counted(a, name=name):
+                shapes[name, len(a), len(a[0]) if a else 0] += 1
+                return bareiss(a)
+
+            monkeypatch.setattr(module, "bareiss", counted)
+        applied, fits = [], []
+        apply = compression.Compressor.apply
+        monkeypatch.setattr(
+            compression.Compressor,
+            "apply",
+            lambda comp, m: applied.append(m) or apply(comp, m),
+        )
+        fit = rankprob.fit_compressor
+
+        def record_fit(family, size, seed):
+            comp = fit(family, size, seed)
+            fits.append((family, comp))
+            return comp
+
+        monkeypatch.setattr(rankprob, "fit_compressor", record_fit)
+        distance_r_compose(spec, seed=7)
+        by_module = Counter()
+        for (name, _, _), count in shapes.items():
+            by_module[name] += count
+        assert by_module == {
+            "hamrank.compression": 2205, "hamrank.exact": 15, "hamrank.rankprob": 6
+        }
+        checked = {
+            (rows, cols): count
+            for (name, rows, cols), count in shapes.items()
+            if name == "hamrank.compression"
+        }
+        assert checked == {(1, 1): 745, (2, 2): 730, (3, 3): 365, (4, 4): 365}
+        draws = sum(
+            len(f.bases) * (comp.retries + 1) for f, comp in fits if not f.is_diagonal
+        )
+        assert len(applied) == draws == 396
 
 
 def tree_dim(tree) -> int:
@@ -974,32 +1099,38 @@ class TestSerialization:
             assert built.rank_fn(x, y) == dense
 
     def test_loaded_rank_takes_every_path(self, monkeypatch):
-        """Each block of ``every_path_doc`` is eliminated on exactly the
-        pairs whose two cuts differ, and adds 0 on the others: the 5 x 5
-        block on pair (0, 1), every block on the diagonal."""
+        """Each block of ``every_path_doc`` adds 0 on the pairs whose two
+        cuts are equal and is eliminated on the others, once per distinct
+        difference: the 5 x 5 block on pair (0, 1), every block on the
+        diagonal, and a difference met again (index 0 to 1 and 1 to 2 on
+        the 3 x 3 block) is not eliminated again."""
         doc = every_path_doc()
         table = [Mat.from_json(m) for m in doc["a"]]
         blocks = pattern_blocks(table)
         assert sorted((len(r), len(c)) for r, c in blocks) == [
             (2, 2), (2, 3), (3, 3), (5, 5)
         ]
-        shapes = recorded_bareiss(monkeypatch)
+        eliminated = recorded_bareiss(monkeypatch, record=as_tuples)
         loaded = problem_from_json(doc)
+        seen, differing_total = set(), 0
         for x, y in itertools.combinations_with_replacement(range(6), 2):
-            before = len(shapes)
+            before = len(eliminated)
             dense = reference.rank((table[x] - table[y]).to_lists())
             assert loaded.rank_fn(x, y) == dense
-            differing = [
-                (len(rows), len(cols))
-                for rows, cols in differing_blocks(table, blocks, x, y)
-            ]
-            assert Counter(shapes[before:]) == Counter(differing), (x, y)
-            assert ((5, 5) in differing) == (x != y and (x, y) != (0, 1))
-        assert loaded.meta["exact_rechecks"] == len(shapes)
+            differing = differing_blocks(table, blocks, x, y)
+            differing_total += len(differing)
+            new = [diff for diff in dict.fromkeys(differing) if diff not in seen]
+            seen.update(new)
+            assert Counter(eliminated[before:]) == Counter(new), (x, y)
+            shapes = {(len(diff), len(diff[0])) for diff in differing}
+            assert ((5, 5) in shapes) == (x != y and (x, y) != (0, 1))
+        assert loaded.meta["exact_rechecks"] == len(eliminated) == len(seen)
+        assert len(seen) < differing_total
 
     def test_equal_copies_rank_once_and_an_odd_copy_alone(self, monkeypatch):
         """On ``repeated_block_doc`` each pair eliminates the difference of
-        the two equal copies once and that of the odd copy once."""
+        the two equal copies once, and that of the odd copy only where it
+        is another difference: on the three pairs with index 2."""
         doc = repeated_block_doc()
         assert_loaded_ranks_are_dense(doc)
         eliminated = recorded_bareiss(monkeypatch, record=lambda a: sum(a, []))
@@ -1007,29 +1138,31 @@ class TestSerialization:
         for x, y in itertools.combinations(range(4), 2):
             before = len(eliminated)
             loaded.rank_fn(x, y)
-            copies = [
-                [p - q for p, q in zip(block[x], block[y])]
+            copies = {
+                tuple(p - q for p, q in zip(block[x], block[y]))
                 for block in (REPEATED, ODD)
-            ]
-            assert sorted(eliminated[before:]) == sorted(copies), (x, y)
-        assert loaded.meta["exact_rechecks"] == len(eliminated) == 2 * 6
+            }
+            assert sorted(map(tuple, eliminated[before:])) == sorted(copies), (x, y)
+            assert len(copies) == 1 + (2 in (x, y))
+        assert loaded.meta["exact_rechecks"] == len(eliminated) == 6 + 3
 
     def test_each_block_and_pair_is_eliminated_once(self, monkeypatch):
-        """The per-pair memo: two full passes of ``rank_fn`` and ``eval``
-        over every ordered pair eliminate each block of a pair whose cuts
-        differ exactly once."""
+        """The memos: two full passes of ``rank_fn`` and ``eval`` over every
+        ordered pair eliminate each distinct block difference exactly once,
+        fewer than the blocks on which the pairs differ."""
         doc = every_path_doc()
         table = [Mat.from_json(m) for m in doc["a"]]
         blocks = pattern_blocks(table)
-        shapes = recorded_bareiss(monkeypatch)
+        eliminated = recorded_bareiss(monkeypatch, record=as_tuples)
         loaded = problem_from_json(doc)
         pairs = list(itertools.product(range(6), repeat=2))
         for _ in range(2):
             for x, y in pairs:
                 loaded.rank_fn(x, y)
                 loaded.eval(x, y)
-        want = sum(len(differing_blocks(table, blocks, x, y)) for x, y in pairs)
-        assert len(shapes) == loaded.meta["exact_rechecks"] == want
+        differing = [d for x, y in pairs for d in differing_blocks(table, blocks, x, y)]
+        assert sorted(eliminated) == sorted(set(differing))
+        assert loaded.meta["exact_rechecks"] == len(set(differing)) < len(differing)
 
     def test_empty_table_loads(self):
         doc = problem_to_json(neq_inner())
