@@ -18,7 +18,8 @@ They are kept as the value sets D_p and checked exactly, in index order, by
 rows of packed determinants (``_diagonal_shortfalls``), with no pattern list
 and no matrix object per member.  The same prefix and suffix vectors
 (``det_vectors``) are what ``signcompile`` packs into build-sign's exact
-oracle values.
+oracle values, read back from each oracle's own family walk
+(``shared_det_vectors``).
 
 Explicit families are the all-pairs difference families {B_x - B_y} of a
 rank problem's maps (``MatFamily.differences``): a check compresses each
@@ -34,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add, sub
@@ -394,6 +396,25 @@ def _diagonal_shortfalls(
                 yield i * count + j, achieved, required
 
 
+# det_vectors' results inside shared_det_vectors, else None: a plain
+# variable, as hamrank runs in one thread, where contextvars would load a
+# shared library into every process
+_shared: dict | None = None
+
+
+@contextmanager
+def shared_det_vectors() -> Iterator[None]:
+    """Inside the block, ``det_vectors`` expands each of its argument tuples
+    once, so a call for an oracle that a family walk checked reads the
+    walk's vectors back; they are dropped when the block ends."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def det_vectors(
     comp: Compressor, values: tuple[tuple[int, ...], ...], split: int
 ) -> tuple[list[list[int]], list[list[int]]]:
@@ -404,6 +425,9 @@ def det_vectors(
 
         det = <(z_pre^T over T), (sum_U coef(T + U) z_suf^U over T)>.
     """
+    shared, key = _shared, (comp.left, comp.right, values, split)
+    if shared is not None and key in shared:
+        return shared[key]  # lists no caller changes
     pre = (1 << split) - 1
     expansion = _cap_coefficients(comp, values)
     slot = {t: i for i, t in enumerate(sorted({s & pre for s in expansion}))}
@@ -412,10 +436,13 @@ def det_vectors(
     poly: dict[int, list[int]] = {}
     for s, coef in expansion.items():
         poly.setdefault(s & ~pre, [0] * width)[slot[s & pre]] += coef
-    return (
+    vectors = (
         _evaluate(monomials, values, range(split), width),
         _evaluate(poly, values, range(split, len(values)), width),
     )
+    if shared is not None:
+        shared[key] = vectors
+    return vectors
 
 
 def _cap_coefficients(

@@ -253,30 +253,56 @@ def _violation(x: Word, y: Word, value: int, expected: bool) -> dict:
     }
 
 
-def near_indices(i: int, n: int, size: int, k: int, lo: int = 0) -> list[int]:
-    """The indices of the words at distance t, lo <= t < k, from word ``i``.
+def near_indices(i: int, n: int, size: int, k: int) -> list[int]:
+    """The indices of the words at distance below k from word ``i``: the
+    ball of radius k - 1, empty at k = 0, every index once k > n.
 
     Words of length ``n`` over ``size`` letters are numbered in
     ``word_of_index`` order, so letter positions are base-``size`` digits,
     the first position most significant.  A word at distance t arises once:
-    from the t positions where it differs and one other digit at each.  With
-    ``lo`` 0 this is the ball of radius k - 1: empty at k = 0, every index
-    once k > n; ``lo = k - 1`` gives the shell at distance exactly k - 1.
-    A range with no radius of 1 or more, as at k <= 1, builds no steps.
+    from the t positions where it differs and one other digit at each.  A
+    ball of radius 0, at k = 1, builds no steps.
     """
-    top = min(k, n + 1)  # the radii are lo <= t < top
-    if top <= max(lo, 1):
-        return [i] if lo == 0 < top else []
+    top = min(k, n + 1)  # the radii are 0 <= t < top
+    if top <= 1:
+        return [i] if top == 1 else []
     steps = []  # per position, the index changes that move it to another letter
     for p in range(n):
         place = size ** (n - 1 - p)
         digit = i // place % size
         steps.append([(e - digit) * place for e in range(size) if e != digit])
     near = []
-    for t in range(lo, top):
+    for t in range(top):
         for chosen in itertools.combinations(steps, t):
             near.extend(i + sum(step) for step in itertools.product(*chosen))
     return near
+
+
+def shell_flags(n: int, size: int, k: int) -> Callable[[int], list[bool]]:
+    """``upper(i)``: for each word index j >= i, in order, whether words i
+    and j (``word_of_index`` order) lie at distance exactly k: a head
+    distance, over the first n // 2 positions, plus a tail distance over
+    the rest, each from a table over the half-words of that length.
+    """
+    split = n // 2
+    top, span = n - split, size ** (n - split)  # the tails' length and count
+
+    def table(m: int) -> list[list[int]]:
+        halves = list(itertools.product(range(size), repeat=m))
+        return [[dist(x, y) for y in halves] for x in halves]
+
+    heads = table(split)
+    # per tail and distance t, the flags of the tails at distance t from it
+    tails = [[[d == t for d in row] for t in range(top + 1)] for row in table(top)]
+    miss = [False] * span
+
+    def upper(i: int) -> list[bool]:
+        head, tail = divmod(i, span)
+        at = tails[tail]
+        rows = (at[k - d] if 0 <= k - d <= top else miss for d in heads[head][head:])
+        return list(itertools.chain.from_iterable(rows))[tail:]
+
+    return upper
 
 
 def _packed_rows(

@@ -26,7 +26,7 @@ from .hamming import (
     dist,
     identity_certificate,
     load_supp,
-    near_indices,
+    shell_flags,
     verify_support_rep,
     word_of_index,
 )
@@ -394,11 +394,12 @@ def _load_sign(doc: dict) -> tuple[SignForm, int, int]:
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
     """Check sign == +1 iff dist == k on every ordered pair, a row at a
-    time: row i's columns j >= i (``positive_upper`` on ``domain_rows``,
-    each oracle's word grid embedded once) against the Hamming shell at
-    distance k, each failure off the diagonal counted for (j, i) too
-    (``mirrored``), or each drawn pair alone by ``eval_sign``; the timing
-    section records the pairs evaluated."""
+    time: row i's sign flags at columns j >= i (``positive_upper`` on
+    ``domain_rows``, each oracle's word grid embedded once) compared whole
+    with its flags of distance k (``shell_flags``), the failing columns
+    listed only for a row that disagrees, each failure off the diagonal
+    counted for (j, i) too (``mirrored``); or each drawn pair alone by
+    ``eval_sign``.  The timing section records the pairs evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     check_sign_dim(rep.dim, config.max_dim)
     alphabet = rep.terms[-1].oracle.alphabet
@@ -413,11 +414,13 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
             )
         words = list(map(word, range(count)))
         positive = positive_upper(rep, domain_rows(words))
+        shell = shell_flags(n, len(alphabet), k)
 
         def bad_from(i):
-            shell = near_indices(i, n, len(alphabet), k + 1, lo=k)
-            upper = (j for j in shell if j >= i)
-            return sorted(set(positive(i)).symmetric_difference(upper))
+            got, want = positive(i), shell(i)
+            if got == want:
+                return []
+            return [j for j, a, b in zip(range(i, count), got, want) if a != b]
 
         return mirrored(bad_from)
 

@@ -17,17 +17,22 @@ kernel, ``pack_columns``: it packs the right vectors column by column into
 big integers, with a slot width taken from the largest entries, so a row of
 exact dots costs one multiply-add per coordinate.  ``packed_nonzero`` reads
 each slot's nonzero test from its top bit without unpacking (the Hamming
-pair check, the family walk of ``compression``); ``packed_dots`` unpacks
-the slots from any column on, for sign-tree rows, which only
-``signcompile._packed`` packs.  A sampled pair has no row to share, so
-``pack_residues`` packs its two vectors modulo a small prime instead: one
-small product certifies most dots nonzero, and the caller computes the
-exact dot only where the residue reads 0.
+pair check, the family walk of ``compression``), at byte widths;
+``packed_dots`` unpacks the slots from any column on, for sign-tree rows,
+which only ``signcompile._packed`` packs, casting slots of one or two
+8-byte words from the row's bytes at once on a little-endian host
+(``memoryview.cast``, built in and copying nothing, where ``array`` would
+load a shared library).  A
+sampled pair has no row to share, so ``pack_residues`` packs its two
+vectors modulo a small prime instead: one small product certifies most
+dots nonzero, and the caller computes the exact dot only where the residue
+reads 0.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -197,7 +202,7 @@ def _slot_ones(width: int, count: int) -> int:
 
 
 def pack_columns(
-    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+    us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]], words: int = 0
 ) -> tuple[Callable[[int], int], int, int]:
     """Every dot <us[i], vs[j]> of row i at once, as one exact integer.
 
@@ -207,9 +212,11 @@ def pack_columns(
     per coordinate.  The slot width W comes from the data, never assumed:
     bias = 1 + sum_c max_i |us[i][c]| max_j |vs[j][c]| bounds every |dot| by
     bias - 1, and W = bitlen(2 bias) + 1, rounded up to whole bytes, puts
-    every slot dot_ij + bias in [1, 2^(W-1)).  The digits of S_i in base
-    2^W are therefore exactly those slots, slot j the dot with vs[j], with
-    no carry between slots.  This is an integer identity: no modulus and no
+    every slot dot_ij + bias in [1, 2^(W-1)).  A width of at most
+    ``words`` 8-byte words is then rounded up to whole words, which keeps
+    the bound, as any wider slot would.  The digits of S_i in base 2^W are
+    therefore exactly those slots, slot j the dot with vs[j], with no carry
+    between slots.  This is an integer identity: no modulus and no
     fallback.  Returns ``(row, width, bias)``: ``row(i)`` is S_i and
     ``width`` is W in bytes.
     """
@@ -218,6 +225,8 @@ def pack_columns(
     v_max = [max(map(abs, col)) for col in zip(*vs)]
     bias = 1 + sum(map(mul, u_max, v_max))
     width = ((2 * bias).bit_length() + 8) // 8  # slot bytes, W = 8 width bits
+    if width <= 8 * words:
+        width = -(-width // 8) * 8
     ones = _slot_ones(width, count)
     packed = []
     for weight, off, col in zip(u_max, v_max, zip(*vs)):
@@ -275,14 +284,28 @@ def packed_dots(
     us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
 ) -> Callable[..., list[int]]:
     """``dots(i, lo=0)``: row i's exact dots <us[i], vs[j]> for j >= lo, the
-    packed row of ``pack_columns`` unpacked slot by slot from slot lo."""
-    row, width, bias = pack_columns(us, vs)
-    starts = range(0, len(vs) * width, width)
+    packed row of ``pack_columns`` unpacked from slot lo.  On a
+    little-endian host, slots of one or two 8-byte words come from one "Q"
+    cast of the row's bytes, low word first.  Wider slots, or any on a
+    big-endian host, come from ``int.from_bytes``: a three-word cast
+    measured slower in verify-sign at n = 8, k = 3 and 4.
+    """
+    little = sys.byteorder == "little"
+    row, width, bias = pack_columns(us, vs, 2 if little else 0)
+    size = len(vs) * width
+    starts = range(0, size, width)
+    cast = little and width in (8, 16)
 
     def dots(i: int, lo: int = 0) -> list[int]:
-        data = row(i).to_bytes(len(vs) * width, "little")
-        at = starts[lo:]  # the byte offsets of slots lo, lo + 1, ...
-        return [int.from_bytes(data[j : j + width], "little") - bias for j in at]
+        data = row(i).to_bytes(size, "little")
+        if not cast:
+            at = starts[lo:]  # the byte offsets of slots lo, lo + 1, ...
+            return [int.from_bytes(data[j : j + width], "little") - bias for j in at]
+        cells = memoryview(data)[lo * width :].cast("Q")
+        if width == 8:
+            return [c - bias for c in cells]
+        pairs = iter(cells)
+        return [low + (high << 64) - bias for low, high in zip(pairs, pairs)]
 
     return dots
 

@@ -30,7 +30,9 @@ gives each oracle's (left, right) vectors, ``SupportRep.embed`` over a
 domain or ``compression.det_vectors`` over difference classes, and they are
 packed once per oracle (``parallel.packed_dots``).  One row loop,
 ``value_row``, serves the gamma scan, the check against the caller's
-ground truth and verify-sign.
+ground truth and verify-sign, and each reads a row whole: the truth check
+compares a row's sign flags with its truth flags in one step and walks
+pair by pair only through a row that disagrees.
 A ``SupportRep`` built on maps from indices to matrices already answers at
 indices, so other index domains need no translation layer.
 """
@@ -50,15 +52,9 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .compression import det_vectors, split_positions
+from .compression import det_vectors, shared_det_vectors, split_positions
 from .exact import Mat, int_from_json
-from .hamming import (
-    SupportRep,
-    build_hd_supp,
-    check_alphabet,
-    dist,
-    load_supp,
-)
+from .hamming import SupportRep, build_hd_supp, check_alphabet, load_supp
 from .parallel import check_pairs, packed_dots
 from .seeds import seed_stream
 from .veronese import prove_det_sum
@@ -156,14 +152,21 @@ def domain_rows(domain: Sequence) -> PairRows:
 
 
 def value_row(form: SignForm, rows: PairRows, i: int, lo: int = 0) -> list[int]:
-    """``eval_value`` at columns lo, lo + 1, ... of row i, term by term:
-    each adds gamma sign s^2 where its dot s is nonzero."""
+    """``eval_value`` at columns lo, lo + 1, ..., width - 1 of row i, listed
+    or not, term by term: each adds gamma sign s^2 where its dot s, from a
+    row decoded at once, is nonzero."""
     values = [form.const] * (rows.width - lo)
     for term in form.terms:
         c = term.gamma * term.sign
         dots = rows.dots(term.oracle)(i, lo)
         values = [a + c * s * s if s else a for a, s in zip(values, dots)]
     return values
+
+
+def _listed(row: list, cols: Sequence[int], lo: int) -> list:
+    """``row``, from column lo on, at the ascending ``cols``: itself where
+    they are all of its columns."""
+    return row if len(row) == len(cols) else [row[j - lo] for j in cols]
 
 
 MAX_SIGN_DIM = 1 << 20  # default budget on a sign rep's dimension
@@ -181,23 +184,23 @@ def _prove_det_sums(form: SignForm) -> None:
         prove_det_sum(size)
 
 
-def positive_upper(form: SignForm, rows: PairRows) -> Callable[[int], list[int]]:
+def positive_upper(form: SignForm, rows: PairRows) -> Callable[[int], list[bool]]:
     """The exhaustive row form of ``eval_sign`` over the square grid
     ``rows`` of ``domain_rows``, read from its packed dots, upper triangle
-    only: ``row(i)`` lists the j >= i with eval_sign(form, *rows.pair(i, j))
-    == 1, in order, and raises its ``ZeroValueError`` at the first such j
-    where the value vanishes.  The rest of the row is the mirror image once
-    ``_prove_det_sums`` passes, which runs first: an oracle's dot at (x, y)
-    is then det(C(x) - C(y)), (-1)^size times its dot at (y, x), and the
-    form reads it only through s^2, so any form's value is symmetric, a
-    broken form's too."""
+    only: ``row(i)`` flags each j >= i, in order, True where
+    eval_sign(form, *rows.pair(i, j)) == 1, and raises its ``ZeroValueError``
+    at the first j where the value vanishes.  The rest of the row is the
+    mirror image once ``_prove_det_sums`` passes, which runs first: an
+    oracle's dot at (x, y) is then det(C(x) - C(y)), (-1)^size times its dot
+    at (y, x), and the form reads it only through s^2, so any form's value
+    is symmetric, a broken form's too."""
     _prove_det_sums(form)
 
-    def row(i: int) -> list[int]:
+    def row(i: int) -> list[bool]:
         got = value_row(form, rows, i, i)
         if 0 in got:
             raise _vanished(*rows.pair(i, i + got.index(0)))
-        return [j for j, value in enumerate(got, i) if value > 0]
+        return [value > 0 for value in got]
 
     return row
 
@@ -229,17 +232,16 @@ def choose_gamma(oracle: SupportRep, below: SignForm, rows: PairRows) -> int:
     every value pair (s^2, below) that the domain's pairs take, as the
     rows of ``compile_tree``'s callers do.  It returns 1 when the oracle's
     support on the rows is empty (dominance is vacuous there).  Each row is
-    evaluated from its first listed column.
+    evaluated from its first listed column and scanned in one generator.
     """
     best = 0
     for i, cols in enumerate(rows.cols):
         if not cols:
             continue
-        s_row = rows.dots(oracle)(i, lo := cols[0])
-        v_row = value_row(below, rows, i, lo)
-        for j in cols:
-            if s := s_row[j - lo]:
-                best = max(best, -((-abs(v_row[j - lo])) // (s * s)))  # ceil
+        s_row = _listed(rows.dots(oracle)(i, lo := cols[0]), cols, lo)
+        v_row = _listed(value_row(below, rows, i, lo), cols, lo)
+        ceils = (-(-abs(v) // (s * s)) for s, v in zip(s_row, v_row) if s)
+        best = max(best, max(ceils, default=0))
     return 1 + best
 
 
@@ -300,12 +302,29 @@ def compile_tree(
     1 + sum gamma * ``_dot_bound``^2, as s^2 >= 1 on the support.
 
     The sign is then checked against ``truth(x, y)``, the 0/1 entry it must
-    encode, which the caller knows independently of the oracles.  The scan
-    and the check visit ``rows`` only: the caller vouches that every term
-    and the truth take the same values there as on every pair of the
-    domain.  A disagreement raises ``PatternViolationError`` naming the
-    first failing pair in row order.
+    encode, which the caller knows independently of the oracles, asked once
+    per listed pair in row order.  The scan and the check visit ``rows``
+    only: the caller vouches that every term and the truth take the same
+    values there as on every pair of the domain.  Each row's sign flags are
+    compared with its truth flags whole; a vanishing value or a
+    disagreement raises ``ZeroValueError`` or ``PatternViolationError``
+    naming the first failing pair in row order.
     """
+
+    def want(i: int) -> list[bool]:
+        return [bool(truth(*rows.pair(i, j))) for j in rows.cols[i]]
+
+    return _compile_rows(tree, rows, want, gamma_mode)
+
+
+def _compile_rows(
+    tree: SignForm,
+    rows: PairRows,
+    want: Callable[[int], list[bool]],
+    gamma_mode: str = "exact_scan",
+) -> SignForm:
+    """``compile_tree`` with its truth a row at a time: ``want(i)`` flags
+    the listed columns of row i."""
     _prove_det_sums(tree)
     terms: list[Term] = []
     bound = 1  # norm_bound: 1 + sum gamma * _dot_bound^2 over ``terms``
@@ -323,17 +342,21 @@ def compile_tree(
         terms.append(replace(term, gamma=gamma))
     form = SignForm(tree.const, tuple(terms))
     for i, cols in enumerate(rows.cols):
-        values = value_row(form, rows, i, lo := cols[0]) if cols else ()
-        for j in cols:
+        if not cols:
+            continue
+        values = _listed(value_row(form, rows, i, lo := cols[0]), cols, lo)
+        flags = want(i)
+        if 0 not in values and [v > 0 for v in values] == flags:
+            continue
+        for j, value, hit in zip(cols, values, flags):
             x, y = rows.pair(i, j)
-            want = 1 if truth(x, y) else -1
-            got = (values[j - lo] > 0) - (values[j - lo] < 0)
-            if got == 0:
+            if value == 0:
                 raise _vanished(x, y)
-            if got != want:
+            if (value > 0) != hit:
+                got = 1 if value > 0 else -1
                 raise PatternViolationError(
                     f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
-                    f"{got} vs {want}"
+                    f"{got} vs {-got}"
                 )
     return form
 
@@ -415,20 +438,36 @@ def build_hd_sign(
     an oracle's dot at (x, y) is det(C(z)) for its linear compressor map C,
     det(C(-z)) = +-det(C(z)), and the form reads it only through s^2, so
     each value and the truth is constant on a class, and the dots
-    are read from the family walk's determinant rows, with no word embedded.
+    are read from the family walk's determinant rows, with no word embedded:
+    the vectors that each oracle's own walk expanded (``shared_det_vectors``,
+    for this build only).  The truth comes from the weight tables of
+    ``_class_rows``.
     """
     hd_sign_dim(n, k)  # refuses k outside 1..n-1
     diffs = {a - b for a, b in itertools.product(check_alphabet(alphabet), repeat=2)}
     check_pairs((len(diffs) ** n + 1) // 2, max_pairs)
-    tree = threshold_tree(
-        (0,) * k + (1, 0),
-        lambda t: build_hd_supp(n, t, alphabet, seed_stream(seed, "sign-oracle", t)),
-    )
-    rows = _class_rows(n, alphabet)
-    return compile_tree(tree, rows, lambda x, y: dist(x, y) == k, gamma_mode)
+    with shared_det_vectors():
+        tree = threshold_tree(
+            (0,) * k + (1, 0),
+            lambda t: build_hd_supp(
+                n, t, alphabet, seed_stream(seed, "sign-oracle", t)
+            ),
+        )
+        rows, want = _class_rows(n, alphabet, k)
+        return _compile_rows(tree, rows, want, gamma_mode)
 
 
-def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
+def _weights(values: Sequence[Sequence[int]]) -> list[int]:
+    """The support size of each z over the product of ``values``, in order."""
+    weights = [0]
+    for vals in values:
+        weights = [w + (v != 0) for w in weights for v in vals]
+    return weights
+
+
+def _class_rows(
+    n: int, alphabet: Sequence[int], k: int
+) -> tuple[PairRows, Callable[[int], list[bool]]]:
     """One pair (x, y) per class {z, -z}, z = x - y over (A - A)^n in
     product order, prefix i of z in row i and suffix j in column j, the
     dots packed from ``compression.det_vectors``; x_p, y_p is the letter
@@ -436,7 +475,11 @@ def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
     negative, met at -z, is skipped: the differences are sorted and
     symmetric, so z -> -z reverses product order, and those z are the ones
     before 0, in the rows before the middle (zero prefix) row and in its
-    columns before the middle."""
+    columns before the middle.
+
+    Also ``want(i)``, the flags of dist(x, y) == k at row i's columns: the
+    weight of z's prefix plus that of its suffix, one flag row per prefix
+    weight."""
     letters: dict[int, tuple[int, int]] = {}
     for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
         letters.setdefault(a - b, (a, b))
@@ -457,7 +500,13 @@ def _class_rows(n: int, alphabet: Sequence[int]) -> PairRows:
         return x0 + x1, y0 + y1
 
     dots = _packed(lambda oracle: det_vectors(oracle.compressor, values, split))
-    return PairRows(cols, count, pair, dots)
+    prefix, suffix = _weights(values[:split]), _weights(values[split:])
+    by_weight = [[w + v == k for v in suffix] for w in range(split + 1)]
+
+    def want(i: int) -> list[bool]:
+        return by_weight[prefix[i]][cols[i][0] :]
+
+    return PairRows(cols, count, pair, dots), want
 
 
 # -------------------------------------------------------------------

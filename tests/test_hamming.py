@@ -20,6 +20,7 @@ from hamrank.hamming import (
     identity_certificate,
     load_supp,
     near_indices,
+    shell_flags,
     verify_support_rep,
     word_of_index,
 )
@@ -427,19 +428,28 @@ class TestResidueCertificate:
 def test_near_indices_is_the_hamming_ball(alphabet, n):
     words = all_words(n, alphabet)
     for k in range(n + 2):
-        for lo in range(k + 2):  # lo >= k asks for no radius at all
-            for i, x in enumerate(words):
-                near = near_indices(i, n, len(alphabet), k, lo)
-                want = [
-                    j for j, y in enumerate(words) if lo <= reference.dist(x, y) < k
-                ]
-                assert sorted(near) == want
-                if k == 0 or lo >= k:
-                    assert near == []
-                if k == 1 and lo == 0:
-                    assert near == [i]
-                if k > n and lo == 0:
-                    assert len(near) == len(words)
+        for i, x in enumerate(words):
+            near = near_indices(i, n, len(alphabet), k)
+            assert sorted(near) == [
+                j for j, y in enumerate(words) if reference.dist(x, y) < k
+            ]
+            if k == 0:
+                assert near == []
+            if k == 1:
+                assert near == [i]
+            if k > n:
+                assert len(near) == len(words)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shell_flags_are_the_distance(alphabet, n):
+    words = all_words(n, alphabet)
+    for k in range(n + 2):
+        upper = shell_flags(n, len(alphabet), k)
+        for i, x in enumerate(words):
+            want = [reference.dist(x, y) == k for y in words[i:]]
+            assert upper(i) == want
 
 
 class TestWordEmbeddings:

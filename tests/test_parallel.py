@@ -4,6 +4,7 @@ against ``randrange``, and the one module that packs exact dots."""
 import ast
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from hamrank.parallel import (
     sweep,
     uniform,
 )
+
+from . import reference
 
 
 @st.composite
@@ -180,3 +183,82 @@ def test_every_residue_at_its_largest_still_carries_nothing(dim):
     digits = [product >> t * width & mask for t in range(2 * dim)]
     terms = [min(t, 2 * dim - 2 - t) + 1 for t in range(2 * dim - 1)] + [0]
     assert digits == [m * (RESIDUE_PRIME - 1) ** 2 for m in terms]
+
+
+# bias bit lengths on both sides of the one- and two-word slot boundaries
+# (a slot of W bytes holds a bias of at most 8 W - 2 bits), and a few wider
+SLOT_BITS = [*range(60, 67), *range(124, 131), 20, 140, 200]
+
+
+@st.composite
+def dot_grids(draw):
+    """(us, vs, bits): vectors whose packing bias has ``bits`` bits, one
+    pinned coordinate carrying it, with negative entries, a coordinate no
+    left vector weighs, an all-zero right vector and one-column grids."""
+    bits = draw(st.sampled_from(SLOT_BITS))
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 7))
+    small = st.integers(-(1 << 6), 1 << 6)
+    us = [draw(st.lists(small, min_size=dim, max_size=dim)) for _ in range(rows)]
+    vs = [draw(st.lists(small, min_size=dim, max_size=dim)) for _ in range(count)]
+    if dim > 1 and draw(st.booleans()):
+        for u in us:
+            u[1] = 0  # no row weighs coordinate 1
+    if count > 1 and draw(st.booleans()):
+        vs[draw(st.integers(1, count - 1))] = [0] * dim
+    # coordinate 0 carries 2^(bits - 1) of the bias, the rest under 2^14,
+    # so bitlen(bias) = bits
+    left = draw(st.integers(0, bits - 1))
+    top_u, top_v = 1 << left, 1 << (bits - 1 - left)
+    us[0][0] = draw(st.sampled_from([top_u, -top_u]))
+    vs[0][0] = draw(st.sampled_from([top_v, -top_v]))
+    for vec, top in [*((u, top_u) for u in us[1:]), *((v, top_v) for v in vs[1:])]:
+        vec[0] = draw(st.integers(-top, top))
+    return us, vs, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=dot_grids(), data=st.data())
+def test_packed_dots_are_the_reference_dots(grid, data):
+    """Row i from column lo is <us[i], vs[j]> for every j >= lo, at lo 0,
+    in the middle and at the last column, whatever the slot width."""
+    us, vs, bits = grid
+    _, width, bias = parallel.pack_columns(us, vs, 2)
+    assert bias.bit_length() == bits
+    assert width % 8 == 0 if width <= 16 else width == (bits + 9) // 8
+    dots = parallel.packed_dots(us, vs)
+    count = len(vs)
+    i = data.draw(st.integers(0, len(us) - 1))
+    for lo in sorted({0, count // 2, count - 1}):
+        want = [reference.dot(us[i], v) for v in vs[lo:]]
+        assert dots(i, lo) == want
+
+
+@pytest.mark.parametrize("bits", SLOT_BITS)
+def test_cast_slots_are_whole_words_and_wider_ones_keep_byte_widths(bits):
+    us, vs = [[1 << (bits - 1)]], [[1], [-1]]
+    _, bytewise, bias = parallel.pack_columns(us, vs)
+    _, width, _ = parallel.pack_columns(us, vs, 2)
+    assert bias.bit_length() == bits
+    assert bytewise == (bits + 1 + 8) // 8  # bitlen(2 bias) + 1, in whole bytes
+    assert width == (-(-bytewise // 8) * 8 if bytewise <= 16 else bytewise)
+
+
+def grid(scale):
+    """Dots of about ``scale`` bits: one-word slots at 2^20, two at 2^100."""
+    return [[3, -5, 0], [-7, 5, 0]], [[scale, 9, 4], [0, 0, 0], [-2, scale, -1]]
+
+
+@pytest.mark.parametrize("scale", [1 << 20, 1 << 100])
+def test_a_big_endian_host_reads_every_slot_from_bytes(monkeypatch, scale):
+    def no_cast(*args):
+        raise AssertionError("cast a row on a big-endian host")
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(parallel, "memoryview", no_cast, raising=False)
+    us, vs = grid(scale)
+    want = [[reference.dot(u, v) for v in vs] for u in us]
+    dots = parallel.packed_dots(us, vs)
+    assert [dots(i) for i in range(len(us))] == want
+    assert [dots(i, 1) for i in range(len(us))] == [row[1:] for row in want]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hamrank
-from hamrank import signcompile
+from hamrank import compression, signcompile
 from hamrank.cli import main
 from hamrank.errors import (
     BudgetExceededError,
@@ -308,9 +308,28 @@ class TestTruth:
         with pytest.raises(PatternViolationError, match=first):
             compile_tree(tree, domain_rows(domain), truth)
 
+    @pytest.mark.parametrize("const", [-1, 1])
+    def test_a_row_whose_only_bad_value_vanishes_names_it(self, monkeypatch, const):
+        # gamma 1 under the weights oracle: const - const s^2 vanishes
+        # exactly where the words differ at position 0 alone (s = +-1), one
+        # column a row, and has the truth's sign everywhere else; at const 1
+        # the truth there is 0, so only the vanishing value is wrong
+        monkeypatch.setattr(signcompile, "choose_gamma", lambda *args: 1)
+        domain = words(3)
+        tree = SignForm(const, (Term(build_hd_supp(3, 1), -const),))
+        truth = differ if const == -1 else (lambda x, y: x == y)
+        message = (
+            "sign value vanished at ((0, 0, 0), (1, 0, 0)); dominance constant "
+            "or construction is broken"
+        )
+        with pytest.raises(ZeroValueError, match=f"^{re.escape(message)}$"):
+            compile_tree(tree, domain_rows(domain), truth)
+
     def test_build_hd_sign_checks_against_the_distance(self, monkeypatch):
-        # the oracle tree is right; only the ground truth is made wrong
-        monkeypatch.setattr(signcompile, "dist", lambda x, y: 0)
+        # the oracle tree is right; only the ground truth is made wrong: the
+        # weight table reads every prefix and suffix as distance 0
+        zeros = lambda values: [0] * prod(map(len, values))  # noqa: E731
+        monkeypatch.setattr(signcompile, "_weights", zeros)
         with pytest.raises(PatternViolationError):
             build_hd_sign(4, 1, seed=2)
 
@@ -436,7 +455,7 @@ class TestDifferenceClassCompile:
 class TestClassRows:
     @staticmethod
     def pairs(n, alphabet):
-        rows = signcompile._class_rows(n, alphabet)
+        rows, _ = signcompile._class_rows(n, alphabet, 1)
         return [rows.pair(i, j) for i, cols in enumerate(rows.cols) for j in cols]
 
     @pytest.mark.parametrize("alphabet", [(0, 1), (0, 2), (0, 1, 2), (-1, 0, 3)])
@@ -461,6 +480,65 @@ class TestClassRows:
 
     def test_binary_n8_count(self):
         assert len(self.pairs(8, (0, 1))) == (3**8 + 1) // 2 == 3281
+
+    @pytest.mark.parametrize(
+        "n,alphabet",
+        [(n, (0, 1)) for n in range(1, 8)] + [(n, (0, 1, 2)) for n in range(1, 5)],
+    )
+    def test_the_weight_tables_are_the_distance(self, n, alphabet):
+        for k in range(n + 2):
+            rows, want = signcompile._class_rows(n, alphabet, k)
+            for i, cols in enumerate(rows.cols):
+                if cols:
+                    truth = [reference.dist(*rows.pair(i, j)) == k for j in cols]
+                    assert want(i) == truth
+
+
+class TestSharedDetVectors:
+    @staticmethod
+    def expansions(monkeypatch):
+        """The compressors ``_cap_coefficients`` expands, in call order."""
+        seen = []
+        real = compression._cap_coefficients
+
+        def counted(comp, values):
+            seen.append(comp)
+            return real(comp, values)
+
+        monkeypatch.setattr(compression, "_cap_coefficients", counted)
+        return seen
+
+    @pytest.mark.parametrize("entry_range", [compression.ENTRY_RANGE, 1])
+    def test_each_draw_expands_once_per_build(self, monkeypatch, entry_range):
+        # entries in [-1, 1] make the fits reject draws: 5 and 4 at seed 7
+        monkeypatch.setattr(compression, "ENTRY_RANGE", entry_range)
+        seen = self.expansions(monkeypatch)
+        form = build_hd_sign(8, 2, seed=7)
+        comps = [term.oracle.compressor for term in form.terms]
+        draws = sum(comp.retries + 1 for comp in comps)
+        assert draws == (2 if entry_range > 1 else 11)
+        assert len(seen) == draws
+        expanded = [(comp.left, comp.right) for comp in seen]
+        for comp in comps:  # each accepted draw once, by its own walk
+            assert expanded.count((comp.left, comp.right)) == 1
+        # nothing is kept once the build ends: the next build expands again
+        assert compression._shared is None
+        assert gamma_values(build_hd_sign(8, 2, seed=7)) == gamma_values(form)
+        assert len(seen) == 2 * draws
+
+    def test_an_oracle_its_walk_never_expanded_is_expanded_by_the_build(
+        self, monkeypatch
+    ):
+        # a one-letter alphabet has no member at the cap, so no walk expands
+        seen = self.expansions(monkeypatch)
+        build_hd_sign(4, 1, alphabet=(5,))
+        assert len(seen) == 2
+
+    def test_outside_a_build_every_call_expands(self, monkeypatch):
+        seen = self.expansions(monkeypatch)
+        draws = build_hd_supp(6, 2, seed=1).compressor.retries + 1
+        build_hd_supp(6, 2, seed=1)
+        assert len(seen) == 2 * draws
 
 
 class TestPackageRoot:
