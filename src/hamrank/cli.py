@@ -4,8 +4,8 @@ Every subcommand writes a JSON report (and a one-line CSV summary) and
 exits 0 only when the run is certified: constructed artifacts verified,
 zero violations.  Every integer input (a flag, an ``--alphabet`` letter,
 a sample COUNT, the budgets HAMRANK_MAX_PAIRS and HAMRANK_MAX_DIM, which
-caps the dimension ``build-sign`` compiles to and the entries
-``compose --out`` writes) is read by ``int_from_json`` as documents are,
+caps sign and support dimensions and the entries ``compose --out``
+writes) is read by ``int_from_json`` as documents are,
 and a bad one exits at once.  Negative letters need
 ``--alphabet=-1,0``; ``--threads`` is only recorded in the report.
 """

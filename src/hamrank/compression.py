@@ -320,7 +320,7 @@ def word_map(
     return apply
 
 
-def _supports(values: tuple[tuple[int, ...], ...], positions: range) -> list[int]:
+def supports(values: tuple[tuple[int, ...], ...], positions: range) -> list[int]:
     """The support of each z over the product of ``values[p]``, p in
     ``positions``, as a bit mask, in product order."""
     masks = [0]
@@ -357,8 +357,8 @@ def _diagonal_shortfalls(
     cap = comp.left.rows
     n = len(values)
     split, count = split_positions(values)
-    prefixes = _supports(values, range(split))
-    suffixes = _supports(values, range(split, n))
+    prefixes = supports(values, range(split))
+    suffixes = supports(values, range(split, n))
     sizes = [mask.bit_count() for mask in suffixes]
     top = max(sizes)
     # per deficit t = cap - prefix support: the suffixes reaching the cap, as

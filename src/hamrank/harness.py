@@ -13,13 +13,13 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import comb
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
-from .errors import HamrankError, InputError, PatternViolationError
+from .errors import BudgetExceededError, HamrankError, InputError, PatternViolationError
 from .hamming import (
     SupportRep,
     build_hd_supp,
@@ -51,9 +51,10 @@ from .signcompile import (
     eval_sign,
     gamma_values,
     hd_sign_dim,
-    positive_upper,
     proof_dim_bound,
+    sign_error,
     sign_from_json,
+    sign_misses,
     sign_to_json,
 )
 
@@ -312,16 +313,24 @@ def _supp_bounds(k: int, dim: int) -> dict:
     }
 
 
+def _check_supp_dim(k: int, limit: int) -> None:
+    """Refuse C(2k, k) over ``limit``, unexpanded where 2^k alone exceeds it."""
+    if k > limit.bit_length():
+        dim = f"C({2 * k}, {k})"
+    elif k < 0 or (dim := comb(2 * k, k)) <= limit:
+        return
+    raise BudgetExceededError(f"support dimension {dim} exceeds the budget {limit}")
+
+
 def _run_build_supp(config: RunConfig, report: Report) -> None:
     p = config.params
     n, k = p["n"], p["k"]
     alphabet = tuple(p.get("alphabet", (0, 1)))
+    _check_supp_dim(k, config.max_dim)
     rep = build_hd_supp(n, k, alphabet, seed=config.seed)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(k, rep.dim)
-    report.verification = {
-        "family_checked": rep.compressor.verified,
-    }
+    report.verification = {"family_checked": rep.compressor.verified}
     if config.out:
         _save_json(rep.to_json(), config.out)
     report.status = "certified" if rep.compressor.verified else "failed"
@@ -332,6 +341,7 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
     section records the pairs evaluated and the sampled pairs whose residue
     read 0, each rechecked by its exact dot."""
     rep = _load(config.params["rep"], load_supp)
+    _check_supp_dim(rep.k, config.max_dim)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(rep.k, rep.dim)
     result = verify_support_rep(rep, config.sample, config.seed, config.max_pairs)
@@ -393,13 +403,12 @@ def _load_sign(doc: dict) -> tuple[SignForm, int, int]:
 
 
 def _run_verify_sign(config: RunConfig, report: Report) -> None:
-    """Check sign == +1 iff dist == k on every ordered pair, a row at a
-    time: row i's sign flags at columns j >= i (``positive_upper`` on
-    ``domain_rows``, each oracle's word grid embedded once) compared whole
-    with its flags of distance k (``shell_flags``), the failing columns
-    listed only for a row that disagrees, each failure off the diagonal
-    counted for (j, i) too (``mirrored``); or each drawn pair alone by
-    ``eval_sign``.  The timing section records the pairs evaluated."""
+    """Check sign == +1 iff dist == k on every ordered pair: ``sign_misses``
+    on the upper triangle of ``domain_rows`` against the flags of distance
+    k (``shell_flags``), a row's first vanishing value raising its error and
+    each miss off the diagonal counted for (j, i) too (``mirrored``); or
+    each drawn pair alone by ``eval_sign``.  The timing section records the
+    pairs evaluated."""
     rep, n, k = _load(config.params["rep"], _load_sign)
     check_sign_dim(rep.dim, config.max_dim)
     alphabet = rep.terms[-1].oracle.alphabet
@@ -412,15 +421,15 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
                 lambda i, j: eval_sign(rep, word(i), word(j))
                 != (1 if dist(word(i), word(j)) == k else -1)
             )
-        words = list(map(word, range(count)))
-        positive = positive_upper(rep, domain_rows(words))
-        shell = shell_flags(n, len(alphabet), k)
+        upper = [range(i, count) for i in range(count)]
+        rows = replace(domain_rows(list(map(word, range(count)))), cols=upper)
+        misses = sign_misses(rep, rows, shell_flags(n, len(alphabet), k))
 
         def bad_from(i):
-            got, want = positive(i), shell(i)
-            if got == want:
-                return []
-            return [j for j, a, b in zip(range(i, count), got, want) if a != b]
+            row = misses(i)
+            if zeros := [j for j, value in row if not value]:
+                raise sign_error(*rows.pair(i, zeros[0]), 0)
+            return [j for j, _ in row]
 
         return mirrored(bad_from)
 
@@ -523,6 +532,8 @@ def _run_rp_verify(config: RunConfig, report: Report) -> None:
 
 def _run_lower_bound(config: RunConfig, report: Report) -> None:
     rep = _load(config.params["rep"], load_supp)
+    _check_supp_dim(rep.k, config.max_dim)
+    check_pairs((1 << rep.k) ** 2, config.max_pairs)
     report.construction = _supp_construction(rep)
     try:
         cert = identity_certificate(rep)

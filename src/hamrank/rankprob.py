@@ -251,7 +251,7 @@ def bool_combine(
     if len(counts) > 1:
         raise InputError(f"problems to combine have different index counts {counts}")
     orders = [p.order for p in problems]
-    total_order = _combined_order(orders)
+    _combined_order(orders)  # refuses an order over the budget
     # the combiner's truth table: index bit i is component i's bit
     table = [
         1 if gamma(tuple((idx >> i) & 1 for i in range(q))) else 0
@@ -264,12 +264,11 @@ def bool_combine(
         for i, p in enumerate(problems)
     ]
     weights = [prod(k_i + 1 for k_i in orders[:i]) for i in range(q)]
-    # digit i of rank t, weight w and radix k + 1, is component i's rank
-    digits = list(enumerate(zip(weights, orders, resized)))
-    g_table = [
-        table[sum(p.g[t // w % (k + 1)] << i for i, (w, k, p) in digits)]
-        for t in range(total_order + 1)
-    ]
+    # rank t's code: the g bit of each digit, radix k_i + 1, the last slowest
+    codes = [0]
+    for i in reversed(range(q)):
+        codes = [c | resized[i].g[d] << i for c in codes for d in range(orders[i] + 1)]
+    g_table = [table[c] for c in codes]
 
     combined = _block_problem(
         [(w, p, lambda x: x) for w, p in zip(weights, resized)],

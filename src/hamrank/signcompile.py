@@ -29,10 +29,9 @@ come a row at a time from the one packing site, ``_packed``: a row source
 gives each oracle's (left, right) vectors, ``SupportRep.embed`` over a
 domain or ``compression.det_vectors`` over difference classes, and they are
 packed once per oracle (``parallel.packed_dots``).  One row loop,
-``value_row``, serves the gamma scan, the check against the caller's
-ground truth and verify-sign, and each reads a row whole: the truth check
-compares a row's sign flags with its truth flags in one step and walks
-pair by pair only through a row that disagrees.
+``value_row``, serves the gamma scan and the truth check, and one check,
+``sign_misses``, decides every miss of a sign row against its truth flags
+for build-sign, ``to_sign_rep`` and verify-sign alike.
 A ``SupportRep`` built on maps from indices to matrices already answers at
 indices, so other index domains need no translation layer.
 """
@@ -52,7 +51,7 @@ from .errors import (
     SizeMismatchError,
     ZeroValueError,
 )
-from .compression import det_vectors, shared_det_vectors, split_positions
+from .compression import det_vectors, shared_det_vectors, split_positions, supports
 from .exact import Mat, int_from_json
 from .hamming import SupportRep, build_hd_supp, check_alphabet, load_supp
 from .parallel import check_pairs, packed_dots
@@ -104,11 +103,18 @@ def eval_value(form: SignForm, x, y) -> int:
 def eval_sign(form: SignForm, x, y) -> int:
     value = eval_value(form, x, y)
     if value == 0:
-        raise _vanished(x, y)
+        raise sign_error(x, y, value)
     return 1 if value > 0 else -1
 
 
-def _vanished(x, y) -> ZeroValueError:
+def sign_error(x, y, value: int) -> ZeroValueError | PatternViolationError:
+    """The error of a sign value that misses its truth at (x, y): it
+    vanishes, or its sign is the opposite of the truth's."""
+    if value:
+        got = "1 vs -1" if value > 0 else "-1 vs 1"
+        return PatternViolationError(
+            f"compiled sign disagrees with the truth at ({x!r}, {y!r}): {got}"
+        )
     return ZeroValueError(
         f"sign value vanished at ({x!r}, {y!r}); dominance constant or "
         "construction is broken"
@@ -184,25 +190,29 @@ def _prove_det_sums(form: SignForm) -> None:
         prove_det_sum(size)
 
 
-def positive_upper(form: SignForm, rows: PairRows) -> Callable[[int], list[bool]]:
-    """The exhaustive row form of ``eval_sign`` over the square grid
-    ``rows`` of ``domain_rows``, read from its packed dots, upper triangle
-    only: ``row(i)`` flags each j >= i, in order, True where
-    eval_sign(form, *rows.pair(i, j)) == 1, and raises its ``ZeroValueError``
-    at the first j where the value vanishes.  The rest of the row is the
-    mirror image once ``_prove_det_sums`` passes, which runs first: an
-    oracle's dot at (x, y) is then det(C(x) - C(y)), (-1)^size times its dot
-    at (y, x), and the form reads it only through s^2, so any form's value
-    is symmetric, a broken form's too."""
+def sign_misses(form: SignForm, rows: PairRows, want: Callable) -> Callable:
+    """The one sign-row check: ``misses(i)``, the (column, value) pairs of
+    row i's listed columns, in order, where the value vanishes or its sign
+    is not +1 exactly where ``want(i)`` flags the column.  A row is compared
+    whole first and walked only where it disagrees.  ``_prove_det_sums``
+    runs first, so a row of ``domain_rows`` cut to its columns j >= i
+    stands for its mirror too: an oracle's dot at (x, y) is then
+    det(C(x) - C(y)), (-1)^size times its dot at (y, x), read only as s^2."""
     _prove_det_sums(form)
 
-    def row(i: int) -> list[bool]:
-        got = value_row(form, rows, i, i)
-        if 0 in got:
-            raise _vanished(*rows.pair(i, i + got.index(0)))
-        return [value > 0 for value in got]
+    def misses(i: int) -> list[tuple[int, int]]:
+        cols = rows.cols[i]
+        if not cols:
+            return []
+        values = _listed(value_row(form, rows, i, lo := cols[0]), cols, lo)
+        flags = want(i)
+        if 0 not in values and [v > 0 for v in values] == flags:
+            return []
+        return [
+            (j, v) for j, v, hit in zip(cols, values, flags) if not v or (v > 0) != hit
+        ]
 
-    return row
+    return misses
 
 
 def gamma_values(form: SignForm) -> list[int]:
@@ -305,10 +315,8 @@ def compile_tree(
     encode, which the caller knows independently of the oracles, asked once
     per listed pair in row order.  The scan and the check visit ``rows``
     only: the caller vouches that every term and the truth take the same
-    values there as on every pair of the domain.  Each row's sign flags are
-    compared with its truth flags whole; a vanishing value or a
-    disagreement raises ``ZeroValueError`` or ``PatternViolationError``
-    naming the first failing pair in row order.
+    values there as on every pair of the domain.  ``sign_misses`` checks
+    each row, and the first miss in row order raises its ``sign_error``.
     """
 
     def want(i: int) -> list[bool]:
@@ -341,23 +349,11 @@ def _compile_rows(
             raise ValueError(f"unknown gamma mode {gamma_mode!r}")
         terms.append(replace(term, gamma=gamma))
     form = SignForm(tree.const, tuple(terms))
-    for i, cols in enumerate(rows.cols):
-        if not cols:
-            continue
-        values = _listed(value_row(form, rows, i, lo := cols[0]), cols, lo)
-        flags = want(i)
-        if 0 not in values and [v > 0 for v in values] == flags:
-            continue
-        for j, value, hit in zip(cols, values, flags):
-            x, y = rows.pair(i, j)
-            if value == 0:
-                raise _vanished(x, y)
-            if (value > 0) != hit:
-                got = 1 if value > 0 else -1
-                raise PatternViolationError(
-                    f"compiled sign disagrees with the truth at ({x!r}, {y!r}): "
-                    f"{got} vs {-got}"
-                )
+    misses = sign_misses(form, rows, want)
+    for i in range(len(rows.cols)):
+        if row := misses(i):
+            j, value = row[0]
+            raise sign_error(*rows.pair(i, j), value)
     return form
 
 
@@ -457,14 +453,6 @@ def build_hd_sign(
         return _compile_rows(tree, rows, want, gamma_mode)
 
 
-def _weights(values: Sequence[Sequence[int]]) -> list[int]:
-    """The support size of each z over the product of ``values``, in order."""
-    weights = [0]
-    for vals in values:
-        weights = [w + (v != 0) for w in weights for v in vals]
-    return weights
-
-
 def _class_rows(
     n: int, alphabet: Sequence[int], k: int
 ) -> tuple[PairRows, Callable[[int], list[bool]]]:
@@ -478,8 +466,8 @@ def _class_rows(
     columns before the middle.
 
     Also ``want(i)``, the flags of dist(x, y) == k at row i's columns: the
-    weight of z's prefix plus that of its suffix, one flag row per prefix
-    weight."""
+    weight of z's prefix plus that of its suffix, each the popcount of its
+    ``compression.supports`` mask, one flag row per prefix weight."""
     letters: dict[int, tuple[int, int]] = {}
     for a, b in itertools.product(check_alphabet(alphabet), repeat=2):
         letters.setdefault(a - b, (a, b))
@@ -500,7 +488,8 @@ def _class_rows(
         return x0 + x1, y0 + y1
 
     dots = _packed(lambda oracle: det_vectors(oracle.compressor, values, split))
-    prefix, suffix = _weights(values[:split]), _weights(values[split:])
+    masks = supports(values, range(split)), supports(values, range(split, n))
+    prefix, suffix = ([mask.bit_count() for mask in part] for part in masks)
     by_weight = [[w + v == k for v in suffix] for w in range(split + 1)]
 
     def want(i: int) -> list[bool]:

@@ -1321,6 +1321,73 @@ class TestCli:
             f"BudgetExceededError: sign dimension {dim} exceeds the budget {dim - 1}"
         )
 
+    @pytest.mark.parametrize(
+        "n,k,dim",
+        [
+            (12, 12, "2704156"),
+            (9000, 8000, "C(16000, 8000)"),
+            (10**9, 10**9, "C(2000000000, 1000000000)"),
+        ],
+    )
+    def test_cli_build_supp_over_the_dimension_budget_fits_nothing(
+        self, tmp_path, monkeypatch, n, k, dim
+    ):
+        # a k past the budget's 21 bits is refused unexpanded: C(16000, 8000)
+        # has 4,815 digits, past the 4,300 an int converts to text, and
+        # C(2 * 10^9, 10^9) would take hours to expand
+        def never(*args, **kwargs):
+            raise AssertionError("fitted past the dimension budget")
+
+        monkeypatch.setattr("hamrank.harness.build_hd_supp", never)
+        out = tmp_path / "r.json"
+        args = ["build-supp", "--n", str(n), "--k", str(k), "--out", str(out)]
+        assert self.failed_report(tmp_path, args) == (
+            f"BudgetExceededError: support dimension {dim} exceeds the budget 1048576"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify-supp"], ["verify-supp", "--mode", "sample:10"], ["lower-bound"]],
+        ids=["exhaustive", "sample", "lower-bound"],
+    )
+    def test_cli_supp_over_the_dimension_budget_embeds_nothing(
+        self, tmp_path, monkeypatch, command
+    ):
+        rep = tmp_path / "rep.json"
+        args = ["build-supp", "--n", "6", "--k", "3", "--seed", "3", "--out", str(rep)]
+        assert main(args) == 0
+
+        def never(*args):
+            raise AssertionError("embedded past the dimension budget")
+
+        monkeypatch.setenv("HAMRANK_MAX_DIM", "5")
+        monkeypatch.setattr("hamrank.hamming.minor_embed", never)
+        monkeypatch.setattr("hamrank.hamming.pack_residues", never)
+        assert self.failed_report(tmp_path, [command[0], str(rep), *command[1:]]) == (
+            "BudgetExceededError: support dimension 20 exceeds the budget 5"
+        )
+
+    def test_cli_lower_bound_over_the_pair_budget_checks_no_row(
+        self, tmp_path, monkeypatch
+    ):
+        rep = tmp_path / "rep.json"
+        args = ["build-supp", "--n", "6", "--k", "3", "--seed", "3", "--out", str(rep)]
+        assert main(args) == 0
+
+        def never(*args):
+            raise AssertionError("built the identity past the pair budget")
+
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
+        monkeypatch.setattr("hamrank.hamming.pairwise", never)
+        monkeypatch.setattr("hamrank.hamming.minor_embed", never)
+        assert self.failed_report(tmp_path, ["lower-bound", str(rep)]) == (
+            "BudgetExceededError: 64 pairs exceed the exhaustive budget of 63"
+        )
+        monkeypatch.undo()
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "64")
+        assert main(["lower-bound", str(rep)]) == 0
+
     def test_cli_build_sign_bad_k_reports_failure(self, tmp_path):
         args = ["build-sign", "--n", "3", "--k", "3", "--out", str(tmp_path / "s.json")]
         assert self.failed_report(tmp_path, args).startswith("InputError:")

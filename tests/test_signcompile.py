@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -33,7 +34,9 @@ from hamrank.signcompile import (
     gamma_values,
     materialize,
     proof_dim_bound,
+    sign_error,
     sign_from_json,
+    sign_misses,
     sign_to_json,
     threshold_tree,
 )
@@ -327,9 +330,11 @@ class TestTruth:
 
     def test_build_hd_sign_checks_against_the_distance(self, monkeypatch):
         # the oracle tree is right; only the ground truth is made wrong: the
-        # weight table reads every prefix and suffix as distance 0
-        zeros = lambda values: [0] * prod(map(len, values))  # noqa: E731
-        monkeypatch.setattr(signcompile, "_weights", zeros)
+        # support masks read every prefix and suffix as distance 0
+        def zeros(values, positions):
+            return [0] * prod(len(values[p]) for p in positions)
+
+        monkeypatch.setattr(signcompile, "supports", zeros)
         with pytest.raises(PatternViolationError):
             build_hd_sign(4, 1, seed=2)
 
@@ -385,6 +390,83 @@ class TestTruth:
         with pytest.raises(BudgetExceededError, match=message):
             build_hd_sign(5, 1, max_pairs=121)
         assert build_hd_sign(5, 1, max_pairs=122).dim == 41
+
+
+def verify_sign_report(tmp_path, form, n, k):
+    """The exhaustive verify-sign report on ``form``'s document."""
+    path, report = tmp_path / "form.sign.json", tmp_path / "form.report.json"
+    path.write_text(json.dumps(sign_to_json(form, {"n": n, "k": k})))
+    main(["verify-sign", str(path), "--report", str(report)])
+    return json.loads(report.read_text())
+
+
+class TestSignMisses:
+    @staticmethod
+    def early_disagreement():
+        # gamma 1 under the weights oracle: -1 + s^2 is 35 > 0 at column 3,
+        # (0, 1, 1) at distance 2, then 0 at column 4, (1, 0, 0)
+        return SignForm(-1, (Term(build_hd_supp(3, 1), 1, 1),))
+
+    def test_the_compile_check_names_the_first_miss_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(signcompile, "choose_gamma", lambda *args: 1)
+        message = (
+            "compiled sign disagrees with the truth at ((0, 0, 0), (0, 1, 1)): 1 vs -1"
+        )
+        with pytest.raises(PatternViolationError, match=f"^{re.escape(message)}$"):
+            compile_tree(
+                tree_of(self.early_disagreement()),
+                domain_rows(words(3)),
+                lambda x, y: reference.dist(x, y) == 1,
+            )
+
+    def test_verify_sign_ends_in_the_rows_first_vanishing_value(self, tmp_path):
+        report = verify_sign_report(tmp_path, self.early_disagreement(), 3, 1)
+        assert report["schema"] == "hamrank-report/1"
+        assert report["status"] == "failed"
+        assert report["error"] == (
+            "ZeroValueError: sign value vanished at ((0, 0, 0), (1, 0, 0)); "
+            "dominance constant or construction is broken"
+        )
+
+    def test_misses_are_the_references_failures(self, tmp_path):
+        # each gamma kept, set to 1 or raised by 2^256: certified forms,
+        # forms that disagree and a form that vanishes all occur
+        outcomes = set()
+        cases = [(3, 1, (0, 1)), (4, 1, (0, 1)), (4, 2, (0, 1)), (5, 2, (0, 1))]
+        for (n, k, alphabet), seed in itertools.product(
+            cases + [(3, 1, (0, 1, 2))], range(6)
+        ):
+            rng = random.Random(f"misses-{n}-{k}-{len(alphabet)}-{seed}")
+            built = build_hd_sign(n, k, seed=seed, alphabet=alphabet)
+            terms = tuple(
+                replace(t, gamma=rng.choice((1, t.gamma, t.gamma << 256)))
+                for t in built.terms
+            )
+            form = replace(built, terms=terms)
+            doc = sign_to_json(form, {"n": n, "k": k})
+            value = reference.sign_value(doc["tree"])
+            domain = list(itertools.product(alphabet, repeat=n))
+            pairs = list(itertools.product(domain, repeat=2))
+            failures = set(reference.sign_failures(doc, pairs))
+            misses = sign_misses(
+                form,
+                domain_rows(domain),
+                lambda i: [reference.dist(domain[i], y) == k for y in domain],
+            )
+            for i, x in enumerate(domain):
+                failed = [(j, y) for j, y in enumerate(domain) if (x, y) in failures]
+                want = [(j, value(x, y)) for j, y in failed]
+                assert misses(i) == want, (n, k, alphabet, seed, i)
+            report = verify_sign_report(tmp_path, form, n, k)
+            zeros = [pair for pair in pairs if pair in failures and not value(*pair)]
+            if zeros:
+                assert report["error"] == f"ZeroValueError: {sign_error(*zeros[0], 0)}"
+                outcomes.add("vanished")
+            else:
+                assert report["verification"]["violation_count"] == len(failures)
+                outcomes.add(report["status"])
+                assert report["status"] == ("failed" if failures else "certified")
+        assert outcomes == {"certified", "failed", "vanished"}
 
 
 def tree_of(rep):
