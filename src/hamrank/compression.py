@@ -35,20 +35,17 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    InputError,
-    RetriesExhaustedError,
-    SizeMismatchError,
-)
+from .errors import InputError, RetriesExhaustedError, SizeMismatchError
 from .exact import Mat, bareiss, det_exact, int_from_json, rank_exact
-from .parallel import REPORT_CAP, SweepReport, flagged, packed_nonzero, top_bytes
+from .parallel import REPORT_CAP, SweepReport, check_size, flagged, packed_nonzero
+from .parallel import top_bytes
 
 FIT_DRAWS = 16  # draws fit_compressor tries, the entry range doubling each time
 ENTRY_RANGE = 1 << 16  # entries of the first draw lie in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -135,17 +132,20 @@ class MatFamily:
         """Diagonal differences with a separate alphabet per position.
 
         Raises ``BudgetExceededError`` when the product has more than
-        ``MAX_DIAGONAL_PATTERNS`` members.
+        ``MAX_DIAGONAL_PATTERNS`` members, named as a product of powers,
+        unexpanded, past the budget's bit length (``parallel.check_size``).
         """
         values = tuple(
             tuple(sorted({a - b for a in alpha for b in alpha})) for alpha in alphabets
         )
-        count = math.prod(len(v) for v in values)
-        if count > MAX_DIAGONAL_PATTERNS:
-            raise BudgetExceededError(
-                f"{count} diagonal patterns exceed the family budget of "
-                f"{MAX_DIAGONAL_PATTERNS}"
-            )
+        powers = Counter(len(v) for v in values if len(v) > 1)
+        check_size(
+            "{} diagonal patterns exceed the family budget of {}",
+            MAX_DIAGONAL_PATTERNS,
+            lambda: math.prod(len(v) for v in values),
+            powers.total(),
+            " * ".join(f"{size}^{m}" for size, m in sorted(powers.items())),
+        )
         return cls(shape=(len(alphabets), len(alphabets)), diag_values=values)
 
     @property

@@ -177,7 +177,10 @@ def int_from_json(value: object) -> int:
     """A document integer: an int (not a bool) or a decimal string, as
     ``str(int)`` writes it; anything else ``int()`` would coerce is refused."""
     if type(value) is int or (type(value) is str and _DECIMAL.fullmatch(value)):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise InputError(f"a {len(value)}-digit integer: {exc}") from None
     raise InputError(f"{value!r} is not an integer or a decimal string")
 
 

@@ -32,8 +32,7 @@ prime ``RESIDUE_PRIME`` (``parallel.pack_residues``), and one small
 product gives the dot mod that prime.  A nonzero residue proves the dot
 nonzero; a zero one is only a prompt, and the pair's exact dot decides
 it, so the verdicts and report bytes are those of the exact check.  The
-check is a row check: it reads the row's packed word once and loops over
-the drawn columns.
+check is a pair test, asked once per drawn pair.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .parallel import (
     flagged,
     pack_residues,
     packed_nonzero,
-    pairwise,
     sweep,
     top_bytes,
 )
@@ -309,7 +307,7 @@ def _packed_rows(
     us: Sequence[Sequence[int]],
     vs: Sequence[Sequence[int]],
     near: Callable[[int], list[int]],
-) -> Callable[[int, Sequence[int]], tuple[int, list[int]]]:
+) -> Callable[[int], tuple[int, list[int]]]:
     """The exhaustive row check of <us[i], vs[j]> != 0 iff j not in near(i).
 
     Row i's nonzero tests come packed from ``parallel.packed_nonzero``, one
@@ -317,15 +315,12 @@ def _packed_rows(
     ``near(i)``; the row's failures are the set bits of the xor of the two,
     counted by popcount; only the first ``REPORT_CAP`` are turned back into
     columns, from the top byte of each slot.
-
-    The check takes whole rows: its ``cols`` is always the
-    ``range(len(vs))`` an exhaustive ``sweep`` passes, and is not read.
     """
     count = len(vs)
     nonzero, width = packed_nonzero(us, vs)
     tops = int.from_bytes(b"\x80".rjust(width, b"\0") * count, "little")
 
-    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+    def check(i: int) -> tuple[int, list[int]]:
         ball = bytearray(count * width)
         for j in near(i):
             ball[j * width + width - 1] = 0x80
@@ -346,29 +341,24 @@ def verify_support_rep(
 ) -> SweepReport:
     """Check <u(x), v(y)> != 0 iff dist(x, y) >= k over ordered pairs.
 
-    With ``sample`` None the check is exhaustive: it sweeps all
-    |alphabet|^(2n) ordered pairs in product order and embeds every word
-    once, left side only, from compressed half-words (``SupportRep.embed``),
-    before the first row; each row is checked by ``_packed_rows``, one
-    big-integer multiply-add per coordinate against the packed columns, with
-    the Hamming ball of radius k - 1 as ground truth.  Otherwise it draws
-    ``sample`` seeded uniform ordered pairs (at least one) and embeds only
-    the drawn words, u(x) each once through the rep's memo ``rep.u``.  One
-    memo per drawn index holds ``(left, right, code)``: u and its signed
-    permutation v packed mod ``RESIDUE_PRIME`` by ``pack_residues``, and
-    the word's one-hot letter code; v itself is never kept, and ``rep.v``
-    stays empty.  A pair's residue, the middle digit of left(x) right(y)
-    mod the prime, is <u(x), v(y)> mod the prime: where it is nonzero the
-    dot is nonzero; where it reads 0 (every pair at distance < k, about 1
-    in 32,749 of the others) the exact dot, from ``rep.u`` and v =
-    ``negated_right(size)(u)``, decides, and the report counts the pair in
-    ``exact_rechecks``, outside its JSON.  The truth is read from the xor
-    of the letter codes.  The check is one row check: it reads row i's
-    ``(left, code)`` once and loops over ``cols``, which the sweep gives
-    as the one drawn column, each pair checked as it is drawn.  Violation
-    records read the exact dot of the same vectors.  Either way
-    ``max_pairs`` bounds the pairs checked, before anything is embedded.
-    The report is deterministic for a given sample count and seed.
+    With ``sample`` None the check is exhaustive: it embeds every word once,
+    left side only (``SupportRep.embed``), before the first row, and sweeps
+    all |alphabet|^(2n) ordered pairs in product order with the row check
+    ``_packed_rows`` against the Hamming ball of radius k - 1.  Otherwise it
+    draws ``sample`` seeded uniform ordered pairs (at least one) and asks a
+    pair test of each as it is drawn, embedding only the drawn words, u
+    through the rep's memo ``rep.u``; ``rep.v`` stays empty.  One memo per
+    drawn index holds u and its signed permutation v packed mod
+    ``RESIDUE_PRIME`` (``pack_residues``) and the word's one-hot letter
+    code.  A pair's residue, the middle digit of left(x) right(y), is
+    <u(x), v(y)> mod the prime: nonzero, it proves the dot nonzero; where
+    it reads 0 (every pair at distance < k, about 1 in 32,749 of the
+    others) the exact dot decides, and the report counts the pair in
+    ``exact_rechecks``, outside its JSON.  The truth is the popcount of the
+    xor of the letter codes.  Violation records read the exact dot of the
+    same vectors.  Either way ``max_pairs`` bounds the pairs checked, before
+    anything is embedded.  The report is deterministic for a given sample
+    count and seed.
     """
     if rep.compressor is None:
         raise ValueError("verification needs a Hamming-threshold representation")
@@ -402,21 +392,17 @@ def verify_support_rep(
 
         need = 2 * k
 
-        def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+        def fails(i: int, j: int) -> bool:
             nonlocal rechecks
             left_i, _, code_i = packed(i)
-            bad = []
-            for j in cols:
-                _, right_j, code_j = packed(j)
-                nonzero = (left_i * right_j >> shift & mask) % RESIDUE_PRIME != 0
-                if not nonzero:
-                    rechecks += 1
-                    nonzero = dot(i, j) != 0
-                if nonzero != ((code_i ^ code_j).bit_count() >= need):
-                    bad.append(j)
-            return len(bad), bad
+            _, right_j, code_j = packed(j)
+            nonzero = (left_i * right_j >> shift & mask) % RESIDUE_PRIME != 0
+            if not nonzero:
+                rechecks += 1
+                nonzero = dot(i, j) != 0
+            return nonzero != ((code_i ^ code_j).bit_count() >= need)
 
-        return check
+        return fails
 
     rng = rng_stream(sample_seed, "verify-sample", n, k)
     result = sweep(a**n, prepare, sample, rng, max_pairs)
@@ -462,7 +448,10 @@ def identity_certificate(rep: SupportRep) -> IdentityCertificate:
     rows = [w + tail for w in heads]
     cols = [tuple(hi if b == lo else lo for b in w) + tail for w in heads]
 
-    check = pairwise(lambda i, j: rep.query(rows[i], cols[j]) != (i == j))
+    def check(i: int) -> tuple[int, list[int]]:
+        bad = [j for j, y in enumerate(cols) if rep.query(rows[i], y) != (i == j)]
+        return len(bad), bad
+
     result = sweep(len(rows), lambda: check)
     if not result.certified:
         i, j = result.violations[0]

@@ -19,7 +19,7 @@ from math import comb
 from typing import Callable, TextIO, TypeVar
 
 from . import __version__
-from .errors import BudgetExceededError, HamrankError, InputError, PatternViolationError
+from .errors import HamrankError, InputError, PatternViolationError
 from .hamming import (
     SupportRep,
     build_hd_supp,
@@ -31,7 +31,8 @@ from .hamming import (
     word_of_index,
 )
 from .parallel import map_rows  # noqa: F401 (perfbench traces this binding)
-from .parallel import check_pairs, mirrored, pairwise, sweep
+from .parallel import EXHAUSTIVE_ADVICE, PAIRS_OVER, check_pairs, check_size, mirrored
+from .parallel import sweep
 from .rankprob import (
     CompositionSpec,
     RankProblem,
@@ -44,6 +45,7 @@ from .rankprob import (
 from .seeds import rng_stream
 from .signcompile import (
     MAX_SIGN_DIM,
+    SIGN_OVER,
     SignForm,
     build_hd_sign,
     check_sign_dim,
@@ -314,12 +316,20 @@ def _supp_bounds(k: int, dim: int) -> dict:
 
 
 def _check_supp_dim(k: int, limit: int) -> None:
-    """Refuse C(2k, k) over ``limit``, unexpanded where 2^k alone exceeds it."""
-    if k > limit.bit_length():
-        dim = f"C({2 * k}, {k})"
-    elif k < 0 or (dim := comb(2 * k, k)) <= limit:
-        return
-    raise BudgetExceededError(f"support dimension {dim} exceeds the budget {limit}")
+    """Refuse C(2k, k) over ``limit`` (``check_size``); a k below 0, refused
+    by the build, counts as 0."""
+    k = max(k, 0)
+    message = "support dimension {} exceeds the budget {}"
+    check_size(message, limit, lambda: comb(2 * k, k), k, f"C({2 * k}, {k})")
+
+
+def _check_grid(size: int, n: int, config: RunConfig) -> None:
+    """Refuse an exhaustive sweep's size^(2n) word pairs over the pair
+    budget, unexpanded where 2n exceeds its bit length."""
+    if config.sample is None:
+        pairs, exponent = lambda: size ** (2 * n), 2 * n * (size > 1)
+        message = PAIRS_OVER + EXHAUSTIVE_ADVICE
+        check_size(message, config.max_pairs, pairs, exponent, f"{size}^{2 * n}")
 
 
 def _run_build_supp(config: RunConfig, report: Report) -> None:
@@ -342,6 +352,7 @@ def _run_verify_supp(config: RunConfig, report: Report) -> None:
     read 0, each rechecked by its exact dot."""
     rep = _load(config.params["rep"], load_supp)
     _check_supp_dim(rep.k, config.max_dim)
+    _check_grid(len(rep.alphabet), rep.n, config)
     report.construction = _supp_construction(rep)
     report.bounds = _supp_bounds(rep.k, rep.dim)
     result = verify_support_rep(rep, config.sample, config.seed, config.max_pairs)
@@ -355,8 +366,10 @@ def _run_build_sign(config: RunConfig, report: Report) -> None:
     p = config.params
     n, k = p["n"], p["k"]
     gamma_mode = p.get("gamma_mode", "exact_scan")
-    dim_formula = hd_sign_dim(n, k)
-    check_sign_dim(dim_formula, config.max_dim)
+    # k * (k < n): a k outside 1..n-1 gets hd_sign_dim's InputError
+    formula = f"1 + C({2 * k}, {k})^2 + C({2 * k + 2}, {k + 1})^2"
+    dim = lambda: hd_sign_dim(n, k)  # noqa: E731
+    dim_formula = check_size(SIGN_OVER, config.max_dim, dim, k * (k < n), formula)
     rep = build_hd_sign(
         n, k, seed=config.seed, gamma_mode=gamma_mode, max_pairs=config.max_pairs
     )
@@ -412,14 +425,14 @@ def _run_verify_sign(config: RunConfig, report: Report) -> None:
     rep, n, k = _load(config.params["rep"], _load_sign)
     check_sign_dim(rep.dim, config.max_dim)
     alphabet = rep.terms[-1].oracle.alphabet
+    _check_grid(len(alphabet), n, config)
     count = len(alphabet) ** n
     word = cache(lambda i: word_of_index(i, n, alphabet))
 
     def prepare():
         if config.sample is not None:
-            return pairwise(
-                lambda i, j: eval_sign(rep, word(i), word(j))
-                != (1 if dist(word(i), word(j)) == k else -1)
+            return lambda i, j: eval_sign(rep, word(i), word(j)) != (
+                1 if dist(word(i), word(j)) == k else -1
             )
         upper = [range(i, count) for i in range(count)]
         rows = replace(domain_rows(list(map(word, range(count)))), cols=upper)

@@ -1,16 +1,14 @@
 """The pair-sweep core: exhaustive or sampled checks over an index grid.
 
 Every certificate that compares a construction with ground truth pair by
-pair runs through ``sweep``.  The caller supplies one check per row that
-evaluates a whole row in one pass and returns its failure count with its
-first failing columns (``pairwise`` makes one from a pair test, and
-``mirrored`` one from the failing columns j >= i of a table that fails at
-(j, i) where it fails at (i, j), deciding each unordered pair once and
-counting both its orders); the core owns the budget check, the
-exhaustive/sample dispatch, the row scan and the capped violation sample.
-A sample count is the only mode switch: ``None`` sweeps every pair; a count
-draws its pairs through ``uniform``, the ``randrange`` stream.  Rows run in
-index order, in the calling thread.
+pair runs through ``sweep``.  An exhaustive sweep runs a row check
+``check(i)`` once per row; it returns row i's failure count and first
+failing columns (``mirrored`` makes one from a symmetric failure table's
+columns j >= i, counting both orders of each pair).  A sampled sweep asks
+a pair test ``fails(i, j)`` once per pair drawn through ``uniform``, the
+``randrange`` stream.  The core owns the budget check, the dispatch on the
+sample count (``None`` sweeps every pair), the row scan and the capped
+violation sample.  Rows run in index order, in the calling thread.
 
 Every exhaustive row check over exact dot products shares one packed-dot
 kernel, ``pack_columns``: it packs the right vectors column by column into
@@ -22,11 +20,10 @@ pair check, the family walk of ``compression``), at byte widths;
 which only ``signcompile._packed`` packs, casting slots of one or two
 8-byte words from the row's bytes at once on a little-endian host
 (``memoryview.cast``, built in and copying nothing, where ``array`` would
-load a shared library).  A
-sampled pair has no row to share, so ``pack_residues`` packs its two
-vectors modulo a small prime instead: one small product certifies most
-dots nonzero, and the caller computes the exact dot only where the residue
-reads 0.
+load a shared library).  A sampled pair has no row to share, so
+``pack_residues`` packs its two vectors modulo a small prime instead: one
+small product certifies most dots nonzero, and the caller computes the
+exact dot only where the residue reads 0.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -43,7 +41,8 @@ T = TypeVar("T")
 
 REPORT_CAP = 32  # violation records a SweepReport keeps
 
-RowCheck = Callable[[int, Sequence[int]], tuple[int, list]]
+RowCheck = Callable[[int], tuple[int, list]]  # row i -> (bad_count, first_bad)
+PairTest = Callable[[int, int], bool]  # (i, j) -> whether the pair fails
 
 
 def map_rows(fn: Callable[[int], T], count: int) -> list[T]:
@@ -51,12 +50,27 @@ def map_rows(fn: Callable[[int], T], count: int) -> list[T]:
     return [fn(i) for i in range(count)]
 
 
+PAIRS_OVER = "{} pairs exceed the exhaustive budget of {}"
+EXHAUSTIVE_ADVICE = "; rerun in sample mode with an explicit count"
+
+
+def check_size(
+    message: str, limit: int | None, size: Callable[[], int], exponent=0, formula=""
+) -> int:
+    """``size()``, refused over ``limit`` with ``message.format(size, limit)``;
+    a size of at least 2^``exponent``, the exponent past the limit's bit
+    length, is refused at once and named by ``formula``, never expanded."""
+    if limit is not None and exponent > limit.bit_length():
+        raise BudgetExceededError(message.format(formula, limit))
+    count = size()
+    if limit is not None and count > limit:
+        raise BudgetExceededError(message.format(count, limit))
+    return count
+
+
 def check_pairs(pairs: int, max_pairs: int | None, advice: str = "") -> None:
     """Refuse an exhaustive check of ``pairs`` pairs over ``max_pairs``."""
-    if max_pairs is not None and pairs > max_pairs:
-        raise BudgetExceededError(
-            f"{pairs} pairs exceed the exhaustive budget of {max_pairs}{advice}"
-        )
+    check_size(PAIRS_OVER + advice, max_pairs, lambda: pairs)
 
 
 @dataclass(frozen=True)
@@ -86,27 +100,16 @@ class SweepReport:
         }
 
 
-def pairwise(fails: Callable[[int, int], bool]) -> RowCheck:
-    """The row check of a pair test: column j of row i fails where
-    ``fails(i, j)`` is true."""
-
-    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
-        bad = [j for j in cols if fails(i, j)]
-        return len(bad), bad
-
-    return check
-
-
 def mirrored(bad_from: Callable[[int], list[int]]) -> RowCheck:
     """The row check of a failure table with (j, i) failing where (i, j)
     does, from ``bad_from(i)``: row i's failing columns j >= i, in order.
 
     Each failure off the diagonal counts for (i, j) and (j, i) and is
     recorded once, as (i, j).  The count holds over the exhaustive sweep's
-    whole rows only; the check reads no ``cols``.
+    whole rows only.
     """
 
-    def check(i: int, cols: Sequence[int]) -> tuple[int, list[int]]:
+    def check(i: int) -> tuple[int, list[int]]:
         bad = bad_from(i)
         return 2 * len(bad) - (i in bad), bad
 
@@ -139,55 +142,45 @@ def uniform(rng: random.Random, count: int) -> Callable[[], int]:
 
 def sweep(
     count: int,
-    prepare: Callable[[], RowCheck],
+    prepare: Callable[[], RowCheck | PairTest],
     sample: int | None = None,
     rng: random.Random | None = None,
     max_pairs: int | None = None,
 ) -> SweepReport:
     """Check ordered index pairs (i, j) of range(count) x range(count).
 
-    ``prepare()`` runs once, after the budget check, and returns the row
-    check ``check(i, cols)``.  It returns ``(bad_count, first_bad)``: how
-    many columns j of ``cols`` fail at pair (i, j), and their failing
-    columns in order, at least the first ``REPORT_CAP`` of them; the sweep
-    alone caps what it keeps.  With ``sample`` None the sweep is exhaustive:
-    it refuses grids over ``max_pairs``, then checks each row i once, with
-    ``cols`` the whole row ``range(count)``.  Otherwise it refuses a
-    ``sample`` below 1 or over ``max_pairs``, and an empty grid, then draws
-    that many pairs from ``rng`` through ``uniform``, row index first, the
-    stream ``rng.randrange(count)`` gives, and checks each as a one-column
-    row as it is drawn; no draw is stored.  The report counts every failure
-    and keeps the first ``REPORT_CAP`` failing (i, j) pairs in pair order;
-    under a ``mirrored`` check these are unordered pairs i <= j in row order,
-    each off-diagonal one standing for (j, i) too.
+    ``prepare()`` runs once, after the budget check.  With ``sample`` None
+    the sweep is exhaustive: it refuses grids over ``max_pairs`` and runs
+    the row check ``check(i)`` that ``prepare()`` returns once per row i;
+    it returns ``(bad_count, first_bad)``, row i's failure count and at
+    least its first ``REPORT_CAP`` failing columns, in order.  Otherwise it
+    refuses a ``sample`` below 1 or over ``max_pairs``, and an empty grid,
+    and asks the pair test ``fails(i, j)`` that ``prepare()`` returns of
+    each pair as it is drawn from ``rng`` (``uniform``, row index first, the
+    ``rng.randrange(count)`` stream); no draw is stored.  The report counts
+    every failure and keeps the first ``REPORT_CAP`` failing (i, j) in pair
+    order; under ``mirrored`` these are pairs i <= j in row order, each
+    off-diagonal one standing for (j, i) too.
     """
     if sample is not None:
         if sample < 1:
             raise InputError(f"a sample needs at least one pair, got {sample}")
         check_pairs(sample, max_pairs, "; draw fewer sample pairs")
         draw = uniform(rng, count)
-        check = prepare()
-        bad = 0
-        violations = []
+        fails = prepare()
+        bad, violations = 0, []
         for _ in range(sample):
-            i = draw()
-            j = draw()
-            if check(i, (j,))[0]:
+            i, j = draw(), draw()  # row index first
+            if fails(i, j):
                 bad += 1
                 if len(violations) < REPORT_CAP:
                     violations.append((i, j))
         return SweepReport(sample, bad, tuple(violations), "sample")
-    check_pairs(
-        count * count, max_pairs, "; rerun in sample mode with an explicit count"
-    )
-    check = prepare()
-    cols = range(count)
-    bad = 0
-    violations = []
-    for i, (row_bad, row_cols) in enumerate(map_rows(lambda i: check(i, cols), count)):
-        bad += row_bad
-        violations.extend((i, j) for j in row_cols[: REPORT_CAP - len(violations)])
-    return SweepReport(count * count, bad, tuple(violations))
+    check_pairs(count * count, max_pairs, EXHAUSTIVE_ADVICE)
+    rows = map_rows(prepare(), count)
+    failing = ((i, j) for i, (_, bad) in enumerate(rows) for j in bad)
+    violations = tuple(islice(failing, REPORT_CAP))
+    return SweepReport(count * count, sum(bad for bad, _ in rows), violations)
 
 
 # -------------------------------------------------------------------

@@ -45,7 +45,6 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import (
-    BudgetExceededError,
     InputError,
     PatternViolationError,
     SizeMismatchError,
@@ -54,7 +53,7 @@ from .errors import (
 from .compression import det_vectors, shared_det_vectors, split_positions, supports
 from .exact import Mat, int_from_json
 from .hamming import SupportRep, build_hd_supp, check_alphabet, load_supp
-from .parallel import check_pairs, packed_dots
+from .parallel import PAIRS_OVER, check_size, packed_dots
 from .seeds import seed_stream
 from .veronese import prove_det_sum
 
@@ -176,13 +175,13 @@ def _listed(row: list, cols: Sequence[int], lo: int) -> list:
 
 
 MAX_SIGN_DIM = 1 << 20  # default budget on a sign rep's dimension
+SIGN_OVER = "sign dimension {} exceeds the budget {}"
 
 
 def check_sign_dim(dim: int, max_dim: int = MAX_SIGN_DIM) -> None:
     """Refuse a sign dimension above ``max_dim`` before any det-sum proof:
     a proof of size c takes sum_s C(c, s) c!/(c - s)! 2^s rook points."""
-    if dim > max_dim:
-        raise BudgetExceededError(f"sign dimension {dim} exceeds the budget {max_dim}")
+    check_size(SIGN_OVER, max_dim, lambda: dim)
 
 
 def _prove_det_sums(form: SignForm) -> None:
@@ -440,8 +439,10 @@ def build_hd_sign(
     ``_class_rows``.
     """
     hd_sign_dim(n, k)  # refuses k outside 1..n-1
-    diffs = {a - b for a, b in itertools.product(check_alphabet(alphabet), repeat=2)}
-    check_pairs((len(diffs) ** n + 1) // 2, max_pairs)
+    letters = check_alphabet(alphabet)
+    d = len({a - b for a in letters for b in letters})  # odd: (d^n + 1)/2 >= 2^n
+    pairs = lambda: (d**n + 1) // 2  # noqa: E731
+    check_size(PAIRS_OVER, max_pairs, pairs, n * (d > 1), f"({d}^{n} + 1)/2")
     with shared_det_vectors():
         tree = threshold_tree(
             (0,) * k + (1, 0),

@@ -92,6 +92,15 @@ def neq_spec_doc(**changes):
     return {**doc, **changes}
 
 
+def ones_supp_doc(n):
+    """``weights_supp_doc(n)`` with every left entry 1: well-formed and small
+    at any n, though it does not represent dist >= 1."""
+    doc = weights_supp_doc(0)
+    factor = {"rows": 1, "cols": n, "entries": ["1"] * n}
+    doc["compressor"].update(left=factor, right=factor, source_shape=[n, n])
+    return {**doc, "n": n}
+
+
 def hd_sign_doc(n, k):
     """The document ``build-sign --n n --k k`` writes at seed 0."""
     from hamrank.signcompile import build_hd_sign, sign_to_json
@@ -470,28 +479,22 @@ class TestSignCommands:
         assert sample.timing["pairs_evaluated"] == 50
 
     @staticmethod
-    def pairwise_verify_sign(path):
-        """The per-pair check the row kernel replaced: ``eval_sign`` on every
-        ordered pair in row-major order, against dist == k."""
-        from hamrank.errors import HamrankError
-        from hamrank.harness import _load, _load_sign
-        from hamrank.hamming import word_of_index
-        from hamrank.parallel import pairwise, sweep
-        from hamrank.signcompile import eval_sign
-
-        rep, n, k = _load(str(path), _load_sign)
-        alphabet = rep.terms[-1].oracle.alphabet
-        words = [word_of_index(i, n, alphabet) for i in range(len(alphabet) ** n)]
-        check = pairwise(
-            lambda i, j: eval_sign(rep, words[i], words[j])
-            != (1 if reference.dist(words[i], words[j]) == k else -1)
-        )
-        try:
-            result = sweep(len(words), lambda: check)
-        except HamrankError as exc:
-            return None, None, "failed", f"{type(exc).__name__}: {exc}"
-        status = "certified" if result.certified else "failed"
-        return result.pairs_checked, result.violation_count, status, None
+    def pairwise_verify_sign(doc):
+        """verify-sign's outcome pair by pair, from ``tests/reference.py``:
+        the first ordered pair in row-major order whose value vanishes, or
+        else every pair whose sign is not +1 exactly where dist == k."""
+        n, alphabet = doc["meta"]["n"], doc["tree"]["oracle"]["alphabet"]
+        words = list(itertools.product(map(int, alphabet), repeat=n))
+        pairs = list(itertools.product(words, repeat=2))
+        value = reference.sign_value(doc["tree"])
+        for x, y in pairs:
+            if value(x, y) == 0:
+                return None, None, "failed", (
+                    f"ZeroValueError: sign value vanished at ({x}, {y}); "
+                    "dominance constant or construction is broken"
+                )
+        count = sum(1 for _ in reference.sign_failures(doc, pairs))
+        return len(pairs), count, "certified" if count == 0 else "failed", None
 
     @pytest.mark.parametrize(
         "case",
@@ -527,7 +530,7 @@ class TestSignCommands:
         report = run("verify-sign", make_config(tmp_path, "vs", params={"rep": str(path)}))
         ver = report.verification
         got = ver.get("pairs_checked"), ver.get("violation_count")
-        assert (*got, report.status, report.error) == self.pairwise_verify_sign(path)
+        assert (*got, report.status, report.error) == self.pairwise_verify_sign(doc)
         violations = {
             "meta-k-over-n": 64 * 6,  # every positive pair, at distance 1
             "gamma-lowered": 4096 - 64 - 64 * 6,  # the pairs at distance >= 2
@@ -1062,13 +1065,25 @@ class TestCli:
         assert doc["status"] == "failed"
         return doc["error"]
 
-    def test_cli_family_over_budget_reports_failure_at_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n,k,patterns",
+        [(40, 2, "3^40"), (10000, 1, "3^10000")],
+        ids=["n40", "n10000"],
+    )
+    def test_cli_family_over_budget_reports_failure_at_once(
+        self, tmp_path, n, k, patterns
+    ):
+        # an exponent past the budget's 25 bits is named unexpanded: 3^10000
+        # has 4,772 digits, past the 4,300 an int converts to text
         out = str(tmp_path / "r.json")
-        args = ["build-supp", "--n", "40", "--k", "2", "--out", out]
+        args = ["build-supp", "--n", str(n), "--k", str(k), "--out", out]
         start = time.perf_counter()
         error = self.failed_report(tmp_path, args)
         assert time.perf_counter() - start < 1.0
-        assert error.startswith("BudgetExceededError:")
+        assert error == (
+            f"BudgetExceededError: {patterns} diagonal patterns exceed the family "
+            "budget of 16777216"
+        )
 
     @pytest.mark.parametrize(
         "extra",
@@ -1082,12 +1097,21 @@ class TestCli:
         args = ["build-supp", *extra, "--out", str(tmp_path / "r.json")]
         assert self.failed_report(tmp_path, args).startswith("InputError:")
 
-    def test_cli_build_sign_over_pair_budget_reports_failure_at_once(self, tmp_path):
-        args = ["build-sign", "--n", "16", "--k", "1", "--out", str(tmp_path / "s.json")]
+    @pytest.mark.parametrize(
+        "n,pairs", [(16, "21523361"), (10000, "(3^10000 + 1)/2")], ids=["n16", "n10000"]
+    )
+    def test_cli_build_sign_over_pair_budget_reports_failure_at_once(
+        self, tmp_path, n, pairs
+    ):
+        out = str(tmp_path / "s.json")
+        args = ["build-sign", "--n", str(n), "--k", "1", "--out", out]
         start = time.perf_counter()
         error = self.failed_report(tmp_path, args)
         assert time.perf_counter() - start < 1.0
-        assert error.startswith("BudgetExceededError: 21523361 pairs exceed")
+        assert error == (
+            f"BudgetExceededError: {pairs} pairs exceed the exhaustive budget of "
+            "16777216"
+        )
 
     @pytest.mark.parametrize(
         "command,doc",
@@ -1141,24 +1165,46 @@ class TestCli:
         error = self.failed_report(tmp_path, sample(301))
         assert error.startswith("BudgetExceededError: 301 pairs exceed")
 
+    @pytest.mark.parametrize(
+        "command,doc,budget,pairs",
+        [
+            ("verify-sign", equality_sign_doc(3), "63", "64"),
+            # 4^8000 has 4,817 digits, past the 4,300 an int converts to text
+            ("verify-supp", ones_supp_doc(8000), "16777216", "2^16000"),
+            (
+                "verify-sign",
+                doc_with(equality_sign_doc(3), ["tree", "oracle"], ones_supp_doc(8000))
+                | {"meta": {"n": 8000, "k": 0}},
+                "16777216",
+                "2^16000",
+            ),
+        ],
+        ids=["sign", "supp-n8000", "sign-n8000"],
+    )
     def test_cli_exhaustive_sign_over_the_pair_budget_never_embeds(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, command, doc, budget, pairs
     ):
         def never(*args):
             raise AssertionError("embedded or packed a word over the budget")
 
-        monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
+        monkeypatch.setenv("HAMRANK_MAX_PAIRS", budget)
         monkeypatch.setattr("hamrank.hamming.minor_embed", never)
         monkeypatch.setattr("hamrank.signcompile.packed_dots", never)
         rep = tmp_path / "rep.json"
-        rep.write_text(json.dumps(equality_sign_doc(3)))
-        error = self.failed_report(tmp_path, ["verify-sign", str(rep)])
+        rep.write_text(json.dumps(doc))
+        start = time.process_time()
+        error = self.failed_report(tmp_path, [command, str(rep)])
+        assert time.process_time() - start < 1.0
         assert error == (
-            "BudgetExceededError: 64 pairs exceed the exhaustive budget of 63; "
-            "rerun in sample mode with an explicit count"
+            f"BudgetExceededError: {pairs} pairs exceed the exhaustive budget of "
+            f"{budget}; rerun in sample mode with an explicit count"
         )
 
-    @pytest.mark.parametrize("value", ["abc", " 30", "3_0", "\u0663\u0660"])
+    @pytest.mark.parametrize(
+        "value",
+        # int() refuses past 4,300 digits
+        ["abc", " 30", "3_0", "\u0663\u0660", pytest.param("9" * 5000, id="5000-nines")],
+    )
     @pytest.mark.parametrize("name", ["HAMRANK_MAX_PAIRS", "HAMRANK_MAX_DIM"])
     def test_cli_bad_environment_value_exits_cleanly(
         self, tmp_path, monkeypatch, name, value
@@ -1282,20 +1328,38 @@ class TestCli:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "n,k,dim",
+        [
+            (7, 6, "12632401"),
+            (9000, 8000, "1 + C(16000, 8000)^2 + C(16002, 8001)^2"),
+            (2000000, 1000000, "1 + C(2000000, 1000000)^2 + C(2000002, 1000001)^2"),
+        ],
+        ids=["k6", "k8000", "k1000000"],
+    )
     def test_cli_build_sign_over_the_dimension_budget_builds_nothing(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, n, k, dim
     ):
+        # a k past the budget's 21 bits is refused unexpanded: the dimension
+        # at k = 8000 has 9,630 digits, and C(2 * 10^6, 10^6) alone took 45 s
+        # of CPU to expand
         from hamrank.signcompile import hd_sign_dim
 
         def never(*args):
-            raise AssertionError("proved or built past the dimension budget")
+            raise AssertionError("proved, built or expanded past the dimension budget")
 
         monkeypatch.setattr("hamrank.signcompile.prove_det_sum", never)
         monkeypatch.setattr("hamrank.signcompile.build_hd_supp", never)
-        args = ["build-sign", "--n", "7", "--k", "6", "--out", str(tmp_path / "s.json")]
+        if k > 21:
+            monkeypatch.setattr("hamrank.signcompile.threshold_dim", never)
+        out = tmp_path / "s.json"
+        args = ["build-sign", "--n", str(n), "--k", str(k), "--out", str(out)]
+        start = time.process_time()
         assert self.failed_report(tmp_path, args) == (
-            "BudgetExceededError: sign dimension 12632401 exceeds the budget 1048576"
+            f"BudgetExceededError: sign dimension {dim} exceeds the budget 1048576"
         )
+        assert time.process_time() - start < 1.0
+        monkeypatch.undo()
         assert not (tmp_path / "s.json").exists()
         # k = 5 stays under the default HAMRANK_MAX_DIM
         assert hd_sign_dim(6, 5) == 917281 <= 1 << 20
@@ -1346,6 +1410,14 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_cli_one_letter_words_of_any_length_fit_the_pair_budget(self, tmp_path):
+        # 1^16000 pairs: a base of 1 is never refused unexpanded
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({**ones_supp_doc(8000), "alphabet": ["0"]}))
+        report = tmp_path / "v.report.json"
+        assert main(["verify-supp", str(rep), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["verification"]["pairs_checked"] == 1
+
     @pytest.mark.parametrize(
         "command",
         [["verify-supp"], ["verify-supp", "--mode", "sample:10"], ["lower-bound"]],
@@ -1379,7 +1451,7 @@ class TestCli:
             raise AssertionError("built the identity past the pair budget")
 
         monkeypatch.setenv("HAMRANK_MAX_PAIRS", "63")
-        monkeypatch.setattr("hamrank.hamming.pairwise", never)
+        monkeypatch.setattr("hamrank.hamming.sweep", never)
         monkeypatch.setattr("hamrank.hamming.minor_embed", never)
         assert self.failed_report(tmp_path, ["lower-bound", str(rep)]) == (
             "BudgetExceededError: 64 pairs exceed the exhaustive budget of 63"

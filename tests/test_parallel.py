@@ -1,5 +1,6 @@
-"""The mirrored row check against the pair-by-pair one, the sample draws
-against ``randrange``, and the one module that packs exact dots."""
+"""The sweep's two contracts, the mirrored row check against its failure
+table, the sample draws against ``randrange``, and the one module that
+packs exact dots."""
 
 import ast
 import itertools
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 import hamrank
 from hamrank import parallel
+from hamrank.errors import BudgetExceededError
 from hamrank.parallel import (
     REPORT_CAP,
     RESIDUE_PRIME,
+    check_size,
     mirrored,
     pack_residues,
-    pairwise,
     sweep,
     uniform,
 )
@@ -50,14 +52,13 @@ def test_mirrored_check_counts_what_the_pairwise_check_counts(table):
         return [j for j in range(i, count) if table[i][j]]
 
     got = sweep(count, lambda: mirrored(bad_from))
-    every = pairwise(lambda i, j: table[i][j])
-    want = sweep(count, lambda: every)
-    assert got.pairs_checked == want.pairs_checked
-    assert got.violation_count == want.violation_count
+    # every failing ordered pair of the table, in row order
+    failures = [(i, j) for i in range(count) for j in range(count) if table[i][j]]
+    assert got.pairs_checked == count * count
+    assert got.violation_count == len(failures)
     # each unordered pair once, the diagonal included, in row order
     upper = list(itertools.combinations_with_replacement(range(count), 2))
     assert asked == upper
-    failures = [(i, j) for i in range(count) for j in every(i, range(count))[1]]
     assert list(got.violations) == [(i, j) for i, j in failures if i <= j][:REPORT_CAP]
 
 
@@ -68,7 +69,7 @@ def test_mirrored_check_counts_what_the_pairwise_check_counts(table):
 )
 def test_mirrored_counts_the_diagonal_once_and_the_rest_twice(bad, count):
     check = mirrored(lambda i: bad)
-    assert check(2, range(6)) == (count, bad)
+    assert check(2) == (count, bad)
 
 
 def test_mirrored_dense_failures_fill_the_report_in_row_order():
@@ -85,15 +86,81 @@ def test_mirrored_dense_failures_fill_the_report_in_row_order():
 )
 def test_mirrored_rows_are_the_same_in_any_order(rows):
     """Each row's result is its own: no row depends on the rows checked
-    before it, or on the columns it is given."""
+    before it."""
 
     def bad_from(i):
         return [j for j in range(i, 4) if (i + j) % 3 == 0]
 
-    fresh = [mirrored(bad_from)(i, ()) for i in range(4)]
+    fresh = [mirrored(bad_from)(i) for i in range(4)]
     check = mirrored(bad_from)
-    assert [check(i, range(4)) for i in rows] == [fresh[i] for i in rows]
+    assert [check(i) for i in rows] == [fresh[i] for i in rows]
     assert fresh == [(3, [0, 3]), (2, [2]), (0, []), (1, [3])]
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_exhaustive_sweep_asks_the_row_check_of_each_row_alone(count):
+    """``prepare()`` runs once, and the row check once per row, in order,
+    with the row index as its one argument."""
+    prepared, asked = [], []
+
+    def check(*args):
+        asked.append(args)
+        (i,) = args
+        return (1, [i]) if i % 2 else (0, [])
+
+    def prepare():
+        prepared.append(len(asked))
+        return check
+
+    got = sweep(count, prepare)
+    assert prepared == [0]
+    assert asked == [(i,) for i in range(count)]
+    odd = range(1, count, 2)
+    assert (got.pairs_checked, got.violation_count) == (count * count, len(odd))
+    assert got.violations == tuple((i, i) for i in odd)
+    assert got.mode == "exhaustive"
+
+
+@pytest.mark.parametrize("count,sample", [(1, 3), (7, 200), (2**70 + 3, 50)])
+def test_sampled_sweep_asks_the_pair_test_of_each_drawn_pair(count, sample):
+    """``prepare()`` runs once, and the pair test exactly ``sample`` times,
+    on the (i, j) of the ``randrange`` stream, row index first."""
+    prepared, asked = [], []
+
+    def fails(*args):
+        asked.append(args)
+        i, j = args
+        return (i + j) % 3 == 0
+
+    def prepare():
+        prepared.append(len(asked))
+        return fails
+
+    got = sweep(count, prepare, sample, random.Random(5))
+    stream = random.Random(5)
+    drawn = [(stream.randrange(count), stream.randrange(count)) for _ in range(sample)]
+    assert prepared == [0]
+    assert asked == drawn
+    bad = [(i, j) for i, j in drawn if (i + j) % 3 == 0]
+    assert (got.pairs_checked, got.violation_count) == (sample, len(bad))
+    assert got.violations == tuple(bad[:REPORT_CAP])
+    assert got.mode == "sample"
+
+
+def never():
+    raise AssertionError("expanded a size the rule refuses")
+
+
+def test_an_exponent_past_the_limits_bits_is_refused_unexpanded():
+    with pytest.raises(BudgetExceededError, match=r"^2\^26 things over 16777216$"):
+        check_size("{} things over {}", 1 << 24, never, 26, "2^26")
+    # at the bit length itself the size is expanded and compared
+    assert check_size("{} over {}", 1 << 24, lambda: 1 << 24, 25, "2^25") == 1 << 24
+    with pytest.raises(BudgetExceededError, match="^16777217 over 16777216$"):
+        check_size("{} over {}", 1 << 24, lambda: (1 << 24) + 1, 25, "2^25 + 1")
+    # a base of 1 has exponent 0 at any power; no limit refuses nothing
+    assert check_size("{} over {}", 5, lambda: 1, 0, "1^10000") == 1
+    assert check_size("{} over {}", None, lambda: 7, 10**9, "7") == 7
 
 
 def test_row_checks_keep_no_state():
