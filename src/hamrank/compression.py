@@ -43,7 +43,7 @@ from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, RetriesExhaustedError, SizeMismatchError
-from .exact import Mat, bareiss, det_exact, int_from_json, rank_exact
+from .exact import Mat, bareiss, det_exact, int_from_json, pack_keys, rank_exact
 from .parallel import REPORT_CAP, SweepReport, check_size, flagged, packed_nonzero
 from .parallel import top_bytes
 
@@ -100,19 +100,21 @@ class MatFamily:
 
     @classmethod
     def differences(cls, bases: Sequence[Mat], rank=None) -> "MatFamily":
-        """The family {B_x - B_y : x <= y} of the bases' differences,
-        deduplicated in x-major order, each member kept at its first pair;
-        x > y would only negate a member."""
+        """The family {B_x - B_y : x <= y} of the bases' differences, told
+        apart by their packed keys' differences (``exact.pack_keys``) in
+        x-major order, each member kept at its first pair; x > y would only
+        negate a member."""
         bases = tuple(bases)
         if not bases:
             raise ValueError("family must be nonempty")
         shape = bases[0].shape
         if any(b.shape != shape for b in bases):
             raise SizeMismatchError("family members must share one shape")
-        first: dict[tuple[int, ...], tuple[int, int]] = {}
-        for x, y in itertools.combinations_with_replacement(range(len(bases)), 2):
-            diff = tuple(map(sub, bases[x].entries, bases[y].entries))
-            first.setdefault(diff, (x, y))
+        keys = pack_keys([b.entries for b in bases])
+        first: dict[int, tuple[int, int]] = {}
+        for x, kx in enumerate(keys):
+            for y, ky in enumerate(keys[x:], x):
+                first.setdefault(kx - ky, (x, y))
         return cls(shape, bases, tuple(first.values()), rank=rank)
 
     @classmethod

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import InputError, NonSquareError, SizeMismatchError
@@ -167,6 +169,15 @@ class Mat:
     @classmethod
     def from_json(cls, obj: dict) -> "Mat":
         return cls(obj["rows"], obj["cols"], ints_from_json(obj["entries"]))
+
+
+def pack_keys(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Equal-length integer vectors as balanced base-2^W digits, 2^(W - 1)
+    past twice the largest |entry|: key(u) - key(v) packs u - v, so it is 0
+    exactly when u = v, and key differences are equal exactly when u - v are."""
+    largest = max(map(abs, chain.from_iterable(vectors)), default=0)
+    width = (2 * largest).bit_length() + 1
+    return [sum(map(lshift, v, range(0, width * len(v), width))) for v in vectors]
 
 
 _DECIMAL = re.compile("-?[0-9]+")

@@ -59,12 +59,16 @@ def check_size(
 ) -> int:
     """``size()``, refused over ``limit`` with ``message.format(size, limit)``;
     a size of at least 2^``exponent``, the exponent past the limit's bit
-    length, is refused at once and named by ``formula``, never expanded."""
+    length, or too long to print, is named by ``formula``, never expanded."""
     if limit is not None and exponent > limit.bit_length():
         raise BudgetExceededError(message.format(formula, limit))
     count = size()
     if limit is not None and count > limit:
-        raise BudgetExceededError(message.format(count, limit))
+        try:
+            text = str(count)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            text = formula or f"at least 2^{count.bit_length() - 1}"
+        raise BudgetExceededError(message.format(text, limit))
     return count
 
 

@@ -17,16 +17,15 @@ fits over the problem's difference family {A(x) - A(y) : x <= y}
 rank from ``rank_fn`` at its first pair.  The fit eliminates every
 compressed member against that rank, and nothing eliminates an
 uncompressed member, so each constructor's rank source is its own proof
-obligation (see ``RankProblem``).  Construction is deterministic per seed.
+obligation (see ``RankProblem``).  A problem built on others reads their
+ranks a row at a time (``RankProblem.row``).  Deterministic per seed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import prod
-from operator import sub
 from typing import Callable, Mapping, Sequence
 
 from .compression import MatFamily, fit_compressor, nth_product, word_map
@@ -36,7 +35,7 @@ from .errors import (
     InputError,
     SizeMismatchError,
 )
-from .exact import Mat, bareiss, block_diag, pattern_blocks, rank_exact
+from .exact import Mat, bareiss, block_diag, pack_keys, pattern_blocks, rank_exact
 from .hamming import SupportRep, check_alphabet, dist
 from .parallel import check_pairs
 from .seeds import seed_stream
@@ -64,7 +63,8 @@ class RankProblem:
     takes min(dist, k) and ``_compress_problem`` min(rank, size), each
     proved by its fit; ``_block_problem`` sums weighted block ranks, rank
     being additive over blocks; ``problem_from_json`` sums its pattern
-    blocks' Bareiss ranks.
+    blocks' Bareiss ranks, memoized per pair; the resized and block
+    problems compute each row of ranks once (``_tabulated``).
 
     Every problem is symmetric: ``eval(x, y) == eval(y, x)``, because
     A(y) - A(x) = -(A(x) - A(y)) and rank(M) = rank(-M), and each
@@ -90,6 +90,12 @@ class RankProblem:
     def eval(self, x: int, y: int) -> int:
         return self.g[min(self.rank_fn(x, y), self.order)]
 
+    def row(self, x: int) -> list[int]:
+        """``rank_fn(x, y)`` at y = x..index_count - 1: a ``_tabulated``
+        rank_fn's own row, else asked pair by pair."""
+        row, rank = getattr(self.rank_fn, "row", None), self.rank_fn
+        return row(x) if row else [rank(x, y) for y in range(x, self.index_count)]
+
     @cached_property
     def differences(self) -> MatFamily:
         """{A(x) - A(y) : x <= y} as a difference family over the maps
@@ -108,6 +114,15 @@ def symmetric_problem(
     return RankProblem(
         index_count, a_map, tuple(g), lambda x, y: rank_exact(a_map(x) - a_map(y)), name
     )
+
+
+def _tabulated(row: Callable[[int], list[int]]) -> Callable[[int, int], int]:
+    """The rank_fn that reads ``row(x)``, the ranks at y = x..N-1, each row
+    computed once; rank(A(y) - A(x)) = rank(A(x) - A(y)) serves y < x."""
+    row = cache(row)
+    rank_fn = lambda x, y: row(x)[y - x] if x <= y else row(y)[x - y]  # noqa: E731
+    rank_fn.row = row
+    return rank_fn
 
 
 def _step(s: int) -> tuple[int, ...]:
@@ -175,7 +190,8 @@ def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
     Otherwise a compressor C is fitted over ``p.differences``, which every
     resize of ``p`` shares, and the maps are the bases its accepted draw
     compressed: C(A(x)) - C(A(y)) = C(A(x) - A(y)) by linearity, of rank
-    min(rank_fn(x, y), size), which the fit checked on every member.
+    min(rank_fn(x, y), size), which the fit checked on every member, and
+    row x caps p's row x: a resize of a resize reads the first one's rows.
     """
     if p.a_map(0).shape == (size, size):
         return p
@@ -183,32 +199,35 @@ def _compress_problem(p: RankProblem, size: int, seed: int) -> RankProblem:
         return _block_problem([], p.index_count, p.g, f"norm({p.name})")
     family = p.differences
     a_map = family.compressed(fit_compressor(family, size, seed)).__getitem__
-    rank_fn = lambda x, y: min(p.rank_fn(x, y), size)  # noqa: E731
+    rank_fn = _tabulated(lambda x: [r if r < size else size for r in p.row(x)])
     return replace(p, a_map=a_map, rank_fn=rank_fn, name=f"norm({p.name})")
 
 
 def _block_problem(
     parts: Sequence[tuple], index_count: int, g: Sequence[int], name: str
 ) -> RankProblem:
-    """A(x) places, per part (w, P, imap), w copies of P's A(imap(x)) along
-    the diagonal; rank is additive, so a pair ranks sum w * rank_P, summed
-    part by part for every y >= x when row x is first asked."""
+    """A(x) places, per part (w, P, ix), w copies of P's A(ix[x]) along the
+    diagonal, where ``ix`` lists P's index at each x, or is None for x
+    itself; rank is additive, so row x sums w * rank_P part by part, from
+    P's row x, or with ``ix`` from P's ranks on all pairs, tabulated once."""
 
     def a_map(x: int) -> Mat:
-        return block_diag([p.a_map(imap(x)) for w, p, imap in parts for _ in range(w)])
+        maps = [(w, p.a_map(x if ix is None else ix[x])) for w, p, ix in parts]
+        return block_diag([m for w, m in maps for _ in range(w)])
 
     @cache
+    def table(i: int) -> list[list[int]]:
+        indices, rank = range(parts[i][1].index_count), parts[i][1].rank_fn
+        return [[rank(u, v) for v in indices] for u in indices]
+
     def row(x: int) -> list[int]:
-        ys, sums = range(x, index_count), [0] * (index_count - x)
-        for w, p, imap in parts:
-            ix, rank = imap(x), p.rank_fn
-            sums = [s + w * rank(ix, imap(y)) for s, y in zip(sums, ys)]
+        sums = [0] * (index_count - x)
+        for i, (w, p, ix) in enumerate(parts):
+            ranks = p.row(x) if ix is None else map(table(i)[ix[x]].__getitem__, ix[x:])
+            sums = [s + w * r for s, r in zip(sums, ranks)]
         return sums
 
-    def rank_fn(x: int, y: int) -> int:
-        return row(x)[y - x] if x <= y else row(y)[x - y]
-
-    return RankProblem(index_count, a_map, tuple(g), rank_fn, name)
+    return RankProblem(index_count, a_map, tuple(g), _tabulated(row), name)
 
 
 def _combined_order(orders: Sequence[int]) -> int:
@@ -271,7 +290,7 @@ def bool_combine(
     g_table = [table[c] for c in codes]
 
     combined = _block_problem(
-        [(w, p, lambda x: x) for w, p in zip(weights, resized)],
+        [(w, p, None) for w, p in zip(weights, resized)],
         counts[0],
         g_table,
         name or f"combine[{','.join(p.name for p in resized)}]",
@@ -474,13 +493,14 @@ def distance_r_compose(spec: CompositionSpec, seed: int = 0) -> RankProblem:
     )
     components = [gate]
     capped_maps: dict[int, Callable[[int], Mat]] = {}
-    coords = cache(spec.tuple_of)
+    # coordinate i's index at every combined index
+    columns = list(zip(*map(spec.tuple_of, range(spec.index_count))))
     for t in caps:
         capped = [
             _compress_problem(p, t, seed_stream(seed, "compose-coord", i, t))
             for i, p in enumerate(spec.inners)
         ]
-        parts = [(1, q, lambda x, i=i: coords(x)[i]) for i, q in enumerate(capped)]
+        parts = [(1, q, ix) for q, ix in zip(capped, columns)]
         target = r * t
         capsum = _compress_problem(
             _block_problem(parts, spec.index_count, _step(target), ""),
@@ -581,14 +601,14 @@ def problem_from_json(doc: dict) -> RankProblem:
     The document must say ``"symmetric": true``, hold no B table, state
     ``order`` as len(g) - 1 and ``index_count`` as the length of A, whose
     matrices must share one shape.  The blocks of the table's union nonzero
-    pattern (``pattern_blocks``) are found once, here, and grouped by their
-    cut over every index (shape and entries in every matrix): blocks with
-    equal cuts have equal differences on every pair, so a table of w_i
-    copies of A_i (``bool_combine``'s layout) ranks each A_i once, weighted
-    by w_i.  Every A(x) - A(y) is zero outside the blocks, so the loaded
-    ``rank_fn``, memoized per pair, adds 0 for a block whose two cuts are
-    equal and w times the Bareiss rank of the block difference for every
-    other block, eliminated once per distinct difference;
+    pattern (``pattern_blocks``) are found once, here, and grouped by shape
+    and cut over every index, each cut packed into a key (``pack_keys``):
+    blocks with equal cuts have equal differences on every pair, so a table
+    of w_i copies of A_i (``bool_combine``'s layout) ranks each A_i once,
+    weighted by w_i.  Every A(x) - A(y) is zero outside the blocks, so the
+    loaded ``rank_fn``, memoized per pair, adds 0 for a block whose key
+    difference is 0 and w times the Bareiss rank of the block difference
+    for every other, built and eliminated once per shape and key difference;
     ``meta["exact_rechecks"]`` counts those eliminations.
     """
     if doc.get("schema") != "hamrank-rankproblem/1":
@@ -607,28 +627,30 @@ def problem_from_json(doc: dict) -> RankProblem:
     if len(shapes) > 1:
         raise InputError(f"the A table mixes matrix shapes {shapes}")
     width = shapes[0][1] if shapes else 0
-    copies = Counter(
-        tuple(
-            tuple(tuple(m.entries[i * width + j] for j in cols) for i in rows)
-            for m in a_tab
-        )
+    # each block as rows of entry positions, and its cut at each index as a key
+    blocks = [
+        [[i * width + j for j in cols] for i in rows]
         for rows, cols in pattern_blocks(a_tab)
-    )
+    ]
+    cuts = [[m.entries[c] for r in block for c in r] for block in blocks for m in a_tab]
+    keys = pack_keys(cuts)
+    groups: dict[tuple, list] = {}  # (rows, cols, keys) -> [copies, block]
+    for i, block in enumerate(blocks):
+        cut = (len(block), len(block[0]), tuple(keys[i * count : (i + 1) * count]))
+        groups.setdefault(cut, [0, block])[0] += 1
     meta = {"exact_rechecks": 0}
-
-    @cache
-    def block_rank(diff: tuple[tuple[int, ...], ...]) -> int:
-        meta["exact_rechecks"] += 1
-        return bareiss(list(map(list, diff)))[0]
+    ranks = {(rows, cols, 0): 0 for rows, cols, _ in groups}  # by key difference
 
     @cache
     def rank_fn(x: int, y: int) -> int:
         total = 0
-        for cut, w in copies.items():
-            bx, by = cut[x], cut[y]
-            if bx != by:
-                diff = tuple(tuple(map(sub, *rows)) for rows in zip(bx, by))
-                total += w * block_rank(diff)
+        for (rows, cols, cut), (w, block) in groups.items():
+            diff = (rows, cols, cut[x] - cut[y])
+            if diff not in ranks:
+                meta["exact_rechecks"] += 1
+                ax, ay = a_tab[x].entries, a_tab[y].entries
+                ranks[diff] = bareiss([[ax[c] - ay[c] for c in r] for r in block])[0]
+            total += w * ranks[diff]
         return total
 
     return RankProblem(count, a_tab.__getitem__, g, rank_fn, doc.get("name", ""), meta)

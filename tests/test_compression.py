@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamrank import compression
 from hamrank.compression import (
@@ -21,11 +23,23 @@ from hamrank.errors import (
     RetriesExhaustedError,
     SizeMismatchError,
 )
-from hamrank.exact import Mat, rank_exact
+from hamrank.exact import Mat, pack_keys, rank_exact
 from hamrank.parallel import packed_dots
 
 from . import reference
 from .conftest import distinct_differences, random_mat, reference_fit
+
+
+@st.composite
+def repeated_bases(draw):
+    """1 to 8 equal-shape matrices drawn with repeats from a pool of up to 4,
+    their entries small or up to +-2^70."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+    entries = st.lists(entry, min_size=rows * cols, max_size=rows * cols)
+    pool = draw(st.lists(entries, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return [Mat(rows, cols, tuple(p)) for p in picks]
 
 
 def support(z):
@@ -76,6 +90,28 @@ class TestMatFamily:
         m = random_mat(rng, 2, 2)
         fam = MatFamily.differences([m, m, Mat.zeros(2, 2)])
         assert fam.size == 2  # the zero matrix and m
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_bases())
+    # packed with one bit less, the members (-2, 1) at pair (0, 1) and
+    # (2, 0) at pair (1, 2) would share the key 2
+    @example([Mat(1, 2, (-1, 1)), Mat(1, 2, (1, 0)), Mat(1, 2, (-1, 0))])
+    def test_members_are_the_tuple_keyed_dedupe(self, bases):
+        first = {}
+        for x, y in itertools.combinations_with_replacement(range(len(bases)), 2):
+            first.setdefault((bases[x] - bases[y]).entries, (x, y))
+        fam = MatFamily.differences(bases)
+        assert fam.pairs == tuple(first.values())
+        assert [fam.member(i) for i in range(fam.size)] == distinct_differences(bases)
+
+    def test_a_key_one_bit_narrower_would_merge_members(self):
+        bases = [(-1, 1), (1, 0), (-1, 0)]  # largest |entry| 1: keys of 3 bits
+        narrow = [a + (b << 2) for a, b in bases]
+        assert narrow[0] - narrow[1] == narrow[1] - narrow[2] == 2
+        keys = pack_keys(bases)
+        assert keys == [a + (b << 3) for a, b in bases]
+        assert keys[0] - keys[1] != keys[1] - keys[2]
+        assert MatFamily.differences([Mat(1, 2, b) for b in bases]).size == 4
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(SizeMismatchError):

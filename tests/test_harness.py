@@ -1410,6 +1410,26 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_cli_a_dimension_past_the_digit_limit_is_named_not_written(
+        self, tmp_path, monkeypatch
+    ):
+        # a budget of 10^4000, 13,288 bits, lets k = 8000 be expanded, and
+        # C(16000, 8000) is over it with 4,815 digits, past the 4,300 an int
+        # converts to text
+        def never(*args, **kwargs):
+            raise AssertionError("fitted past the dimension budget")
+
+        budget = 10**4000
+        monkeypatch.setenv("HAMRANK_MAX_DIM", str(budget))
+        monkeypatch.setattr("hamrank.harness.build_hd_supp", never)
+        out = tmp_path / "r.json"
+        args = ["build-supp", "--n", "9000", "--k", "8000", "--out", str(out)]
+        assert self.failed_report(tmp_path, args) == (
+            "BudgetExceededError: support dimension C(16000, 8000) exceeds the "
+            f"budget {budget}"
+        )
+        assert not out.exists()
+
     def test_cli_one_letter_words_of_any_length_fit_the_pair_budget(self, tmp_path):
         # 1^16000 pairs: a base of 1 is never refused unexpanded
         rep = tmp_path / "rep.json"

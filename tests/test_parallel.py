@@ -163,6 +163,17 @@ def test_an_exponent_past_the_limits_bits_is_refused_unexpanded():
     assert check_size("{} over {}", None, lambda: 7, 10**9, "7") == 7
 
 
+def test_a_refused_size_past_the_digit_limit_is_named_not_written():
+    # 10^5000 has 5,001 digits, past the 4,300 an int converts to text
+    size = 10**5000
+    with pytest.raises(BudgetExceededError, match=r"^10\^5000 over 16777216$"):
+        check_size("{} over {}", 1 << 24, lambda: size, 1, "10^5000")
+    with pytest.raises(BudgetExceededError, match=r"^at least 2\^16609 over 5$"):
+        check_size("{} over {}", 5, lambda: size)
+    assert size.bit_length() - 1 == 16609
+    assert check_size("{} over {}", size, lambda: size, 16610, "10^5000") == size
+
+
 def test_row_checks_keep_no_state():
     """A row check is a function of its row alone: ``parallel`` rebinds
     no name of an enclosing scope, so no check counts or replays rows."""

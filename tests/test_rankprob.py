@@ -201,15 +201,36 @@ class TestEval:
         assert all(p.eval(x, y) == 1 for x in range(4) for y in range(4))
 
     def test_fast_and_dense_paths_agree(self):
+        """Every constructor's row x is its ``rank_fn`` at y = x..N-1, and
+        each rank, either way round, is the dense rank of the difference."""
         p = hd_rank_problem(3, 2, seed=3)
         # a 3 x 3 map of rank up to 3, compressed to 2 x 2
         words = brute_words(3)
         wide = symmetric_problem(8, lambda x: Mat.diag(words[x]), (0, 1))
-        for q in (p, rankprob._compress_problem(wide, 2, seed=3)):
-            for x in range(8):
-                for y in range(8):
-                    dense = reference.rank((q.a_map(x) - q.a_map(y)).to_lists())
-                    assert q.rank_fn(x, y) == dense
+        combined = bool_combine(
+            lambda bits: bits[0] ^ bits[1],
+            [hd_rank_problem(3, 1, seed=4), hd_rank_problem(3, 2, seed=5)],
+            seed=6,
+        )
+        problems = [
+            p,
+            wide,
+            rankprob._compress_problem(wide, 2, seed=3),
+            combined,
+            small_composition(7),
+            problem_from_json(problem_to_json(small_composition(8))),
+        ]
+        for q in problems:
+            n = q.index_count
+            for x in range(n):
+                dense = [
+                    reference.rank((q.a_map(x) - q.a_map(y)).to_lists())
+                    for y in range(x, n)
+                ]
+                assert q.row(x) == [q.rank_fn(x, y) for y in range(x, n)] == dense
+                assert [q.rank_fn(y, x) for y in range(x, n)] == dense
+        # a replaced rank_fn is read afresh, not through the old rows
+        assert replace(combined, rank_fn=lambda x, y: 9).row(0) == [9] * 8
 
     def test_g_table_must_be_boolean(self):
         with pytest.raises(ValueError):
@@ -600,6 +621,44 @@ class TestCompressProblem:
             len(f.bases) * (comp.retries + 1) for f, comp in fits if not f.is_diagonal
         )
         assert len(applied) == draws == 396
+
+    def test_workload_cc_hd_computes_each_row_once(self, monkeypatch):
+        """The compose workload's seed-7 cc-hd build, and evaluating its
+        2,080 pairs x <= y, compute each problem's row x once: the rows of
+        12 tabulated problems (the 3 capped inners at cap 1, per cap the
+        block assembly, its capped sum and the thresholds below it, and the
+        combination), each read by the next from its parent's row, and the
+        rows the gate and the loaded inners give pair by pair."""
+        tabulated, computed = rankprob._tabulated, []
+
+        def counting(row):
+            rows = Counter()
+            computed.append(rows)
+            return tabulated(lambda x: rows.update((x,)) or row(x))
+
+        handed = {}  # (problem, x) -> every row object RankProblem.row returned
+        row = RankProblem.row
+
+        def recorded(p, x):
+            handed.setdefault((id(p), x), [p]).append(row(p, x))
+            return handed[id(p), x][-1]
+
+        monkeypatch.setattr(rankprob, "_tabulated", counting)
+        monkeypatch.setattr(RankProblem, "row", recorded)
+        p = distance_r_compose(workload_spec("cc-hd", 7), seed=7)
+        for x, y in itertools.combinations_with_replacement(range(64), 2):
+            p.eval(x, y)
+        assert [max(rows.values()) for rows in computed] == [1] * 12
+        assert [rows.total() for rows in computed] == [4] * 3 + [64] * 9
+        assert all(all(r is rows[1] for r in rows[2:]) for rows in handed.values())
+        # the gate's and the loaded inners' rows, asked pair by pair once
+        pairwise = [r for r in handed.values() if not hasattr(r[0].rank_fn, "row")]
+        assert [len(rows) for rows in pairwise] == [2] * (64 + 3 * 4)
+        # every row of the 3 loaded inners, read by their cap-1 resizes, and
+        # of 11 problems on the 64 indices (the gate, and per cap the block
+        # assembly, its capped sum and its 2 or 4 thresholds)
+        read = Counter(rows[0].index_count for rows in handed.values())
+        assert read == {4: 3 * 4, 64: 11 * 64}
 
 
 def tree_dim(tree) -> int:
